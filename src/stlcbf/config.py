@@ -38,7 +38,7 @@ from .formula import normalize
 from .parsing import parse
 from .param_search import SearchConfig, maximize_r
 from .predicates import StateLayout
-from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec
+from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec, pairwise_repulsion
 
 __all__ = [
     "ConfigError",
@@ -81,6 +81,9 @@ def validate_config(cfg: dict) -> dict:
     for name, cl in cfg["cliques"].items():
         if "members" not in cl or "formula" not in cl:
             raise ConfigError(f"clique {name!r} needs members and formula")
+        bound = cl.get("coupling_bound", 0.0)
+        if not (_is_number(bound) and math.isfinite(bound) and bound >= 0.0):
+            raise ConfigError(f"clique {name!r} coupling_bound must be a finite number >= 0")
         for i in cl["members"]:
             if str(i) not in cfg["agents"]:
                 raise ConfigError(f"clique {name!r} member {i} is not a declared agent")
@@ -93,11 +96,18 @@ def validate_config(cfg: dict) -> dict:
         if i not in cfg["initial_states"]:
             raise ConfigError(f"agent {i} has no initial state")
         dim = cfg["agents"][i].get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ConfigError(f"agent {i} needs a positive integer dim")
-        if len(cfg["initial_states"][i]) != dim:
+        x0 = cfg["initial_states"][i]
+        if len(x0) != dim:
             raise ConfigError(f"agent {i} initial state has wrong dimension")
+        if not all(_is_number(v) and math.isfinite(v) for v in x0):
+            raise ConfigError(f"agent {i} initial state must hold finite numbers")
     return cfg
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def load_config(path) -> dict:
@@ -255,17 +265,11 @@ def build_cliques(cfg: dict, doc: dict) -> tuple:
 
 
 def _known_secondary_fn(layout: StateLayout, member: int, group, gain, softening):
-    blocks = {j: layout.block(j) for j in group}
+    idx = np.array([np.arange(b.start, b.stop) for b in map(layout.block, group)])
+    row = tuple(group).index(member)
 
     def fn(x_bar, t):
-        xi = x_bar[blocks[member]]
-        fu = np.zeros_like(xi)
-        for j in group:
-            if j == member:
-                continue
-            diff = xi - x_bar[blocks[j]]
-            fu = fu + diff / (float(np.linalg.norm(diff)) + softening)
-        return gain * fu
+        return pairwise_repulsion(x_bar[idx], gain, softening)[row]
 
     return fn
 

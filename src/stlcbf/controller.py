@@ -12,6 +12,12 @@ norms and n_hat = sqrt(n_bar_k * max agent dimension) inflates the noise
 margin so that the per-agent conditions sum to the clique-level barrier
 condition under any disturbance with ||c_i|| <= C.  The single-constraint QP
 has the closed-form solution u = max(rhs, 0) / ||a||^2 * a.
+
+team_control evaluates the law for a whole team on one stacked state vector
+(see Team): one barrier evaluation per live clique, the members' block
+norms, shares and right-hand sides as vectors, then the closed form per
+agent.  Every float operation is the one the per-agent law takes, in the
+same order, so the stacked step reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .predicates import StateLayout
 __all__ = [
     "AgentModel",
     "Clique",
+    "Team",
     "QpInfeasibleError",
     "load_share",
     "agent_constraint",
@@ -85,6 +92,29 @@ class AgentModel:
         return self.input_map
 
 
+class _BlockNorms:
+    """Euclidean norm of every agent block of vectors in one state layout.
+
+    Each norm equals np.linalg.norm of its block bit for bit: np.vecdot runs
+    the same dot kernel on each row of the reshaped vector, while einsum,
+    (v * v).sum() and hypot round differently in a fifth to a third of cases.
+    Layouts with blocks of mixed size take the norms block by block.
+    """
+
+    __slots__ = ("_shape", "_slices")
+
+    def __init__(self, layout: StateLayout):
+        dims = layout.dims
+        self._shape = (len(dims), dims[0]) if len(set(dims)) == 1 else None
+        self._slices = tuple(layout.slices().values())
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        if self._shape is not None:
+            rows = v.reshape(self._shape)
+            return np.sqrt(np.vecdot(rows, rows))
+        return np.array([math.sqrt(float(v[s] @ v[s])) for s in self._slices])
+
+
 @dataclass(frozen=True, eq=False)
 class Clique:
     """Agent subset jointly responsible for one formula, with its barrier."""
@@ -106,6 +136,7 @@ class Clique:
             raise ValueError("coupling bound must be >= 0")
         if self.kappa <= 0.0:
             raise ValueError("kappa must be positive")
+        object.__setattr__(self, "_norms", _BlockNorms(self.layout))
 
     @property
     def n_hat(self) -> float:
@@ -117,49 +148,164 @@ class Clique:
     def block(self, i: int) -> slice:
         return self.layout.block(i)
 
+    def block_norms(self, v: np.ndarray) -> np.ndarray:
+        """Norm of each member's block of a clique vector, in member order."""
+        return self._norms(v)
 
-def _share_from_state(clique: Clique, state: BarrierState, i: int) -> float:
-    norms = [float(np.linalg.norm(state.grad_x[clique.block(j)])) for j in clique.members]
-    den = sum(norms)
-    if den <= _ZERO_TOL:
-        return 1.0
-    return norms[clique.members.index(i)] / den
+    def shares(self, norms: np.ndarray) -> np.ndarray:
+        """Load shares N_i of the members from their gradient-block norms:
+        each norm over their sum, or 1 for every member when the gradient
+        vanishes (the conservative fallback)."""
+        den = sum(norms.tolist())
+        if den <= _ZERO_TOL:
+            return np.ones(len(self.members))
+        return norms / den
 
 
 def load_share(clique: Clique, x_bar: np.ndarray, t: float, i: int) -> float:
     """Fraction of the barrier-condition burden assigned to agent i."""
     if i not in clique.members:
         raise ValueError(f"agent {i} not in clique {clique.name}")
-    return _share_from_state(clique, barrier_state(clique.barrier, x_bar, t), i)
+    grad = barrier_state(clique.barrier, x_bar, t).grad_x
+    return float(clique.shares(clique.block_norms(grad))[clique.members.index(i)])
 
 
-def _constraint_from_state(
-    clique: Clique, agents: dict, state: BarrierState, x_bar: np.ndarray, t: float, i: int
-) -> tuple:
-    model = agents[i]
-    blk = clique.block(i)
-    grad_i = state.grad_x[blk]
-    x_i = x_bar[blk]
-    share = _share_from_state(clique, state, i)
-    g = model.g(x_i, t)
-    a = g.T @ grad_i
-    rhs = (
-        float(np.linalg.norm(grad_i)) * clique.n_hat * clique.coupling_bound
-        - share * (state.dbdt + clique.kappa * state.value)
-        - float(np.dot(grad_i, model.f(x_i, t)))
-    )
-    if model.known_secondary is not None:
-        fu = np.asarray(model.known_secondary(x_bar, t), dtype=float)
-        rhs -= float(np.dot(grad_i, g @ fu))
-    return a, rhs
+class Team:
+    """Run-constant layout of a team under the decentralized law.
+
+    The team state is one (dim,) vector holding the agents' blocks in
+    ascending id order; the inputs are stacked the same way in input_layout.
+    Per clique the team keeps the index array of its stacked state in the
+    team vector and its members' rows, and per agent the constant input map,
+    drift and coupling bound, so that a step builds no per-agent dicts and
+    no identity matrices.  An agent may belong to at most one clique.
+    """
+
+    def __init__(self, cliques, agents: dict):
+        self.cliques = tuple(cliques)
+        seen = set()
+        for cl in self.cliques:
+            for i in cl.members:
+                if i in seen:
+                    raise ValueError(f"agent {i} appears in two cliques")
+                seen.add(i)
+        self.ids = tuple(sorted(agents))
+        models = [agents[i] for i in self.ids]
+        self.layout = StateLayout(self.ids, tuple(m.state_dim for m in models))
+        self.input_layout = StateLayout(self.ids, tuple(m.input_dim for m in models))
+        self.dim = self.layout.dim
+        self.input_dim = self.input_layout.dim
+        self.rows = {i: r for r, i in enumerate(self.ids)}
+        self.blocks = self.layout.slices()
+        self.input_blocks = self.input_layout.slices()
+        self.block_norms = _BlockNorms(self.layout)
+        self._drifts = tuple((self.blocks[m.agent_id], m.drift) for m in models if m.drift is not None)
+        # (state block, input block, g or None for identity) of every agent,
+        # kept only when some agent has an input map
+        self._maps = ()
+        if any(m.input_map is not None for m in models):
+            self._maps = tuple(
+                (self.blocks[m.agent_id], self.input_blocks[m.agent_id], m.input_map) for m in models
+            )
+        self.parts = tuple(_CliquePart(cl, self, agents) for cl in self.cliques)
+        self.coupling_bounds = np.full(len(self.ids), math.inf)  # no clique, no bound
+        for part in self.parts:
+            self.coupling_bounds[part.rows] = part.clique.coupling_bound
+
+    def stack(self, states: dict) -> np.ndarray:
+        """Team vector of per-agent states."""
+        return np.concatenate([np.asarray(states[i], dtype=float) for i in self.ids])
+
+    def split(self, x: np.ndarray) -> dict:
+        """Per-agent views of a team vector."""
+        return {i: x[s] for i, s in self.blocks.items()}
+
+    def drift(self, x: np.ndarray, t: float) -> np.ndarray:
+        """f_i(x_i, t) of every agent, stacked."""
+        f = np.zeros(self.dim)
+        for s, fn in self._drifts:
+            f[s] = fn(x[s], t)
+        return f
+
+    def input_effect(self, u: np.ndarray) -> np.ndarray:
+        """g_i u_i of every agent, stacked in the state layout.
+
+        An identity map passes u_i through: np.eye(n) @ u_i differs from u_i
+        at most in the sign of a zero entry, which the sums this feeds
+        (drift + g u, c + w + g f_u) wash out.
+        """
+        if not self._maps:
+            return u
+        out = np.empty(self.dim)
+        for s, si, g in self._maps:
+            out[s] = u[si] if g is None else g @ u[si]
+        return out
+
+
+class _CliquePart:
+    """One clique's index arrays into the team layout and its members' constants."""
+
+    __slots__ = ("clique", "idx", "rows", "n_hat", "members", "drifted", "known")
+
+    def __init__(self, cl: Clique, team: Team, agents: dict):
+        self.clique = cl
+        blocks = [team.blocks[i] for i in cl.members]
+        self.idx = np.concatenate([np.arange(b.start, b.stop) for b in blocks])
+        self.rows = np.array([team.rows[i] for i in cl.members], dtype=np.intp)
+        self.n_hat = cl.n_hat
+        # (agent id, team row, clique block, input block, g transposed or None)
+        self.members = tuple(
+            (i, team.rows[i], cl.block(i), team.input_blocks[i],
+             None if agents[i].input_map is None else agents[i].input_map.T)
+            for i in cl.members
+        )
+        self.drifted = tuple(
+            (j, cl.block(i), team.blocks[i])
+            for j, i in enumerate(cl.members) if agents[i].drift is not None
+        )
+        self.known = tuple(
+            (j, cl.block(i), agents[i])
+            for j, i in enumerate(cl.members) if agents[i].known_secondary is not None
+        )
+
+    def constraints(self, state: BarrierState, x_bar: np.ndarray, drift: np.ndarray, t: float) -> tuple:
+        """Block norms, shares, and the half-spaces a_i'u >= rhs_i of every member.
+
+        The float operations are those of the per-agent law, member by member:
+        rhs = ||db/dx_i|| n_hat C - N_i (db/dt + kappa b) - (db/dx_i) f_i
+        [- (db/dx_i) g_i f_u if known], evaluated left to right; with an
+        identity map a_i is the gradient block itself (see Team.input_effect).
+        """
+        cl = self.clique
+        grad = state.grad_x
+        norms = cl.block_norms(grad)
+        shares = cl.shares(norms)
+        rhs = norms * self.n_hat * cl.coupling_bound - shares * (state.dbdt + cl.kappa * state.value)
+        if self.drifted:
+            gf = np.zeros(len(norms))
+            for j, blk, s in self.drifted:
+                gf[j] = float(np.dot(grad[blk], drift[s]))
+            rhs = rhs - gf
+        for j, blk, model in self.known:
+            fu = np.asarray(model.known_secondary(x_bar, t), dtype=float)
+            gfu = fu if model.input_map is None else model.input_map @ fu
+            rhs[j] -= float(np.dot(grad[blk], gfu))
+        a = [grad[blk] if gt is None else gt @ grad[blk] for _, _, blk, _, gt in self.members]
+        return norms, shares, a, rhs
 
 
 def agent_constraint(clique: Clique, agents: dict, x_bar: np.ndarray, t: float, i: int) -> tuple:
     """Half-space (a, rhs) of agent i's barrier-condition share: a'u >= rhs."""
     if i not in clique.members:
         raise ValueError(f"agent {i} not in clique {clique.name}")
+    team = Team((clique,), {j: agents[j] for j in clique.members})
+    part = team.parts[0]
+    x = np.empty(team.dim)
+    x[part.idx] = x_bar
     state = barrier_state(clique.barrier, x_bar, t)
-    return _constraint_from_state(clique, agents, state, x_bar, t, i)
+    _, _, a, rhs = part.constraints(state, x_bar, team.drift(x, t), t)
+    j = clique.members.index(i)
+    return a[j], float(rhs[j])
 
 
 def solve_agent_qp(a: np.ndarray, rhs: float) -> np.ndarray:
@@ -175,65 +321,63 @@ def solve_agent_qp(a: np.ndarray, rhs: float) -> np.ndarray:
     return (rhs / nn) * a
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TeamControl:
-    """Inputs plus the per-step diagnostics the trajectory log records."""
+    """Stacked inputs plus the per-step diagnostics the trajectory log records.
 
-    inputs: dict  # agent id -> u
-    barrier_values: dict  # clique name -> b
-    barrier_states: dict  # clique name -> BarrierState
-    residuals: dict  # agent id -> a'u - rhs
-    shares: dict  # agent id -> N_i
+    Agent-indexed arrays follow Team.ids, clique-indexed ones Team.cliques.
+    """
+
+    inputs: np.ndarray  # (team.input_dim,) QP input u of every agent
+    residuals: np.ndarray  # (n_agents,) a'u - rhs
+    shares: np.ndarray  # (n_agents,) N_i
+    grad: np.ndarray  # (team.dim,) each agent's block of its clique's barrier gradient
+    grad_norms: np.ndarray  # (n_agents,) norms of those blocks
+    drift: np.ndarray  # (team.dim,) f_i(x_i, t)
+    barrier_values: np.ndarray  # (n_cliques,) b, nan once the clique expired
+    barrier_states: list  # (n_cliques,) BarrierState, None once the clique expired
 
 
-def team_control(cliques, agents: dict, states: dict, t: float) -> TeamControl:
-    """Evaluate every agent's QP at time t from per-agent state snapshots.
+def team_control(team: Team, x: np.ndarray, t: float) -> TeamControl:
+    """Evaluate every agent's QP at time t from the stacked team state x.
 
     A clique past its final deadline has no remaining obligations; its members
-    get zero input from it.
+    get zero input, share and residual from it, as do agents outside every
+    clique.
     """
-    ids = set()
-    for cl in cliques:
-        for i in cl.members:
-            if i in ids:
-                raise ValueError(f"agent {i} appears in two cliques")
-            ids.add(i)
-    inputs = {}
-    bvals = {}
-    bstates = {}
-    residuals = {}
-    shares = {}
-    for cl in cliques:
-        x_bar = cl.stack(states)
+    n = len(team.ids)
+    drift = team.drift(x, t)
+    inputs = np.zeros(team.input_dim)
+    residuals = np.zeros(n)
+    shares = np.zeros(n)
+    grad = np.zeros(team.dim)
+    grad_norms = np.zeros(n)
+    values = np.full(len(team.parts), math.nan)
+    states = [None] * len(team.parts)
+    for c, part in enumerate(team.parts):
+        cl = part.clique
         if t >= cl.barrier.horizon - 1e-12:
-            for i in cl.members:
-                inputs[i] = np.zeros(agents[i].input_dim)
-                residuals[i] = 0.0
-                shares[i] = 0.0
-            bvals[cl.name] = math.nan
             continue
+        x_bar = x[part.idx]
         state = barrier_state(cl.barrier, x_bar, t)
-        bvals[cl.name] = state.value
-        bstates[cl.name] = state
-        for i in cl.members:
-            a, rhs = _constraint_from_state(cl, agents, state, x_bar, t, i)
+        values[c] = state.value
+        states[c] = state
+        norms, sh, a, rhs = part.constraints(state, x_bar, drift, t)
+        grad[part.idx] = state.grad_x
+        grad_norms[part.rows] = norms
+        shares[part.rows] = sh
+        for (i, row, _, si, _), a_i, rhs_i in zip(part.members, a, rhs.tolist()):
             try:
-                u = solve_agent_qp(a, rhs)
+                u = solve_agent_qp(a_i, rhs_i)
             except QpInfeasibleError as err:
                 raise QpInfeasibleError(
                     f"agent {i} infeasible at t = {t:g}: {err} "
                     f"(barrier value {state.value:g})",
-                    agent_id=i, t=t, rhs=rhs, barrier_value=state.value,
+                    agent_id=i, t=t, rhs=rhs_i, barrier_value=state.value,
                 ) from None
-            inputs[i] = u
-            residuals[i] = float(np.dot(a, u)) - rhs
-            shares[i] = _share_from_state(cl, state, i)
-    for i in agents:
-        if i not in inputs:
-            inputs[i] = np.zeros(agents[i].input_dim)
-            residuals[i] = 0.0
-            shares[i] = 0.0
+            inputs[si] = u
+            residuals[row] = float(np.dot(a_i, u)) - rhs_i
     return TeamControl(
-        inputs=inputs, barrier_values=bvals, barrier_states=bstates,
-        residuals=residuals, shares=shares,
+        inputs=inputs, residuals=residuals, shares=shares, grad=grad,
+        grad_norms=grad_norms, drift=drift, barrier_values=values, barrier_states=states,
     )

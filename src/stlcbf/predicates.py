@@ -61,6 +61,14 @@ class StateLayout:
             off += d
         raise KeyError(f"agent {agent_id} not in layout")
 
+    def slices(self) -> dict:
+        """Agent id -> its slice of the stacked vector, for every agent."""
+        out, off = {}, 0
+        for aid, d in zip(self.ids, self.dims):
+            out[aid] = slice(off, off + d)
+            off += d
+        return out
+
     def agent_dim(self, agent_id: int) -> int:
         s = self.block(agent_id)
         return s.stop - s.start

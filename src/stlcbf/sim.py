@@ -5,6 +5,11 @@ discontinuous at activity switches and across softmin weight changes, so a
 higher-order smooth integrator would buy nothing; the fixed step keeps the
 sample-and-hold control semantics honest.  Everything needed for independent
 verification is logged per step against the pre-step state.
+
+The loop works on the stacked team state of controller.Team: coupling,
+repulsion, noise and the Euler update act on whole vectors, and each step's
+results go into preallocated (T, .) buffers whose columns the log exposes
+per agent.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import Clique, QpInfeasibleError, team_control
+from .controller import Clique, QpInfeasibleError, Team, TeamControl, team_control
 from .predicates import StateLayout
 from .robustness import SampledSignal, robustness
 
@@ -38,8 +43,8 @@ __all__ = [
 
 
 def sat1(v: np.ndarray) -> np.ndarray:
-    """Componentwise saturation to [-1, 1]."""
-    return np.clip(np.asarray(v, dtype=float), -1.0, 1.0)
+    """Componentwise saturation to [-1, 1] (np.clip's values, with less call overhead)."""
+    return np.minimum(np.maximum(np.asarray(v, dtype=float), -1.0), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +71,39 @@ def coupling_forces(spec: CouplingSpec, states: dict, t: float) -> dict:
         return {}
     if spec.kind == "scripted":
         return {i: np.asarray(v, dtype=float) for i, v in spec.scripted(states, t).items()}
-    out = {}
-    for i, pulls in spec.attractions.items():
-        c = np.zeros_like(np.asarray(states[i], dtype=float))
-        for gain, target in pulls:
-            c = c + gain * sat1(np.asarray(states[target], dtype=float) - states[i])
-        out[i] = c
-    return out
+    blocks = StateLayout(tuple(states), tuple(np.size(v) for v in states.values())).slices()
+    x = np.concatenate([np.asarray(v, dtype=float) for v in states.values()])
+    c = _attract(x, _attraction_rounds(spec.attractions, blocks))
+    return {i: c[blocks[i]] for i in spec.attractions}
+
+
+def _attraction_rounds(attractions: dict, blocks: dict) -> tuple:
+    """Saturating attraction as index arrays into a stacked state, one round
+    per pull rank: round k holds the k-th pull of every agent that has one,
+    so no agent repeats within a round and each agent's pulls add up in
+    their listed order."""
+    rounds = []
+    for k in range(max((len(p) for p in attractions.values()), default=0)):
+        dst, src, gains = [], [], []
+        for i, pulls in attractions.items():
+            if k < len(pulls):
+                gain, target = pulls[k]
+                a, b = blocks[i], blocks[target]
+                if a.stop - a.start != b.stop - b.start:
+                    raise ValueError(f"agent {i} is pulled toward agent {target} of another dimension")
+                dst += range(a.start, a.stop)
+                src += range(b.start, b.stop)
+                gains += [gain] * (a.stop - a.start)
+        rounds.append((np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp),
+                       np.array(gains, dtype=float)))
+    return tuple(rounds)
+
+
+def _attract(x: np.ndarray, rounds) -> np.ndarray:
+    c = np.zeros_like(x)
+    for dst, src, gains in rounds:
+        c[dst] = c[dst] + gains * sat1(x[src] - x[dst])
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,21 +125,30 @@ class SecondaryControlSpec:
             raise ValueError(f"unknown secondary control kind {self.kind!r}")
 
 
+def pairwise_repulsion(points: np.ndarray, gain: float, softening: float) -> np.ndarray:
+    """Repulsion inside a group of k agents with states as the rows of points:
+    row i is gain * sum over j != i, in row order, of
+    (x_i - x_j) / (||x_i - x_j|| + softening)."""
+    diff = points[:, None, :] - points[None, :, :]
+    scale = np.sqrt(np.vecdot(diff, diff)) + softening
+    np.fill_diagonal(scale, 1.0)  # the j == i term is then exactly 0 and adds nothing
+    terms = diff / scale[..., None]
+    fu = np.zeros_like(points)
+    for j in range(points.shape[0]):
+        fu = fu + terms[:, j]
+    return gain * fu
+
+
 def secondary_controls(spec: SecondaryControlSpec, states: dict, t: float) -> dict:
     if spec.kind == "none":
         return {}
     if spec.kind == "scripted":
         return {i: np.asarray(v, dtype=float) for i, v in spec.scripted(states, t).items()}
-    out = {}
-    for i in spec.group:
-        fu = np.zeros_like(np.asarray(states[i], dtype=float))
-        for j in spec.group:
-            if j == i:
-                continue
-            diff = np.asarray(states[i], dtype=float) - states[j]
-            fu = fu + diff / (float(np.linalg.norm(diff)) + spec.softening)
-        out[i] = spec.gain * fu
-    return out
+    if not spec.group:
+        return {}
+    points = np.array([np.asarray(states[i], dtype=float) for i in spec.group])
+    fu = pairwise_repulsion(points, spec.gain, spec.softening)
+    return {i: fu[r] for r, i in enumerate(spec.group)}
 
 
 @dataclass(frozen=True)
@@ -150,6 +190,9 @@ class Scenario:
 
 @dataclass
 class TrajectoryLog:
+    """A run's per-step record; a run fills the per-agent and per-clique
+    arrays as column views of its stacked buffers."""
+
     times: np.ndarray  # (T+1,)
     states: dict  # id -> (T+1, n)
     inputs: dict  # id -> (T, m), applied input (QP + secondary)
@@ -172,50 +215,92 @@ class TrajectoryLog:
         return float(np.max(np.linalg.norm(np.diff(stack, axis=0), axis=1))) / self.dt
 
 
-def _sample_noise(spec: NoiseSpec, agents: dict, clique_of: dict, tc, rng) -> dict:
-    out = {}
-    for i, model in agents.items():
-        n = model.state_dim
-        if spec.bound == 0.0 or spec.distribution == "none":
-            out[i] = np.zeros(n)
-        elif spec.distribution == "uniform_ball":
-            d = rng.normal(size=n)
-            nd = float(np.linalg.norm(d))
-            d = d / nd if nd > 0 else np.zeros(n)
-            out[i] = spec.bound * float(rng.uniform()) ** (1.0 / n) * d
-        else:  # adversarial: push straight against the barrier gradient
-            cl = clique_of[i]
-            st = tc.barrier_states.get(cl.name)
-            w = np.zeros(n)
-            if st is not None:
-                g_i = st.grad_x[cl.block(i)]
-                gn = float(np.linalg.norm(g_i))
-                if gn > 1e-12:
-                    w = -spec.bound * g_i / gn
-            out[i] = w
-    return out
+def _sample_noise(spec: NoiseSpec, team: Team, tc: TeamControl, rng) -> np.ndarray:
+    """Disturbance w of every agent, stacked; the rng is drawn agent by agent
+    in id order."""
+    w = np.zeros(team.dim)
+    dims = team.layout.dims
+    if spec.bound == 0.0 or spec.distribution == "none":
+        return w
+    if spec.distribution == "uniform_ball":
+        # w_i = (bound * r_i ** (1 / n_i)) * (d_i / ||d_i||), d_i ~ N(0, I)
+        d = np.empty(team.dim)
+        radius = np.empty(len(dims))
+        for r, (s, n) in enumerate(zip(team.blocks.values(), dims)):
+            d[s] = rng.normal(size=n)
+            # random() draws the same double as uniform() with less overhead
+            radius[r] = spec.bound * float(rng.random()) ** (1.0 / n)
+        nd = np.repeat(team.block_norms(d), dims)
+        return np.repeat(radius, dims) * np.divide(d, nd, out=w, where=nd > 0)
+    # adversarial: push straight against the barrier gradient
+    gn = np.repeat(tc.grad_norms, dims)
+    return np.divide(-spec.bound * tc.grad, gn, out=w, where=gn > 1e-12)
+
+
+def _coupling_fn(spec: CouplingSpec, team: Team):
+    """c(x, t) of every agent on the stacked team state."""
+    if spec.kind == "saturating_attraction":
+        rounds = _attraction_rounds(spec.attractions, team.blocks)
+        return lambda x, t: _attract(x, rounds)
+
+    def fn(x, t):
+        c = np.zeros(team.dim)
+        for i, v in coupling_forces(spec, team.split(x), t).items():
+            c[team.blocks[i]] = v
+        return c
+
+    return fn
+
+
+def _secondary_fn(spec: SecondaryControlSpec, team: Team):
+    """f_u(x, t) of every agent in the stacked input layout (0 where an agent
+    gets none)."""
+    if spec.kind == "pairwise_repulsion" and spec.group:
+        # (group size, dim) index arrays of the group's states and inputs
+        rows = np.array([np.arange(b.start, b.stop) for b in (team.blocks[i] for i in spec.group)])
+        cols = np.array([np.arange(b.start, b.stop) for b in (team.input_blocks[i] for i in spec.group)])
+
+        def repel(x, t):
+            s = np.zeros(team.input_dim)
+            s[cols] = pairwise_repulsion(x[rows], spec.gain, spec.softening)
+            return s
+
+        return repel
+
+    def fn(x, t):
+        s = np.zeros(team.input_dim)
+        for i, v in secondary_controls(spec, team.split(x), t).items():
+            s[team.input_blocks[i]] = v
+        return s
+
+    return fn
 
 
 def run(scenario: Scenario) -> TrajectoryLog:
     sc = scenario
-    agent_ids = sorted(sc.agents)
-    agents = {i: sc.agents[i] for i in agent_ids}
+    team = Team(sc.cliques, sc.agents)
     horizon = sc.horizon if sc.horizon is not None else max(cl.barrier.horizon for cl in sc.cliques)
     n_steps = int(round(horizon / sc.dt))
     if n_steps < 1 or abs(n_steps * sc.dt - horizon) > 1e-9:
         raise ValueError("horizon must be a positive integer multiple of dt")
     times = np.linspace(0.0, horizon, n_steps + 1)
-    clique_of = {i: cl for cl in sc.cliques for i in cl.members}
+    coupling = _coupling_fn(sc.coupling, team)
+    secondary = _secondary_fn(sc.secondary, team)
+    # the secondary input counts as disturbance unless the agent declared it known
+    unmodelled = np.repeat(
+        [float(sc.agents[i].known_secondary is None) for i in team.ids], team.input_layout.dims
+    )
+    limits = team.coupling_bounds + 1e-9
 
-    x = {i: np.asarray(sc.x0[i], dtype=float).copy() for i in agent_ids}
-    states = {i: np.empty((n_steps + 1, agents[i].state_dim)) for i in agent_ids}
-    inputs = {i: np.empty((n_steps, agents[i].input_dim)) for i in agent_ids}
-    barriers = {cl.name: np.empty(n_steps) for cl in sc.cliques}
-    residuals = {i: np.empty(n_steps) for i in agent_ids}
-    shares = {i: np.empty(n_steps) for i in agent_ids}
-    dist_norms = {i: np.empty(n_steps) for i in agent_ids}
-    for i in agent_ids:
-        states[i][0] = x[i]
+    n = len(team.ids)
+    xs = np.empty((n_steps + 1, team.dim))
+    us = np.empty((n_steps, team.input_dim))
+    bs = np.empty((n_steps, len(team.cliques)))
+    residuals = np.empty((n_steps, n))
+    shares = np.empty((n_steps, n))
+    dist_norms = np.empty((n_steps, n))
+    x = team.stack(sc.x0)
+    xs[0] = x
     events = []
     rng = np.random.default_rng(sc.noise.seed)
     switch_times = sorted({s for cl in sc.cliques for s in cl.barrier.schedule})
@@ -229,66 +314,51 @@ def run(scenario: Scenario) -> TrajectoryLog:
             events.append({"t": t, "kind": "switch", "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
             next_switch_idx += 1
         try:
-            tc = team_control(sc.cliques, agents, x, t)
+            tc = team_control(team, x, t)
         except QpInfeasibleError as err:
             events.append({"t": t, "kind": "qp_infeasible", "detail": str(err)})
             completed = False
             break
-        noise = _sample_noise(sc.noise, agents, clique_of, tc, rng)
-        coup = coupling_forces(sc.coupling, x, t)
-        sec = secondary_controls(sc.secondary, x, t)
-        abort = False
-        new_x = {}
-        for i in agent_ids:
-            model = agents[i]
-            u_extra = sec.get(i)
-            u = tc.inputs[i] + (u_extra if u_extra is not None else 0.0)
-            c = coup.get(i, np.zeros(model.state_dim))
-            w = noise[i]
-            g = model.g(x[i], t)
-            # disturbance the declared bound C must cover: everything the
-            # constraint does not model (secondary control counts unless the
-            # agent declared it known)
-            dist = c + w
-            if u_extra is not None and model.known_secondary is None:
-                dist = dist + g @ u_extra
-            dn = float(np.linalg.norm(dist))
-            dist_norms[i][k] = dn
-            bound = clique_of[i].coupling_bound
-            if dn > bound + 1e-9:
+        w = _sample_noise(sc.noise, team, tc, rng)
+        c = coupling(x, t)
+        f_u = secondary(x, t)
+        u = tc.inputs + f_u
+        # disturbance the declared bound C must cover: everything the
+        # constraint does not model
+        dist = c + w + team.input_effect(f_u * unmodelled)
+        dn = team.block_norms(dist)
+        us[k] = u
+        residuals[k] = tc.residuals
+        shares[k] = tc.shares
+        dist_norms[k] = dn
+        bs[k] = tc.barrier_values
+        x = x + sc.dt * (tc.drift + team.input_effect(u) + c + w)
+        xs[k + 1] = x
+        steps_done = k + 1
+        over = np.flatnonzero(dn > limits)
+        if over.size:
+            for r in over.tolist():
                 events.append({
                     "t": t, "kind": "disturbance_bound",
-                    "detail": f"agent {i} disturbance {dn:.4f} exceeds declared bound {bound:g}",
+                    "detail": f"agent {team.ids[r]} disturbance {float(dn[r]):.4f} exceeds "
+                    f"declared bound {float(team.coupling_bounds[r]):g}",
                 })
-                abort = True
-            inputs[i][k] = u
-            residuals[i][k] = tc.residuals[i]
-            shares[i][k] = tc.shares[i]
-            new_x[i] = x[i] + sc.dt * (model.f(x[i], t) + g @ u + c + w)
-        for cl in sc.cliques:
-            barriers[cl.name][k] = tc.barrier_values[cl.name]
-        if abort:
             completed = False
-            steps_done = k + 1
-            for i in agent_ids:
-                states[i][k + 1] = new_x[i]
             break
-        x = new_x
-        for i in agent_ids:
-            states[i][k + 1] = x[i]
-        steps_done = k + 1
 
-    if completed:
-        steps_done = n_steps
     t_len = steps_done
+
+    def per_agent(buf):
+        return {i: buf[:t_len, r] for r, i in enumerate(team.ids)}
+
     return TrajectoryLog(
         times=times[: t_len + 1],
-        states={i: states[i][: t_len + 1] for i in agent_ids},
-        inputs={i: inputs[i][:t_len] for i in agent_ids},
-        barriers={n: b[:t_len] for n, b in barriers.items()},
-        residuals={i: residuals[i][:t_len] for i in agent_ids},
-        shares={i: shares[i][:t_len] for i in agent_ids},
-        disturbance_norms={i: dist_norms[i][:t_len] for i in agent_ids},
+        states={i: xs[: t_len + 1, s] for i, s in team.blocks.items()},
+        inputs={i: us[:t_len, s] for i, s in team.input_blocks.items()},
+        barriers={cl.name: bs[:t_len, c] for c, cl in enumerate(team.cliques)},
+        residuals=per_agent(residuals),
+        shares=per_agent(shares),
+        disturbance_norms=per_agent(dist_norms),
         events=events,
         completed=completed,
         dt=sc.dt,

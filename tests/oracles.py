@@ -12,6 +12,12 @@ The barrier oracle evaluates a composite barrier term by term with the
 predicates' own value and gradient methods, gamma_eval and gamma_rate, and
 the softmin formula written out in Python floats; it shares no index
 bookkeeping, stacking or caching with the package's kernel.
+
+The run oracle, naive_run, is the simulator as it was before the stacked team
+step: per-agent dicts of states, one team_control pass per agent over its
+clique, per-agent coupling, repulsion and noise loops, and np.eye input maps.
+It keeps the float operations of the law in their original order, so the
+package's run must reproduce its logs bit for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +26,11 @@ import math
 
 import numpy as np
 
-from stlcbf.barrier import gamma_eval, gamma_rate
+from stlcbf.barrier import barrier_state, gamma_eval, gamma_rate
+from stlcbf.controller import QpInfeasibleError
 from stlcbf.formula import Atom, Conj, Always, Eventually, Until, is_state_formula, state_literals
 from stlcbf.predicates import AffinePredicate, BallPredicate
+from stlcbf.sim import TrajectoryLog
 
 
 def _tol(at: float) -> float:
@@ -170,3 +178,267 @@ def naive_barrier_state(cb, x, t, left_limit=False) -> dict:
         "term_values": np.array(vals),
         "all_terms": np.array(all_terms),
     }
+
+
+# ---------------------------------------------------------------------------
+# Simulator oracle: the per-agent team step
+
+_ZERO_TOL = 1e-12
+
+
+def _naive_g(model):
+    if model.input_map is None:
+        return np.eye(model.state_dim)
+    return model.input_map
+
+
+def _share_from_state(clique, state, i: int) -> float:
+    norms = [float(np.linalg.norm(state.grad_x[clique.block(j)])) for j in clique.members]
+    den = sum(norms)
+    if den <= _ZERO_TOL:
+        return 1.0
+    return norms[clique.members.index(i)] / den
+
+
+def _constraint_from_state(clique, agents, state, x_bar, t, i) -> tuple:
+    model = agents[i]
+    blk = clique.block(i)
+    grad_i = state.grad_x[blk]
+    x_i = x_bar[blk]
+    share = _share_from_state(clique, state, i)
+    g = _naive_g(model)
+    a = g.T @ grad_i
+    rhs = (
+        float(np.linalg.norm(grad_i)) * clique.n_hat * clique.coupling_bound
+        - share * (state.dbdt + clique.kappa * state.value)
+        - float(np.dot(grad_i, model.f(x_i, t)))
+    )
+    if model.known_secondary is not None:
+        fu = np.asarray(model.known_secondary(x_bar, t), dtype=float)
+        rhs -= float(np.dot(grad_i, g @ fu))
+    return a, rhs
+
+
+def _solve_agent_qp(a, rhs):
+    a = np.asarray(a, dtype=float)
+    if rhs <= 0.0:
+        return np.zeros_like(a)
+    nn = float(np.dot(a, a))
+    if nn <= _ZERO_TOL**2:
+        raise QpInfeasibleError(f"constraint direction vanished with rhs = {rhs:g} > 0", rhs=rhs)
+    return (rhs / nn) * a
+
+
+def naive_team_control(cliques, agents: dict, states: dict, t: float) -> dict:
+    ids = set()
+    for cl in cliques:
+        for i in cl.members:
+            if i in ids:
+                raise ValueError(f"agent {i} appears in two cliques")
+            ids.add(i)
+    inputs, bvals, bstates, residuals, shares = {}, {}, {}, {}, {}
+    for cl in cliques:
+        x_bar = cl.stack(states)
+        if t >= cl.barrier.horizon - 1e-12:
+            for i in cl.members:
+                inputs[i] = np.zeros(agents[i].input_dim)
+                residuals[i] = 0.0
+                shares[i] = 0.0
+            bvals[cl.name] = math.nan
+            continue
+        state = barrier_state(cl.barrier, x_bar, t)
+        bvals[cl.name] = state.value
+        bstates[cl.name] = state
+        for i in cl.members:
+            a, rhs = _constraint_from_state(cl, agents, state, x_bar, t, i)
+            try:
+                u = _solve_agent_qp(a, rhs)
+            except QpInfeasibleError as err:
+                raise QpInfeasibleError(
+                    f"agent {i} infeasible at t = {t:g}: {err} "
+                    f"(barrier value {state.value:g})",
+                    agent_id=i, t=t, rhs=rhs, barrier_value=state.value,
+                ) from None
+            inputs[i] = u
+            residuals[i] = float(np.dot(a, u)) - rhs
+            shares[i] = _share_from_state(cl, state, i)
+    for i in agents:
+        if i not in inputs:
+            inputs[i] = np.zeros(agents[i].input_dim)
+            residuals[i] = 0.0
+            shares[i] = 0.0
+    return {"inputs": inputs, "barrier_values": bvals, "barrier_states": bstates,
+            "residuals": residuals, "shares": shares}
+
+
+def _sat1(v):
+    return np.clip(np.asarray(v, dtype=float), -1.0, 1.0)
+
+
+def naive_coupling_forces(spec, states: dict, t: float) -> dict:
+    if spec.kind == "none":
+        return {}
+    if spec.kind == "scripted":
+        return {i: np.asarray(v, dtype=float) for i, v in spec.scripted(states, t).items()}
+    out = {}
+    for i, pulls in spec.attractions.items():
+        c = np.zeros_like(np.asarray(states[i], dtype=float))
+        for gain, target in pulls:
+            c = c + gain * _sat1(np.asarray(states[target], dtype=float) - states[i])
+        out[i] = c
+    return out
+
+
+def naive_secondary_controls(spec, states: dict, t: float) -> dict:
+    if spec.kind == "none":
+        return {}
+    if spec.kind == "scripted":
+        return {i: np.asarray(v, dtype=float) for i, v in spec.scripted(states, t).items()}
+    out = {}
+    for i in spec.group:
+        fu = np.zeros_like(np.asarray(states[i], dtype=float))
+        for j in spec.group:
+            if j == i:
+                continue
+            diff = np.asarray(states[i], dtype=float) - states[j]
+            fu = fu + diff / (float(np.linalg.norm(diff)) + spec.softening)
+        out[i] = spec.gain * fu
+    return out
+
+
+def naive_known_secondary_fn(layout, member: int, group, gain, softening):
+    """The repulsion a clique member declares known, on the clique stack."""
+    blocks = {j: layout.block(j) for j in group}
+
+    def fn(x_bar, t):
+        xi = x_bar[blocks[member]]
+        fu = np.zeros_like(xi)
+        for j in group:
+            if j == member:
+                continue
+            diff = xi - x_bar[blocks[j]]
+            fu = fu + diff / (float(np.linalg.norm(diff)) + softening)
+        return gain * fu
+
+    return fn
+
+
+def _naive_noise(spec, agents: dict, clique_of: dict, tc: dict, rng) -> dict:
+    out = {}
+    for i, model in agents.items():
+        n = model.state_dim
+        if spec.bound == 0.0 or spec.distribution == "none":
+            out[i] = np.zeros(n)
+        elif spec.distribution == "uniform_ball":
+            d = rng.normal(size=n)
+            nd = float(np.linalg.norm(d))
+            d = d / nd if nd > 0 else np.zeros(n)
+            out[i] = spec.bound * float(rng.uniform()) ** (1.0 / n) * d
+        else:  # adversarial: push straight against the barrier gradient
+            cl = clique_of[i]
+            st = tc["barrier_states"].get(cl.name)
+            w = np.zeros(n)
+            if st is not None:
+                g_i = st.grad_x[cl.block(i)]
+                gn = float(np.linalg.norm(g_i))
+                if gn > 1e-12:
+                    w = -spec.bound * g_i / gn
+            out[i] = w
+    return out
+
+
+def naive_run(scenario) -> TrajectoryLog:
+    """The per-agent simulator loop: the reference for the stacked run."""
+    sc = scenario
+    agent_ids = sorted(sc.agents)
+    agents = {i: sc.agents[i] for i in agent_ids}
+    horizon = sc.horizon if sc.horizon is not None else max(cl.barrier.horizon for cl in sc.cliques)
+    n_steps = int(round(horizon / sc.dt))
+    if n_steps < 1 or abs(n_steps * sc.dt - horizon) > 1e-9:
+        raise ValueError("horizon must be a positive integer multiple of dt")
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    clique_of = {i: cl for cl in sc.cliques for i in cl.members}
+
+    x = {i: np.asarray(sc.x0[i], dtype=float).copy() for i in agent_ids}
+    states = {i: np.empty((n_steps + 1, agents[i].state_dim)) for i in agent_ids}
+    inputs = {i: np.empty((n_steps, agents[i].input_dim)) for i in agent_ids}
+    barriers = {cl.name: np.empty(n_steps) for cl in sc.cliques}
+    residuals = {i: np.empty(n_steps) for i in agent_ids}
+    shares = {i: np.empty(n_steps) for i in agent_ids}
+    dist_norms = {i: np.empty(n_steps) for i in agent_ids}
+    for i in agent_ids:
+        states[i][0] = x[i]
+    events = []
+    rng = np.random.default_rng(sc.noise.seed)
+    switch_times = sorted({s for cl in sc.cliques for s in cl.barrier.schedule})
+    next_switch_idx = 0
+    completed = True
+    steps_done = 0
+
+    for k in range(n_steps):
+        t = float(times[k])
+        while next_switch_idx < len(switch_times) and switch_times[next_switch_idx] <= t + 1e-12:
+            events.append({"t": t, "kind": "switch", "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
+            next_switch_idx += 1
+        try:
+            tc = naive_team_control(sc.cliques, agents, x, t)
+        except QpInfeasibleError as err:
+            events.append({"t": t, "kind": "qp_infeasible", "detail": str(err)})
+            completed = False
+            break
+        noise = _naive_noise(sc.noise, agents, clique_of, tc, rng)
+        coup = naive_coupling_forces(sc.coupling, x, t)
+        sec = naive_secondary_controls(sc.secondary, x, t)
+        abort = False
+        new_x = {}
+        for i in agent_ids:
+            model = agents[i]
+            u_extra = sec.get(i)
+            u = tc["inputs"][i] + (u_extra if u_extra is not None else 0.0)
+            c = coup.get(i, np.zeros(model.state_dim))
+            w = noise[i]
+            g = _naive_g(model)
+            dist = c + w
+            if u_extra is not None and model.known_secondary is None:
+                dist = dist + g @ u_extra
+            dn = float(np.linalg.norm(dist))
+            dist_norms[i][k] = dn
+            bound = clique_of[i].coupling_bound
+            if dn > bound + 1e-9:
+                events.append({
+                    "t": t, "kind": "disturbance_bound",
+                    "detail": f"agent {i} disturbance {dn:.4f} exceeds declared bound {bound:g}",
+                })
+                abort = True
+            inputs[i][k] = u
+            residuals[i][k] = tc["residuals"][i]
+            shares[i][k] = tc["shares"][i]
+            new_x[i] = x[i] + sc.dt * (model.f(x[i], t) + g @ u + c + w)
+        for cl in sc.cliques:
+            barriers[cl.name][k] = tc["barrier_values"][cl.name]
+        if abort:
+            completed = False
+            steps_done = k + 1
+            for i in agent_ids:
+                states[i][k + 1] = new_x[i]
+            break
+        x = new_x
+        for i in agent_ids:
+            states[i][k + 1] = x[i]
+        steps_done = k + 1
+
+    if completed:
+        steps_done = n_steps
+    t_len = steps_done
+    return TrajectoryLog(
+        times=times[: t_len + 1],
+        states={i: states[i][: t_len + 1] for i in agent_ids},
+        inputs={i: inputs[i][:t_len] for i in agent_ids},
+        barriers={n: b[:t_len] for n, b in barriers.items()},
+        residuals={i: residuals[i][:t_len] for i in agent_ids},
+        shares={i: shares[i][:t_len] for i in agent_ids},
+        disturbance_norms={i: dist_norms[i][:t_len] for i in agent_ids},
+        events=events,
+        completed=completed,
+        dt=sc.dt,
+    )

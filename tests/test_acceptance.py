@@ -30,7 +30,7 @@ from stlcbf import (
     run_construct,
     solve_agent_qp,
 )
-from stlcbf.controller import Clique, _share_from_state
+from stlcbf.controller import Clique
 
 from oracles import central_fd, naive_robustness, random_formula
 
@@ -197,18 +197,13 @@ def test_c05_load_shares_partition_to_one():
     cb = build_barrier([unit], [GammaParams(-1.0, 0.5, 0.3, 0.0)], eta=10.0, bound_radius=50.0)
     clique = Clique("p", (1, 2, 3), cb, lay, 0.1, 1.0, 3)
 
-    class FakeState:
-        def __init__(self, g):
-            self.grad_x = g
-
     rng = np.random.default_rng(500)
     worst = 0.0
     n_checked = n_degenerate = 0
     for _ in range(10_000):
         scale = float(rng.choice([1e-14, 1e-6, 1.0, 1e3]))
         g = rng.normal(scale=scale, size=6)
-        st = FakeState(g)
-        shares = [_share_from_state(clique, st, i) for i in (1, 2, 3)]
+        shares = clique.shares(clique.block_norms(g)).tolist()
         den = sum(float(np.linalg.norm(g[lay.block(i)])) for i in (1, 2, 3))
         if den > 1e-12:
             worst = max(worst, abs(sum(shares) - 1.0))

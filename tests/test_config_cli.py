@@ -84,6 +84,18 @@ def test_validate_config_errors():
     bad["initial_states"]["1"] = [1.0, 2.0]
     with pytest.raises(ConfigError, match="wrong dimension"):
         validate_config(bad)
+    bad = copy.deepcopy(good)
+    bad["agents"]["1"]["dim"] = True
+    with pytest.raises(ConfigError, match="positive integer dim"):
+        validate_config(bad)
+    bad = copy.deepcopy(good)
+    bad["initial_states"]["1"] = [float("nan")]
+    with pytest.raises(ConfigError, match="finite numbers"):
+        validate_config(bad)
+    bad = copy.deepcopy(good)
+    bad["cliques"]["solo"]["coupling_bound"] = float("nan")
+    with pytest.raises(ConfigError, match="coupling_bound must be a finite number"):
+        validate_config(bad)
 
 
 def test_build_agents_drift_and_input():
@@ -267,3 +279,11 @@ def test_cli_monitor_at_time(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == 1.0
     assert main(["monitor", "F[0,1](dot([1], x1) >= 0)", str(sig)]) == 0
     assert float(capsys.readouterr().out.strip()) == 5.0
+
+
+def test_cli_monitor_rejects_non_finite_signal(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("t,x1_0\n0.0,nan\n0.5,1.0\n")
+    assert main(["monitor", "G[0,0.5](dot([1], x1) >= 0)", str(sig)]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and len(err.strip().splitlines()) == 1

@@ -11,6 +11,7 @@ from stlcbf import (
     OperatorUnit,
     QpInfeasibleError,
     StateLayout,
+    Team,
     agent_constraint,
     barrier_state,
     build_barrier,
@@ -18,7 +19,6 @@ from stlcbf import (
     solve_agent_qp,
     team_control,
 )
-from stlcbf.controller import _share_from_state
 
 
 def two_agent_clique(kappa=2.0, C=0.5, eta=10.0):
@@ -75,11 +75,8 @@ def test_load_share_partition():
 
 def test_share_fallback_when_gradient_vanishes():
     clique, _ = two_agent_clique()
-
-    class FakeState:
-        grad_x = np.zeros(4)
-
-    assert _share_from_state(clique, FakeState(), 1) == 1.0
+    grad_x = np.zeros(4)
+    assert clique.shares(clique.block_norms(grad_x))[0] == 1.0
 
 
 def test_agent_constraint_matches_manual_computation():
@@ -149,12 +146,13 @@ def test_qp_beats_random_feasible_candidates_spot():
 def test_team_control_matches_per_agent_solves():
     clique, agents = two_agent_clique()
     states = {1: np.array([0.5, -1.0]), 2: np.array([2.0, 0.25])}
-    tc = team_control([clique], agents, states, 0.5)
+    team = Team([clique], agents)
+    tc = team_control(team, team.stack(states), 0.5)
     x = clique.stack(states)
     for i in clique.members:
         a, rhs = agent_constraint(clique, agents, x, 0.5, i)
-        assert np.array_equal(tc.inputs[i], solve_agent_qp(a, rhs))
-        assert tc.residuals[i] >= -1e-9
+        assert np.array_equal(tc.inputs[team.input_blocks[i]], solve_agent_qp(a, rhs))
+        assert tc.residuals[team.rows[i]] >= -1e-9
 
 
 def test_team_control_expired_clique_and_outsiders():
@@ -162,17 +160,18 @@ def test_team_control_expired_clique_and_outsiders():
     agents = dict(agents)
     agents[7] = AgentModel(agent_id=7, state_dim=1)
     states = {1: np.zeros(2), 2: np.zeros(2), 7: np.array([1.0])}
-    tc = team_control([clique], agents, states, 5.0)  # horizon reached
-    assert np.array_equal(tc.inputs[1], np.zeros(2))
-    assert math.isnan(tc.barrier_values["pair"])
-    assert np.array_equal(tc.inputs[7], np.zeros(1))
-    assert "pair" not in tc.barrier_states
+    team = Team([clique], agents)
+    tc = team_control(team, team.stack(states), 5.0)  # horizon reached
+    assert np.array_equal(tc.inputs[team.input_blocks[1]], np.zeros(2))
+    assert math.isnan(tc.barrier_values[0])  # clique "pair"
+    assert np.array_equal(tc.inputs[team.input_blocks[7]], np.zeros(1))
+    assert tc.barrier_states[0] is None
 
 
 def test_team_control_rejects_shared_members():
     clique, agents = two_agent_clique()
     with pytest.raises(ValueError, match="two cliques"):
-        team_control([clique, clique], agents, {1: np.zeros(2), 2: np.zeros(2)}, 0.0)
+        Team([clique, clique], agents)
 
 
 def test_aggregated_condition_holds_under_worst_coupling():
@@ -183,13 +182,14 @@ def test_aggregated_condition_holds_under_worst_coupling():
     for _ in range(50):
         states = {1: rng.normal(size=2), 2: rng.normal(size=2)}
         t = float(rng.uniform(0.0, 3.9))
-        tc = team_control([clique], agents, states, t)
+        team = Team([clique], agents)
+        tc = team_control(team, team.stack(states), t)
         x = clique.stack(states)
         st = barrier_state(clique.barrier, x, t)
         total = st.dbdt + clique.kappa * st.value
         for i in clique.members:
             g_i = st.grad_x[clique.block(i)]
-            u = tc.inputs[i]
+            u = tc.inputs[team.input_blocks[i]]
             gn = float(np.linalg.norm(g_i))
             worst_c = -0.5 * g_i / gn if gn > 0 else np.zeros(2)
             total += float(g_i @ (u + worst_c))

@@ -28,7 +28,10 @@ from stlcbf import (
     verify,
     write_log_csv,
 )
+from stlcbf.config import _known_secondary_fn
 from stlcbf.sim import sat1
+
+from oracles import naive_known_secondary_fn, naive_run
 
 
 def passive_clique(agent_id=1, dim=2, C=0.0, kappa=1.0, horizon=1.0, name="solo"):
@@ -295,3 +298,138 @@ def test_adversarial_noise_pushes_against_gradient():
     assert np.allclose(log.disturbance_norms[1], 0.3)
     # the barrier still never dips below zero: the QP compensates
     assert np.all(log.barriers["adv"] > 0.0)
+
+
+# --- the stacked team step against the per-agent oracle --------------------
+
+def _oracle_scenario(noise, coupling, secondary, known_fn=None, stuck=False):
+    """Five agents in two cliques, sized so that every QP is active at times.
+
+    "team" = agents 1-3 (dim 2; agent 2 has an affine drift, agent 3 a
+    non-identity square input map) must reach a point and a ball while
+    keeping a formation constraint; "side" = agents 4 (dim 2, input map
+    with three inputs) and 5 (dim 3, affine drift) has mixed member
+    dimensions and expires at t = 0.6 while the run goes on to t = 1.
+    stuck=True adds agent 6, parked at the centre of a ball whose funnel
+    rises past it, so its constraint direction vanishes with rhs > 0
+    mid-run.
+    """
+    lay_team = StateLayout(ids=(1, 2, 3), dims=(2, 2, 2))
+    sel3 = np.zeros((2, 6))
+    sel3[:, 4:] = np.eye(2)
+    team_units = [
+        OperatorUnit("eventually", AffinePredicate(np.array([1.0, 0, 0, 0, 0, 0]), -1.0), 0.4, 1.0),
+        OperatorUnit("always", AffinePredicate(np.array([0, 1.0, 0, -1.0, 0, 0]), 1.0), 0.0, 1.0),
+        OperatorUnit("eventually", BallPredicate(sel3, np.array([-0.5, 0.5]), 1.0), 0.5, 1.0),
+    ]
+    team_params = [GammaParams(g0, g_inf, decay, u.t_star) for (g0, g_inf, decay), u in
+                   zip([(-2.0, 0.2, 3.0), (-0.5, 0.3, 2.0), (-2.0, 0.3, 2.0)], team_units)]
+    lay_side = StateLayout(ids=(4, 5), dims=(2, 3))
+    sel5 = np.zeros((3, 5))
+    sel5[:, 2:] = np.eye(3)
+    side_units = [
+        OperatorUnit("always", AffinePredicate(np.array([1.0, 0, 0, 0, 1.0]), 1.0), 0.0, 0.6),
+        OperatorUnit("eventually", BallPredicate(sel5, -0.5 * np.ones(3), 1.0), 0.2, 0.6),
+    ]
+    side_params = [GammaParams(g0, g_inf, decay, u.t_star) for (g0, g_inf, decay), u in
+                   zip([(-1.0, 2.6, 4.0), (-1.0, 0.8, 3.0)], side_units)]
+    max_dim = 3
+    cliques = [
+        Clique("team", (1, 2, 3), build_barrier(team_units, team_params, eta=3.0, bound_radius=30.0),
+               lay_team, 0.8, 2.0, max_dim),
+        Clique("side", (4, 5), build_barrier(side_units, side_params, eta=3.0, bound_radius=30.0),
+               lay_side, 0.8, 2.0, max_dim),
+    ]
+    A2 = np.array([[-0.1, 0.2], [0.0, -0.1]])
+    A5 = np.array([[0.0, -0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, -0.1]])
+    b5 = np.array([0.05, 0.0, 0.0])
+    agents = {
+        1: AgentModel(1, 2),
+        2: AgentModel(2, 2, drift=lambda x, t: A2 @ x + 0.1),
+        3: AgentModel(3, 2, input_map=np.array([[1.0, 0.3], [0.0, 1.5]])),
+        4: AgentModel(4, 2, input_dim=3, input_map=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])),
+        5: AgentModel(5, 3, drift=lambda x, t: A5 @ x + b5),
+    }
+    x0 = {1: [0.0, 0.0], 2: [0.0, 0.5], 3: [-0.5, 0.5], 4: [1.0, 1.0], 5: [0.0, 0.0, 0.5]}
+    if stuck:
+        lay = StateLayout(ids=(6,), dims=(2,))
+        unit = OperatorUnit("always", BallPredicate(np.eye(2), np.zeros(2), 1.0), 0.0, 1.0)
+        cb = build_barrier([unit], [GammaParams(-2.0, 1.5, 2.0, 0.0)], eta=10.0, bound_radius=50.0)
+        cliques.append(Clique("stuck", (6,), cb, lay, 0.0, 3.0, 2))
+        agents[6] = AgentModel(6, 2)
+        x0[6] = [0.0, 0.0]
+    group = (1, 2, 3)
+    if secondary == "known":
+        for i in group:
+            m = agents[i]
+            agents[i] = AgentModel(m.agent_id, m.state_dim, m.input_dim, m.drift, m.input_map,
+                                   known_secondary=known_fn(lay_team, i, group, 0.1, 0.05))
+    sec = {
+        "none": SecondaryControlSpec(),
+        "repulsion": SecondaryControlSpec("pairwise_repulsion", group, 0.1, 0.05),
+        "known": SecondaryControlSpec("pairwise_repulsion", group, 0.1, 0.05),
+        "scripted": SecondaryControlSpec(
+            "scripted", scripted=lambda states, t: {
+                2: 0.05 * np.array([math.sin(5 * t), math.cos(5 * t)]), 4: 0.02 * np.ones(3)}),
+    }[secondary]
+    attraction = CouplingSpec("saturating_attraction", attractions={
+        1: ((0.2, 4),), 2: ((0.2, 4),), 3: ((0.1, 1), (0.1, 2)), 4: ((0.2, 1), (0.2, 2))})
+    coup = {
+        "none": CouplingSpec(),
+        "attraction": attraction,
+        "scripted": CouplingSpec("scripted", scripted=lambda states, t: {
+            1: 0.1 * np.tanh(states[4] - states[1]), 5: np.array([0.05, 0.0, -0.05])}),
+        # two agents over their bounds at t = 0.3
+        "abort": CouplingSpec("scripted", scripted=lambda states, t: (
+            {1: np.array([5.0, 0.0]), 4: np.array([0.0, 2.0])} if t >= 0.3 - 1e-12 else {})),
+    }[coupling]
+    return Scenario(agents=agents, cliques=tuple(cliques),
+                    x0={i: np.asarray(v, float) for i, v in x0.items()}, dt=0.01,
+                    coupling=coup, secondary=sec,
+                    noise=NoiseSpec(bound=0.1, distribution=noise, seed=7))
+
+
+def _assert_bitwise(a, b, what):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype, what
+    assert a.tobytes() == b.tobytes(), what
+
+
+ORACLE_CASES = {
+    "ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False),
+    "adversarial-attraction-known": ("adversarial", "attraction", "known", False),
+    "adversarial-scripted-repulsion": ("adversarial", "scripted", "repulsion", False),
+    "none-scripted-scripted": ("none", "scripted", "scripted", False),
+    "ball-none-known": ("uniform_ball", "none", "known", False),
+    "disturbance-abort": ("uniform_ball", "abort", "repulsion", False),
+    "qp-infeasible-abort": ("none", "none", "none", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_run_matches_per_agent_oracle_bitwise(case):
+    noise, coupling, secondary, stuck = ORACLE_CASES[case]
+    log = run(_oracle_scenario(noise, coupling, secondary, _known_secondary_fn, stuck))
+    ref = naive_run(_oracle_scenario(noise, coupling, secondary, naive_known_secondary_fn, stuck))
+
+    assert log.completed == ref.completed and log.dt == ref.dt
+    assert log.events == ref.events
+    _assert_bitwise(log.times, ref.times, "times")
+    for name in ("states", "inputs", "barriers", "residuals", "shares", "disturbance_norms"):
+        got, want = getattr(log, name), getattr(ref, name)
+        assert list(got) == list(want), name
+        for key in want:
+            _assert_bitwise(got[key], want[key], f"{name}[{key}]")
+
+    # the case exercises what it names
+    kinds = [e["kind"] for e in log.events]
+    if coupling == "abort":
+        assert kinds[-2:] == ["disturbance_bound"] * 2 and log.times[-1] == pytest.approx(0.31)
+    elif stuck:
+        assert kinds[-1] == "qp_infeasible" and 0.1 < log.events[-1]["t"] < 0.9
+    else:
+        assert log.completed
+        assert np.isnan(log.barriers["side"][-1]) and not np.isnan(log.barriers["side"][0])
+        assert log.shares[4][-1] == 0.0 and log.residuals[5][-1] == 0.0
+        for i in (1, 2, 3, 4, 5):
+            assert np.any(np.abs(log.residuals[i][:50]) < 1e-9)  # the QP was active
