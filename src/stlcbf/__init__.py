@@ -4,164 +4,28 @@ Compiles a fragment of signal temporal logic into time-varying control
 barrier functions, tunes the barrier parameters offline, runs a decentralized
 min-norm control law under bounded disturbances, and checks the resulting
 trajectories with an independent robustness monitor.
+
+Each module's __all__ is the one list of its public names; the package
+exports their union.  The star import from .robustness rebinds the attribute
+stlcbf.robustness from the submodule to the function.
 """
 
-from .predicates import StateLayout, AffinePredicate, BallPredicate, Predicate, infer_support
-from .formula import (
-    Atom,
-    Conj,
-    Always,
-    Eventually,
-    Until,
-    Formula,
-    FormulaError,
-    OperatorUnit,
-    normalize,
-    is_state_formula,
-    state_literals,
-)
-from .parsing import parse, ParseError
-from .robustness import SampledSignal, robustness
-from .barrier import (
-    GammaParams,
-    BarrierTerm,
-    CompositeBarrier,
-    BarrierState,
-    gamma_eval,
-    gamma_rate,
-    build_barrier,
-    barrier_state,
-    barrier_value,
-    barrier_gradients,
-    left_limit_state,
-    left_limit_value,
-    next_switch,
-    barrier_to_dict,
-    barrier_from_dict,
-)
-from .param_search import (
-    SearchConfig,
-    SearchResult,
-    FeasibilityReport,
-    feasibility_check,
-    compute_kappa,
-    maximize_r,
-)
-from .controller import (
-    AgentModel,
-    Clique,
-    Team,
-    TeamControl,
-    QpInfeasibleError,
-    load_share,
-    agent_constraint,
-    solve_agent_qp,
-    team_control,
-)
-from .sim import (
-    CouplingSpec,
-    SecondaryControlSpec,
-    NoiseSpec,
-    Scenario,
-    TrajectoryLog,
-    coupling_forces,
-    secondary_controls,
-    run,
-    verify,
-    write_log_csv,
-    read_signal_csv,
-    log_to_dict,
-    log_from_dict,
-)
-from .config import (
-    ConfigError,
-    load_config,
-    validate_config,
-    config_hash,
-    canonical_json,
-    build_agents,
-    build_search_config,
-    run_construct,
-    build_cliques,
-    build_scenario,
-)
-from .demo import demo_config
+import sys
 
-__all__ = [
-    "StateLayout",
-    "AffinePredicate",
-    "BallPredicate",
-    "Predicate",
-    "infer_support",
-    "Atom",
-    "Conj",
-    "Always",
-    "Eventually",
-    "Until",
-    "Formula",
-    "FormulaError",
-    "OperatorUnit",
-    "normalize",
-    "is_state_formula",
-    "state_literals",
-    "parse",
-    "ParseError",
-    "SampledSignal",
-    "robustness",
-    "GammaParams",
-    "BarrierTerm",
-    "CompositeBarrier",
-    "BarrierState",
-    "gamma_eval",
-    "gamma_rate",
-    "build_barrier",
-    "barrier_state",
-    "barrier_value",
-    "barrier_gradients",
-    "left_limit_state",
-    "left_limit_value",
-    "next_switch",
-    "barrier_to_dict",
-    "barrier_from_dict",
-    "SearchConfig",
-    "SearchResult",
-    "FeasibilityReport",
-    "feasibility_check",
-    "compute_kappa",
-    "maximize_r",
-    "AgentModel",
-    "Clique",
-    "Team",
-    "TeamControl",
-    "QpInfeasibleError",
-    "load_share",
-    "agent_constraint",
-    "solve_agent_qp",
-    "team_control",
-    "CouplingSpec",
-    "SecondaryControlSpec",
-    "NoiseSpec",
-    "Scenario",
-    "TrajectoryLog",
-    "coupling_forces",
-    "secondary_controls",
-    "run",
-    "verify",
-    "write_log_csv",
-    "read_signal_csv",
-    "log_to_dict",
-    "log_from_dict",
-    "ConfigError",
-    "load_config",
-    "validate_config",
-    "config_hash",
-    "canonical_json",
-    "build_agents",
-    "build_search_config",
-    "run_construct",
-    "build_cliques",
-    "build_scenario",
-    "demo_config",
-]
+from .predicates import *
+from .formula import *
+from .parsing import *
+from .robustness import *
+from .barrier import *
+from .param_search import *
+from .controller import *
+from .sim import *
+from .config import *
+from .demo import *
+
+_MODULES = ("predicates", "formula", "parsing", "robustness", "barrier",
+            "param_search", "controller", "sim", "config", "demo")
+
+__all__ = [name for mod in _MODULES for name in sys.modules[f"{__name__}.{mod}"].__all__]
 
 __version__ = "0.1.0"

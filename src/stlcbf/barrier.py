@@ -49,14 +49,11 @@ __all__ = [
     "CompositeBarrier",
     "BarrierState",
     "gamma_eval",
-    "gamma_rate",
     "build_barrier",
     "barrier_value",
-    "barrier_gradients",
     "barrier_state",
     "left_limit_value",
     "left_limit_state",
-    "next_switch",
     "barrier_to_dict",
     "barrier_from_dict",
 ]
@@ -107,11 +104,6 @@ def gamma_eval(g: GammaParams, t: float) -> float:
     return (g.gamma0 - g.gamma_inf) * math.exp(-g.decay * t) + g.gamma_inf
 
 
-def gamma_rate(g: GammaParams, t: float) -> float:
-    """Time derivative of gamma; nonnegative since gamma0 < gamma_inf."""
-    return g.decay * (g.gamma_inf - g.gamma0) * math.exp(-g.decay * t)
-
-
 @dataclass(frozen=True)
 class BarrierTerm:
     unit: OperatorUnit
@@ -127,9 +119,6 @@ class BarrierTerm:
     @property
     def deadline(self) -> float:
         return self.unit.deadline
-
-    def value(self, x: np.ndarray, t: float) -> float:
-        return float(self.unit.predicate.value(x)) - gamma_eval(self.gamma, t)
 
 
 class _Interval(NamedTuple):
@@ -259,16 +248,8 @@ class CompositeBarrier:
     def active_mask(self, t: float) -> np.ndarray:
         return self._deadlines > t
 
-    def left_limit_mask(self, s: float) -> np.ndarray:
-        """Activity just below s: terms with deadline >= s are still in."""
-        return self._deadlines >= _left_threshold(s)
-
     def bound_value(self, x: np.ndarray) -> float:
         return self.bound_radius - self._smooth_norm(x) + self.smooth_eps
-
-
-def _left_threshold(s: float) -> float:
-    return s - 1e-12 * max(1.0, abs(s))
 
 
 @dataclass(slots=True)
@@ -325,14 +306,10 @@ def barrier_value(cb: CompositeBarrier, x: np.ndarray, t: float) -> float:
     return barrier_state(cb, x, t).value
 
 
-def barrier_gradients(cb: CompositeBarrier, x: np.ndarray, t: float) -> tuple:
-    st = barrier_state(cb, x, t)
-    return st.grad_x, st.dbdt
-
-
 def left_limit_state(cb: CompositeBarrier, x: np.ndarray, s: float) -> BarrierState:
-    thr = _left_threshold(s)
-    # a NaN threshold keeps no term, as left_limit_mask does
+    # activity just below s: terms with deadline >= s are still in;
+    # a NaN threshold keeps no term
+    thr = s - 1e-12 * max(1.0, abs(s))
     k = bisect.bisect_left(cb.schedule, thr) if thr == thr else len(cb.schedule)
     return _state(cb, x, s, k)
 
@@ -340,13 +317,6 @@ def left_limit_state(cb: CompositeBarrier, x: np.ndarray, s: float) -> BarrierSt
 def left_limit_value(cb: CompositeBarrier, x: np.ndarray, s: float) -> float:
     """Barrier value in the limit t -> s from below (deadline-s terms kept)."""
     return left_limit_state(cb, x, s).value
-
-
-def next_switch(cb: CompositeBarrier, t: float) -> float:
-    for s in cb.schedule:
-        if s - t > 1e-12 * max(1.0, abs(s)):
-            return s
-    return math.inf
 
 
 def build_barrier(units, params, eta: float, bound_radius: float, smooth_eps: float = 1e-9) -> CompositeBarrier:

@@ -26,8 +26,7 @@ from .config import (
     run_construct,
 )
 from .demo import demo_config
-from .formula import FormulaError
-from .parsing import ParseError, parse
+from .parsing import parse
 from .robustness import robustness
 from .sim import log_from_dict, log_to_dict, read_signal_csv, run, verify, write_log_csv
 
@@ -211,13 +210,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, FormulaError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
+    # ConfigError, ParseError, FormulaError and JSONDecodeError are ValueErrors
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as err:  # pragma: no cover - crash path

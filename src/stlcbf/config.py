@@ -46,7 +46,6 @@ __all__ = [
     "validate_config",
     "config_hash",
     "canonical_json",
-    "clique_layouts",
     "clique_formulas",
     "build_agents",
     "build_search_config",
@@ -77,10 +76,14 @@ def validate_config(cfg: dict) -> dict:
     for key in ("agents", "cliques", "initial_states"):
         if key not in cfg:
             raise ConfigError(f"config is missing the {key!r} section")
+        if not isinstance(cfg[key], dict):
+            raise ConfigError(f"config section {key!r} must be a JSON object")
     seen = set()
     for name, cl in cfg["cliques"].items():
-        if "members" not in cl or "formula" not in cl:
+        if not isinstance(cl, dict) or "members" not in cl or "formula" not in cl:
             raise ConfigError(f"clique {name!r} needs members and formula")
+        if not isinstance(cl["members"], (list, tuple)):
+            raise ConfigError(f"clique {name!r} members must be a list of agent ids")
         bound = cl.get("coupling_bound", 0.0)
         if not (_is_number(bound) and math.isfinite(bound) and bound >= 0.0):
             raise ConfigError(f"clique {name!r} coupling_bound must be a finite number >= 0")
@@ -95,10 +98,14 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"agent {i} belongs to no clique")
         if i not in cfg["initial_states"]:
             raise ConfigError(f"agent {i} has no initial state")
+        if not isinstance(cfg["agents"][i], dict):
+            raise ConfigError(f"agent {i} must be a JSON object")
         dim = cfg["agents"][i].get("dim")
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ConfigError(f"agent {i} needs a positive integer dim")
         x0 = cfg["initial_states"][i]
+        if not isinstance(x0, (list, tuple)):
+            raise ConfigError(f"agent {i} initial state must be a list of numbers")
         if len(x0) != dim:
             raise ConfigError(f"agent {i} initial state has wrong dimension")
         if not all(_is_number(v) and math.isfinite(v) for v in x0):

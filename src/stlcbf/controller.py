@@ -35,8 +35,6 @@ __all__ = [
     "Clique",
     "Team",
     "QpInfeasibleError",
-    "load_share",
-    "agent_constraint",
     "solve_agent_qp",
     "team_control",
     "TeamControl",
@@ -160,14 +158,6 @@ class Clique:
         if den <= _ZERO_TOL:
             return np.ones(len(self.members))
         return norms / den
-
-
-def load_share(clique: Clique, x_bar: np.ndarray, t: float, i: int) -> float:
-    """Fraction of the barrier-condition burden assigned to agent i."""
-    if i not in clique.members:
-        raise ValueError(f"agent {i} not in clique {clique.name}")
-    grad = barrier_state(clique.barrier, x_bar, t).grad_x
-    return float(clique.shares(clique.block_norms(grad))[clique.members.index(i)])
 
 
 class Team:
@@ -294,27 +284,18 @@ class _CliquePart:
         return norms, shares, a, rhs
 
 
-def agent_constraint(clique: Clique, agents: dict, x_bar: np.ndarray, t: float, i: int) -> tuple:
-    """Half-space (a, rhs) of agent i's barrier-condition share: a'u >= rhs."""
-    if i not in clique.members:
-        raise ValueError(f"agent {i} not in clique {clique.name}")
-    team = Team((clique,), {j: agents[j] for j in clique.members})
-    part = team.parts[0]
-    x = np.empty(team.dim)
-    x[part.idx] = x_bar
-    state = barrier_state(clique.barrier, x_bar, t)
-    _, _, a, rhs = part.constraints(state, x_bar, team.drift(x, t), t)
-    j = clique.members.index(i)
-    return a[j], float(rhs[j])
-
-
 def solve_agent_qp(a: np.ndarray, rhs: float) -> np.ndarray:
-    """Minimum-norm point of the half-space a'u >= rhs (closed form)."""
+    """Minimum-norm point of the half-space a'u >= rhs (closed form).
+
+    Infeasible when the input it needs, of norm rhs / ||a||, exceeds
+    1 / _ZERO_TOL: rhs scales with the gradient block a is formed from, so a
+    tiny block alone still gives a bounded input.
+    """
     a = np.asarray(a, dtype=float)
     if rhs <= 0.0:
         return np.zeros_like(a)
     nn = float(np.dot(a, a))
-    if nn <= _ZERO_TOL**2:
+    if nn <= (_ZERO_TOL * rhs) ** 2:
         raise QpInfeasibleError(
             f"constraint direction vanished with rhs = {rhs:g} > 0", rhs=rhs
         )
@@ -335,7 +316,6 @@ class TeamControl:
     grad_norms: np.ndarray  # (n_agents,) norms of those blocks
     drift: np.ndarray  # (team.dim,) f_i(x_i, t)
     barrier_values: np.ndarray  # (n_cliques,) b, nan once the clique expired
-    barrier_states: list  # (n_cliques,) BarrierState, None once the clique expired
 
 
 def team_control(team: Team, x: np.ndarray, t: float) -> TeamControl:
@@ -353,7 +333,6 @@ def team_control(team: Team, x: np.ndarray, t: float) -> TeamControl:
     grad = np.zeros(team.dim)
     grad_norms = np.zeros(n)
     values = np.full(len(team.parts), math.nan)
-    states = [None] * len(team.parts)
     for c, part in enumerate(team.parts):
         cl = part.clique
         if t >= cl.barrier.horizon - 1e-12:
@@ -361,7 +340,6 @@ def team_control(team: Team, x: np.ndarray, t: float) -> TeamControl:
         x_bar = x[part.idx]
         state = barrier_state(cl.barrier, x_bar, t)
         values[c] = state.value
-        states[c] = state
         norms, sh, a, rhs = part.constraints(state, x_bar, drift, t)
         grad[part.idx] = state.grad_x
         grad_norms[part.rows] = norms
@@ -379,5 +357,5 @@ def team_control(team: Team, x: np.ndarray, t: float) -> TeamControl:
             residuals[row] = float(np.dot(a_i, u)) - rhs_i
     return TeamControl(
         inputs=inputs, residuals=residuals, shares=shares, grad=grad,
-        grad_norms=grad_norms, drift=drift, barrier_values=values, barrier_states=states,
+        grad_norms=grad_norms, drift=drift, barrier_values=values,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 
-__all__ = ["DEMO_CONFIG", "demo_config"]
+__all__ = ["demo_config"]
 
 _FORMATION_TASK = (
     "G[5,10](norm_inf(x1 - [2.5,7]) <= 0.5)"

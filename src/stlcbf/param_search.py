@@ -42,8 +42,6 @@ from .predicates import AffinePredicate, BallPredicate
 
 __all__ = [
     "SearchConfig",
-    "SearchResult",
-    "FeasibilityReport",
     "feasibility_check",
     "maximize_r",
     "compute_kappa",

@@ -24,6 +24,7 @@ __all__ = [
     "Predicate",
     "predicate_to_dict",
     "predicate_from_dict",
+    "infer_support",
 ]
 
 
@@ -68,10 +69,6 @@ class StateLayout:
             out[aid] = slice(off, off + d)
             off += d
         return out
-
-    def agent_dim(self, agent_id: int) -> int:
-        s = self.block(agent_id)
-        return s.stop - s.start
 
 
 @dataclass(frozen=True, eq=False)

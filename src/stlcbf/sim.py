@@ -33,6 +33,7 @@ __all__ = [
     "TrajectoryLog",
     "coupling_forces",
     "secondary_controls",
+    "pairwise_repulsion",
     "run",
     "verify",
     "write_log_csv",

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from stlcbf.barrier import barrier_state, gamma_eval, gamma_rate
+from stlcbf.barrier import barrier_state, gamma_eval
 from stlcbf.controller import QpInfeasibleError
 from stlcbf.formula import Atom, Conj, Always, Eventually, Until, is_state_formula, state_literals
 from stlcbf.predicates import AffinePredicate, BallPredicate
@@ -141,6 +141,12 @@ def central_fd(fn, x, eps=1e-6):
     return g
 
 
+def gamma_rate(g, t: float) -> float:
+    """Time derivative of the funnel curve gamma_eval(g, t); nonnegative
+    since gamma0 < gamma_inf."""
+    return g.decay * (g.gamma_inf - g.gamma0) * math.exp(-g.decay * t)
+
+
 def naive_barrier_state(cb, x, t, left_limit=False) -> dict:
     """Reference evaluation of a composite barrier at (x, t).
 
@@ -224,7 +230,7 @@ def _solve_agent_qp(a, rhs):
     if rhs <= 0.0:
         return np.zeros_like(a)
     nn = float(np.dot(a, a))
-    if nn <= _ZERO_TOL**2:
+    if nn <= (_ZERO_TOL * rhs) ** 2:
         raise QpInfeasibleError(f"constraint direction vanished with rhs = {rhs:g} > 0", rhs=rhs)
     return (rhs / nn) * a
 

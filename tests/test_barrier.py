@@ -13,19 +13,16 @@ from stlcbf import (
     GammaParams,
     OperatorUnit,
     barrier_from_dict,
-    barrier_gradients,
     barrier_state,
     barrier_to_dict,
     barrier_value,
     build_barrier,
     gamma_eval,
-    gamma_rate,
     left_limit_state,
     left_limit_value,
-    next_switch,
 )
 
-from oracles import central_fd, naive_barrier_state
+from oracles import central_fd, gamma_rate, naive_barrier_state
 
 
 def make_barrier(rng, dim=3, n_aff=4, n_ball=1, eta=12.0, radius=8.0):
@@ -154,11 +151,8 @@ def test_schedule_activity_and_horizon():
     assert cb.horizon == 5.0
     assert list(cb.active_mask(1.0)) == [True, True, True]
     assert list(cb.active_mask(2.0)) == [False, True, False]
-    assert list(cb.left_limit_mask(2.0)) == [True, True, True]
-    assert next_switch(cb, 0.0) == 2.0
-    assert next_switch(cb, 2.0) == 5.0
-    assert next_switch(cb, 5.0) == math.inf
     x = np.array([0.3])
+    assert left_limit_state(cb, x, 2.0).active.tolist() == [0, 1, 2]
     st = barrier_state(cb, x, 3.0)
     assert st.active.tolist() == [1]
     with pytest.raises(ValueError, match="every task term has expired"):
@@ -182,7 +176,8 @@ def test_gradients_match_finite_differences_spot():
     for _ in range(20):
         x = rng.normal(size=cb.dim) * 2
         t = float(rng.uniform(0, 0.9 * min(cb.schedule)))
-        gx, gt = barrier_gradients(cb, x, t)
+        st = barrier_state(cb, x, t)
+        gx, gt = st.grad_x, st.dbdt
         fd_x = central_fd(lambda xx: barrier_value(cb, xx, t), x)
         fd_t = (barrier_value(cb, x, t + 1e-6) - barrier_value(cb, x, t - 1e-6)) / 2e-6
         assert np.all(np.abs(gx - fd_x) < 1e-5 * (1 + np.abs(gx)))

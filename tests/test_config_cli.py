@@ -96,6 +96,23 @@ def test_validate_config_errors():
     bad["cliques"]["solo"]["coupling_bound"] = float("nan")
     with pytest.raises(ConfigError, match="coupling_bound must be a finite number"):
         validate_config(bad)
+    # wrong container types get a ConfigError, not a TypeError or AttributeError
+    bad = copy.deepcopy(good)
+    bad["initial_states"]["1"] = 2.0
+    with pytest.raises(ConfigError, match="initial state must be a list"):
+        validate_config(bad)
+    bad = copy.deepcopy(good)
+    bad["agents"]["1"] = [1]
+    with pytest.raises(ConfigError, match="agent 1 must be a JSON object"):
+        validate_config(bad)
+    bad = copy.deepcopy(good)
+    bad["cliques"] = [1]
+    with pytest.raises(ConfigError, match="section 'cliques' must be a JSON object"):
+        validate_config(bad)
+    bad = copy.deepcopy(good)
+    bad["cliques"]["solo"]["members"] = 3
+    with pytest.raises(ConfigError, match="members must be a list"):
+        validate_config(bad)
 
 
 def test_build_agents_drift_and_input():
@@ -253,6 +270,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # malformed formula
     assert main(["monitor", "G[0,1](", str(outdir / "trajectory.csv")]) == 2
     capsys.readouterr()
+    # a wrong container type is a one-line config error
+    cfg3 = mini_config()
+    cfg3["initial_states"]["1"] = 2.0
+    drifted.write_text(json.dumps(cfg3))
+    assert main(["construct", str(drifted)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: agent 1 initial state must be a list of numbers"]
 
     # a failing run exits 1 from verify
     log_doc = json.loads((outdir / "log.json").read_text())

@@ -12,10 +12,8 @@ from stlcbf import (
     QpInfeasibleError,
     StateLayout,
     Team,
-    agent_constraint,
     barrier_state,
     build_barrier,
-    load_share,
     solve_agent_qp,
     team_control,
 )
@@ -35,6 +33,18 @@ def two_agent_clique(kappa=2.0, C=0.5, eta=10.0):
     )
     agents = {1: AgentModel(agent_id=1, state_dim=2), 2: AgentModel(agent_id=2, state_dim=2)}
     return clique, agents
+
+
+def member_constraint(clique, agents, x, t, i):
+    """Half-space (a, rhs) of member i, a'u >= rhs, as team_control forms it.
+
+    agents holds exactly the clique's members, so the team vector is x.
+    """
+    team = Team([clique], agents)
+    st = barrier_state(clique.barrier, x, t)
+    _, _, a, rhs = team.parts[0].constraints(st, x, team.drift(x, t), t)
+    j = clique.members.index(i)
+    return a[j], float(rhs[j])
 
 
 def test_agent_model_defaults_and_validation():
@@ -67,10 +77,9 @@ def test_clique_validation():
 def test_load_share_partition():
     clique, _ = two_agent_clique()
     x = np.array([0.5, -1.0, 2.0, 0.25])
-    shares = [load_share(clique, x, 0.5, i) for i in clique.members]
+    grad = barrier_state(clique.barrier, x, 0.5).grad_x
+    shares = clique.shares(clique.block_norms(grad)).tolist()
     assert abs(sum(shares) - 1.0) < 1e-12
-    with pytest.raises(ValueError, match="not in clique"):
-        load_share(clique, x, 0.5, 9)
 
 
 def test_share_fallback_when_gradient_vanishes():
@@ -84,7 +93,7 @@ def test_agent_constraint_matches_manual_computation():
     x = np.array([0.5, -1.0, 2.0, 0.25])
     t = 0.5
     st = barrier_state(clique.barrier, x, t)
-    a, rhs = agent_constraint(clique, agents, x, t, 1)
+    a, rhs = member_constraint(clique, agents, x, t, 1)
     g1 = st.grad_x[0:2]
     assert np.array_equal(a, g1)  # identity input map
     share = np.linalg.norm(g1) / (np.linalg.norm(g1) + np.linalg.norm(st.grad_x[2:4]))
@@ -101,8 +110,8 @@ def test_known_secondary_enters_rhs():
     agents = dict(agents)
     agents[1] = AgentModel(agent_id=1, state_dim=2, known_secondary=lambda xb, t: fu)
     x = np.array([0.5, -1.0, 2.0, 0.25])
-    _, rhs_plain = agent_constraint(clique, {1: AgentModel(1, 2), 2: agents[2]}, x, 0.5, 1)
-    a, rhs_known = agent_constraint(clique, agents, x, 0.5, 1)
+    _, rhs_plain = member_constraint(clique, {1: AgentModel(1, 2), 2: agents[2]}, x, 0.5, 1)
+    a, rhs_known = member_constraint(clique, agents, x, 0.5, 1)
     st = barrier_state(clique.barrier, x, 0.5)
     assert abs((rhs_plain - rhs_known) - float(st.grad_x[0:2] @ fu)) < 1e-12
 
@@ -111,8 +120,8 @@ def test_rhs_scales_with_coupling_bound():
     c_small, agents = two_agent_clique(C=0.1)
     c_big, _ = two_agent_clique(C=1.0)
     x = np.array([0.5, -1.0, 2.0, 0.25])
-    _, rhs_small = agent_constraint(c_small, agents, x, 0.5, 1)
-    _, rhs_big = agent_constraint(c_big, agents, x, 0.5, 1)
+    _, rhs_small = member_constraint(c_small, agents, x, 0.5, 1)
+    _, rhs_big = member_constraint(c_big, agents, x, 0.5, 1)
     assert rhs_big > rhs_small
 
 
@@ -126,6 +135,11 @@ def test_solve_agent_qp_closed_form():
     assert np.array_equal(solve_agent_qp(a, -5.0), np.zeros(2))
     with pytest.raises(QpInfeasibleError):
         solve_agent_qp(np.zeros(2), 1.0)
+    # a tiny direction with a demand of its own size needs a bounded input
+    u = solve_agent_qp(np.array([1e-13, 0.0]), 4e-13)
+    assert np.allclose(u, [4.0, 0.0], rtol=1e-12, atol=0)
+    with pytest.raises(QpInfeasibleError):
+        solve_agent_qp(np.zeros(2), 4e-13)
 
 
 def test_qp_beats_random_feasible_candidates_spot():
@@ -150,7 +164,7 @@ def test_team_control_matches_per_agent_solves():
     tc = team_control(team, team.stack(states), 0.5)
     x = clique.stack(states)
     for i in clique.members:
-        a, rhs = agent_constraint(clique, agents, x, 0.5, i)
+        a, rhs = member_constraint(clique, agents, x, 0.5, i)
         assert np.array_equal(tc.inputs[team.input_blocks[i]], solve_agent_qp(a, rhs))
         assert tc.residuals[team.rows[i]] >= -1e-9
 
@@ -165,7 +179,6 @@ def test_team_control_expired_clique_and_outsiders():
     assert np.array_equal(tc.inputs[team.input_blocks[1]], np.zeros(2))
     assert math.isnan(tc.barrier_values[0])  # clique "pair"
     assert np.array_equal(tc.inputs[team.input_blocks[7]], np.zeros(1))
-    assert tc.barrier_states[0] is None
 
 
 def test_team_control_rejects_shared_members():

@@ -11,7 +11,7 @@ def test_layout_blocks():
     assert lay.block(3) == slice(0, 2)
     assert lay.block(1) == slice(2, 3)
     assert lay.block(7) == slice(3, 6)
-    assert lay.agent_dim(7) == 3
+    assert lay.dims[lay.ids.index(7)] == 3
     with pytest.raises(KeyError):
         lay.block(2)
 

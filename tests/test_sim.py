@@ -302,7 +302,7 @@ def test_adversarial_noise_pushes_against_gradient():
 
 # --- the stacked team step against the per-agent oracle --------------------
 
-def _oracle_scenario(noise, coupling, secondary, known_fn=None, stuck=False):
+def _oracle_scenario(noise, coupling, secondary, known_fn, stuck, eta):
     """Five agents in two cliques, sized so that every QP is active at times.
 
     "team" = agents 1-3 (dim 2; agent 2 has an affine drift, agent 3 a
@@ -312,7 +312,7 @@ def _oracle_scenario(noise, coupling, secondary, known_fn=None, stuck=False):
     dimensions and expires at t = 0.6 while the run goes on to t = 1.
     stuck=True adds agent 6, parked at the centre of a ball whose funnel
     rises past it, so its constraint direction vanishes with rhs > 0
-    mid-run.
+    mid-run.  eta is the softmin sharpness of both task barriers.
     """
     lay_team = StateLayout(ids=(1, 2, 3), dims=(2, 2, 2))
     sel3 = np.zeros((2, 6))
@@ -335,9 +335,9 @@ def _oracle_scenario(noise, coupling, secondary, known_fn=None, stuck=False):
                    zip([(-1.0, 2.6, 4.0), (-1.0, 0.8, 3.0)], side_units)]
     max_dim = 3
     cliques = [
-        Clique("team", (1, 2, 3), build_barrier(team_units, team_params, eta=3.0, bound_radius=30.0),
+        Clique("team", (1, 2, 3), build_barrier(team_units, team_params, eta=eta, bound_radius=30.0),
                lay_team, 0.8, 2.0, max_dim),
-        Clique("side", (4, 5), build_barrier(side_units, side_params, eta=3.0, bound_radius=30.0),
+        Clique("side", (4, 5), build_barrier(side_units, side_params, eta=eta, bound_radius=30.0),
                lay_side, 0.8, 2.0, max_dim),
     ]
     A2 = np.array([[-0.1, 0.2], [0.0, -0.1]])
@@ -395,22 +395,30 @@ def _assert_bitwise(a, b, what):
     assert a.tobytes() == b.tobytes(), what
 
 
+# (noise, coupling, secondary, stuck, softmin eta)
 ORACLE_CASES = {
-    "ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False),
-    "adversarial-attraction-known": ("adversarial", "attraction", "known", False),
-    "adversarial-scripted-repulsion": ("adversarial", "scripted", "repulsion", False),
-    "none-scripted-scripted": ("none", "scripted", "scripted", False),
-    "ball-none-known": ("uniform_ball", "none", "known", False),
-    "disturbance-abort": ("uniform_ball", "abort", "repulsion", False),
-    "qp-infeasible-abort": ("none", "none", "none", True),
+    "ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0),
+    "adversarial-attraction-known": ("adversarial", "attraction", "known", False, 3.0),
+    "adversarial-scripted-repulsion": ("adversarial", "scripted", "repulsion", False, 3.0),
+    "none-scripted-scripted": ("none", "scripted", "scripted", False, 3.0),
+    "ball-none-known": ("uniform_ball", "none", "known", False, 3.0),
+    "disturbance-abort": ("uniform_ball", "abort", "repulsion", False, 3.0),
+    "qp-infeasible-abort": ("none", "none", "none", True, 3.0),
+    # a sharper softmin shrinks some members' gradient blocks to rounding
+    # size, and their demand with them: the runs must still complete
+    "sharp-ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 10.0),
+    "sharp-adversarial-attraction-known": ("adversarial", "attraction", "known", False, 10.0),
+    "sharp-adversarial-scripted-repulsion": ("adversarial", "scripted", "repulsion", False, 10.0),
+    "sharp-none-scripted-scripted": ("none", "scripted", "scripted", False, 10.0),
+    "sharp-ball-none-known": ("uniform_ball", "none", "known", False, 10.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_run_matches_per_agent_oracle_bitwise(case):
-    noise, coupling, secondary, stuck = ORACLE_CASES[case]
-    log = run(_oracle_scenario(noise, coupling, secondary, _known_secondary_fn, stuck))
-    ref = naive_run(_oracle_scenario(noise, coupling, secondary, naive_known_secondary_fn, stuck))
+    noise, coupling, secondary, stuck, eta = ORACLE_CASES[case]
+    log = run(_oracle_scenario(noise, coupling, secondary, _known_secondary_fn, stuck, eta))
+    ref = naive_run(_oracle_scenario(noise, coupling, secondary, naive_known_secondary_fn, stuck, eta))
 
     assert log.completed == ref.completed and log.dt == ref.dt
     assert log.events == ref.events
@@ -433,3 +441,4 @@ def test_run_matches_per_agent_oracle_bitwise(case):
         assert log.shares[4][-1] == 0.0 and log.residuals[5][-1] == 0.0
         for i in (1, 2, 3, 4, 5):
             assert np.any(np.abs(log.residuals[i][:50]) < 1e-9)  # the QP was active
+
