@@ -29,6 +29,14 @@ term_values(x, t)[active], and b(x, s) >= left limit at s with no
 tolerance, since both sides blend the same b_l.  gamma_l(t) and its rate
 depend on t alone, so the kernel keeps them for the last (t, interval) pair
 it saw: a search or a sweep evaluates many states at one time.
+
+The kernel runs in two halves.  _value checks the call, forms the term
+values and the unnormalised softmin weights and returns the barrier value
+with those intermediates; _finish turns them into a BarrierState
+(normalised weights, gradient in x, rate in t).  barrier_value and
+left_limit_value run only the first half.  So does an Armijo trial of the
+switch-certifying ascent in param_search, which reads only the value of a
+trial point and finishes the one it accepts: most trials are rejected.
 """
 
 from __future__ import annotations
@@ -264,8 +272,12 @@ class BarrierState:
     term_values: np.ndarray  # b_l at active task terms, bound term last
 
 
-def _state(cb: CompositeBarrier, x: np.ndarray, t: float, k: int) -> BarrierState:
-    """The barrier kernel on activity interval k (k = len(schedule): expired)."""
+def _value(cb: CompositeBarrier, x: np.ndarray, t: float, k: int) -> tuple:
+    """First half of the kernel on activity interval k (k = len(schedule):
+    expired).  Returns the barrier value followed by the intermediates
+    _finish takes: x, the interval, the t-cache entry, the term values, the
+    stacked product, the smoothed norm of x, the unnormalised weights and
+    their sum."""
     x = np.asarray(x, dtype=float)
     if x.shape != (cb.dim,):
         raise ValueError(f"state must have shape ({cb.dim},)")
@@ -274,20 +286,26 @@ def _state(cb: CompositeBarrier, x: np.ndarray, t: float, k: int) -> BarrierStat
             f"barrier undefined at t={t:g}: every task term has expired "
             f"(final deadline {cb.horizon:g})"
         )
-    active, sel, wpos, G, n_aff_rows, ball_rows = cb._intervals[k]
+    iv = cb._intervals[k]
     tc = cb._tcache
     if tc[0] != t or tc[1] != k:
         gam, negrate = cb._gamma(t)
-        tc = (t, k, gam, negrate[sel[:-1]])
+        tc = (t, k, gam, negrate[iv.sel[:-1]])
         object.__setattr__(cb, "_tcache", tc)
     ext, y, nx = cb._values(x, tc[2])
-    vals = ext[sel]
+    vals = ext[iv.sel]
     m = min(vals.tolist())
     w = m - vals
     w *= cb.eta
     np.exp(w, out=w)
     z = float(np.add.reduce(w))
-    value = m - math.log(z) / cb.eta
+    return m - math.log(z) / cb.eta, x, iv, tc, vals, y, nx, w, z
+
+
+def _finish(value, x, iv, tc, vals, y, nx, w, z) -> BarrierState:
+    """Second half of the kernel: a _value result made into a BarrierState.
+    It normalises the weights in place, so a result is finished once."""
+    active, _, wpos, G, n_aff_rows, ball_rows = iv
     w /= z
     rw = w[wpos]
     if len(ball_rows):
@@ -298,25 +316,32 @@ def _state(cb: CompositeBarrier, x: np.ndarray, t: float, k: int) -> BarrierStat
     return BarrierState(value=value, grad_x=grad, dbdt=dbdt, weights=w, active=active, term_values=vals)
 
 
+def _state(cb: CompositeBarrier, x: np.ndarray, t: float, k: int) -> BarrierState:
+    return _finish(*_value(cb, x, t, k))
+
+
 def barrier_state(cb: CompositeBarrier, x: np.ndarray, t: float) -> BarrierState:
     return _state(cb, x, t, bisect.bisect_right(cb.schedule, t))
 
 
 def barrier_value(cb: CompositeBarrier, x: np.ndarray, t: float) -> float:
-    return barrier_state(cb, x, t).value
+    return _value(cb, x, t, bisect.bisect_right(cb.schedule, t))[0]
+
+
+def _left_interval(cb: CompositeBarrier, s: float) -> int:
+    """The activity interval just below s: terms with deadline >= s are
+    still in; a NaN threshold keeps no term."""
+    thr = s - 1e-12 * max(1.0, abs(s))
+    return bisect.bisect_left(cb.schedule, thr) if thr == thr else len(cb.schedule)
 
 
 def left_limit_state(cb: CompositeBarrier, x: np.ndarray, s: float) -> BarrierState:
-    # activity just below s: terms with deadline >= s are still in;
-    # a NaN threshold keeps no term
-    thr = s - 1e-12 * max(1.0, abs(s))
-    k = bisect.bisect_left(cb.schedule, thr) if thr == thr else len(cb.schedule)
-    return _state(cb, x, s, k)
+    return _state(cb, x, s, _left_interval(cb, s))
 
 
 def left_limit_value(cb: CompositeBarrier, x: np.ndarray, s: float) -> float:
     """Barrier value in the limit t -> s from below (deadline-s terms kept)."""
-    return left_limit_state(cb, x, s).value
+    return _value(cb, x, s, _left_interval(cb, s))[0]
 
 
 def build_barrier(units, params, eta: float, bound_radius: float, smooth_eps: float = 1e-9) -> CompositeBarrier:

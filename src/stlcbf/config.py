@@ -76,12 +76,15 @@ def validate_config(cfg: dict) -> dict:
     for key in ("agents", "cliques", "initial_states"):
         if key not in cfg:
             raise ConfigError(f"config is missing the {key!r} section")
-        if not isinstance(cfg[key], dict):
+    for key in ("agents", "cliques", "initial_states", "coupling", "secondary", "noise", "sim"):
+        if key in cfg and not isinstance(cfg[key], dict):
             raise ConfigError(f"config section {key!r} must be a JSON object")
     seen = set()
     for name, cl in cfg["cliques"].items():
         if not isinstance(cl, dict) or "members" not in cl or "formula" not in cl:
             raise ConfigError(f"clique {name!r} needs members and formula")
+        if not isinstance(cl["formula"], str):
+            raise ConfigError(f"clique {name!r} formula must be a string")
         if not isinstance(cl["members"], (list, tuple)):
             raise ConfigError(f"clique {name!r} members must be a list of agent ids")
         bound = cl.get("coupling_bound", 0.0)
@@ -94,7 +97,11 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"agent {i} appears in more than one clique")
             seen.add(i)
     for i in cfg["agents"]:
-        if int(i) not in seen:
+        try:
+            agent_id = int(i)
+        except ValueError:
+            raise ConfigError(f"agent key {i!r} must be an integer id") from None
+        if agent_id not in seen:
             raise ConfigError(f"agent {i} belongs to no clique")
         if i not in cfg["initial_states"]:
             raise ConfigError(f"agent {i} has no initial state")
@@ -110,6 +117,7 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"agent {i} initial state has wrong dimension")
         if not all(_is_number(v) and math.isfinite(v) for v in x0):
             raise ConfigError(f"agent {i} initial state must hold finite numbers")
+    build_search_config(cfg)
     return cfg
 
 
@@ -176,15 +184,18 @@ def build_agents(cfg: dict) -> dict:
 
 
 def build_search_config(cfg: dict) -> SearchConfig:
-    sc = dict(cfg.get("search", {}))
-    if "eta_grid" in sc:
-        sc["eta_grid"] = tuple(float(e) for e in sc["eta_grid"])
-    for rng_key in ("f0_range", "f1_range"):
-        if rng_key in sc:
-            sc[rng_key] = tuple(sc[rng_key])
+    sc = cfg.get("search", {})
+    if not isinstance(sc, dict):
+        raise ConfigError("config section 'search' must be a JSON object")
+    sc = dict(sc)
+    for key in ("eta_grid", "f0_range", "f1_range"):
+        if key in sc:
+            if not isinstance(sc[key], (list, tuple)):
+                raise ConfigError(f"bad search section: {key} must be a list of numbers")
+            sc[key] = tuple(float(v) if _is_number(v) else v for v in sc[key])
     try:
         return SearchConfig(**sc)
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"bad search section: {err}") from None
 
 

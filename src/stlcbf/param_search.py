@@ -27,6 +27,7 @@ can be astronomically loose for large eta * b_max).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,9 @@ from .barrier import (
     build_barrier,
     barrier_state,
     left_limit_state,
+    _finish,
+    _left_interval,
+    _value,
 )
 from .predicates import AffinePredicate, BallPredicate
 
@@ -73,14 +77,34 @@ class SearchConfig:
     gamma_inf_span: float = 1.0
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if self.r_tolerance <= 0.0:
-            raise ValueError("r_tolerance must be positive")
+        def need(ok, names, what):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {what}")
+
+        # every test below is False for NaN, so a NaN field is refused
+        need(_positive, ("delta", "r_tolerance", "ascent_tol", "kappa_min", "kappa_clamp",
+                         "gamma_inf_span"), "a finite positive number")
+        need(lambda v: v is None or _positive(v), ("headroom", "bound_radius"),
+             "a finite positive number")
+        need(lambda v: v == math.inf or _positive(v), ("r_max", "kappa_cap"), "a positive number")
+        need(_finite, ("f0_default", "f1_default"), "a finite number")
+        need(lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0,
+             ("restarts", "seed", "max_ascent_iters", "max_repair_rounds"), "an integer >= 0")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if not self.eta_grid or any(e <= 0.0 for e in self.eta_grid):
-            raise ValueError("eta_grid must be non-empty and positive")
+        need(lambda v: isinstance(v, (tuple, list)) and len(v) > 0 and all(map(_positive, v)),
+             ("eta_grid",), "a non-empty list of finite positive numbers")
+        need(lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_finite, v)),
+             ("f0_range", "f1_range"), "a pair of finite numbers")
+
+
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _positive(v) -> bool:
+    return _finite(v) and v > 0.0
 
 
 @dataclass
@@ -190,8 +214,13 @@ def _check_eq7(units, params, x0: np.ndarray, r: float, headroom: float | None):
             raise ValueError(f"decay {g.decay} inconsistent with the target rule ({ref.decay})")
 
 
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm's own formula for a 1-D float vector, without its overhead
+    return math.sqrt(float(np.dot(v, v)))
+
+
 def _project_ball(x: np.ndarray, radius: float) -> np.ndarray:
-    n = float(np.linalg.norm(x))
+    n = _norm(x)
     return x if n <= radius else x * (radius / n)
 
 
@@ -199,25 +228,28 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int,
     """Maximize the concave left-limit barrier value at switch s over ||x|| <= D.
 
     Projected gradient ascent with a Barzilai-Borwein step and Armijo
-    backtracking.  Returns (x, state, projected gradient norm, converged).
+    backtracking.  A trial point needs only the barrier value, so trials run
+    the kernel's value half and only the accepted one is finished into a
+    full state.  Returns (x, state, projected gradient norm, converged).
     """
     radius = cb.bound_radius
+    k = _left_interval(cb, s)
     x = _project_ball(np.asarray(x_start, dtype=float).copy(), radius)
     st = left_limit_state(cb, x, s)
     alpha = 1.0
     prev_x = None
     prev_g = None
     stall = 0
-    gnorm = float(np.linalg.norm(st.grad_x))
     for _ in range(max_iters):
         g = st.grad_x
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         # projected gradient: remove outward component on the ball boundary
-        if float(np.linalg.norm(x)) >= radius - 1e-12:
-            xhat = x / max(float(np.linalg.norm(x)), 1e-12)
+        nx = _norm(x)
+        if nx >= radius - 1e-12:
+            xhat = x / max(nx, 1e-12)
             out = float(np.dot(g, xhat))
             if out > 0.0:
-                gnorm = float(np.linalg.norm(g - out * xhat))
+                gnorm = _norm(g - out * xhat)
         if gnorm < tol:
             return x, st, gnorm, True
         if prev_x is not None:
@@ -231,13 +263,14 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int,
         a = alpha
         for _ in range(60):
             x_new = _project_ball(x + a * g, radius)
-            st_new = left_limit_state(cb, x_new, s)
-            if st_new.value >= st.value + 1e-4 * float(np.dot(g, x_new - x)):
+            trial = _value(cb, x_new, s, k)
+            if trial[0] >= st.value + 1e-4 * float(np.dot(g, x_new - x)):
                 accepted = True
                 break
             a *= 0.5
         if not accepted:
             return x, st, gnorm, gnorm < tol
+        st_new = _finish(*trial)
         if st_new.value - st.value < 1e-15 * max(1.0, abs(st.value)):
             stall += 1
             if stall >= 25:
@@ -245,7 +278,7 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int,
         else:
             stall = 0
         x, st = x_new, st_new
-    gnorm = float(np.linalg.norm(st.grad_x))
+    gnorm = _norm(st.grad_x)
     return x, st, gnorm, gnorm < tol
 
 
@@ -287,7 +320,8 @@ def feasibility_check(
     st0 = barrier_state(cb, x0, 0.0)
     report.initial_margin = st0.value
     report.bound_weights[0.0] = float(st0.weights[-1])
-    if st0.value < delta:
+    # "not >=" so that a NaN margin is infeasible
+    if not st0.value >= delta:
         report.feasible = False
         report.blocking[0.0] = _blocking_terms(st0, eta, delta)
     x_start = x0
@@ -301,7 +335,7 @@ def feasibility_check(
             report.warnings.append(
                 f"ascent at switch {s:g} stopped with gradient norm {gnorm:.2e}"
             )
-        if st.value < delta:
+        if not st.value >= delta:
             report.feasible = False
             report.blocking[s] = _blocking_terms(st, eta, delta)
         x_start = x_w

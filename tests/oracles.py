@@ -18,6 +18,12 @@ step: per-agent dicts of states, one team_control pass per agent over its
 clique, per-agent coupling, repulsion and noise loops, and np.eye input maps.
 It keeps the float operations of the law in their original order, so the
 package's run must reproduce its logs bit for bit.
+
+The ascent oracle, naive_ascend, is the switch-certifying ascent as it was
+before the barrier kernel was split into a value half and a finishing half:
+it evaluates the full left_limit_state at every Armijo trial point and takes
+norms with np.linalg.norm.  The package's ascent must return the same
+witness and state bit for bit.
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ import math
 
 import numpy as np
 
-from stlcbf.barrier import barrier_state, gamma_eval
+from stlcbf.barrier import GammaParams, barrier_state, build_barrier, gamma_eval, left_limit_state
 from stlcbf.controller import QpInfeasibleError
-from stlcbf.formula import Atom, Conj, Always, Eventually, Until, is_state_formula, state_literals
+from stlcbf.formula import (
+    Atom, Conj, Always, Eventually, OperatorUnit, Until, is_state_formula, state_literals,
+)
 from stlcbf.predicates import AffinePredicate, BallPredicate
 from stlcbf.sim import TrajectoryLog
 
@@ -184,6 +192,90 @@ def naive_barrier_state(cb, x, t, left_limit=False) -> dict:
         "term_values": np.array(vals),
         "all_terms": np.array(all_terms),
     }
+
+
+def random_barrier(rng, dim=3, n_aff=4, n_ball=1, eta=12.0, radius=8.0):
+    """A seeded composite barrier: n_aff affine always/eventually units with
+    random windows, then n_ball always-ball units, and random funnels."""
+    units, params = [], []
+    for _ in range(n_aff):
+        pred = AffinePredicate(rng.normal(size=dim), float(rng.normal()))
+        kind = "always" if rng.uniform() < 0.5 else "eventually"
+        a = float(rng.uniform(0.0, 2.0))
+        b = float(rng.uniform(a + 0.5, a + 4.0))
+        units.append(OperatorUnit(kind, pred, a, b))
+    for _ in range(n_ball):
+        pred = BallPredicate(rng.normal(size=(2, dim)), rng.normal(size=2), float(rng.uniform(1, 5)))
+        units.append(OperatorUnit("always", pred, 0.0, float(rng.uniform(1.0, 5.0))))
+    for u in units:
+        g0 = float(rng.uniform(-3.0, 0.0))
+        gi = g0 + float(rng.uniform(0.5, 2.0))
+        dec = float(rng.uniform(0.0, 1.0))
+        params.append(GammaParams(g0, gi, dec, u.t_star))
+    return build_barrier(units, params, eta=eta, bound_radius=radius)
+
+
+# ---------------------------------------------------------------------------
+# Ascent oracle: one full left_limit_state per Armijo trial
+
+
+def _project_ball(x: np.ndarray, radius: float) -> np.ndarray:
+    n = float(np.linalg.norm(x))
+    return x if n <= radius else x * (radius / n)
+
+
+def naive_ascend(cb, s: float, x_start: np.ndarray, max_iters: int, tol: float):
+    """Maximize the concave left-limit barrier value at switch s over ||x|| <= D.
+
+    Projected gradient ascent with a Barzilai-Borwein step and Armijo
+    backtracking.  Returns (x, state, projected gradient norm, converged).
+    """
+    radius = cb.bound_radius
+    x = _project_ball(np.asarray(x_start, dtype=float).copy(), radius)
+    st = left_limit_state(cb, x, s)
+    alpha = 1.0
+    prev_x = None
+    prev_g = None
+    stall = 0
+    gnorm = float(np.linalg.norm(st.grad_x))
+    for _ in range(max_iters):
+        g = st.grad_x
+        gnorm = float(np.linalg.norm(g))
+        # projected gradient: remove outward component on the ball boundary
+        if float(np.linalg.norm(x)) >= radius - 1e-12:
+            xhat = x / max(float(np.linalg.norm(x)), 1e-12)
+            out = float(np.dot(g, xhat))
+            if out > 0.0:
+                gnorm = float(np.linalg.norm(g - out * xhat))
+        if gnorm < tol:
+            return x, st, gnorm, True
+        if prev_x is not None:
+            ds = x - prev_x
+            dy = g - prev_g
+            den = float(np.dot(ds, dy))
+            if den < -1e-18:
+                alpha = min(max(-float(np.dot(ds, ds)) / den, 1e-10), 1e6)
+        prev_x, prev_g = x, g
+        accepted = False
+        a = alpha
+        for _ in range(60):
+            x_new = _project_ball(x + a * g, radius)
+            st_new = left_limit_state(cb, x_new, s)
+            if st_new.value >= st.value + 1e-4 * float(np.dot(g, x_new - x)):
+                accepted = True
+                break
+            a *= 0.5
+        if not accepted:
+            return x, st, gnorm, gnorm < tol
+        if st_new.value - st.value < 1e-15 * max(1.0, abs(st.value)):
+            stall += 1
+            if stall >= 25:
+                return x_new, st_new, gnorm, gnorm < tol
+        else:
+            stall = 0
+        x, st = x_new, st_new
+    gnorm = float(np.linalg.norm(st.grad_x))
+    return x, st, gnorm, gnorm < tol
 
 
 # ---------------------------------------------------------------------------

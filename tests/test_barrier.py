@@ -7,7 +7,6 @@ import pytest
 
 from stlcbf import (
     AffinePredicate,
-    BallPredicate,
     BarrierTerm,
     CompositeBarrier,
     GammaParams,
@@ -22,26 +21,7 @@ from stlcbf import (
     left_limit_value,
 )
 
-from oracles import central_fd, gamma_rate, naive_barrier_state
-
-
-def make_barrier(rng, dim=3, n_aff=4, n_ball=1, eta=12.0, radius=8.0):
-    units, params = [], []
-    for _ in range(n_aff):
-        pred = AffinePredicate(rng.normal(size=dim), float(rng.normal()))
-        kind = "always" if rng.uniform() < 0.5 else "eventually"
-        a = float(rng.uniform(0.0, 2.0))
-        b = float(rng.uniform(a + 0.5, a + 4.0))
-        units.append(OperatorUnit(kind, pred, a, b))
-    for _ in range(n_ball):
-        pred = BallPredicate(rng.normal(size=(2, dim)), rng.normal(size=2), float(rng.uniform(1, 5)))
-        units.append(OperatorUnit("always", pred, 0.0, float(rng.uniform(1.0, 5.0))))
-    for u in units:
-        g0 = float(rng.uniform(-3.0, 0.0))
-        gi = g0 + float(rng.uniform(0.5, 2.0))
-        dec = float(rng.uniform(0.0, 1.0))
-        params.append(GammaParams(g0, gi, dec, u.t_star))
-    return build_barrier(units, params, eta=eta, bound_radius=radius)
+from oracles import central_fd, gamma_rate, naive_barrier_state, random_barrier
 
 
 # --- gamma curves ---------------------------------------------------------
@@ -127,7 +107,7 @@ def test_term_and_build_validation():
 
 def test_softmin_under_approximates_min():
     rng = np.random.default_rng(11)
-    cb = make_barrier(rng)
+    cb = random_barrier(rng)
     for _ in range(200):
         x = rng.normal(size=cb.dim) * 3
         t = float(rng.uniform(0, 0.9 * min(cb.schedule)))
@@ -163,7 +143,7 @@ def test_schedule_activity_and_horizon():
 
 def test_switch_monotonicity_spot():
     rng = np.random.default_rng(5)
-    cb = make_barrier(rng)
+    cb = random_barrier(rng)
     for s in cb.schedule[:-1]:
         for _ in range(50):
             x = rng.normal(size=cb.dim) * 2
@@ -172,7 +152,7 @@ def test_switch_monotonicity_spot():
 
 def test_gradients_match_finite_differences_spot():
     rng = np.random.default_rng(9)
-    cb = make_barrier(rng)
+    cb = random_barrier(rng)
     for _ in range(20):
         x = rng.normal(size=cb.dim) * 2
         t = float(rng.uniform(0, 0.9 * min(cb.schedule)))
@@ -186,7 +166,7 @@ def test_gradients_match_finite_differences_spot():
 
 def test_concavity_spot():
     rng = np.random.default_rng(13)
-    cb = make_barrier(rng)
+    cb = random_barrier(rng)
     for _ in range(200):
         x1 = rng.normal(size=cb.dim) * 3
         x2 = rng.normal(size=cb.dim) * 3
@@ -207,7 +187,7 @@ def test_bound_term_keeps_superlevel_sets_compact():
 
 def test_serialization_roundtrip_bitexact():
     rng = np.random.default_rng(21)
-    cb = make_barrier(rng)
+    cb = random_barrier(rng)
     doc = json.loads(json.dumps(barrier_to_dict(cb)))
     cb2 = barrier_from_dict(doc)
     for _ in range(50):
@@ -222,7 +202,7 @@ def test_serialization_roundtrip_bitexact():
 
 def test_weights_sum_to_one():
     rng = np.random.default_rng(17)
-    cb = make_barrier(rng)
+    cb = random_barrier(rng)
     x = rng.normal(size=cb.dim)
     st = barrier_state(cb, x, 0.1)
     assert abs(float(np.sum(st.weights)) - 1.0) < 1e-12
@@ -250,9 +230,9 @@ def test_kernel_matches_reference_evaluator():
         [GammaParams(-1.0, 0.2, 0.4, 2.0)], eta=9.0, bound_radius=5.0,
     )
     barriers = [
-        make_barrier(rng, n_ball=0),
-        make_barrier(rng, dim=4, n_aff=3, n_ball=2, eta=30.0),
-        make_barrier(rng, dim=2, n_aff=1, n_ball=1),
+        random_barrier(rng, n_ball=0),
+        random_barrier(rng, dim=4, n_aff=3, n_ball=2, eta=30.0),
+        random_barrier(rng, dim=2, n_aff=1, n_ball=1),
         single,
     ]
     queries = []
@@ -284,5 +264,47 @@ def test_kernel_matches_reference_evaluator():
         with pytest.raises(ValueError, match=re.escape(msg)):
             fn(cb, x, t)
     for fn in (barrier_state, left_limit_state):
+        with pytest.raises(ValueError, match=re.escape(f"state must have shape ({cb.dim},)")):
+            fn(cb, np.zeros(cb.dim + 1), 0.5)
+
+
+def test_value_functions_equal_state_value_bitwise():
+    """barrier_value and left_limit_value run only the kernel's value half.
+    Each must equal .value of the matching full state bit for bit, in every
+    interval.  Calls on different barriers and times are interleaved, and the
+    value and the state are taken in either order, so a t-cache entry left
+    by one call is read by the next."""
+    rng = np.random.default_rng(47)
+    barriers = [
+        random_barrier(rng, n_ball=0),
+        random_barrier(rng, dim=4, n_aff=3, n_ball=2, eta=30.0),
+        random_barrier(rng, dim=2, n_aff=1, n_ball=1),
+    ]
+    queries = []
+    for cb in barriers:
+        bounds = (0.0, *cb.schedule)
+        for lo, hi in zip(bounds, bounds[1:]):
+            for t in (float(rng.uniform(lo, hi)), lo):
+                queries.append((cb, t, barrier_value, barrier_state))
+            for t in (float(rng.uniform(lo, hi)), hi):
+                queries.append((cb, t, left_limit_value, left_limit_state))
+    for i in rng.permutation(3 * len(queries)) % len(queries):
+        cb, t, value_fn, state_fn = queries[i]
+        x = rng.normal(scale=2.0, size=cb.dim)
+        if rng.uniform() < 0.5:
+            value, state = value_fn(cb, x, t), state_fn(cb, x, t)
+        else:
+            state, value = state_fn(cb, x, t), value_fn(cb, x, t)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(state.value).tobytes(), (t, value_fn)
+
+    cb = barriers[1]
+    x = np.zeros(cb.dim)
+    h = cb.horizon
+    for t, fn in ((h, barrier_value), (h + 1.0, left_limit_value), (math.nan, left_limit_value)):
+        msg = f"barrier undefined at t={t:g}: every task term has expired (final deadline {h:g})"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            fn(cb, x, t)
+    for fn in (barrier_value, left_limit_value):
         with pytest.raises(ValueError, match=re.escape(f"state must have shape ({cb.dim},)")):
             fn(cb, np.zeros(cb.dim + 1), 0.5)

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,26 @@ def mini_config():
         "sim": {"dt": 0.05},
         "noise": {"bound": 0.05, "distribution": "uniform_ball", "seed": 1},
     }
+
+
+NAN = float("nan")
+
+# (a fault written into mini_config, the one-line message it must give): a
+# NaN search field must not yield a "feasible" certificate, and no fault may
+# reach the code behind the boundary as a traceback
+BAD_CONFIGS = [
+    (lambda c: c["search"].update(delta=NAN), "bad search section: delta must be a finite positive number"),
+    (lambda c: c["search"].update(eta_grid=[NAN]), "bad search section: eta_grid must be a non-empty list"),
+    (lambda c: c["search"].update(bound_radius=NAN), "bad search section: bound_radius must be a finite positive"),
+    (lambda c: c["cliques"]["solo"].update(formula=5), "clique 'solo' formula must be a string"),
+    (lambda c: c["cliques"]["solo"].update(formula=None), "clique 'solo' formula must be a string"),
+    (lambda c: c.update(search=[1]), "config section 'search' must be a JSON object"),
+    (lambda c: c["search"].update(eta_grid=5), "bad search section: eta_grid must be a list of numbers"),
+    (lambda c: c["search"].update(f0_range=3), "bad search section: f0_range must be a list of numbers"),
+    (lambda c: c["search"].update(restarts=1.5), "bad search section: restarts must be an integer"),
+    (lambda c: c["agents"].update(a={"dim": 1}), "agent key 'a' must be an integer id"),
+    (lambda c: c.update(sim=3), "config section 'sim' must be a JSON object"),
+]
 
 
 def pair_config():
@@ -113,6 +134,11 @@ def test_validate_config_errors():
     bad["cliques"]["solo"]["members"] = 3
     with pytest.raises(ConfigError, match="members must be a list"):
         validate_config(bad)
+    for mutate, msg in BAD_CONFIGS:
+        bad = copy.deepcopy(good)
+        mutate(bad)
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            validate_config(bad)
 
 
 def test_build_agents_drift_and_input():
@@ -276,6 +302,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     drifted.write_text(json.dumps(cfg3))
     assert main(["construct", str(drifted)]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: agent 1 initial state must be a list of numbers"]
+    for mutate, msg in BAD_CONFIGS:
+        cfg3 = mini_config()
+        mutate(cfg3)
+        drifted.write_text(json.dumps(cfg3))
+        assert main(["construct", str(drifted)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + msg), err
 
     # a failing run exits 1 from verify
     log_doc = json.loads((outdir / "log.json").read_text())

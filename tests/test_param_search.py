@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,13 +10,19 @@ from stlcbf import (
     GammaParams,
     OperatorUnit,
     SearchConfig,
+    StateLayout,
+    barrier_from_dict,
     barrier_value,
     build_barrier,
     compute_kappa,
     feasibility_check,
     maximize_r,
+    normalize,
+    parse,
 )
-from stlcbf.param_search import _feasible_at, _default_bound_radius, _h_opt_capped
+from stlcbf.param_search import _ascend, _feasible_at, _default_bound_radius, _h_opt_capped
+
+from oracles import naive_ascend, naive_barrier_state, random_barrier
 
 
 def unit_h_x(kind="always", a=0.0, b=2.0, until_lhs=False):
@@ -32,6 +39,17 @@ def test_search_config_validation():
         SearchConfig(eta_grid=())
     with pytest.raises(ValueError):
         SearchConfig(r_tolerance=0.0)
+    # NaN fails every check, and each message names its field
+    for field in ("delta", "r_tolerance", "ascent_tol", "kappa_min", "kappa_clamp", "gamma_inf_span",
+                  "headroom", "bound_radius", "r_max", "kappa_cap", "f0_default", "f1_default"):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SearchConfig(**{field: math.nan})
+    for field, value in (("eta_grid", (20.0, math.nan)), ("f0_range", (0.3, math.nan)),
+                         ("f1_range", (0.1,)), ("restarts", 1.5), ("seed", -1),
+                         ("max_ascent_iters", 2.5), ("max_repair_rounds", True)):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SearchConfig(**{field: value})
+    assert SearchConfig(r_max=math.inf, kappa_cap=math.inf, headroom=None, bound_radius=None).r_max == math.inf
 
 
 def test_analytic_one_dimensional_case():
@@ -184,3 +202,73 @@ def test_until_lhs_floor_recorded():
     lhs_terms = [tm for tm in res.barrier.terms if tm.unit.until_lhs]
     assert len(lhs_terms) == 1
     assert math.isfinite(lhs_terms[0].gamma.gamma0)
+
+
+def _bits(v):
+    a = np.asarray(v)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_ascend_matches_naive_oracle_bitwise(demo_doc):
+    """The ascent, whose Armijo trials run only the kernel's value half,
+    against the ascent that evaluates a full state per trial: the same
+    witness, state, gradient norm and verdict bit for bit, and a state that
+    matches the reference evaluator at the witness.  At every switch of
+    the demo barriers and of seeded random ones (with and without balls) the
+    ascent starts inside the bound ball, outside it (projected first) and at
+    the previous switch's witness.  The runs with the search's own settings
+    end converged or at the iteration limit; those with tol = 0 end in a
+    stall; the NaN barrier (eta = nan) ends with no accepted trial."""
+    _, doc, _ = demo_doc
+    rng = np.random.default_rng(83)
+    barriers = [barrier_from_dict(doc["cliques"][name]["barrier"]) for name in sorted(doc["cliques"])]
+    barriers += [
+        random_barrier(rng, n_ball=0),
+        random_barrier(rng, dim=4, n_aff=3, n_ball=2, eta=30.0),
+        random_barrier(rng, dim=2, n_aff=1, n_ball=1, radius=3.0),
+        random_barrier(rng, dim=2, n_aff=2, n_ball=0, eta=math.nan),
+    ]
+    verdicts = Counter()
+    for cb in barriers:
+        D = cb.bound_radius
+        witness = np.zeros(cb.dim)
+        for s in cb.schedule:
+            u = rng.normal(size=cb.dim)
+            u /= np.linalg.norm(u)
+            inside = float(rng.uniform(0.1, 0.9)) * D * u
+            outside = float(rng.uniform(1.5, 3.0)) * D * u
+            runs = ((inside, 600, 1e-6), (outside, 600, 1e-6), (witness, 600, 1e-6), (inside, 1000, 0.0))
+            for i, (x_start, max_iters, tol) in enumerate(runs):
+                x, st, gnorm, converged = _ascend(cb, s, x_start, max_iters, tol)
+                rx, rst, rgnorm, rconverged = naive_ascend(cb, s, x_start, max_iters, tol)
+                assert _bits(x) == _bits(rx), s
+                for name in ("value", "grad_x", "dbdt", "weights", "active", "term_values"):
+                    assert _bits(getattr(st, name)) == _bits(getattr(rst, name)), (s, name)
+                assert _bits(gnorm) == _bits(rgnorm) and converged is rconverged
+                if not math.isnan(st.value):  # and it is the state at the witness
+                    ref = naive_barrier_state(cb, x, s, left_limit=True)
+                    for name in ("value", "grad_x", "dbdt", "weights"):
+                        got, want = np.atleast_1d(getattr(st, name)), np.atleast_1d(ref[name])
+                        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
+                verdicts[converged, math.isnan(st.value)] += 1
+                if i == 0:
+                    next_witness = x
+            witness = next_witness
+    assert verdicts[True, False] > 0 and verdicts[False, False] > 0 and verdicts[False, True] > 0
+
+
+def test_nan_margin_is_infeasible():
+    """A NaN margin must not pass for a certificate: with eta = nan every
+    barrier value is NaN, and a "value < delta" test is False for NaN.  The
+    same funnels are feasible with eta = 20."""
+    layout = StateLayout(ids=(1,), dims=(2,))
+    units = normalize(parse("G[0,6](dot([0,1], x1) >= 0) & F[2,6](norm_inf(x1 - [3,2]) <= 1)", layout))
+    x0 = np.array([0.0, 1.0])
+    r = 0.9
+    curves = [(0.95, 1.05), (0.8, 1.02), (-2.2, 1.02), (0.4, 1.02), (-0.2, 1.02)]
+    params = [GammaParams.from_target(g0, gi, r, u.t_star) for u, (g0, gi) in zip(units, curves)]
+    assert feasibility_check(units, x0, r, 20.0, 10.0, params, 0.01).feasible
+    report = feasibility_check(units, x0, r, math.nan, 10.0, params, 0.01)
+    assert not report.feasible
+    assert math.isnan(report.initial_margin)
+    assert list(report.switch_margins) == [6.0] and math.isnan(report.switch_margins[6.0])
