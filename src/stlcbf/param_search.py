@@ -10,8 +10,18 @@ target r subject to
 
 Constraint (ii) is certified by maximizing the concave map
 x -> left_limit_value(x, s_j) with projected gradient ascent; concavity makes
-any stationary point a global maximum, so the certificate is sound.  The
-outer search bisects on r.  For fixed r, funnel curves are placed from
+any stationary point a global maximum, so the certificate is sound.
+Concavity also bounds the maximum from any iterate x with gradient g:
+max over ||y|| <= D of f(y) <= f(x) + D ||g|| - g.x (first-order concavity,
+then Cauchy-Schwarz).  An ascent stops as soon as this bound drops below
+delta: the switch is then provably infeasible, and infeasible is the
+conservative verdict, so the early stop can never pass an unsound
+certificate.  Ascents that can reach delta run on to the stationarity
+tolerance, so every witness the search ships is still a maximizer.  Each
+switch's exit reason and bracket [value, bound] go into the report and the
+search diagnostics.
+
+The outer search bisects on r.  For fixed r, funnel curves are placed from
 per-unit fractions and then repaired: whenever a constraint fails, the terms
 pinching the softmin at the witness are identified and their curves are
 lowered where the schedule still allows it (start depth before the critical
@@ -116,6 +126,8 @@ class FeasibilityReport:
     blocking: dict  # constraint time (0.0 or switch) -> list of (term index or "bound", value)
     bound_weights: dict  # constraint time -> softmin weight of the bound term
     grad_norms: dict  # switch time -> gradient norm at the witness
+    exits: dict  # switch time -> how the ascent ended (see _ascend)
+    brackets: dict  # switch time -> (value, upper bound): the maximum lies in between
     warnings: list
 
 
@@ -224,15 +236,39 @@ def _project_ball(x: np.ndarray, radius: float) -> np.ndarray:
     return x if n <= radius else x * (radius / n)
 
 
-def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int, tol: float):
+def _upper_bound(st, x: np.ndarray, radius: float) -> float:
+    """Concavity bound on the ascent's goal: max over ||y|| <= D of the
+    left-limit value is at most f(x) + D ||g|| - g.x, with g the gradient at x."""
+    g = st.grad_x
+    return st.value + radius * _norm(g) - float(np.dot(g, x))
+
+
+def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int, tol: float,
+            floor: float = -math.inf, info: dict | None = None):
     """Maximize the concave left-limit barrier value at switch s over ||x|| <= D.
 
     Projected gradient ascent with a Barzilai-Borwein step and Armijo
     backtracking.  A trial point needs only the barrier value, so trials run
     the kernel's value half and only the accepted one is finished into a
     full state.  Returns (x, state, projected gradient norm, converged).
+
+    An unconverged iterate whose concavity bound _upper_bound lies below
+    floor ends the ascent: no point of the ball reaches floor, so a caller
+    that needs value >= floor stops only on a verdict already certain, the
+    conservative one.  An ascent that can reach floor runs to the stopping
+    rule as before.  The test is False for NaN and never fires at the
+    default floor.  If info is a dict, the exit ("converged", "bound",
+    "iteration limit", "stall" or "no accepted trial") and the bound at the
+    returned point go into info["exit"] and info["ub"].
     """
     radius = cb.bound_radius
+
+    def done(x, st, gnorm, why):
+        if info is not None:
+            info["exit"] = why
+            info["ub"] = _upper_bound(st, x, radius)
+        return x, st, gnorm, gnorm < tol
+
     k = _left_interval(cb, s)
     x = _project_ball(np.asarray(x_start, dtype=float).copy(), radius)
     st = left_limit_state(cb, x, s)
@@ -251,7 +287,9 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int,
             if out > 0.0:
                 gnorm = _norm(g - out * xhat)
         if gnorm < tol:
-            return x, st, gnorm, True
+            return done(x, st, gnorm, "converged")
+        if _upper_bound(st, x, radius) < floor:
+            return done(x, st, gnorm, "bound")
         if prev_x is not None:
             ds = x - prev_x
             dy = g - prev_g
@@ -269,17 +307,16 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int,
                 break
             a *= 0.5
         if not accepted:
-            return x, st, gnorm, gnorm < tol
+            return done(x, st, gnorm, "no accepted trial")
         st_new = _finish(*trial)
         if st_new.value - st.value < 1e-15 * max(1.0, abs(st.value)):
             stall += 1
             if stall >= 25:
-                return x_new, st_new, gnorm, gnorm < tol
+                return done(x_new, st_new, gnorm, "stall")
         else:
             stall = 0
         x, st = x_new, st_new
-    gnorm = _norm(st.grad_x)
-    return x, st, gnorm, gnorm < tol
+    return done(x, st, _norm(st.grad_x), "iteration limit")
 
 
 def _blocking_terms(state, eta: float, delta: float) -> list:
@@ -315,7 +352,7 @@ def feasibility_check(
     cb = build_barrier(units, params, eta=eta, bound_radius=bound_radius)
     report = FeasibilityReport(
         feasible=True, initial_margin=math.nan, switch_margins={}, witnesses={},
-        blocking={}, bound_weights={}, grad_norms={}, warnings=[],
+        blocking={}, bound_weights={}, grad_norms={}, exits={}, brackets={}, warnings=[],
     )
     st0 = barrier_state(cb, x0, 0.0)
     report.initial_margin = st0.value
@@ -326,12 +363,18 @@ def feasibility_check(
         report.blocking[0.0] = _blocking_terms(st0, eta, delta)
     x_start = x0
     for s in cb.schedule:
-        x_w, st, gnorm, converged = _ascend(cb, s, x_start, max_ascent_iters, ascent_tol)
+        info = {}
+        x_w, st, gnorm, converged = _ascend(
+            cb, s, x_start, max_ascent_iters, ascent_tol, floor=delta, info=info
+        )
         report.switch_margins[s] = st.value
         report.witnesses[s] = x_w
         report.grad_norms[s] = gnorm
         report.bound_weights[s] = float(st.weights[-1])
-        if not converged:
+        report.exits[s] = info["exit"]
+        report.brackets[s] = (st.value, info["ub"])
+        # a bound exit has its verdict and is not an unconverged ascent
+        if not converged and info["exit"] != "bound":
             report.warnings.append(
                 f"ascent at switch {s:g} stopped with gradient norm {gnorm:.2e}"
             )
@@ -546,6 +589,8 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
                 diag["restart"] = restart
                 diag["initial_margin"] = report.initial_margin
                 diag["switch_margins"] = dict(report.switch_margins)
+                diag["ascent_exits"] = dict(report.exits)
+                diag["ascent_brackets"] = dict(report.brackets)
                 diag["warnings"].extend(report.warnings)
             diag["warnings"].append("no feasible r found")
             return SearchResult(0.0, None, {}, cfg.kappa_min, False, diag)
@@ -575,6 +620,8 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
             "initial_margin": report.initial_margin,
             "switch_margins": dict(report.switch_margins),
             "grad_norms": dict(report.grad_norms),
+            "ascent_exits": dict(report.exits),
+            "ascent_brackets": dict(report.brackets),
             "bound_weights": dict(report.bound_weights),
             "kappa_raw": kappa_raw,
         }

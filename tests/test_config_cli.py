@@ -343,3 +343,38 @@ def test_cli_monitor_rejects_non_finite_signal(tmp_path, capsys):
     assert main(["monitor", "G[0,0.5](dot([1], x1) >= 0)", str(sig)]) == 2
     err = capsys.readouterr().err
     assert "non-finite" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_refuses_non_finite_barrier_document(tmp_path, capsys):
+    """A barrier document edited after construction passes the config-hash
+    check, so its numbers are checked when it is loaded: a NaN eta must not
+    run to 'min_b=nan rho=nan' with exit 0."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(mini_config()))
+    barriers = tmp_path / "barriers.json"
+    assert main(["construct", str(cfg_path), "-o", str(barriers)]) == 0
+    good = json.loads(barriers.read_text())
+    capsys.readouterr()
+    edits = [
+        (lambda b: b.update(eta=NAN), "barrier document: eta must be a finite number, got nan"),
+        (lambda b: b.update(eta="20"), "barrier document: eta must be a finite number, got '20'"),
+        (lambda b: b.update(bound_radius=NAN), "barrier document: bound_radius must be a finite number"),
+        (lambda b: b.update(smooth_eps=float("inf")), "barrier document: smooth_eps must be a finite number"),
+        (lambda b: b["terms"][0]["gamma"].update(decay=NAN),
+         "barrier document: term 0 gamma decay must be a finite number, got nan"),
+        (lambda b: b["terms"][0]["gamma"].update(gamma0=[1.0]),
+         "barrier document: term 0 gamma gamma0 must be a finite number, got [1.0]"),
+        (lambda b: b["terms"][0]["gamma"].pop("t_star"),
+         "barrier document: term 0 gamma t_star must be a finite number, got None"),
+        (lambda b: b["terms"][0]["unit"].update(a=[0.0]),
+         "barrier document: term 0 unit a must be a finite number, got [0.0]"),
+    ]
+    for edit, msg in edits:
+        doc = copy.deepcopy(good)
+        edit(doc["cliques"]["solo"]["barrier"])
+        barriers.write_text(json.dumps(doc))
+        assert main(["simulate", str(cfg_path), str(barriers), "-o", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + msg), err
+        assert "min_b" not in captured.out

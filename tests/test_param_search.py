@@ -272,3 +272,112 @@ def test_nan_margin_is_infeasible():
     assert not report.feasible
     assert math.isnan(report.initial_margin)
     assert list(report.switch_margins) == [6.0] and math.isnan(report.switch_margins[6.0])
+
+
+def _ascent_barriers(doc, rng):
+    """The demo barriers and seeded random ones, with and without balls."""
+    barriers = [barrier_from_dict(doc["cliques"][name]["barrier"]) for name in sorted(doc["cliques"])]
+    return barriers + [
+        random_barrier(rng, n_ball=0),
+        random_barrier(rng, dim=4, n_aff=3, n_ball=2, eta=30.0),
+        random_barrier(rng, dim=2, n_aff=1, n_ball=1, radius=3.0),
+    ]
+
+
+def _starts(rng, D, dim):
+    """A start inside the bound ball and one outside it (projected first)."""
+    u = rng.normal(size=dim)
+    u /= np.linalg.norm(u)
+    return float(rng.uniform(0.1, 0.9)) * D * u, float(rng.uniform(1.5, 3.0)) * D * u
+
+
+def test_upper_bound_dominates_naive_maximum(demo_doc, monkeypatch):
+    """The concavity bound f(x) + D ||g|| - g.x, at every iterate of the
+    ascent, is at least the best value naive_ascend reaches at that switch:
+    it bounds the maximum over the ball from any point, not only near it."""
+    from stlcbf import param_search
+
+    _, doc, _ = demo_doc
+    rng = np.random.default_rng(97)
+    seen = []
+
+    def record(fn, pos):
+        def wrapped(*args):
+            st = fn(*args)
+            seen.append((np.asarray(args[pos], dtype=float), st))
+            return st
+        return wrapped
+
+    monkeypatch.setattr(param_search, "left_limit_state", record(param_search.left_limit_state, 1))
+    monkeypatch.setattr(param_search, "_finish", record(param_search._finish, 1))
+    checked = 0
+    for cb in _ascent_barriers(doc, rng):
+        D = cb.bound_radius
+        for s in cb.schedule:
+            starts = _starts(rng, D, cb.dim)
+            best = max(naive_ascend(cb, s, x, 600, 1e-6)[1].value for x in starts)
+            for x_start in starts:
+                seen.clear()
+                _ascend(cb, s, x_start, 600, 1e-6)
+                assert len(seen) > 1
+                for x, st in seen:
+                    ub = param_search._upper_bound(st, x, D)
+                    assert ub >= best - 1e-12 * max(1.0, abs(best)), (s, ub, best)
+                checked += len(seen)
+    assert checked > 1000
+
+
+def test_bound_exit_verdict_matches_naive_ascent(demo_doc):
+    """With a floor, an ascent that stops on the bound has the verdict a
+    full naive_ascend from the same start reaches (value below the floor),
+    and an ascent that does not stop on it is naive_ascend's bit for bit.
+    Floors sit on both sides of the value naive_ascend reaches, and the
+    demo barriers also get their own delta."""
+    _, doc, _ = demo_doc
+    rng = np.random.default_rng(101)
+    deltas = {doc["cliques"][name]["diagnostics"]["delta"] for name in doc["cliques"]}
+    exits = Counter()
+    for cb in _ascent_barriers(doc, rng):
+        for s in cb.schedule:
+            for x_start in _starts(rng, cb.bound_radius, cb.dim):
+                rx, rst, rgnorm, rconverged = naive_ascend(cb, s, x_start, 600, 1e-6)
+                v = rst.value
+                for floor in sorted(deltas) + [v - 0.05, v - 1e-3, v + 1e-3, v + 0.05]:
+                    info = {}
+                    x, st, gnorm, converged = _ascend(cb, s, x_start, 600, 1e-6, floor=floor, info=info)
+                    exits[info["exit"]] += 1
+                    assert st.value <= info["ub"] + 1e-12 * max(1.0, abs(info["ub"]))
+                    if info["exit"] == "bound":
+                        assert info["ub"] < floor and v < floor, (s, floor, v)
+                        assert not converged
+                    else:
+                        assert _bits(x) == _bits(rx) and _bits(st.value) == _bits(v)
+                        assert _bits(gnorm) == _bits(rgnorm) and converged is rconverged
+                    assert (st.value >= floor) == (v >= floor)
+    assert exits["bound"] > 0 and exits["converged"] > 0
+
+
+def test_feasibility_report_records_exits_and_brackets(demo_doc):
+    """Every switch gets an exit reason and a bracket [value, bound] around
+    the maximum; a bound exit adds no 'stopped with gradient norm' warning.
+    The search copies both into its diagnostics."""
+    layout = StateLayout(ids=(1,), dims=(2,))
+    units = normalize(parse("G[0,6](dot([0,1], x1) >= 0) & F[2,6](norm_inf(x1 - [3,2]) <= 1)", layout))
+    x0 = np.array([0.0, 1.0])
+    r = 0.9
+    curves = [(0.95, 1.05), (0.8, 1.02), (-2.2, 1.02), (0.4, 1.02), (-0.2, 1.02)]
+    params = [GammaParams.from_target(g0, gi, r, u.t_star) for u, (g0, gi) in zip(units, curves)]
+    for delta, exit in ((0.01, "converged"), (5.0, "bound")):
+        report = feasibility_check(units, x0, r, 20.0, 10.0, params, delta)
+        assert report.feasible is (delta == 0.01)
+        assert report.exits == {6.0: exit} and report.warnings == []
+        value, ub = report.brackets[6.0]
+        assert value == report.switch_margins[6.0] <= ub
+        assert (ub < delta) is (exit == "bound")
+    _, doc, _ = demo_doc
+    for entry in doc["cliques"].values():
+        diag = entry["diagnostics"]
+        assert set(diag["ascent_exits"]) == set(diag["ascent_brackets"]) == set(diag["switch_margins"])
+        for s, (value, ub) in diag["ascent_brackets"].items():
+            assert value == diag["switch_margins"][s] and value <= ub
+            assert diag["ascent_exits"][s] in ("converged", "iteration limit", "stall", "no accepted trial")
