@@ -43,14 +43,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .formula import OperatorUnit
-from .predicates import AffinePredicate, BallPredicate, predicate_to_dict, predicate_from_dict
+from .predicates import AffinePredicate, BallPredicate, finite_number, predicate_to_dict, predicate_from_dict
 
 __all__ = [
     "GammaParams",
@@ -393,36 +392,28 @@ def barrier_to_dict(cb: CompositeBarrier) -> dict:
     }
 
 
-def _number(d: dict, key: str, where: str, default: float | None = None) -> float:
-    """A finite JSON number from a barrier document, or a one-line ValueError."""
-    v = d.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-        raise ValueError(f"barrier document: {where}{key} must be a finite number, got {v!r}")
-    return float(v)
-
-
 def barrier_from_dict(doc: dict) -> CompositeBarrier:
     """Rebuild a barrier from barrier_to_dict's output.  The barrier's own
-    numbers (eta, bound radius, smoothing, unit windows, funnel curves) are
-    checked finite here: a NaN eta or bound radius would otherwise build a
-    barrier whose every value is NaN."""
+    numbers (eta, bound radius, smoothing, unit windows, funnel curves,
+    predicate coefficients) are checked finite here: a NaN eta or bound
+    radius would otherwise build a barrier whose every value is NaN."""
     units, params = [], []
     for i, entry in enumerate(doc["terms"]):
         u = entry["unit"]
         units.append(
             OperatorUnit(
                 kind=u["kind"],
-                predicate=predicate_from_dict(u["predicate"]),
-                a=_number(u, "a", f"term {i} unit "),
-                b=_number(u, "b", f"term {i} unit "),
+                predicate=predicate_from_dict(u["predicate"], f"term {i} predicate "),
+                a=finite_number(u, "a", f"term {i} unit "),
+                b=finite_number(u, "b", f"term {i} unit "),
                 until_lhs=bool(u.get("until_lhs", False)),
             )
         )
         g = entry["gamma"]
         params.append(GammaParams(*(
-            _number(g, key, f"term {i} gamma ") for key in ("gamma0", "gamma_inf", "decay", "t_star")
+            finite_number(g, key, f"term {i} gamma ") for key in ("gamma0", "gamma_inf", "decay", "t_star")
         )))
     return build_barrier(
-        units, params, eta=_number(doc, "eta", ""), bound_radius=_number(doc, "bound_radius", ""),
-        smooth_eps=_number(doc, "smooth_eps", "", 1e-9),
+        units, params, eta=finite_number(doc, "eta", ""), bound_radius=finite_number(doc, "bound_radius", ""),
+        smooth_eps=finite_number(doc, "smooth_eps", "", 1e-9),
     )

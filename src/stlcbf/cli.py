@@ -17,7 +17,9 @@ import numpy as np
 
 from .config import (
     LOG_DOC_FORMAT,
+    LOG_DOC_VERSION,
     ConfigError,
+    build_agents,
     build_cliques,
     build_scenario,
     clique_formulas,
@@ -25,6 +27,7 @@ from .config import (
     load_config,
     run_construct,
 )
+from .controller import Team
 from .demo import demo_config
 from .parsing import parse
 from .robustness import robustness
@@ -41,7 +44,7 @@ EXIT_INTERNAL = 3
 def _load_json(path, expected_format=None):
     with open(path) as fh:
         doc = json.load(fh)
-    if expected_format is not None and doc.get("format") != expected_format:
+    if expected_format is not None and not (isinstance(doc, dict) and doc.get("format") == expected_format):
         raise ConfigError(f"{path}: expected a {expected_format!r} document")
     return doc
 
@@ -53,25 +56,24 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _print_construct_summary(doc) -> None:
+def _construct(cfg, out):
+    """Construct, write the barrier document to out and print a summary;
+    returns the document, or None if a clique is infeasible."""
+    t0 = time.perf_counter()
+    doc = run_construct(cfg)
+    elapsed = time.perf_counter() - t0
+    _write_json(out, doc)
     for name, entry in sorted(doc["cliques"].items()):
         if entry["feasible"]:
             print(f"clique {name}: r_star={entry['r_star']:.6g} kappa={entry['kappa']:.6g}")
         else:
             print(f"clique {name}: INFEASIBLE (r_star={entry['r_star']:.6g})")
+    print(f"construction took {elapsed:.2f} s; wrote {out}")
+    return doc if all(e["feasible"] for e in doc["cliques"].values()) else None
 
 
 def cmd_construct(args) -> int:
-    cfg = load_config(args.config)
-    t0 = time.perf_counter()
-    doc = run_construct(cfg)
-    elapsed = time.perf_counter() - t0
-    _write_json(args.out, doc)
-    _print_construct_summary(doc)
-    print(f"construction took {elapsed:.2f} s; wrote {args.out}")
-    if not all(e["feasible"] for e in doc["cliques"].values()):
-        return EXIT_FAIL
-    return EXIT_PASS
+    return EXIT_PASS if _construct(load_config(args.config), args.out) else EXIT_FAIL
 
 
 def _simulate(cfg, doc, outdir, *, seed=None, dt=None) -> int:
@@ -83,13 +85,13 @@ def _simulate(cfg, doc, outdir, *, seed=None, dt=None) -> int:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "trajectory.csv"
-    write_log_csv(log, csv_path)
+    sha256 = write_log_csv(log, csv_path)
     log_doc = {
         "format": LOG_DOC_FORMAT,
-        "version": 1,
+        "version": LOG_DOC_VERSION,
         "config_hash": config_hash(cfg),
         "barrier_doc": doc,
-        "log": log_to_dict(log),
+        "log": log_to_dict(log, csv_path.name, sha256),
     }
     _write_json(outdir / "log.json", log_doc)
 
@@ -118,11 +120,17 @@ def cmd_simulate(args) -> int:
     return _simulate(cfg, doc, args.out, seed=args.seed, dt=args.dt)
 
 
-def _verify_from_docs(cfg, log_doc) -> int:
+def _verify_from_docs(cfg, log_doc, directory) -> int:
+    """Verify the run that a log document and the trajectory CSV it names in
+    directory record."""
+    if log_doc.get("version") != LOG_DOC_VERSION:
+        raise ConfigError(
+            f"log document version {log_doc.get('version')!r} is not {LOG_DOC_VERSION}; re-run simulate"
+        )
     if log_doc.get("config_hash") != config_hash(cfg):
         raise ConfigError("log was produced from a different config (hash mismatch)")
-    cliques, r_stars = build_cliques(cfg, log_doc["barrier_doc"])
-    log = log_from_dict(log_doc["log"])
+    cliques, r_stars = build_cliques(cfg, log_doc.get("barrier_doc"))
+    log = log_from_dict(log_doc.get("log"), directory, Team(cliques, build_agents(cfg)))
     report = verify(log, clique_formulas(cfg), cliques, r_stars)
     print(json.dumps(report, indent=2))
     return EXIT_PASS if report["passed"] else EXIT_FAIL
@@ -131,7 +139,7 @@ def _verify_from_docs(cfg, log_doc) -> int:
 def cmd_verify(args) -> int:
     log_doc = _load_json(args.log, expected_format=LOG_DOC_FORMAT)
     cfg = load_config(args.config)
-    return _verify_from_docs(cfg, log_doc)
+    return _verify_from_docs(cfg, log_doc, Path(args.log).parent)
 
 
 def cmd_monitor(args) -> int:
@@ -150,18 +158,14 @@ def cmd_demo(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "config.json", cfg)
     print(f"wrote {outdir / 'config.json'}")
-    t0 = time.perf_counter()
-    doc = run_construct(cfg)
-    _write_json(outdir / "barriers.json", doc)
-    _print_construct_summary(doc)
-    print(f"construction took {time.perf_counter() - t0:.2f} s; wrote {outdir / 'barriers.json'}")
-    if not all(e["feasible"] for e in doc["cliques"].values()):
+    doc = _construct(cfg, outdir / "barriers.json")
+    if doc is None:
         return EXIT_FAIL
     status = _simulate(cfg, doc, outdir, seed=args.seed, dt=args.dt)
     if status != EXIT_PASS:
         return status
     log_doc = _load_json(outdir / "log.json", expected_format=LOG_DOC_FORMAT)
-    return _verify_from_docs(cfg, log_doc)
+    return _verify_from_docs(cfg, log_doc, outdir)
 
 
 def _build_parser() -> argparse.ArgumentParser:

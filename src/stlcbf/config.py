@@ -37,7 +37,7 @@ from .controller import AgentModel, Clique
 from .formula import normalize
 from .parsing import parse
 from .param_search import SearchConfig, maximize_r
-from .predicates import StateLayout
+from .predicates import StateLayout, finite_number, is_finite_number
 from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec, pairwise_repulsion
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
 
 BARRIER_DOC_FORMAT = "stlcbf-barriers"
 LOG_DOC_FORMAT = "stlcbf-log"
+LOG_DOC_VERSION = 2  # the log section links the trajectory CSV by sha256
 
 
 class ConfigError(ValueError):
@@ -88,7 +89,7 @@ def validate_config(cfg: dict) -> dict:
         if not isinstance(cl["members"], (list, tuple)):
             raise ConfigError(f"clique {name!r} members must be a list of agent ids")
         bound = cl.get("coupling_bound", 0.0)
-        if not (_is_number(bound) and math.isfinite(bound) and bound >= 0.0):
+        if not (is_finite_number(bound) and bound >= 0.0):
             raise ConfigError(f"clique {name!r} coupling_bound must be a finite number >= 0")
         for i in cl["members"]:
             if str(i) not in cfg["agents"]:
@@ -115,14 +116,10 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"agent {i} initial state must be a list of numbers")
         if len(x0) != dim:
             raise ConfigError(f"agent {i} initial state has wrong dimension")
-        if not all(_is_number(v) and math.isfinite(v) for v in x0):
+        if not all(is_finite_number(v) for v in x0):
             raise ConfigError(f"agent {i} initial state must hold finite numbers")
     build_search_config(cfg)
     return cfg
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def load_config(path) -> dict:
@@ -192,7 +189,7 @@ def build_search_config(cfg: dict) -> SearchConfig:
         if key in sc:
             if not isinstance(sc[key], (list, tuple)):
                 raise ConfigError(f"bad search section: {key} must be a list of numbers")
-            sc[key] = tuple(float(v) if _is_number(v) else v for v in sc[key])
+            sc[key] = tuple(float(v) if is_finite_number(v) else v for v in sc[key])
     try:
         return SearchConfig(**sc)
     except (TypeError, ValueError) as err:
@@ -245,7 +242,7 @@ def run_construct(cfg: dict) -> dict:
 
 
 def _check_doc(cfg: dict, doc: dict) -> None:
-    if doc.get("format") != BARRIER_DOC_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != BARRIER_DOC_FORMAT:
         raise ConfigError("not a barrier document")
     if doc.get("config_hash") != config_hash(cfg):
         raise ConfigError(
@@ -274,11 +271,11 @@ def build_cliques(cfg: dict, doc: dict) -> tuple:
                 barrier=barrier_from_dict(entry["barrier"]),
                 layout=layouts[name],
                 coupling_bound=float(cfg["cliques"][name].get("coupling_bound", 0.0)),
-                kappa=float(entry["kappa"]),
+                kappa=finite_number(entry, "kappa", f"clique {name!r} "),
                 max_agent_dim=max_dim,
             )
         )
-        r_stars[name] = float(entry["r_star"])
+        r_stars[name] = finite_number(entry, "r_star", f"clique {name!r} ")
     return tuple(cliques), r_stars
 
 

@@ -52,7 +52,7 @@ from .barrier import (
     _left_interval,
     _value,
 )
-from .predicates import AffinePredicate, BallPredicate
+from .predicates import AffinePredicate, BallPredicate, is_finite_number
 
 __all__ = [
     "SearchConfig",
@@ -98,23 +98,19 @@ class SearchConfig:
         need(lambda v: v is None or _positive(v), ("headroom", "bound_radius"),
              "a finite positive number")
         need(lambda v: v == math.inf or _positive(v), ("r_max", "kappa_cap"), "a positive number")
-        need(_finite, ("f0_default", "f1_default"), "a finite number")
+        need(is_finite_number, ("f0_default", "f1_default"), "a finite number")
         need(lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0,
              ("restarts", "seed", "max_ascent_iters", "max_repair_rounds"), "an integer >= 0")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         need(lambda v: isinstance(v, (tuple, list)) and len(v) > 0 and all(map(_positive, v)),
              ("eta_grid",), "a non-empty list of finite positive numbers")
-        need(lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_finite, v)),
+        need(lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(is_finite_number, v)),
              ("f0_range", "f1_range"), "a pair of finite numbers")
 
 
-def _finite(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _positive(v) -> bool:
-    return _finite(v) and v > 0.0
+    return is_finite_number(v) and v > 0.0
 
 
 @dataclass

@@ -12,6 +12,8 @@ by a StateLayout (which agent owns which slice).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -183,13 +185,39 @@ def predicate_to_dict(p: Predicate) -> dict:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def predicate_from_dict(d: dict) -> Predicate:
-    kind = d["kind"]
+def is_finite_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def finite_number(d: dict, key: str, where: str, default: float | None = None) -> float:
+    """A finite JSON number from a barrier document, or a one-line ValueError."""
+    v = d.get(key, default)
+    if not is_finite_number(v):
+        raise ValueError(f"barrier document: {where}{key} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _finite_array(d: dict, key: str, where: str, ndim: int) -> np.ndarray:
+    try:
+        a = np.array(d.get(key), dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.ndim != ndim or not np.isfinite(a).all():
+        raise ValueError(f"barrier document: {where}{key} must be a {ndim}-D array of finite numbers")
+    return a
+
+
+def predicate_from_dict(d: dict, where: str = "") -> Predicate:
+    """Rebuild a predicate from predicate_to_dict's output; a missing,
+    misshapen or non-finite coefficient is a one-line ValueError that names
+    the field after the where prefix."""
+    kind = d.get("kind")
     support = frozenset(d.get("support", ()))
     if kind == "affine":
-        return AffinePredicate(np.asarray(d["c"], dtype=float), d["d"], support)
+        return AffinePredicate(_finite_array(d, "c", where, 1), finite_number(d, "d", where), support)
     if kind == "quad_ball":
         return BallPredicate(
-            np.asarray(d["A"], dtype=float), np.asarray(d["b"], dtype=float), d["e"], support
+            _finite_array(d, "A", where, 2), _finite_array(d, "b", where, 1),
+            finite_number(d, "e", where), support,
         )
     raise ValueError(f"unknown predicate kind {kind!r}")

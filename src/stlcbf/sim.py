@@ -15,13 +15,16 @@ per agent.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .controller import Clique, QpInfeasibleError, Team, TeamControl, team_control
-from .predicates import StateLayout
+from .predicates import StateLayout, is_finite_number
 from .robustness import SampledSignal, robustness
 
 __all__ = [
@@ -191,19 +194,31 @@ class Scenario:
 
 @dataclass
 class TrajectoryLog:
-    """A run's per-step record; a run fills the per-agent and per-clique
-    arrays as column views of its stacked buffers."""
+    """A run's per-step record in the team's stacked layouts (agents in
+    ascending id order, as controller.Team stacks them); step k's fields
+    belong to the pre-step state."""
 
     times: np.ndarray  # (T+1,)
-    states: dict  # id -> (T+1, n)
-    inputs: dict  # id -> (T, m), applied input (QP + secondary)
-    barriers: dict  # clique name -> (T,), nan once the clique expired
-    residuals: dict  # id -> (T,), QP constraint slack a'u - rhs
-    shares: dict  # id -> (T,)
-    disturbance_norms: dict  # id -> (T,), ||c + w (+ g f_u if unplanned)||
+    x: np.ndarray  # (T+1, n_total) states
+    u: np.ndarray  # (T, m_total) applied inputs (QP + secondary)
+    b: np.ndarray  # (T, n_cliques) barrier values, nan once the clique expired
+    res: np.ndarray  # (T, n) QP constraint slack a'u - rhs
+    share: np.ndarray  # (T, n) load shares
+    dist: np.ndarray  # (T, n) ||c + w (+ g f_u if unplanned)||
+    layout: StateLayout
+    input_layout: StateLayout
+    clique_names: tuple
     events: list
     completed: bool
     dt: float
+
+    # per-agent and per-clique column views of the stacked arrays
+    states = property(lambda log: {i: log.x[:, s] for i, s in log.layout.slices().items()})
+    inputs = property(lambda log: {i: log.u[:, s] for i, s in log.input_layout.slices().items()})
+    barriers = property(lambda log: dict(zip(log.clique_names, log.b.T)))
+    residuals = property(lambda log: dict(zip(log.layout.ids, log.res.T)))
+    shares = property(lambda log: dict(zip(log.layout.ids, log.share.T)))
+    disturbance_norms = property(lambda log: dict(zip(log.layout.ids, log.dist.T)))
 
     def clique_signal(self, clique: Clique) -> SampledSignal:
         stack = np.concatenate([self.states[i] for i in clique.members], axis=1)
@@ -277,10 +292,14 @@ def _secondary_fn(spec: SecondaryControlSpec, team: Team):
     return fn
 
 
+def _latest_deadline(cliques) -> float:
+    return max(cl.barrier.horizon for cl in cliques)
+
+
 def run(scenario: Scenario) -> TrajectoryLog:
     sc = scenario
     team = Team(sc.cliques, sc.agents)
-    horizon = sc.horizon if sc.horizon is not None else max(cl.barrier.horizon for cl in sc.cliques)
+    horizon = sc.horizon if sc.horizon is not None else _latest_deadline(sc.cliques)
     n_steps = int(round(horizon / sc.dt))
     if n_steps < 1 or abs(n_steps * sc.dt - horizon) > 1e-9:
         raise ValueError("horizon must be a positive integer multiple of dt")
@@ -348,18 +367,17 @@ def run(scenario: Scenario) -> TrajectoryLog:
             break
 
     t_len = steps_done
-
-    def per_agent(buf):
-        return {i: buf[:t_len, r] for r, i in enumerate(team.ids)}
-
     return TrajectoryLog(
         times=times[: t_len + 1],
-        states={i: xs[: t_len + 1, s] for i, s in team.blocks.items()},
-        inputs={i: us[:t_len, s] for i, s in team.input_blocks.items()},
-        barriers={cl.name: bs[:t_len, c] for c, cl in enumerate(team.cliques)},
-        residuals=per_agent(residuals),
-        shares=per_agent(shares),
-        disturbance_norms=per_agent(dist_norms),
+        x=xs[: t_len + 1],
+        u=us[:t_len],
+        b=bs[:t_len],
+        res=residuals[:t_len],
+        share=shares[:t_len],
+        dist=dist_norms[:t_len],
+        layout=team.layout,
+        input_layout=team.input_layout,
+        clique_names=tuple(cl.name for cl in team.cliques),
         events=events,
         completed=completed,
         dt=sc.dt,
@@ -408,49 +426,45 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict, tol_b: fl
     return report
 
 
-def _csv_columns(log: TrajectoryLog):
-    ids = sorted(log.states)
+_CHUNK_ROWS = 1024  # CSV rows formatted, written and hashed at a time
+
+
+def _csv_header(layout: StateLayout, input_layout: StateLayout, clique_names) -> list:
     cols = ["t"]
-    for i in ids:
-        cols += [f"x{i}_{c}" for c in range(log.states[i].shape[1])]
-    for i in ids:
-        cols += [f"u{i}_{c}" for c in range(log.inputs[i].shape[1])]
-    cols += [f"b_{name}" for name in sorted(log.barriers)]
-    for i in ids:
-        cols += [f"res_{i}", f"share_{i}", f"dist_{i}"]
-    return ids, cols
+    cols += [f"x{i}_{c}" for i, n in zip(layout.ids, layout.dims) for c in range(n)]
+    cols += [f"u{i}_{c}" for i, n in zip(input_layout.ids, input_layout.dims) for c in range(n)]
+    cols += [f"b_{name}" for name in sorted(clique_names)]
+    cols += [f"{k}_{i}" for i in layout.ids for k in ("res", "share", "dist")]
+    return cols
 
 
-def write_log_csv(log: TrajectoryLog, path) -> None:
+def write_log_csv(log: TrajectoryLog, path) -> str:
     """One row per step (pre-step state, input, barrier); the final row holds
-    the terminal state with step fields left empty."""
-    ids, cols = _csv_columns(log)
-    t_steps = log.times.shape[0] - 1
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(cols)
-        for k in range(t_steps + 1):
-            last = k == t_steps
-            row = [repr(float(log.times[k]))]
-            for i in ids:
-                row += [repr(float(v)) for v in log.states[i][k]]
-            for i in ids:
-                if last:
-                    row += [""] * log.inputs[i].shape[1]
-                else:
-                    row += [repr(float(v)) for v in log.inputs[i][k]]
-            for name in sorted(log.barriers):
-                row.append("" if last else repr(float(log.barriers[name][k])))
-            for i in ids:
-                if last:
-                    row += [""] * 3
-                else:
-                    row += [
-                        repr(float(log.residuals[i][k])),
-                        repr(float(log.shares[i][k])),
-                        repr(float(log.disturbance_norms[i][k])),
-                    ]
-            wr.writerow(row)
+    the terminal state with step fields left empty.  Floats are written as
+    their repr, so they read back exactly.  Returns the sha256 hex digest of
+    the bytes written."""
+    t_steps, n = log.res.shape
+    order = sorted(range(len(log.clique_names)), key=log.clique_names.__getitem__)
+    steps = np.concatenate([
+        log.times[:t_steps, None], log.x[:t_steps], log.u, log.b[:, order],
+        np.stack([log.res, log.share, log.dist], axis=2).reshape(t_steps, 3 * n),
+    ], axis=1)
+    head = io.StringIO()
+    csv.writer(head).writerow(_csv_header(log.layout, log.input_layout, log.clique_names))
+    terminal = log.times[-1:].tolist() + log.x[-1].tolist()
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def put(text):
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+
+        put(head.getvalue())
+        for k in range(0, t_steps, _CHUNK_ROWS):
+            put("".join(",".join(map(repr, row)) + "\r\n" for row in steps[k : k + _CHUNK_ROWS].tolist()))
+        put(",".join(map(repr, terminal)) + "," * (steps.shape[1] - len(terminal)) + "\r\n")
+    return digest.hexdigest()
 
 
 def read_signal_csv(path) -> tuple:
@@ -494,33 +508,105 @@ def read_signal_csv(path) -> tuple:
     return layout, SampledSignal(times, stack)
 
 
-def log_to_dict(log: TrajectoryLog) -> dict:
+def log_to_dict(log: TrajectoryLog, csv_name: str, sha256: str) -> dict:
+    """The log section of a log document: what the trajectory CSV does not
+    hold, and the CSV's file name and sha256."""
     return {
         "dt": log.dt,
         "completed": log.completed,
-        "times": log.times.tolist(),
-        "states": {str(i): v.tolist() for i, v in log.states.items()},
-        "inputs": {str(i): v.tolist() for i, v in log.inputs.items()},
-        "barriers": {n: v.tolist() for n, v in log.barriers.items()},
-        "residuals": {str(i): v.tolist() for i, v in log.residuals.items()},
-        "shares": {str(i): v.tolist() for i, v in log.shares.items()},
-        "disturbance_norms": {str(i): v.tolist() for i, v in log.disturbance_norms.items()},
         "events": log.events,
+        "trajectory": {"file": csv_name, "sha256": sha256},
     }
 
 
-def log_from_dict(doc: dict) -> TrajectoryLog:
+def _logged_steps(doc: dict, horizon: float) -> int:
+    """Steps a run logs, from a checked log section: all of them if it
+    completed, else those before its aborting event plus, on a disturbance
+    abort, the aborted step (an infeasible QP gives that step no input)."""
+    dt, events = doc["dt"], doc["events"]
+    if doc["completed"]:
+        steps = horizon / dt
+    elif events and events[-1]["kind"] in ("qp_infeasible", "disturbance_bound"):
+        steps = events[-1]["t"] / dt + (events[-1]["kind"] == "disturbance_bound")
+    else:
+        raise ValueError("log: an aborted run must end with a qp_infeasible or disturbance_bound event")
+    if not 0.0 <= steps < 2.0**53:
+        raise ValueError("log: dt and the events give no step count")
+    return int(round(steps))
+
+
+def _hashed_lines(fh, digest):
+    for line in fh:
+        digest.update(line)
+        yield line.decode()
+
+
+def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
+    """Read a run of team back from a log section and the trajectory CSV it
+    names in directory.  The CSV is streamed through its sha256 and a csv
+    reader into arrays of the size that the section's completed flag and
+    events give; any fault of the pair is a one-line ValueError or OSError."""
+    doc = doc if isinstance(doc, dict) else {}
+    events, link = doc.get("events"), doc.get("trajectory")
+    if not (isinstance(events, list) and isinstance(link, dict) and is_finite_number(doc.get("dt"))
+            and doc["dt"] > 0.0 and isinstance(doc.get("completed"), bool)
+            and isinstance(link.get("file"), str) and isinstance(link.get("sha256"), str)
+            and all(isinstance(e, dict) and is_finite_number(e.get("t")) and isinstance(e.get("kind"), str)
+                    for e in events)):
+        raise ValueError("log: needs a positive dt, a completed flag, events with a finite t and a kind, "
+                         "and the trajectory CSV's file name and sha256")
+    path = Path(directory) / link["file"]
+    names = tuple(cl.name for cl in team.cliques)
+    header = _csv_header(team.layout, team.input_layout, names)
+    n_steps = _logged_steps(doc, _latest_deadline(team.cliques))
+    nx = 1 + team.dim  # the t and x columns, the only ones of the terminal row
+    # every row holds at least its commas and line end
+    if (n_steps + 1) * (len(header) + 1) > path.stat().st_size:
+        raise ValueError(f"{path}: too short for the {n_steps + 1} rows the log's completed flag and events give")
+    table = np.empty((n_steps + 1, len(header)))
+    digest = hashlib.sha256()
+    n_rows, fault = 0, None  # the first bad line, reported after the hash and row count
+    with open(path, "rb") as fh:
+        rows = csv.reader(_hashed_lines(fh, digest))
+        try:
+            if next(rows, None) != header:
+                raise ValueError(f"{path}: header does not match the config's agents and cliques")
+            for row in rows:
+                if n_rows <= n_steps and fault is None:
+                    try:
+                        if n_rows < n_steps:
+                            table[n_rows] = row
+                        else:  # the terminal row: only t and x are read
+                            table[n_rows, :nx] = row[:nx]
+                    except ValueError:
+                        fault = n_rows + 2
+                n_rows += 1
+        except csv.Error as err:  # an oversized field
+            raise ValueError(f"{path}: {err}") from None
+    if digest.hexdigest() != link["sha256"]:
+        raise ValueError(f"{path}: sha256 does not match the log document")
+    if n_rows != n_steps + 1:
+        raise ValueError(f"{path}: {n_rows} rows, but the log's completed flag and events give {n_steps + 1}")
+    if fault is not None:
+        raise ValueError(f"{path} line {fault}: a missing, extra or non-numeric cell")
+    if not np.isfinite(table[:, :nx]).all():
+        raise ValueError(f"{path}: non-finite t or x cell")
+    steps = table[:n_steps, nx:]
+    m = team.input_dim
+    rank = {name: j for j, name in enumerate(sorted(names))}
+    per_agent = steps[:, m + len(names) :].reshape(n_steps, len(team.ids), 3)
     return TrajectoryLog(
-        times=np.asarray(doc["times"], dtype=float),
-        states={int(i): np.asarray(v, dtype=float) for i, v in doc["states"].items()},
-        inputs={int(i): np.asarray(v, dtype=float) for i, v in doc["inputs"].items()},
-        barriers={n: np.asarray(v, dtype=float) for n, v in doc["barriers"].items()},
-        residuals={int(i): np.asarray(v, dtype=float) for i, v in doc["residuals"].items()},
-        shares={int(i): np.asarray(v, dtype=float) for i, v in doc["shares"].items()},
-        disturbance_norms={
-            int(i): np.asarray(v, dtype=float) for i, v in doc["disturbance_norms"].items()
-        },
-        events=list(doc.get("events", [])),
-        completed=bool(doc["completed"]),
+        times=table[:, 0],
+        x=table[:, 1:nx],
+        u=steps[:, :m],
+        b=steps[:, [m + rank[name] for name in names]],
+        res=per_agent[:, :, 0],
+        share=per_agent[:, :, 1],
+        dist=per_agent[:, :, 2],
+        layout=team.layout,
+        input_layout=team.input_layout,
+        clique_names=names,
+        events=events,
+        completed=doc["completed"],
         dt=float(doc["dt"]),
     )

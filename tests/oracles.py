@@ -19,6 +19,9 @@ clique, per-agent coupling, repulsion and noise loops, and np.eye input maps.
 It keeps the float operations of the law in their original order, so the
 package's run must reproduce its logs bit for bit.
 
+The CSV oracle, naive_write_log_csv, is the trajectory CSV writer as it was
+before whole-row writes; the package's writer must give the same bytes.
+
 The ascent oracle, naive_ascend, is the switch-certifying ascent as it was
 before the barrier kernel was split into a value half and a finishing half:
 it evaluates the full left_limit_state at every Armijo trial point and takes
@@ -28,6 +31,7 @@ witness and state bit for bit.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -37,7 +41,7 @@ from stlcbf.controller import QpInfeasibleError
 from stlcbf.formula import (
     Atom, Conj, Always, Eventually, OperatorUnit, Until, is_state_formula, state_literals,
 )
-from stlcbf.predicates import AffinePredicate, BallPredicate
+from stlcbf.predicates import AffinePredicate, BallPredicate, StateLayout
 from stlcbf.sim import TrajectoryLog
 
 
@@ -528,15 +532,61 @@ def naive_run(scenario) -> TrajectoryLog:
     if completed:
         steps_done = n_steps
     t_len = steps_done
+    dims = [agents[i].state_dim for i in agent_ids]
+    input_dims = [agents[i].input_dim for i in agent_ids]
     return TrajectoryLog(
         times=times[: t_len + 1],
-        states={i: states[i][: t_len + 1] for i in agent_ids},
-        inputs={i: inputs[i][:t_len] for i in agent_ids},
-        barriers={n: b[:t_len] for n, b in barriers.items()},
-        residuals={i: residuals[i][:t_len] for i in agent_ids},
-        shares={i: shares[i][:t_len] for i in agent_ids},
-        disturbance_norms={i: dist_norms[i][:t_len] for i in agent_ids},
+        x=np.concatenate([states[i][: t_len + 1] for i in agent_ids], axis=1),
+        u=np.concatenate([inputs[i][:t_len] for i in agent_ids], axis=1),
+        b=np.stack([b[:t_len] for b in barriers.values()], axis=1),
+        res=np.stack([residuals[i][:t_len] for i in agent_ids], axis=1),
+        share=np.stack([shares[i][:t_len] for i in agent_ids], axis=1),
+        dist=np.stack([dist_norms[i][:t_len] for i in agent_ids], axis=1),
+        layout=StateLayout(tuple(agent_ids), tuple(dims)),
+        input_layout=StateLayout(tuple(agent_ids), tuple(input_dims)),
+        clique_names=tuple(barriers),
         events=events,
         completed=completed,
         dt=sc.dt,
     )
+
+
+def naive_write_log_csv(log: TrajectoryLog, path) -> None:
+    """The trajectory CSV writer as it was before whole-row writes: one
+    csv.writer row per step built cell by cell from the per-agent views.
+    The package's writer must produce the same bytes."""
+    ids = sorted(log.states)
+    cols = ["t"]
+    for i in ids:
+        cols += [f"x{i}_{c}" for c in range(log.states[i].shape[1])]
+    for i in ids:
+        cols += [f"u{i}_{c}" for c in range(log.inputs[i].shape[1])]
+    cols += [f"b_{name}" for name in sorted(log.barriers)]
+    for i in ids:
+        cols += [f"res_{i}", f"share_{i}", f"dist_{i}"]
+    t_steps = log.times.shape[0] - 1
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(cols)
+        for k in range(t_steps + 1):
+            last = k == t_steps
+            row = [repr(float(log.times[k]))]
+            for i in ids:
+                row += [repr(float(v)) for v in log.states[i][k]]
+            for i in ids:
+                if last:
+                    row += [""] * log.inputs[i].shape[1]
+                else:
+                    row += [repr(float(v)) for v in log.inputs[i][k]]
+            for name in sorted(log.barriers):
+                row.append("" if last else repr(float(log.barriers[name][k])))
+            for i in ids:
+                if last:
+                    row += [""] * 3
+                else:
+                    row += [
+                        repr(float(log.residuals[i][k])),
+                        repr(float(log.shares[i][k])),
+                        repr(float(log.disturbance_norms[i][k])),
+                    ]
+            wr.writerow(row)

@@ -1,4 +1,6 @@
 import copy
+import csv
+import hashlib
 import json
 import re
 
@@ -272,6 +274,25 @@ def test_cli_round_trip(tmp_path, capsys):
     assert a != b
 
 
+def _edit_trajectory(outdir, edit):
+    """Apply edit to the rows of the trajectory CSV (header first) and write
+    the edited CSV's sha256 into log.json, as a consistent forgery would."""
+    path = outdir / "trajectory.csv"
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    _edit_log_doc(outdir, lambda d: d["log"]["trajectory"].update(
+        sha256=hashlib.sha256(path.read_bytes()).hexdigest()))
+
+
+def _edit_log_doc(outdir, edit):
+    doc = json.loads((outdir / "log.json").read_text())
+    edit(doc)
+    (outdir / "log.json").write_text(json.dumps(doc))
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(mini_config()))
@@ -311,9 +332,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: " + msg), err
 
     # a failing run exits 1 from verify
-    log_doc = json.loads((outdir / "log.json").read_text())
-    log_doc["log"]["barriers"]["solo"][0] = -5.0
-    (outdir / "log.json").write_text(json.dumps(log_doc))
+    _edit_trajectory(outdir, lambda rows: rows[1].__setitem__(rows[0].index("b_solo"), "-5.0"))
     assert main(["verify", str(outdir / "log.json"), str(cfg_path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert not report["cliques"]["solo"]["barrier_ok"]
@@ -368,13 +387,82 @@ def test_cli_refuses_non_finite_barrier_document(tmp_path, capsys):
          "barrier document: term 0 gamma t_star must be a finite number, got None"),
         (lambda b: b["terms"][0]["unit"].update(a=[0.0]),
          "barrier document: term 0 unit a must be a finite number, got [0.0]"),
+        (lambda b: b["terms"][0]["unit"]["predicate"].update(c=[NAN]),
+         "barrier document: term 0 predicate c must be a 1-D array of finite numbers"),
+        (lambda b: b["terms"][0]["unit"]["predicate"].update(d=[1.0]),
+         "barrier document: term 0 predicate d must be a finite number, got [1.0]"),
+        (lambda b: b["terms"][0]["unit"].update(predicate={
+            "kind": "quad_ball", "A": [[1.0]], "b": [0.0], "e": NAN, "support": [1]}),
+         "barrier document: term 0 predicate e must be a finite number, got nan"),
     ]
-    for edit, msg in edits:
+    clique_edits = [
+        (lambda c: c.update(kappa=NAN), "barrier document: clique 'solo' kappa must be a finite number, got nan"),
+    ]
+    for edit, msg in [(lambda c, e=e: e(c["barrier"]), m) for e, m in edits] + clique_edits:
         doc = copy.deepcopy(good)
-        edit(doc["cliques"]["solo"]["barrier"])
+        edit(doc["cliques"]["solo"])
         barriers.write_text(json.dumps(doc))
         assert main(["simulate", str(cfg_path), str(barriers), "-o", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: " + msg), err
         assert "min_b" not in captured.out
+
+
+def test_cli_verify_refuses_bad_trajectory_files(tmp_path, capsys):
+    """verify reads the log document and the trajectory CSV it names; every
+    fault of either pair is exit 2 with one stderr line, never a traceback."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(mini_config()))
+    barriers = tmp_path / "barriers.json"
+    outdir = tmp_path / "out"
+    assert main(["construct", str(cfg_path), "-o", str(barriers)]) == 0
+    assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir)]) == 0
+    good_csv = (outdir / "trajectory.csv").read_bytes()
+    good_log = (outdir / "log.json").read_text()
+    capsys.readouterr()
+
+    def header(rows):
+        rows[0][rows[0].index("b_solo")] = "b_other"
+
+    def append(data):
+        with (outdir / "trajectory.csv").open("ab") as fh:
+            fh.write(data)
+
+    faults = [
+        (lambda: (outdir / "trajectory.csv").unlink(), "No such file or directory"),
+        (lambda: append(b"0.0\r\n"), "sha256 does not match the log document"),
+        (lambda: _edit_trajectory(outdir, header), "header does not match the config's agents and cliques"),
+        (lambda: _edit_trajectory(outdir, lambda rows: rows.pop(5)),
+         "20 rows, but the log's completed flag and events give 21"),
+        (lambda: _edit_log_doc(outdir, lambda d: d["log"].update(completed=False)),
+         "log: an aborted run must end with a qp_infeasible or disturbance_bound event"),
+        (lambda: _edit_log_doc(outdir, lambda d: d["log"].update(completed=False, events=[
+            {"t": 0.5, "kind": "disturbance_bound", "detail": "forged"}])),
+         "21 rows, but the log's completed flag and events give 12"),
+        (lambda: _edit_trajectory(outdir, lambda rows: rows[3].__setitem__(0, "abc")),
+         "line 4: a missing, extra or non-numeric cell"),
+        (lambda: _edit_trajectory(outdir, lambda rows: rows[4].__setitem__(1, "nan")),
+         "non-finite t or x cell"),
+        (lambda: _edit_trajectory(outdir, lambda rows: rows[-1].__setitem__(0, "inf")),
+         "non-finite t or x cell"),
+        (lambda: _edit_trajectory(outdir, lambda rows: rows[2].pop()), "line 3: a missing, extra or non-numeric cell"),
+        (lambda: _edit_trajectory(outdir, lambda rows: rows[2].__setitem__(1, "1" * 200000)),
+         "field larger than field limit"),
+        (lambda: _edit_log_doc(outdir, lambda d: d["log"].update(dt=1e-9)), "too short for the 1000000001 rows"),
+        (lambda: _edit_log_doc(outdir, lambda d: d["log"].update(dt="0.05")),
+         "log: needs a positive dt"),
+        (lambda: _edit_log_doc(outdir, lambda d: d.pop("log")), "log: needs a positive dt"),
+        (lambda: _edit_log_doc(outdir, lambda d: d.pop("barrier_doc")), "not a barrier document"),
+        (lambda: _edit_log_doc(outdir, lambda d: d.update(version=1, log={"times": [0.0]})),
+         "log document version 1 is not 2; re-run simulate"),
+    ]
+    for fault, msg in faults:
+        (outdir / "trajectory.csv").write_bytes(good_csv)
+        (outdir / "log.json").write_text(good_log)
+        fault()
+        assert main(["verify", str(outdir / "log.json"), str(cfg_path)]) == 2, msg
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and msg in err[0], (msg, err)
+        assert captured.out == ""

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -29,9 +31,10 @@ from stlcbf import (
     write_log_csv,
 )
 from stlcbf.config import _known_secondary_fn
+from stlcbf.controller import Team
 from stlcbf.sim import sat1
 
-from oracles import naive_known_secondary_fn, naive_run
+from oracles import naive_known_secondary_fn, naive_run, naive_write_log_csv
 
 
 def passive_clique(agent_id=1, dim=2, C=0.0, kappa=1.0, horizon=1.0, name="solo"):
@@ -267,11 +270,13 @@ def test_read_signal_csv_validation(tmp_path):
         read_signal_csv(p)
 
 
-def test_log_dict_round_trip():
+def test_log_dict_round_trip(tmp_path):
     sc = passive_scenario(dt=0.1, C=0.2,
                           noise=NoiseSpec(bound=0.1, distribution="uniform_ball", seed=2))
     log = run(sc)
-    back = log_from_dict(log_to_dict(log))
+    sha = write_log_csv(log, tmp_path / "trajectory.csv")
+    doc = json.loads(json.dumps(log_to_dict(log, "trajectory.csv", sha)))
+    back = log_from_dict(doc, tmp_path, Team(sc.cliques, sc.agents))
     assert np.array_equal(back.times, log.times)
     assert np.array_equal(back.states[1], log.states[1])
     assert np.array_equal(back.inputs[1], log.inputs[1])
@@ -442,3 +447,30 @@ def test_run_matches_per_agent_oracle_bitwise(case):
         for i in (1, 2, 3, 4, 5):
             assert np.any(np.abs(log.residuals[i][:50]) < 1e-9)  # the QP was active
 
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_log_files_match_naive_writer_and_read_back_bitwise(case, tmp_path):
+    """The whole-row CSV writer gives the per-cell writer's bytes and their
+    sha256, and write -> log_from_dict -> verify gives back every field bit
+    for bit and the in-memory verify report."""
+    noise, coupling, secondary, stuck, eta = ORACLE_CASES[case]
+    sc = _oracle_scenario(noise, coupling, secondary, _known_secondary_fn, stuck, eta)
+    log = run(sc)
+    sha = write_log_csv(log, tmp_path / "trajectory.csv")
+    naive_write_log_csv(log, tmp_path / "naive.csv")
+    data = (tmp_path / "trajectory.csv").read_bytes()
+    assert data == (tmp_path / "naive.csv").read_bytes()
+    assert sha == hashlib.sha256(data).hexdigest()
+
+    doc = json.loads(json.dumps(log_to_dict(log, "trajectory.csv", sha)))
+    back = log_from_dict(doc, tmp_path, Team(sc.cliques, sc.agents))
+    assert (back.completed, back.dt, back.events) == (log.completed, log.dt, log.events)
+    assert (back.layout, back.input_layout, back.clique_names) == (
+        log.layout, log.input_layout, log.clique_names)
+    for name in ("times", "x", "u", "b", "res", "share", "dist"):
+        _assert_bitwise(getattr(back, name), getattr(log, name), name)
+    formulas = {cl.name: Always(0.0, 0.05, Atom(AffinePredicate(np.ones(cl.layout.dim), 1.0)))
+                for cl in sc.cliques}
+    r_stars = {cl.name: 0.0 for cl in sc.cliques}
+    assert verify(back, formulas, sc.cliques, r_stars) == verify(log, formulas, sc.cliques, r_stars)
