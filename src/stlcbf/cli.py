@@ -144,8 +144,6 @@ def cmd_verify(args) -> int:
 
 def cmd_monitor(args) -> int:
     layout, signal = read_signal_csv(args.signal)
-    if not (np.isfinite(signal.times).all() and np.isfinite(signal.states).all()):
-        raise ConfigError(f"{args.signal}: signal holds non-finite samples")
     formula = parse(args.formula, layout)
     value = robustness(formula, signal, t=args.at)
     print(repr(value))

@@ -38,7 +38,7 @@ from .formula import normalize
 from .parsing import parse
 from .param_search import SearchConfig, maximize_r
 from .predicates import StateLayout, finite_number, is_finite_number
-from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec, pairwise_repulsion
+from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec
 
 __all__ = [
     "ConfigError",
@@ -118,8 +118,39 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"agent {i} initial state has wrong dimension")
         if not all(is_finite_number(v) for v in x0):
             raise ConfigError(f"agent {i} initial state must hold finite numbers")
+    _check_dynamics(cfg)
     build_search_config(cfg)
     return cfg
+
+
+def _check_dynamics(cfg: dict) -> None:
+    """The coupling, secondary, noise and sim fields that build_scenario reads."""
+    agents, sec, noise = cfg["agents"], cfg.get("secondary", {}), cfg.get("noise", {})
+    pulls = cfg.get("coupling", {}).get("attractions", {})
+    if not isinstance(pulls, dict):
+        raise ConfigError("coupling attractions must be a JSON object keyed by agent id")
+    for i, lst in pulls.items():
+        if not (i in agents and isinstance(lst, list) and all(
+                isinstance(p, list) and len(p) == 2 and is_finite_number(p[0]) and str(p[1]) in agents
+                for p in lst)):
+            raise ConfigError(f"coupling attractions {i!r}: {lst!r} is not a declared agent's list "
+                              "of [finite gain, declared agent id] pulls")
+    group = sec.get("group", [])
+    if not (isinstance(group, list) and all(str(i) in agents for i in group)):
+        raise ConfigError(f"secondary group must be a list of declared agent ids, got {group!r}")
+    if not isinstance(sec.get("known", False), bool):
+        raise ConfigError(f"secondary known must be true or false, got {sec['known']!r}")
+    seed = noise.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"noise seed must be an integer, got {seed!r}")
+    for name, v, rule, ok in (
+        ("secondary gain", sec.get("gain", 1.0), "", lambda v: True),
+        ("secondary softening", sec.get("softening", 0.01), "", lambda v: True),
+        ("noise bound", noise.get("bound", 0.0), " >= 0", lambda v: v >= 0.0),
+        ("sim dt", cfg.get("sim", {}).get("dt", 0.005), " > 0", lambda v: v > 0.0),
+    ):
+        if not (is_finite_number(v) and ok(v)):
+            raise ConfigError(f"{name} must be a finite number{rule}, got {v!r}")
 
 
 def load_config(path) -> dict:
@@ -279,16 +310,6 @@ def build_cliques(cfg: dict, doc: dict) -> tuple:
     return tuple(cliques), r_stars
 
 
-def _known_secondary_fn(layout: StateLayout, member: int, group, gain, softening):
-    idx = np.array([np.arange(b.start, b.stop) for b in map(layout.block, group)])
-    row = tuple(group).index(member)
-
-    def fn(x_bar, t):
-        return pairwise_repulsion(x_bar[idx], gain, softening)[row]
-
-    return fn
-
-
 def build_scenario(cfg: dict, doc: dict, *, seed: int | None = None, dt: float | None = None):
     """Online stage inputs: (Scenario, formulas, r_stars)."""
     cliques, r_stars = build_cliques(cfg, doc)
@@ -302,32 +323,22 @@ def build_scenario(cfg: dict, doc: dict, *, seed: int | None = None, dt: float |
         },
     )
     sec_cfg = cfg.get("secondary", {"kind": "none"})
+    kind = sec_cfg.get("kind", "none")
     secondary = SecondaryControlSpec(
-        kind=sec_cfg.get("kind", "none"),
+        kind=kind,
         group=tuple(int(i) for i in sec_cfg.get("group", ())),
         gain=float(sec_cfg.get("gain", 1.0)),
         softening=float(sec_cfg.get("softening", 0.01)),
+        # a kind without a group has no members to know it
+        known=kind == "pairwise_repulsion" and sec_cfg.get("known", False),
     )
-    if sec_cfg.get("known", False) and secondary.kind == "pairwise_repulsion":
-        for cl in cliques:
-            for i in cl.members:
-                if i in secondary.group:
-                    if not set(secondary.group) <= set(cl.members):
-                        raise ConfigError(
-                            "known secondary control requires the whole group "
-                            f"inside one clique (agent {i} in {cl.name!r})"
-                        )
-                    model = agents[i]
-                    agents[i] = AgentModel(
-                        agent_id=model.agent_id,
-                        state_dim=model.state_dim,
-                        input_dim=model.input_dim,
-                        drift=model.drift,
-                        input_map=model.input_map,
-                        known_secondary=_known_secondary_fn(
-                            cl.layout, i, secondary.group, secondary.gain, secondary.softening
-                        ),
-                    )
+    for cl in cliques if secondary.known else ():
+        inside = [i for i in cl.members if i in secondary.group]
+        if inside and not set(secondary.group) <= set(cl.members):
+            raise ConfigError(
+                "known secondary control requires the whole group "
+                f"inside one clique (agent {inside[0]} in {cl.name!r})"
+            )
     noise_cfg = cfg.get("noise", {})
     noise = NoiseSpec(
         bound=float(noise_cfg.get("bound", 0.0)),

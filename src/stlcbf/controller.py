@@ -63,7 +63,6 @@ class AgentModel:
     input_dim: int | None = None
     drift: object = None  # callable (x, t) -> (n,); None means zero drift
     input_map: np.ndarray | None = None  # constant g, shape (n, m); None = identity
-    known_secondary: object = None  # callable (clique stack, t) -> (m,), subtracted in rhs
 
     def __post_init__(self):
         m = self.input_dim if self.input_dim is not None else self.state_dim
@@ -78,16 +77,6 @@ class AgentModel:
             if smin <= 1e-9:
                 raise ValueError("input map must have full row rank")
             object.__setattr__(self, "input_map", g)
-
-    def f(self, x: np.ndarray, t: float) -> np.ndarray:
-        if self.drift is None:
-            return np.zeros(self.state_dim)
-        return np.asarray(self.drift(x, t), dtype=float)
-
-    def g(self, x: np.ndarray, t: float) -> np.ndarray:
-        if self.input_map is None:
-            return np.eye(self.state_dim)
-        return self.input_map
 
 
 class _BlockNorms:
@@ -140,9 +129,6 @@ class Clique:
     def n_hat(self) -> float:
         return math.sqrt(self.barrier.dim * self.max_agent_dim)
 
-    def stack(self, states: dict) -> np.ndarray:
-        return np.concatenate([np.asarray(states[i], dtype=float) for i in self.members])
-
     def block(self, i: int) -> slice:
         return self.layout.block(i)
 
@@ -168,11 +154,14 @@ class Team:
     Per clique the team keeps the index array of its stacked state in the
     team vector and its members' rows, and per agent the constant input map,
     drift and coupling bound, so that a step builds no per-agent dicts and
-    no identity matrices.  An agent may belong to at most one clique.
+    no identity matrices.  An agent may belong to at most one clique.  known
+    holds the ids of the agents whose constraint models their secondary
+    input f_u.
     """
 
-    def __init__(self, cliques, agents: dict):
+    def __init__(self, cliques, agents: dict, known=()):
         self.cliques = tuple(cliques)
+        self.known = frozenset(known)
         seen = set()
         for cl in self.cliques:
             for i in cl.members:
@@ -254,12 +243,13 @@ class _CliquePart:
             for j, i in enumerate(cl.members) if agents[i].drift is not None
         )
         self.known = tuple(
-            (j, cl.block(i), agents[i])
-            for j, i in enumerate(cl.members) if agents[i].known_secondary is not None
+            (j, cl.block(i), team.input_blocks[i], agents[i].input_map)
+            for j, i in enumerate(cl.members) if i in team.known
         )
 
-    def constraints(self, state: BarrierState, x_bar: np.ndarray, drift: np.ndarray, t: float) -> tuple:
-        """Block norms, shares, and the half-spaces a_i'u >= rhs_i of every member.
+    def constraints(self, state: BarrierState, drift: np.ndarray, f_u: np.ndarray) -> tuple:
+        """Block norms, shares, and the half-spaces a_i'u >= rhs_i of every member,
+        from the stacked drift and secondary input of the team.
 
         The float operations are those of the per-agent law, member by member:
         rhs = ||db/dx_i|| n_hat C - N_i (db/dt + kappa b) - (db/dx_i) f_i
@@ -276,10 +266,8 @@ class _CliquePart:
             for j, blk, s in self.drifted:
                 gf[j] = float(np.dot(grad[blk], drift[s]))
             rhs = rhs - gf
-        for j, blk, model in self.known:
-            fu = np.asarray(model.known_secondary(x_bar, t), dtype=float)
-            gfu = fu if model.input_map is None else model.input_map @ fu
-            rhs[j] -= float(np.dot(grad[blk], gfu))
+        for j, blk, si, g in self.known:
+            rhs[j] -= float(np.dot(grad[blk], f_u[si] if g is None else g @ f_u[si]))
         a = [grad[blk] if gt is None else gt @ grad[blk] for _, _, blk, _, gt in self.members]
         return norms, shares, a, rhs
 
@@ -318,8 +306,9 @@ class TeamControl:
     barrier_values: np.ndarray  # (n_cliques,) b, nan once the clique expired
 
 
-def team_control(team: Team, x: np.ndarray, t: float) -> TeamControl:
-    """Evaluate every agent's QP at time t from the stacked team state x.
+def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray) -> TeamControl:
+    """Evaluate every agent's QP at time t from the stacked team state x and
+    the stacked secondary input f_u (read only for the members in team.known).
 
     A clique past its final deadline has no remaining obligations; its members
     get zero input, share and residual from it, as do agents outside every
@@ -337,10 +326,9 @@ def team_control(team: Team, x: np.ndarray, t: float) -> TeamControl:
         cl = part.clique
         if t >= cl.barrier.horizon - 1e-12:
             continue
-        x_bar = x[part.idx]
-        state = barrier_state(cl.barrier, x_bar, t)
+        state = barrier_state(cl.barrier, x[part.idx], t)
         values[c] = state.value
-        norms, sh, a, rhs = part.constraints(state, x_bar, drift, t)
+        norms, sh, a, rhs = part.constraints(state, drift, f_u)
         grad[part.idx] = state.grad_x
         grad_norms[part.rows] = norms
         shares[part.rows] = sh

@@ -203,7 +203,7 @@ def _materialize(
     return GammaParams.from_target(gamma0, gamma_inf, r, unit.t_star)
 
 
-def _check_eq7(units, params, x0: np.ndarray, r: float, headroom: float | None):
+def _check_eq7(units, params, x0: np.ndarray, r: float):
     for u, g in zip(units, params):
         h0 = float(u.predicate.value(x0))
         if u.t_star > 0.0:
@@ -338,13 +338,12 @@ def feasibility_check(
     *,
     max_ascent_iters: int = 600,
     ascent_tol: float = 1e-6,
-    headroom: float | None = None,
 ) -> FeasibilityReport:
     """Check constraints (i)-(ii) for one concrete parameter choice."""
     units = tuple(units)
     params = tuple(params)
     x0 = np.asarray(x0, dtype=float)
-    _check_eq7(units, params, x0, r, headroom)
+    _check_eq7(units, params, x0, r)
     cb = build_barrier(units, params, eta=eta, bound_radius=bound_radius)
     report = FeasibilityReport(
         feasible=True, initial_margin=math.nan, switch_margins={}, witnesses={},
@@ -440,7 +439,6 @@ def _attempt(units, x0, r, eta, bound_radius, caps, placements, cfg: SearchConfi
         report = feasibility_check(
             units, x0, r, eta, d_cur, params, cfg.delta,
             max_ascent_iters=cfg.max_ascent_iters, ascent_tol=cfg.ascent_tol,
-            headroom=cfg.headroom,
         )
         last = report
         if report.feasible:

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,8 +35,6 @@ __all__ = [
     "NoiseSpec",
     "Scenario",
     "TrajectoryLog",
-    "coupling_forces",
-    "secondary_controls",
     "pairwise_repulsion",
     "run",
     "verify",
@@ -61,24 +60,13 @@ class CouplingSpec:
 
     kind: str = "none"  # none | saturating_attraction | scripted
     attractions: dict = field(default_factory=dict)  # id -> ((gain, target_id), ...)
-    scripted: object = None  # callable (states, t) -> dict id -> vector
+    scripted: object = None  # callable (dict id -> state, t) -> dict id -> vector
 
     def __post_init__(self):
         if self.kind not in ("none", "saturating_attraction", "scripted"):
             raise ValueError(f"unknown coupling kind {self.kind!r}")
         if self.kind == "scripted" and self.scripted is None:
             raise ValueError("scripted coupling needs a callable")
-
-
-def coupling_forces(spec: CouplingSpec, states: dict, t: float) -> dict:
-    if spec.kind == "none":
-        return {}
-    if spec.kind == "scripted":
-        return {i: np.asarray(v, dtype=float) for i, v in spec.scripted(states, t).items()}
-    blocks = StateLayout(tuple(states), tuple(np.size(v) for v in states.values())).slices()
-    x = np.concatenate([np.asarray(v, dtype=float) for v in states.values()])
-    c = _attract(x, _attraction_rounds(spec.attractions, blocks))
-    return {i: c[blocks[i]] for i in spec.attractions}
 
 
 def _attraction_rounds(attractions: dict, blocks: dict) -> tuple:
@@ -116,17 +104,22 @@ class SecondaryControlSpec:
 
     pairwise_repulsion: f_u_i = gain * sum over j in the group of
     (x_i - x_j) / (||x_i - x_j|| + softening), for group members i.
+    known: the group's members model f_u in their constraints, so it is not
+    counted as disturbance.
     """
 
     kind: str = "none"  # none | pairwise_repulsion | scripted
     group: tuple = ()
     gain: float = 1.0
     softening: float = 0.01
-    scripted: object = None
+    scripted: object = None  # callable (dict id -> state, t) -> dict id -> input
+    known: bool = False
 
     def __post_init__(self):
         if self.kind not in ("none", "pairwise_repulsion", "scripted"):
             raise ValueError(f"unknown secondary control kind {self.kind!r}")
+        if self.kind == "scripted" and self.scripted is None:
+            raise ValueError("scripted secondary control needs a callable")
 
 
 def pairwise_repulsion(points: np.ndarray, gain: float, softening: float) -> np.ndarray:
@@ -141,18 +134,6 @@ def pairwise_repulsion(points: np.ndarray, gain: float, softening: float) -> np.
     for j in range(points.shape[0]):
         fu = fu + terms[:, j]
     return gain * fu
-
-
-def secondary_controls(spec: SecondaryControlSpec, states: dict, t: float) -> dict:
-    if spec.kind == "none":
-        return {}
-    if spec.kind == "scripted":
-        return {i: np.asarray(v, dtype=float) for i, v in spec.scripted(states, t).items()}
-    if not spec.group:
-        return {}
-    points = np.array([np.asarray(states[i], dtype=float) for i in spec.group])
-    fu = pairwise_repulsion(points, spec.gain, spec.softening)
-    return {i: fu[r] for r, i in enumerate(spec.group)}
 
 
 @dataclass(frozen=True)
@@ -220,12 +201,16 @@ class TrajectoryLog:
     shares = property(lambda log: dict(zip(log.layout.ids, log.share.T)))
     disturbance_norms = property(lambda log: dict(zip(log.layout.ids, log.dist.T)))
 
+    def _columns(self, members) -> np.ndarray:
+        """The members' state columns, stacked in member order."""
+        blocks = self.layout.slices()
+        return self.x[:, np.concatenate([np.arange(blocks[i].start, blocks[i].stop) for i in members])]
+
     def clique_signal(self, clique: Clique) -> SampledSignal:
-        stack = np.concatenate([self.states[i] for i in clique.members], axis=1)
-        return SampledSignal(self.times, stack)
+        return SampledSignal(self.times, self._columns(clique.members))
 
     def max_speed(self, members) -> float:
-        stack = np.concatenate([self.states[i] for i in members], axis=1)
+        stack = self._columns(members)
         if stack.shape[0] < 2:
             return 0.0
         return float(np.max(np.linalg.norm(np.diff(stack, axis=0), axis=1))) / self.dt
@@ -253,43 +238,46 @@ def _sample_noise(spec: NoiseSpec, team: Team, tc: TeamControl, rng) -> np.ndarr
     return np.divide(-spec.bound * tc.grad, gn, out=w, where=gn > 1e-12)
 
 
+def _scattered(fn, team: Team, blocks: dict, size: int):
+    """A scripted callback on per-agent views of the team state, with its
+    per-agent vectors scattered into one (size,) vector (0 where it gives none)."""
+
+    def call(x, t):
+        out = np.zeros(size)
+        for i, v in fn(team.split(x), t).items():
+            out[blocks[i]] = v
+        return out
+
+    return call
+
+
 def _coupling_fn(spec: CouplingSpec, team: Team):
     """c(x, t) of every agent on the stacked team state."""
-    if spec.kind == "saturating_attraction":
-        rounds = _attraction_rounds(spec.attractions, team.blocks)
-        return lambda x, t: _attract(x, rounds)
-
-    def fn(x, t):
-        c = np.zeros(team.dim)
-        for i, v in coupling_forces(spec, team.split(x), t).items():
-            c[team.blocks[i]] = v
-        return c
-
-    return fn
+    if spec.kind == "none":
+        return lambda x, t: np.zeros(team.dim)
+    if spec.kind == "scripted":
+        return _scattered(spec.scripted, team, team.blocks, team.dim)
+    rounds = _attraction_rounds(spec.attractions, team.blocks)
+    return lambda x, t: _attract(x, rounds)
 
 
 def _secondary_fn(spec: SecondaryControlSpec, team: Team):
     """f_u(x, t) of every agent in the stacked input layout (0 where an agent
     gets none)."""
-    if spec.kind == "pairwise_repulsion" and spec.group:
-        # (group size, dim) index arrays of the group's states and inputs
-        rows = np.array([np.arange(b.start, b.stop) for b in (team.blocks[i] for i in spec.group)])
-        cols = np.array([np.arange(b.start, b.stop) for b in (team.input_blocks[i] for i in spec.group)])
+    if spec.kind == "scripted":
+        return _scattered(spec.scripted, team, team.input_blocks, team.input_dim)
+    if spec.kind == "none" or not spec.group:
+        return lambda x, t: np.zeros(team.input_dim)
+    # (group size, dim) index arrays of the group's states and inputs
+    rows = np.array([np.arange(b.start, b.stop) for b in (team.blocks[i] for i in spec.group)])
+    cols = np.array([np.arange(b.start, b.stop) for b in (team.input_blocks[i] for i in spec.group)])
 
-        def repel(x, t):
-            s = np.zeros(team.input_dim)
-            s[cols] = pairwise_repulsion(x[rows], spec.gain, spec.softening)
-            return s
-
-        return repel
-
-    def fn(x, t):
+    def repel(x, t):
         s = np.zeros(team.input_dim)
-        for i, v in secondary_controls(spec, team.split(x), t).items():
-            s[team.input_blocks[i]] = v
+        s[cols] = pairwise_repulsion(x[rows], spec.gain, spec.softening)
         return s
 
-    return fn
+    return repel
 
 
 def _latest_deadline(cliques) -> float:
@@ -298,7 +286,7 @@ def _latest_deadline(cliques) -> float:
 
 def run(scenario: Scenario) -> TrajectoryLog:
     sc = scenario
-    team = Team(sc.cliques, sc.agents)
+    team = Team(sc.cliques, sc.agents, sc.secondary.group if sc.secondary.known else ())
     horizon = sc.horizon if sc.horizon is not None else _latest_deadline(sc.cliques)
     n_steps = int(round(horizon / sc.dt))
     if n_steps < 1 or abs(n_steps * sc.dt - horizon) > 1e-9:
@@ -307,9 +295,7 @@ def run(scenario: Scenario) -> TrajectoryLog:
     coupling = _coupling_fn(sc.coupling, team)
     secondary = _secondary_fn(sc.secondary, team)
     # the secondary input counts as disturbance unless the agent declared it known
-    unmodelled = np.repeat(
-        [float(sc.agents[i].known_secondary is None) for i in team.ids], team.input_layout.dims
-    )
+    unmodelled = np.repeat([float(i not in team.known) for i in team.ids], team.input_layout.dims)
     limits = team.coupling_bounds + 1e-9
 
     n = len(team.ids)
@@ -333,15 +319,15 @@ def run(scenario: Scenario) -> TrajectoryLog:
         while next_switch_idx < len(switch_times) and switch_times[next_switch_idx] <= t + 1e-12:
             events.append({"t": t, "kind": "switch", "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
             next_switch_idx += 1
+        f_u = secondary(x, t)
         try:
-            tc = team_control(team, x, t)
+            tc = team_control(team, x, t, f_u)
         except QpInfeasibleError as err:
             events.append({"t": t, "kind": "qp_infeasible", "detail": str(err)})
             completed = False
             break
         w = _sample_noise(sc.noise, team, tc, rng)
         c = coupling(x, t)
-        f_u = secondary(x, t)
         u = tc.inputs + f_u
         # disturbance the declared bound C must cover: everything the
         # constraint does not model
@@ -471,12 +457,37 @@ def read_signal_csv(path) -> tuple:
     """Read a trajectory CSV back as (layout, SampledSignal).
 
     Only the t and x{id}_{component} columns are used, so any CSV with that
-    header shape works as monitor input.
+    header shape works as monitor input.  The rows are streamed and only
+    those cells kept; an empty file, a row too short for them, an oversized
+    field, a non-numeric or a non-finite t or x cell is a one-line ValueError.
     """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
-        rows = [r for r in rd if r]
+        try:
+            header = next(rd, None)
+            if header is None:
+                raise ValueError("empty file")
+            layout, cols = _signal_columns(header)
+            pick = operator.itemgetter(*cols)
+            rows = [pick(r) for r in rd if r]
+        except csv.Error as err:  # an oversized field
+            raise ValueError(f"{path}: {err}") from None
+        except IndexError:
+            raise ValueError(f"{path} line {rd.line_num}: a row shorter than the header") from None
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+    try:
+        data = np.array(rows, dtype=float).reshape(len(rows), len(cols))
+    except ValueError:
+        raise ValueError(f"{path}: a non-numeric t or x cell") from None
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite t or x cell")
+    return layout, SampledSignal(data[:, 0], data[:, 1:])
+
+
+def _signal_columns(header: list) -> tuple:
+    """Layout of a signal CSV's x{id}_{component} columns, and the indices of
+    its t column and state columns in layout order."""
     try:
         t_col = header.index("t")
     except ValueError:
@@ -490,22 +501,11 @@ def read_signal_csv(path) -> tuple:
     if not state_cols:
         raise ValueError("signal CSV has no x{id}_{component} columns")
     ids = sorted(state_cols)
-    dims = []
     for i in ids:
-        comps = state_cols[i]
-        if sorted(comps) != list(range(len(comps))):
+        if sorted(state_cols[i]) != list(range(len(state_cols[i]))):
             raise ValueError(f"agent {i} state columns are not contiguous")
-        dims.append(len(comps))
-    layout = StateLayout(ids=tuple(ids), dims=tuple(dims))
-    times = np.array([float(r[t_col]) for r in rows])
-    stack = np.empty((len(rows), layout.dim))
-    col = 0
-    for i in ids:
-        for c in range(len(state_cols[i])):
-            j = state_cols[i][c]
-            stack[:, col] = [float(r[j]) for r in rows]
-            col += 1
-    return layout, SampledSignal(times, stack)
+    layout = StateLayout(ids=tuple(ids), dims=tuple(len(state_cols[i]) for i in ids))
+    return layout, [t_col] + [state_cols[i][c] for i in ids for c in range(len(state_cols[i]))]
 
 
 def log_to_dict(log: TrajectoryLog, csv_name: str, sha256: str) -> dict:

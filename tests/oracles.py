@@ -288,6 +288,12 @@ def naive_ascend(cb, s: float, x_start: np.ndarray, max_iters: int, tol: float):
 _ZERO_TOL = 1e-12
 
 
+def _naive_f(model, x, t):
+    if model.drift is None:
+        return np.zeros(model.state_dim)
+    return np.asarray(model.drift(x, t), dtype=float)
+
+
 def _naive_g(model):
     if model.input_map is None:
         return np.eye(model.state_dim)
@@ -302,7 +308,7 @@ def _share_from_state(clique, state, i: int) -> float:
     return norms[clique.members.index(i)] / den
 
 
-def _constraint_from_state(clique, agents, state, x_bar, t, i) -> tuple:
+def _constraint_from_state(clique, agents, known, state, x_bar, t, i) -> tuple:
     model = agents[i]
     blk = clique.block(i)
     grad_i = state.grad_x[blk]
@@ -313,10 +319,10 @@ def _constraint_from_state(clique, agents, state, x_bar, t, i) -> tuple:
     rhs = (
         float(np.linalg.norm(grad_i)) * clique.n_hat * clique.coupling_bound
         - share * (state.dbdt + clique.kappa * state.value)
-        - float(np.dot(grad_i, model.f(x_i, t)))
+        - float(np.dot(grad_i, _naive_f(model, x_i, t)))
     )
-    if model.known_secondary is not None:
-        fu = np.asarray(model.known_secondary(x_bar, t), dtype=float)
+    if i in known:
+        fu = np.asarray(known[i](x_bar, t), dtype=float)
         rhs -= float(np.dot(grad_i, g @ fu))
     return a, rhs
 
@@ -331,7 +337,9 @@ def _solve_agent_qp(a, rhs):
     return (rhs / nn) * a
 
 
-def naive_team_control(cliques, agents: dict, states: dict, t: float) -> dict:
+def naive_team_control(cliques, agents: dict, known: dict, states: dict, t: float) -> dict:
+    """The per-agent law; known maps an agent to the callable (clique stack, t)
+    -> f_u that its constraint models."""
     ids = set()
     for cl in cliques:
         for i in cl.members:
@@ -340,7 +348,7 @@ def naive_team_control(cliques, agents: dict, states: dict, t: float) -> dict:
             ids.add(i)
     inputs, bvals, bstates, residuals, shares = {}, {}, {}, {}, {}
     for cl in cliques:
-        x_bar = cl.stack(states)
+        x_bar = np.concatenate([np.asarray(states[i], dtype=float) for i in cl.members])
         if t >= cl.barrier.horizon - 1e-12:
             for i in cl.members:
                 inputs[i] = np.zeros(agents[i].input_dim)
@@ -352,7 +360,7 @@ def naive_team_control(cliques, agents: dict, states: dict, t: float) -> dict:
         bvals[cl.name] = state.value
         bstates[cl.name] = state
         for i in cl.members:
-            a, rhs = _constraint_from_state(cl, agents, state, x_bar, t, i)
+            a, rhs = _constraint_from_state(cl, agents, known, state, x_bar, t, i)
             try:
                 u = _solve_agent_qp(a, rhs)
             except QpInfeasibleError as err:
@@ -460,6 +468,11 @@ def naive_run(scenario) -> TrajectoryLog:
         raise ValueError("horizon must be a positive integer multiple of dt")
     times = np.linspace(0.0, horizon, n_steps + 1)
     clique_of = {i: cl for cl in sc.cliques for i in cl.members}
+    sec = sc.secondary
+    known = {}
+    if sec.known:
+        for i in sec.group:
+            known[i] = naive_known_secondary_fn(clique_of[i].layout, i, sec.group, sec.gain, sec.softening)
 
     x = {i: np.asarray(sc.x0[i], dtype=float).copy() for i in agent_ids}
     states = {i: np.empty((n_steps + 1, agents[i].state_dim)) for i in agent_ids}
@@ -483,7 +496,7 @@ def naive_run(scenario) -> TrajectoryLog:
             events.append({"t": t, "kind": "switch", "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
             next_switch_idx += 1
         try:
-            tc = naive_team_control(sc.cliques, agents, x, t)
+            tc = naive_team_control(sc.cliques, agents, known, x, t)
         except QpInfeasibleError as err:
             events.append({"t": t, "kind": "qp_infeasible", "detail": str(err)})
             completed = False
@@ -501,7 +514,7 @@ def naive_run(scenario) -> TrajectoryLog:
             w = noise[i]
             g = _naive_g(model)
             dist = c + w
-            if u_extra is not None and model.known_secondary is None:
+            if u_extra is not None and i not in known:
                 dist = dist + g @ u_extra
             dn = float(np.linalg.norm(dist))
             dist_norms[i][k] = dn
@@ -515,7 +528,7 @@ def naive_run(scenario) -> TrajectoryLog:
             inputs[i][k] = u
             residuals[i][k] = tc["residuals"][i]
             shares[i][k] = tc["shares"][i]
-            new_x[i] = x[i] + sc.dt * (model.f(x[i], t) + g @ u + c + w)
+            new_x[i] = x[i] + sc.dt * (_naive_f(model, x[i], t) + g @ u + c + w)
         for cl in sc.cliques:
             barriers[cl.name][k] = tc["barrier_values"][cl.name]
         if abort:

@@ -20,6 +20,8 @@ from stlcbf import (
 )
 from stlcbf.cli import main
 
+from test_sim import BAD_SIGNAL_CSVS
+
 
 def mini_config():
     return {
@@ -55,6 +57,27 @@ BAD_CONFIGS = [
     (lambda c: c["search"].update(restarts=1.5), "bad search section: restarts must be an integer"),
     (lambda c: c["agents"].update(a={"dim": 1}), "agent key 'a' must be an integer id"),
     (lambda c: c.update(sim=3), "config section 'sim' must be a JSON object"),
+    (lambda c: c.update(coupling={"kind": "saturating_attraction", "attractions": [1]}),
+     "coupling attractions must be a JSON object keyed by agent id"),
+    (lambda c: c.update(coupling={"kind": "saturating_attraction", "attractions": {"1": 5}}),
+     "coupling attractions '1': 5 is not a declared agent's list of [finite gain, declared agent id] pulls"),
+    (lambda c: c.update(coupling={"kind": "saturating_attraction", "attractions": {"1": [[0.5, 9]]}}),
+     "coupling attractions '1': [[0.5, 9]] is not"),
+    (lambda c: c.update(coupling={"kind": "saturating_attraction", "attractions": {"1": [[NAN, 1]]}}),
+     "coupling attractions '1': [[nan, 1]] is not"),
+    (lambda c: c.update(secondary={"kind": "pairwise_repulsion", "group": 3}),
+     "secondary group must be a list of declared agent ids, got 3"),
+    (lambda c: c.update(secondary={"kind": "pairwise_repulsion", "group": [1], "known": "yes"}),
+     "secondary known must be true or false, got 'yes'"),
+    (lambda c: c.update(secondary={"kind": "pairwise_repulsion", "group": [1], "gain": NAN}),
+     "secondary gain must be a finite number, got nan"),
+    (lambda c: c.update(secondary={"kind": "pairwise_repulsion", "group": [1], "softening": "0.1"}),
+     "secondary softening must be a finite number, got '0.1'"),
+    (lambda c: c["noise"].update(bound=NAN), "noise bound must be a finite number >= 0, got nan"),
+    (lambda c: c["noise"].update(bound=-0.1), "noise bound must be a finite number >= 0, got -0.1"),
+    (lambda c: c["noise"].update(seed=1.5), "noise seed must be an integer, got 1.5"),
+    (lambda c: c["sim"].update(dt=NAN), "sim dt must be a finite number > 0, got nan"),
+    (lambda c: c["sim"].update(dt=0.0), "sim dt must be a finite number > 0, got 0.0"),
 ]
 
 
@@ -154,9 +177,9 @@ def test_build_agents_drift_and_input():
     }
     agents = build_agents(cfg)
     x = np.array([1.0, 2.0])
-    assert np.array_equal(agents[1].f(x, 0.0), np.zeros(2))
-    assert np.array_equal(agents[2].f(x, 0.0), np.array([2.0, -1.0]))
-    assert np.array_equal(agents[3].g(x, 0.0), np.diag([1.0, 2.0]))
+    assert agents[1].drift is None and agents[1].input_map is None  # zero drift, identity map
+    assert np.array_equal(agents[2].drift(x, 0.0), np.array([2.0, -1.0]))
+    assert np.array_equal(agents[3].input_map, np.diag([1.0, 2.0]))
     with pytest.raises(ConfigError, match="unknown input map"):
         build_agents({"agents": {"1": {"dim": 1, "input": "fancy"}}})
     with pytest.raises(ConfigError, match="unknown drift"):
@@ -235,7 +258,12 @@ def test_build_scenario_overrides_and_known_group_check():
     doc2 = run_construct(cfg2)
     scenario2, _, _ = build_scenario(cfg2, doc2)
     assert scenario2.secondary.kind == "pairwise_repulsion"
-    assert all(scenario2.agents[i].known_secondary is None for i in (1, 2))
+    assert scenario2.secondary.known is False
+    # a known group inside one clique is recorded on the spec
+    cfg3 = pair_config()
+    cfg3["secondary"] = {"kind": "pairwise_repulsion", "group": [2], "gain": 0.1, "known": True}
+    scenario3, _, _ = build_scenario(cfg3, run_construct(cfg3))
+    assert scenario3.secondary.known is True and scenario3.secondary.group == (2,)
 
 
 def test_cli_round_trip(tmp_path, capsys):
@@ -362,6 +390,19 @@ def test_cli_monitor_rejects_non_finite_signal(tmp_path, capsys):
     assert main(["monitor", "G[0,0.5](dot([1], x1) >= 0)", str(sig)]) == 2
     err = capsys.readouterr().err
     assert "non-finite" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_monitor_refuses_bad_signal_files(tmp_path, capsys):
+    """A signal CSV the monitor cannot read is exit 2 with one stderr line
+    naming the file, never a traceback."""
+    sig = tmp_path / "sig.csv"
+    for text, msg in BAD_SIGNAL_CSVS:
+        sig.write_text(text)
+        assert main(["monitor", "G[0,0.5](dot([1], x1) >= 0)", str(sig)]) == 2, msg
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {sig}") and msg in err[0], (msg, err)
+        assert captured.out == ""
 
 
 def test_cli_refuses_non_finite_barrier_document(tmp_path, capsys):

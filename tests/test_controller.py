@@ -35,23 +35,24 @@ def two_agent_clique(kappa=2.0, C=0.5, eta=10.0):
     return clique, agents
 
 
-def member_constraint(clique, agents, x, t, i):
-    """Half-space (a, rhs) of member i, a'u >= rhs, as team_control forms it.
+def member_constraint(clique, agents, x, t, i, known=(), f_u=None):
+    """Half-space (a, rhs) of member i, a'u >= rhs, as team_control forms it
+    with the stacked secondary input f_u (zero by default) known to the
+    members in known.
 
     agents holds exactly the clique's members, so the team vector is x.
     """
-    team = Team([clique], agents)
+    team = Team([clique], agents, known)
     st = barrier_state(clique.barrier, x, t)
-    _, _, a, rhs = team.parts[0].constraints(st, x, team.drift(x, t), t)
+    f_u = np.zeros(team.input_dim) if f_u is None else f_u
+    _, _, a, rhs = team.parts[0].constraints(st, team.drift(x, t), f_u)
     j = clique.members.index(i)
     return a[j], float(rhs[j])
 
 
 def test_agent_model_defaults_and_validation():
     m = AgentModel(agent_id=1, state_dim=3)
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(m.f(x, 0.0), np.zeros(3))
-    assert np.array_equal(m.g(x, 0.0), np.eye(3))
+    assert m.drift is None and m.input_map is None  # zero drift, identity input map
     assert m.input_dim == 3
     with pytest.raises(ValueError, match="full row rank"):
         AgentModel(agent_id=1, state_dim=2, input_dim=1, input_map=np.array([[1.0], [0.0]]))
@@ -61,7 +62,7 @@ def test_agent_model_defaults_and_validation():
         AgentModel(agent_id=1, state_dim=2, input_dim=2, input_map=np.eye(3))
     drift = lambda x, t: -x
     m2 = AgentModel(agent_id=2, state_dim=2, drift=drift)
-    assert np.array_equal(m2.f(np.array([1.0, -2.0]), 0.0), np.array([-1.0, 2.0]))
+    assert np.array_equal(m2.drift(np.array([1.0, -2.0]), 0.0), np.array([-1.0, 2.0]))
 
 
 def test_clique_validation():
@@ -107,13 +108,15 @@ def test_agent_constraint_matches_manual_computation():
 def test_known_secondary_enters_rhs():
     clique, agents = two_agent_clique()
     fu = np.array([0.3, -0.2])
-    agents = dict(agents)
-    agents[1] = AgentModel(agent_id=1, state_dim=2, known_secondary=lambda xb, t: fu)
+    # stacked f_u; the unknown member 2 gets a non-zero input that must not enter
+    f_u = np.concatenate([fu, [5.0, -7.0]])
     x = np.array([0.5, -1.0, 2.0, 0.25])
-    _, rhs_plain = member_constraint(clique, {1: AgentModel(1, 2), 2: agents[2]}, x, 0.5, 1)
-    a, rhs_known = member_constraint(clique, agents, x, 0.5, 1)
+    _, rhs_plain = member_constraint(clique, agents, x, 0.5, 1)
+    a, rhs_known = member_constraint(clique, agents, x, 0.5, 1, known=(1,), f_u=f_u)
     st = barrier_state(clique.barrier, x, 0.5)
     assert abs((rhs_plain - rhs_known) - float(st.grad_x[0:2] @ fu)) < 1e-12
+    assert member_constraint(clique, agents, x, 0.5, 2, known=(1,), f_u=f_u)[1] == \
+        member_constraint(clique, agents, x, 0.5, 2)[1]
 
 
 def test_rhs_scales_with_coupling_bound():
@@ -161,8 +164,8 @@ def test_team_control_matches_per_agent_solves():
     clique, agents = two_agent_clique()
     states = {1: np.array([0.5, -1.0]), 2: np.array([2.0, 0.25])}
     team = Team([clique], agents)
-    tc = team_control(team, team.stack(states), 0.5)
-    x = clique.stack(states)
+    x = team.stack(states)
+    tc = team_control(team, x, 0.5, np.zeros(team.input_dim))
     for i in clique.members:
         a, rhs = member_constraint(clique, agents, x, 0.5, i)
         assert np.array_equal(tc.inputs[team.input_blocks[i]], solve_agent_qp(a, rhs))
@@ -175,7 +178,7 @@ def test_team_control_expired_clique_and_outsiders():
     agents[7] = AgentModel(agent_id=7, state_dim=1)
     states = {1: np.zeros(2), 2: np.zeros(2), 7: np.array([1.0])}
     team = Team([clique], agents)
-    tc = team_control(team, team.stack(states), 5.0)  # horizon reached
+    tc = team_control(team, team.stack(states), 5.0, np.zeros(team.input_dim))  # horizon reached
     assert np.array_equal(tc.inputs[team.input_blocks[1]], np.zeros(2))
     assert math.isnan(tc.barrier_values[0])  # clique "pair"
     assert np.array_equal(tc.inputs[team.input_blocks[7]], np.zeros(1))
@@ -196,8 +199,8 @@ def test_aggregated_condition_holds_under_worst_coupling():
         states = {1: rng.normal(size=2), 2: rng.normal(size=2)}
         t = float(rng.uniform(0.0, 3.9))
         team = Team([clique], agents)
-        tc = team_control(team, team.stack(states), t)
-        x = clique.stack(states)
+        x = team.stack(states)
+        tc = team_control(team, x, t, np.zeros(team.input_dim))
         st = barrier_state(clique.barrier, x, t)
         total = st.dbdt + clique.kappa * st.value
         for i in clique.members:

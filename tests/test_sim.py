@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,21 +21,18 @@ from stlcbf import (
     SecondaryControlSpec,
     StateLayout,
     build_barrier,
-    coupling_forces,
     log_from_dict,
     log_to_dict,
     read_signal_csv,
     robustness,
     run,
-    secondary_controls,
     verify,
     write_log_csv,
 )
-from stlcbf.config import _known_secondary_fn
 from stlcbf.controller import Team
-from stlcbf.sim import sat1
+from stlcbf.sim import _coupling_fn, _secondary_fn, sat1
 
-from oracles import naive_known_secondary_fn, naive_run, naive_write_log_csv
+from oracles import naive_run, naive_write_log_csv
 
 
 def passive_clique(agent_id=1, dim=2, C=0.0, kappa=1.0, horizon=1.0, name="solo"):
@@ -59,11 +57,18 @@ def test_sat1_clips_componentwise():
     assert np.array_equal(out, np.array([-1.0, -1.0, 0.2, 1.0, 1.0]))
 
 
+def _pair_team():
+    """Team of two free 2-D agents, for the stacked coupling and secondary input."""
+    agents = {i: AgentModel(agent_id=i, state_dim=2) for i in (1, 2)}
+    return Team((passive_clique(1), passive_clique(2, name="other")), agents)
+
+
 def test_coupling_forces_formula():
     spec = CouplingSpec(kind="saturating_attraction",
                         attractions={1: ((0.5, 2),), 2: ()})
-    states = {1: np.array([0.0, 0.0]), 2: np.array([3.0, -0.25])}
-    out = coupling_forces(spec, states, 0.0)
+    team = _pair_team()
+    c = _coupling_fn(spec, team)(team.stack({1: np.array([0.0, 0.0]), 2: np.array([3.0, -0.25])}), 0.0)
+    out = team.split(c)
     assert np.allclose(out[1], 0.5 * np.array([1.0, -0.25]))
     assert np.array_equal(out[2], np.zeros(2))
     with pytest.raises(ValueError, match="unknown coupling kind"):
@@ -74,13 +79,16 @@ def test_coupling_forces_formula():
 
 def test_secondary_controls_formula():
     spec = SecondaryControlSpec(kind="pairwise_repulsion", group=(1, 2), gain=2.0, softening=0.5)
-    states = {1: np.array([0.0, 0.0]), 2: np.array([3.0, 4.0])}
-    out = secondary_controls(spec, states, 0.0)
+    team = _pair_team()
+    f_u = _secondary_fn(spec, team)(team.stack({1: np.array([0.0, 0.0]), 2: np.array([3.0, 4.0])}), 0.0)
+    out = team.split(f_u)
     want = 2.0 * np.array([-3.0, -4.0]) / (5.0 + 0.5)
     assert np.allclose(out[1], want)
     assert np.allclose(out[2], -want)
     with pytest.raises(ValueError, match="unknown secondary"):
         SecondaryControlSpec(kind="push")
+    with pytest.raises(ValueError, match="callable"):
+        SecondaryControlSpec(kind="scripted")
 
 
 def test_scenario_validation():
@@ -242,11 +250,11 @@ def test_verify_fails_on_incomplete_log():
     assert not report["completed"] and not report["passed"]
 
 
-def test_csv_round_trip_is_exact():
+def test_csv_round_trip_is_exact(tmp_path):
     sc = passive_scenario(dt=0.02, C=0.2, x0=[1.0, 0.5],
                           noise=NoiseSpec(bound=0.1, distribution="uniform_ball", seed=9))
     log = run(sc)
-    path = "/tmp/test_sim_log.csv"
+    path = tmp_path / "trajectory.csv"
     write_log_csv(log, path)
     layout, sig = read_signal_csv(path)
     assert layout == StateLayout(ids=(1,), dims=(2,))
@@ -268,6 +276,26 @@ def test_read_signal_csv_validation(tmp_path):
     p.write_text("t,x1_1\n0.0,1.0\n")
     with pytest.raises(ValueError, match="not contiguous"):
         read_signal_csv(p)
+    # every fault of the rows is a one-line error naming the file
+    for text, msg in BAD_SIGNAL_CSVS:
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(msg)) as err:
+            read_signal_csv(p)
+        assert str(err.value).startswith(str(p)) and str(err.value).count(str(p)) == 1
+        assert "\n" not in str(err.value)
+
+
+# (CSV text, what the reader's one-line error says)
+BAD_SIGNAL_CSVS = [
+    ("", "empty file"),
+    ("t,x1_0\n0.5\n", "line 2: a row shorter than the header"),
+    ("t,x1_0\n0.0,1.0\n0.5\n", "line 3: a row shorter than the header"),
+    ("t,x1_0\n0.0," + "1" * 200000 + "\n", "field larger than field limit"),
+    ("t,x1_0\n0.0,abc\n", "a non-numeric t or x cell"),
+    ("t,x1_0\n0.0,1.0\n0.5,\n", "a non-numeric t or x cell"),
+    ("t,x1_0\n0.0,nan\n0.5,1.0\n", "non-finite t or x cell"),
+    ("t,x1_0\n0.0,1.0\ninf,1.0\n", "non-finite t or x cell"),
+]
 
 
 def test_log_dict_round_trip(tmp_path):
@@ -307,7 +335,7 @@ def test_adversarial_noise_pushes_against_gradient():
 
 # --- the stacked team step against the per-agent oracle --------------------
 
-def _oracle_scenario(noise, coupling, secondary, known_fn, stuck, eta):
+def _oracle_scenario(noise, coupling, secondary, stuck, eta):
     """Five agents in two cliques, sized so that every QP is active at times.
 
     "team" = agents 1-3 (dim 2; agent 2 has an affine drift, agent 3 a
@@ -364,15 +392,10 @@ def _oracle_scenario(noise, coupling, secondary, known_fn, stuck, eta):
         agents[6] = AgentModel(6, 2)
         x0[6] = [0.0, 0.0]
     group = (1, 2, 3)
-    if secondary == "known":
-        for i in group:
-            m = agents[i]
-            agents[i] = AgentModel(m.agent_id, m.state_dim, m.input_dim, m.drift, m.input_map,
-                                   known_secondary=known_fn(lay_team, i, group, 0.1, 0.05))
     sec = {
         "none": SecondaryControlSpec(),
         "repulsion": SecondaryControlSpec("pairwise_repulsion", group, 0.1, 0.05),
-        "known": SecondaryControlSpec("pairwise_repulsion", group, 0.1, 0.05),
+        "known": SecondaryControlSpec("pairwise_repulsion", group, 0.1, 0.05, known=True),
         "scripted": SecondaryControlSpec(
             "scripted", scripted=lambda states, t: {
                 2: 0.05 * np.array([math.sin(5 * t), math.cos(5 * t)]), 4: 0.02 * np.ones(3)}),
@@ -422,8 +445,9 @@ ORACLE_CASES = {
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_run_matches_per_agent_oracle_bitwise(case):
     noise, coupling, secondary, stuck, eta = ORACLE_CASES[case]
-    log = run(_oracle_scenario(noise, coupling, secondary, _known_secondary_fn, stuck, eta))
-    ref = naive_run(_oracle_scenario(noise, coupling, secondary, naive_known_secondary_fn, stuck, eta))
+    sc = _oracle_scenario(noise, coupling, secondary, stuck, eta)
+    log = run(sc)
+    ref = naive_run(sc)
 
     assert log.completed == ref.completed and log.dt == ref.dt
     assert log.events == ref.events
@@ -455,7 +479,7 @@ def test_log_files_match_naive_writer_and_read_back_bitwise(case, tmp_path):
     sha256, and write -> log_from_dict -> verify gives back every field bit
     for bit and the in-memory verify report."""
     noise, coupling, secondary, stuck, eta = ORACLE_CASES[case]
-    sc = _oracle_scenario(noise, coupling, secondary, _known_secondary_fn, stuck, eta)
+    sc = _oracle_scenario(noise, coupling, secondary, stuck, eta)
     log = run(sc)
     sha = write_log_csv(log, tmp_path / "trajectory.csv")
     naive_write_log_csv(log, tmp_path / "naive.csv")
