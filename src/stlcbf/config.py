@@ -17,8 +17,12 @@ A scenario config is a single JSON object:
       "noise": {"bound": w, "distribution": "uniform_ball" | "adversarial" | "none",
                 "seed": s},
       "sim": {"dt": dt},
-      "search": {...SearchConfig fields...}
+      "search": {"delta": d, "eta_grid": [..], "restarts": n, "r_max": r,
+                 "seed": s, "kappa_cap": k}
     }
+
+The search section sets only these six SearchConfig fields; any other key is
+refused, as the rest of the search policy is fixed in param_search.
 
 Barrier documents produced by construction embed a hash of the producing
 config so mismatched construct/simulate pipelines fail loudly.
@@ -119,6 +123,7 @@ def validate_config(cfg: dict) -> dict:
         if not all(is_finite_number(v) for v in x0):
             raise ConfigError(f"agent {i} initial state must hold finite numbers")
     _check_dynamics(cfg)
+    _dynamics_specs(cfg, build_agents(cfg))
     build_search_config(cfg)
     return cfg
 
@@ -176,16 +181,26 @@ def clique_formulas(cfg: dict) -> dict:
     return {name: parse(cfg["cliques"][name]["formula"], layouts[name]) for name in layouts}
 
 
-def _build_drift(spec, dim):
+def _finite_array(agent, spec: dict, key: str, what: str, ndim: int) -> np.ndarray:
+    try:
+        arr = np.asarray(spec.get(key))
+    except ValueError:  # ragged nested lists
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim or not np.isfinite(arr).all():
+        raise ConfigError(f"agent {agent} {what} must be a {ndim}-D list of finite numbers")
+    return arr.astype(float)
+
+
+def _build_drift(agent, spec, dim):
     if spec in (None, "zero"):
         return None
     if isinstance(spec, dict) and spec.get("kind") == "affine":
-        A = np.asarray(spec["A"], dtype=float)
-        b = np.asarray(spec["b"], dtype=float)
+        A = _finite_array(agent, spec, "A", "drift A", 2)
+        b = _finite_array(agent, spec, "b", "drift b", 1)
         if A.shape != (dim, dim) or b.shape != (dim,):
-            raise ConfigError("affine drift has wrong shape")
+            raise ConfigError(f"agent {agent} affine drift has wrong shape")
         return lambda x, t: A @ x + b
-    raise ConfigError(f"unknown drift spec {spec!r}")
+    raise ConfigError(f"agent {agent}: unknown drift spec {spec!r}")
 
 
 def build_agents(cfg: dict) -> dict:
@@ -197,17 +212,17 @@ def build_agents(cfg: dict) -> dict:
         input_map = None
         input_dim = dim
         if isinstance(input_spec, dict):
-            input_map = np.asarray(input_spec["matrix"], dtype=float)
+            input_map = _finite_array(i, input_spec, "matrix", "input matrix", 2)
             input_dim = input_map.shape[1]
         elif input_spec != "identity":
-            raise ConfigError(f"unknown input map spec {input_spec!r}")
-        agents[i] = AgentModel(
-            agent_id=i,
-            state_dim=dim,
-            input_dim=input_dim,
-            drift=_build_drift(spec.get("drift"), dim),
-            input_map=input_map,
-        )
+            raise ConfigError(f"agent {i}: unknown input map spec {input_spec!r}")
+        drift = _build_drift(i, spec.get("drift"), dim)
+        try:
+            agents[i] = AgentModel(
+                agent_id=i, state_dim=dim, input_dim=input_dim, drift=drift, input_map=input_map
+            )
+        except ValueError as err:  # the input map's shape or rank
+            raise ConfigError(f"agent {i} {err}") from None
     return agents
 
 
@@ -216,11 +231,10 @@ def build_search_config(cfg: dict) -> SearchConfig:
     if not isinstance(sc, dict):
         raise ConfigError("config section 'search' must be a JSON object")
     sc = dict(sc)
-    for key in ("eta_grid", "f0_range", "f1_range"):
-        if key in sc:
-            if not isinstance(sc[key], (list, tuple)):
-                raise ConfigError(f"bad search section: {key} must be a list of numbers")
-            sc[key] = tuple(float(v) if is_finite_number(v) else v for v in sc[key])
+    if "eta_grid" in sc:
+        if not isinstance(sc["eta_grid"], (list, tuple)):
+            raise ConfigError("bad search section: eta_grid must be a list of numbers")
+        sc["eta_grid"] = tuple(float(v) if is_finite_number(v) else v for v in sc["eta_grid"])
     try:
         return SearchConfig(**sc)
     except (TypeError, ValueError) as err:
@@ -310,41 +324,60 @@ def build_cliques(cfg: dict, doc: dict) -> tuple:
     return tuple(cliques), r_stars
 
 
+def _dynamics_specs(cfg: dict, agents: dict, seed: int | None = None) -> tuple:
+    """(CouplingSpec, SecondaryControlSpec, NoiseSpec) of a config whose
+    fields _check_dynamics has passed; seed overrides the noise seed."""
+    coup_cfg = cfg.get("coupling", {"kind": "none"})
+    sec_cfg = cfg.get("secondary", {"kind": "none"})
+    noise_cfg = cfg.get("noise", {})
+    kind = sec_cfg.get("kind", "none")
+    try:  # the specs own the lists of kinds
+        coupling = CouplingSpec(
+            kind=coup_cfg.get("kind", "none"),
+            attractions={
+                int(i): tuple((float(g), int(tgt)) for g, tgt in pulls)
+                for i, pulls in coup_cfg.get("attractions", {}).items()
+            },
+        )
+        secondary = SecondaryControlSpec(
+            kind=kind,
+            group=tuple(int(i) for i in sec_cfg.get("group", ())),
+            gain=float(sec_cfg.get("gain", 1.0)),
+            softening=float(sec_cfg.get("softening", 0.01)),
+            # a kind without a group has no members to know it
+            known=kind == "pairwise_repulsion" and sec_cfg.get("known", False),
+        )
+        noise = NoiseSpec(
+            bound=float(noise_cfg.get("bound", 0.0)),
+            distribution=noise_cfg.get("distribution", "uniform_ball"),
+            seed=int(seed if seed is not None else noise_cfg.get("seed", 0)),
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    for i, pulls in coupling.attractions.items():
+        for _, tgt in pulls:
+            if agents[i].state_dim != agents[tgt].state_dim:
+                raise ConfigError(f"agent {i} is pulled toward agent {tgt} of another dimension")
+    shapes = {(agents[i].state_dim, agents[i].input_dim) for i in secondary.group}
+    if kind == "pairwise_repulsion" and (len(shapes) > 1 or any(n != m for n, m in shapes)):
+        raise ConfigError("pairwise repulsion needs group members of one dimension "
+                          "with as many inputs as states")
+    for name in sorted(cfg["cliques"]) if secondary.known else ():
+        members = [int(i) for i in cfg["cliques"][name]["members"]]
+        inside = [i for i in members if i in secondary.group]
+        if inside and not set(secondary.group) <= set(members):
+            raise ConfigError(
+                "known secondary control requires the whole group "
+                f"inside one clique (agent {inside[0]} in {name!r})"
+            )
+    return coupling, secondary, noise
+
+
 def build_scenario(cfg: dict, doc: dict, *, seed: int | None = None, dt: float | None = None):
     """Online stage inputs: (Scenario, formulas, r_stars)."""
     cliques, r_stars = build_cliques(cfg, doc)
     agents = build_agents(cfg)
-    coup_cfg = cfg.get("coupling", {"kind": "none"})
-    coupling = CouplingSpec(
-        kind=coup_cfg.get("kind", "none"),
-        attractions={
-            int(i): tuple((float(g), int(tgt)) for g, tgt in pulls)
-            for i, pulls in coup_cfg.get("attractions", {}).items()
-        },
-    )
-    sec_cfg = cfg.get("secondary", {"kind": "none"})
-    kind = sec_cfg.get("kind", "none")
-    secondary = SecondaryControlSpec(
-        kind=kind,
-        group=tuple(int(i) for i in sec_cfg.get("group", ())),
-        gain=float(sec_cfg.get("gain", 1.0)),
-        softening=float(sec_cfg.get("softening", 0.01)),
-        # a kind without a group has no members to know it
-        known=kind == "pairwise_repulsion" and sec_cfg.get("known", False),
-    )
-    for cl in cliques if secondary.known else ():
-        inside = [i for i in cl.members if i in secondary.group]
-        if inside and not set(secondary.group) <= set(cl.members):
-            raise ConfigError(
-                "known secondary control requires the whole group "
-                f"inside one clique (agent {inside[0]} in {cl.name!r})"
-            )
-    noise_cfg = cfg.get("noise", {})
-    noise = NoiseSpec(
-        bound=float(noise_cfg.get("bound", 0.0)),
-        distribution=noise_cfg.get("distribution", "uniform_ball"),
-        seed=int(seed if seed is not None else noise_cfg.get("seed", 0)),
-    )
+    coupling, secondary, noise = _dynamics_specs(cfg, agents, seed)
     sim_cfg = cfg.get("sim", {})
     scenario = Scenario(
         agents=agents,

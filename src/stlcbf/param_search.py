@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,28 +63,28 @@ __all__ = [
 
 _TIME_TOL = 1e-9
 
+# The search policy: fixed tuning values, not settable per config.
+_R_TOLERANCE = 1e-3  # bisection stops once the bracket on r is this narrow
+_MAX_ASCENT_ITERS = 600
+_ASCENT_TOL = 1e-6  # projected gradient norm that counts as stationary
+_MAX_REPAIR_ROUNDS = 16
+_KAPPA_MIN = 1.0
+_KAPPA_CLAMP = 1e6
+_F0_DEFAULT = 0.9  # restart 0's placement fractions
+_F1_DEFAULT = 0.1
+_F0_RANGE = (0.3, 0.95)  # later restarts draw their fractions from these
+_F1_RANGE = (0.05, 0.5)
+_GAMMA_INF_SPAN = 1.0
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     delta: float = 0.005
     eta_grid: tuple = (20.0, 40.0)
     restarts: int = 4
-    r_tolerance: float = 1e-3
     r_max: float = math.inf
     seed: int = 0
-    max_ascent_iters: int = 600
-    ascent_tol: float = 1e-6
-    max_repair_rounds: int = 16
-    headroom: float | None = None
-    bound_radius: float | None = None
-    kappa_min: float = 1.0
-    kappa_clamp: float = 1e6
     kappa_cap: float = math.inf
-    f0_default: float = 0.9
-    f1_default: float = 0.1
-    f0_range: tuple = (0.3, 0.95)
-    f1_range: tuple = (0.05, 0.5)
-    gamma_inf_span: float = 1.0
 
     def __post_init__(self):
         def need(ok, names, what):
@@ -93,20 +93,14 @@ class SearchConfig:
                     raise ValueError(f"{name} must be {what}")
 
         # every test below is False for NaN, so a NaN field is refused
-        need(_positive, ("delta", "r_tolerance", "ascent_tol", "kappa_min", "kappa_clamp",
-                         "gamma_inf_span"), "a finite positive number")
-        need(lambda v: v is None or _positive(v), ("headroom", "bound_radius"),
-             "a finite positive number")
+        need(_positive, ("delta",), "a finite positive number")
         need(lambda v: v == math.inf or _positive(v), ("r_max", "kappa_cap"), "a positive number")
-        need(is_finite_number, ("f0_default", "f1_default"), "a finite number")
         need(lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0,
-             ("restarts", "seed", "max_ascent_iters", "max_repair_rounds"), "an integer >= 0")
+             ("restarts", "seed"), "an integer >= 0")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
         need(lambda v: isinstance(v, (tuple, list)) and len(v) > 0 and all(map(_positive, v)),
              ("eta_grid",), "a non-empty list of finite positive numbers")
-        need(lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(is_finite_number, v)),
-             ("f0_range", "f1_range"), "a pair of finite numbers")
 
 
 def _positive(v) -> bool:
@@ -142,14 +136,13 @@ def _true_h_opt(unit) -> float:
     return pred.h_opt if isinstance(pred, BallPredicate) else math.inf
 
 
-def _h_opt_capped(unit, x0: np.ndarray, headroom: float | None) -> float:
+def _h_opt_capped(unit, x0: np.ndarray) -> float:
     """Finite stand-in for sup h: affine predicates are capped above h(x0)."""
     pred = unit.predicate
     if isinstance(pred, BallPredicate):
         return float(pred.h_opt)
     h0 = float(pred.value(x0))
-    hr = headroom if headroom is not None else 10.0 * (1.0 + abs(h0))
-    return h0 + hr
+    return h0 + 10.0 * (1.0 + abs(h0))
 
 
 def _default_bound_radius(units, x0: np.ndarray) -> float:
@@ -176,14 +169,12 @@ class _Placement:
     shrinks: int = 0
 
 
-def _materialize(
-    unit, pl: _Placement, r: float, x0: np.ndarray, cap: float, inf_span: float
-) -> GammaParams | None:
+def _materialize(unit, pl: _Placement, r: float, x0: np.ndarray, cap: float) -> GammaParams | None:
     """Funnel curve from placement fractions; None if the Eq-interval is empty.
 
     gamma_inf sits just above max(r, gamma0): pushing it higher only demands
     more than the target r after the critical time, so its offset is capped by
-    inf_span rather than scaled to the (possibly huge) h_opt cap.
+    _GAMMA_INF_SPAN rather than scaled to the (possibly huge) h_opt cap.
     """
     h0 = float(unit.predicate.value(x0))
     if unit.t_star > 0.0:
@@ -199,7 +190,7 @@ def _materialize(
     if cap <= lo + 1e-12:
         return None
     frac = min(max(pl.f1 * (0.5**pl.shrinks), 1e-9), 0.999999)
-    gamma_inf = lo + frac * min(cap - lo, inf_span)
+    gamma_inf = lo + frac * min(cap - lo, _GAMMA_INF_SPAN)
     return GammaParams.from_target(gamma0, gamma_inf, r, unit.t_star)
 
 
@@ -335,9 +326,6 @@ def feasibility_check(
     bound_radius: float,
     params,
     delta: float,
-    *,
-    max_ascent_iters: int = 600,
-    ascent_tol: float = 1e-6,
 ) -> FeasibilityReport:
     """Check constraints (i)-(ii) for one concrete parameter choice."""
     units = tuple(units)
@@ -360,7 +348,7 @@ def feasibility_check(
     for s in cb.schedule:
         info = {}
         x_w, st, gnorm, converged = _ascend(
-            cb, s, x_start, max_ascent_iters, ascent_tol, floor=delta, info=info
+            cb, s, x_start, _MAX_ASCENT_ITERS, _ASCENT_TOL, floor=delta, info=info
         )
         report.switch_margins[s] = st.value
         report.witnesses[s] = x_w
@@ -425,21 +413,18 @@ def _attempt(units, x0, r, eta, bound_radius, caps, placements, cfg: SearchConfi
     params = None
     rounds = 0
     prev_weight = None
-    while rounds <= cfg.max_repair_rounds and d_doublings <= 10:
+    while rounds <= _MAX_REPAIR_ROUNDS and d_doublings <= 10:
         params = []
         ok = True
         for u, pl, cap in zip(units, placements, caps):
-            g = _materialize(u, pl, r, x0, cap, cfg.gamma_inf_span)
+            g = _materialize(u, pl, r, x0, cap)
             if g is None:
                 ok = False
                 break
             params.append(g)
         if not ok:
             return None, None, d_cur, rounds
-        report = feasibility_check(
-            units, x0, r, eta, d_cur, params, cfg.delta,
-            max_ascent_iters=cfg.max_ascent_iters, ascent_tol=cfg.ascent_tol,
-        )
+        report = feasibility_check(units, x0, r, eta, d_cur, params, cfg.delta)
         last = report
         if report.feasible:
             w = max(report.bound_weights.values())
@@ -475,13 +460,13 @@ def _feasible_at(units, x0, r, cfg: SearchConfig, d0: float, caps):
     for eta in sorted(cfg.eta_grid, reverse=True):
         for restart in range(cfg.restarts):
             if restart == 0:
-                placements = [_Placement(cfg.f0_default, cfg.f1_default) for _ in units]
+                placements = [_Placement(_F0_DEFAULT, _F1_DEFAULT) for _ in units]
             else:
                 rng = np.random.default_rng([cfg.seed, restart])
                 placements = [
                     _Placement(
-                        float(rng.uniform(*cfg.f0_range)),
-                        float(rng.uniform(*cfg.f1_range)),
+                        float(rng.uniform(*_F0_RANGE)),
+                        float(rng.uniform(*_F1_RANGE)),
                     )
                     for _ in units
                 ]
@@ -505,7 +490,7 @@ def _feasible_at(units, x0, r, cfg: SearchConfig, d0: float, caps):
     return None, best_fail
 
 
-def compute_kappa(cb: CompositeBarrier, delta: float, *, kappa_min: float = 1.0, clamp: float = 1e6) -> float:
+def compute_kappa(cb: CompositeBarrier, delta: float) -> float:
     """Linear class-K gain: 1.1 * Delta_max * exp(eta*(b_max - delta)) / delta.
 
     Delta_max is the largest funnel slewing rate, b_max bounds the term values
@@ -527,11 +512,11 @@ def compute_kappa(cb: CompositeBarrier, delta: float, *, kappa_min: float = 1.0,
             sup_h = float(pred.e)
         b_max = max(b_max, sup_h - g.gamma0)
     if delta_max <= 0.0:
-        return kappa_min
+        return _KAPPA_MIN
     log_kappa = math.log(1.1 * delta_max / delta) + cb.eta * (max(b_max, delta) - delta)
-    if log_kappa >= math.log(clamp):
-        return clamp
-    return max(math.exp(log_kappa), kappa_min)
+    if log_kappa >= math.log(_KAPPA_CLAMP):
+        return _KAPPA_CLAMP
+    return max(math.exp(log_kappa), _KAPPA_MIN)
 
 
 def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
@@ -540,7 +525,7 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
     x0 = np.asarray(x0, dtype=float)
     if not units:
         raise ValueError("no units to search over")
-    caps = tuple(_h_opt_capped(u, x0, cfg.headroom) for u in units)
+    caps = tuple(_h_opt_capped(u, x0) for u in units)
     natural = min(caps)
     for u in units:
         if _true_h_opt(u) <= 0.0:
@@ -548,7 +533,7 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
         if u.t_star <= 0.0:
             natural = min(natural, float(u.predicate.value(x0)))
     r_hi = min(cfg.r_max, natural * (1.0 - 1e-6))
-    d0 = cfg.bound_radius if cfg.bound_radius is not None else _default_bound_radius(units, x0)
+    d0 = _default_bound_radius(units, x0)
 
     def diag_base():
         return {"delta": cfg.delta, "r_bracket_high": r_hi, "warnings": []}
@@ -556,7 +541,7 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
     if r_hi <= 0.0:
         diag = diag_base()
         diag["warnings"].append("upper bracket for r is non-positive; task unsatisfiable from x0")
-        return SearchResult(0.0, None, {}, cfg.kappa_min, False, diag)
+        return SearchResult(0.0, None, {}, _KAPPA_MIN, False, diag)
 
     winner, best_fail = _feasible_at(units, x0, r_hi, cfg, d0, caps)
     r_lo = r_hi if winner is not None else None
@@ -565,7 +550,7 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
         r = r_hi
         for _ in range(60):
             r *= 0.5
-            if r < max(cfg.r_tolerance / 8.0, 1e-12):
+            if r < max(_R_TOLERANCE / 8.0, 1e-12):
                 break
             winner, fail = _feasible_at(units, x0, r, cfg, d0, caps)
             if winner is not None:
@@ -587,9 +572,9 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
                 diag["ascent_brackets"] = dict(report.brackets)
                 diag["warnings"].extend(report.warnings)
             diag["warnings"].append("no feasible r found")
-            return SearchResult(0.0, None, {}, cfg.kappa_min, False, diag)
+            return SearchResult(0.0, None, {}, _KAPPA_MIN, False, diag)
         # bisect between the feasible probe and the last infeasible r
-        while hi - r_lo > cfg.r_tolerance:
+        while hi - r_lo > _R_TOLERANCE:
             mid = 0.5 * (r_lo + hi)
             cand, _ = _feasible_at(units, x0, mid, cfg, d0, caps)
             if cand is not None:
@@ -602,7 +587,7 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
     cb = build_barrier(
         units, winner["params"], eta=winner["eta"], bound_radius=winner["bound_radius"]
     )
-    kappa_raw = compute_kappa(cb, cfg.delta, kappa_min=cfg.kappa_min, clamp=cfg.kappa_clamp)
+    kappa_raw = compute_kappa(cb, cfg.delta)
     kappa = min(kappa_raw, cfg.kappa_cap)
     diag = diag_base()
     diag.update(
@@ -621,9 +606,9 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
         }
     )
     diag["warnings"].extend(report.warnings)
-    if kappa_raw >= cfg.kappa_clamp:
+    if kappa_raw >= _KAPPA_CLAMP:
         diag["warnings"].append(
-            f"kappa clamped at {cfg.kappa_clamp:g}; closed-form gain overflowed"
+            f"kappa clamped at {_KAPPA_CLAMP:g}; closed-form gain overflowed"
         )
     if kappa < kappa_raw:
         diag["warnings"].append(

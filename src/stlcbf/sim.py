@@ -370,10 +370,13 @@ def run(scenario: Scenario) -> TrajectoryLog:
     )
 
 
-def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict, tol_b: float = 1e-3) -> dict:
+_TOL_B = 1e-3  # how far below 0 a logged barrier value may dip
+
+
+def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
     """Independent pass/fail check of a finished run.
 
-    Per clique: the minimum logged barrier value must stay above -tol_b, and
+    Per clique: the minimum logged barrier value must stay above -_TOL_B, and
     the monitored robustness at t = 0 must reach the guaranteed floor minus a
     sampling slack 2 * dt * max logged speed.  The floor is r_star, except
     that a rebuilt until only pins its left-hand side down to the funnel
@@ -393,7 +396,7 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict, tol_b: fl
         tol_rho = 2.0 * log.dt * speed
         bvals = log.barriers[name]
         min_b = float(np.nanmin(bvals)) if bvals.size else math.nan
-        b_ok = bool(bvals.size) and min_b >= -tol_b
+        b_ok = bool(bvals.size) and min_b >= -_TOL_B
         rho_ok = rho >= floor - tol_rho
         ok = b_ok and rho_ok and log.completed
         report["cliques"][name] = {
@@ -403,7 +406,7 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict, tol_b: fl
             "floor": floor,
             "max_speed": speed,
             "tol_rho": tol_rho,
-            "tol_b": tol_b,
+            "tol_b": _TOL_B,
             "barrier_ok": b_ok,
             "rho_ok": rho_ok,
             "passed": ok,

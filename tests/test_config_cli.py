@@ -48,12 +48,14 @@ NAN = float("nan")
 BAD_CONFIGS = [
     (lambda c: c["search"].update(delta=NAN), "bad search section: delta must be a finite positive number"),
     (lambda c: c["search"].update(eta_grid=[NAN]), "bad search section: eta_grid must be a non-empty list"),
-    (lambda c: c["search"].update(bound_radius=NAN), "bad search section: bound_radius must be a finite positive"),
+    (lambda c: c["search"].update(bound_radius=NAN),
+     "bad search section: SearchConfig.__init__() got an unexpected keyword argument 'bound_radius'"),
     (lambda c: c["cliques"]["solo"].update(formula=5), "clique 'solo' formula must be a string"),
     (lambda c: c["cliques"]["solo"].update(formula=None), "clique 'solo' formula must be a string"),
     (lambda c: c.update(search=[1]), "config section 'search' must be a JSON object"),
     (lambda c: c["search"].update(eta_grid=5), "bad search section: eta_grid must be a list of numbers"),
-    (lambda c: c["search"].update(f0_range=3), "bad search section: f0_range must be a list of numbers"),
+    (lambda c: c["search"].update(f0_range=3),
+     "bad search section: SearchConfig.__init__() got an unexpected keyword argument 'f0_range'"),
     (lambda c: c["search"].update(restarts=1.5), "bad search section: restarts must be an integer"),
     (lambda c: c["agents"].update(a={"dim": 1}), "agent key 'a' must be an integer id"),
     (lambda c: c.update(sim=3), "config section 'sim' must be a JSON object"),
@@ -78,6 +80,16 @@ BAD_CONFIGS = [
     (lambda c: c["noise"].update(seed=1.5), "noise seed must be an integer, got 1.5"),
     (lambda c: c["sim"].update(dt=NAN), "sim dt must be a finite number > 0, got nan"),
     (lambda c: c["sim"].update(dt=0.0), "sim dt must be a finite number > 0, got 0.0"),
+    (lambda c: c["agents"]["1"].update(drift={"kind": "affine", "A": [[NAN]], "b": [0.0]}),
+     "agent 1 drift A must be a 2-D list of finite numbers"),
+    (lambda c: c["agents"]["1"].update(drift={"kind": "affine", "A": [[0.0]]}),
+     "agent 1 drift b must be a 1-D list of finite numbers"),
+    (lambda c: c["agents"]["1"].update(input={"matrix": [[NAN]]}),
+     "agent 1 input matrix must be a 2-D list of finite numbers"),
+    (lambda c: c["agents"]["1"].update(input={"matrix": [[0.0]]}), "agent 1 input map must have full row rank"),
+    (lambda c: c.update(coupling={"kind": "x"}), "unknown coupling kind 'x'"),
+    (lambda c: c.update(secondary={"kind": "scripted"}), "scripted secondary control needs a callable"),
+    (lambda c: c["noise"].update(distribution="gauss"), "unknown noise distribution 'gauss'"),
 ]
 
 
@@ -507,3 +519,75 @@ def test_cli_verify_refuses_bad_trajectory_files(tmp_path, capsys):
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and msg in err[0], (msg, err)
         assert captured.out == ""
+
+
+def mutation_base():
+    """pair_config with every kind of dynamics a config can declare."""
+    cfg = pair_config()
+    cfg["agents"]["1"]["drift"] = {"kind": "affine", "A": [[-0.1]], "b": [0.0]}
+    cfg["agents"]["2"]["input"] = {"matrix": [[1.0, 0.5]]}
+    cfg["coupling"] = {"kind": "saturating_attraction", "attractions": {"1": [[0.01, 2]]}}
+    cfg["secondary"] = {"kind": "pairwise_repulsion", "group": [1], "gain": 0.01,
+                        "softening": 0.01, "known": False}
+    return cfg
+
+
+def _leaves(node, path):
+    """Paths to every value under node that is not an object, list items included."""
+    for key, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(v, dict):
+            yield from _leaves(v, path + (key,))
+        else:
+            yield path + (key,)
+            if isinstance(v, list):
+                yield from _leaves(v, path + (key,))
+
+
+DROP = object()
+MUTATIONS = (DROP, NAN, "x", [1], {}, None, -1.0, [[NAN]])
+
+
+def test_config_mutation_table(tmp_path, capsys):
+    """Every mutation of every dynamics and search leaf is refused at load
+    with one line (exit 2) or runs clean: never exit 3, never nan on stdout,
+    and never accepted by construct only to be refused by simulate."""
+    base = mutation_base()
+    paths = [p for sec in ("agents", "coupling", "secondary", "noise", "sim", "search")
+             for p in _leaves(base[sec], (sec,))]
+    cfg_path, barriers, outdir = tmp_path / "config.json", tmp_path / "b.json", tmp_path / "out"
+    faults = []
+    for path in paths:
+        for value in MUTATIONS:
+            cfg = copy.deepcopy(base)
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+            cfg_path.write_text(json.dumps(cfg))
+            what = (path, "drop" if value is DROP else value)
+            code = main(["construct", str(cfg_path), "-o", str(barriers)])
+            stages = [("construct", code, capsys.readouterr())]
+            if code == 0:
+                code = main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir)])
+                stages.append(("simulate", code, capsys.readouterr()))
+            for stage, code, captured in stages:
+                if code == 3 or len(captured.err.splitlines()) > 1:
+                    faults.append((what, stage, code, captured.err[-200:]))
+                if re.search(r"\bnan\b", captured.out, re.I):
+                    faults.append((what, stage, "nan on stdout"))
+            if len(stages) == 2 and stages[1][1] == 2:
+                faults.append((what, "refused by simulate only", stages[1][2].err.strip()))
+    assert len(paths) * len(MUTATIONS) == 264
+    assert faults == []
+    # agent 2's two inputs have no repulsion from its one-dimensional state
+    base["secondary"]["group"] = [1, 2]
+    with pytest.raises(ConfigError, match="pairwise repulsion needs group members of one dimension"):
+        validate_config(base)
+    base = mutation_base()
+    base["agents"]["2"] = {"dim": 2}
+    base["initial_states"]["2"] = [3.0, 0.0]
+    with pytest.raises(ConfigError, match="agent 1 is pulled toward agent 2 of another dimension"):
+        validate_config(base)

@@ -37,19 +37,14 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(ValueError):
         SearchConfig(eta_grid=())
-    with pytest.raises(ValueError):
-        SearchConfig(r_tolerance=0.0)
     # NaN fails every check, and each message names its field
-    for field in ("delta", "r_tolerance", "ascent_tol", "kappa_min", "kappa_clamp", "gamma_inf_span",
-                  "headroom", "bound_radius", "r_max", "kappa_cap", "f0_default", "f1_default"):
+    for field in ("delta", "r_max", "kappa_cap"):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SearchConfig(**{field: math.nan})
-    for field, value in (("eta_grid", (20.0, math.nan)), ("f0_range", (0.3, math.nan)),
-                         ("f1_range", (0.1,)), ("restarts", 1.5), ("seed", -1),
-                         ("max_ascent_iters", 2.5), ("max_repair_rounds", True)):
+    for field, value in (("eta_grid", (20.0, math.nan)), ("restarts", 1.5), ("seed", -1)):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SearchConfig(**{field: value})
-    assert SearchConfig(r_max=math.inf, kappa_cap=math.inf, headroom=None, bound_radius=None).r_max == math.inf
+    assert SearchConfig(r_max=math.inf, kappa_cap=math.inf).r_max == math.inf
 
 
 def test_analytic_one_dimensional_case():
@@ -140,7 +135,7 @@ def test_feasibility_monotone_in_r_spot():
     x0 = np.array([1.0])
     units = (unit_h_x(),)
     cfg = SearchConfig(eta_grid=(30.0,), restarts=2)
-    caps = (_h_opt_capped(units[0], x0, None),)
+    caps = (_h_opt_capped(units[0], x0),)
     d0 = _default_bound_radius(units, x0)
     win_hi, _ = _feasible_at(units, x0, 0.9, cfg, d0, caps)
     win_lo, _ = _feasible_at(units, x0, 0.45, cfg, d0, caps)
