@@ -150,7 +150,7 @@ def _check_dynamics(cfg: dict) -> None:
         raise ConfigError(f"noise seed must be an integer, got {seed!r}")
     for name, v, rule, ok in (
         ("secondary gain", sec.get("gain", 1.0), "", lambda v: True),
-        ("secondary softening", sec.get("softening", 0.01), "", lambda v: True),
+        ("secondary softening", sec.get("softening", 0.01), " > 0", lambda v: v > 0.0),
         ("noise bound", noise.get("bound", 0.0), " >= 0", lambda v: v >= 0.0),
         ("sim dt", cfg.get("sim", {}).get("dt", 0.005), " > 0", lambda v: v > 0.0),
     ):

@@ -16,10 +16,14 @@ max over ||y|| <= D of f(y) <= f(x) + D ||g|| - g.x (first-order concavity,
 then Cauchy-Schwarz).  An ascent stops as soon as this bound drops below
 delta: the switch is then provably infeasible, and infeasible is the
 conservative verdict, so the early stop can never pass an unsound
-certificate.  Ascents that can reach delta run on to the stationarity
-tolerance, so every witness the search ships is still a maximizer.  Each
-switch's exit reason and bracket [value, bound] go into the report and the
-search diagnostics.
+certificate.  Once a report has failed (on the initial margin or an earlier
+switch), its later ascents also stop at the first iterate reaching delta
+("reached floor"): accepted steps never lower the value, so that is the
+verdict a full ascent gives, and repair reads only the failing switches.
+Ascents of a report still feasible run on to the stationarity tolerance, so
+every witness the search ships is still a maximizer.  Each switch's exit
+reason and bracket [value, bound] go into the report and the search
+diagnostics.
 
 The outer search bisects on r.  For fixed r, funnel curves are placed from
 per-unit fractions and then repaired: whenever a constraint fails, the terms
@@ -231,7 +235,7 @@ def _upper_bound(st, x: np.ndarray, radius: float) -> float:
 
 
 def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int, tol: float,
-            floor: float = -math.inf, info: dict | None = None):
+            floor: float = -math.inf, info: dict | None = None, stop_at_floor: bool = False):
     """Maximize the concave left-limit barrier value at switch s over ||x|| <= D.
 
     Projected gradient ascent with a Barzilai-Borwein step and Armijo
@@ -244,9 +248,13 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int,
     that needs value >= floor stops only on a verdict already certain, the
     conservative one.  An ascent that can reach floor runs to the stopping
     rule as before.  The test is False for NaN and never fires at the
-    default floor.  If info is a dict, the exit ("converged", "bound",
-    "iteration limit", "stall" or "no accepted trial") and the bound at the
-    returned point go into info["exit"] and info["ub"].
+    default floor.  With stop_at_floor, the ascent also ends at the first
+    unconverged iterate (the start included) whose value is >= floor: only
+    the verdict is wanted there, and it is the full ascent's, since an
+    accepted step never lowers the value.  If info is a dict, the exit
+    ("converged", "bound", "reached floor", "iteration limit", "stall" or
+    "no accepted trial") and the bound at the returned point go into
+    info["exit"] and info["ub"].
     """
     radius = cb.bound_radius
 
@@ -277,6 +285,8 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int,
             return done(x, st, gnorm, "converged")
         if _upper_bound(st, x, radius) < floor:
             return done(x, st, gnorm, "bound")
+        if stop_at_floor and st.value >= floor:
+            return done(x, st, gnorm, "reached floor")
         if prev_x is not None:
             ds = x - prev_x
             dy = g - prev_g
@@ -327,7 +337,10 @@ def feasibility_check(
     params,
     delta: float,
 ) -> FeasibilityReport:
-    """Check constraints (i)-(ii) for one concrete parameter choice."""
+    """Check constraints (i)-(ii) for one concrete parameter choice.
+
+    Once a constraint has failed, a later switch that reaches delta gets
+    the first ascent iterate that does as its witness, not a maximizer."""
     units = tuple(units)
     params = tuple(params)
     x0 = np.asarray(x0, dtype=float)
@@ -347,8 +360,10 @@ def feasibility_check(
     x_start = x0
     for s in cb.schedule:
         info = {}
+        # a failed report only needs each later switch's verdict
         x_w, st, gnorm, converged = _ascend(
-            cb, s, x_start, _MAX_ASCENT_ITERS, _ASCENT_TOL, floor=delta, info=info
+            cb, s, x_start, _MAX_ASCENT_ITERS, _ASCENT_TOL, floor=delta, info=info,
+            stop_at_floor=not report.feasible,
         )
         report.switch_margins[s] = st.value
         report.witnesses[s] = x_w
@@ -356,8 +371,8 @@ def feasibility_check(
         report.bound_weights[s] = float(st.weights[-1])
         report.exits[s] = info["exit"]
         report.brackets[s] = (st.value, info["ub"])
-        # a bound exit has its verdict and is not an unconverged ascent
-        if not converged and info["exit"] != "bound":
+        # a bound or floor exit has its verdict and is not an unconverged ascent
+        if not converged and info["exit"] not in ("bound", "reached floor"):
             report.warnings.append(
                 f"ascent at switch {s:g} stopped with gradient norm {gnorm:.2e}"
             )

@@ -74,7 +74,11 @@ BAD_CONFIGS = [
     (lambda c: c.update(secondary={"kind": "pairwise_repulsion", "group": [1], "gain": NAN}),
      "secondary gain must be a finite number, got nan"),
     (lambda c: c.update(secondary={"kind": "pairwise_repulsion", "group": [1], "softening": "0.1"}),
-     "secondary softening must be a finite number, got '0.1'"),
+     "secondary softening must be a finite number > 0, got '0.1'"),
+    (lambda c: c.update(secondary={"kind": "pairwise_repulsion", "group": [1], "softening": 0}),
+     "secondary softening must be a finite number > 0, got 0"),
+    (lambda c: c.update(secondary={"kind": "pairwise_repulsion", "group": [1], "softening": -1.0}),
+     "secondary softening must be a finite number > 0, got -1.0"),
     (lambda c: c["noise"].update(bound=NAN), "noise bound must be a finite number >= 0, got nan"),
     (lambda c: c["noise"].update(bound=-0.1), "noise bound must be a finite number >= 0, got -0.1"),
     (lambda c: c["noise"].update(seed=1.5), "noise seed must be an integer, got 1.5"),

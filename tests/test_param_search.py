@@ -14,11 +14,14 @@ from stlcbf import (
     barrier_from_dict,
     barrier_value,
     build_barrier,
+    canonical_json,
     compute_kappa,
+    demo_config,
     feasibility_check,
     maximize_r,
     normalize,
     parse,
+    run_construct,
 )
 from stlcbf.param_search import _ascend, _feasible_at, _default_bound_radius, _h_opt_capped
 
@@ -350,6 +353,106 @@ def test_bound_exit_verdict_matches_naive_ascent(demo_doc):
                         assert _bits(gnorm) == _bits(rgnorm) and converged is rconverged
                     assert (st.value >= floor) == (v >= floor)
     assert exits["bound"] > 0 and exits["converged"] > 0
+
+
+def test_floor_exit_matches_naive_ascent(demo_doc, monkeypatch):
+    """With stop_at_floor, a "reached floor" exit returns naive_ascend's
+    iterate after the same number of accepted steps, bit for bit, and it is
+    the first iterate with value >= floor; any other exit returns what the
+    full ascent returns; and the verdict (value >= floor) is the full
+    ascent's.  Same barriers as test_ascend_matches_naive_oracle_bitwise,
+    with floors on both sides of the value the full ascent reaches."""
+    from stlcbf import param_search
+
+    _, doc, _ = demo_doc
+    rng = np.random.default_rng(83)
+    barriers = _ascent_barriers(doc, rng) + [random_barrier(rng, dim=2, n_aff=2, n_ball=0, eta=math.nan)]
+    deltas = {doc["cliques"][name]["diagnostics"]["delta"] for name in doc["cliques"]}
+    steps, finish = [], param_search._finish
+
+    def counted(*args):
+        steps.append(None)
+        return finish(*args)
+
+    monkeypatch.setattr(param_search, "_finish", counted)
+    exits, floor_steps = Counter(), set()
+    for cb in barriers:
+        for s in cb.schedule:
+            for x_start in _starts(rng, cb.bound_radius, cb.dim):
+                rx, rst, rgnorm, rconverged = naive_ascend(cb, s, x_start, 600, 1e-6)
+                v = rst.value
+                for floor in sorted(deltas) + [-math.inf, v - 0.05, v - 1e-3, v + 1e-3, v + 0.05]:
+                    info = {}
+                    steps.clear()
+                    x, st, gnorm, converged = _ascend(
+                        cb, s, x_start, 600, 1e-6, floor=floor, info=info, stop_at_floor=True
+                    )
+                    exits[info["exit"]] += 1
+                    if info["exit"] == "reached floor":
+                        n = len(steps)
+                        floor_steps.add(min(n, 1))
+                        assert st.value >= floor and not converged and gnorm >= 1e-6
+                        nx, nst, _, _ = naive_ascend(cb, s, x_start, n, 1e-6)
+                        assert _bits(x) == _bits(nx), (s, floor, n)
+                        for name in ("value", "grad_x", "dbdt", "weights", "active", "term_values"):
+                            assert _bits(getattr(st, name)) == _bits(getattr(nst, name)), (s, name)
+                        if n > 0:
+                            assert not naive_ascend(cb, s, x_start, n - 1, 1e-6)[1].value >= floor
+                    elif info["exit"] == "bound":
+                        assert info["ub"] < floor and v < floor, (s, floor, v)
+                    else:
+                        assert _bits(x) == _bits(rx) and _bits(st.value) == _bits(v)
+                        assert _bits(gnorm) == _bits(rgnorm) and converged is rconverged
+                    assert (st.value >= floor) == (v >= floor)
+    assert exits["reached floor"] > 0 and exits["bound"] > 0 and floor_steps == {0, 1}
+    assert exits["iteration limit"] > 0 and exits["no accepted trial"] > 0
+
+
+def test_failed_report_stops_later_ascents_at_floor(monkeypatch):
+    """In the demo construction, feasibility_check asks an ascent to stop at
+    the floor exactly when the initial margin or an earlier switch has
+    failed, and a "reached floor" switch adds no warning."""
+    from stlcbf import param_search
+
+    asked, reports = [], []
+    ascend_fn, check_fn = param_search._ascend, param_search.feasibility_check
+
+    def ascend(*args, **kw):
+        asked.append(kw["stop_at_floor"])
+        return ascend_fn(*args, **kw)
+
+    def check(*args):
+        reports.append((args[-1], check_fn(*args)))
+        return reports[-1][1]
+
+    monkeypatch.setattr(param_search, "_ascend", ascend)
+    monkeypatch.setattr(param_search, "feasibility_check", check)
+    run_construct(demo_config())
+    expected, floor_exits = [], 0
+    for delta, report in reports:
+        failed = not report.initial_margin >= delta
+        for s, exit in report.exits.items():
+            expected.append(failed)
+            if exit == "reached floor":
+                floor_exits += 1
+                assert failed and report.switch_margins[s] >= delta
+                assert not any(f"switch {s:g} " in w for w in report.warnings)
+            failed = failed or not report.switch_margins[s] >= delta
+    assert asked == expected and floor_exits > 0
+
+
+def test_floor_exit_leaves_construction_unchanged(demo_doc, monkeypatch):
+    """The demo construction gives the same document when every ascent
+    ignores stop_at_floor and runs to its full stopping rule."""
+    from stlcbf import param_search
+
+    ascend_fn = param_search._ascend
+
+    def full(*args, stop_at_floor=False, **kw):
+        return ascend_fn(*args, **kw)
+
+    monkeypatch.setattr(param_search, "_ascend", full)
+    assert canonical_json(run_construct(demo_config())) == canonical_json(demo_doc[1])
 
 
 def test_feasibility_report_records_exits_and_brackets(demo_doc):
