@@ -19,14 +19,13 @@ task = "G[0,6](dot([0,1], x1) >= 0) & F[2,6](norm_inf(x1 - [3,2]) <= 1)"
 units = normalize(parse(task, layout))
 x0 = np.array([0.0, 1.0])
 
-cfg = SearchConfig(delta=0.01, eta_grid=(20.0, 40.0), restarts=2, seed=0, r_max=1.0,
-                   kappa_cap=50.0)
+cfg = SearchConfig(delta=0.01, eta_grid=(20.0, 40.0), r_max=1.0, kappa_cap=50.0)
 result = maximize_r(units, x0, cfg)
 print("task:", task)
 print(f"feasible: {result.feasible}, r_star = {result.r_star:.4f}, "
       f"kappa = {result.kappa:.4g}")
 print("search diagnostics:")
-for key in ("eta", "bound_radius", "restart", "initial_margin", "switch_margins"):
+for key in ("eta", "bound_radius", "initial_margin", "switch_margins", "ascent_exits"):
     print(f"  {key}: {result.diagnostics[key]}")
 
 # the certified margins: the barrier clears delta at t=0 and (approaching

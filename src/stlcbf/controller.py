@@ -23,6 +23,7 @@ same order, so the stacked step reproduces it bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,17 +278,26 @@ def solve_agent_qp(a: np.ndarray, rhs: float) -> np.ndarray:
 
     Infeasible when the input it needs, of norm rhs / ||a||, exceeds
     1 / _ZERO_TOL: rhs scales with the gradient block a is formed from, so a
-    tiny block alone still gives a bounded input.
+    tiny block alone still gives a bounded input.  When ||a||^2 falls below
+    the smallest normal double, a and rhs are first divided by max |a_i|,
+    which leaves the input unchanged; every other case keeps its bits.
     """
     a = np.asarray(a, dtype=float)
     if rhs <= 0.0:
         return np.zeros_like(a)
     nn = float(np.dot(a, a))
-    if nn <= (_ZERO_TOL * rhs) ** 2:
+    scaled = rhs
+    if nn < sys.float_info.min:
+        m = float(np.max(np.abs(a)))
+        if m > 0.0:
+            a, scaled = a / m, rhs / m
+            nn = float(np.dot(a, a))
+    limit = _ZERO_TOL * scaled  # a product, unlike ** 2, overflows to inf without raising
+    if nn <= limit * limit:
         raise QpInfeasibleError(
             f"constraint direction vanished with rhs = {rhs:g} > 0", rhs=rhs
         )
-    return (rhs / nn) * a
+    return (scaled / nn) * a
 
 
 @dataclass(slots=True)

@@ -75,8 +75,6 @@ DEMO_CONFIG = {
     "search": {
         "delta": 0.005,
         "eta_grid": [20, 40],
-        "restarts": 4,
-        "seed": 1,
         "r_max": 0.3,
         "kappa_cap": 30,
     },

@@ -19,18 +19,18 @@ conservative verdict, so the early stop can never pass an unsound
 certificate.  Once a report has failed (on the initial margin or an earlier
 switch), its later ascents also stop at the first iterate reaching delta
 ("reached floor"): accepted steps never lower the value, so that is the
-verdict a full ascent gives, and repair reads only the failing switches.
+verdict a full ascent gives, and the search reads only the verdict.
 Ascents of a report still feasible run on to the stationarity tolerance, so
 every witness the search ships is still a maximizer.  Each switch's exit
 reason and bracket [value, bound] go into the report and the search
 diagnostics.
 
-The outer search bisects on r.  For fixed r, funnel curves are placed from
-per-unit fractions and then repaired: whenever a constraint fails, the terms
-pinching the softmin at the witness are identified and their curves are
-lowered where the schedule still allows it (start depth before the critical
-time, asymptote after it).  Restart 0 uses deterministic shallow fractions;
-further restarts draw fractions from a seeded generator.
+The outer search bisects on r.  Once per eta, a relaxation gives each
+switch s a witness x_s: the maximizer of the softmin over the units that have
+reached r by s, with their funnels flat.  For fixed r and eta the funnel
+curves are then placed in closed form so that x0 and every x_s clear delta
+(gamma_inf below the relaxation's value, gamma0 deep enough where a unit has
+not yet reached r), and one feasibility check certifies or refutes them.
 
 Also computes the linear class-K gain kappa used by the controller: the
 conservative closed form kappa = 1.1 * Delta_max * exp(eta*(b_max - delta))
@@ -41,7 +41,6 @@ can be astronomically loose for large eta * b_max).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +51,12 @@ from .barrier import (
     build_barrier,
     barrier_state,
     left_limit_state,
+    left_limit_value,
     _finish,
     _left_interval,
     _value,
 )
+from .formula import OperatorUnit
 from .predicates import AffinePredicate, BallPredicate, is_finite_number
 
 __all__ = [
@@ -65,29 +66,23 @@ __all__ = [
     "compute_kappa",
 ]
 
-_TIME_TOL = 1e-9
-
 # The search policy: fixed tuning values, not settable per config.
 _R_TOLERANCE = 1e-3  # bisection stops once the bracket on r is this narrow
 _MAX_ASCENT_ITERS = 600
 _ASCENT_TOL = 1e-6  # projected gradient norm that counts as stationary
-_MAX_REPAIR_ROUNDS = 16
 _KAPPA_MIN = 1.0
 _KAPPA_CLAMP = 1e6
-_F0_DEFAULT = 0.9  # restart 0's placement fractions
-_F1_DEFAULT = 0.1
-_F0_RANGE = (0.3, 0.95)  # later restarts draw their fractions from these
-_F1_RANGE = (0.05, 0.5)
-_GAMMA_INF_SPAN = 1.0
+_RELAX_RADIUS = 8.0  # the relaxation's ball radius, in default bound radii
+_CLEARANCE = 0.1  # margin above delta + softmin gap kept by terms not yet at r
+_GAMMA_INF_OFFSET = 0.1  # gamma_inf sits at most this far above r
+_MAX_LOG_DEPTH = 700.0  # a funnel needing gamma_inf - gamma0 > e^700 is not placed
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     delta: float = 0.005
     eta_grid: tuple = (20.0, 40.0)
-    restarts: int = 4
     r_max: float = math.inf
-    seed: int = 0
     kappa_cap: float = math.inf
 
     def __post_init__(self):
@@ -99,10 +94,6 @@ class SearchConfig:
         # every test below is False for NaN, so a NaN field is refused
         need(_positive, ("delta",), "a finite positive number")
         need(lambda v: v == math.inf or _positive(v), ("r_max", "kappa_cap"), "a positive number")
-        need(lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0,
-             ("restarts", "seed"), "an integer >= 0")
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
         need(lambda v: isinstance(v, (tuple, list)) and len(v) > 0 and all(map(_positive, v)),
              ("eta_grid",), "a non-empty list of finite positive numbers")
 
@@ -117,7 +108,6 @@ class FeasibilityReport:
     initial_margin: float
     switch_margins: dict  # switch time -> best left-limit value found
     witnesses: dict  # switch time -> maximizing state
-    blocking: dict  # constraint time (0.0 or switch) -> list of (term index or "bound", value)
     bound_weights: dict  # constraint time -> softmin weight of the bound term
     grad_norms: dict  # switch time -> gradient norm at the witness
     exits: dict  # switch time -> how the ascent ended (see _ascend)
@@ -149,6 +139,18 @@ def _h_opt_capped(unit, x0: np.ndarray) -> float:
     return h0 + 10.0 * (1.0 + abs(h0))
 
 
+def _r_high(units, x0: np.ndarray, caps, r_max: float) -> float:
+    """The top of the bracket on r: below r_max, every cap, and h(x0) of
+    every unit required at t = 0."""
+    natural = min(caps)
+    for u in units:
+        if _true_h_opt(u) <= 0.0:
+            natural = 0.0  # unsatisfiable region: sup h <= 0 leaves no r > 0
+        if u.t_star <= 0.0:
+            natural = min(natural, float(u.predicate.value(x0)))
+    return min(r_max, natural * (1.0 - 1e-6))
+
+
 def _default_bound_radius(units, x0: np.ndarray) -> float:
     reach = 0.0
     for u in units:
@@ -163,39 +165,6 @@ def _default_bound_radius(units, x0: np.ndarray) -> float:
             rad = math.sqrt(max(pred.e, 0.0)) / max(smin, 1e-9)
             reach = max(reach, float(np.linalg.norm(xc)) + rad)
     return 2.0 * max(float(np.linalg.norm(x0)), reach, 1.0)
-
-
-@dataclass
-class _Placement:
-    f0: float
-    f1: float
-    depth: int = 0
-    shrinks: int = 0
-
-
-def _materialize(unit, pl: _Placement, r: float, x0: np.ndarray, cap: float) -> GammaParams | None:
-    """Funnel curve from placement fractions; None if the Eq-interval is empty.
-
-    gamma_inf sits just above max(r, gamma0): pushing it higher only demands
-    more than the target r after the critical time, so its offset is capped by
-    _GAMMA_INF_SPAN rather than scaled to the (possibly huge) h_opt cap.
-    """
-    h0 = float(unit.predicate.value(x0))
-    if unit.t_star > 0.0:
-        anchor = min(0.0, h0 - 1.0)
-        depth = (1.0 - pl.f0) * (h0 - anchor) * (2.0**pl.depth)
-        gamma0 = h0 - depth
-    else:
-        # gamma0 must start in [r, h(x0)) when the target applies immediately
-        if h0 <= r + 1e-12:
-            return None
-        gamma0 = r + pl.f0 * (0.5 ** (pl.shrinks + pl.depth)) * (h0 - r)
-    lo = max(r, gamma0)
-    if cap <= lo + 1e-12:
-        return None
-    frac = min(max(pl.f1 * (0.5**pl.shrinks), 1e-9), 0.999999)
-    gamma_inf = lo + frac * min(cap - lo, _GAMMA_INF_SPAN)
-    return GammaParams.from_target(gamma0, gamma_inf, r, unit.t_star)
 
 
 def _check_eq7(units, params, x0: np.ndarray, r: float):
@@ -316,18 +285,6 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int,
     return done(x, st, _norm(st.grad_x), "iteration limit")
 
 
-def _blocking_terms(state, eta: float, delta: float) -> list:
-    """Terms pinching the softmin below a safe clearance at a witness."""
-    p = len(state.term_values)
-    tau = delta + math.log(p) / eta + 0.01
-    out = []
-    for i, v in enumerate(state.term_values):
-        if v < tau:
-            key = "bound" if i == p - 1 else int(state.active[i])
-            out.append((key, float(v)))
-    return out
-
-
 def feasibility_check(
     units,
     x0: np.ndarray,
@@ -348,7 +305,7 @@ def feasibility_check(
     cb = build_barrier(units, params, eta=eta, bound_radius=bound_radius)
     report = FeasibilityReport(
         feasible=True, initial_margin=math.nan, switch_margins={}, witnesses={},
-        blocking={}, bound_weights={}, grad_norms={}, exits={}, brackets={}, warnings=[],
+        bound_weights={}, grad_norms={}, exits={}, brackets={}, warnings=[],
     )
     st0 = barrier_state(cb, x0, 0.0)
     report.initial_margin = st0.value
@@ -356,7 +313,6 @@ def feasibility_check(
     # "not >=" so that a NaN margin is infeasible
     if not st0.value >= delta:
         report.feasible = False
-        report.blocking[0.0] = _blocking_terms(st0, eta, delta)
     x_start = x0
     for s in cb.schedule:
         info = {}
@@ -378,130 +334,114 @@ def feasibility_check(
             )
         if not st.value >= delta:
             report.feasible = False
-            report.blocking[s] = _blocking_terms(st, eta, delta)
         x_start = x_w
     return report
 
 
-def _repair(units, params, placements, blocking) -> tuple:
-    """Lower the curves of blocking terms where the schedule allows.
+def _relaxation(units, x0: np.ndarray, eta: float, d0: float, level: float) -> dict:
+    """A witness x_s and its value rho_s per switch s, from the relaxed
+    problem no placement can beat: maximize the softmin over the units that
+    have reached r by s (t* <= s <= deadline), each with its funnel flat at 0.
 
-    Returns (changed, need_bigger_d).  A blocker with decay > 0 whose critical
-    time equals the constraint time sits exactly at the target floor r and
-    cannot be lowered; it is left untouched.
-    """
-    changed = False
-    need_d = False
-    for s, entries in blocking.items():
-        for key, _val in entries:
-            if key == "bound":
-                need_d = True
-                continue
-            u = units[key]
-            g = params[key]
-            pl = placements[key]
-            if g.decay == 0.0:
-                pl.depth += 1
-                changed = True
-            elif u.t_star > s + _TIME_TOL:
-                pl.depth += 1
-                changed = True
-            elif u.t_star < s - _TIME_TOL:
-                pl.shrinks += 1
-                changed = True
-    return changed, need_d
-
-
-def _attempt(units, x0, r, eta, bound_radius, caps, placements, cfg: SearchConfig):
-    """Placement + repair rounds at fixed (r, eta, restart). Returns
-    (report or None, params, D, rounds).
-
-    The bound radius is enlarged (doubled, at most 10 times) while a witness
-    leans on the bound term, so that D never artificially shapes the
-    certificate; if doubling stops shrinking the bound term's weight the
-    optimum is genuinely radius-limited and the result is accepted with a
-    warning (margins alone decide feasibility).
-    """
-    d_cur = bound_radius
-    d_doublings = 0
-    last = None
-    params = None
-    rounds = 0
-    prev_weight = None
-    while rounds <= _MAX_REPAIR_ROUNDS and d_doublings <= 10:
-        params = []
-        ok = True
-        for u, pl, cap in zip(units, placements, caps):
-            g = _materialize(u, pl, r, x0, cap)
-            if g is None:
-                ok = False
-                break
-            params.append(g)
-        if not ok:
-            return None, None, d_cur, rounds
-        report = feasibility_check(units, x0, r, eta, d_cur, params, cfg.delta)
-        last = report
-        if report.feasible:
-            w = max(report.bound_weights.values())
-            if w < 1e-6:
-                return report, params, d_cur, rounds
-            if d_doublings >= 10 or (prev_weight is not None and w > 0.5 * prev_weight):
-                report.warnings.append(
-                    f"witness leans on the bound term (softmin weight {w:.2e}); "
-                    f"bound radius left at {d_cur:g}"
-                )
-                return report, params, d_cur, rounds
-            prev_weight = w
-            d_cur *= 2.0
-            d_doublings += 1
-            continue
-        changed, need_d = _repair(units, params, placements, report.blocking)
-        if need_d and d_doublings < 10:
-            d_cur *= 2.0
-            d_doublings += 1
-            changed = True
-        if not changed:
-            break
-        rounds += 1
-    return last, params, d_cur, rounds
+    A constant term at level caps the objective, and the ball has radius
+    _RELAX_RADIUS * d0: a far witness costs the units not yet at r there,
+    and the bound radius the placement needs.  No probed r needs a value
+    above level - 0.5, and the capped objective is flat above level, where
+    the ascent may run far out; a witness valued >= level - 0.5 is therefore
+    pulled back to the first point of the segment from x0 that is.  Returns
+    {s: (x_s, rho_s)} in schedule order."""
+    floor = level - 0.5
+    schedule = sorted({u.deadline for u in units})
+    ceiling = OperatorUnit("always", AffinePredicate(np.zeros(x0.shape[0]), level), 0.0, schedule[-1])
+    out = {}
+    for s in schedule:
+        reached = [u for u in units if u.t_star <= s <= u.deadline] + [ceiling]
+        cb = build_barrier(reached, [GammaParams(0.0, 1.0, 0.0, u.t_star) for u in reached],
+                           eta=eta, bound_radius=_RELAX_RADIUS * d0)
+        x, st, _, _ = _ascend(cb, s, x0, _MAX_ASCENT_ITERS, _ASCENT_TOL)
+        if st.value >= floor:
+            # concave along the segment from x0: its points valued >= floor form [t1, 1]
+            lo, hi = 0.0, 1.0
+            for _ in range(50):
+                mid = 0.5 * (lo + hi)
+                if left_limit_value(cb, x0 + mid * (x - x0), s) >= floor:
+                    hi = mid
+                else:
+                    lo = mid
+            x = x0 + hi * (x - x0)
+        out[s] = (x, left_limit_value(cb, x, s))
+    return out
 
 
-def _feasible_at(units, x0, r, cfg: SearchConfig, d0: float, caps):
-    """Try the eta grid and restarts at one r; first feasible configuration
-    wins.  The grid is tried from largest eta down: the softmin gap ln(p)/eta
-    shrinks with eta, so larger eta is never less feasible and needs the least
-    curve-lowering repair.  Returns (winner dict or None, best_fail)."""
+def _softmin(values, eta: float) -> float:
+    m = min(values)
+    return m - math.log(sum(math.exp(-eta * (v - m)) for v in values)) / eta
+
+
+def _place(units, x0: np.ndarray, r: float, eta: float, delta: float, d0: float, caps, relax: dict):
+    """Funnel curves and bound radius for target r, in closed form from the
+    relaxation's witnesses; None when the witnesses already rule r out.
+
+    At each constraint time t (0 at x0, then every switch s at x_s) the
+    terms split in two.  Those at r by t sit at most gamma_inf below their
+    h, and gamma_inf stays slack below rho_t - delta, so their share of the
+    softmin weight is at most exp(-eta (delta + slack)).  The others (the
+    units with t* > t, and the bound term) are each kept at least
+    low_t = delta + ln(n_t)/eta + _CLEARANCE above 0, so their share is at
+    most exp(-eta (delta + _CLEARANCE)).  slack makes the two shares sum to
+    exp(-eta delta): every witness then has barrier value >= delta, and one
+    feasibility_check decides whether the ascents find as much."""
+    slack = -math.log1p(-math.exp(-_CLEARANCE * eta)) / eta + 1e-6
+    points = [(0.0, x0)] + [(s, x) for s, (x, _) in relax.items()]
+    lows = [delta + math.log(1 + sum(u.t_star > t for u in units)) / eta + _CLEARANCE for t, _ in points]
+    now = [float(u.predicate.value(x0)) for u in units if u.t_star <= 0.0]
+    if now and r > _softmin(now, eta) - delta - slack:
+        return None
+    params = []
+    for u, cap in zip(units, caps):
+        gi = min([r + _GAMMA_INF_OFFSET, 0.5 * (r + cap)]
+                 + [rho - delta - slack for s, (_, rho) in relax.items() if u.t_star <= s <= u.deadline])
+        if not gi > r:
+            return None
+        g0 = r
+        # the largest gamma0 <= r whose curve stays <= h(x_t) - low_t at every t < t*
+        for (t, x), low in zip(points, lows):
+            most = float(u.predicate.value(x)) - low
+            if t < u.t_star and most < gi:
+                # gamma(t) = gi - (gi - g0)^(1 - theta) (gi - r)^theta with theta = t / t*
+                theta = t / u.t_star
+                log_gap = (math.log(gi - most) - theta * math.log(gi - r)) / (1.0 - theta)
+                if log_gap > _MAX_LOG_DEPTH:
+                    return None
+                g0 = min(g0, gi - math.exp(log_gap))
+        if not g0 < float(u.predicate.value(x0)):
+            return None
+        params.append(GammaParams.from_target(g0, gi, r, u.t_star))
+    radius = max(d0, max(_norm(x) for _, x in points) + max(lows))
+    return params, radius
+
+
+def _feasible_at(units, x0, r, cfg: SearchConfig, d0: float, caps, relax: dict | None = None):
+    """Place the curves for r at each eta of the grid, from largest down, and
+    check each placement once; the first feasible one wins.  Larger eta
+    shrinks the softmin gap ln(p)/eta, so it is tried first.  relax holds
+    each eta's relaxation (see _relaxation), filled on first use.  Returns
+    (winner dict or None, best_fail)."""
+    relax = {} if relax is None else relax
     best_fail = None
     for eta in sorted(cfg.eta_grid, reverse=True):
-        for restart in range(cfg.restarts):
-            if restart == 0:
-                placements = [_Placement(_F0_DEFAULT, _F1_DEFAULT) for _ in units]
-            else:
-                rng = np.random.default_rng([cfg.seed, restart])
-                placements = [
-                    _Placement(
-                        float(rng.uniform(*_F0_RANGE)),
-                        float(rng.uniform(*_F1_RANGE)),
-                    )
-                    for _ in units
-                ]
-            report, params, d_used, rounds = _attempt(
-                units, x0, r, eta, d0, caps, placements, cfg
-            )
-            if report is not None and report.feasible:
-                return (
-                    {
-                        "report": report, "params": params, "eta": eta,
-                        "bound_radius": d_used, "restart": restart, "rounds": rounds,
-                    },
-                    best_fail,
-                )
-            if report is not None:
-                worst = min(
-                    [report.initial_margin] + list(report.switch_margins.values())
-                )
-                if best_fail is None or worst > best_fail[0]:
-                    best_fail = (worst, report, eta, restart)
+        if eta not in relax:
+            relax[eta] = _relaxation(units, x0, eta, d0, _r_high(units, x0, caps, cfg.r_max) + 1.0)
+        placed = _place(units, x0, r, eta, cfg.delta, d0, caps, relax[eta])
+        if placed is None:
+            continue
+        params, radius = placed
+        report = feasibility_check(units, x0, r, eta, radius, params, cfg.delta)
+        if report.feasible:
+            return {"report": report, "params": params, "eta": eta, "bound_radius": radius}, best_fail
+        worst = min([report.initial_margin] + list(report.switch_margins.values()))
+        if best_fail is None or worst > best_fail[0]:
+            best_fail = (worst, report, eta)
     return None, best_fail
 
 
@@ -535,20 +475,16 @@ def compute_kappa(cb: CompositeBarrier, delta: float) -> float:
 
 
 def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
-    """Bisection on r with per-r feasibility (placement + repair) inside."""
+    """Bisection on r; each probe places curves from the relaxation's
+    witnesses and checks them once per eta (see _feasible_at)."""
     units = tuple(units)
     x0 = np.asarray(x0, dtype=float)
     if not units:
         raise ValueError("no units to search over")
     caps = tuple(_h_opt_capped(u, x0) for u in units)
-    natural = min(caps)
-    for u in units:
-        if _true_h_opt(u) <= 0.0:
-            natural = 0.0  # unsatisfiable region: sup h <= 0 leaves no r > 0
-        if u.t_star <= 0.0:
-            natural = min(natural, float(u.predicate.value(x0)))
-    r_hi = min(cfg.r_max, natural * (1.0 - 1e-6))
+    r_hi = _r_high(units, x0, caps, cfg.r_max)
     d0 = _default_bound_radius(units, x0)
+    relax = {}  # eta -> the relaxation's witnesses, shared by every probe
 
     def diag_base():
         return {"delta": cfg.delta, "r_bracket_high": r_hi, "warnings": []}
@@ -558,7 +494,7 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
         diag["warnings"].append("upper bracket for r is non-positive; task unsatisfiable from x0")
         return SearchResult(0.0, None, {}, _KAPPA_MIN, False, diag)
 
-    winner, best_fail = _feasible_at(units, x0, r_hi, cfg, d0, caps)
+    winner, best_fail = _feasible_at(units, x0, r_hi, cfg, d0, caps, relax)
     r_lo = r_hi if winner is not None else None
     if winner is None:
         hi = r_hi
@@ -567,7 +503,7 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
             r *= 0.5
             if r < max(_R_TOLERANCE / 8.0, 1e-12):
                 break
-            winner, fail = _feasible_at(units, x0, r, cfg, d0, caps)
+            winner, fail = _feasible_at(units, x0, r, cfg, d0, caps, relax)
             if winner is not None:
                 r_lo = r
                 break
@@ -577,10 +513,9 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
         if winner is None:
             diag = diag_base()
             if best_fail is not None:
-                worst, report, eta, restart = best_fail
+                worst, report, eta = best_fail
                 diag["best_margin"] = worst
                 diag["eta"] = eta
-                diag["restart"] = restart
                 diag["initial_margin"] = report.initial_margin
                 diag["switch_margins"] = dict(report.switch_margins)
                 diag["ascent_exits"] = dict(report.exits)
@@ -591,7 +526,7 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
         # bisect between the feasible probe and the last infeasible r
         while hi - r_lo > _R_TOLERANCE:
             mid = 0.5 * (r_lo + hi)
-            cand, _ = _feasible_at(units, x0, mid, cfg, d0, caps)
+            cand, _ = _feasible_at(units, x0, mid, cfg, d0, caps, relax)
             if cand is not None:
                 winner = cand
                 r_lo = mid
@@ -609,8 +544,6 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
         {
             "eta": winner["eta"],
             "bound_radius": winner["bound_radius"],
-            "restart": winner["restart"],
-            "repair_rounds": winner["rounds"],
             "initial_margin": report.initial_margin,
             "switch_margins": dict(report.switch_margins),
             "grad_norms": dict(report.grad_norms),

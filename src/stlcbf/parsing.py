@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formula import Atom, Conj, Always, Eventually, Until, Formula, FormulaError
-from .predicates import AffinePredicate, BallPredicate, StateLayout, infer_support
+from .predicates import AffinePredicate, BallPredicate, StateLayout
 
 __all__ = ["parse", "ParseError"]
 
@@ -234,7 +234,7 @@ class _Parser:
             raise ParseError("affine atoms compare against 0; fold constants into d", zt.pos)
         coeff = ex.E.T @ c
         off = float(c @ ex.v + d)
-        pred = AffinePredicate(coeff, off, infer_support(self.layout, coeff))
+        pred = AffinePredicate(coeff, off)
         return [Atom(pred)]
 
     def _norm_inf_atom(self, pos: int) -> list[Atom]:
@@ -247,12 +247,8 @@ class _Parser:
         for j in range(ex.k):
             row = ex.E[j]
             # r - (row . x + v_j) >= 0  and  r + (row . x + v_j) >= 0
-            atoms.append(
-                Atom(AffinePredicate(-row, r - ex.v[j], infer_support(self.layout, row)))
-            )
-            atoms.append(
-                Atom(AffinePredicate(row, r + ex.v[j], infer_support(self.layout, row)))
-            )
+            atoms.append(Atom(AffinePredicate(-row, r - ex.v[j])))
+            atoms.append(Atom(AffinePredicate(row, r + ex.v[j])))
         return atoms
 
     def _ball2_atom(self, pos: int) -> list[Atom]:
@@ -261,7 +257,7 @@ class _Parser:
         self.expect("sym", ",")
         r = self.number()
         self.expect("sym", ")")
-        pred = BallPredicate(ex.E, ex.v, r * r, infer_support(self.layout, ex.E))
+        pred = BallPredicate(ex.E, ex.v, r * r)
         return [Atom(pred)]
 
     def expr(self) -> _Expr:

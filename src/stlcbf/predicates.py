@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "Predicate",
     "predicate_to_dict",
     "predicate_from_dict",
-    "infer_support",
 ]
 
 
@@ -79,7 +78,6 @@ class AffinePredicate:
 
     c: np.ndarray
     d: float
-    support: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(self, "c", _readonly(self.c))
@@ -110,7 +108,7 @@ class AffinePredicate:
 
     def flipped(self) -> "AffinePredicate":
         """Predicate of the negated literal: -h."""
-        return AffinePredicate(-self.c, -self.d, self.support)
+        return AffinePredicate(-self.c, -self.d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +118,6 @@ class BallPredicate:
     A: np.ndarray
     b: np.ndarray
     e: float
-    support: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _readonly(np.atleast_2d(self.A)))
@@ -156,23 +153,12 @@ class BallPredicate:
 Predicate = Union[AffinePredicate, BallPredicate]
 
 
-def infer_support(layout: StateLayout, coeffs: np.ndarray) -> frozenset[int]:
-    """Agent ids whose state block carries a nonzero coefficient."""
-    coeffs = np.atleast_2d(coeffs)
-    out = set()
-    for aid in layout.ids:
-        if np.any(coeffs[:, layout.block(aid)] != 0.0):
-            out.add(aid)
-    return frozenset(out)
-
-
 def predicate_to_dict(p: Predicate) -> dict:
     if isinstance(p, AffinePredicate):
         return {
             "kind": "affine",
             "c": p.c.tolist(),
             "d": p.d,
-            "support": sorted(p.support),
         }
     if isinstance(p, BallPredicate):
         return {
@@ -180,7 +166,6 @@ def predicate_to_dict(p: Predicate) -> dict:
             "A": p.A.tolist(),
             "b": p.b.tolist(),
             "e": p.e,
-            "support": sorted(p.support),
         }
     raise TypeError(f"not a predicate: {p!r}")
 
@@ -210,14 +195,13 @@ def _finite_array(d: dict, key: str, where: str, ndim: int) -> np.ndarray:
 def predicate_from_dict(d: dict, where: str = "") -> Predicate:
     """Rebuild a predicate from predicate_to_dict's output; a missing,
     misshapen or non-finite coefficient is a one-line ValueError that names
-    the field after the where prefix."""
+    the field after the where prefix.  Keys other than the predicate's own
+    (such as the "support" older documents carry) are ignored."""
     kind = d.get("kind")
-    support = frozenset(d.get("support", ()))
     if kind == "affine":
-        return AffinePredicate(_finite_array(d, "c", where, 1), finite_number(d, "d", where), support)
+        return AffinePredicate(_finite_array(d, "c", where, 1), finite_number(d, "d", where))
     if kind == "quad_ball":
         return BallPredicate(
-            _finite_array(d, "A", where, 2), _finite_array(d, "b", where, 1),
-            finite_number(d, "e", where), support,
+            _finite_array(d, "A", where, 2), _finite_array(d, "b", where, 1), finite_number(d, "e", where),
         )
     raise ValueError(f"unknown predicate kind {kind!r}")

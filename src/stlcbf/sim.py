@@ -381,6 +381,8 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
     sampling slack 2 * dt * max logged speed.  The floor is r_star, except
     that a rebuilt until only pins its left-hand side down to the funnel
     starts: floor = min(r_star, smallest gamma0 among until-lhs terms).
+    An aborted run has no signal over the task windows, so its cliques skip
+    the monitor: rho is None and rho_ok False.
     """
     report = {"completed": log.completed, "cliques": {}, "passed": bool(log.completed)}
     for cl in cliques:
@@ -390,15 +392,14 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
         lhs_g0 = [tm.gamma.gamma0 for tm in cl.barrier.terms if tm.unit.until_lhs]
         if lhs_g0:
             floor = min(floor, min(lhs_g0))
-        sig = log.clique_signal(cl)
-        rho = robustness(formulas[name], sig, 0.0)
+        rho = robustness(formulas[name], log.clique_signal(cl), 0.0) if log.completed else None
         speed = log.max_speed(cl.members)
         tol_rho = 2.0 * log.dt * speed
         bvals = log.barriers[name]
         min_b = float(np.nanmin(bvals)) if bvals.size else math.nan
         b_ok = bool(bvals.size) and min_b >= -_TOL_B
-        rho_ok = rho >= floor - tol_rho
-        ok = b_ok and rho_ok and log.completed
+        rho_ok = rho is not None and rho >= floor - tol_rho
+        ok = b_ok and rho_ok
         report["cliques"][name] = {
             "min_barrier": min_b,
             "rho": rho,

@@ -15,6 +15,7 @@ from stlcbf import (
     build_search_config,
     canonical_json,
     config_hash,
+    demo_config,
     run_construct,
     validate_config,
 )
@@ -34,7 +35,7 @@ def mini_config():
             }
         },
         "initial_states": {"1": [2.0]},
-        "search": {"delta": 0.01, "eta_grid": [20.0], "restarts": 1, "seed": 0, "r_max": 1.0},
+        "search": {"delta": 0.01, "eta_grid": [20.0], "r_max": 1.0},
         "sim": {"dt": 0.05},
         "noise": {"bound": 0.05, "distribution": "uniform_ball", "seed": 1},
     }
@@ -56,7 +57,6 @@ BAD_CONFIGS = [
     (lambda c: c["search"].update(eta_grid=5), "bad search section: eta_grid must be a list of numbers"),
     (lambda c: c["search"].update(f0_range=3),
      "bad search section: SearchConfig.__init__() got an unexpected keyword argument 'f0_range'"),
-    (lambda c: c["search"].update(restarts=1.5), "bad search section: restarts must be an integer"),
     (lambda c: c["agents"].update(a={"dim": 1}), "agent key 'a' must be an integer id"),
     (lambda c: c.update(sim=3), "config section 'sim' must be a JSON object"),
     (lambda c: c.update(coupling={"kind": "saturating_attraction", "attractions": [1]}),
@@ -209,7 +209,6 @@ def test_build_search_config():
     sc = build_search_config(mini_config())
     assert sc.delta == 0.01
     assert sc.eta_grid == (20.0,)
-    assert sc.restarts == 1
     assert sc.r_max == 1.0
     assert build_search_config({}).delta == 0.005  # defaults apply
     with pytest.raises(ConfigError, match="bad search section"):
@@ -380,6 +379,26 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["verify", str(outdir / "log.json"), str(cfg_path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert not report["cliques"]["solo"]["barrier_ok"]
+
+
+def test_cli_verify_of_aborted_run_exits_1(tmp_path, capsys):
+    """A coupling bound too small for the demo's attraction aborts the run at
+    step 0.  verify then skips the monitor (the log spans no task window):
+    exit 1 with rho null, not a usage error."""
+    cfg = demo_config()
+    cfg["cliques"]["formation"]["coupling_bound"] = 0.5
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    barriers, outdir = tmp_path / "b.json", tmp_path / "out"
+    assert main(["construct", str(cfg_path), "-o", str(barriers)]) == 0
+    assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir)]) == 1
+    assert "simulation aborted at step 0" in capsys.readouterr().out
+    assert main(["verify", str(outdir / "log.json"), str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert captured.err == "" and not report["completed"] and not report["passed"]
+    for entry in report["cliques"].values():
+        assert entry["rho"] is None and entry["rho_ok"] is False and entry["passed"] is False
 
 
 def test_cli_infeasible_construct_exits_1(tmp_path, capsys):
@@ -584,7 +603,7 @@ def test_config_mutation_table(tmp_path, capsys):
                     faults.append((what, stage, "nan on stdout"))
             if len(stages) == 2 and stages[1][1] == 2:
                 faults.append((what, "refused by simulate only", stages[1][2].err.strip()))
-    assert len(paths) * len(MUTATIONS) == 264
+    assert len(paths) * len(MUTATIONS) == 248
     assert faults == []
     # agent 2's two inputs have no repulsion from its one-dimensional state
     base["secondary"]["group"] = [1, 2]

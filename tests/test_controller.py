@@ -145,6 +145,20 @@ def test_solve_agent_qp_closed_form():
         solve_agent_qp(np.zeros(2), 4e-13)
 
 
+def test_solve_agent_qp_direction_below_normal_range():
+    """||a||^2 underflows to 0 here, yet the input the half-space needs is
+    [2.7, 0]; the scaled path finds it, and a truly zero direction is still
+    infeasible."""
+    u = solve_agent_qp(np.array([1e-175, 0.0]), 2.7e-175)
+    assert np.allclose(u, [2.7, 0.0], rtol=1e-15, atol=0)
+    u = solve_agent_qp(np.array([3e-170, -4e-170]), 5e-170)
+    assert np.allclose(u, [0.6, -0.8], rtol=1e-15, atol=0)
+    with pytest.raises(QpInfeasibleError):
+        solve_agent_qp(np.array([1e-300, 0.0]), 1.0)
+    with pytest.raises(QpInfeasibleError):
+        solve_agent_qp(np.zeros(2), 1e-300)
+
+
 def test_qp_beats_random_feasible_candidates_spot():
     rng = np.random.default_rng(4)
     for _ in range(100):

@@ -1,5 +1,7 @@
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +20,29 @@ from stlcbf import (
     compute_kappa,
     demo_config,
     feasibility_check,
+    left_limit_value,
     maximize_r,
     normalize,
     parse,
     run_construct,
 )
-from stlcbf.param_search import _ascend, _feasible_at, _default_bound_radius, _h_opt_capped
+from stlcbf.param_search import _ascend, _check_eq7, _feasible_at, _default_bound_radius, _h_opt_capped
 
 from oracles import naive_ascend, naive_barrier_state, random_barrier
+
+# the benchmark's random task generator, imported read-only
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import formula_text  # noqa: E402
+
+TASK_LAYOUT = StateLayout(ids=(1, 2, 3, 4), dims=(2, 2, 2, 2))
+
+
+def random_task(k, seed=7):
+    """The k-th seeded random task (seed 7 gives the tasks of
+    demos/06_search_differential.py): its units and x0 in [0, 10]^8."""
+    rng = np.random.default_rng([seed, k])
+    units = normalize(parse(formula_text(rng, k, 10.0), TASK_LAYOUT))
+    return units, rng.uniform(0.0, 10.0, size=8)
 
 
 def unit_h_x(kind="always", a=0.0, b=2.0, until_lhs=False):
@@ -37,16 +54,13 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(delta=0.0)
     with pytest.raises(ValueError):
-        SearchConfig(restarts=0)
-    with pytest.raises(ValueError):
         SearchConfig(eta_grid=())
     # NaN fails every check, and each message names its field
     for field in ("delta", "r_max", "kappa_cap"):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SearchConfig(**{field: math.nan})
-    for field, value in (("eta_grid", (20.0, math.nan)), ("restarts", 1.5), ("seed", -1)):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            SearchConfig(**{field: value})
+    with pytest.raises(ValueError, match="^eta_grid must be"):
+        SearchConfig(eta_grid=(20.0, math.nan))
     assert SearchConfig(r_max=math.inf, kappa_cap=math.inf).r_max == math.inf
 
 
@@ -54,7 +68,7 @@ def test_analytic_one_dimensional_case():
     # single always-unit with t_star = 0: r can climb to just under
     # h(x0) - delta - softmin gap
     x0 = np.array([1.0])
-    cfg = SearchConfig(delta=0.005, eta_grid=(40.0,), restarts=2, seed=0)
+    cfg = SearchConfig(delta=0.005, eta_grid=(40.0,))
     res = maximize_r([unit_h_x()], x0, cfg)
     assert res.feasible and res.barrier is not None
     gap = math.log(2) / 40.0
@@ -70,7 +84,7 @@ def test_search_is_deterministic():
         OperatorUnit("always", pred1, 0.0, 3.0),
         OperatorUnit("eventually", pred2, 1.0, 4.0),
     ]
-    cfg = SearchConfig(restarts=3, seed=5, r_max=1.5)
+    cfg = SearchConfig(r_max=1.5)
     r1 = maximize_r(units, x0, cfg)
     r2 = maximize_r(units, x0, cfg)
     assert r1.r_star == r2.r_star
@@ -103,7 +117,7 @@ def test_r_max_honored():
 def test_ball_target_caps_r():
     # eventually reach a ball of squared radius 0.64: r* < 0.64
     u = OperatorUnit("eventually", BallPredicate(np.eye(1), np.array([-2.0]), 0.64), 0.0, 3.0)
-    res = maximize_r([u], np.array([0.0]), SearchConfig(eta_grid=(40.0,), restarts=2))
+    res = maximize_r([u], np.array([0.0]), SearchConfig(eta_grid=(40.0,)))
     assert res.feasible
     assert 0.0 < res.r_star < 0.64
 
@@ -137,7 +151,7 @@ def test_feasibility_check_validates_placement_rules():
 def test_feasibility_monotone_in_r_spot():
     x0 = np.array([1.0])
     units = (unit_h_x(),)
-    cfg = SearchConfig(eta_grid=(30.0,), restarts=2)
+    cfg = SearchConfig(eta_grid=(30.0,))
     caps = (_h_opt_capped(units[0], x0),)
     d0 = _default_bound_radius(units, x0)
     win_hi, _ = _feasible_at(units, x0, 0.9, cfg, d0, caps)
@@ -151,7 +165,7 @@ def test_witness_ascent_converges():
         OperatorUnit("always", AffinePredicate(np.array([1.0, 0.0]), 1.0), 0.0, 3.0),
         OperatorUnit("eventually", AffinePredicate(np.array([0.0, 1.0]), 2.0), 1.0, 4.0),
     ]
-    res = maximize_r(units, x0, SearchConfig(restarts=2, r_max=1.0))
+    res = maximize_r(units, x0, SearchConfig(r_max=1.0))
     assert res.feasible
     for s, g in res.diagnostics["grad_norms"].items():
         assert g < 1e-6, f"ascent at switch {s} left gradient norm {g}"
@@ -195,7 +209,7 @@ def test_until_lhs_floor_recorded():
         OperatorUnit("always", lhs, 1.0, 3.0, until_lhs=True),
         OperatorUnit("eventually", rhs, 3.0, 3.0),
     ]
-    res = maximize_r(units, np.array([1.0]), SearchConfig(restarts=2, r_max=0.8))
+    res = maximize_r(units, np.array([1.0]), SearchConfig(r_max=0.8))
     assert res.feasible
     lhs_terms = [tm for tm in res.barrier.terms if tm.unit.until_lhs]
     assert len(lhs_terms) == 1
@@ -409,25 +423,29 @@ def test_floor_exit_matches_naive_ascent(demo_doc, monkeypatch):
 
 
 def test_failed_report_stops_later_ascents_at_floor(monkeypatch):
-    """In the demo construction, feasibility_check asks an ascent to stop at
-    the floor exactly when the initial margin or an earlier switch has
-    failed, and a "reached floor" switch adds no warning."""
+    """In the search on random task 5, some of whose placements fail, every
+    ascent of feasibility_check is asked to stop at the floor exactly when the
+    initial margin or an earlier switch has failed, and a "reached floor"
+    switch adds no warning."""
     from stlcbf import param_search
 
-    asked, reports = [], []
+    asked, reports, checking = [], [], []
     ascend_fn, check_fn = param_search._ascend, param_search.feasibility_check
 
     def ascend(*args, **kw):
-        asked.append(kw["stop_at_floor"])
+        if checking:
+            asked.append(kw["stop_at_floor"])
         return ascend_fn(*args, **kw)
 
     def check(*args):
+        checking.append(True)
         reports.append((args[-1], check_fn(*args)))
+        checking.clear()
         return reports[-1][1]
 
     monkeypatch.setattr(param_search, "_ascend", ascend)
     monkeypatch.setattr(param_search, "feasibility_check", check)
-    run_construct(demo_config())
+    maximize_r(*random_task(5), SearchConfig())
     expected, floor_exits = [], 0
     for delta, report in reports:
         failed = not report.initial_margin >= delta
@@ -479,3 +497,43 @@ def test_feasibility_report_records_exits_and_brackets(demo_doc):
         for s, (value, ub) in diag["ascent_brackets"].items():
             assert value == diag["switch_margins"][s] and value <= ub
             assert diag["ascent_exits"][s] in ("converged", "iteration limit", "stall", "no accepted trial")
+
+
+def test_search_quality_on_random_tasks():
+    """Random tasks 5, 11 and 17 are feasible, with r_star no lower than the
+    blind curve search found (1.0439 and 0.1154; it found no feasible r on
+    task 17), and tasks 8 and 14 stay infeasible."""
+    for k, floor in ((5, 1.0429), (11, 0.1144), (17, 0.0)):
+        res = maximize_r(*random_task(k), SearchConfig())
+        assert res.feasible and res.r_star >= floor and res.r_star > 0.0, (k, res.r_star)
+    for k in (8, 14):
+        res = maximize_r(*random_task(k), SearchConfig())
+        assert not res.feasible and res.r_star == 0.0, k
+
+
+def test_placements_clear_delta_at_their_witnesses(monkeypatch):
+    """Oracle for the closed-form placement: every placement the search sends
+    to feasibility_check on seeded random tasks passes _check_eq7, and its
+    barrier reaches delta at (x0, 0) and, in the left limit, at each switch's
+    relaxation witness -- so the ascents of the check have a start-free
+    certificate to find."""
+    from stlcbf import param_search
+
+    placed, place_fn = [], param_search._place
+
+    def record(units, x0, r, eta, delta, d0, caps, relax):
+        out = place_fn(units, x0, r, eta, delta, d0, caps, relax)
+        if out is not None:
+            placed.append((units, x0, r, eta, delta, dict(relax), out))
+        return out
+
+    monkeypatch.setattr(param_search, "_place", record)
+    for k in range(12):
+        maximize_r(*random_task(k, seed=31), SearchConfig())
+    assert len(placed) >= 30
+    for units, x0, r, eta, delta, relax, (params, radius) in placed:
+        _check_eq7(units, params, x0, r)
+        cb = build_barrier(units, params, eta=eta, bound_radius=radius)
+        assert barrier_value(cb, x0, 0.0) >= delta
+        for s, (x, _) in relax.items():
+            assert left_limit_value(cb, x, s) >= delta, (r, eta, s)

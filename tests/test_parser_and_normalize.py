@@ -66,7 +66,6 @@ def test_parse_until_and_cross_agent_expr():
     assert isinstance(f, Until) and (f.a, f.b) == (2.0, 8.0)
     lhs = f.lhs
     assert np.array_equal(lhs.pred.c, np.array([-1.0, 0.0, 1.0, 0.0]))
-    assert lhs.pred.support == frozenset({1, 2})
 
 
 def test_parse_top_level_parenthesized_conjunction():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stlcbf import AffinePredicate, BallPredicate, StateLayout, infer_support
+from stlcbf import AffinePredicate, BallPredicate, StateLayout
 from stlcbf.predicates import predicate_from_dict, predicate_to_dict
 
 
@@ -77,20 +77,23 @@ def test_affine_vectorized_matches_scalar_closely():
         assert np.allclose(p.values(X), [p.value(x) for x in X], rtol=0, atol=1e-12)
 
 
-def test_infer_support():
-    lay = StateLayout(ids=(1, 2), dims=(2, 2))
-    assert infer_support(lay, np.array([1.0, 0.0, 0.0, 0.0])) == frozenset({1})
-    assert infer_support(lay, np.array([0.0, 0.0, 0.0, 1.0])) == frozenset({2})
-    assert infer_support(lay, np.array([[1.0, 0, 0, 1.0]])) == frozenset({1, 2})
-    assert infer_support(lay, np.zeros(4)) == frozenset()
-
-
 def test_predicate_serialization_roundtrip():
-    p = AffinePredicate(np.array([1.5, -0.25]), 3.0, frozenset({1}))
+    p = AffinePredicate(np.array([1.5, -0.25]), 3.0)
     q = predicate_from_dict(predicate_to_dict(p))
-    assert np.array_equal(q.c, p.c) and q.d == p.d and q.support == p.support
-    p2 = BallPredicate(np.array([[1.0, 2.0]]), np.array([0.5]), 4.0, frozenset({1, 2}))
+    assert np.array_equal(q.c, p.c) and q.d == p.d
+    p2 = BallPredicate(np.array([[1.0, 2.0]]), np.array([0.5]), 4.0)
     q2 = predicate_from_dict(predicate_to_dict(p2))
     assert np.array_equal(q2.A, p2.A) and np.array_equal(q2.b, p2.b) and q2.e == p2.e
     with pytest.raises(ValueError):
         predicate_from_dict({"kind": "mystery"})
+
+
+def test_predicate_document_ignores_support_key():
+    """Older barrier documents carry a "support" key; it loads, whatever its
+    value, and is ignored."""
+    for doc in (predicate_to_dict(AffinePredicate(np.array([1.0, 0.0]), 2.0)),
+                predicate_to_dict(BallPredicate(np.eye(2), np.zeros(2), 1.0))):
+        assert "support" not in doc
+        for support in ([1, 2], 5, None):
+            q = predicate_from_dict({**doc, "support": support})
+            assert predicate_to_dict(q) == doc
