@@ -47,13 +47,6 @@ _ZERO_TOL = 1e-12
 class QpInfeasibleError(RuntimeError):
     """The half-space constraint has no solution (a ~ 0, rhs > 0)."""
 
-    def __init__(self, message, *, agent_id=None, t=None, rhs=None, barrier_value=None):
-        super().__init__(message)
-        self.agent_id = agent_id
-        self.t = t
-        self.rhs = rhs
-        self.barrier_value = barrier_value
-
 
 @dataclass(frozen=True, eq=False)
 class AgentModel:
@@ -294,9 +287,7 @@ def solve_agent_qp(a: np.ndarray, rhs: float) -> np.ndarray:
             nn = float(np.dot(a, a))
     limit = _ZERO_TOL * scaled  # a product, unlike ** 2, overflows to inf without raising
     if nn <= limit * limit:
-        raise QpInfeasibleError(
-            f"constraint direction vanished with rhs = {rhs:g} > 0", rhs=rhs
-        )
+        raise QpInfeasibleError(f"constraint direction vanished with rhs = {rhs:g} > 0")
     return (scaled / nn) * a
 
 
@@ -348,8 +339,7 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray) -> TeamCo
             except QpInfeasibleError as err:
                 raise QpInfeasibleError(
                     f"agent {i} infeasible at t = {t:g}: {err} "
-                    f"(barrier value {state.value:g})",
-                    agent_id=i, t=t, rhs=rhs_i, barrier_value=state.value,
+                    f"(barrier value {state.value:g})"
                 ) from None
             inputs[si] = u
             residuals[row] = float(np.dot(a_i, u)) - rhs_i

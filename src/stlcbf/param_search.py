@@ -11,19 +11,10 @@ target r subject to
 Constraint (ii) is certified by maximizing the concave map
 x -> left_limit_value(x, s_j) with projected gradient ascent; concavity makes
 any stationary point a global maximum, so the certificate is sound.
-Concavity also bounds the maximum from any iterate x with gradient g:
-max over ||y|| <= D of f(y) <= f(x) + D ||g|| - g.x (first-order concavity,
-then Cauchy-Schwarz).  An ascent stops as soon as this bound drops below
-delta: the switch is then provably infeasible, and infeasible is the
-conservative verdict, so the early stop can never pass an unsound
-certificate.  Once a report has failed (on the initial margin or an earlier
-switch), its later ascents also stop at the first iterate reaching delta
-("reached floor"): accepted steps never lower the value, so that is the
-verdict a full ascent gives, and the search reads only the verdict.
-Ascents of a report still feasible run on to the stationarity tolerance, so
-every witness the search ships is still a maximizer.  Each switch's exit
-reason and bracket [value, bound] go into the report and the search
-diagnostics.
+Concavity also bounds the maximum from the returned iterate x with gradient
+g: max over ||y|| <= D of f(y) <= f(x) + D ||g|| - g.x (first-order
+concavity, then Cauchy-Schwarz).  Each switch's exit reason and bracket
+[value, bound] go into the report and the search diagnostics.
 
 The outer search bisects on r.  Once per eta, a relaxation gives each
 switch s a witness x_s: the maximizer of the softmin over the units that have
@@ -203,35 +194,22 @@ def _upper_bound(st, x: np.ndarray, radius: float) -> float:
     return st.value + radius * _norm(g) - float(np.dot(g, x))
 
 
-def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int, tol: float,
-            floor: float = -math.inf, info: dict | None = None, stop_at_floor: bool = False):
+def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray):
     """Maximize the concave left-limit barrier value at switch s over ||x|| <= D.
 
     Projected gradient ascent with a Barzilai-Borwein step and Armijo
-    backtracking.  A trial point needs only the barrier value, so trials run
-    the kernel's value half and only the accepted one is finished into a
-    full state.  Returns (x, state, projected gradient norm, converged).
-
-    An unconverged iterate whose concavity bound _upper_bound lies below
-    floor ends the ascent: no point of the ball reaches floor, so a caller
-    that needs value >= floor stops only on a verdict already certain, the
-    conservative one.  An ascent that can reach floor runs to the stopping
-    rule as before.  The test is False for NaN and never fires at the
-    default floor.  With stop_at_floor, the ascent also ends at the first
-    unconverged iterate (the start included) whose value is >= floor: only
-    the verdict is wanted there, and it is the full ascent's, since an
-    accepted step never lowers the value.  If info is a dict, the exit
-    ("converged", "bound", "reached floor", "iteration limit", "stall" or
-    "no accepted trial") and the bound at the returned point go into
-    info["exit"] and info["ub"].
+    backtracking, until the projected gradient norm drops below _ASCENT_TOL
+    or _MAX_ASCENT_ITERS steps are taken.  A trial point needs only the
+    barrier value, so trials run the kernel's value half and only the
+    accepted one is finished into a full state.  Returns (x, state,
+    projected gradient norm, converged, exit, ub): exit is "converged",
+    "iteration limit", "stall" or "no accepted trial", and ub is
+    _upper_bound at x, so the maximum lies in [state.value, ub].
     """
     radius = cb.bound_radius
 
     def done(x, st, gnorm, why):
-        if info is not None:
-            info["exit"] = why
-            info["ub"] = _upper_bound(st, x, radius)
-        return x, st, gnorm, gnorm < tol
+        return x, st, gnorm, gnorm < _ASCENT_TOL, why, _upper_bound(st, x, radius)
 
     k = _left_interval(cb, s)
     x = _project_ball(np.asarray(x_start, dtype=float).copy(), radius)
@@ -240,7 +218,7 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int,
     prev_x = None
     prev_g = None
     stall = 0
-    for _ in range(max_iters):
+    for _ in range(_MAX_ASCENT_ITERS):
         g = st.grad_x
         gnorm = _norm(g)
         # projected gradient: remove outward component on the ball boundary
@@ -250,12 +228,8 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray, max_iters: int,
             out = float(np.dot(g, xhat))
             if out > 0.0:
                 gnorm = _norm(g - out * xhat)
-        if gnorm < tol:
+        if gnorm < _ASCENT_TOL:
             return done(x, st, gnorm, "converged")
-        if _upper_bound(st, x, radius) < floor:
-            return done(x, st, gnorm, "bound")
-        if stop_at_floor and st.value >= floor:
-            return done(x, st, gnorm, "reached floor")
         if prev_x is not None:
             ds = x - prev_x
             dy = g - prev_g
@@ -294,10 +268,7 @@ def feasibility_check(
     params,
     delta: float,
 ) -> FeasibilityReport:
-    """Check constraints (i)-(ii) for one concrete parameter choice.
-
-    Once a constraint has failed, a later switch that reaches delta gets
-    the first ascent iterate that does as its witness, not a maximizer."""
+    """Check constraints (i)-(ii) for one concrete parameter choice."""
     units = tuple(units)
     params = tuple(params)
     x0 = np.asarray(x0, dtype=float)
@@ -315,20 +286,14 @@ def feasibility_check(
         report.feasible = False
     x_start = x0
     for s in cb.schedule:
-        info = {}
-        # a failed report only needs each later switch's verdict
-        x_w, st, gnorm, converged = _ascend(
-            cb, s, x_start, _MAX_ASCENT_ITERS, _ASCENT_TOL, floor=delta, info=info,
-            stop_at_floor=not report.feasible,
-        )
+        x_w, st, gnorm, converged, why, ub = _ascend(cb, s, x_start)
         report.switch_margins[s] = st.value
         report.witnesses[s] = x_w
         report.grad_norms[s] = gnorm
         report.bound_weights[s] = float(st.weights[-1])
-        report.exits[s] = info["exit"]
-        report.brackets[s] = (st.value, info["ub"])
-        # a bound or floor exit has its verdict and is not an unconverged ascent
-        if not converged and info["exit"] not in ("bound", "reached floor"):
+        report.exits[s] = why
+        report.brackets[s] = (st.value, ub)
+        if not converged:
             report.warnings.append(
                 f"ascent at switch {s:g} stopped with gradient norm {gnorm:.2e}"
             )
@@ -358,7 +323,7 @@ def _relaxation(units, x0: np.ndarray, eta: float, d0: float, level: float) -> d
         reached = [u for u in units if u.t_star <= s <= u.deadline] + [ceiling]
         cb = build_barrier(reached, [GammaParams(0.0, 1.0, 0.0, u.t_star) for u in reached],
                            eta=eta, bound_radius=_RELAX_RADIUS * d0)
-        x, st, _, _ = _ascend(cb, s, x0, _MAX_ASCENT_ITERS, _ASCENT_TOL)
+        x, st, *_ = _ascend(cb, s, x0)
         if st.value >= floor:
             # concave along the segment from x0: its points valued >= floor form [t1, 1]
             lo, hi = 0.0, 1.0

@@ -22,6 +22,7 @@ the earlier one).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,7 @@ def _eval(f: Formula, signal: SampledSignal, t: float, cache: dict) -> float:
 def robustness(f: Formula, signal: SampledSignal, t: float = 0.0) -> float:
     """Robustness of formula f over the signal, evaluated at time t."""
     t = float(t)
-    if t < signal.times[0] - _tol(t) or t > signal.times[-1] + _tol(t):
+    # every comparison with NaN is False, and _tol(inf) is inf
+    if not math.isfinite(t) or t < signal.times[0] - _tol(t) or t > signal.times[-1] + _tol(t):
         raise ValueError(f"evaluation time {t:g} outside the signal span")
     return _eval(f, signal, t, {})

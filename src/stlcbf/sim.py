@@ -163,8 +163,8 @@ class Scenario:
     horizon: float | None = None  # defaults to the latest clique deadline
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (is_finite_number(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be a finite number > 0, got {self.dt}")
         for i in self.agents:
             if i not in self.x0:
                 raise ValueError(f"missing initial state for agent {i}")

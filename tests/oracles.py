@@ -333,7 +333,7 @@ def _solve_agent_qp(a, rhs):
         return np.zeros_like(a)
     nn = float(np.dot(a, a))
     if nn <= (_ZERO_TOL * rhs) ** 2:
-        raise QpInfeasibleError(f"constraint direction vanished with rhs = {rhs:g} > 0", rhs=rhs)
+        raise QpInfeasibleError(f"constraint direction vanished with rhs = {rhs:g} > 0")
     return (rhs / nn) * a
 
 
@@ -366,8 +366,7 @@ def naive_team_control(cliques, agents: dict, known: dict, states: dict, t: floa
             except QpInfeasibleError as err:
                 raise QpInfeasibleError(
                     f"agent {i} infeasible at t = {t:g}: {err} "
-                    f"(barrier value {state.value:g})",
-                    agent_id=i, t=t, rhs=rhs, barrier_value=state.value,
+                    f"(barrier value {state.value:g})"
                 ) from None
             inputs[i] = u
             residuals[i] = float(np.dot(a, u)) - rhs

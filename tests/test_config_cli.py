@@ -360,6 +360,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # malformed formula
     assert main(["monitor", "G[0,1](", str(outdir / "trajectory.csv")]) == 2
     capsys.readouterr()
+    # a step override that is no finite positive number
+    assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir), "--dt", "nan"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: dt must be a finite number > 0, got nan"]
     # a wrong container type is a one-line config error
     cfg3 = mini_config()
     cfg3["initial_states"]["1"] = 2.0
@@ -417,6 +420,18 @@ def test_cli_monitor_at_time(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == 1.0
     assert main(["monitor", "F[0,1](dot([1], x1) >= 0)", str(sig)]) == 0
     assert float(capsys.readouterr().out.strip()) == 5.0
+
+
+def test_cli_monitor_refuses_non_finite_time(tmp_path, capsys):
+    """--at nan and --at inf lie outside every signal span: exit 2 with one
+    stderr line, and no value printed."""
+    sig = tmp_path / "sig.csv"
+    sig.write_text("t,x1_0\n0.0,5.0\n0.5,1.0\n1.0,3.0\n")
+    for at in ("nan", "inf", "-inf"):
+        assert main(["monitor", "dot([1], x1) >= 0", str(sig), f"--at={at}"]) == 2, at
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: evaluation time {at} outside the signal span"]
 
 
 def test_cli_monitor_rejects_non_finite_signal(tmp_path, capsys):

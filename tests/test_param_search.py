@@ -16,15 +16,12 @@ from stlcbf import (
     barrier_from_dict,
     barrier_value,
     build_barrier,
-    canonical_json,
     compute_kappa,
-    demo_config,
     feasibility_check,
     left_limit_value,
     maximize_r,
     normalize,
     parse,
-    run_construct,
 )
 from stlcbf.param_search import _ascend, _check_eq7, _feasible_at, _default_bound_radius, _h_opt_capped
 
@@ -221,7 +218,24 @@ def _bits(v):
     return a.dtype, a.shape, a.tobytes()
 
 
-def test_ascend_matches_naive_oracle_bitwise(demo_doc):
+def _ascent_barriers(doc, rng):
+    """The demo barriers and seeded random ones, with and without balls."""
+    barriers = [barrier_from_dict(doc["cliques"][name]["barrier"]) for name in sorted(doc["cliques"])]
+    return barriers + [
+        random_barrier(rng, n_ball=0),
+        random_barrier(rng, dim=4, n_aff=3, n_ball=2, eta=30.0),
+        random_barrier(rng, dim=2, n_aff=1, n_ball=1, radius=3.0),
+    ]
+
+
+def _starts(rng, D, dim):
+    """A start inside the bound ball and one outside it (projected first)."""
+    u = rng.normal(size=dim)
+    u /= np.linalg.norm(u)
+    return float(rng.uniform(0.1, 0.9)) * D * u, float(rng.uniform(1.5, 3.0)) * D * u
+
+
+def test_ascend_matches_naive_oracle_bitwise(demo_doc, monkeypatch):
     """The ascent, whose Armijo trials run only the kernel's value half,
     against the ascent that evaluates a full state per trial: the same
     witness, state, gradient norm and verdict bit for bit, and a state that
@@ -229,44 +243,43 @@ def test_ascend_matches_naive_oracle_bitwise(demo_doc):
     the demo barriers and of seeded random ones (with and without balls) the
     ascent starts inside the bound ball, outside it (projected first) and at
     the previous switch's witness.  The runs with the search's own settings
-    end converged or at the iteration limit; those with tol = 0 end in a
-    stall; the NaN barrier (eta = nan) ends with no accepted trial."""
+    end converged or at the iteration limit; those with the tolerance
+    patched to 0 end in a stall; the NaN barrier (eta = nan) ends with no
+    accepted trial.  Every exit's bracket holds its value."""
+    from stlcbf import param_search
+
     _, doc, _ = demo_doc
     rng = np.random.default_rng(83)
-    barriers = [barrier_from_dict(doc["cliques"][name]["barrier"]) for name in sorted(doc["cliques"])]
-    barriers += [
-        random_barrier(rng, n_ball=0),
-        random_barrier(rng, dim=4, n_aff=3, n_ball=2, eta=30.0),
-        random_barrier(rng, dim=2, n_aff=1, n_ball=1, radius=3.0),
-        random_barrier(rng, dim=2, n_aff=2, n_ball=0, eta=math.nan),
-    ]
-    verdicts = Counter()
+    barriers = _ascent_barriers(doc, rng) + [random_barrier(rng, dim=2, n_aff=2, n_ball=0, eta=math.nan)]
+    verdicts, exits = Counter(), Counter()
     for cb in barriers:
         D = cb.bound_radius
         witness = np.zeros(cb.dim)
         for s in cb.schedule:
-            u = rng.normal(size=cb.dim)
-            u /= np.linalg.norm(u)
-            inside = float(rng.uniform(0.1, 0.9)) * D * u
-            outside = float(rng.uniform(1.5, 3.0)) * D * u
+            inside, outside = _starts(rng, D, cb.dim)
             runs = ((inside, 600, 1e-6), (outside, 600, 1e-6), (witness, 600, 1e-6), (inside, 1000, 0.0))
             for i, (x_start, max_iters, tol) in enumerate(runs):
-                x, st, gnorm, converged = _ascend(cb, s, x_start, max_iters, tol)
+                monkeypatch.setattr(param_search, "_MAX_ASCENT_ITERS", max_iters)
+                monkeypatch.setattr(param_search, "_ASCENT_TOL", tol)
+                x, st, gnorm, converged, why, ub = _ascend(cb, s, x_start)
                 rx, rst, rgnorm, rconverged = naive_ascend(cb, s, x_start, max_iters, tol)
                 assert _bits(x) == _bits(rx), s
                 for name in ("value", "grad_x", "dbdt", "weights", "active", "term_values"):
                     assert _bits(getattr(st, name)) == _bits(getattr(rst, name)), (s, name)
                 assert _bits(gnorm) == _bits(rgnorm) and converged is rconverged
+                exits[why] += 1
                 if not math.isnan(st.value):  # and it is the state at the witness
                     ref = naive_barrier_state(cb, x, s, left_limit=True)
                     for name in ("value", "grad_x", "dbdt", "weights"):
                         got, want = np.atleast_1d(getattr(st, name)), np.atleast_1d(ref[name])
                         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), name
+                    assert st.value <= ub + 1e-12 * max(1.0, abs(ub)), (s, why)
                 verdicts[converged, math.isnan(st.value)] += 1
                 if i == 0:
                     next_witness = x
             witness = next_witness
     assert verdicts[True, False] > 0 and verdicts[False, False] > 0 and verdicts[False, True] > 0
+    assert set(exits) == {"converged", "iteration limit", "stall", "no accepted trial"}, exits
 
 
 def test_nan_margin_is_infeasible():
@@ -284,23 +297,6 @@ def test_nan_margin_is_infeasible():
     assert not report.feasible
     assert math.isnan(report.initial_margin)
     assert list(report.switch_margins) == [6.0] and math.isnan(report.switch_margins[6.0])
-
-
-def _ascent_barriers(doc, rng):
-    """The demo barriers and seeded random ones, with and without balls."""
-    barriers = [barrier_from_dict(doc["cliques"][name]["barrier"]) for name in sorted(doc["cliques"])]
-    return barriers + [
-        random_barrier(rng, n_ball=0),
-        random_barrier(rng, dim=4, n_aff=3, n_ball=2, eta=30.0),
-        random_barrier(rng, dim=2, n_aff=1, n_ball=1, radius=3.0),
-    ]
-
-
-def _starts(rng, D, dim):
-    """A start inside the bound ball and one outside it (projected first)."""
-    u = rng.normal(size=dim)
-    u /= np.linalg.norm(u)
-    return float(rng.uniform(0.1, 0.9)) * D * u, float(rng.uniform(1.5, 3.0)) * D * u
 
 
 def test_upper_bound_dominates_naive_maximum(demo_doc, monkeypatch):
@@ -330,7 +326,7 @@ def test_upper_bound_dominates_naive_maximum(demo_doc, monkeypatch):
             best = max(naive_ascend(cb, s, x, 600, 1e-6)[1].value for x in starts)
             for x_start in starts:
                 seen.clear()
-                _ascend(cb, s, x_start, 600, 1e-6)
+                _ascend(cb, s, x_start)
                 assert len(seen) > 1
                 for x, st in seen:
                     ub = param_search._upper_bound(st, x, D)
@@ -339,157 +335,26 @@ def test_upper_bound_dominates_naive_maximum(demo_doc, monkeypatch):
     assert checked > 1000
 
 
-def test_bound_exit_verdict_matches_naive_ascent(demo_doc):
-    """With a floor, an ascent that stops on the bound has the verdict a
-    full naive_ascend from the same start reaches (value below the floor),
-    and an ascent that does not stop on it is naive_ascend's bit for bit.
-    Floors sit on both sides of the value naive_ascend reaches, and the
-    demo barriers also get their own delta."""
-    _, doc, _ = demo_doc
-    rng = np.random.default_rng(101)
-    deltas = {doc["cliques"][name]["diagnostics"]["delta"] for name in doc["cliques"]}
-    exits = Counter()
-    for cb in _ascent_barriers(doc, rng):
-        for s in cb.schedule:
-            for x_start in _starts(rng, cb.bound_radius, cb.dim):
-                rx, rst, rgnorm, rconverged = naive_ascend(cb, s, x_start, 600, 1e-6)
-                v = rst.value
-                for floor in sorted(deltas) + [v - 0.05, v - 1e-3, v + 1e-3, v + 0.05]:
-                    info = {}
-                    x, st, gnorm, converged = _ascend(cb, s, x_start, 600, 1e-6, floor=floor, info=info)
-                    exits[info["exit"]] += 1
-                    assert st.value <= info["ub"] + 1e-12 * max(1.0, abs(info["ub"]))
-                    if info["exit"] == "bound":
-                        assert info["ub"] < floor and v < floor, (s, floor, v)
-                        assert not converged
-                    else:
-                        assert _bits(x) == _bits(rx) and _bits(st.value) == _bits(v)
-                        assert _bits(gnorm) == _bits(rgnorm) and converged is rconverged
-                    assert (st.value >= floor) == (v >= floor)
-    assert exits["bound"] > 0 and exits["converged"] > 0
-
-
-def test_floor_exit_matches_naive_ascent(demo_doc, monkeypatch):
-    """With stop_at_floor, a "reached floor" exit returns naive_ascend's
-    iterate after the same number of accepted steps, bit for bit, and it is
-    the first iterate with value >= floor; any other exit returns what the
-    full ascent returns; and the verdict (value >= floor) is the full
-    ascent's.  Same barriers as test_ascend_matches_naive_oracle_bitwise,
-    with floors on both sides of the value the full ascent reaches."""
-    from stlcbf import param_search
-
-    _, doc, _ = demo_doc
-    rng = np.random.default_rng(83)
-    barriers = _ascent_barriers(doc, rng) + [random_barrier(rng, dim=2, n_aff=2, n_ball=0, eta=math.nan)]
-    deltas = {doc["cliques"][name]["diagnostics"]["delta"] for name in doc["cliques"]}
-    steps, finish = [], param_search._finish
-
-    def counted(*args):
-        steps.append(None)
-        return finish(*args)
-
-    monkeypatch.setattr(param_search, "_finish", counted)
-    exits, floor_steps = Counter(), set()
-    for cb in barriers:
-        for s in cb.schedule:
-            for x_start in _starts(rng, cb.bound_radius, cb.dim):
-                rx, rst, rgnorm, rconverged = naive_ascend(cb, s, x_start, 600, 1e-6)
-                v = rst.value
-                for floor in sorted(deltas) + [-math.inf, v - 0.05, v - 1e-3, v + 1e-3, v + 0.05]:
-                    info = {}
-                    steps.clear()
-                    x, st, gnorm, converged = _ascend(
-                        cb, s, x_start, 600, 1e-6, floor=floor, info=info, stop_at_floor=True
-                    )
-                    exits[info["exit"]] += 1
-                    if info["exit"] == "reached floor":
-                        n = len(steps)
-                        floor_steps.add(min(n, 1))
-                        assert st.value >= floor and not converged and gnorm >= 1e-6
-                        nx, nst, _, _ = naive_ascend(cb, s, x_start, n, 1e-6)
-                        assert _bits(x) == _bits(nx), (s, floor, n)
-                        for name in ("value", "grad_x", "dbdt", "weights", "active", "term_values"):
-                            assert _bits(getattr(st, name)) == _bits(getattr(nst, name)), (s, name)
-                        if n > 0:
-                            assert not naive_ascend(cb, s, x_start, n - 1, 1e-6)[1].value >= floor
-                    elif info["exit"] == "bound":
-                        assert info["ub"] < floor and v < floor, (s, floor, v)
-                    else:
-                        assert _bits(x) == _bits(rx) and _bits(st.value) == _bits(v)
-                        assert _bits(gnorm) == _bits(rgnorm) and converged is rconverged
-                    assert (st.value >= floor) == (v >= floor)
-    assert exits["reached floor"] > 0 and exits["bound"] > 0 and floor_steps == {0, 1}
-    assert exits["iteration limit"] > 0 and exits["no accepted trial"] > 0
-
-
-def test_failed_report_stops_later_ascents_at_floor(monkeypatch):
-    """In the search on random task 5, some of whose placements fail, every
-    ascent of feasibility_check is asked to stop at the floor exactly when the
-    initial margin or an earlier switch has failed, and a "reached floor"
-    switch adds no warning."""
-    from stlcbf import param_search
-
-    asked, reports, checking = [], [], []
-    ascend_fn, check_fn = param_search._ascend, param_search.feasibility_check
-
-    def ascend(*args, **kw):
-        if checking:
-            asked.append(kw["stop_at_floor"])
-        return ascend_fn(*args, **kw)
-
-    def check(*args):
-        checking.append(True)
-        reports.append((args[-1], check_fn(*args)))
-        checking.clear()
-        return reports[-1][1]
-
-    monkeypatch.setattr(param_search, "_ascend", ascend)
-    monkeypatch.setattr(param_search, "feasibility_check", check)
-    maximize_r(*random_task(5), SearchConfig())
-    expected, floor_exits = [], 0
-    for delta, report in reports:
-        failed = not report.initial_margin >= delta
-        for s, exit in report.exits.items():
-            expected.append(failed)
-            if exit == "reached floor":
-                floor_exits += 1
-                assert failed and report.switch_margins[s] >= delta
-                assert not any(f"switch {s:g} " in w for w in report.warnings)
-            failed = failed or not report.switch_margins[s] >= delta
-    assert asked == expected and floor_exits > 0
-
-
-def test_floor_exit_leaves_construction_unchanged(demo_doc, monkeypatch):
-    """The demo construction gives the same document when every ascent
-    ignores stop_at_floor and runs to its full stopping rule."""
-    from stlcbf import param_search
-
-    ascend_fn = param_search._ascend
-
-    def full(*args, stop_at_floor=False, **kw):
-        return ascend_fn(*args, **kw)
-
-    monkeypatch.setattr(param_search, "_ascend", full)
-    assert canonical_json(run_construct(demo_config())) == canonical_json(demo_doc[1])
-
-
 def test_feasibility_report_records_exits_and_brackets(demo_doc):
     """Every switch gets an exit reason and a bracket [value, bound] around
-    the maximum; a bound exit adds no 'stopped with gradient norm' warning.
-    The search copies both into its diagnostics."""
+    the maximum, and the search copies both into its diagnostics.  The
+    ascent does not depend on delta: with delta = 5.0, above the bound, the
+    report fails on the same converged maximum that passes delta = 0.01."""
     layout = StateLayout(ids=(1,), dims=(2,))
     units = normalize(parse("G[0,6](dot([0,1], x1) >= 0) & F[2,6](norm_inf(x1 - [3,2]) <= 1)", layout))
     x0 = np.array([0.0, 1.0])
     r = 0.9
     curves = [(0.95, 1.05), (0.8, 1.02), (-2.2, 1.02), (0.4, 1.02), (-0.2, 1.02)]
     params = [GammaParams.from_target(g0, gi, r, u.t_star) for u, (g0, gi) in zip(units, curves)]
-    for delta, exit in ((0.01, "converged"), (5.0, "bound")):
-        report = feasibility_check(units, x0, r, 20.0, 10.0, params, delta)
-        assert report.feasible is (delta == 0.01)
-        assert report.exits == {6.0: exit} and report.warnings == []
+    passed, failed = (feasibility_check(units, x0, r, 20.0, 10.0, params, delta) for delta in (0.01, 5.0))
+    assert passed.feasible and not failed.feasible
+    for report in (passed, failed):
+        assert report.exits == {6.0: "converged"} and report.warnings == []
         value, ub = report.brackets[6.0]
-        assert value == report.switch_margins[6.0] <= ub
-        assert (ub < delta) is (exit == "bound")
+        assert value == report.switch_margins[6.0] <= ub < 5.0
+        assert value == pytest.approx(0.0306853, abs=1e-7) and ub == pytest.approx(value, abs=1e-8)
+    assert _bits(failed.witnesses[6.0]) == _bits(passed.witnesses[6.0])
+    assert failed.brackets == passed.brackets
     _, doc, _ = demo_doc
     for entry in doc["cliques"].values():
         diag = entry["diagnostics"]
@@ -497,6 +362,36 @@ def test_feasibility_report_records_exits_and_brackets(demo_doc):
         for s, (value, ub) in diag["ascent_brackets"].items():
             assert value == diag["switch_margins"][s] and value <= ub
             assert diag["ascent_exits"][s] in ("converged", "iteration limit", "stall", "no accepted trial")
+
+
+def test_failed_reports_hold_naive_maxima(monkeypatch):
+    """Every switch of every failed report in the search on random task 5
+    holds what naive_ascend reaches from the same chained start (x0, then
+    the previous switch's witness), bit for bit: a failed report's witnesses
+    and margins are maxima, as a feasible report's are."""
+    from stlcbf import param_search
+
+    calls, check_fn = [], param_search.feasibility_check
+
+    def check(units, x0, r, eta, bound_radius, params, delta):
+        report = check_fn(units, x0, r, eta, bound_radius, params, delta)
+        calls.append((units, x0, eta, bound_radius, params, report))
+        return report
+
+    monkeypatch.setattr(param_search, "feasibility_check", check)
+    maximize_r(*random_task(5), SearchConfig())
+    failed = [c for c in calls if not c[-1].feasible]
+    assert failed
+    for units, x0, eta, bound_radius, params, report in failed:
+        cb = build_barrier(units, params, eta=eta, bound_radius=bound_radius)
+        assert list(report.witnesses) == list(cb.schedule)
+        x_start = x0
+        for s in cb.schedule:
+            rx, rst, rgnorm, _ = naive_ascend(cb, s, x_start, 600, 1e-6)
+            assert _bits(report.witnesses[s]) == _bits(rx), (eta, s)
+            assert _bits(report.switch_margins[s]) == _bits(rst.value), (eta, s)
+            assert _bits(report.grad_norms[s]) == _bits(rgnorm), (eta, s)
+            x_start = rx
 
 
 def test_search_quality_on_random_tasks():

@@ -94,8 +94,9 @@ def test_secondary_controls_formula():
 def test_scenario_validation():
     clique = passive_clique()
     agents = {1: AgentModel(agent_id=1, state_dim=2)}
-    with pytest.raises(ValueError, match="dt must be positive"):
-        Scenario(agents=agents, cliques=(clique,), x0={1: np.zeros(2)}, dt=0.0)
+    for dt, shown in ((0.0, "0.0"), (math.nan, "nan"), (math.inf, "inf")):
+        with pytest.raises(ValueError, match=f"^dt must be a finite number > 0, got {shown}$"):
+            Scenario(agents=agents, cliques=(clique,), x0={1: np.zeros(2)}, dt=dt)
     with pytest.raises(ValueError, match="missing initial state"):
         Scenario(agents=agents, cliques=(clique,), x0={})
     with pytest.raises(ValueError, match="partition"):
