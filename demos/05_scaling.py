@@ -8,10 +8,12 @@ agent.  This script measures that: it constructs the demo's three-agent
 formation clique once, builds K translated copies of it (N = 3K agents, one
 clique per copy, each agent also pulled weakly toward its counterpart in the
 previous copy), runs the closed loop for a fixed number of steps and prints
-microseconds per step against N.  It reads and writes no files.
+microseconds per step against N.  It reads and writes no files, and exits
+with status 1 when a run does not complete.
 """
 
 import copy
+import sys
 import time
 
 import numpy as np
@@ -77,17 +79,20 @@ def scenario(k: int, seed: int) -> Scenario:
 
 print(f"\n{'N':>4} {'cliques':>8} {'us/step':>9} {'us/step/agent':>14}  completed")
 rows = []
+incomplete = 0
 for k in COPIES:
-    times = []
+    times, completed = [], []
     for seed in range(3):
         sc = scenario(k, seed)
         t0 = time.perf_counter()
         log = run(sc)
         times.append(time.perf_counter() - t0)
+        completed.append(log.completed)
+    incomplete += completed.count(False)
     us = 1e6 * min(times) / STEPS
     n = 3 * k
     rows.append((n, us))
-    print(f"{n:>4} {k:>8} {us:>9.0f} {us / n:>14.1f}  {log.completed}")
+    print(f"{n:>4} {k:>8} {us:>9.0f} {us / n:>14.1f}  {all(completed)}")
 
 # least-squares line through the points: fixed cost plus cost per agent
 n_arr, us_arr = (np.array(v, dtype=float) for v in zip(*rows))
@@ -95,3 +100,6 @@ slope, icpt = np.polyfit(n_arr, us_arr, 1)
 resid = us_arr - (slope * n_arr + icpt)
 print(f"\nfit: {icpt:.0f} us + {slope:.1f} us per agent; "
       f"largest deviation from the line {np.max(np.abs(resid) / us_arr):.1%} of the point")
+if incomplete:
+    print(f"{incomplete} runs did not complete", file=sys.stderr)
+    sys.exit(1)

@@ -14,10 +14,12 @@ condition under any disturbance with ||c_i|| <= C.  The single-constraint QP
 has the closed-form solution u = max(rhs, 0) / ||a||^2 * a.
 
 team_control evaluates the law for a whole team on one stacked state vector
-(see Team): one barrier evaluation per live clique, the members' block
-norms, shares and right-hand sides as vectors, then the closed form per
-agent.  Every float operation is the one the per-agent law takes, in the
-same order, so the stacked step reproduces it bit for bit.
+(see Team): one barrier evaluation per live clique, then one pass of
+team-wide vector operations for every agent's block norm, share, half-space
+and closed-form input (Team.half_spaces).  Every float operation is the one
+the per-agent law takes, in the same order, and each row-wise dot product
+runs np.dot's kernel on the agent's own block (see _Blocks), so the stacked
+step reproduces the per-agent law bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import CompositeBarrier, BarrierState, barrier_state
+from .barrier import CompositeBarrier, barrier_state
 from .predicates import StateLayout
 
 __all__ = [
@@ -73,27 +75,42 @@ class AgentModel:
             object.__setattr__(self, "input_map", g)
 
 
-class _BlockNorms:
-    """Euclidean norm of every agent block of vectors in one state layout.
+class _Blocks:
+    """Dot products and Euclidean norms of the agent blocks of vectors in one
+    state layout, over the last axis (leading axes are kept).
 
-    Each norm equals np.linalg.norm of its block bit for bit: np.vecdot runs
-    the same dot kernel on each row of the reshaped vector, while einsum,
-    (v * v).sum() and hypot round differently in a fifth to a third of cases.
-    Layouts with blocks of mixed size take the norms block by block.
+    Blocks of one size are gathered into rows and reduced with np.vecdot, which
+    runs np.dot's kernel on each row, so every entry equals np.dot of its two
+    blocks, and every norm np.linalg.norm of its block, bit for bit.  einsum,
+    (v * v).sum() and hypot round differently in a fifth to a third of cases,
+    and zero-padding blocks to one length changes the kernel's blocking once a
+    padded row reaches 16 entries.
     """
 
-    __slots__ = ("_shape", "_slices")
+    __slots__ = ("_shape", "_groups", "_n")
 
     def __init__(self, layout: StateLayout):
         dims = layout.dims
+        self._n = len(dims)
         self._shape = (len(dims), dims[0]) if len(set(dims)) == 1 else None
-        self._slices = tuple(layout.slices().values())
+        offsets = np.cumsum((0,) + dims)
+        groups = []
+        for d in sorted(set(dims)):
+            rows = [r for r, e in enumerate(dims) if e == d]
+            groups.append((np.array(rows), np.array([np.arange(offsets[r], offsets[r] + d) for r in rows])))
+        self._groups = tuple(groups)
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
+    def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self._shape is not None:
-            rows = v.reshape(self._shape)
-            return np.sqrt(np.vecdot(rows, rows))
-        return np.array([math.sqrt(float(v[s] @ v[s])) for s in self._slices])
+            shape = u.shape[:-1] + self._shape
+            return np.vecdot(u.reshape(shape), v.reshape(shape))
+        out = np.empty(u.shape[:-1] + (self._n,))
+        for rows, idx in self._groups:
+            out[..., rows] = np.vecdot(u[..., idx], v[..., idx])
+        return out
+
+    def norms(self, v: np.ndarray) -> np.ndarray:
+        return np.sqrt(self.dot(v, v))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +134,7 @@ class Clique:
             raise ValueError("coupling bound must be >= 0")
         if self.kappa <= 0.0:
             raise ValueError("kappa must be positive")
-        object.__setattr__(self, "_norms", _BlockNorms(self.layout))
+        object.__setattr__(self, "_norms", _Blocks(self.layout).norms)
 
     @property
     def n_hat(self) -> float:
@@ -147,10 +164,10 @@ class Team:
     ascending id order; the inputs are stacked the same way in input_layout.
     Per clique the team keeps the index array of its stacked state in the
     team vector and its members' rows, and per agent the constant input map,
-    drift and coupling bound, so that a step builds no per-agent dicts and
-    no identity matrices.  An agent may belong to at most one clique.  known
-    holds the ids of the agents whose constraint models their secondary
-    input f_u.
+    drift, clique, n_hat and coupling bound, so that a step builds no
+    per-agent dicts and no identity matrices.  An agent may belong to at most
+    one clique.  known holds the ids of the agents whose constraint models
+    their secondary input f_u.
     """
 
     def __init__(self, cliques, agents: dict, known=()):
@@ -171,7 +188,10 @@ class Team:
         self.rows = {i: r for r, i in enumerate(self.ids)}
         self.blocks = self.layout.slices()
         self.input_blocks = self.input_layout.slices()
-        self.block_norms = _BlockNorms(self.layout)
+        state_blocks = _Blocks(self.layout)
+        self.block_norms = state_blocks.norms
+        self._block_dot = state_blocks.dot
+        self._input_dot = _Blocks(self.input_layout).dot
         self._drifts = tuple((self.blocks[m.agent_id], m.drift) for m in models if m.drift is not None)
         # (state block, input block, g or None for identity) of every agent,
         # kept only when some agent has an input map
@@ -180,10 +200,30 @@ class Team:
             self._maps = tuple(
                 (self.blocks[m.agent_id], self.input_blocks[m.agent_id], m.input_map) for m in models
             )
-        self.parts = tuple(_CliquePart(cl, self, agents) for cl in self.cliques)
-        self.coupling_bounds = np.full(len(self.ids), math.inf)  # no clique, no bound
-        for part in self.parts:
-            self.coupling_bounds[part.rows] = part.clique.coupling_bound
+        # (clique, index array of its stacked state, its members' team rows)
+        self._parts = tuple(
+            (cl, np.concatenate([np.arange(self.blocks[i].start, self.blocks[i].stop) for i in cl.members]),
+             [self.rows[i] for i in cl.members])
+            for cl in self.cliques
+        )
+        self._order = [r for _, _, rows in self._parts for r in rows]  # clique by clique
+        # per agent: its clique's index (len(cliques) for none), n_hat and
+        # coupling bound; an agent of no clique gets 0 for both, so its demand
+        # is 0 rather than 0 * inf
+        n = len(self.ids)
+        self._clique_of = np.full(n, len(self.cliques))
+        self._n_hat = np.zeros(n)
+        self._bound = np.zeros(n)
+        for c, (cl, _, rows) in enumerate(self._parts):
+            self._clique_of[rows] = c
+            self._n_hat[rows] = cl.n_hat
+            self._bound[rows] = cl.coupling_bound
+        self.coupling_bounds = np.where(self._clique_of < len(self.cliques), self._bound, math.inf)
+        # where each agent's share denominator and load sit in the per-clique
+        # list that half_spaces builds each step; the agent row of each input entry
+        self._pick = np.stack([self._clique_of, self._clique_of + len(self.cliques) + 1])
+        self._input_row = np.repeat(np.arange(n), self.input_layout.dims)
+        self._known_rows = np.array([i in self.known for i in self.ids]) if self.known else None
 
     def stack(self, states: dict) -> np.ndarray:
         """Team vector of per-agent states."""
@@ -214,56 +254,61 @@ class Team:
             out[s] = u[si] if g is None else g @ u[si]
         return out
 
+    def half_spaces(self, x: np.ndarray, t: float, drift: np.ndarray, f_u: np.ndarray) -> tuple:
+        """Every agent's half-space a_i'u_i >= rhs_i at time t, from one barrier
+        evaluation per live clique and then team-wide vector operations.
 
-class _CliquePart:
-    """One clique's index arrays into the team layout and its members' constants."""
-
-    __slots__ = ("clique", "idx", "rows", "n_hat", "members", "drifted", "known")
-
-    def __init__(self, cl: Clique, team: Team, agents: dict):
-        self.clique = cl
-        blocks = [team.blocks[i] for i in cl.members]
-        self.idx = np.concatenate([np.arange(b.start, b.stop) for b in blocks])
-        self.rows = np.array([team.rows[i] for i in cl.members], dtype=np.intp)
-        self.n_hat = cl.n_hat
-        # (agent id, team row, clique block, input block, g transposed or None)
-        self.members = tuple(
-            (i, team.rows[i], cl.block(i), team.input_blocks[i],
-             None if agents[i].input_map is None else agents[i].input_map.T)
-            for i in cl.members
-        )
-        self.drifted = tuple(
-            (j, cl.block(i), team.blocks[i])
-            for j, i in enumerate(cl.members) if agents[i].drift is not None
-        )
-        self.known = tuple(
-            (j, cl.block(i), team.input_blocks[i], agents[i].input_map)
-            for j, i in enumerate(cl.members) if i in team.known
-        )
-
-    def constraints(self, state: BarrierState, drift: np.ndarray, f_u: np.ndarray) -> tuple:
-        """Block norms, shares, and the half-spaces a_i'u >= rhs_i of every member,
-        from the stacked drift and secondary input of the team.
-
-        The float operations are those of the per-agent law, member by member:
-        rhs = ||db/dx_i|| n_hat C - N_i (db/dt + kappa b) - (db/dx_i) f_i
-        [- (db/dx_i) g_i f_u if known], evaluated left to right; with an
-        identity map a_i is the gradient block itself (see Team.input_effect).
+        Returns (grad, barrier values, block norms, shares, a, ||a_i||^2,
+        rhs): grad (dim,) holds each agent's block of its clique's barrier
+        gradient, a (input_dim,) the directions g_i' grad_i (grad_i itself
+        for an identity map, see input_effect), and per agent
+            rhs_i = ||grad_i|| n_hat C - N_i (db/dt + kappa b) - grad_i' f_i
+                    [- grad_i' g_i f_u_i if known].
+        The float operations are those of the per-agent law, left to right;
+        each clique's share denominator is summed in member order, as
+        Clique.shares does.  A clique past its final deadline (value nan)
+        gives its members zero gradient, share and rhs, as agents outside
+        every clique get.
         """
-        cl = self.clique
-        grad = state.grad_x
-        norms = cl.block_norms(grad)
-        shares = cl.shares(norms)
-        rhs = norms * self.n_hat * cl.coupling_bound - shares * (state.dbdt + cl.kappa * state.value)
-        if self.drifted:
-            gf = np.zeros(len(norms))
-            for j, blk, s in self.drifted:
-                gf[j] = float(np.dot(grad[blk], drift[s]))
-            rhs = rhs - gf
-        for j, blk, si, g in self.known:
-            rhs[j] -= float(np.dot(grad[blk], f_u[si] if g is None else g @ f_u[si]))
-        a = [grad[blk] if gt is None else gt @ grad[blk] for _, _, blk, _, gt in self.members]
-        return norms, shares, a, rhs
+        n_c = len(self._parts)
+        grad = np.zeros(self.dim)
+        values = np.full(n_c, math.nan)
+        # per clique, and last for agents of none: share denominator (inf
+        # gives share 0), then db/dt + kappa b
+        per_clique = [math.inf] * (n_c + 1) + [0.0] * (n_c + 1)
+        live = []
+        for c, (cl, idx, rows) in enumerate(self._parts):
+            if t >= cl.barrier.horizon - 1e-12:
+                continue
+            state = barrier_state(cl.barrier, x[idx], t)
+            grad[idx] = state.grad_x
+            values[c] = state.value
+            per_clique[n_c + 1 + c] = state.dbdt + cl.kappa * state.value
+            live.append((c, rows))
+        sq = self._block_dot(grad, grad)
+        norms = np.sqrt(sq)
+        listed = norms.tolist()
+        fallback = []
+        for c, rows in live:
+            per_clique[c] = sum([listed[r] for r in rows])
+            if per_clique[c] <= _ZERO_TOL:  # vanishing gradient: each member takes the whole load
+                fallback += rows
+                per_clique[c] = 1.0
+        den, load = np.array(per_clique)[self._pick]
+        shares = norms / den
+        if fallback:
+            shares[fallback] = 1.0
+        rhs = norms * self._n_hat * self._bound - shares * load
+        if self._drifts:
+            rhs = rhs - self._block_dot(grad, drift)
+        if self._known_rows is not None:
+            rhs = rhs - np.where(self._known_rows, self._block_dot(grad, self.input_effect(f_u)), 0.0)
+        if not self._maps:
+            return grad, values, norms, shares, grad, sq, rhs
+        a = np.empty(self.input_dim)
+        for s, si, g in self._maps:
+            a[si] = grad[s] if g is None else g.T @ grad[s]
+        return grad, values, norms, shares, a, self._input_dot(a, a), rhs
 
 
 def solve_agent_qp(a: np.ndarray, rhs: float) -> np.ndarray:
@@ -311,39 +356,35 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray) -> TeamCo
     """Evaluate every agent's QP at time t from the stacked team state x and
     the stacked secondary input f_u (read only for the members in team.known).
 
-    A clique past its final deadline has no remaining obligations; its members
-    get zero input, share and residual from it, as do agents outside every
-    clique.
+    The closed form runs on the whole team at once: u_i = (rhs_i / ||a_i||^2)
+    a_i where rhs_i > 0, else +0, which is solve_agent_qp's own arithmetic.  A
+    row whose ||a_i||^2 may lie below the normal range or at most
+    (_ZERO_TOL rhs_i)^2 goes through solve_agent_qp itself, so the rescaled
+    input and the infeasibility error keep one definition.  A clique past its
+    final deadline has no remaining obligations; its members get zero input,
+    share and residual from it, as do agents outside every clique.
     """
-    n = len(team.ids)
     drift = team.drift(x, t)
-    inputs = np.zeros(team.input_dim)
-    residuals = np.zeros(n)
-    shares = np.zeros(n)
-    grad = np.zeros(team.dim)
-    grad_norms = np.zeros(n)
-    values = np.full(len(team.parts), math.nan)
-    for c, part in enumerate(team.parts):
-        cl = part.clique
-        if t >= cl.barrier.horizon - 1e-12:
-            continue
-        state = barrier_state(cl.barrier, x[part.idx], t)
-        values[c] = state.value
-        norms, sh, a, rhs = part.constraints(state, drift, f_u)
-        grad[part.idx] = state.grad_x
-        grad_norms[part.rows] = norms
-        shares[part.rows] = sh
-        for (i, row, _, si, _), a_i, rhs_i in zip(part.members, a, rhs.tolist()):
-            try:
-                u = solve_agent_qp(a_i, rhs_i)
-            except QpInfeasibleError as err:
-                raise QpInfeasibleError(
-                    f"agent {i} infeasible at t = {t:g}: {err} "
-                    f"(barrier value {state.value:g})"
-                ) from None
-            inputs[si] = u
-            residuals[row] = float(np.dot(a_i, u)) - rhs_i
+    grad, values, norms, shares, a, nn, rhs = team.half_spaces(x, t, drift, f_u)
+    active = ~(rhs <= 0.0)  # a nan rhs gives a nan input, as in solve_agent_qp
+    # a superset of those rows: nn <= limit * limit gives sqrt(nn) <= 2 limit
+    # after rounding, and nn below the smallest normal sqrt(nn) < 1.5e-154
+    odd = active & ((norms if a is grad else np.sqrt(nn)) <= 2.0 * _ZERO_TOL * rhs + 1.5e-154)
+    odd_rows = odd.nonzero()[0]
+    if odd_rows.size:
+        active &= ~odd
+    coef = np.divide(rhs, nn, out=np.zeros(len(rhs)), where=active)
+    u = np.multiply(coef[team._input_row], a, out=np.zeros(team.input_dim), where=active[team._input_row])
+    for r in sorted(odd_rows.tolist(), key=team._order.index):  # the per-agent law's order
+        si = team.input_blocks[team.ids[r]]
+        try:
+            u[si] = solve_agent_qp(a[si], float(rhs[r]))
+        except QpInfeasibleError as err:
+            raise QpInfeasibleError(
+                f"agent {team.ids[r]} infeasible at t = {t:g}: {err} "
+                f"(barrier value {values[team._clique_of[r]]:g})"
+            ) from None
     return TeamControl(
-        inputs=inputs, residuals=residuals, shares=shares, grad=grad,
-        grad_norms=grad_norms, drift=drift, barrier_values=values,
+        inputs=u, residuals=team._input_dot(a, u) - rhs, shares=shares, grad=grad,
+        grad_norms=norms, drift=drift, barrier_values=values,
     )

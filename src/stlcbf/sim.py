@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import Clique, QpInfeasibleError, Team, TeamControl, team_control
+from .controller import Clique, QpInfeasibleError, Team, team_control
 from .predicates import StateLayout, is_finite_number
 from .robustness import SampledSignal, robustness
 
@@ -120,6 +120,10 @@ class SecondaryControlSpec:
             raise ValueError(f"unknown secondary control kind {self.kind!r}")
         if self.kind == "scripted" and self.scripted is None:
             raise ValueError("scripted secondary control needs a callable")
+        if not is_finite_number(self.gain):
+            raise ValueError(f"secondary gain must be a finite number, got {self.gain!r}")
+        if not (is_finite_number(self.softening) and self.softening > 0.0):
+            raise ValueError(f"secondary softening must be a finite number > 0, got {self.softening!r}")
 
 
 def pairwise_repulsion(points: np.ndarray, gain: float, softening: float) -> np.ndarray:
@@ -128,12 +132,11 @@ def pairwise_repulsion(points: np.ndarray, gain: float, softening: float) -> np.
     (x_i - x_j) / (||x_i - x_j|| + softening)."""
     diff = points[:, None, :] - points[None, :, :]
     scale = np.sqrt(np.vecdot(diff, diff)) + softening
-    np.fill_diagonal(scale, 1.0)  # the j == i term is then exactly 0 and adds nothing
+    scale.ravel()[:: len(points) + 1] = 1.0  # the j == i term is then exactly 0 and adds nothing
     terms = diff / scale[..., None]
-    fu = np.zeros_like(points)
-    for j in range(points.shape[0]):
-        fu = fu + terms[:, j]
-    return gain * fu
+    # a sequential sum over j: np.sum pairs terms up for groups of 8 or more,
+    # and starting from the j == i term's +0 instead of 0 changes no bit
+    return gain * np.add.accumulate(terms, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.distribution not in ("uniform_ball", "adversarial", "none"):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
-        if self.bound < 0.0:
-            raise ValueError("noise bound must be >= 0")
+        if not (is_finite_number(self.bound) and self.bound >= 0.0):
+            raise ValueError(f"noise bound must be a finite number >= 0, got {self.bound!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,26 +219,49 @@ class TrajectoryLog:
         return float(np.max(np.linalg.norm(np.diff(stack, axis=0), axis=1))) / self.dt
 
 
-def _sample_noise(spec: NoiseSpec, team: Team, tc: TeamControl, rng) -> np.ndarray:
-    """Disturbance w of every agent, stacked; the rng is drawn agent by agent
-    in id order."""
-    w = np.zeros(team.dim)
-    dims = team.layout.dims
+def _noise_fn(spec: NoiseSpec, team: Team, rng, n_steps: int):
+    """w(tc) of every agent, stacked, for each of the n_steps steps in turn.
+
+    Uniform-ball noise does not depend on the step, so it is drawn
+    _CHUNK_ROWS steps ahead in the order of one draw per step (step by step,
+    agent by agent in id order, n_i normals then one uniform), which keeps
+    the stream and the trajectories, and then normalised over the whole
+    chunk.  Adversarial noise reads the step's barrier gradient from tc.
+    """
     if spec.bound == 0.0 or spec.distribution == "none":
-        return w
-    if spec.distribution == "uniform_ball":
-        # w_i = (bound * r_i ** (1 / n_i)) * (d_i / ||d_i||), d_i ~ N(0, I)
-        d = np.empty(team.dim)
-        radius = np.empty(len(dims))
-        for r, (s, n) in enumerate(zip(team.blocks.values(), dims)):
-            d[s] = rng.normal(size=n)
-            # random() draws the same double as uniform() with less overhead
-            radius[r] = spec.bound * float(rng.random()) ** (1.0 / n)
-        nd = np.repeat(team.block_norms(d), dims)
-        return np.repeat(radius, dims) * np.divide(d, nd, out=w, where=nd > 0)
-    # adversarial: push straight against the barrier gradient
-    gn = np.repeat(tc.grad_norms, dims)
-    return np.divide(-spec.bound * tc.grad, gn, out=w, where=gn > 1e-12)
+        zero = np.zeros(team.dim)
+        return lambda tc: zero
+    dims = team.layout.dims
+    if spec.distribution == "adversarial":  # push straight against the barrier gradient
+        def push(tc):
+            gn = np.repeat(tc.grad_norms, dims)
+            return np.divide(-spec.bound * tc.grad, gn, out=np.zeros(team.dim), where=gn > 1e-12)
+
+        return push
+    draws = _ball_draws(spec, team, rng, n_steps)
+    return lambda tc: next(draws)
+
+
+def _ball_draws(spec: NoiseSpec, team: Team, rng, n_steps: int):
+    """Rows w_i = (bound * r_i ** (1 / n_i)) * (d_i / ||d_i||), d_i ~ N(0, I),
+    generated a chunk of steps at a time."""
+    dims = team.layout.dims
+    draws = tuple(zip(team.blocks.values(), [1.0 / n for n in dims]))
+    for start in range(0, n_steps, _CHUNK_ROWS):
+        steps = min(_CHUNK_ROWS, n_steps - start)
+        d = np.empty((steps, team.dim))
+        radius = np.empty((steps, len(dims)))
+        for row, rad in zip(d, radius):
+            for j, (s, e) in enumerate(draws):
+                rng.standard_normal(out=row[s])
+                # random() draws the same double as uniform() with less overhead
+                rad[j] = spec.bound * float(rng.random()) ** e
+        d += 0.0  # normal(size=n) returns 0.0 + z, which turns a -0.0 draw into +0.0
+        nd = np.repeat(team.block_norms(d), dims, axis=1)
+        # a block of norm 0 is all +0.0 already, which where= leaves in place
+        np.divide(d, nd, out=d, where=nd > 0)
+        d *= np.repeat(radius, dims, axis=1)
+        yield from d
 
 
 def _scattered(fn, team: Team, blocks: dict, size: int):
@@ -280,6 +306,9 @@ def _secondary_fn(spec: SecondaryControlSpec, team: Team):
     return repel
 
 
+_CHUNK_ROWS = 1024  # steps of noise drawn, or CSV rows formatted, written and hashed, at a time
+
+
 def _latest_deadline(cliques) -> float:
     return max(cl.barrier.horizon for cl in cliques)
 
@@ -308,14 +337,13 @@ def run(scenario: Scenario) -> TrajectoryLog:
     x = team.stack(sc.x0)
     xs[0] = x
     events = []
-    rng = np.random.default_rng(sc.noise.seed)
+    noise = _noise_fn(sc.noise, team, np.random.default_rng(sc.noise.seed), n_steps)
     switch_times = sorted({s for cl in sc.cliques for s in cl.barrier.schedule})
     next_switch_idx = 0
     completed = True
     steps_done = 0
 
-    for k in range(n_steps):
-        t = float(times[k])
+    for k, t in enumerate(times[:-1].tolist()):
         while next_switch_idx < len(switch_times) and switch_times[next_switch_idx] <= t + 1e-12:
             events.append({"t": t, "kind": "switch", "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
             next_switch_idx += 1
@@ -326,7 +354,7 @@ def run(scenario: Scenario) -> TrajectoryLog:
             events.append({"t": t, "kind": "qp_infeasible", "detail": str(err)})
             completed = False
             break
-        w = _sample_noise(sc.noise, team, tc, rng)
+        w = noise(tc)
         c = coupling(x, t)
         u = tc.inputs + f_u
         # disturbance the declared bound C must cover: everything the
@@ -341,7 +369,7 @@ def run(scenario: Scenario) -> TrajectoryLog:
         x = x + sc.dt * (tc.drift + team.input_effect(u) + c + w)
         xs[k + 1] = x
         steps_done = k + 1
-        over = np.flatnonzero(dn > limits)
+        over = (~(dn <= limits)).nonzero()[0]  # a nan norm aborts too
         if over.size:
             for r in over.tolist():
                 events.append({
@@ -416,7 +444,6 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
     return report
 
 
-_CHUNK_ROWS = 1024  # CSV rows formatted, written and hashed at a time
 
 
 def _csv_header(layout: StateLayout, input_layout: StateLayout, clique_names) -> list:

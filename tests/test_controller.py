@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from stlcbf import (
     AffinePredicate,
     AgentModel,
+    BallPredicate,
     Clique,
     GammaParams,
     OperatorUnit,
@@ -17,6 +19,8 @@ from stlcbf import (
     solve_agent_qp,
     team_control,
 )
+
+from oracles import _constraint_from_state
 
 
 def two_agent_clique(kappa=2.0, C=0.5, eta=10.0):
@@ -37,17 +41,15 @@ def two_agent_clique(kappa=2.0, C=0.5, eta=10.0):
 
 def member_constraint(clique, agents, x, t, i, known=(), f_u=None):
     """Half-space (a, rhs) of member i, a'u >= rhs, as team_control forms it
-    with the stacked secondary input f_u (zero by default) known to the
-    members in known.
+    in the team-wide pass, with the stacked secondary input f_u (zero by
+    default) known to the members in known.
 
     agents holds exactly the clique's members, so the team vector is x.
     """
     team = Team([clique], agents, known)
-    st = barrier_state(clique.barrier, x, t)
     f_u = np.zeros(team.input_dim) if f_u is None else f_u
-    _, _, a, rhs = team.parts[0].constraints(st, team.drift(x, t), f_u)
-    j = clique.members.index(i)
-    return a[j], float(rhs[j])
+    *_, a, _, rhs = team.half_spaces(x, t, team.drift(x, t), f_u)
+    return a[team.input_blocks[i]], float(rhs[team.rows[i]])
 
 
 def test_agent_model_defaults_and_validation():
@@ -174,7 +176,47 @@ def test_qp_beats_random_feasible_candidates_spot():
             assert np.linalg.norm(u) <= np.linalg.norm(cand) + 1e-12
 
 
+def two_clique_team():
+    """Cliques "main" = agents 1 (dim 2), 2 (dim 3, affine drift) and 3 (dim
+    2, input map with three inputs), and "side" = agents 4 (dim 1) and 5
+    (dim 2).  Agent 1 enters main's predicates only through coefficients of
+    order 1e-156, so at x_1 = 0 its gradient block has a squared norm below
+    the normal range."""
+    lay = StateLayout(ids=(1, 2, 3), dims=(2, 3, 2))
+    sel = np.zeros((2, 7))
+    sel[:, 5:] = np.eye(2)
+    units = [
+        OperatorUnit("always", AffinePredicate(np.array([3e-156, -4e-156, 1.0, 0.0, -0.5, 0.3, 0.0]), 1.0),
+                     0.0, 2.0),
+        OperatorUnit("eventually", BallPredicate(sel, np.array([-1.0, 0.5]), 1.0), 0.5, 2.0),
+    ]
+    params = [GammaParams(-2.0, 0.3, 2.0, u.t_star) for u in units]
+    main = Clique("main", (1, 2, 3), build_barrier(units, params, eta=5.0, bound_radius=30.0),
+                  lay, 1.5, 2.0, 3)
+    side_units = [
+        OperatorUnit("always", AffinePredicate(np.array([1.0, -1.0, 0.5]), 0.5), 0.0, 1.0),
+        OperatorUnit("eventually", BallPredicate(np.eye(3), np.array([0.5, -0.5, 0.0]), 1.0), 0.2, 1.0),
+    ]
+    side_params = [GammaParams(-1.0, 0.4, 3.0, u.t_star) for u in side_units]
+    side = Clique("side", (4, 5), build_barrier(side_units, side_params, eta=5.0, bound_radius=30.0),
+                  StateLayout(ids=(4, 5), dims=(1, 2)), 0.5, 1.0, 3)
+    A2 = np.array([[-0.1, 0.2, 0.0], [0.0, -0.1, 0.3], [0.1, 0.0, -0.2]])
+    agents = {
+        1: AgentModel(1, 2),
+        2: AgentModel(2, 3, drift=lambda x, t: A2 @ x + 0.1),
+        3: AgentModel(3, 2, input_dim=3, input_map=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])),
+        4: AgentModel(4, 1),
+        5: AgentModel(5, 2),
+    }
+    return (main, side), agents
+
+
 def test_team_control_matches_per_agent_solves():
+    """Every agent's input from the team-wide closed form equals
+    solve_agent_qp(a, rhs) of its half-space, and the half-spaces are the
+    per-agent law's; the second team has mixed dimensions, an input map, a
+    drifted agent and a member whose gradient block is below the normal
+    range.  Inputs and residuals are compared bit for bit."""
     clique, agents = two_agent_clique()
     states = {1: np.array([0.5, -1.0]), 2: np.array([2.0, 0.25])}
     team = Team([clique], agents)
@@ -184,6 +226,32 @@ def test_team_control_matches_per_agent_solves():
         a, rhs = member_constraint(clique, agents, x, 0.5, i)
         assert np.array_equal(tc.inputs[team.input_blocks[i]], solve_agent_qp(a, rhs))
         assert tc.residuals[team.rows[i]] >= -1e-9
+
+    cliques, agents = two_clique_team()
+    team = Team(cliques, agents)
+    f_u = np.zeros(team.input_dim)
+    rng = np.random.default_rng(3)
+    tiny_active = 0
+    for _ in range(40):
+        x = rng.normal(size=team.dim)
+        x[team.blocks[1]] = 0.0
+        t = float(rng.uniform(0.0, 0.9))
+        tc = team_control(team, x, t, f_u)
+        *_, a, _, rhs = team.half_spaces(x, t, team.drift(x, t), f_u)
+        for cl in cliques:
+            x_bar = x[np.concatenate([np.arange(team.blocks[i].start, team.blocks[i].stop) for i in cl.members])]
+            st = barrier_state(cl.barrier, x_bar, t)
+            for i in cl.members:
+                a_i, rhs_i = a[team.input_blocks[i]], float(rhs[team.rows[i]])
+                want_a, want_rhs = _constraint_from_state(cl, agents, {}, st, x_bar, t, i)
+                assert np.array_equal(a_i, want_a) and rhs_i == want_rhs
+                u = solve_agent_qp(a_i, rhs_i)
+                assert tc.inputs[team.input_blocks[i]].tobytes() == u.tobytes()
+                assert tc.residuals[team.rows[i]] == float(np.dot(a_i, u)) - rhs_i
+        a_1 = a[team.input_blocks[1]]
+        if rhs[team.rows[1]] > 0.0 and 0.0 < float(np.dot(a_1, a_1)) < sys.float_info.min:
+            tiny_active += 1
+    assert tiny_active >= 5  # the rescaled path of solve_agent_qp ran
 
 
 def test_team_control_expired_clique_and_outsiders():

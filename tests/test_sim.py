@@ -29,6 +29,7 @@ from stlcbf import (
     verify,
     write_log_csv,
 )
+from stlcbf import sim
 from stlcbf.controller import Team
 from stlcbf.sim import _coupling_fn, _secondary_fn, sat1
 
@@ -184,6 +185,36 @@ def test_disturbance_bound_abort():
     assert log.times.shape == (2,)
     assert log.inputs[1].shape == (1, 2)
     assert log.disturbance_norms[1][0] == pytest.approx(3.0)
+
+
+def test_nan_disturbance_aborts():
+    """A non-finite disturbance norm is over any bound: the run ends with a
+    disturbance_bound event instead of going on with nan states."""
+    spec = CouplingSpec(kind="scripted", scripted=lambda states, t: {1: np.array([math.nan, 0.0])})
+    log = run(passive_scenario(dt=0.1, C=0.5, coupling=spec))
+    assert not log.completed
+    assert log.events[-1]["kind"] == "disturbance_bound"
+    assert log.events[-1]["detail"] == "agent 1 disturbance nan exceeds declared bound 0.5"
+    assert log.times.shape == (2,) and math.isnan(log.disturbance_norms[1][0])
+
+
+@pytest.mark.parametrize("make, msg", [
+    (lambda: NoiseSpec(bound=math.nan), "noise bound must be a finite number >= 0, got nan"),
+    (lambda: NoiseSpec(bound=math.inf), "noise bound must be a finite number >= 0, got inf"),
+    (lambda: NoiseSpec(bound=-0.1), "noise bound must be a finite number >= 0, got -0.1"),
+    (lambda: SecondaryControlSpec(gain=math.nan), "secondary gain must be a finite number, got nan"),
+    (lambda: SecondaryControlSpec(gain=-math.inf), "secondary gain must be a finite number, got -inf"),
+    (lambda: SecondaryControlSpec(softening=math.nan),
+     "secondary softening must be a finite number > 0, got nan"),
+    (lambda: SecondaryControlSpec(softening=0.0), "secondary softening must be a finite number > 0, got 0.0"),
+    (lambda: SecondaryControlSpec(softening=-1.0),
+     "secondary softening must be a finite number > 0, got -1.0"),
+])
+def test_dynamics_specs_refuse_bad_numbers(make, msg):
+    """A nan noise bound, gain or softening used to run to completion with
+    nan states; a softening <= 0 divides by zero in the repulsion."""
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        make()
 
 
 def test_qp_infeasible_abort():
@@ -424,6 +455,17 @@ def _assert_bitwise(a, b, what):
     assert a.tobytes() == b.tobytes(), what
 
 
+def _assert_matches_naive_run(log, ref):
+    assert log.completed == ref.completed and log.dt == ref.dt
+    assert log.events == ref.events
+    _assert_bitwise(log.times, ref.times, "times")
+    for name in ("states", "inputs", "barriers", "residuals", "shares", "disturbance_norms"):
+        got, want = getattr(log, name), getattr(ref, name)
+        assert list(got) == list(want), name
+        for key in want:
+            _assert_bitwise(got[key], want[key], f"{name}[{key}]")
+
+
 # (noise, coupling, secondary, stuck, softmin eta)
 ORACLE_CASES = {
     "ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0),
@@ -448,16 +490,7 @@ def test_run_matches_per_agent_oracle_bitwise(case):
     noise, coupling, secondary, stuck, eta = ORACLE_CASES[case]
     sc = _oracle_scenario(noise, coupling, secondary, stuck, eta)
     log = run(sc)
-    ref = naive_run(sc)
-
-    assert log.completed == ref.completed and log.dt == ref.dt
-    assert log.events == ref.events
-    _assert_bitwise(log.times, ref.times, "times")
-    for name in ("states", "inputs", "barriers", "residuals", "shares", "disturbance_norms"):
-        got, want = getattr(log, name), getattr(ref, name)
-        assert list(got) == list(want), name
-        for key in want:
-            _assert_bitwise(got[key], want[key], f"{name}[{key}]")
+    _assert_matches_naive_run(log, naive_run(sc))
 
     # the case exercises what it names
     kinds = [e["kind"] for e in log.events]
@@ -472,6 +505,19 @@ def test_run_matches_per_agent_oracle_bitwise(case):
         for i in (1, 2, 3, 4, 5):
             assert np.any(np.abs(log.residuals[i][:50]) < 1e-9)  # the QP was active
 
+
+
+@pytest.mark.parametrize("case", sorted(c for c, v in ORACLE_CASES.items() if v[0] == "uniform_ball"))
+def test_ball_noise_chunks_match_per_agent_oracle_bitwise(case, monkeypatch):
+    """Uniform-ball noise drawn 7 steps ahead instead of 1024: a 100-step run
+    crosses 14 chunk boundaries and ends on a partial chunk, and it still
+    draws the per-agent stream of naive_run."""
+    monkeypatch.setattr(sim, "_CHUNK_ROWS", 7)
+    noise, coupling, secondary, stuck, eta = ORACLE_CASES[case]
+    sc = _oracle_scenario(noise, coupling, secondary, stuck, eta)
+    log = run(sc)
+    _assert_matches_naive_run(log, naive_run(sc))
+    assert len(log.times) - 1 > 7
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
