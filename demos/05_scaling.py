@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from stlcbf import (
-    AgentModel, Clique, CouplingSpec, NoiseSpec, Scenario, StateLayout,
+    AgentModel, Clique, CouplingSpec, NoiseSpec, Scenario,
     barrier_from_dict, barrier_to_dict, demo_config, run, run_construct,
 )
 
@@ -58,12 +58,11 @@ def scenario(k: int, seed: int) -> Scenario:
     for c in range(k):
         ids = (3 * c + 1, 3 * c + 2, 3 * c + 3)
         delta = np.tile(c * SHIFT, 3)
-        layout = StateLayout(ids=ids, dims=(2, 2, 2))
         cliques.append(Clique(
             name=f"formation{c}", members=ids,
-            barrier=barrier_from_dict(translated(base, delta)), layout=layout,
+            barrier=barrier_from_dict(translated(base, delta)),
             coupling_bound=cfg["cliques"]["formation"]["coupling_bound"],
-            kappa=float(entry["kappa"]), max_agent_dim=2,
+            kappa=float(entry["kappa"]),
         ))
         for role, i in enumerate(ids):
             agents[i] = AgentModel(agent_id=i, state_dim=2)

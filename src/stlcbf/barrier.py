@@ -163,8 +163,7 @@ class CompositeBarrier:
         aff, balls = [], []
         for i, tm in enumerate(self.terms):
             pred = tm.unit.predicate
-            pdim = pred.c.shape[0] if isinstance(pred, AffinePredicate) else pred.A.shape[1]
-            if pdim != self.dim:
+            if pred.dim != self.dim:
                 raise ValueError("predicate dimension does not match barrier dim")
             (aff if isinstance(pred, AffinePredicate) else balls).append(i)
         # kernel order: affine terms, then balls; the term at kernel
@@ -229,9 +228,6 @@ class CompositeBarrier:
         e = np.exp(self._negdec * t)
         return self._gdiff * e + self._gi, self._negrate * e
 
-    def _smooth_norm(self, x: np.ndarray) -> float:
-        return math.sqrt(float(np.dot(x, x)) + self.smooth_eps**2)
-
     def _values(self, x: np.ndarray, gam: np.ndarray) -> tuple:
         """(b_l(x, t) over all terms in kernel order with the bound term
         appended, the stacked product A x + b, the smoothed norm of x)."""
@@ -244,7 +240,7 @@ class CompositeBarrier:
             h = np.concatenate((y[:self._n_aff], hb))
         ext = np.empty(len(h) + 1)
         np.subtract(h, gam, out=ext[:-1])
-        nx = self._smooth_norm(x)
+        nx = math.sqrt(float(np.dot(x, x)) + self.smooth_eps**2)
         ext[-1] = self.bound_radius - nx + self.smooth_eps
         return ext, y, nx
 
@@ -255,9 +251,6 @@ class CompositeBarrier:
 
     def active_mask(self, t: float) -> np.ndarray:
         return self._deadlines > t
-
-    def bound_value(self, x: np.ndarray) -> float:
-        return self.bound_radius - self._smooth_norm(x) + self.smooth_eps
 
 
 @dataclass(slots=True)
@@ -352,10 +345,7 @@ def build_barrier(units, params, eta: float, bound_radius: float, smooth_eps: fl
         raise ValueError("cannot build a barrier from an empty unit list")
     if len(units) != len(params):
         raise ValueError("one GammaParams required per unit")
-    dims = set()
-    for u in units:
-        pred = u.predicate
-        dims.add(pred.c.shape[0] if isinstance(pred, AffinePredicate) else pred.A.shape[1])
+    dims = {u.predicate.dim for u in units}
     if len(dims) != 1:
         raise ValueError(f"units disagree on the state dimension: {sorted(dims)}")
     terms = tuple(BarrierTerm(unit=u, gamma=g) for u, g in zip(units, params))

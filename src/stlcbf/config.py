@@ -302,8 +302,6 @@ def build_cliques(cfg: dict, doc: dict) -> tuple:
     """Rebuild runtime cliques from a barrier document; returns
     (cliques tuple, r_stars dict)."""
     _check_doc(cfg, doc)
-    layouts = clique_layouts(cfg)
-    max_dim = max(spec["dim"] for spec in cfg["agents"].values())
     cliques = []
     r_stars = {}
     for name in sorted(cfg["cliques"]):
@@ -313,10 +311,8 @@ def build_cliques(cfg: dict, doc: dict) -> tuple:
                 name=name,
                 members=tuple(int(i) for i in cfg["cliques"][name]["members"]),
                 barrier=barrier_from_dict(entry["barrier"]),
-                layout=layouts[name],
                 coupling_bound=float(cfg["cliques"][name].get("coupling_bound", 0.0)),
                 kappa=finite_number(entry, "kappa", f"clique {name!r} "),
-                max_agent_dim=max_dim,
             )
         )
         r_stars[name] = finite_number(entry, "r_star", f"clique {name!r} ")

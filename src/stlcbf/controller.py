@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import CompositeBarrier, barrier_state
-from .predicates import StateLayout
+from .predicates import StateLayout, is_finite_number
 
 __all__ = [
     "AgentModel",
@@ -115,46 +115,21 @@ class _Blocks:
 
 @dataclass(frozen=True, eq=False)
 class Clique:
-    """Agent subset jointly responsible for one formula, with its barrier."""
+    """Agent subset jointly responsible for one formula: its barrier and the
+    constants the barrier document gives it.  Team derives the members'
+    layout and n_hat from the agents."""
 
     name: str
     members: tuple
     barrier: CompositeBarrier
-    layout: StateLayout
     coupling_bound: float
     kappa: float
-    max_agent_dim: int
 
     def __post_init__(self):
-        if tuple(self.layout.ids) != tuple(self.members):
-            raise ValueError("layout ids must match the member order")
-        if self.layout.dim != self.barrier.dim:
-            raise ValueError("layout dimension does not match the barrier")
-        if self.coupling_bound < 0.0:
-            raise ValueError("coupling bound must be >= 0")
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
-        object.__setattr__(self, "_norms", _Blocks(self.layout).norms)
-
-    @property
-    def n_hat(self) -> float:
-        return math.sqrt(self.barrier.dim * self.max_agent_dim)
-
-    def block(self, i: int) -> slice:
-        return self.layout.block(i)
-
-    def block_norms(self, v: np.ndarray) -> np.ndarray:
-        """Norm of each member's block of a clique vector, in member order."""
-        return self._norms(v)
-
-    def shares(self, norms: np.ndarray) -> np.ndarray:
-        """Load shares N_i of the members from their gradient-block norms:
-        each norm over their sum, or 1 for every member when the gradient
-        vanishes (the conservative fallback)."""
-        den = sum(norms.tolist())
-        if den <= _ZERO_TOL:
-            return np.ones(len(self.members))
-        return norms / den
+        if not (is_finite_number(self.coupling_bound) and self.coupling_bound >= 0.0):
+            raise ValueError(f"coupling bound must be a finite number >= 0, got {self.coupling_bound!r}")
+        if not (is_finite_number(self.kappa) and self.kappa > 0.0):
+            raise ValueError(f"kappa must be a finite number > 0, got {self.kappa!r}")
 
 
 class Team:
@@ -165,21 +140,20 @@ class Team:
     Per clique the team keeps the index array of its stacked state in the
     team vector and its members' rows, and per agent the constant input map,
     drift, clique, n_hat and coupling bound, so that a step builds no
-    per-agent dicts and no identity matrices.  An agent may belong to at most
-    one clique.  known holds the ids of the agents whose constraint models
-    their secondary input f_u.
+    per-agent dicts and no identity matrices.  The cliques must partition the
+    agents, and each clique's member dimensions must add up to its barrier's;
+    n_hat = sqrt(n_bar_k * largest agent dimension of the team).  known holds
+    the ids of the agents whose constraint models their secondary input f_u.
     """
 
     def __init__(self, cliques, agents: dict, known=()):
         self.cliques = tuple(cliques)
         self.known = frozenset(known)
-        seen = set()
-        for cl in self.cliques:
-            for i in cl.members:
-                if i in seen:
-                    raise ValueError(f"agent {i} appears in two cliques")
-                seen.add(i)
         self.ids = tuple(sorted(agents))
+        members = sorted(i for cl in self.cliques for i in cl.members)
+        if members != list(self.ids):
+            raise ValueError(f"cliques must partition the agents {list(self.ids)}, "
+                             f"but their members are {members}")
         models = [agents[i] for i in self.ids]
         self.layout = StateLayout(self.ids, tuple(m.state_dim for m in models))
         self.input_layout = StateLayout(self.ids, tuple(m.input_dim for m in models))
@@ -207,21 +181,22 @@ class Team:
             for cl in self.cliques
         )
         self._order = [r for _, _, rows in self._parts for r in rows]  # clique by clique
-        # per agent: its clique's index (len(cliques) for none), n_hat and
-        # coupling bound; an agent of no clique gets 0 for both, so its demand
-        # is 0 rather than 0 * inf
+        # per agent: its clique's index, n_hat and coupling bound
         n = len(self.ids)
-        self._clique_of = np.full(n, len(self.cliques))
-        self._n_hat = np.zeros(n)
-        self._bound = np.zeros(n)
-        for c, (cl, _, rows) in enumerate(self._parts):
+        max_dim = max(self.layout.dims, default=0)
+        self._clique_of = np.empty(n, dtype=int)
+        self._n_hat = np.empty(n)
+        self.coupling_bounds = np.empty(n)
+        for c, (cl, idx, rows) in enumerate(self._parts):
+            if len(idx) != cl.barrier.dim:
+                raise ValueError(f"clique {cl.name!r}: member dimensions add up to {len(idx)}, "
+                                 f"but its barrier has dim {cl.barrier.dim}")
             self._clique_of[rows] = c
-            self._n_hat[rows] = cl.n_hat
-            self._bound[rows] = cl.coupling_bound
-        self.coupling_bounds = np.where(self._clique_of < len(self.cliques), self._bound, math.inf)
+            self._n_hat[rows] = math.sqrt(cl.barrier.dim * max_dim)
+            self.coupling_bounds[rows] = cl.coupling_bound
         # where each agent's share denominator and load sit in the per-clique
         # list that half_spaces builds each step; the agent row of each input entry
-        self._pick = np.stack([self._clique_of, self._clique_of + len(self.cliques) + 1])
+        self._pick = np.stack([self._clique_of, self._clique_of + len(self.cliques)])
         self._input_row = np.repeat(np.arange(n), self.input_layout.dims)
         self._known_rows = np.array([i in self.known for i in self.ids]) if self.known else None
 
@@ -264,18 +239,19 @@ class Team:
         for an identity map, see input_effect), and per agent
             rhs_i = ||grad_i|| n_hat C - N_i (db/dt + kappa b) - grad_i' f_i
                     [- grad_i' g_i f_u_i if known].
-        The float operations are those of the per-agent law, left to right;
-        each clique's share denominator is summed in member order, as
-        Clique.shares does.  A clique past its final deadline (value nan)
-        gives its members zero gradient, share and rhs, as agents outside
-        every clique get.
+        The float operations are those of the per-agent law, left to right.
+        N_i is ||grad_i|| over the sum of its clique's block norms, added in
+        member order, or 1 for every member of a clique whose sum is at most
+        _ZERO_TOL (a vanishing gradient: each member takes the whole load).
+        A clique past its final deadline (value nan) gives its members zero
+        gradient, share and rhs.
         """
         n_c = len(self._parts)
         grad = np.zeros(self.dim)
         values = np.full(n_c, math.nan)
-        # per clique, and last for agents of none: share denominator (inf
-        # gives share 0), then db/dt + kappa b
-        per_clique = [math.inf] * (n_c + 1) + [0.0] * (n_c + 1)
+        # per clique: share denominator (inf, for an expired clique, gives
+        # share 0), then db/dt + kappa b
+        per_clique = [math.inf] * n_c + [0.0] * n_c
         live = []
         for c, (cl, idx, rows) in enumerate(self._parts):
             if t >= cl.barrier.horizon - 1e-12:
@@ -283,7 +259,7 @@ class Team:
             state = barrier_state(cl.barrier, x[idx], t)
             grad[idx] = state.grad_x
             values[c] = state.value
-            per_clique[n_c + 1 + c] = state.dbdt + cl.kappa * state.value
+            per_clique[n_c + c] = state.dbdt + cl.kappa * state.value
             live.append((c, rows))
         sq = self._block_dot(grad, grad)
         norms = np.sqrt(sq)
@@ -291,14 +267,14 @@ class Team:
         fallback = []
         for c, rows in live:
             per_clique[c] = sum([listed[r] for r in rows])
-            if per_clique[c] <= _ZERO_TOL:  # vanishing gradient: each member takes the whole load
+            if per_clique[c] <= _ZERO_TOL:
                 fallback += rows
                 per_clique[c] = 1.0
         den, load = np.array(per_clique)[self._pick]
         shares = norms / den
         if fallback:
             shares[fallback] = 1.0
-        rhs = norms * self._n_hat * self._bound - shares * load
+        rhs = norms * self._n_hat * self.coupling_bounds - shares * load
         if self._drifts:
             rhs = rhs - self._block_dot(grad, drift)
         if self._known_rows is not None:
@@ -362,7 +338,7 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray) -> TeamCo
     (_ZERO_TOL rhs_i)^2 goes through solve_agent_qp itself, so the rescaled
     input and the infeasibility error keep one definition.  A clique past its
     final deadline has no remaining obligations; its members get zero input,
-    share and residual from it, as do agents outside every clique.
+    share and residual from it.
     """
     drift = team.drift(x, t)
     grad, values, norms, shares, a, nn, rhs = team.half_spaces(x, t, drift, f_u)

@@ -69,33 +69,26 @@ class CouplingSpec:
             raise ValueError("scripted coupling needs a callable")
 
 
-def _attraction_rounds(attractions: dict, blocks: dict) -> tuple:
-    """Saturating attraction as index arrays into a stacked state, one round
-    per pull rank: round k holds the k-th pull of every agent that has one,
-    so no agent repeats within a round and each agent's pulls add up in
-    their listed order."""
-    rounds = []
-    for k in range(max((len(p) for p in attractions.values()), default=0)):
-        dst, src, gains = [], [], []
-        for i, pulls in attractions.items():
-            if k < len(pulls):
-                gain, target = pulls[k]
-                a, b = blocks[i], blocks[target]
-                if a.stop - a.start != b.stop - b.start:
-                    raise ValueError(f"agent {i} is pulled toward agent {target} of another dimension")
-                dst += range(a.start, a.stop)
-                src += range(b.start, b.stop)
-                gains += [gain] * (a.stop - a.start)
-        rounds.append((np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp),
-                       np.array(gains, dtype=float)))
-    return tuple(rounds)
+def _attraction_pulls(attractions: dict, blocks: dict) -> tuple:
+    """Saturating attraction as (dst, src, gains) arrays into a stacked
+    state: one entry per state component of every pull, each agent's pulls
+    in their listed order."""
+    dst, src, gains = [], [], []
+    for i, pulls in attractions.items():
+        for gain, target in pulls:
+            a, b = blocks[i], blocks[target]
+            if a.stop - a.start != b.stop - b.start:
+                raise ValueError(f"agent {i} is pulled toward agent {target} of another dimension")
+            dst += range(a.start, a.stop)
+            src += range(b.start, b.stop)
+            gains += [gain] * (a.stop - a.start)
+    return np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp), np.array(gains, dtype=float)
 
 
-def _attract(x: np.ndarray, rounds) -> np.ndarray:
-    c = np.zeros_like(x)
-    for dst, src, gains in rounds:
-        c[dst] = c[dst] + gains * sat1(x[src] - x[dst])
-    return c
+def _attract(x: np.ndarray, dst: np.ndarray, src: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    # bincount adds its weights one after another from 0.0, so each
+    # component's pulls add up in their listed order
+    return np.bincount(dst, gains * sat1(x[src] - x[dst]), minlength=len(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +164,9 @@ class Scenario:
         for i in self.agents:
             if i not in self.x0:
                 raise ValueError(f"missing initial state for agent {i}")
-        ids = [i for cl in self.cliques for i in cl.members]
-        if sorted(ids) != sorted(self.agents):
-            raise ValueError("cliques must partition the agent set")
+        # the run's team, which also refuses cliques that do not fit the agents
+        known = self.secondary.group if self.secondary.known else ()
+        object.__setattr__(self, "_team", Team(self.cliques, self.agents, known))
 
 
 @dataclass
@@ -283,8 +276,8 @@ def _coupling_fn(spec: CouplingSpec, team: Team):
         return lambda x, t: np.zeros(team.dim)
     if spec.kind == "scripted":
         return _scattered(spec.scripted, team, team.blocks, team.dim)
-    rounds = _attraction_rounds(spec.attractions, team.blocks)
-    return lambda x, t: _attract(x, rounds)
+    pulls = _attraction_pulls(spec.attractions, team.blocks)
+    return lambda x, t: _attract(x, *pulls)
 
 
 def _secondary_fn(spec: SecondaryControlSpec, team: Team):
@@ -315,7 +308,7 @@ def _latest_deadline(cliques) -> float:
 
 def run(scenario: Scenario) -> TrajectoryLog:
     sc = scenario
-    team = Team(sc.cliques, sc.agents, sc.secondary.group if sc.secondary.known else ())
+    team = sc._team
     horizon = sc.horizon if sc.horizon is not None else _latest_deadline(sc.cliques)
     n_steps = int(round(horizon / sc.dt))
     if n_steps < 1 or abs(n_steps * sc.dt - horizon) > 1e-9:

@@ -300,8 +300,19 @@ def _naive_g(model):
     return model.input_map
 
 
-def _share_from_state(clique, state, i: int) -> float:
-    norms = [float(np.linalg.norm(state.grad_x[clique.block(j)])) for j in clique.members]
+def _clique_layout(clique, agents: dict) -> StateLayout:
+    """The clique's stacked state layout, from its members' agent models."""
+    return StateLayout(tuple(clique.members), tuple(agents[i].state_dim for i in clique.members))
+
+
+def _n_hat(clique, agents: dict) -> float:
+    """sqrt(clique dimension * largest agent dimension of the team)."""
+    return math.sqrt(clique.barrier.dim * max(m.state_dim for m in agents.values()))
+
+
+def _share_from_state(clique, agents, state, i: int) -> float:
+    lay = _clique_layout(clique, agents)
+    norms = [float(np.linalg.norm(state.grad_x[lay.block(j)])) for j in clique.members]
     den = sum(norms)
     if den <= _ZERO_TOL:
         return 1.0
@@ -310,14 +321,14 @@ def _share_from_state(clique, state, i: int) -> float:
 
 def _constraint_from_state(clique, agents, known, state, x_bar, t, i) -> tuple:
     model = agents[i]
-    blk = clique.block(i)
+    blk = _clique_layout(clique, agents).block(i)
     grad_i = state.grad_x[blk]
     x_i = x_bar[blk]
-    share = _share_from_state(clique, state, i)
+    share = _share_from_state(clique, agents, state, i)
     g = _naive_g(model)
     a = g.T @ grad_i
     rhs = (
-        float(np.linalg.norm(grad_i)) * clique.n_hat * clique.coupling_bound
+        float(np.linalg.norm(grad_i)) * _n_hat(clique, agents) * clique.coupling_bound
         - share * (state.dbdt + clique.kappa * state.value)
         - float(np.dot(grad_i, _naive_f(model, x_i, t)))
     )
@@ -370,7 +381,7 @@ def naive_team_control(cliques, agents: dict, known: dict, states: dict, t: floa
                 ) from None
             inputs[i] = u
             residuals[i] = float(np.dot(a, u)) - rhs
-            shares[i] = _share_from_state(cl, state, i)
+            shares[i] = _share_from_state(cl, agents, state, i)
     for i in agents:
         if i not in inputs:
             inputs[i] = np.zeros(agents[i].input_dim)
@@ -448,7 +459,7 @@ def _naive_noise(spec, agents: dict, clique_of: dict, tc: dict, rng) -> dict:
             st = tc["barrier_states"].get(cl.name)
             w = np.zeros(n)
             if st is not None:
-                g_i = st.grad_x[cl.block(i)]
+                g_i = st.grad_x[_clique_layout(cl, agents).block(i)]
                 gn = float(np.linalg.norm(g_i))
                 if gn > 1e-12:
                     w = -spec.bound * g_i / gn
@@ -471,7 +482,8 @@ def naive_run(scenario) -> TrajectoryLog:
     known = {}
     if sec.known:
         for i in sec.group:
-            known[i] = naive_known_secondary_fn(clique_of[i].layout, i, sec.group, sec.gain, sec.softening)
+            known[i] = naive_known_secondary_fn(_clique_layout(clique_of[i], agents), i, sec.group, sec.gain,
+                                                sec.softening)
 
     x = {i: np.asarray(sc.x0[i], dtype=float).copy() for i in agent_ids}
     states = {i: np.empty((n_steps + 1, agents[i].state_dim)) for i in agent_ids}

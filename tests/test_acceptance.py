@@ -3,6 +3,7 @@ numbers it checked.  Tolerances here are contractual; do not loosen them."""
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from stlcbf import (
     run_construct,
     solve_agent_qp,
 )
-from stlcbf.controller import Clique
+from stlcbf import controller
+from stlcbf.controller import AgentModel, Clique, Team
 
 from oracles import central_fd, naive_robustness, random_formula
 
@@ -84,8 +86,8 @@ def test_c01_softmin_under_approximates_min():
                 assert len(st.term_values) == p
                 if idx == 0:
                     # the reported terms are exactly the public evaluators'
-                    ref = np.append(cb.term_values(x, t)[cb.active_mask(t)],
-                                    cb.bound_value(x))
+                    bound = cb.bound_radius - math.sqrt(float(np.dot(x, x)) + cb.smooth_eps**2) + cb.smooth_eps
+                    ref = np.append(cb.term_values(x, t)[cb.active_mask(t)], bound)
                     assert np.array_equal(ref, st.term_values)
                 m = float(np.min(st.term_values))
                 assert st.value <= m  # exact, no tolerance
@@ -191,20 +193,25 @@ def test_c04_qp_beats_random_candidates_and_satisfies_kkt():
           f"max |a.u - rhs| when active = {worst_kkt:.3e}")
 
 
-def test_c05_load_shares_partition_to_one():
-    lay = StateLayout(ids=(1, 2, 3), dims=(2, 3, 1))
+def test_c05_load_shares_partition_to_one(monkeypatch):
+    """The shares are those of Team.half_spaces, the law team_control runs,
+    with the controller's barrier evaluation returning a random gradient."""
+    agents = {i: AgentModel(i, n) for i, n in ((1, 2), (2, 3), (3, 1))}
     unit = OperatorUnit("always", AffinePredicate(np.zeros(6), 5.0), 0.0, 1.0)
     cb = build_barrier([unit], [GammaParams(-1.0, 0.5, 0.3, 0.0)], eta=10.0, bound_radius=50.0)
-    clique = Clique("p", (1, 2, 3), cb, lay, 0.1, 1.0, 3)
+    team = Team([Clique("p", (1, 2, 3), cb, 0.1, 1.0)], agents)
+    x = np.zeros(6)  # also the drift and the secondary input
+    g = np.zeros(6)  # each draw's gradient
+    monkeypatch.setattr(controller, "barrier_state", lambda *_: SimpleNamespace(value=0.0, dbdt=0.0, grad_x=g))
 
     rng = np.random.default_rng(500)
     worst = 0.0
     n_checked = n_degenerate = 0
     for _ in range(10_000):
         scale = float(rng.choice([1e-14, 1e-6, 1.0, 1e3]))
-        g = rng.normal(scale=scale, size=6)
-        shares = clique.shares(clique.block_norms(g)).tolist()
-        den = sum(float(np.linalg.norm(g[lay.block(i)])) for i in (1, 2, 3))
+        g[:] = rng.normal(scale=scale, size=6)
+        shares = team.half_spaces(x, 0.0, x, x)[3].tolist()
+        den = sum(float(np.linalg.norm(g[team.blocks[i]])) for i in (1, 2, 3))
         if den > 1e-12:
             worst = max(worst, abs(sum(shares) - 1.0))
             assert abs(sum(shares) - 1.0) <= 1e-12

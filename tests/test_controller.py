@@ -1,9 +1,13 @@
+import dataclasses
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from stlcbf import controller
 from stlcbf import (
     AffinePredicate,
     AgentModel,
@@ -12,7 +16,6 @@ from stlcbf import (
     GammaParams,
     OperatorUnit,
     QpInfeasibleError,
-    StateLayout,
     Team,
     barrier_state,
     build_barrier,
@@ -24,17 +27,13 @@ from oracles import _constraint_from_state
 
 
 def two_agent_clique(kappa=2.0, C=0.5, eta=10.0):
-    lay = StateLayout(ids=(1, 2), dims=(2, 2))
     units = [
         OperatorUnit("always", AffinePredicate(np.array([1.0, 0, 0, 0]), 2.0), 0.0, 4.0),
         OperatorUnit("eventually", AffinePredicate(np.array([0, 0, 0, 1.0]), 3.0), 1.0, 5.0),
     ]
     params = [GammaParams(-1.0, 0.5, 0.3, u.t_star) for u in units]
     cb = build_barrier(units, params, eta=eta, bound_radius=6.0)
-    clique = Clique(
-        name="pair", members=(1, 2), barrier=cb, layout=lay,
-        coupling_bound=C, kappa=kappa, max_agent_dim=2,
-    )
+    clique = Clique(name="pair", members=(1, 2), barrier=cb, coupling_bound=C, kappa=kappa)
     agents = {1: AgentModel(agent_id=1, state_dim=2), 2: AgentModel(agent_id=2, state_dim=2)}
     return clique, agents
 
@@ -68,27 +67,40 @@ def test_agent_model_defaults_and_validation():
 
 
 def test_clique_validation():
+    """A nan passes a plain sign test and would give nan inputs, so each
+    non-finite or out-of-range kappa or coupling bound is a one-line error."""
     clique, _ = two_agent_clique()
-    lay_bad = StateLayout(ids=(2, 1), dims=(2, 2))
-    with pytest.raises(ValueError, match="member order"):
-        Clique("x", (1, 2), clique.barrier, lay_bad, 0.5, 1.0, 2)
-    with pytest.raises(ValueError, match="kappa"):
-        Clique("x", (1, 2), clique.barrier, clique.layout, 0.5, 0.0, 2)
-    assert clique.n_hat == math.sqrt(4 * 2)
+    for field, value, msg in (
+        ("kappa", 0.0, "kappa must be a finite number > 0, got 0.0"),
+        ("kappa", -1.0, "kappa must be a finite number > 0, got -1.0"),
+        ("kappa", math.nan, "kappa must be a finite number > 0, got nan"),
+        ("kappa", math.inf, "kappa must be a finite number > 0, got inf"),
+        ("coupling_bound", -0.5, "coupling bound must be a finite number >= 0, got -0.5"),
+        ("coupling_bound", math.nan, "coupling bound must be a finite number >= 0, got nan"),
+        ("coupling_bound", math.inf, "coupling bound must be a finite number >= 0, got inf"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            dataclasses.replace(clique, **{field: value})
+    assert dataclasses.replace(clique, coupling_bound=0.0).coupling_bound == 0.0
+
+
+def half_space_shares(clique, agents, x, t):
+    """The load shares Team.half_spaces gives the clique's members at (x, t)."""
+    team = Team([clique], agents)
+    return team.half_spaces(x, t, team.drift(x, t), np.zeros(team.input_dim))[3]
 
 
 def test_load_share_partition():
-    clique, _ = two_agent_clique()
-    x = np.array([0.5, -1.0, 2.0, 0.25])
-    grad = barrier_state(clique.barrier, x, 0.5).grad_x
-    shares = clique.shares(clique.block_norms(grad)).tolist()
-    assert abs(sum(shares) - 1.0) < 1e-12
+    clique, agents = two_agent_clique()
+    shares = half_space_shares(clique, agents, np.array([0.5, -1.0, 2.0, 0.25]), 0.5).tolist()
+    assert min(shares) > 0.0 and abs(sum(shares) - 1.0) < 1e-12
 
 
-def test_share_fallback_when_gradient_vanishes():
-    clique, _ = two_agent_clique()
-    grad_x = np.zeros(4)
-    assert clique.shares(clique.block_norms(grad_x))[0] == 1.0
+def test_share_fallback_when_gradient_vanishes(monkeypatch):
+    clique, agents = two_agent_clique()
+    monkeypatch.setattr(controller, "barrier_state",
+                        lambda *_: SimpleNamespace(value=0.5, dbdt=0.0, grad_x=np.zeros(4)))
+    assert half_space_shares(clique, agents, np.zeros(4), 0.5).tolist() == [1.0, 1.0]
 
 
 def test_agent_constraint_matches_manual_computation():
@@ -101,7 +113,7 @@ def test_agent_constraint_matches_manual_computation():
     assert np.array_equal(a, g1)  # identity input map
     share = np.linalg.norm(g1) / (np.linalg.norm(g1) + np.linalg.norm(st.grad_x[2:4]))
     want = (
-        np.linalg.norm(g1) * clique.n_hat * 0.5
+        np.linalg.norm(g1) * math.sqrt(4 * 2) * 0.5
         - share * (st.dbdt + 2.0 * st.value)
     )
     assert abs(rhs - want) < 1e-12
@@ -182,7 +194,6 @@ def two_clique_team():
     (dim 2).  Agent 1 enters main's predicates only through coefficients of
     order 1e-156, so at x_1 = 0 its gradient block has a squared norm below
     the normal range."""
-    lay = StateLayout(ids=(1, 2, 3), dims=(2, 3, 2))
     sel = np.zeros((2, 7))
     sel[:, 5:] = np.eye(2)
     units = [
@@ -191,15 +202,13 @@ def two_clique_team():
         OperatorUnit("eventually", BallPredicate(sel, np.array([-1.0, 0.5]), 1.0), 0.5, 2.0),
     ]
     params = [GammaParams(-2.0, 0.3, 2.0, u.t_star) for u in units]
-    main = Clique("main", (1, 2, 3), build_barrier(units, params, eta=5.0, bound_radius=30.0),
-                  lay, 1.5, 2.0, 3)
+    main = Clique("main", (1, 2, 3), build_barrier(units, params, eta=5.0, bound_radius=30.0), 1.5, 2.0)
     side_units = [
         OperatorUnit("always", AffinePredicate(np.array([1.0, -1.0, 0.5]), 0.5), 0.0, 1.0),
         OperatorUnit("eventually", BallPredicate(np.eye(3), np.array([0.5, -0.5, 0.0]), 1.0), 0.2, 1.0),
     ]
     side_params = [GammaParams(-1.0, 0.4, 3.0, u.t_star) for u in side_units]
-    side = Clique("side", (4, 5), build_barrier(side_units, side_params, eta=5.0, bound_radius=30.0),
-                  StateLayout(ids=(4, 5), dims=(1, 2)), 0.5, 1.0, 3)
+    side = Clique("side", (4, 5), build_barrier(side_units, side_params, eta=5.0, bound_radius=30.0), 0.5, 1.0)
     A2 = np.array([[-0.1, 0.2, 0.0], [0.0, -0.1, 0.3], [0.1, 0.0, -0.2]])
     agents = {
         1: AgentModel(1, 2),
@@ -254,22 +263,36 @@ def test_team_control_matches_per_agent_solves():
     assert tiny_active >= 5  # the rescaled path of solve_agent_qp ran
 
 
-def test_team_control_expired_clique_and_outsiders():
+def test_team_control_expired_clique():
     clique, agents = two_agent_clique()
-    agents = dict(agents)
-    agents[7] = AgentModel(agent_id=7, state_dim=1)
-    states = {1: np.zeros(2), 2: np.zeros(2), 7: np.array([1.0])}
     team = Team([clique], agents)
-    tc = team_control(team, team.stack(states), 5.0, np.zeros(team.input_dim))  # horizon reached
-    assert np.array_equal(tc.inputs[team.input_blocks[1]], np.zeros(2))
+    tc = team_control(team, np.ones(4), 5.0, np.zeros(team.input_dim))  # horizon reached
+    assert np.array_equal(tc.inputs, np.zeros(4))
     assert math.isnan(tc.barrier_values[0])  # clique "pair"
-    assert np.array_equal(tc.inputs[team.input_blocks[7]], np.zeros(1))
+    assert tc.shares.tolist() == [0.0, 0.0] and tc.residuals.tolist() == [0.0, 0.0]
 
 
 def test_team_control_rejects_shared_members():
     clique, agents = two_agent_clique()
-    with pytest.raises(ValueError, match="two cliques"):
+    with pytest.raises(ValueError, match=re.escape("cliques must partition the agents [1, 2], "
+                                                   "but their members are [1, 1, 2, 2]")):
         Team([clique, clique], agents)
+
+
+def test_team_refuses_cliques_that_do_not_fit_the_agents():
+    """An agent in no clique, a member that is no agent and member dimensions
+    that miss the barrier's are each a one-line error."""
+    clique, agents = two_agent_clique()
+    cases = (
+        ({**agents, 7: AgentModel(agent_id=7, state_dim=1)}, [clique],
+         "cliques must partition the agents [1, 2, 7], but their members are [1, 2]"),
+        ({1: agents[1]}, [clique], "cliques must partition the agents [1], but their members are [1, 2]"),
+        ({1: agents[1], 2: AgentModel(agent_id=2, state_dim=3)}, [clique],
+         "clique 'pair': member dimensions add up to 5, but its barrier has dim 4"),
+    )
+    for team_agents, cliques, msg in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            Team(cliques, team_agents)
 
 
 def test_aggregated_condition_holds_under_worst_coupling():
@@ -286,7 +309,7 @@ def test_aggregated_condition_holds_under_worst_coupling():
         st = barrier_state(clique.barrier, x, t)
         total = st.dbdt + clique.kappa * st.value
         for i in clique.members:
-            g_i = st.grad_x[clique.block(i)]
+            g_i = st.grad_x[team.blocks[i]]
             u = tc.inputs[team.input_blocks[i]]
             gn = float(np.linalg.norm(g_i))
             worst_c = -0.5 * g_i / gn if gn > 0 else np.zeros(2)

@@ -38,11 +38,9 @@ from oracles import naive_run, naive_write_log_csv
 
 def passive_clique(agent_id=1, dim=2, C=0.0, kappa=1.0, horizon=1.0, name="solo"):
     """Clique whose barrier stays deep in the safe set, so the QP returns 0."""
-    lay = StateLayout(ids=(agent_id,), dims=(dim,))
     unit = OperatorUnit("always", AffinePredicate(np.zeros(dim), 5.0), 0.0, horizon)
     cb = build_barrier([unit], [GammaParams(-1.0, 0.5, 0.3, 0.0)], eta=10.0, bound_radius=50.0)
-    return Clique(name=name, members=(agent_id,), barrier=cb, layout=lay,
-                  coupling_bound=C, kappa=kappa, max_agent_dim=dim)
+    return Clique(name=name, members=(agent_id,), barrier=cb, coupling_bound=C, kappa=kappa)
 
 
 def passive_scenario(dim=2, x0=None, **kw):
@@ -100,9 +98,16 @@ def test_scenario_validation():
             Scenario(agents=agents, cliques=(clique,), x0={1: np.zeros(2)}, dt=dt)
     with pytest.raises(ValueError, match="missing initial state"):
         Scenario(agents=agents, cliques=(clique,), x0={})
-    with pytest.raises(ValueError, match="partition"):
-        Scenario(agents={1: agents[1], 2: AgentModel(agent_id=2, state_dim=2)},
-                 cliques=(clique,), x0={1: np.zeros(2), 2: np.zeros(2)})
+    # the scenario's team refuses cliques that do not fit the agents
+    pair = {1: agents[1], 2: AgentModel(agent_id=2, state_dim=2)}
+    for agents_, cliques, msg in (
+        (pair, (clique,), "cliques must partition the agents [1, 2], but their members are [1]"),
+        (agents, (clique, clique), "cliques must partition the agents [1], but their members are [1, 1]"),
+        ({1: AgentModel(agent_id=1, state_dim=3)}, (clique,),
+         "clique 'solo': member dimensions add up to 3, but its barrier has dim 2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            Scenario(agents=agents_, cliques=cliques, x0={i: np.zeros(2) for i in agents_})
 
 
 def test_run_rejects_bad_horizon():
@@ -159,13 +164,12 @@ def test_integrator_is_first_order():
 
 
 def test_switch_events_logged():
-    lay = StateLayout(ids=(1,), dims=(1,))
     units = [
         OperatorUnit("always", AffinePredicate(np.zeros(1), 5.0), 0.0, 0.4),
         OperatorUnit("always", AffinePredicate(np.zeros(1), 6.0), 0.0, 1.0),
     ]
     cb = build_barrier(units, [GammaParams(-1.0, 0.5, 0.3, 0.0)] * 2, eta=10.0, bound_radius=50.0)
-    clique = Clique("s", (1,), cb, lay, 0.0, 1.0, 1)
+    clique = Clique("s", (1,), cb, 0.0, 1.0)
     sc = Scenario(agents={1: AgentModel(agent_id=1, state_dim=1)}, cliques=(clique,),
                   x0={1: np.zeros(1)}, dt=0.1)
     log = run(sc)
@@ -220,11 +224,10 @@ def test_dynamics_specs_refuse_bad_numbers(make, msg):
 def test_qp_infeasible_abort():
     # ball predicate centered at the agent: zero gradient with a rising funnel
     # leaves the QP no feasible input
-    lay = StateLayout(ids=(1,), dims=(2,))
     pred = BallPredicate(np.eye(2), np.zeros(2), 0.25)
     unit = OperatorUnit("always", pred, 0.0, 1.0)
     cb = build_barrier([unit], [GammaParams(0.9, 0.99, 1.0, 0.0)], eta=10.0, bound_radius=50.0)
-    clique = Clique("stuck", (1,), cb, lay, 0.0, 1e-3, 2)
+    clique = Clique("stuck", (1,), cb, 0.0, 1e-3)
     sc = Scenario(agents={1: AgentModel(agent_id=1, state_dim=2)}, cliques=(clique,),
                   x0={1: np.zeros(2)}, dt=0.1)
     log = run(sc)
@@ -255,7 +258,6 @@ def test_verify_pass_and_floors():
 
 
 def test_verify_until_floor_uses_lhs_gamma0():
-    lay = StateLayout(ids=(1,), dims=(1,))
     lhs = OperatorUnit("always", AffinePredicate(np.zeros(1), 5.0), 0.0, 0.5, until_lhs=True)
     rhs = OperatorUnit("eventually", AffinePredicate(np.zeros(1), 5.0), 0.2, 0.5)
     cb = build_barrier(
@@ -263,7 +265,7 @@ def test_verify_until_floor_uses_lhs_gamma0():
         [GammaParams(0.2, 1.2, 0.0, 0.0), GammaParams(-1.0, 0.5, 2.0, 0.5)],
         eta=10.0, bound_radius=50.0,
     )
-    clique = Clique("u", (1,), cb, lay, 0.0, 1.0, 1)
+    clique = Clique("u", (1,), cb, 0.0, 1.0)
     sc = Scenario(agents={1: AgentModel(agent_id=1, state_dim=1)}, cliques=(clique,),
                   x0={1: np.array([2.0])}, dt=0.1)
     log = run(sc)
@@ -350,11 +352,10 @@ def test_log_dict_round_trip(tmp_path):
 def test_adversarial_noise_pushes_against_gradient():
     # with an off-center ball term the adversarial sampler must align the
     # disturbance with -grad b
-    lay = StateLayout(ids=(1,), dims=(2,))
     pred = BallPredicate(np.eye(2), np.array([-1.0, 0.0]), 4.0)
     unit = OperatorUnit("always", pred, 0.0, 1.0)
     cb = build_barrier([unit], [GammaParams(-2.0, -0.5, 1.0, 0.0)], eta=10.0, bound_radius=50.0)
-    clique = Clique("adv", (1,), cb, lay, 0.3, 1.0, 2)
+    clique = Clique("adv", (1,), cb, 0.3, 1.0)
     sc = Scenario(agents={1: AgentModel(agent_id=1, state_dim=2)}, cliques=(clique,),
                   x0={1: np.array([2.0, 0.0])}, dt=0.1,
                   noise=NoiseSpec(bound=0.3, distribution="adversarial", seed=0))
@@ -379,7 +380,6 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta):
     rises past it, so its constraint direction vanishes with rhs > 0
     mid-run.  eta is the softmin sharpness of both task barriers.
     """
-    lay_team = StateLayout(ids=(1, 2, 3), dims=(2, 2, 2))
     sel3 = np.zeros((2, 6))
     sel3[:, 4:] = np.eye(2)
     team_units = [
@@ -389,7 +389,6 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta):
     ]
     team_params = [GammaParams(g0, g_inf, decay, u.t_star) for (g0, g_inf, decay), u in
                    zip([(-2.0, 0.2, 3.0), (-0.5, 0.3, 2.0), (-2.0, 0.3, 2.0)], team_units)]
-    lay_side = StateLayout(ids=(4, 5), dims=(2, 3))
     sel5 = np.zeros((3, 5))
     sel5[:, 2:] = np.eye(3)
     side_units = [
@@ -398,12 +397,9 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta):
     ]
     side_params = [GammaParams(g0, g_inf, decay, u.t_star) for (g0, g_inf, decay), u in
                    zip([(-1.0, 2.6, 4.0), (-1.0, 0.8, 3.0)], side_units)]
-    max_dim = 3
     cliques = [
-        Clique("team", (1, 2, 3), build_barrier(team_units, team_params, eta=eta, bound_radius=30.0),
-               lay_team, 0.8, 2.0, max_dim),
-        Clique("side", (4, 5), build_barrier(side_units, side_params, eta=eta, bound_radius=30.0),
-               lay_side, 0.8, 2.0, max_dim),
+        Clique("team", (1, 2, 3), build_barrier(team_units, team_params, eta=eta, bound_radius=30.0), 0.8, 2.0),
+        Clique("side", (4, 5), build_barrier(side_units, side_params, eta=eta, bound_radius=30.0), 0.8, 2.0),
     ]
     A2 = np.array([[-0.1, 0.2], [0.0, -0.1]])
     A5 = np.array([[0.0, -0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, -0.1]])
@@ -417,10 +413,9 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta):
     }
     x0 = {1: [0.0, 0.0], 2: [0.0, 0.5], 3: [-0.5, 0.5], 4: [1.0, 1.0], 5: [0.0, 0.0, 0.5]}
     if stuck:
-        lay = StateLayout(ids=(6,), dims=(2,))
         unit = OperatorUnit("always", BallPredicate(np.eye(2), np.zeros(2), 1.0), 0.0, 1.0)
         cb = build_barrier([unit], [GammaParams(-2.0, 1.5, 2.0, 0.0)], eta=10.0, bound_radius=50.0)
-        cliques.append(Clique("stuck", (6,), cb, lay, 0.0, 3.0, 2))
+        cliques.append(Clique("stuck", (6,), cb, 0.0, 3.0))
         agents[6] = AgentModel(6, 2)
         x0[6] = [0.0, 0.0]
     group = (1, 2, 3)
@@ -541,7 +536,7 @@ def test_log_files_match_naive_writer_and_read_back_bitwise(case, tmp_path):
         log.layout, log.input_layout, log.clique_names)
     for name in ("times", "x", "u", "b", "res", "share", "dist"):
         _assert_bitwise(getattr(back, name), getattr(log, name), name)
-    formulas = {cl.name: Always(0.0, 0.05, Atom(AffinePredicate(np.ones(cl.layout.dim), 1.0)))
+    formulas = {cl.name: Always(0.0, 0.05, Atom(AffinePredicate(np.ones(cl.barrier.dim), 1.0)))
                 for cl in sc.cliques}
     r_stars = {cl.name: 0.0 for cl in sc.cliques}
     assert verify(back, formulas, sc.cliques, r_stars) == verify(log, formulas, sc.cliques, r_stars)
