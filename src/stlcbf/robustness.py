@@ -113,18 +113,12 @@ def _eval(f: Formula, signal: SampledSignal, t: float, cache: dict) -> float:
         lhs = _state_series(f.lhs, signal, cache)
         rhs = _state_series(f.rhs, signal, cache)
         ks = int(np.searchsorted(times, t - _tol(t), side="left"))
-        best = -np.inf
-        run = np.inf
-        prev = None
-        for m in range(i0, i1 + 1):
-            lo = min(ks, m)
-            if prev is None or lo != min(ks, prev):
-                run = float(np.min(lhs[lo : m + 1]))
-            else:
-                run = min(run, float(lhs[m]))
-            prev = m
-            best = max(best, min(float(rhs[m]), run))
-        return float(best)
+        # low[m - i0] = min of lhs over [min(ks, m), m]: lhs[m] itself before
+        # ks, then the running minimum from ks on
+        low = lhs[i0 : i1 + 1].copy()
+        j = max(i0, ks)
+        low[j - i0 :] = np.minimum.accumulate(lhs[ks : i1 + 1])[j - ks :]
+        return float(np.max(np.minimum(rhs[i0 : i1 + 1], low)))
     raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 

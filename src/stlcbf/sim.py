@@ -8,8 +8,10 @@ verification is logged per step against the pre-step state.
 
 The loop works on the stacked team state of controller.Team: coupling,
 repulsion, noise and the Euler update act on whole vectors, and each step's
-results go into preallocated (T, .) buffers whose columns the log exposes
-per agent.
+results go straight into the row of one preallocated table laid out as the
+trajectory CSV: the log is that table, the CSV writer formats its rows as
+they are and the reader fills one back.  Its fields, per agent or stacked,
+are column views.
 """
 
 from __future__ import annotations
@@ -164,49 +166,84 @@ class Scenario:
         for i in self.agents:
             if i not in self.x0:
                 raise ValueError(f"missing initial state for agent {i}")
+        pulled = [j for i, pulls in self.coupling.attractions.items() for j in (i, *(t for _, t in pulls))]
+        for what, ids in (("secondary group", self.secondary.group), ("attraction", pulled)):
+            for i in ids:
+                if i not in self.agents:
+                    raise ValueError(f"{what} names agent {i}, which the scenario does not have")
         # the run's team, which also refuses cliques that do not fit the agents
         known = self.secondary.group if self.secondary.known else ()
         object.__setattr__(self, "_team", Team(self.cliques, self.agents, known))
 
 
+class _Columns:
+    """The trajectory CSV's columns for a team, in header order: t, the
+    states and the inputs in the team's stacked layouts, the barrier values
+    in clique-name order, then res, share and dist of each agent in turn.
+    Every field is a basic slice of a row."""
+
+    def __init__(self, team: Team):
+        self.layout, self.input_layout = team.layout, team.input_layout
+        self.clique_names = names = tuple(cl.name for cl in team.cliques)
+        self.x = slice(1, 1 + team.dim)
+        self.u = slice(self.x.stop, self.x.stop + team.input_dim)
+        self.b = slice(self.u.stop, self.u.stop + len(names))
+        end = self.b.stop + 3 * len(team.ids)
+        self.res, self.share, self.dist = (slice(self.b.stop + j, end, 3) for j in range(3))
+        self.by_name = sorted(range(len(names)), key=names.__getitem__)  # team clique indices
+        self.barrier_cols = {names[c]: self.b.start + j for j, c in enumerate(self.by_name)}
+        self.header = ["t"]
+        self.header += [f"x{i}_{c}" for i, n in zip(self.layout.ids, self.layout.dims) for c in range(n)]
+        self.header += [f"u{i}_{c}" for i, n in zip(self.input_layout.ids, self.input_layout.dims) for c in range(n)]
+        self.header += [f"b_{names[c]}" for c in self.by_name]
+        self.header += [f"{k}_{i}" for i in self.layout.ids for k in ("res", "share", "dist")]
+
+
 @dataclass
 class TrajectoryLog:
-    """A run's per-step record in the team's stacked layouts (agents in
-    ascending id order, as controller.Team stacks them); step k's fields
-    belong to the pre-step state."""
+    """A run's record as the trajectory CSV's table: row k holds t_k, the
+    pre-step state and step k's fields, and the terminal row holds the final
+    t and state with its step cells nan.  The fields below are views of the
+    table in the team's stacked layouts (agents in ascending id order, as
+    controller.Team stacks them)."""
 
-    times: np.ndarray  # (T+1,)
-    x: np.ndarray  # (T+1, n_total) states
-    u: np.ndarray  # (T, m_total) applied inputs (QP + secondary)
-    b: np.ndarray  # (T, n_cliques) barrier values, nan once the clique expired
-    res: np.ndarray  # (T, n) QP constraint slack a'u - rhs
-    share: np.ndarray  # (T, n) load shares
-    dist: np.ndarray  # (T, n) ||c + w (+ g f_u if unplanned)||
-    layout: StateLayout
-    input_layout: StateLayout
-    clique_names: tuple
+    table: np.ndarray  # (T+1, len(columns.header))
+    columns: _Columns
     events: list
     completed: bool
     dt: float
 
-    # per-agent and per-clique column views of the stacked arrays
+    times = property(lambda log: log.table[:, 0])  # (T+1,)
+    x = property(lambda log: log.table[:, log.columns.x])  # (T+1, n_total) states
+    u = property(lambda log: log.table[:-1, log.columns.u])  # (T, m_total) applied inputs (QP + secondary)
+    # (T, n_cliques) barrier values in clique-name order, nan once the clique expired
+    b = property(lambda log: log.table[:-1, log.columns.b])
+    res = property(lambda log: log.table[:-1, log.columns.res])  # (T, n) QP constraint slack a'u - rhs
+    share = property(lambda log: log.table[:-1, log.columns.share])  # (T, n) load shares
+    dist = property(lambda log: log.table[:-1, log.columns.dist])  # (T, n) ||c + w (+ g f_u if unplanned)||
+    layout = property(lambda log: log.columns.layout)
+    input_layout = property(lambda log: log.columns.input_layout)
+    clique_names = property(lambda log: log.columns.clique_names)  # in the team's clique order
+
+    # per-agent and per-clique column views
     states = property(lambda log: {i: log.x[:, s] for i, s in log.layout.slices().items()})
     inputs = property(lambda log: {i: log.u[:, s] for i, s in log.input_layout.slices().items()})
-    barriers = property(lambda log: dict(zip(log.clique_names, log.b.T)))
+    barriers = property(lambda log: {name: log.table[:-1, log.columns.barrier_cols[name]]
+                                      for name in log.clique_names})
     residuals = property(lambda log: dict(zip(log.layout.ids, log.res.T)))
     shares = property(lambda log: dict(zip(log.layout.ids, log.share.T)))
     disturbance_norms = property(lambda log: dict(zip(log.layout.ids, log.dist.T)))
 
-    def _columns(self, members) -> np.ndarray:
+    def _member_states(self, members) -> np.ndarray:
         """The members' state columns, stacked in member order."""
         blocks = self.layout.slices()
         return self.x[:, np.concatenate([np.arange(blocks[i].start, blocks[i].stop) for i in members])]
 
     def clique_signal(self, clique: Clique) -> SampledSignal:
-        return SampledSignal(self.times, self._columns(clique.members))
+        return SampledSignal(self.times, self._member_states(clique.members))
 
     def max_speed(self, members) -> float:
-        stack = self._columns(members)
+        stack = self._member_states(members)
         if stack.shape[0] < 2:
             return 0.0
         return float(np.max(np.linalg.norm(np.diff(stack, axis=0), axis=1))) / self.dt
@@ -320,13 +357,11 @@ def run(scenario: Scenario) -> TrajectoryLog:
     unmodelled = np.repeat([float(i not in team.known) for i in team.ids], team.input_layout.dims)
     limits = team.coupling_bounds + 1e-9
 
-    n = len(team.ids)
-    xs = np.empty((n_steps + 1, team.dim))
-    us = np.empty((n_steps, team.input_dim))
-    bs = np.empty((n_steps, len(team.cliques)))
-    residuals = np.empty((n_steps, n))
-    shares = np.empty((n_steps, n))
-    dist_norms = np.empty((n_steps, n))
+    cols = _Columns(team)
+    table = np.empty((n_steps + 1, len(cols.header)))
+    table[:, 0] = times
+    xs, us, bs = table[:, cols.x], table[:, cols.u], table[:, cols.b]
+    residuals, shares, dist_norms = table[:, cols.res], table[:, cols.share], table[:, cols.dist]
     x = team.stack(sc.x0)
     xs[0] = x
     events = []
@@ -373,22 +408,10 @@ def run(scenario: Scenario) -> TrajectoryLog:
             completed = False
             break
 
-    t_len = steps_done
-    return TrajectoryLog(
-        times=times[: t_len + 1],
-        x=xs[: t_len + 1],
-        u=us[:t_len],
-        b=bs[:t_len],
-        res=residuals[:t_len],
-        share=shares[:t_len],
-        dist=dist_norms[:t_len],
-        layout=team.layout,
-        input_layout=team.input_layout,
-        clique_names=tuple(cl.name for cl in team.cliques),
-        events=events,
-        completed=completed,
-        dt=sc.dt,
-    )
+    # the step loop wrote the barrier values in the team's clique order
+    bs[:steps_done] = bs[:steps_done, cols.by_name]
+    table[steps_done, cols.x.stop :] = np.nan
+    return TrajectoryLog(table[: steps_done + 1], cols, events, completed, sc.dt)
 
 
 _TOL_B = 1e-3  # how far below 0 a logged barrier value may dip
@@ -439,29 +462,15 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
 
 
 
-def _csv_header(layout: StateLayout, input_layout: StateLayout, clique_names) -> list:
-    cols = ["t"]
-    cols += [f"x{i}_{c}" for i, n in zip(layout.ids, layout.dims) for c in range(n)]
-    cols += [f"u{i}_{c}" for i, n in zip(input_layout.ids, input_layout.dims) for c in range(n)]
-    cols += [f"b_{name}" for name in sorted(clique_names)]
-    cols += [f"{k}_{i}" for i in layout.ids for k in ("res", "share", "dist")]
-    return cols
-
-
 def write_log_csv(log: TrajectoryLog, path) -> str:
-    """One row per step (pre-step state, input, barrier); the final row holds
-    the terminal state with step fields left empty.  Floats are written as
-    their repr, so they read back exactly.  Returns the sha256 hex digest of
-    the bytes written."""
-    t_steps, n = log.res.shape
-    order = sorted(range(len(log.clique_names)), key=log.clique_names.__getitem__)
-    steps = np.concatenate([
-        log.times[:t_steps, None], log.x[:t_steps], log.u, log.b[:, order],
-        np.stack([log.res, log.share, log.dist], axis=2).reshape(t_steps, 3 * n),
-    ], axis=1)
+    """The log's table, one row per step (pre-step state, input, barrier);
+    the final row holds the terminal state with step fields left empty.
+    Floats are written as their repr, so they read back exactly.  Returns
+    the sha256 hex digest of the bytes written."""
+    steps = log.table[:-1]
     head = io.StringIO()
-    csv.writer(head).writerow(_csv_header(log.layout, log.input_layout, log.clique_names))
-    terminal = log.times[-1:].tolist() + log.x[-1].tolist()
+    csv.writer(head).writerow(log.columns.header)
+    terminal = log.table[-1, : log.columns.x.stop].tolist()
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
 
@@ -471,7 +480,7 @@ def write_log_csv(log: TrajectoryLog, path) -> str:
             digest.update(data)
 
         put(head.getvalue())
-        for k in range(0, t_steps, _CHUNK_ROWS):
+        for k in range(0, len(steps), _CHUNK_ROWS):
             put("".join(",".join(map(repr, row)) + "\r\n" for row in steps[k : k + _CHUNK_ROWS].tolist()))
         put(",".join(map(repr, terminal)) + "," * (steps.shape[1] - len(terminal)) + "\r\n")
     return digest.hexdigest()
@@ -568,8 +577,8 @@ def _hashed_lines(fh, digest):
 def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
     """Read a run of team back from a log section and the trajectory CSV it
     names in directory.  The CSV is streamed through its sha256 and a csv
-    reader into arrays of the size that the section's completed flag and
-    events give; any fault of the pair is a one-line ValueError or OSError."""
+    reader into the log's table, of the size that the section's completed
+    flag and events give; any fault of the pair is a one-line ValueError or OSError."""
     doc = doc if isinstance(doc, dict) else {}
     events, link = doc.get("events"), doc.get("trajectory")
     if not (isinstance(events, list) and isinstance(link, dict) and is_finite_number(doc.get("dt"))
@@ -580,20 +589,19 @@ def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
         raise ValueError("log: needs a positive dt, a completed flag, events with a finite t and a kind, "
                          "and the trajectory CSV's file name and sha256")
     path = Path(directory) / link["file"]
-    names = tuple(cl.name for cl in team.cliques)
-    header = _csv_header(team.layout, team.input_layout, names)
+    cols = _Columns(team)
     n_steps = _logged_steps(doc, _latest_deadline(team.cliques))
-    nx = 1 + team.dim  # the t and x columns, the only ones of the terminal row
+    nx = cols.x.stop  # the t and x columns, the only ones of the terminal row
     # every row holds at least its commas and line end
-    if (n_steps + 1) * (len(header) + 1) > path.stat().st_size:
+    if (n_steps + 1) * (len(cols.header) + 1) > path.stat().st_size:
         raise ValueError(f"{path}: too short for the {n_steps + 1} rows the log's completed flag and events give")
-    table = np.empty((n_steps + 1, len(header)))
+    table = np.empty((n_steps + 1, len(cols.header)))
     digest = hashlib.sha256()
     n_rows, fault = 0, None  # the first bad line, reported after the hash and row count
     with open(path, "rb") as fh:
         rows = csv.reader(_hashed_lines(fh, digest))
         try:
-            if next(rows, None) != header:
+            if next(rows, None) != cols.header:
                 raise ValueError(f"{path}: header does not match the config's agents and cliques")
             for row in rows:
                 if n_rows <= n_steps and fault is None:
@@ -615,22 +623,5 @@ def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
         raise ValueError(f"{path} line {fault}: a missing, extra or non-numeric cell")
     if not np.isfinite(table[:, :nx]).all():
         raise ValueError(f"{path}: non-finite t or x cell")
-    steps = table[:n_steps, nx:]
-    m = team.input_dim
-    rank = {name: j for j, name in enumerate(sorted(names))}
-    per_agent = steps[:, m + len(names) :].reshape(n_steps, len(team.ids), 3)
-    return TrajectoryLog(
-        times=table[:, 0],
-        x=table[:, 1:nx],
-        u=steps[:, :m],
-        b=steps[:, [m + rank[name] for name in names]],
-        res=per_agent[:, :, 0],
-        share=per_agent[:, :, 1],
-        dist=per_agent[:, :, 2],
-        layout=team.layout,
-        input_layout=team.input_layout,
-        clique_names=names,
-        events=events,
-        completed=doc["completed"],
-        dt=float(doc["dt"]),
-    )
+    table[n_steps, nx:] = np.nan
+    return TrajectoryLog(table, cols, events, doc["completed"], float(doc["dt"]))

@@ -37,12 +37,12 @@ import math
 import numpy as np
 
 from stlcbf.barrier import GammaParams, barrier_state, build_barrier, gamma_eval, left_limit_state
-from stlcbf.controller import QpInfeasibleError
+from stlcbf.controller import QpInfeasibleError, Team
 from stlcbf.formula import (
     Atom, Conj, Always, Eventually, OperatorUnit, Until, is_state_formula, state_literals,
 )
 from stlcbf.predicates import AffinePredicate, BallPredicate, StateLayout
-from stlcbf.sim import TrajectoryLog
+from stlcbf.sim import TrajectoryLog, _Columns
 
 
 def _tol(at: float) -> float:
@@ -556,23 +556,17 @@ def naive_run(scenario) -> TrajectoryLog:
     if completed:
         steps_done = n_steps
     t_len = steps_done
-    dims = [agents[i].state_dim for i in agent_ids]
-    input_dims = [agents[i].input_dim for i in agent_ids]
-    return TrajectoryLog(
-        times=times[: t_len + 1],
-        x=np.concatenate([states[i][: t_len + 1] for i in agent_ids], axis=1),
-        u=np.concatenate([inputs[i][:t_len] for i in agent_ids], axis=1),
-        b=np.stack([b[:t_len] for b in barriers.values()], axis=1),
-        res=np.stack([residuals[i][:t_len] for i in agent_ids], axis=1),
-        share=np.stack([shares[i][:t_len] for i in agent_ids], axis=1),
-        dist=np.stack([dist_norms[i][:t_len] for i in agent_ids], axis=1),
-        layout=StateLayout(tuple(agent_ids), tuple(dims)),
-        input_layout=StateLayout(tuple(agent_ids), tuple(input_dims)),
-        clique_names=tuple(barriers),
-        events=events,
-        completed=completed,
-        dt=sc.dt,
-    )
+
+    def steps(a):  # a step field's rows, then the terminal row's nan cells
+        return np.vstack([a[:t_len], np.full((1, a.shape[1]), np.nan)])
+
+    # the trajectory CSV's columns: t, states, inputs, barriers by clique
+    # name, then res, share and dist agent by agent
+    parts = [times[: t_len + 1, None]] + [states[i][: t_len + 1] for i in agent_ids]
+    parts += [steps(inputs[i]) for i in agent_ids]
+    parts += [steps(barriers[name][:, None]) for name in sorted(barriers)]
+    parts += [steps(f[i][:, None]) for i in agent_ids for f in (residuals, shares, dist_norms)]
+    return TrajectoryLog(np.hstack(parts), _Columns(Team(sc.cliques, agents)), events, completed, sc.dt)
 
 
 def naive_write_log_csv(log: TrajectoryLog, path) -> None:

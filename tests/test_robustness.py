@@ -95,6 +95,25 @@ def test_until_window_starts_at_t_not_t_plus_a():
     assert robustness(f, s) == -1.0
 
 
+def test_until_bracketing_pair_before_t():
+    # at t = 0.5 the window [0.5, 0.7] holds no sample, so the witnesses are
+    # the bracketing samples 0 and 1; the for-all part starts at t, so the
+    # witness at sample 0 (before t) is held only to its own lhs value
+    times = [0.0, 1.0, 2.0, 3.0]
+    p = IDENT  # x
+    q = Atom(AffinePredicate(np.array([-1.0]), 10.0))  # 10 - x
+    f = Until(0.0, 0.2, p, q)
+    for xs, want in (
+        # witness 0: min(q=6, p=4) = 4; witness 1: min(q=12, p=-2) = -2
+        ([4.0, -2.0, 7.0, 1.0], 4.0),
+        # witness 0: min(q=15, p=-5) = -5; witness 1: min(q=7, p=3) = 3,
+        # its for-all part not reaching back to sample 0
+        ([-5.0, 3.0, 7.0, 1.0], 3.0),
+    ):
+        assert robustness(f, sig(times, xs), t=0.5) == want
+        assert naive_robustness(f, times, xs, t=0.5) == want
+
+
 def test_parse_and_monitor_roundtrip():
     lay = StateLayout(ids=(1,), dims=(2,))
     f = parse("F[0,2](norm_inf(x1 - [1,1]) <= 0.5)", lay)

@@ -108,6 +108,17 @@ def test_scenario_validation():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             Scenario(agents=agents_, cliques=cliques, x0={i: np.zeros(2) for i in agents_})
+    # coupling and secondary control may name only the scenario's agents
+    for kw, msg in (
+        ({"secondary": SecondaryControlSpec("pairwise_repulsion", (1, 9), 0.1, 0.05)},
+         "secondary group names agent 9, which the scenario does not have"),
+        ({"coupling": CouplingSpec("saturating_attraction", attractions={1: ((0.5, 9),)})},
+         "attraction names agent 9, which the scenario does not have"),
+        ({"coupling": CouplingSpec("saturating_attraction", attractions={7: ((0.5, 1),)})},
+         "attraction names agent 7, which the scenario does not have"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            passive_scenario(dt=0.1, **kw)
 
 
 def test_run_rejects_bad_horizon():
