@@ -15,28 +15,36 @@ term D - ||x|| keeping the superlevel sets compact.  Terms drop out at their
 deadlines, so b is piecewise smooth in t with switches at the sorted unique
 deadlines s_1 < ... < s_q; it is undefined at t >= s_q.
 
-barrier_state and left_limit_state run through one kernel, whose term
-values come from the same code that CompositeBarrier.term_values returns.
-The barrier compiles once: the affine rows c and every ball's A rows are
-stacked into one matrix, and each activity interval (the terms with
-deadline >= s_k) gets its selection indices and gradient rows.  A call then
-takes one product over all stacked rows, forms b_l for every term and
-selects the active ones.  The x-products are deliberately not taken over a
-per-interval submatrix: (C @ x)[sel] and C[sel] @ x can differ in the last
-bit, and two identities hold exactly only because every caller sees the
-same floats for a term -- the reported term values equal
-term_values(x, t)[active], and b(x, s) >= left limit at s with no
-tolerance, since both sides blend the same b_l.  gamma_l(t) and its rate
-depend on t alone, so the kernel keeps them for the last (t, interval) pair
-it saw: a search or a sweep evaluates many states at one time.
+barrier_state, left_limit_state and the team step of a run go through one
+kernel, whose term values come from the same code that
+CompositeBarrier.term_values returns.  The barrier compiles once: the affine
+rows c and every ball's A rows are stacked into one matrix, and each
+activity interval (the terms with deadline >= s_k) gets its selection
+indices and gradient rows.  A call then takes one product over all stacked
+rows, forms h_l for every term and selects the active ones.  The x-products
+are deliberately not taken over a per-interval submatrix: (C @ x)[sel] and
+C[sel] @ x can differ in the last bit, and two identities hold exactly only
+because every caller sees the same floats for a term -- the reported term
+values equal term_values(x, t)[active], and b(x, s) >= left limit at s with
+no tolerance, since both sides blend the same b_l.
 
-The kernel runs in two halves.  _value checks the call, forms the term
-values and the unnormalised softmin weights and returns the barrier value
-with those intermediates; _finish turns them into a BarrierState
-(normalised weights, gradient in x, rate in t).  barrier_value and
-left_limit_value run only the first half.  So does an Armijo trial of the
-switch-certifying ascent in param_search, which reads only the value of a
-trial point and finishes the one it accepts: most trials are rejected.
+gamma_l(t) and its rate depend on t alone, so the kernel takes them as
+arguments: the activity interval and the rows of gamma_l(t) and
+-d gamma_l/dt over its active terms, from one _gamma.  The checked entries
+(barrier_state, barrier_value, left_limit_*) fetch the rows from a t-cache
+that holds them for the last (t, interval) pair: a search or a sweep
+evaluates many states at one time.  A run knows its time grid, so
+_funnel_rows tabulates the rows over many steps at once and the team step
+hands them to _state with no lookup and no check.  One _gamma over a grid
+gives each row the bits of _gamma at that row's time.
+
+The kernel runs in two halves.  _value forms the term values and the
+unnormalised softmin weights and returns the barrier value with those
+intermediates; _finish turns them into a BarrierState (normalised weights,
+gradient in x, rate in t).  barrier_value and left_limit_value run only the
+first half.  So does an Armijo trial of the switch-certifying ascent in
+param_search, which reads only the value of a trial point and finishes the
+one it accepts: most trials are rejected.
 """
 
 from __future__ import annotations
@@ -44,12 +52,15 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .formula import OperatorUnit
-from .predicates import AffinePredicate, BallPredicate, finite_number, predicate_to_dict, predicate_from_dict
+from .predicates import (
+    AffinePredicate, BallPredicate, finite_number, is_finite_number, predicate_to_dict, predicate_from_dict,
+)
 
 __all__ = [
     "GammaParams",
@@ -134,8 +145,9 @@ class _Interval(NamedTuple):
     >= s_k, which are active on [s_{k-1}, s_k) and in the left limit at s_k."""
 
     active: np.ndarray  # active task terms, ascending term index
-    sel: np.ndarray  # their kernel positions, then n (the bound slot)
-    wpos: np.ndarray  # per gradient row: its term's position in sel
+    kpos: np.ndarray  # their kernel positions
+    funnel: tuple  # their -decay, gamma0 - gamma_inf, gamma_inf and -decay (gamma_inf - gamma0) rows
+    wpos: np.ndarray  # per gradient row: its term's weight (active terms, then the bound term)
     G: np.ndarray  # gradient rows: active affine c, then active ball -2A
     n_aff_rows: int
     ball_rows: np.ndarray  # rows of the stacked product feeding the ball rows of G
@@ -153,6 +165,9 @@ class CompositeBarrier:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("composite barrier needs at least one term")
+        for name in ("eta", "bound_radius", "smooth_eps"):
+            if not is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.eta <= 0.0:
             raise ValueError("eta must be positive")
         if self.bound_radius < 0.0:
@@ -180,13 +195,14 @@ class CompositeBarrier:
         g0 = np.array([self.terms[i].gamma.gamma0 for i in order])
         gi = np.array([self.terms[i].gamma.gamma_inf for i in order])
         dec = np.array([self.terms[i].gamma.decay for i in order])
+        funnel = (-dec, g0 - gi, gi, -(dec * (gi - g0)))  # kernel order
         schedule = tuple(sorted(set(deadlines.tolist())))
         intervals = []
         for s in schedule:
             active = np.flatnonzero(deadlines >= s)
             active.flags.writeable = False
             kpos = pos[active]
-            # (row, term's position in sel), sorted: affine rows come first
+            # (row, term's position among the active), sorted: affine rows come first
             pairs = sorted((r, j) for j, k in enumerate(kpos)
                            for r in range(row_start[k], row_start[k + 1]))
             rows = np.array([r for r, _ in pairs], dtype=int)
@@ -195,7 +211,8 @@ class CompositeBarrier:
             grad_rows[n_aff_rows:] *= -2.0
             intervals.append(_Interval(
                 active=active,
-                sel=np.append(kpos, n),
+                kpos=kpos,
+                funnel=tuple(row[kpos] for row in funnel),
                 wpos=np.array([j for _, j in pairs], dtype=int),
                 G=grad_rows,
                 n_aff_rows=n_aff_rows,
@@ -210,12 +227,9 @@ class CompositeBarrier:
             ("_ball_e", np.array([p.e for p in preds[n_aff:]])),
             ("_ball_start", row_start[n_aff:-1] - n_aff),
             ("_pos", pos),
-            ("_gdiff", g0 - gi),
-            ("_gi", gi),
-            ("_negdec", -dec),
-            ("_negrate", -(dec * (gi - g0))),
+            ("_term_funnel", tuple(row[pos] for row in funnel)),  # term order
             ("_intervals", tuple(intervals)),
-            ("_tcache", (None, None, None, None)),  # (t, interval, gamma, -rate of active)
+            ("_tcache", (None, None, None, None, None)),  # (t, k, interval, gamma row, rate row)
         ):
             object.__setattr__(self, name, value)
 
@@ -223,14 +237,9 @@ class CompositeBarrier:
     def horizon(self) -> float:
         return self.schedule[-1]
 
-    def _gamma(self, t: float) -> tuple:
-        """gamma_l(t) and -d gamma_l/dt over all terms, kernel order."""
-        e = np.exp(self._negdec * t)
-        return self._gdiff * e + self._gi, self._negrate * e
-
-    def _values(self, x: np.ndarray, gam: np.ndarray) -> tuple:
-        """(b_l(x, t) over all terms in kernel order with the bound term
-        appended, the stacked product A x + b, the smoothed norm of x)."""
+    def _h(self, x: np.ndarray) -> tuple:
+        """(h_l(x) over all terms in kernel order, the stacked product
+        A x + b, the smoothed norm of x)."""
         y = np.dot(self._mat, x)
         y += self._off
         h = y
@@ -238,16 +247,12 @@ class CompositeBarrier:
             yb = y[self._n_aff:]
             hb = self._ball_e - np.add.reduceat(yb * yb, self._ball_start)
             h = np.concatenate((y[:self._n_aff], hb))
-        ext = np.empty(len(h) + 1)
-        np.subtract(h, gam, out=ext[:-1])
-        nx = math.sqrt(float(np.dot(x, x)) + self.smooth_eps**2)
-        ext[-1] = self.bound_radius - nx + self.smooth_eps
-        return ext, y, nx
+        return h, y, math.sqrt(float(np.dot(x, x)) + self.smooth_eps**2)
 
     def term_values(self, x: np.ndarray, t: float) -> np.ndarray:
         """b_l(x,t) for every task term (ignoring activity)."""
         x = np.asarray(x, dtype=float)
-        return self._values(x, self._gamma(t)[0])[0][self._pos]
+        return self._h(x)[0][self._pos] - _gamma(t, self._term_funnel)[0]
 
     def active_mask(self, t: float) -> np.ndarray:
         return self._deadlines > t
@@ -265,12 +270,64 @@ class BarrierState:
     term_values: np.ndarray  # b_l at active task terms, bound term last
 
 
-def _value(cb: CompositeBarrier, x: np.ndarray, t: float, k: int) -> tuple:
-    """First half of the kernel on activity interval k (k = len(schedule):
-    expired).  Returns the barrier value followed by the intermediates
-    _finish takes: x, the interval, the t-cache entry, the term values, the
-    stacked product, the smoothed norm of x, the unnormalised weights and
-    their sum."""
+def _value(cb: CompositeBarrier, x: np.ndarray, iv: _Interval, gam: np.ndarray, rate: np.ndarray) -> tuple:
+    """First half of the kernel, at a state x of shape (dim,) on activity
+    interval iv, given gamma_l(t) and -d gamma_l/dt of iv's active terms as
+    the C-contiguous rows gam and rate (np.dot over a strided row can round
+    differently).  Nothing is checked here.  Returns the barrier value
+    followed by the intermediates _finish takes: x, the interval, the rate
+    row, the term values, the stacked product, the smoothed norm of x, the
+    unnormalised weights and their sum."""
+    h, y, nx = cb._h(x)
+    vals = np.empty(len(iv.kpos) + 1)
+    np.subtract(h[iv.kpos], gam, out=vals[:-1])
+    vals[-1] = cb.bound_radius - nx + cb.smooth_eps
+    m = min(vals.tolist())
+    w = m - vals
+    w *= cb.eta
+    np.exp(w, out=w)
+    z = float(np.add.reduce(w))
+    return m - math.log(z) / cb.eta, x, iv, rate, vals, y, nx, w, z
+
+
+def _finish(value, x, iv, rate, vals, y, nx, w, z) -> BarrierState:
+    """Second half of the kernel: a _value result made into a BarrierState.
+    It normalises the weights in place, so a result is finished once."""
+    active, _, _, wpos, G, n_aff_rows, ball_rows = iv
+    w /= z
+    rw = w[wpos]
+    if len(ball_rows):
+        rw[n_aff_rows:] *= y[ball_rows]
+    grad = np.dot(rw, G)
+    grad -= (w[-1] / nx) * x
+    dbdt = float(np.dot(w[:-1], rate))
+    return BarrierState(value=value, grad_x=grad, dbdt=dbdt, weights=w, active=active, term_values=vals)
+
+
+def _state(cb: CompositeBarrier, x: np.ndarray, iv: _Interval, gam: np.ndarray, rate: np.ndarray) -> BarrierState:
+    """The whole kernel on _value's arguments: the entry of the team step,
+    which takes the interval and rows from _funnel_rows."""
+    return _finish(*_value(cb, x, iv, gam, rate))
+
+
+def _gamma(times, funnel: tuple) -> tuple:
+    """gamma_l and -d gamma_l/dt of the terms whose rows funnel holds: one
+    row at a time t, or one C-contiguous row per time of a (T, 1) column of
+    times.  Elementwise, so a row of a column's result has the bits of the
+    result at that row's time."""
+    negdec, gdiff, gi, negrate = funnel
+    e = negdec * times
+    np.exp(e, out=e)
+    gam = gdiff * e
+    gam += gi
+    e *= negrate
+    return gam, e
+
+
+def _args(cb: CompositeBarrier, x, t: float, k: int) -> tuple:
+    """The kernel's arguments after cb for a checked call at (x, t) on
+    activity interval k (k = len(schedule): expired): x as a (dim,) float
+    array, the interval and its rows from the t-cache."""
     x = np.asarray(x, dtype=float)
     if x.shape != (cb.dim,):
         raise ValueError(f"state must have shape ({cb.dim},)")
@@ -279,46 +336,31 @@ def _value(cb: CompositeBarrier, x: np.ndarray, t: float, k: int) -> tuple:
             f"barrier undefined at t={t:g}: every task term has expired "
             f"(final deadline {cb.horizon:g})"
         )
-    iv = cb._intervals[k]
     tc = cb._tcache
     if tc[0] != t or tc[1] != k:
-        gam, negrate = cb._gamma(t)
-        tc = (t, k, gam, negrate[iv.sel[:-1]])
+        iv = cb._intervals[k]
+        tc = (t, k, iv, *_gamma(t, iv.funnel))
         object.__setattr__(cb, "_tcache", tc)
-    ext, y, nx = cb._values(x, tc[2])
-    vals = ext[iv.sel]
-    m = min(vals.tolist())
-    w = m - vals
-    w *= cb.eta
-    np.exp(w, out=w)
-    z = float(np.add.reduce(w))
-    return m - math.log(z) / cb.eta, x, iv, tc, vals, y, nx, w, z
+    return x, tc[2], tc[3], tc[4]
 
 
-def _finish(value, x, iv, tc, vals, y, nx, w, z) -> BarrierState:
-    """Second half of the kernel: a _value result made into a BarrierState.
-    It normalises the weights in place, so a result is finished once."""
-    active, _, wpos, G, n_aff_rows, ball_rows = iv
-    w /= z
-    rw = w[wpos]
-    if len(ball_rows):
-        rw[n_aff_rows:] *= y[ball_rows]
-    grad = np.dot(rw, G)
-    grad -= (w[-1] / nx) * x
-    dbdt = float(np.dot(w[:-1], tc[3]))
-    return BarrierState(value=value, grad_x=grad, dbdt=dbdt, weights=w, active=active, term_values=vals)
-
-
-def _state(cb: CompositeBarrier, x: np.ndarray, t: float, k: int) -> BarrierState:
-    return _finish(*_value(cb, x, t, k))
+def _funnel_rows(cb: CompositeBarrier, times: np.ndarray):
+    """The interval and rows _args gives at each of the ascending times, all
+    before the final deadline, tabulated: one _gamma over the times of each
+    activity interval."""
+    lo = 0
+    for iv, hi in zip(cb._intervals, np.searchsorted(times, cb.schedule).tolist()):
+        if hi > lo:
+            yield from zip(repeat(iv), *_gamma(times[lo:hi, None], iv.funnel))
+            lo = hi
 
 
 def barrier_state(cb: CompositeBarrier, x: np.ndarray, t: float) -> BarrierState:
-    return _state(cb, x, t, bisect.bisect_right(cb.schedule, t))
+    return _finish(*_value(cb, *_args(cb, x, t, bisect.bisect_right(cb.schedule, t))))
 
 
 def barrier_value(cb: CompositeBarrier, x: np.ndarray, t: float) -> float:
-    return _value(cb, x, t, bisect.bisect_right(cb.schedule, t))[0]
+    return _value(cb, *_args(cb, x, t, bisect.bisect_right(cb.schedule, t)))[0]
 
 
 def _left_interval(cb: CompositeBarrier, s: float) -> int:
@@ -329,12 +371,12 @@ def _left_interval(cb: CompositeBarrier, s: float) -> int:
 
 
 def left_limit_state(cb: CompositeBarrier, x: np.ndarray, s: float) -> BarrierState:
-    return _state(cb, x, s, _left_interval(cb, s))
+    return _finish(*_value(cb, *_args(cb, x, s, _left_interval(cb, s))))
 
 
 def left_limit_value(cb: CompositeBarrier, x: np.ndarray, s: float) -> float:
     """Barrier value in the limit t -> s from below (deadline-s terms kept)."""
-    return _value(cb, x, s, _left_interval(cb, s))[0]
+    return _value(cb, *_args(cb, x, s, _left_interval(cb, s)))[0]
 
 
 def build_barrier(units, params, eta: float, bound_radius: float, smooth_eps: float = 1e-9) -> CompositeBarrier:

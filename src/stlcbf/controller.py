@@ -14,12 +14,16 @@ condition under any disturbance with ||c_i|| <= C.  The single-constraint QP
 has the closed-form solution u = max(rhs, 0) / ||a||^2 * a.
 
 team_control evaluates the law for a whole team on one stacked state vector
-(see Team): one barrier evaluation per live clique, then one pass of
+(see Team): one barrier kernel call per live clique, then one pass of
 team-wide vector operations for every agent's block norm, share, half-space
-and closed-form input (Team.half_spaces).  Every float operation is the one
-the per-agent law takes, in the same order, and each row-wise dot product
-runs np.dot's kernel on the agent's own block (see _Blocks), so the stacked
-step reproduces the per-agent law bit for bit.
+and closed-form input (Team.half_spaces).  The kernel call takes the
+clique's funnel rows at the step's time, which a run tabulates ahead over
+its time grid (Team.funnels), and the clique's stacked state as a view
+where its members' blocks are adjacent in the team vector, so the step
+makes no interval lookup, no funnel evaluation and no input check.  Every
+float operation is the one the per-agent law takes, in the same order, and
+each row-wise dot product runs np.dot's kernel on the agent's own block (see
+_Blocks), so the stacked step reproduces the per-agent law bit for bit.
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
-from .barrier import CompositeBarrier, barrier_state
+from .barrier import CompositeBarrier, _funnel_rows, _state
+from .barrier import barrier_state  # noqa: F401 -- perfbench/tracing.py wraps controller.barrier_state
 from .predicates import StateLayout, is_finite_number
 
 __all__ = [
@@ -137,8 +143,9 @@ class Team:
 
     The team state is one (dim,) vector holding the agents' blocks in
     ascending id order; the inputs are stacked the same way in input_layout.
-    Per clique the team keeps the index array of its stacked state in the
-    team vector and its members' rows, and per agent the constant input map,
+    Per clique the team keeps the index of its stacked state in the team
+    vector (a slice when the members' blocks are adjacent, else an index
+    array) and its members' rows, and per agent the constant input map,
     drift, clique, n_hat and coupling bound, so that a step builds no
     per-agent dicts and no identity matrices.  The cliques must partition the
     agents, and each clique's member dimensions must add up to its barrier's;
@@ -174,7 +181,8 @@ class Team:
             self._maps = tuple(
                 (self.blocks[m.agent_id], self.input_blocks[m.agent_id], m.input_map) for m in models
             )
-        # (clique, index array of its stacked state, its members' team rows)
+        # (clique, index array of its stacked state, its members' team rows);
+        # the index becomes a slice below once the dimensions are checked
         self._parts = tuple(
             (cl, np.concatenate([np.arange(self.blocks[i].start, self.blocks[i].stop) for i in cl.members]),
              [self.rows[i] for i in cl.members])
@@ -194,6 +202,12 @@ class Team:
             self._clique_of[rows] = c
             self._n_hat[rows] = math.sqrt(cl.barrier.dim * max_dim)
             self.coupling_bounds[rows] = cl.coupling_bound
+        # a clique whose stacked state is one run of the team vector reads
+        # and writes it through a basic slice, a view
+        self._parts = tuple(
+            (cl, slice(int(idx[0]), int(idx[-1]) + 1) if np.all(np.diff(idx) == 1) else idx, rows)
+            for cl, idx, rows in self._parts
+        )
         # where each agent's share denominator and load sit in the per-clique
         # list that half_spaces builds each step; the agent row of each input entry
         self._pick = np.stack([self._clique_of, self._clique_of + len(self.cliques)])
@@ -229,9 +243,25 @@ class Team:
             out[s] = u[si] if g is None else g @ u[si]
         return out
 
-    def half_spaces(self, x: np.ndarray, t: float, drift: np.ndarray, f_u: np.ndarray) -> tuple:
-        """Every agent's half-space a_i'u_i >= rhs_i at time t, from one barrier
-        evaluation per live clique and then team-wide vector operations.
+    def funnels(self, times: np.ndarray):
+        """The barrier kernel's funnel rows of every clique at each of the
+        ascending times: per time, one (interval, gamma row, rate row) entry
+        per clique, or None once the clique is past its final deadline.
+        Each clique's rows are tabulated over the times at once."""
+        if np.isnan(times).any():
+            raise ValueError("times must not be nan")
+        per_clique = []
+        for cl, _, _ in self._parts:
+            n_live = int(np.searchsorted(times, cl.barrier.horizon - 1e-12))
+            per_clique.append(chain(_funnel_rows(cl.barrier, times[:n_live]), repeat(None, len(times) - n_live)))
+        return zip(*per_clique)
+
+    def half_spaces(self, x: np.ndarray, t: float, drift: np.ndarray, f_u: np.ndarray, funnels=None) -> tuple:
+        """Every agent's half-space a_i'u_i >= rhs_i at time t, from one
+        barrier kernel call per live clique and then team-wide vector
+        operations.  The kernel takes each clique's rows from funnels, the
+        entry of self.funnels for t: a run tabulates them ahead, and without
+        them they are tabulated for t alone.
 
         Returns (grad, barrier values, block norms, shares, a, ||a_i||^2,
         rhs): grad (dim,) holds each agent's block of its clique's barrier
@@ -246,6 +276,8 @@ class Team:
         A clique past its final deadline (value nan) gives its members zero
         gradient, share and rhs.
         """
+        if funnels is None:
+            funnels = next(self.funnels(np.array([t])))
         n_c = len(self._parts)
         grad = np.zeros(self.dim)
         values = np.full(n_c, math.nan)
@@ -253,10 +285,10 @@ class Team:
         # share 0), then db/dt + kappa b
         per_clique = [math.inf] * n_c + [0.0] * n_c
         live = []
-        for c, (cl, idx, rows) in enumerate(self._parts):
-            if t >= cl.barrier.horizon - 1e-12:
+        for c, ((cl, idx, rows), funnel) in enumerate(zip(self._parts, funnels)):
+            if funnel is None:
                 continue
-            state = barrier_state(cl.barrier, x[idx], t)
+            state = _state(cl.barrier, x[idx], *funnel)
             grad[idx] = state.grad_x
             values[c] = state.value
             per_clique[n_c + c] = state.dbdt + cl.kappa * state.value
@@ -328,9 +360,11 @@ class TeamControl:
     barrier_values: np.ndarray  # (n_cliques,) b, nan once the clique expired
 
 
-def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray) -> TeamControl:
+def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=None) -> TeamControl:
     """Evaluate every agent's QP at time t from the stacked team state x and
     the stacked secondary input f_u (read only for the members in team.known).
+    funnels goes on to Team.half_spaces: the entry of team.funnels for t, or
+    None to tabulate the barrier rows for t alone.
 
     The closed form runs on the whole team at once: u_i = (rhs_i / ||a_i||^2)
     a_i where rhs_i > 0, else +0, which is solve_agent_qp's own arithmetic.  A
@@ -341,7 +375,7 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray) -> TeamCo
     share and residual from it.
     """
     drift = team.drift(x, t)
-    grad, values, norms, shares, a, nn, rhs = team.half_spaces(x, t, drift, f_u)
+    grad, values, norms, shares, a, nn, rhs = team.half_spaces(x, t, drift, f_u, funnels)
     active = ~(rhs <= 0.0)  # a nan rhs gives a nan input, as in solve_agent_qp
     # a superset of those rows: nn <= limit * limit gives sqrt(nn) <= 2 limit
     # after rounding, and nn below the smallest normal sqrt(nn) < 1.5e-154

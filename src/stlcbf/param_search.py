@@ -45,6 +45,7 @@ from .barrier import (
     left_limit_value,
     _finish,
     _left_interval,
+    _args,
     _value,
 )
 from .formula import OperatorUnit
@@ -200,20 +201,21 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray):
     Projected gradient ascent with a Barzilai-Borwein step and Armijo
     backtracking, until the projected gradient norm drops below _ASCENT_TOL
     or _MAX_ASCENT_ITERS steps are taken.  A trial point needs only the
-    barrier value, so trials run the kernel's value half and only the
-    accepted one is finished into a full state.  Returns (x, state,
-    projected gradient norm, converged, exit, ub): exit is "converged",
-    "iteration limit", "stall" or "no accepted trial", and ub is
-    _upper_bound at x, so the maximum lies in [state.value, ub].
+    barrier value, so trials run the kernel's value half on the switch's
+    funnel rows, fetched once, and only the accepted one is finished into a
+    full state.  Returns (x, state, projected gradient norm, converged,
+    exit, ub): exit is "converged", "iteration limit", "stall" or "no
+    accepted trial", and ub is _upper_bound at x, so the maximum lies in
+    [state.value, ub].
     """
     radius = cb.bound_radius
 
     def done(x, st, gnorm, why):
         return x, st, gnorm, gnorm < _ASCENT_TOL, why, _upper_bound(st, x, radius)
 
-    k = _left_interval(cb, s)
     x = _project_ball(np.asarray(x_start, dtype=float).copy(), radius)
     st = left_limit_state(cb, x, s)
+    rows = _args(cb, x, s, _left_interval(cb, s))[1:]
     alpha = 1.0
     prev_x = None
     prev_g = None
@@ -241,7 +243,7 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray):
         a = alpha
         for _ in range(60):
             x_new = _project_ball(x + a * g, radius)
-            trial = _value(cb, x_new, s, k)
+            trial = _value(cb, x_new, *rows)
             if trial[0] >= st.value + 1e-4 * float(np.dot(g, x_new - x)):
                 accepted = True
                 break

@@ -7,11 +7,12 @@ sample-and-hold control semantics honest.  Everything needed for independent
 verification is logged per step against the pre-step state.
 
 The loop works on the stacked team state of controller.Team: coupling,
-repulsion, noise and the Euler update act on whole vectors, and each step's
-results go straight into the row of one preallocated table laid out as the
-trajectory CSV: the log is that table, the CSV writer formats its rows as
-they are and the reader fills one back.  Its fields, per agent or stacked,
-are column views.
+repulsion, noise and the Euler update act on whole vectors, every clique's
+barrier funnel rows are tabulated over the time grid ahead of the steps
+that use them (Team.funnels), and each step's results go straight into the
+row of one preallocated table laid out as the trajectory CSV: the log is
+that table, the CSV writer formats its rows as they are and the reader
+fills one back.  Its fields, per agent or stacked, are column views.
 """
 
 from __future__ import annotations
@@ -336,7 +337,13 @@ def _secondary_fn(spec: SecondaryControlSpec, team: Team):
     return repel
 
 
-_CHUNK_ROWS = 1024  # steps of noise drawn, or CSV rows formatted, written and hashed, at a time
+_CHUNK_ROWS = 256  # steps of noise drawn or funnel rows tabulated, or CSV rows formatted, written and hashed, at a time
+
+
+def _funnel_steps(team: Team, times: np.ndarray):
+    """team.funnels over the step times, tabulated _CHUNK_ROWS steps at a time."""
+    for start in range(0, len(times), _CHUNK_ROWS):
+        yield from team.funnels(times[start : start + _CHUNK_ROWS])
 
 
 def _latest_deadline(cliques) -> float:
@@ -371,13 +378,13 @@ def run(scenario: Scenario) -> TrajectoryLog:
     completed = True
     steps_done = 0
 
-    for k, t in enumerate(times[:-1].tolist()):
+    for k, (t, funnels) in enumerate(zip(times[:-1].tolist(), _funnel_steps(team, times[:-1]))):
         while next_switch_idx < len(switch_times) and switch_times[next_switch_idx] <= t + 1e-12:
             events.append({"t": t, "kind": "switch", "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
             next_switch_idx += 1
         f_u = secondary(x, t)
         try:
-            tc = team_control(team, x, t, f_u)
+            tc = team_control(team, x, t, f_u, funnels)
         except QpInfeasibleError as err:
             events.append({"t": t, "kind": "qp_infeasible", "detail": str(err)})
             completed = False

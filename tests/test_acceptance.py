@@ -195,14 +195,15 @@ def test_c04_qp_beats_random_candidates_and_satisfies_kkt():
 
 def test_c05_load_shares_partition_to_one(monkeypatch):
     """The shares are those of Team.half_spaces, the law team_control runs,
-    with the controller's barrier evaluation returning a random gradient."""
+    with the barrier kernel entry of the team step returning a random
+    gradient."""
     agents = {i: AgentModel(i, n) for i, n in ((1, 2), (2, 3), (3, 1))}
     unit = OperatorUnit("always", AffinePredicate(np.zeros(6), 5.0), 0.0, 1.0)
     cb = build_barrier([unit], [GammaParams(-1.0, 0.5, 0.3, 0.0)], eta=10.0, bound_radius=50.0)
     team = Team([Clique("p", (1, 2, 3), cb, 0.1, 1.0)], agents)
     x = np.zeros(6)  # also the drift and the secondary input
     g = np.zeros(6)  # each draw's gradient
-    monkeypatch.setattr(controller, "barrier_state", lambda *_: SimpleNamespace(value=0.0, dbdt=0.0, grad_x=g))
+    monkeypatch.setattr(controller, "_state", lambda *_: SimpleNamespace(value=0.0, dbdt=0.0, grad_x=g))
 
     rng = np.random.default_rng(500)
     worst = 0.0
@@ -220,6 +221,7 @@ def test_c05_load_shares_partition_to_one(monkeypatch):
             assert shares == [1.0, 1.0, 1.0]  # conservative fallback
             n_degenerate += 1
     assert n_checked + n_degenerate == 10_000
+    assert n_checked > 0
     print(f"criterion 5: {n_checked} partitions (+{n_degenerate} degenerate), "
           f"max |sum - 1| = {worst:.3e}")
 

@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import re
@@ -21,6 +22,7 @@ from stlcbf import (
     left_limit_value,
 )
 
+from stlcbf import barrier
 from oracles import central_fd, gamma_rate, naive_barrier_state, random_barrier
 
 
@@ -103,6 +105,21 @@ def test_term_and_build_validation():
             terms=(BarrierTerm(u, GammaParams(0.0, 1.0, 0.1, 1.0)),),
             eta=0.0, bound_radius=1.0, dim=1,
         )
+
+
+def test_barrier_refuses_non_finite_constants():
+    """A NaN or infinite eta, bound radius or smoothing is a one-line error
+    where the barrier is built: the sign tests alone pass a NaN."""
+    terms = (BarrierTerm(OperatorUnit("always", AffinePredicate(np.array([1.0]), 0.0), 1.0, 3.0),
+                         GammaParams(0.0, 1.0, 0.1, 1.0)),)
+    good = {"eta": 5.0, "bound_radius": 1.0, "smooth_eps": 1e-9}
+    for key in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            msg = f"{key} must be a finite number, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+                CompositeBarrier(terms=terms, dim=1, **{**good, key: bad})
+            with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+                build_barrier([tm.unit for tm in terms], [tm.gamma for tm in terms], **{**good, key: bad})
 
 
 def test_softmin_under_approximates_min():
@@ -308,3 +325,36 @@ def test_value_functions_equal_state_value_bitwise():
     for fn in (barrier_value, left_limit_value):
         with pytest.raises(ValueError, match=re.escape(f"state must have shape ({cb.dim},)")):
             fn(cb, np.zeros(cb.dim + 1), 0.5)
+
+
+def test_tabulated_funnel_rows_match_the_t_cache_bitwise():
+    """The rows a run tabulates over its time grid (one _gamma per activity
+    interval over many times) are, bit for bit, the rows the t-cache gives
+    at each time (one _gamma at one time), C-contiguous, and the kernel on
+    them gives barrier_state's state bit for bit.  The grids cross every
+    switch and start at and between switches."""
+    rng = np.random.default_rng(53)
+    barriers = [
+        random_barrier(rng, n_aff=6, n_ball=0),
+        random_barrier(rng, dim=4, n_aff=3, n_ball=2, eta=30.0),
+        random_barrier(rng, dim=2, n_aff=1, n_ball=3),
+    ]
+    checked = 0
+    for cb in barriers:
+        assert len(cb.schedule) > 1
+        for start in (0.0, cb.schedule[0], float(rng.uniform(0.0, cb.schedule[0]))):
+            times = start + 0.01 * np.arange(int((cb.horizon - start) / 0.01))
+            times = times[times < cb.horizon]
+            rows = list(barrier._funnel_rows(cb, times))
+            assert len(rows) == len(times)
+            for t, (iv, gam, rate) in zip(times.tolist(), rows):
+                x = rng.normal(scale=2.0, size=cb.dim)
+                want = barrier._args(cb, x, t, bisect.bisect_right(cb.schedule, t))
+                assert iv is want[1]
+                assert gam.flags.c_contiguous and rate.flags.c_contiguous
+                assert gam.tobytes() == want[2].tobytes() and rate.tobytes() == want[3].tobytes()
+                got, ref = barrier._state(cb, x, iv, gam, rate), barrier_state(cb, x, t)
+                for name in ("value", "grad_x", "dbdt", "weights", "active", "term_values"):
+                    assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(ref, name)).tobytes()
+                checked += 1
+    assert checked > 1000

@@ -98,7 +98,7 @@ def test_load_share_partition():
 
 def test_share_fallback_when_gradient_vanishes(monkeypatch):
     clique, agents = two_agent_clique()
-    monkeypatch.setattr(controller, "barrier_state",
+    monkeypatch.setattr(controller, "_state",
                         lambda *_: SimpleNamespace(value=0.5, dbdt=0.0, grad_x=np.zeros(4)))
     assert half_space_shares(clique, agents, np.zeros(4), 0.5).tolist() == [1.0, 1.0]
 
@@ -270,6 +270,9 @@ def test_team_control_expired_clique():
     assert np.array_equal(tc.inputs, np.zeros(4))
     assert math.isnan(tc.barrier_values[0])  # clique "pair"
     assert tc.shares.tolist() == [0.0, 0.0] and tc.residuals.tolist() == [0.0, 0.0]
+    # a nan time is refused, not taken for one past every deadline
+    with pytest.raises(ValueError, match=r"^times must not be nan$"):
+        team_control(team, np.ones(4), math.nan, np.zeros(team.input_dim))
 
 
 def test_team_control_rejects_shared_members():

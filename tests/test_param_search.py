@@ -228,6 +228,22 @@ def _ascent_barriers(doc, rng):
     ]
 
 
+def _nan_funnels(monkeypatch, hit=lambda cb: True):
+    """Make the funnel rows the kernel fetches NaN for every barrier that
+    hit accepts: in barrier_state, left_limit_* and the ascent's trials alike,
+    so each value there is NaN."""
+    from stlcbf import barrier, param_search
+
+    fetch = barrier._args
+
+    def args(cb, x, t, k):
+        x, iv, gam, rate = fetch(cb, x, t, k)
+        return (x, iv, gam * math.nan, rate) if hit(cb) else (x, iv, gam, rate)
+
+    monkeypatch.setattr(barrier, "_args", args)
+    monkeypatch.setattr(param_search, "_args", args)
+
+
 def _starts(rng, D, dim):
     """A start inside the bound ball and one outside it (projected first)."""
     u = rng.normal(size=dim)
@@ -244,13 +260,15 @@ def test_ascend_matches_naive_oracle_bitwise(demo_doc, monkeypatch):
     ascent starts inside the bound ball, outside it (projected first) and at
     the previous switch's witness.  The runs with the search's own settings
     end converged or at the iteration limit; those with the tolerance
-    patched to 0 end in a stall; the NaN barrier (eta = nan) ends with no
-    accepted trial.  Every exit's bracket holds its value."""
+    patched to 0 end in a stall; a barrier whose funnel rows are NaN ends
+    with no accepted trial.  Every exit's bracket holds its value."""
     from stlcbf import param_search
 
     _, doc, _ = demo_doc
     rng = np.random.default_rng(83)
-    barriers = _ascent_barriers(doc, rng) + [random_barrier(rng, dim=2, n_aff=2, n_ball=0, eta=math.nan)]
+    barriers = _ascent_barriers(doc, rng)
+    barriers.append(random_barrier(rng, dim=2, n_aff=2, n_ball=0))
+    _nan_funnels(monkeypatch, lambda cb: cb is barriers[-1])
     verdicts, exits = Counter(), Counter()
     for cb in barriers:
         D = cb.bound_radius
@@ -282,10 +300,10 @@ def test_ascend_matches_naive_oracle_bitwise(demo_doc, monkeypatch):
     assert set(exits) == {"converged", "iteration limit", "stall", "no accepted trial"}, exits
 
 
-def test_nan_margin_is_infeasible():
-    """A NaN margin must not pass for a certificate: with eta = nan every
-    barrier value is NaN, and a "value < delta" test is False for NaN.  The
-    same funnels are feasible with eta = 20."""
+def test_nan_margin_is_infeasible(monkeypatch):
+    """A NaN margin must not pass for a certificate: with NaN funnel rows
+    every barrier value is NaN, and a "value < delta" test is False for NaN.
+    The same funnels are feasible with their own rows."""
     layout = StateLayout(ids=(1,), dims=(2,))
     units = normalize(parse("G[0,6](dot([0,1], x1) >= 0) & F[2,6](norm_inf(x1 - [3,2]) <= 1)", layout))
     x0 = np.array([0.0, 1.0])
@@ -293,7 +311,8 @@ def test_nan_margin_is_infeasible():
     curves = [(0.95, 1.05), (0.8, 1.02), (-2.2, 1.02), (0.4, 1.02), (-0.2, 1.02)]
     params = [GammaParams.from_target(g0, gi, r, u.t_star) for u, (g0, gi) in zip(units, curves)]
     assert feasibility_check(units, x0, r, 20.0, 10.0, params, 0.01).feasible
-    report = feasibility_check(units, x0, r, math.nan, 10.0, params, 0.01)
+    _nan_funnels(monkeypatch)
+    report = feasibility_check(units, x0, r, 20.0, 10.0, params, 0.01)
     assert not report.feasible
     assert math.isnan(report.initial_margin)
     assert list(report.switch_margins) == [6.0] and math.isnan(report.switch_margins[6.0])

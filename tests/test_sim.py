@@ -21,15 +21,18 @@ from stlcbf import (
     SecondaryControlSpec,
     StateLayout,
     build_barrier,
+    build_scenario,
+    demo_config,
     log_from_dict,
     log_to_dict,
     read_signal_csv,
     robustness,
     run,
+    run_construct,
     verify,
     write_log_csv,
 )
-from stlcbf import sim
+from stlcbf import barrier, sim
 from stlcbf.controller import Team
 from stlcbf.sim import _coupling_fn, _secondary_fn, sat1
 
@@ -285,6 +288,21 @@ def test_verify_until_floor_uses_lhs_gamma0():
     assert report["cliques"]["u"]["floor"] == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_demo_with_known_secondary_passes_verify(seed):
+    """With secondary.known the formation members model their repulsion in
+    their constraints (the known rows of Team.half_spaces), and the demo
+    still constructs, runs and passes verify."""
+    cfg = demo_config()
+    cfg["secondary"]["known"] = True
+    scenario, formulas, r_stars = build_scenario(cfg, run_construct(cfg), seed=seed)
+    assert scenario._team.known == {1, 2, 3}
+    report = verify(run(scenario), formulas, scenario.cliques, r_stars)
+    assert report["passed"], report
+    print(f"known secondary, seed {seed}: min barrier "
+          + ", ".join(f"{n} {e['min_barrier']:.4f}" for n, e in sorted(report["cliques"].items())))
+
+
 def test_verify_fails_on_incomplete_log():
     spec = CouplingSpec(kind="scripted", scripted=lambda states, t: {1: np.array([3.0, 0.0])})
     sc = passive_scenario(dt=0.1, C=0.5, coupling=spec)
@@ -379,7 +397,7 @@ def test_adversarial_noise_pushes_against_gradient():
 
 # --- the stacked team step against the per-agent oracle --------------------
 
-def _oracle_scenario(noise, coupling, secondary, stuck, eta):
+def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False):
     """Five agents in two cliques, sized so that every QP is active at times.
 
     "team" = agents 1-3 (dim 2; agent 2 has an affine drift, agent 3 a
@@ -387,30 +405,46 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta):
     keeping a formation constraint; "side" = agents 4 (dim 2, input map
     with three inputs) and 5 (dim 3, affine drift) has mixed member
     dimensions and expires at t = 0.6 while the run goes on to t = 1.
+    interleaved=True makes the cliques (1, 3) and (2, 4, 5), so neither
+    clique's stacked state is one run of the team vector: agent 3 keeps the
+    formation with agent 1, and agent 2 one with agent 4 until t = 0.3, a
+    switch of side's barrier.
     stuck=True adds agent 6, parked at the centre of a ball whose funnel
     rises past it, so its constraint direction vanishes with rhs > 0
     mid-run.  eta is the softmin sharpness of both task barriers.
     """
-    sel3 = np.zeros((2, 6))
-    sel3[:, 4:] = np.eye(2)
+    dims = {1: 2, 2: 2, 3: 2, 4: 2, 5: 3}
+    team_ids, side_ids = ((1, 3), (2, 4, 5)) if interleaved else ((1, 2, 3), (4, 5))
+
+    def row(ids, parts):
+        """A clique-state vector: parts[i] on member i's block, zero elsewhere."""
+        return np.concatenate([np.asarray(parts.get(i, np.zeros(dims[i])), dtype=float) for i in ids])
+
+    def sel(ids, i):
+        """The rows picking member i's block out of a clique state."""
+        return np.stack([row(ids, {i: e}) for e in np.eye(dims[i])])
+
     team_units = [
-        OperatorUnit("eventually", AffinePredicate(np.array([1.0, 0, 0, 0, 0, 0]), -1.0), 0.4, 1.0),
-        OperatorUnit("always", AffinePredicate(np.array([0, 1.0, 0, -1.0, 0, 0]), 1.0), 0.0, 1.0),
-        OperatorUnit("eventually", BallPredicate(sel3, np.array([-0.5, 0.5]), 1.0), 0.5, 1.0),
+        OperatorUnit("eventually", AffinePredicate(row(team_ids, {1: [1.0, 0]}), -1.0), 0.4, 1.0),
+        OperatorUnit("always", AffinePredicate(row(team_ids, {1: [0, 1.0], team_ids[1]: [0, -1.0]}), 1.0), 0.0, 1.0),
+        OperatorUnit("eventually", BallPredicate(sel(team_ids, 3), np.array([-0.5, 0.5]), 1.0), 0.5, 1.0),
     ]
     team_params = [GammaParams(g0, g_inf, decay, u.t_star) for (g0, g_inf, decay), u in
                    zip([(-2.0, 0.2, 3.0), (-0.5, 0.3, 2.0), (-2.0, 0.3, 2.0)], team_units)]
-    sel5 = np.zeros((3, 5))
-    sel5[:, 2:] = np.eye(3)
     side_units = [
-        OperatorUnit("always", AffinePredicate(np.array([1.0, 0, 0, 0, 1.0]), 1.0), 0.0, 0.6),
-        OperatorUnit("eventually", BallPredicate(sel5, -0.5 * np.ones(3), 1.0), 0.2, 0.6),
+        OperatorUnit("always", AffinePredicate(row(side_ids, {4: [1.0, 0], 5: [0, 0, 1.0]}), 1.0), 0.0, 0.6),
+        OperatorUnit("eventually", BallPredicate(sel(side_ids, 5), -0.5 * np.ones(3), 1.0), 0.2, 0.6),
     ]
+    side_curves = [(-1.0, 2.6, 4.0), (-1.0, 0.8, 3.0)]
+    if interleaved:
+        side_units.append(
+            OperatorUnit("always", AffinePredicate(row(side_ids, {2: [0, 1.0], 4: [0, -1.0]}), 1.0), 0.0, 0.3))
+        side_curves.append((-0.5, 0.3, 2.0))
     side_params = [GammaParams(g0, g_inf, decay, u.t_star) for (g0, g_inf, decay), u in
-                   zip([(-1.0, 2.6, 4.0), (-1.0, 0.8, 3.0)], side_units)]
+                   zip(side_curves, side_units)]
     cliques = [
-        Clique("team", (1, 2, 3), build_barrier(team_units, team_params, eta=eta, bound_radius=30.0), 0.8, 2.0),
-        Clique("side", (4, 5), build_barrier(side_units, side_params, eta=eta, bound_radius=30.0), 0.8, 2.0),
+        Clique("team", team_ids, build_barrier(team_units, team_params, eta=eta, bound_radius=30.0), 0.8, 2.0),
+        Clique("side", side_ids, build_barrier(side_units, side_params, eta=eta, bound_radius=30.0), 0.8, 2.0),
     ]
     A2 = np.array([[-0.1, 0.2], [0.0, -0.1]])
     A5 = np.array([[0.0, -0.2, 0.0], [0.2, 0.0, 0.0], [0.0, 0.0, -0.1]])
@@ -472,7 +506,7 @@ def _assert_matches_naive_run(log, ref):
             _assert_bitwise(got[key], want[key], f"{name}[{key}]")
 
 
-# (noise, coupling, secondary, stuck, softmin eta)
+# (noise, coupling, secondary, stuck, softmin eta[, interleaved cliques])
 ORACLE_CASES = {
     "ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0),
     "adversarial-attraction-known": ("adversarial", "attraction", "known", False, 3.0),
@@ -481,6 +515,7 @@ ORACLE_CASES = {
     "ball-none-known": ("uniform_ball", "none", "known", False, 3.0),
     "disturbance-abort": ("uniform_ball", "abort", "repulsion", False, 3.0),
     "qp-infeasible-abort": ("none", "none", "none", True, 3.0),
+    "interleaved-ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0, True),
     # a sharper softmin shrinks some members' gradient blocks to rounding
     # size, and their demand with them: the runs must still complete
     "sharp-ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 10.0),
@@ -493,8 +528,8 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_run_matches_per_agent_oracle_bitwise(case):
-    noise, coupling, secondary, stuck, eta = ORACLE_CASES[case]
-    sc = _oracle_scenario(noise, coupling, secondary, stuck, eta)
+    _, coupling, _, stuck, *_ = ORACLE_CASES[case]
+    sc = _oracle_scenario(*ORACLE_CASES[case])
     log = run(sc)
     _assert_matches_naive_run(log, naive_run(sc))
 
@@ -513,17 +548,23 @@ def test_run_matches_per_agent_oracle_bitwise(case):
 
 
 
-@pytest.mark.parametrize("case", sorted(c for c, v in ORACLE_CASES.items() if v[0] == "uniform_ball"))
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_ball_noise_chunks_match_per_agent_oracle_bitwise(case, monkeypatch):
-    """Uniform-ball noise drawn 7 steps ahead instead of 1024: a 100-step run
-    crosses 14 chunk boundaries and ends on a partial chunk, and it still
-    draws the per-agent stream of naive_run."""
+    """Uniform-ball noise and the funnel rows tabulated 7 steps ahead
+    instead of 256: a 100-step run crosses 14 chunk boundaries and ends on
+    a partial chunk, and side expires inside a chunk (so does its switch
+    in the interleaved case).  It still draws the per-agent stream and gives
+    the per-agent law of naive_run.  No step of the run fetches its funnel
+    rows from the t-cache (ball cliques included): every kernel call takes
+    the tabulated rows."""
     monkeypatch.setattr(sim, "_CHUNK_ROWS", 7)
-    noise, coupling, secondary, stuck, eta = ORACLE_CASES[case]
-    sc = _oracle_scenario(noise, coupling, secondary, stuck, eta)
-    log = run(sc)
+    sc = _oracle_scenario(*ORACLE_CASES[case])
+    with monkeypatch.context() as m:
+        m.setattr(barrier, "_args", lambda *_: pytest.fail("a step fetched rows from the t-cache"))
+        log = run(sc)
     _assert_matches_naive_run(log, naive_run(sc))
     assert len(log.times) - 1 > 7
+    assert any(isinstance(tm.unit.predicate, BallPredicate) for cl in sc.cliques for tm in cl.barrier.terms)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -531,8 +572,7 @@ def test_log_files_match_naive_writer_and_read_back_bitwise(case, tmp_path):
     """The whole-row CSV writer gives the per-cell writer's bytes and their
     sha256, and write -> log_from_dict -> verify gives back every field bit
     for bit and the in-memory verify report."""
-    noise, coupling, secondary, stuck, eta = ORACLE_CASES[case]
-    sc = _oracle_scenario(noise, coupling, secondary, stuck, eta)
+    sc = _oracle_scenario(*ORACLE_CASES[case])
     log = run(sc)
     sha = write_log_csv(log, tmp_path / "trajectory.csv")
     naive_write_log_csv(log, tmp_path / "naive.csv")
