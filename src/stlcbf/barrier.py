@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
@@ -88,12 +88,14 @@ class GammaParams:
     t_star: float
 
     def __post_init__(self):
+        for name in ("gamma0", "gamma_inf", "decay", "t_star"):
+            if not is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.gamma0 < self.gamma_inf:
             raise ValueError(f"gamma0 ({self.gamma0}) must be < gamma_inf ({self.gamma_inf})")
-        if self.decay < 0.0:
-            raise ValueError("decay must be >= 0")
-        if self.t_star < 0.0:
-            raise ValueError("t_star must be >= 0")
+        for name in ("decay", "t_star"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
 
     @classmethod
     def from_target(cls, gamma0: float, gamma_inf: float, r: float, t_star: float) -> "GammaParams":
@@ -412,12 +414,7 @@ def barrier_to_dict(cb: CompositeBarrier) -> dict:
                     "until_lhs": tm.unit.until_lhs,
                     "predicate": predicate_to_dict(tm.unit.predicate),
                 },
-                "gamma": {
-                    "gamma0": tm.gamma.gamma0,
-                    "gamma_inf": tm.gamma.gamma_inf,
-                    "decay": tm.gamma.decay,
-                    "t_star": tm.gamma.t_star,
-                },
+                "gamma": asdict(tm.gamma),
             }
             for tm in cb.terms
         ],

@@ -29,8 +29,10 @@ _Blocks), so the stacked step reproduces the per-agent law bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, repeat
 
 import numpy as np
@@ -174,6 +176,7 @@ class Team:
         self._block_dot = state_blocks.dot
         self._input_dot = _Blocks(self.input_layout).dot
         self._drifts = tuple((self.blocks[m.agent_id], m.drift) for m in models if m.drift is not None)
+        self._no_drift = np.broadcast_to(0.0, (self.dim,))  # read-only zeros
         # (state block, input block, g or None for identity) of every agent,
         # kept only when some agent has an input map
         self._maps = ()
@@ -181,33 +184,28 @@ class Team:
             self._maps = tuple(
                 (self.blocks[m.agent_id], self.input_blocks[m.agent_id], m.input_map) for m in models
             )
-        # (clique, index array of its stacked state, its members' team rows);
-        # the index becomes a slice below once the dimensions are checked
-        self._parts = tuple(
-            (cl, np.concatenate([np.arange(self.blocks[i].start, self.blocks[i].stop) for i in cl.members]),
-             [self.rows[i] for i in cl.members])
-            for cl in self.cliques
-        )
-        self._order = [r for _, _, rows in self._parts for r in rows]  # clique by clique
-        # per agent: its clique's index, n_hat and coupling bound
+        # per clique: (clique, index of its stacked state in the team vector,
+        # its members' team rows), the index a basic slice (a view) when the
+        # members' blocks are one run of the vector; per agent: its clique's
+        # index, n_hat and coupling bound
         n = len(self.ids)
         max_dim = max(self.layout.dims, default=0)
         self._clique_of = np.empty(n, dtype=int)
         self._n_hat = np.empty(n)
         self.coupling_bounds = np.empty(n)
-        for c, (cl, idx, rows) in enumerate(self._parts):
+        parts = []
+        for c, cl in enumerate(self.cliques):
+            idx = np.concatenate([np.arange(self.blocks[i].start, self.blocks[i].stop) for i in cl.members])
+            rows = [self.rows[i] for i in cl.members]
             if len(idx) != cl.barrier.dim:
                 raise ValueError(f"clique {cl.name!r}: member dimensions add up to {len(idx)}, "
                                  f"but its barrier has dim {cl.barrier.dim}")
             self._clique_of[rows] = c
             self._n_hat[rows] = math.sqrt(cl.barrier.dim * max_dim)
             self.coupling_bounds[rows] = cl.coupling_bound
-        # a clique whose stacked state is one run of the team vector reads
-        # and writes it through a basic slice, a view
-        self._parts = tuple(
-            (cl, slice(int(idx[0]), int(idx[-1]) + 1) if np.all(np.diff(idx) == 1) else idx, rows)
-            for cl, idx, rows in self._parts
-        )
+            parts.append((cl, slice(int(idx[0]), int(idx[-1]) + 1) if np.all(np.diff(idx) == 1) else idx, rows))
+        self._parts = tuple(parts)
+        self._order = [r for _, _, rows in self._parts for r in rows]  # clique by clique
         # where each agent's share denominator and load sit in the per-clique
         # list that half_spaces builds each step; the agent row of each input entry
         self._pick = np.stack([self._clique_of, self._clique_of + len(self.cliques)])
@@ -223,7 +221,9 @@ class Team:
         return {i: x[s] for i, s in self.blocks.items()}
 
     def drift(self, x: np.ndarray, t: float) -> np.ndarray:
-        """f_i(x_i, t) of every agent, stacked."""
+        """f_i(x_i, t) of every agent, stacked (shared read-only zeros when no agent has one)."""
+        if not self._drifts:
+            return self._no_drift
         f = np.zeros(self.dim)
         for s, fn in self._drifts:
             f[s] = fn(x[s], t)
@@ -270,9 +270,10 @@ class Team:
             rhs_i = ||grad_i|| n_hat C - N_i (db/dt + kappa b) - grad_i' f_i
                     [- grad_i' g_i f_u_i if known].
         The float operations are those of the per-agent law, left to right.
-        N_i is ||grad_i|| over the sum of its clique's block norms, added in
-        member order, or 1 for every member of a clique whose sum is at most
-        _ZERO_TOL (a vanishing gradient: each member takes the whole load).
+        N_i is ||grad_i|| over the sum of its clique's block norms, added left
+        to right in member order (sum() is compensated from Python 3.12 on),
+        or 1 for every member of a clique whose sum is at most _ZERO_TOL (a
+        vanishing gradient: each member takes the whole load).
         A clique past its final deadline (value nan) gives its members zero
         gradient, share and rhs.
         """
@@ -280,29 +281,30 @@ class Team:
             funnels = next(self.funnels(np.array([t])))
         n_c = len(self._parts)
         grad = np.zeros(self.dim)
-        values = np.full(n_c, math.nan)
         # per clique: share denominator (inf, for an expired clique, gives
-        # share 0), then db/dt + kappa b
-        per_clique = [math.inf] * n_c + [0.0] * n_c
+        # share 0), then db/dt + kappa b, then the barrier value
+        per_clique = [math.inf] * n_c + [0.0] * n_c + [math.nan] * n_c
         live = []
         for c, ((cl, idx, rows), funnel) in enumerate(zip(self._parts, funnels)):
             if funnel is None:
                 continue
             state = _state(cl.barrier, x[idx], *funnel)
             grad[idx] = state.grad_x
-            values[c] = state.value
             per_clique[n_c + c] = state.dbdt + cl.kappa * state.value
+            per_clique[2 * n_c + c] = state.value
             live.append((c, rows))
         sq = self._block_dot(grad, grad)
         norms = np.sqrt(sq)
         listed = norms.tolist()
         fallback = []
         for c, rows in live:
-            per_clique[c] = sum([listed[r] for r in rows])
+            per_clique[c] = reduce(operator.add, [listed[r] for r in rows])
             if per_clique[c] <= _ZERO_TOL:
                 fallback += rows
                 per_clique[c] = 1.0
-        den, load = np.array(per_clique)[self._pick]
+        per_clique = np.array(per_clique)
+        den, load = per_clique[self._pick]
+        values = per_clique[2 * n_c :]
         shares = norms / den
         if fallback:
             shares[fallback] = 1.0
@@ -380,12 +382,13 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
     # a superset of those rows: nn <= limit * limit gives sqrt(nn) <= 2 limit
     # after rounding, and nn below the smallest normal sqrt(nn) < 1.5e-154
     odd = active & ((norms if a is grad else np.sqrt(nn)) <= 2.0 * _ZERO_TOL * rhs + 1.5e-154)
-    odd_rows = odd.nonzero()[0]
-    if odd_rows.size:
+    odd_rows = ()
+    if True in odd.tolist():  # on a few rows, cheaper than odd.any()
         active &= ~odd
+        odd_rows = sorted(odd.nonzero()[0].tolist(), key=team._order.index)  # the per-agent law's order
     coef = np.divide(rhs, nn, out=np.zeros(len(rhs)), where=active)
     u = np.multiply(coef[team._input_row], a, out=np.zeros(team.input_dim), where=active[team._input_row])
-    for r in sorted(odd_rows.tolist(), key=team._order.index):  # the per-agent law's order
+    for r in odd_rows:
         si = team.input_blocks[team.ids[r]]
         try:
             u[si] = solve_agent_qp(a[si], float(rhs[r]))

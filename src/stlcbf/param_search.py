@@ -32,7 +32,9 @@ can be astronomically loose for large eta * b_max).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -342,7 +344,8 @@ def _relaxation(units, x0: np.ndarray, eta: float, d0: float, level: float) -> d
 
 def _softmin(values, eta: float) -> float:
     m = min(values)
-    return m - math.log(sum(math.exp(-eta * (v - m)) for v in values)) / eta
+    # left to right on every Python: sum() of floats is compensated from 3.12 on
+    return m - math.log(reduce(operator.add, [math.exp(-eta * (v - m)) for v in values])) / eta
 
 
 def _place(units, x0: np.ndarray, r: float, eta: float, delta: float, d0: float, caps, relax: dict):

@@ -23,6 +23,7 @@ import io
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +138,9 @@ def pairwise_repulsion(points: np.ndarray, gain: float, softening: float) -> np.
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-agent disturbance w_i with ||w_i|| <= bound, held over each step."""
+    """Per-agent disturbance w_i with ||w_i|| <= bound, held over each step.
+    For uniform-ball noise the seed spawns two child streams, one of normals
+    for the directions and one of uniforms for the radii (see _ball_draws)."""
 
     bound: float = 0.0
     distribution: str = "uniform_ball"  # uniform_ball | adversarial | none
@@ -250,14 +253,12 @@ class TrajectoryLog:
         return float(np.max(np.linalg.norm(np.diff(stack, axis=0), axis=1))) / self.dt
 
 
-def _noise_fn(spec: NoiseSpec, team: Team, rng, n_steps: int):
+def _noise_fn(spec: NoiseSpec, team: Team, n_steps: int):
     """w(tc) of every agent, stacked, for each of the n_steps steps in turn.
 
     Uniform-ball noise does not depend on the step, so it is drawn
-    _CHUNK_ROWS steps ahead in the order of one draw per step (step by step,
-    agent by agent in id order, n_i normals then one uniform), which keeps
-    the stream and the trajectories, and then normalised over the whole
-    chunk.  Adversarial noise reads the step's barrier gradient from tc.
+    _CHUNK_ROWS steps ahead (see _ball_draws).  Adversarial noise reads the
+    step's barrier gradient from tc.
     """
     if spec.bound == 0.0 or spec.distribution == "none":
         zero = np.zeros(team.dim)
@@ -269,28 +270,32 @@ def _noise_fn(spec: NoiseSpec, team: Team, rng, n_steps: int):
             return np.divide(-spec.bound * tc.grad, gn, out=np.zeros(team.dim), where=gn > 1e-12)
 
         return push
-    draws = _ball_draws(spec, team, rng, n_steps)
+    draws = _ball_draws(spec, team, n_steps)
     return lambda tc: next(draws)
 
 
-def _ball_draws(spec: NoiseSpec, team: Team, rng, n_steps: int):
-    """Rows w_i = (bound * r_i ** (1 / n_i)) * (d_i / ||d_i||), d_i ~ N(0, I),
-    generated a chunk of steps at a time."""
+def _ball_draws(spec: NoiseSpec, team: Team, n_steps: int):
+    """Rows w_i = (bound * r_i ** (1 / n_i)) * (d_i / ||d_i||), d_i ~ N(0, I)
+    and r_i ~ U[0, 1), generated a chunk of steps at a time.
+
+    The seed spawns two child streams: the first gives every d_i and the
+    second every r_i, each step by step and agent by agent in id order.
+    Each stream is read in that order, so the draws do not depend on the
+    chunk size.  The radius is Python's float power, which does not depend
+    on numpy's SIMD dispatch as np.power does.
+    """
+    normals, uniforms = np.random.default_rng(spec.seed).spawn(2)
     dims = team.layout.dims
-    draws = tuple(zip(team.blocks.values(), [1.0 / n for n in dims]))
+    exps = [1.0 / n for n in dims]
     for start in range(0, n_steps, _CHUNK_ROWS):
         steps = min(_CHUNK_ROWS, n_steps - start)
-        d = np.empty((steps, team.dim))
-        radius = np.empty((steps, len(dims)))
-        for row, rad in zip(d, radius):
-            for j, (s, e) in enumerate(draws):
-                rng.standard_normal(out=row[s])
-                # random() draws the same double as uniform() with less overhead
-                rad[j] = spec.bound * float(rng.random()) ** e
+        d = normals.standard_normal((steps, team.dim))
         d += 0.0  # normal(size=n) returns 0.0 + z, which turns a -0.0 draw into +0.0
         nd = np.repeat(team.block_norms(d), dims, axis=1)
         # a block of norm 0 is all +0.0 already, which where= leaves in place
         np.divide(d, nd, out=d, where=nd > 0)
+        radius = uniforms.random((steps, len(dims)))
+        radius.flat = [spec.bound * v ** e for v, e in zip(radius.ravel().tolist(), exps * steps)]
         d *= np.repeat(radius, dims, axis=1)
         yield from d
 
@@ -340,12 +345,6 @@ def _secondary_fn(spec: SecondaryControlSpec, team: Team):
 _CHUNK_ROWS = 256  # steps of noise drawn or funnel rows tabulated, or CSV rows formatted, written and hashed, at a time
 
 
-def _funnel_steps(team: Team, times: np.ndarray):
-    """team.funnels over the step times, tabulated _CHUNK_ROWS steps at a time."""
-    for start in range(0, len(times), _CHUNK_ROWS):
-        yield from team.funnels(times[start : start + _CHUNK_ROWS])
-
-
 def _latest_deadline(cliques) -> float:
     return max(cl.barrier.horizon for cl in cliques)
 
@@ -372,13 +371,16 @@ def run(scenario: Scenario) -> TrajectoryLog:
     x = team.stack(sc.x0)
     xs[0] = x
     events = []
-    noise = _noise_fn(sc.noise, team, np.random.default_rng(sc.noise.seed), n_steps)
+    noise = _noise_fn(sc.noise, team, n_steps)
     switch_times = sorted({s for cl in sc.cliques for s in cl.barrier.schedule})
     next_switch_idx = 0
     completed = True
     steps_done = 0
 
-    for k, (t, funnels) in enumerate(zip(times[:-1].tolist(), _funnel_steps(team, times[:-1]))):
+    # each step's funnel rows, tabulated _CHUNK_ROWS steps at a time
+    tabulated = chain.from_iterable(team.funnels(times[s : min(s + _CHUNK_ROWS, n_steps)])
+                                    for s in range(0, n_steps, _CHUNK_ROWS))
+    for k, (t, funnels) in enumerate(zip(times[:-1].tolist(), tabulated)):
         while next_switch_idx < len(switch_times) and switch_times[next_switch_idx] <= t + 1e-12:
             events.append({"t": t, "kind": "switch", "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
             next_switch_idx += 1
@@ -391,12 +393,11 @@ def run(scenario: Scenario) -> TrajectoryLog:
             break
         w = noise(tc)
         c = coupling(x, t)
-        u = tc.inputs + f_u
+        u = np.add(tc.inputs, f_u, out=us[k])
         # disturbance the declared bound C must cover: everything the
         # constraint does not model
         dist = c + w + team.input_effect(f_u * unmodelled)
         dn = team.block_norms(dist)
-        us[k] = u
         residuals[k] = tc.residuals
         shares[k] = tc.shares
         dist_norms[k] = dn
@@ -404,9 +405,9 @@ def run(scenario: Scenario) -> TrajectoryLog:
         x = x + sc.dt * (tc.drift + team.input_effect(u) + c + w)
         xs[k + 1] = x
         steps_done = k + 1
-        over = (~(dn <= limits)).nonzero()[0]  # a nan norm aborts too
-        if over.size:
-            for r in over.tolist():
+        within = (dn <= limits).tolist()  # a nan norm aborts too
+        if False in within:  # on a few rows, cheaper than .all()
+            for r in [r for r, ok in enumerate(within) if not ok]:
                 events.append({
                     "t": t, "kind": "disturbance_bound",
                     "detail": f"agent {team.ids[r]} disturbance {float(dn[r]):.4f} exceeds "
@@ -439,10 +440,7 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
     for cl in cliques:
         name = cl.name
         r_star = float(r_stars[name])
-        floor = r_star
-        lhs_g0 = [tm.gamma.gamma0 for tm in cl.barrier.terms if tm.unit.until_lhs]
-        if lhs_g0:
-            floor = min(floor, min(lhs_g0))
+        floor = min([r_star] + [tm.gamma.gamma0 for tm in cl.barrier.terms if tm.unit.until_lhs])
         rho = robustness(formulas[name], log.clique_signal(cl), 0.0) if log.completed else None
         speed = log.max_speed(cl.members)
         tol_rho = 2.0 * log.dt * speed
@@ -465,8 +463,6 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
         }
         report["passed"] = report["passed"] and ok
     return report
-
-
 
 
 def write_log_csv(log: TrajectoryLog, path) -> str:

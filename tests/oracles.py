@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -313,7 +315,7 @@ def _n_hat(clique, agents: dict) -> float:
 def _share_from_state(clique, agents, state, i: int) -> float:
     lay = _clique_layout(clique, agents)
     norms = [float(np.linalg.norm(state.grad_x[lay.block(j)])) for j in clique.members]
-    den = sum(norms)
+    den = reduce(operator.add, norms)  # left to right, as sum() is before Python 3.12
     if den <= _ZERO_TOL:
         return 1.0
     return norms[clique.members.index(i)] / den
@@ -443,17 +445,17 @@ def naive_known_secondary_fn(layout, member: int, group, gain, softening):
     return fn
 
 
-def _naive_noise(spec, agents: dict, clique_of: dict, tc: dict, rng) -> dict:
+def _naive_noise(spec, agents: dict, clique_of: dict, tc: dict, normals, uniforms) -> dict:
     out = {}
     for i, model in agents.items():
         n = model.state_dim
         if spec.bound == 0.0 or spec.distribution == "none":
             out[i] = np.zeros(n)
         elif spec.distribution == "uniform_ball":
-            d = rng.normal(size=n)
+            d = normals.normal(size=n)
             nd = float(np.linalg.norm(d))
             d = d / nd if nd > 0 else np.zeros(n)
-            out[i] = spec.bound * float(rng.uniform()) ** (1.0 / n) * d
+            out[i] = spec.bound * float(uniforms.uniform()) ** (1.0 / n) * d
         else:  # adversarial: push straight against the barrier gradient
             cl = clique_of[i]
             st = tc["barrier_states"].get(cl.name)
@@ -495,7 +497,7 @@ def naive_run(scenario) -> TrajectoryLog:
     for i in agent_ids:
         states[i][0] = x[i]
     events = []
-    rng = np.random.default_rng(sc.noise.seed)
+    normals, uniforms = np.random.default_rng(sc.noise.seed).spawn(2)
     switch_times = sorted({s for cl in sc.cliques for s in cl.barrier.schedule})
     next_switch_idx = 0
     completed = True
@@ -512,7 +514,7 @@ def naive_run(scenario) -> TrajectoryLog:
             events.append({"t": t, "kind": "qp_infeasible", "detail": str(err)})
             completed = False
             break
-        noise = _naive_noise(sc.noise, agents, clique_of, tc, rng)
+        noise = _naive_noise(sc.noise, agents, clique_of, tc, normals, uniforms)
         coup = naive_coupling_forces(sc.coupling, x, t)
         sec = naive_secondary_controls(sc.secondary, x, t)
         abort = False

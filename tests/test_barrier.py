@@ -38,6 +38,20 @@ def test_gamma_validation():
         GammaParams(0.0, 1.0, 0.1, -1.0)
 
 
+@pytest.mark.parametrize("args, msg", [
+    ((0.0, 1.0, math.nan, 1.0), "decay must be a finite number, got nan"),
+    ((0.0, 1.0, 1.0, math.nan), "t_star must be a finite number, got nan"),
+    ((0.0, 1.0, math.inf, 1.0), "decay must be a finite number, got inf"),
+    ((0.0, math.inf, 1.0, 1.0), "gamma_inf must be a finite number, got inf"),
+    ((-math.inf, 1.0, 1.0, 1.0), "gamma0 must be a finite number, got -inf"),
+])
+def test_gamma_refuses_non_finite_parameters(args, msg):
+    """A nan passes the sign tests and an infinite funnel gives nan values,
+    so each non-finite parameter is a one-line error."""
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        GammaParams(*args)
+
+
 def test_gamma_from_target_reaches_r_exactly():
     g = GammaParams.from_target(-1.0, 2.0, 0.5, 3.0)
     assert abs(gamma_eval(g, 3.0) - 0.5) < 1e-9

@@ -23,7 +23,7 @@ from stlcbf import (
     team_control,
 )
 
-from oracles import _constraint_from_state
+from oracles import _constraint_from_state, _share_from_state
 
 
 def two_agent_clique(kappa=2.0, C=0.5, eta=10.0):
@@ -101,6 +101,22 @@ def test_share_fallback_when_gradient_vanishes(monkeypatch):
     monkeypatch.setattr(controller, "_state",
                         lambda *_: SimpleNamespace(value=0.5, dbdt=0.0, grad_x=np.zeros(4)))
     assert half_space_shares(clique, agents, np.zeros(4), 0.5).tolist() == [1.0, 1.0]
+
+
+def test_share_denominators_add_left_to_right(monkeypatch):
+    """From Python 3.12 on, sum() of floats is compensated: it adds the block
+    norms 1, 1e16, 1 up to 1e16 + 2, where a left-to-right sum (that of
+    Python 3.11 and before) gives 1e16.  The shares, and the oracle's, add
+    left to right on every Python, so a config gives the same bytes on each."""
+    unit = OperatorUnit("always", AffinePredicate(np.ones(6), 2.0), 0.0, 4.0)
+    cb = build_barrier([unit], [GammaParams(-1.0, 0.5, 0.3, 0.0)], eta=10.0, bound_radius=6.0)
+    clique = Clique(name="trio", members=(1, 2, 3), barrier=cb, coupling_bound=0.5, kappa=2.0)
+    agents = {i: AgentModel(agent_id=i, state_dim=2) for i in (1, 2, 3)}
+    state = SimpleNamespace(value=0.5, dbdt=0.0, grad_x=np.array([1.0, 0.0, 1e16, 0.0, 1.0, 0.0]))
+    monkeypatch.setattr(controller, "_state", lambda *_: state)
+    expected = [1.0 / 1e16, 1.0, 1.0 / 1e16]
+    assert half_space_shares(clique, agents, np.zeros(6), 0.5).tolist() == expected
+    assert [_share_from_state(clique, agents, state, i) for i in (1, 2, 3)] == expected
 
 
 def test_agent_constraint_matches_manual_computation():

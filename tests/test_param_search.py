@@ -23,7 +23,7 @@ from stlcbf import (
     normalize,
     parse,
 )
-from stlcbf.param_search import _ascend, _check_eq7, _feasible_at, _default_bound_radius, _h_opt_capped
+from stlcbf.param_search import _ascend, _check_eq7, _feasible_at, _default_bound_radius, _h_opt_capped, _softmin
 
 from oracles import naive_ascend, naive_barrier_state, random_barrier
 
@@ -451,3 +451,12 @@ def test_placements_clear_delta_at_their_witnesses(monkeypatch):
         assert barrier_value(cb, x0, 0.0) >= delta
         for s, (x, _) in relax.items():
             assert left_limit_value(cb, x, s) >= delta, (r, eta, s)
+
+
+def test_softmin_adds_left_to_right():
+    """e^-36.8 is below half an ulp of 1, so the weights 1, e^-36.8, e^-36.8
+    added left to right stay 1 and the softmin is exactly the minimum, on
+    every Python; the compensated sum() of Python 3.12 and later gives
+    1 + 2^-52 instead."""
+    assert _softmin([0.0, 36.8, 36.8], 1.0) == 0.0
+    assert math.fsum([1.0, math.exp(-36.8), math.exp(-36.8)]) > 1.0  # the case tells the two sums apart

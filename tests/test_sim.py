@@ -163,6 +163,40 @@ def test_uniform_ball_noise_respects_bound():
     assert np.max(dn) > 0.1  # the sampler actually uses the ball
 
 
+def _ks_uniform(u: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of the samples u from U[0, 1]."""
+    u = np.sort(u)
+    k = np.arange(1, len(u) + 1)
+    return float(max(np.max(k / len(u) - u), np.max(u - (k - 1) / len(u))))
+
+
+def test_uniform_ball_noise_law():
+    """Uniform in the ball of radius bound: for a planar agent and a 3-d
+    one, (||w_i|| / bound) ** n_i is U[0, 1], and the direction is uniform on
+    the sphere, so its angle (n_i = 2) or each coordinate (n_i = 3, by
+    Archimedes) is uniform and its second moment is I / n_i.  4,000 seeded
+    draws per agent; 1.95 / sqrt(4000) is the KS test's 0.1% level."""
+    unit = OperatorUnit("always", AffinePredicate(np.ones(5), 1.0), 0.0, 1.0)
+    cb = build_barrier([unit], [GammaParams(-1.0, 0.5, 0.3, 0.0)], eta=10.0, bound_radius=6.0)
+    team = Team([Clique("pair", (1, 2), cb, 1.0, 1.0)],
+                {1: AgentModel(agent_id=1, state_dim=2), 2: AgentModel(agent_id=2, state_dim=3)})
+    n = 4000
+    w = np.array(list(sim._ball_draws(NoiseSpec(bound=0.5, seed=11), team, n)))
+    crit = 1.95 / math.sqrt(n)
+    for i, dim in ((1, 2), (2, 3)):
+        wi = w[:, team.blocks[i]]
+        r = np.linalg.norm(wi, axis=1)
+        assert np.all(r <= 0.5)
+        assert _ks_uniform((r / 0.5) ** dim) < crit
+        d = wi / r[:, None]
+        if dim == 2:
+            assert _ks_uniform((np.arctan2(d[:, 1], d[:, 0]) + math.pi) / (2 * math.pi)) < crit
+        else:
+            for j in range(3):
+                assert _ks_uniform((d[:, j] + 1.0) / 2.0) < crit
+        assert np.max(np.abs(d.T @ d / n - np.eye(dim) / dim)) < 0.03
+
+
 def test_integrator_is_first_order():
     # rotation drift has an exact solution; forward Euler error should halve
     # with the step size
@@ -553,8 +587,10 @@ def test_ball_noise_chunks_match_per_agent_oracle_bitwise(case, monkeypatch):
     """Uniform-ball noise and the funnel rows tabulated 7 steps ahead
     instead of 256: a 100-step run crosses 14 chunk boundaries and ends on
     a partial chunk, and side expires inside a chunk (so does its switch
-    in the interleaved case).  It still draws the per-agent stream and gives
-    the per-agent law of naive_run.  No step of the run fetches its funnel
+    in the interleaved case).  It still reads each of the seed's two noise
+    streams (normals, uniforms) in naive_run's per-step, per-agent order, so
+    the draws do not depend on the chunk size, and gives the per-agent law
+    of naive_run.  No step of the run fetches its funnel
     rows from the t-cache (ball cliques included): every kernel call takes
     the tabulated rows."""
     monkeypatch.setattr(sim, "_CHUNK_ROWS", 7)
