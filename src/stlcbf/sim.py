@@ -11,8 +11,9 @@ repulsion, noise and the Euler update act on whole vectors, every clique's
 barrier funnel rows are tabulated over the time grid ahead of the steps
 that use them (Team.funnels), and each step's results go straight into the
 row of one preallocated table laid out as the trajectory CSV: the log is
-that table, the CSV writer formats its rows as they are and the reader
-fills one back.  Its fields, per agent or stacked, are column views.
+that table, the CSV writer formats its rows as they are and the readers
+fill one back a block of lines at a time.  Its fields, per agent or
+stacked, are column views.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import io
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -342,7 +343,7 @@ def _secondary_fn(spec: SecondaryControlSpec, team: Team):
     return repel
 
 
-_CHUNK_ROWS = 256  # steps of noise drawn or funnel rows tabulated, or CSV rows formatted, written and hashed, at a time
+_CHUNK_ROWS = 256  # noise steps drawn, funnel rows tabulated, or CSV rows written or lines read and hashed at a time
 
 
 def _latest_deadline(cliques) -> float:
@@ -489,14 +490,44 @@ def write_log_csv(log: TrajectoryLog, path) -> str:
     return digest.hexdigest()
 
 
+def _csv_blocks(lines, base: int, width: int):
+    """The rows after base lines of a CSV's lines, as csv.reader reads them
+    but cut to width cells, and the line each ends on, with the lines' text,
+    _CHUNK_ROWS lines at a time; the rows are emptied when the next block is
+    read.  A block is split at its commas if it has no '"', NUL (which csv
+    refuses before Python 3.11) or line over the field limit, ends in a line
+    end and splits into its lines under str.splitlines (which also splits at
+    \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028, \\u2029 and a '\\r' inside a line)."""
+    while block := list(islice(lines, _CHUNK_ROWS)):
+        text = "".join(block)
+        split = text.splitlines()
+        if ('"' in text or "\0" in text or max(map(len, block)) > csv.field_size_limit()
+                or text[-1] not in "\r\n" or len(split) != len(block)):
+            # a quoted cell may run on past the block: the lines read on are added to it
+            rd = csv.reader(chain(block, (block.append(line) or line for line in lines)))
+            rows, ends = [], []
+            while rd.line_num < len(block):
+                rows.append(next(rd)[:width])
+                ends.append(base + rd.line_num)
+            text = "".join(block)
+        else:
+            rows = [line.split(",", width)[:width] if line else [] for line in split]
+            ends = range(base + 1, base + len(block) + 1)
+        base += len(block)
+        yield text, rows, ends
+        rows.clear()
+
+
 def read_signal_csv(path) -> tuple:
     """Read a trajectory CSV back as (layout, SampledSignal).
 
     Only the t and x{id}_{component} columns are used, so any CSV with that
-    header shape works as monitor input.  The rows are streamed and only
-    those cells kept; an empty file, a row too short for them, an oversized
-    field, a non-numeric or a non-finite t or x cell is a one-line ValueError.
+    header shape works as monitor input.  Each block of rows (_csv_blocks)
+    has its t and x cells converted at once; an empty file, a row too short
+    for them, an oversized field, a non-numeric or a non-finite t or x cell,
+    or times that are not strictly increasing from 0 are one-line ValueErrors.
     """
+    numeric = True  # refused after the last row, as a later short row or csv fault comes first
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         try:
@@ -504,21 +535,29 @@ def read_signal_csv(path) -> tuple:
             if header is None:
                 raise ValueError("empty file")
             layout, cols = _signal_columns(header)
-            pick = operator.itemgetter(*cols)
-            rows = [pick(r) for r in rd if r]
+            width, parts, pick = max(cols) + 1, [np.empty((0, len(cols)))], operator.itemgetter(*cols)
+            for _, rows, ends in _csv_blocks(fh, rd.line_num, width):
+                picked = [pick(r) for r in rows if r]
+                try:
+                    parts.append(np.array(picked, dtype=float).reshape(len(picked), len(cols)))
+                except ValueError:
+                    numeric = False
         except csv.Error as err:  # an oversized field
             raise ValueError(f"{path}: {err}") from None
         except IndexError:
-            raise ValueError(f"{path} line {rd.line_num}: a row shorter than the header") from None
+            line = next(end for r, end in zip(rows, ends) if 0 < len(r) < width)
+            raise ValueError(f"{path} line {line}: a row shorter than the header") from None
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
-    try:
-        data = np.array(rows, dtype=float).reshape(len(rows), len(cols))
-    except ValueError:
-        raise ValueError(f"{path}: a non-numeric t or x cell") from None
+    if not numeric:
+        raise ValueError(f"{path}: a non-numeric t or x cell")
+    data = np.concatenate(parts)
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: non-finite t or x cell")
-    return layout, SampledSignal(data[:, 0], data[:, 1:])
+    try:
+        return layout, SampledSignal(data[:, 0], data[:, 1:])
+    except ValueError as err:  # no rows, or times that do not run strictly up from 0
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _signal_columns(header: list) -> tuple:
@@ -571,17 +610,12 @@ def _logged_steps(doc: dict, horizon: float) -> int:
     return int(round(steps))
 
 
-def _hashed_lines(fh, digest):
-    for line in fh:
-        digest.update(line)
-        yield line.decode()
-
-
 def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
     """Read a run of team back from a log section and the trajectory CSV it
-    names in directory.  The CSV is streamed through its sha256 and a csv
-    reader into the log's table, of the size that the section's completed
-    flag and events give; any fault of the pair is a one-line ValueError or OSError."""
+    names in directory.  Each block of the CSV's lines (_csv_blocks) goes
+    through its sha256 and, in one conversion, into the log's table of the
+    size the completed flag and events give.  Any fault of the pair is a
+    one-line ValueError or OSError."""
     doc = doc if isinstance(doc, dict) else {}
     events, link = doc.get("events"), doc.get("trajectory")
     if not (isinstance(events, list) and isinstance(link, dict) and is_finite_number(doc.get("dt"))
@@ -594,28 +628,34 @@ def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
     path = Path(directory) / link["file"]
     cols = _Columns(team)
     n_steps = _logged_steps(doc, _latest_deadline(team.cliques))
-    nx = cols.x.stop  # the t and x columns, the only ones of the terminal row
+    nx, width = cols.x.stop, len(cols.header)  # the terminal row holds only the t and x columns
     # every row holds at least its commas and line end
-    if (n_steps + 1) * (len(cols.header) + 1) > path.stat().st_size:
+    if (n_steps + 1) * (width + 1) > path.stat().st_size:
         raise ValueError(f"{path}: too short for the {n_steps + 1} rows the log's completed flag and events give")
-    table = np.empty((n_steps + 1, len(cols.header)))
+    table = np.empty((n_steps + 1, width))
     digest = hashlib.sha256()
     n_rows, fault = 0, None  # the first bad line, reported after the hash and row count
     with open(path, "rb") as fh:
-        rows = csv.reader(_hashed_lines(fh, digest))
+        lines = map(bytes.decode, fh)
         try:
-            if next(rows, None) != cols.header:
+            if next(csv.reader(digest.update(line.encode()) or line for line in lines), None) != cols.header:
                 raise ValueError(f"{path}: header does not match the config's agents and cliques")
-            for row in rows:
-                if n_rows <= n_steps and fault is None:
+            for text, rows, _ in _csv_blocks(lines, 0, width + 1):  # so that an extra cell shows
+                digest.update(text.encode())
+                first, n_rows = n_rows, n_rows + len(rows)
+                if fault is None and first <= n_steps:
+                    del rows[n_steps + 1 - first :]  # rows past the terminal row are only counted
+                    if n_rows > n_steps:  # the terminal row: only t and x are read
+                        rows[-1] = rows[-1][:nx] + ["nan"] * (width - nx)
                     try:
-                        if n_rows < n_steps:
-                            table[n_rows] = row
-                        else:  # the terminal row: only t and x are read
-                            table[n_rows, :nx] = row[:nx]
-                    except ValueError:
-                        fault = n_rows + 2
-                n_rows += 1
+                        table[first : first + len(rows)] = np.array(rows, dtype=float).reshape(len(rows), width)
+                    except ValueError:  # name the first row that is not width numbers
+                        for j, row in enumerate(rows):
+                            try:
+                                np.array(row, dtype=float).reshape(width)
+                            except ValueError:
+                                fault = first + j + 2
+                                break
         except csv.Error as err:  # an oversized field
             raise ValueError(f"{path}: {err}") from None
     if digest.hexdigest() != link["sha256"]:
@@ -626,5 +666,4 @@ def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
         raise ValueError(f"{path} line {fault}: a missing, extra or non-numeric cell")
     if not np.isfinite(table[:, :nx]).all():
         raise ValueError(f"{path}: non-finite t or x cell")
-    table[n_steps, nx:] = np.nan
     return TrajectoryLog(table, cols, events, doc["completed"], float(doc["dt"]))

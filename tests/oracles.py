@@ -21,6 +21,10 @@ package's run must reproduce its logs bit for bit.
 
 The CSV oracle, naive_write_log_csv, is the trajectory CSV writer as it was
 before whole-row writes; the package's writer must give the same bytes.
+naive_read_signal_csv is the signal CSV reader as it was before block
+reads: one csv.reader over the file, the t and x cells of each row picked in
+turn and converted all at once at the end.  The package's reader must return
+the same arrays or refuse with the same one-line message.
 
 The ascent oracle, naive_ascend, is the switch-certifying ascent as it was
 before the barrier kernel was split into a value half and a finishing half:
@@ -44,7 +48,8 @@ from stlcbf.formula import (
     Atom, Conj, Always, Eventually, OperatorUnit, Until, is_state_formula, state_literals,
 )
 from stlcbf.predicates import AffinePredicate, BallPredicate, StateLayout
-from stlcbf.sim import TrajectoryLog, _Columns
+from stlcbf.robustness import SampledSignal
+from stlcbf.sim import TrajectoryLog, _Columns, _signal_columns
 
 
 def _tol(at: float) -> float:
@@ -610,3 +615,30 @@ def naive_write_log_csv(log: TrajectoryLog, path) -> None:
                         repr(float(log.disturbance_norms[i][k])),
                     ]
             wr.writerow(row)
+
+
+def naive_read_signal_csv(path) -> tuple:
+    """The signal CSV reader as it was before block reads.  Where
+    SampledSignal refuses the rows, its message does not name the file."""
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        try:
+            header = next(rd, None)
+            if header is None:
+                raise ValueError("empty file")
+            layout, cols = _signal_columns(header)
+            pick = operator.itemgetter(*cols)
+            rows = [pick(r) for r in rd if r]
+        except csv.Error as err:  # an oversized field
+            raise ValueError(f"{path}: {err}") from None
+        except IndexError:
+            raise ValueError(f"{path} line {rd.line_num}: a row shorter than the header") from None
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+    try:
+        data = np.array(rows, dtype=float).reshape(len(rows), len(cols))
+    except ValueError:
+        raise ValueError(f"{path}: a non-numeric t or x cell") from None
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: non-finite t or x cell")
+    return layout, SampledSignal(data[:, 0], data[:, 1:])

@@ -392,6 +392,9 @@ BAD_SIGNAL_CSVS = [
     ("t,x1_0\n0.0,1.0\n0.5,\n", "a non-numeric t or x cell"),
     ("t,x1_0\n0.0,nan\n0.5,1.0\n", "non-finite t or x cell"),
     ("t,x1_0\n0.0,1.0\ninf,1.0\n", "non-finite t or x cell"),
+    ("t,x1_0\n", "times must be a non-empty 1-D array"),
+    ("t,x1_0\n0.5,1.0\n", "signals start at time 0"),
+    ("t,x1_0\n0.0,1.0\n0.0,2.0\n", "times must be strictly increasing"),
 ]
 
 
