@@ -40,7 +40,7 @@ from .controller import AgentModel, Clique
 from .formula import normalize
 from .parsing import parse
 from .param_search import SearchConfig, maximize_r
-from .predicates import StateLayout, finite_number, is_finite_number
+from .predicates import StateLayout, finite_array, finite_number, is_finite_number
 from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec
 
 __all__ = [
@@ -181,13 +181,10 @@ def clique_formulas(cfg: dict) -> dict:
 
 
 def _finite_array(agent, spec: dict, key: str, what: str, ndim: int) -> np.ndarray:
-    try:
-        arr = np.asarray(spec.get(key))
-    except ValueError:  # ragged nested lists
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim or not np.isfinite(arr).all():
+    arr = finite_array(spec.get(key), ndim)
+    if arr is None:
         raise ConfigError(f"agent {agent} {what} must be a {ndim}-D list of finite numbers")
-    return arr.astype(float)
+    return arr
 
 
 def _build_drift(agent, spec, dim):

@@ -150,9 +150,10 @@ class Team:
     array) and its members' rows, and per agent the constant input map,
     drift, clique, n_hat and coupling bound, so that a step builds no
     per-agent dicts and no identity matrices.  The cliques must partition the
-    agents, and each clique's member dimensions must add up to its barrier's;
-    n_hat = sqrt(n_bar_k * largest agent dimension of the team).  known holds
-    the ids of the agents whose constraint models their secondary input f_u.
+    agents and have distinct names, and each clique's member dimensions must
+    add up to its barrier's; n_hat = sqrt(n_bar_k * largest agent dimension
+    of the team).  known holds the ids of the agents whose constraint models
+    their secondary input f_u.
     """
 
     def __init__(self, cliques, agents: dict, known=()):
@@ -163,6 +164,9 @@ class Team:
         if members != list(self.ids):
             raise ValueError(f"cliques must partition the agents {list(self.ids)}, "
                              f"but their members are {members}")
+        names = [cl.name for cl in self.cliques]
+        if len(set(names)) != len(names):
+            raise ValueError(f"clique names must be distinct, but they are {names}")
         models = [agents[i] for i in self.ids]
         self.layout = StateLayout(self.ids, tuple(m.state_dim for m in models))
         self.input_layout = StateLayout(self.ids, tuple(m.input_dim for m in models))

@@ -16,9 +16,10 @@ g: max over ||y|| <= D of f(y) <= f(x) + D ||g|| - g.x (first-order
 concavity, then Cauchy-Schwarz).  Each switch's exit reason and bracket
 [value, bound] go into the report and the search diagnostics.
 
-The outer search bisects on r.  Once per eta, a relaxation gives each
-switch s a witness x_s: the maximizer of the softmin over the units that have
-reached r by s, with their funnels flat.  For fixed r and eta the funnel
+The outer search probes r in one loop: the top of its bracket, halvings
+until a probe is feasible, then bisection.  Once per eta, a relaxation gives
+each switch s a witness x_s: the maximizer of the softmin over the units that
+have reached r by s, with their funnels flat.  For fixed r and eta the funnel
 curves are then placed in closed form so that x0 and every x_s clear delta
 (gamma_inf below the relaxation's value, gamma0 deep enough where a unit has
 not yet reached r), and one feasibility check certifies or refutes them.
@@ -107,6 +108,7 @@ class FeasibilityReport:
     exits: dict  # switch time -> how the ascent ended (see _ascend)
     brackets: dict  # switch time -> (value, upper bound): the maximum lies in between
     warnings: list
+    barrier: CompositeBarrier  # the barrier checked
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,7 @@ def feasibility_check(
     cb = build_barrier(units, params, eta=eta, bound_radius=bound_radius)
     report = FeasibilityReport(
         feasible=True, initial_margin=math.nan, switch_margins={}, witnesses={},
-        bound_weights={}, grad_norms={}, exits={}, brackets={}, warnings=[],
+        bound_weights={}, grad_norms={}, exits={}, brackets={}, warnings=[], barrier=cb,
     )
     st0 = barrier_state(cb, x0, 0.0)
     report.initial_margin = st0.value
@@ -408,11 +410,24 @@ def _feasible_at(units, x0, r, cfg: SearchConfig, d0: float, caps, relax: dict |
         params, radius = placed
         report = feasibility_check(units, x0, r, eta, radius, params, cfg.delta)
         if report.feasible:
-            return {"report": report, "params": params, "eta": eta, "bound_radius": radius}, best_fail
+            return {"report": report, "eta": eta, "bound_radius": radius}, best_fail
         worst = min([report.initial_margin] + list(report.switch_margins.values()))
         if best_fail is None or worst > best_fail[0]:
             best_fail = (worst, report, eta)
     return None, best_fail
+
+
+def _report_diag(diag: dict, report: FeasibilityReport, **head) -> None:
+    """Add head's entries to the search diagnostics diag, then report's
+    margins, ascent exits and brackets (and, for a feasible report, its
+    gradient norms and bound weights), and report's warnings to diag's."""
+    diag["warnings"].extend(report.warnings)
+    diag.update(head, initial_margin=report.initial_margin, switch_margins=dict(report.switch_margins))
+    if report.feasible:
+        diag["grad_norms"] = dict(report.grad_norms)
+    diag.update(ascent_exits=dict(report.exits), ascent_brackets=dict(report.brackets))
+    if report.feasible:
+        diag["bound_weights"] = dict(report.bound_weights)
 
 
 def compute_kappa(cb: CompositeBarrier, delta: float) -> float:
@@ -445,8 +460,10 @@ def compute_kappa(cb: CompositeBarrier, delta: float) -> float:
 
 
 def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
-    """Bisection on r; each probe places curves from the relaxation's
-    witnesses and checks them once per eta (see _feasible_at)."""
+    """One loop of probes on the bracket [r_lo, hi]: r_hi, then halvings (at
+    most 60, none below _R_TOLERANCE / 8) until a probe is feasible, then
+    bisection.  A probe places curves from the relaxation's witnesses and
+    checks them once per eta (see _feasible_at).  Returns the winning check's barrier."""
     units = tuple(units)
     x0 = np.asarray(x0, dtype=float)
     if not units:
@@ -454,89 +471,46 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
     caps = tuple(_h_opt_capped(u, x0) for u in units)
     r_hi = _r_high(units, x0, caps, cfg.r_max)
     d0 = _default_bound_radius(units, x0)
-    relax = {}  # eta -> the relaxation's witnesses, shared by every probe
-
-    def diag_base():
-        return {"delta": cfg.delta, "r_bracket_high": r_hi, "warnings": []}
-
+    diag = {"delta": cfg.delta, "r_bracket_high": r_hi, "warnings": []}
     if r_hi <= 0.0:
-        diag = diag_base()
         diag["warnings"].append("upper bracket for r is non-positive; task unsatisfiable from x0")
         return SearchResult(0.0, None, {}, _KAPPA_MIN, False, diag)
 
-    winner, best_fail = _feasible_at(units, x0, r_hi, cfg, d0, caps, relax)
-    r_lo = r_hi if winner is not None else None
-    if winner is None:
-        hi = r_hi
-        r = r_hi
-        for _ in range(60):
-            r *= 0.5
-            if r < max(_R_TOLERANCE / 8.0, 1e-12):
-                break
-            winner, fail = _feasible_at(units, x0, r, cfg, d0, caps, relax)
-            if winner is not None:
-                r_lo = r
-                break
+    relax = {}  # eta -> the relaxation's witnesses, shared by every probe
+    winner = best_fail = r_lo = None
+    hi, r, halvings = r_hi, r_hi, 0
+    while True:
+        cand, fail = _feasible_at(units, x0, r, cfg, d0, caps, relax)
+        if cand is not None:
+            winner, r_lo = cand, r
+        else:
             hi = r
             if fail is not None and (best_fail is None or fail[0] > best_fail[0]):
                 best_fail = fail
-        if winner is None:
-            diag = diag_base()
-            if best_fail is not None:
-                worst, report, eta = best_fail
-                diag["best_margin"] = worst
-                diag["eta"] = eta
-                diag["initial_margin"] = report.initial_margin
-                diag["switch_margins"] = dict(report.switch_margins)
-                diag["ascent_exits"] = dict(report.exits)
-                diag["ascent_brackets"] = dict(report.brackets)
-                diag["warnings"].extend(report.warnings)
-            diag["warnings"].append("no feasible r found")
-            return SearchResult(0.0, None, {}, _KAPPA_MIN, False, diag)
-        # bisect between the feasible probe and the last infeasible r
-        while hi - r_lo > _R_TOLERANCE:
-            mid = 0.5 * (r_lo + hi)
-            cand, _ = _feasible_at(units, x0, mid, cfg, d0, caps, relax)
-            if cand is not None:
-                winner = cand
-                r_lo = mid
-            else:
-                hi = mid
+        if winner is not None:
+            if hi - r_lo <= _R_TOLERANCE:
+                break
+            r = 0.5 * (r_lo + hi)
+        else:
+            r *= 0.5
+            halvings += 1
+            if halvings > 60 or r < max(_R_TOLERANCE / 8.0, 1e-12):
+                break
+
+    if winner is None:
+        if best_fail is not None:
+            worst, report, eta = best_fail
+            _report_diag(diag, report, best_margin=worst, eta=eta)
+        diag["warnings"].append("no feasible r found")
+        return SearchResult(0.0, None, {}, _KAPPA_MIN, False, diag)
 
     report = winner["report"]
-    cb = build_barrier(
-        units, winner["params"], eta=winner["eta"], bound_radius=winner["bound_radius"]
-    )
-    kappa_raw = compute_kappa(cb, cfg.delta)
+    kappa_raw = compute_kappa(report.barrier, cfg.delta)
     kappa = min(kappa_raw, cfg.kappa_cap)
-    diag = diag_base()
-    diag.update(
-        {
-            "eta": winner["eta"],
-            "bound_radius": winner["bound_radius"],
-            "initial_margin": report.initial_margin,
-            "switch_margins": dict(report.switch_margins),
-            "grad_norms": dict(report.grad_norms),
-            "ascent_exits": dict(report.exits),
-            "ascent_brackets": dict(report.brackets),
-            "bound_weights": dict(report.bound_weights),
-            "kappa_raw": kappa_raw,
-        }
-    )
-    diag["warnings"].extend(report.warnings)
+    _report_diag(diag, report, eta=winner["eta"], bound_radius=winner["bound_radius"])
+    diag["kappa_raw"] = kappa_raw
     if kappa_raw >= _KAPPA_CLAMP:
-        diag["warnings"].append(
-            f"kappa clamped at {_KAPPA_CLAMP:g}; closed-form gain overflowed"
-        )
+        diag["warnings"].append(f"kappa clamped at {_KAPPA_CLAMP:g}; closed-form gain overflowed")
     if kappa < kappa_raw:
-        diag["warnings"].append(
-            f"kappa capped at {cfg.kappa_cap:g} (closed form gave {kappa_raw:g})"
-        )
-    return SearchResult(
-        r_star=float(r_lo),
-        barrier=cb,
-        witnesses=dict(report.witnesses),
-        kappa=float(kappa),
-        feasible=True,
-        diagnostics=diag,
-    )
+        diag["warnings"].append(f"kappa capped at {cfg.kappa_cap:g} (closed form gave {kappa_raw:g})")
+    return SearchResult(float(r_lo), report.barrier, dict(report.witnesses), float(kappa), True, diag)

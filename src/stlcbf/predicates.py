@@ -182,12 +182,21 @@ def finite_number(d: dict, key: str, where: str, default: float | None = None) -
     return float(v)
 
 
-def _finite_array(d: dict, key: str, where: str, ndim: int) -> np.ndarray:
+def finite_array(v, ndim: int) -> np.ndarray | None:
+    """v as a float array if it nests lists ndim deep around finite numbers
+    only (no bool, str or None), else None."""
     try:
-        a = np.array(d.get(key), dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.ndim != ndim or not np.isfinite(a).all():
+        a = np.array(v, dtype=object)  # most ragged lists give an array of lists
+    except ValueError:  # ragged arrays
+        return None
+    if a.ndim != ndim or not all(map(is_finite_number, a.flat)):
+        return None
+    return a.astype(float)
+
+
+def _finite_array(d: dict, key: str, where: str, ndim: int) -> np.ndarray:
+    a = finite_array(d.get(key), ndim)
+    if a is None:
         raise ValueError(f"barrier document: {where}{key} must be a {ndim}-D array of finite numbers")
     return a
 

@@ -528,7 +528,7 @@ def read_signal_csv(path) -> tuple:
     or times that are not strictly increasing from 0 are one-line ValueErrors.
     """
     numeric = True  # refused after the last row, as a later short row or csv fault comes first
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rd = csv.reader(fh)
         try:
             header = next(rd, None)
@@ -635,12 +635,12 @@ def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
     table = np.empty((n_steps + 1, width))
     digest = hashlib.sha256()
     n_rows, fault = 0, None  # the first bad line, reported after the hash and row count
-    with open(path, "rb") as fh:
-        lines = map(bytes.decode, fh)
+    # newline="" keeps each line's own ending, so line.encode() gives back the file's bytes
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
-            if next(csv.reader(digest.update(line.encode()) or line for line in lines), None) != cols.header:
+            if next(csv.reader(digest.update(line.encode()) or line for line in fh), None) != cols.header:
                 raise ValueError(f"{path}: header does not match the config's agents and cliques")
-            for text, rows, _ in _csv_blocks(lines, 0, width + 1):  # so that an extra cell shows
+            for text, rows, _ in _csv_blocks(fh, 0, width + 1):  # so that an extra cell shows
                 digest.update(text.encode())
                 first, n_rows = n_rows, n_rows + len(rows)
                 if fault is None and first <= n_steps:
@@ -656,7 +656,7 @@ def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
                             except ValueError:
                                 fault = first + j + 2
                                 break
-        except csv.Error as err:  # an oversized field
+        except (csv.Error, UnicodeDecodeError) as err:  # an oversized field, or not UTF-8
             raise ValueError(f"{path}: {err}") from None
     if digest.hexdigest() != link["sha256"]:
         raise ValueError(f"{path}: sha256 does not match the log document")

@@ -480,11 +480,15 @@ def test_cli_refuses_non_finite_barrier_document(tmp_path, capsys):
          "barrier document: term 0 unit a must be a finite number, got [0.0]"),
         (lambda b: b["terms"][0]["unit"]["predicate"].update(c=[NAN]),
          "barrier document: term 0 predicate c must be a 1-D array of finite numbers"),
+        (lambda b: b["terms"][0]["unit"]["predicate"].update(c=["1.5"]),
+         "barrier document: term 0 predicate c must be a 1-D array of finite numbers"),
         (lambda b: b["terms"][0]["unit"]["predicate"].update(d=[1.0]),
          "barrier document: term 0 predicate d must be a finite number, got [1.0]"),
         (lambda b: b["terms"][0]["unit"].update(predicate={
             "kind": "quad_ball", "A": [[1.0]], "b": [0.0], "e": NAN, "support": [1]}),
          "barrier document: term 0 predicate e must be a finite number, got nan"),
+        (lambda b: b["terms"][0]["unit"].update(predicate={"kind": "quad_ball", "A": [[True]], "b": [0.0], "e": 1.0}),
+         "barrier document: term 0 predicate A must be a 2-D array of finite numbers"),
     ]
     clique_edits = [
         (lambda c: c.update(kappa=NAN), "barrier document: clique 'solo' kappa must be a finite number, got nan"),
@@ -520,9 +524,15 @@ def test_cli_verify_refuses_bad_trajectory_files(tmp_path, capsys):
         with (outdir / "trajectory.csv").open("ab") as fh:
             fh.write(data)
 
+    def not_utf8():
+        data = good_csv[:3] + b"\xff" + good_csv[4:]
+        (outdir / "trajectory.csv").write_bytes(data)
+        _edit_log_doc(outdir, lambda d: d["log"]["trajectory"].update(sha256=hashlib.sha256(data).hexdigest()))
+
     faults = [
         (lambda: (outdir / "trajectory.csv").unlink(), "No such file or directory"),
         (lambda: append(b"0.0\r\n"), "sha256 does not match the log document"),
+        (not_utf8, f"{outdir / 'trajectory.csv'}: 'utf-8' codec can't decode byte 0xff"),
         (lambda: _edit_trajectory(outdir, header), "header does not match the config's agents and cliques"),
         (lambda: _edit_trajectory(outdir, lambda rows: rows.pop(5)),
          "20 rows, but the log's completed flag and events give 21"),

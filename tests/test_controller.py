@@ -299,8 +299,9 @@ def test_team_control_rejects_shared_members():
 
 
 def test_team_refuses_cliques_that_do_not_fit_the_agents():
-    """An agent in no clique, a member that is no agent and member dimensions
-    that miss the barrier's are each a one-line error."""
+    """An agent in no clique, a member that is no agent, member dimensions
+    that miss the barrier's and two cliques of one name are each a one-line
+    error."""
     clique, agents = two_agent_clique()
     cases = (
         ({**agents, 7: AgentModel(agent_id=7, state_dim=1)}, [clique],
@@ -308,6 +309,10 @@ def test_team_refuses_cliques_that_do_not_fit_the_agents():
         ({1: agents[1]}, [clique], "cliques must partition the agents [1], but their members are [1, 2]"),
         ({1: agents[1], 2: AgentModel(agent_id=2, state_dim=3)}, [clique],
          "clique 'pair': member dimensions add up to 5, but its barrier has dim 4"),
+        # two columns b_pair would be logged, and verify would check one of them twice
+        ({i: AgentModel(agent_id=i, state_dim=2) for i in (1, 2, 3, 4)},
+         [clique, dataclasses.replace(clique, members=(3, 4))],
+         "clique names must be distinct, but they are ['pair', 'pair']"),
     )
     for team_agents, cliques, msg in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):

@@ -235,7 +235,7 @@ def test_block_size_changes_no_read(case, tmp_path, monkeypatch):
     for name in ("quoted", "cr", "quoted cr", "quoted newline", "one quoted row", "blank lines"):
         assert at_256[name][0] == at_256["written"][0], name
     assert at_256["written"][1][0] == table
-    for name in ("quoted", "quoted newline", "one quoted row"):
+    for name in ("quoted", "cr", "quoted cr", "quoted newline", "one quoted row"):
         assert at_256[name][1] == [table, f"{tmp_path / name}.csv: sha256 does not match the log document"], name
     n = variants["written"].count(b"\n")
     assert at_256["short row"][0].endswith(f"line {n // 2 + 1}: a row shorter than the header")

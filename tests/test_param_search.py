@@ -460,3 +460,83 @@ def test_softmin_adds_left_to_right():
     1 + 2^-52 instead."""
     assert _softmin([0.0, 36.8, 36.8], 1.0) == 0.0
     assert math.fsum([1.0, math.exp(-36.8), math.exp(-36.8)]) > 1.0  # the case tells the two sums apart
+
+
+def test_probe_schedule(monkeypatch):
+    """The search probes the top of its bracket first, halves r until a
+    probe is feasible (at most 60 times, not below _R_TOLERANCE / 8), then
+    probes each bracket's midpoint until the bracket is at most _R_TOLERANCE
+    wide; r_star is the last feasible probe.  Random tasks 0, 3, 4, 7 and 12
+    are feasible at the first probe, feasible after halving, never feasible,
+    never feasible and feasible after halving."""
+    from stlcbf import param_search
+    from stlcbf.param_search import _R_TOLERANCE
+
+    probes, probe_fn = [], param_search._feasible_at  # (r, feasible) per probe
+
+    def record(units, x0, r, cfg, d0, caps, relax=None):
+        out = probe_fn(units, x0, r, cfg, d0, caps, relax)
+        probes.append((r, out[0] is not None))
+        return out
+
+    monkeypatch.setattr(param_search, "_feasible_at", record)
+    kinds = []
+    for k in (0, 3, 4, 7, 12):
+        probes.clear()
+        res = maximize_r(*random_task(k), SearchConfig())
+        rs = [r for r, _ in probes]
+        first = next((i for i, (_, ok) in enumerate(probes) if ok), None)
+        kinds.append("never" if first is None else "first" if first == 0 else "halved")
+        assert rs[0] == res.diagnostics["r_bracket_high"], k
+        halved = rs if first is None else rs[: first + 1]
+        assert 1 <= len(halved) <= 61 and not any(ok for _, ok in probes[: len(halved) - 1]), k
+        assert all(b == 0.5 * a for a, b in zip(halved, halved[1:])), k
+        if first is None:
+            assert not res.feasible and res.r_star == 0.0
+            assert len(halved) == 61 or 0.5 * halved[-1] < max(_R_TOLERANCE / 8.0, 1e-12), k
+            continue
+        lo, hi = rs[first], rs[max(first - 1, 0)]
+        for r, ok in probes[first + 1 :]:
+            assert hi - lo > _R_TOLERANCE and r == 0.5 * (lo + hi), k
+            lo, hi = (r, hi) if ok else (lo, r)
+        assert hi - lo <= _R_TOLERANCE, k
+        assert res.feasible and res.r_star == lo == [r for r, ok in probes if ok][-1], k
+    assert kinds == ["first", "halved", "never", "never", "halved"]
+
+
+def test_failed_search_diagnostics(monkeypatch):
+    """A search with no feasible probe reports the failed check with the
+    largest worst margin (the first such): its margin as best_margin, its
+    eta, margins, ascent exits and brackets in the documented key order, and
+    its warnings, then "no feasible r found".  Random tasks 8 and 14 get no
+    placement at any probe, so they report only the first three keys; tasks
+    0 and 12 are run with every check refuted."""
+    from stlcbf import param_search
+
+    reports, check_fn = [], param_search.feasibility_check
+    for k in (8, 14):
+        res = maximize_r(*random_task(k), SearchConfig())
+        assert not res.feasible and list(res.diagnostics) == ["delta", "r_bracket_high", "warnings"], k
+        assert res.diagnostics["warnings"] == ["no feasible r found"], k
+
+    def refute(units, x0, r, eta, bound_radius, params, delta):
+        report = check_fn(units, x0, r, eta, bound_radius, params, delta)
+        report.feasible = False
+        reports.append((min([report.initial_margin] + list(report.switch_margins.values())), eta, report))
+        return report
+
+    monkeypatch.setattr(param_search, "feasibility_check", refute)
+    for k in (0, 12):
+        reports.clear()
+        res = maximize_r(*random_task(k), SearchConfig())
+        diag = res.diagnostics
+        assert not res.feasible and res.barrier is None and reports, k
+        assert list(diag) == [
+            "delta", "r_bracket_high", "warnings", "best_margin", "eta",
+            "initial_margin", "switch_margins", "ascent_exits", "ascent_brackets",
+        ], k
+        worst, eta, best = next(w for w in reports if w[0] == max(w[0] for w in reports))
+        assert diag["best_margin"] == worst and diag["eta"] == eta, k
+        assert diag["initial_margin"] == best.initial_margin and diag["switch_margins"] == best.switch_margins, k
+        assert diag["ascent_exits"] == best.exits and diag["ascent_brackets"] == best.brackets, k
+        assert diag["warnings"] == best.warnings + ["no feasible r found"], k
