@@ -15,18 +15,21 @@ term D - ||x|| keeping the superlevel sets compact.  Terms drop out at their
 deadlines, so b is piecewise smooth in t with switches at the sorted unique
 deadlines s_1 < ... < s_q; it is undefined at t >= s_q.
 
-barrier_state, left_limit_state and the team step of a run go through one
-kernel, whose term values come from the same code that
-CompositeBarrier.term_values returns.  The barrier compiles once: the affine
-rows c and every ball's A rows are stacked into one matrix, and each
-activity interval (the terms with deadline >= s_k) gets its selection
-indices and gradient rows.  A call then takes one product over all stacked
-rows, forms h_l for every term and selects the active ones.  The x-products
-are deliberately not taken over a per-interval submatrix: (C @ x)[sel] and
-C[sel] @ x can differ in the last bit, and two identities hold exactly only
-because every caller sees the same floats for a term -- the reported term
-values equal term_values(x, t)[active], and b(x, s) >= left limit at s with
-no tolerance, since both sides blend the same b_l.
+The barrier has one kernel, _state, a single flat function body: the team
+step of a run calls it directly, barrier_state and left_limit_state build
+their BarrierState from its result, and CompositeBarrier.term_values
+returns its term values on the first activity interval, where every term
+is active.  The barrier compiles once: the affine rows c and every ball's A
+rows are stacked into one matrix, and each activity interval (the terms
+with deadline >= s_k) gets its selection indices and gradient rows.  A call
+then takes one product over all stacked rows, forms h_l for every term and
+selects the active ones.  The x-products are deliberately not taken over a
+per-interval submatrix: (C @ x)[sel] and C[sel] @ x can differ in the last
+bit, and two identities hold exactly only because every caller sees the
+same floats for a term -- the reported term values equal
+term_values(x, t)[active], and b(x, s) >= left limit at s with no
+tolerance, since both sides blend the same b_l.  A selection that is one
+run of consecutive indices is kept as a slice, so its gather is a view.
 
 gamma_l(t) and its rate depend on t alone, so the kernel takes them as
 arguments: the activity interval and the rows of gamma_l(t) and
@@ -38,13 +41,11 @@ _funnel_rows tabulates the rows over many steps at once and the team step
 hands them to _state with no lookup and no check.  One _gamma over a grid
 gives each row the bits of _gamma at that row's time.
 
-The kernel runs in two halves.  _value forms the term values and the
-unnormalised softmin weights and returns the barrier value with those
-intermediates; _finish turns them into a BarrierState (normalised weights,
-gradient in x, rate in t).  barrier_value and left_limit_value run only the
-first half.  So does an Armijo trial of the switch-certifying ascent in
-param_search, which reads only the value of a trial point and finishes the
-one it accepts: most trials are rejected.
+The kernel has an exit after the softmin, taken by a value below a floor
+the caller passes.  barrier_value, left_limit_value and term_values take it
+with floor inf.  An Armijo trial of the switch-certifying ascent in
+param_search passes its acceptance threshold: a rejected trial stops
+there, and an accepted one runs on to its gradient, rate and weights, once.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ import numpy as np
 
 from .formula import OperatorUnit
 from .predicates import (
-    AffinePredicate, BallPredicate, finite_number, is_finite_number, predicate_to_dict, predicate_from_dict,
+    AffinePredicate, BallPredicate, doc_object, finite_number, is_finite_number, predicate_to_dict,
+    predicate_from_dict,
 )
 
 __all__ = [
@@ -96,6 +98,9 @@ class GammaParams:
         for name in ("decay", "t_star"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
+        if not math.isfinite(self.decay * (self.gamma_inf - self.gamma0)):
+            raise ValueError(f"the funnel rate decay * (gamma_inf - gamma0) must be finite, "
+                             f"got {self.decay!r} * ({self.gamma_inf!r} - {self.gamma0!r})")
 
     @classmethod
     def from_target(cls, gamma0: float, gamma_inf: float, r: float, t_star: float) -> "GammaParams":
@@ -136,10 +141,24 @@ class BarrierTerm:
                 f"gamma t_star {self.gamma.t_star} does not match the unit's "
                 f"critical time {self.unit.t_star}"
             )
+        # the funnel is evaluated up to the deadline, where its exponent is -decay * deadline
+        if not math.isfinite(self.gamma.decay * self.deadline):
+            raise ValueError(
+                f"gamma decay * unit deadline must be finite, got {self.gamma.decay!r} * {self.deadline!r}"
+            )
 
     @property
     def deadline(self) -> float:
         return self.unit.deadline
+
+
+def _as_slice(idx: np.ndarray):
+    """The basic slice that selects what the index array idx selects when idx
+    is one ascending run of consecutive indices, else idx: the kernel's
+    gathers through it then take a view instead of a copy."""
+    if len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+        return slice(int(idx[0]), int(idx[0]) + len(idx))
+    return idx
 
 
 class _Interval(NamedTuple):
@@ -147,9 +166,9 @@ class _Interval(NamedTuple):
     >= s_k, which are active on [s_{k-1}, s_k) and in the left limit at s_k."""
 
     active: np.ndarray  # active task terms, ascending term index
-    kpos: np.ndarray  # their kernel positions
+    kpos: object  # their kernel positions (see _as_slice)
     funnel: tuple  # their -decay, gamma0 - gamma_inf, gamma_inf and -decay (gamma_inf - gamma0) rows
-    wpos: np.ndarray  # per gradient row: its term's weight (active terms, then the bound term)
+    wpos: object  # per gradient row: its term's weight (active terms, then the bound term; see _as_slice)
     G: np.ndarray  # gradient rows: active affine c, then active ball -2A
     n_aff_rows: int
     ball_rows: np.ndarray  # rows of the stacked product feeding the ball rows of G
@@ -211,11 +230,12 @@ class CompositeBarrier:
             n_aff_rows = int(np.count_nonzero(rows < n_aff))
             grad_rows = mat[rows]
             grad_rows[n_aff_rows:] *= -2.0
+            wpos = np.array([j for _, j in pairs], dtype=int)
             intervals.append(_Interval(
                 active=active,
-                kpos=kpos,
+                kpos=_as_slice(kpos),
                 funnel=tuple(row[kpos] for row in funnel),
-                wpos=np.array([j for _, j in pairs], dtype=int),
+                wpos=_as_slice(wpos) if n_aff_rows == len(rows) else wpos,  # the kernel scales ball rows in place
                 G=grad_rows,
                 n_aff_rows=n_aff_rows,
                 ball_rows=rows[n_aff_rows:],
@@ -226,10 +246,9 @@ class CompositeBarrier:
             ("_n_aff", n_aff),
             ("_mat", mat),
             ("_off", off),
+            ("_n_balls", n - n_aff),
             ("_ball_e", np.array([p.e for p in preds[n_aff:]])),
             ("_ball_start", row_start[n_aff:-1] - n_aff),
-            ("_pos", pos),
-            ("_term_funnel", tuple(row[pos] for row in funnel)),  # term order
             ("_intervals", tuple(intervals)),
             ("_tcache", (None, None, None, None, None)),  # (t, k, interval, gamma row, rate row)
         ):
@@ -239,22 +258,11 @@ class CompositeBarrier:
     def horizon(self) -> float:
         return self.schedule[-1]
 
-    def _h(self, x: np.ndarray) -> tuple:
-        """(h_l(x) over all terms in kernel order, the stacked product
-        A x + b, the smoothed norm of x)."""
-        y = np.dot(self._mat, x)
-        y += self._off
-        h = y
-        if len(self._ball_e):
-            yb = y[self._n_aff:]
-            hb = self._ball_e - np.add.reduceat(yb * yb, self._ball_start)
-            h = np.concatenate((y[:self._n_aff], hb))
-        return h, y, math.sqrt(float(np.dot(x, x)) + self.smooth_eps**2)
-
     def term_values(self, x: np.ndarray, t: float) -> np.ndarray:
-        """b_l(x,t) for every task term (ignoring activity)."""
-        x = np.asarray(x, dtype=float)
-        return self._h(x)[0][self._pos] - _gamma(t, self._term_funnel)[0]
+        """b_l(x,t) for every task term (ignoring activity): the kernel's term
+        values on the first activity interval, where every term is active."""
+        iv = self._intervals[0]
+        return _state(self, np.asarray(x, dtype=float), iv, *_gamma(t, iv.funnel), math.inf)[4][:-1]
 
     def active_mask(self, t: float) -> np.ndarray:
         return self._deadlines > t
@@ -272,44 +280,52 @@ class BarrierState:
     term_values: np.ndarray  # b_l at active task terms, bound term last
 
 
-def _value(cb: CompositeBarrier, x: np.ndarray, iv: _Interval, gam: np.ndarray, rate: np.ndarray) -> tuple:
-    """First half of the kernel, at a state x of shape (dim,) on activity
-    interval iv, given gamma_l(t) and -d gamma_l/dt of iv's active terms as
-    the C-contiguous rows gam and rate (np.dot over a strided row can round
-    differently).  Nothing is checked here.  Returns the barrier value
-    followed by the intermediates _finish takes: x, the interval, the rate
-    row, the term values, the stacked product, the smoothed norm of x, the
-    unnormalised weights and their sum."""
-    h, y, nx = cb._h(x)
-    vals = np.empty(len(iv.kpos) + 1)
-    np.subtract(h[iv.kpos], gam, out=vals[:-1])
+def _state(cb: CompositeBarrier, x: np.ndarray, iv: _Interval, gam: np.ndarray, rate: np.ndarray,
+           floor: float = -math.inf) -> tuple:
+    """The barrier kernel at a state x of shape (dim,) on activity interval
+    iv, given gamma_l(t) and -d gamma_l/dt of iv's active terms as the
+    C-contiguous rows gam and rate (np.dot over a strided row can round
+    differently).  Nothing is checked here.  The team step takes the
+    interval and rows from _funnel_rows, the checked entries from _args.
+
+    Returns (value, gradient in x, rate in t, softmin weights, term values),
+    the last two over iv's active terms with the bound term last.  A value
+    below floor ends the call after the softmin, with the gradient, rate and
+    weights None: the value-only entries pass floor = inf, and an Armijo
+    trial of the ascent its acceptance threshold.
+    """
+    y = cb._mat.dot(x)  # ndarray.dot is np.dot without its dispatch layer
+    y += cb._off
+    h = y
+    if cb._n_balls:
+        yb = y[cb._n_aff :]
+        h = np.concatenate((y[: cb._n_aff], cb._ball_e - np.add.reduceat(yb * yb, cb._ball_start)))
+    nx = math.sqrt(x.dot(x).item() + cb.smooth_eps**2)
+    active, kpos, _, wpos, G, n_aff_rows, ball_rows = iv
+    vals = np.empty(len(active) + 1)
+    np.subtract(h[kpos], gam, out=vals[:-1])
     vals[-1] = cb.bound_radius - nx + cb.smooth_eps
     m = min(vals.tolist())
     w = m - vals
     w *= cb.eta
     np.exp(w, out=w)
     z = float(np.add.reduce(w))
-    return m - math.log(z) / cb.eta, x, iv, rate, vals, y, nx, w, z
-
-
-def _finish(value, x, iv, rate, vals, y, nx, w, z) -> BarrierState:
-    """Second half of the kernel: a _value result made into a BarrierState.
-    It normalises the weights in place, so a result is finished once."""
-    active, _, _, wpos, G, n_aff_rows, ball_rows = iv
+    value = m - math.log(z) / cb.eta
+    if value < floor:
+        return value, None, None, None, vals
     w /= z
     rw = w[wpos]
     if len(ball_rows):
         rw[n_aff_rows:] *= y[ball_rows]
-    grad = np.dot(rw, G)
+    grad = rw.dot(G)
     grad -= (w[-1] / nx) * x
-    dbdt = float(np.dot(w[:-1], rate))
-    return BarrierState(value=value, grad_x=grad, dbdt=dbdt, weights=w, active=active, term_values=vals)
+    return value, grad, w[:-1].dot(rate).item(), w, vals
 
 
-def _state(cb: CompositeBarrier, x: np.ndarray, iv: _Interval, gam: np.ndarray, rate: np.ndarray) -> BarrierState:
-    """The whole kernel on _value's arguments: the entry of the team step,
-    which takes the interval and rows from _funnel_rows."""
-    return _finish(*_value(cb, x, iv, gam, rate))
+def _barrier_state(result: tuple, iv: _Interval) -> BarrierState:
+    """A full kernel result on activity interval iv as a BarrierState."""
+    value, grad, dbdt, w, vals = result
+    return BarrierState(value=value, grad_x=grad, dbdt=dbdt, weights=w, active=iv.active, term_values=vals)
 
 
 def _gamma(times, funnel: tuple) -> tuple:
@@ -358,11 +374,12 @@ def _funnel_rows(cb: CompositeBarrier, times: np.ndarray):
 
 
 def barrier_state(cb: CompositeBarrier, x: np.ndarray, t: float) -> BarrierState:
-    return _finish(*_value(cb, *_args(cb, x, t, bisect.bisect_right(cb.schedule, t))))
+    x, iv, gam, rate = _args(cb, x, t, bisect.bisect_right(cb.schedule, t))
+    return _barrier_state(_state(cb, x, iv, gam, rate), iv)
 
 
 def barrier_value(cb: CompositeBarrier, x: np.ndarray, t: float) -> float:
-    return _value(cb, *_args(cb, x, t, bisect.bisect_right(cb.schedule, t)))[0]
+    return _state(cb, *_args(cb, x, t, bisect.bisect_right(cb.schedule, t)), math.inf)[0]
 
 
 def _left_interval(cb: CompositeBarrier, s: float) -> int:
@@ -373,12 +390,13 @@ def _left_interval(cb: CompositeBarrier, s: float) -> int:
 
 
 def left_limit_state(cb: CompositeBarrier, x: np.ndarray, s: float) -> BarrierState:
-    return _finish(*_value(cb, *_args(cb, x, s, _left_interval(cb, s))))
+    x, iv, gam, rate = _args(cb, x, s, _left_interval(cb, s))
+    return _barrier_state(_state(cb, x, iv, gam, rate), iv)
 
 
 def left_limit_value(cb: CompositeBarrier, x: np.ndarray, s: float) -> float:
     """Barrier value in the limit t -> s from below (deadline-s terms kept)."""
-    return _value(cb, *_args(cb, x, s, _left_interval(cb, s)))[0]
+    return _state(cb, *_args(cb, x, s, _left_interval(cb, s)), math.inf)[0]
 
 
 def build_barrier(units, params, eta: float, bound_radius: float, smooth_eps: float = 1e-9) -> CompositeBarrier:
@@ -426,22 +444,32 @@ def barrier_from_dict(doc: dict) -> CompositeBarrier:
     numbers (eta, bound radius, smoothing, unit windows, funnel curves,
     predicate coefficients) are checked finite here: a NaN eta or bound
     radius would otherwise build a barrier whose every value is NaN."""
+    terms = doc_object(doc, "barrier").get("terms")
+    if not (isinstance(terms, list) and terms):
+        raise ValueError("barrier document: terms must be a non-empty list")
     units, params = [], []
-    for i, entry in enumerate(doc["terms"]):
-        u = entry["unit"]
+    for i, entry in enumerate(terms):
+        u = doc_object(doc_object(entry, f"term {i}").get("unit"), f"term {i} unit")
+        if u.get("kind") not in ("always", "eventually"):
+            raise ValueError(f"barrier document: term {i} unit kind must be 'always' or 'eventually', "
+                             f"got {u.get('kind')!r}")
+        if not isinstance(u.get("until_lhs", False), bool):
+            raise ValueError(f"barrier document: term {i} unit until_lhs must be true or false")
         units.append(
             OperatorUnit(
                 kind=u["kind"],
-                predicate=predicate_from_dict(u["predicate"], f"term {i} predicate "),
+                predicate=predicate_from_dict(u.get("predicate"), f"term {i} predicate "),
                 a=finite_number(u, "a", f"term {i} unit "),
                 b=finite_number(u, "b", f"term {i} unit "),
-                until_lhs=bool(u.get("until_lhs", False)),
+                until_lhs=u.get("until_lhs", False),
             )
         )
-        g = entry["gamma"]
-        params.append(GammaParams(*(
-            finite_number(g, key, f"term {i} gamma ") for key in ("gamma0", "gamma_inf", "decay", "t_star")
-        )))
+        g = doc_object(entry.get("gamma"), f"term {i} gamma")
+        values = [finite_number(g, key, f"term {i} gamma ") for key in ("gamma0", "gamma_inf", "decay", "t_star")]
+        try:
+            params.append(GammaParams(*values))
+        except ValueError as err:
+            raise ValueError(f"barrier document: term {i} gamma: {err}") from None
     return build_barrier(
         units, params, eta=finite_number(doc, "eta", ""), bound_radius=finite_number(doc, "bound_radius", ""),
         smooth_eps=finite_number(doc, "smooth_eps", "", 1e-9),

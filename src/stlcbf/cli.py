@@ -108,7 +108,7 @@ def _simulate(cfg, doc, outdir, *, seed=None, dt=None) -> int:
         cl = by_name[name]
         vals = log.barriers[name]
         min_b = float(np.nanmin(vals))
-        rho = robustness(formulas[name], log.clique_signal(cl))
+        rho = log.clique_robustness(formulas[name], cl)
         print(f"clique {name}: min_b={min_b:.6g} rho={rho:.6g} (r_star={r_stars[name]:.6g})")
     print(f"simulation took {elapsed:.2f} s; wrote {csv_path} and {outdir / 'log.json'}")
     return EXIT_PASS

@@ -40,7 +40,7 @@ from .controller import AgentModel, Clique
 from .formula import normalize
 from .parsing import parse
 from .param_search import SearchConfig, maximize_r
-from .predicates import StateLayout, finite_array, finite_number, is_finite_number
+from .predicates import StateLayout, doc_object, finite_array, finite_number, is_finite_number
 from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec
 
 __all__ = [
@@ -290,8 +290,12 @@ def _check_doc(cfg: dict, doc: dict) -> None:
             "barrier document was produced from a different config "
             "(hash mismatch); re-run construction"
         )
-    for name, entry in doc["cliques"].items():
-        if not entry.get("feasible") or "barrier" not in entry:
+    cliques = doc_object(doc.get("cliques"), "cliques")
+    for name in cfg["cliques"]:
+        if name not in cliques:
+            raise ConfigError(f"clique {name!r} is missing from the barrier document")
+    for name, entry in cliques.items():
+        if not doc_object(entry, f"clique {name!r}").get("feasible") or "barrier" not in entry:
             raise ConfigError(f"clique {name!r} has no feasible barrier in the document")
 
 

@@ -14,15 +14,18 @@ condition under any disturbance with ||c_i|| <= C.  The single-constraint QP
 has the closed-form solution u = max(rhs, 0) / ||a||^2 * a.
 
 team_control evaluates the law for a whole team on one stacked state vector
-(see Team): one barrier kernel call per live clique, then one pass of
-team-wide vector operations for every agent's block norm, share, half-space
-and closed-form input (Team.half_spaces).  The kernel call takes the
-clique's funnel rows at the step's time, which a run tabulates ahead over
-its time grid (Team.funnels), and the clique's stacked state as a view
-where its members' blocks are adjacent in the team vector, so the step
-makes no interval lookup, no funnel evaluation and no input check.  Every
-float operation is the one the per-agent law takes, in the same order, and
-each row-wise dot product runs np.dot's kernel on the agent's own block (see
+(see Team) in one pass.  Each live clique makes one barrier kernel call,
+whose gradient fills the clique's block of the team gradient; then
+team-wide vector operations give every agent's block norm, share,
+half-space (Team.half_spaces) and closed-form input.  Shares, residuals and
+barrier values can go straight into a caller's arrays, such as a row of a
+run's trajectory table.  The kernel call takes the clique's funnel rows at
+the step's time, which a run tabulates ahead over its time grid
+(Team.funnels), and the clique's stacked state as a view where its
+members' blocks are adjacent in the team vector, so the step makes no
+interval lookup, no funnel evaluation and no input check.  Every float
+operation is the one the per-agent law takes, in the same order, and each
+row-wise dot product runs np.dot's kernel on the agent's own block (see
 _Blocks), so the stacked step reproduces the per-agent law bit for bit.
 """
 
@@ -110,15 +113,16 @@ class _Blocks:
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self._shape is not None:
-            shape = u.shape[:-1] + self._shape
-            return np.vecdot(u.reshape(shape), v.reshape(shape))
+            shape = self._shape if u.ndim == 1 else u.shape[:-1] + self._shape
+            u = u.reshape(shape)
+            return np.vecdot(u, u if v is u else v.reshape(shape))
         out = np.empty(u.shape[:-1] + (self._n,))
         for rows, idx in self._groups:
             out[..., rows] = np.vecdot(u[..., idx], v[..., idx])
         return out
 
-    def norms(self, v: np.ndarray) -> np.ndarray:
-        return np.sqrt(self.dot(v, v))
+    def norms(self, v: np.ndarray, out=None) -> np.ndarray:
+        return np.sqrt(self.dot(v, v), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +214,7 @@ class Team:
             parts.append((cl, slice(int(idx[0]), int(idx[-1]) + 1) if np.all(np.diff(idx) == 1) else idx, rows))
         self._parts = tuple(parts)
         self._order = [r for _, _, rows in self._parts for r in rows]  # clique by clique
-        # where each agent's share denominator and load sit in the per-clique
-        # list that half_spaces builds each step; the agent row of each input entry
-        self._pick = np.stack([self._clique_of, self._clique_of + len(self.cliques)])
-        self._input_row = np.repeat(np.arange(n), self.input_layout.dims)
+        self._input_row = np.repeat(np.arange(n), self.input_layout.dims)  # the agent row of each input entry
         self._known_rows = np.array([i in self.known for i in self.ids]) if self.known else None
 
     def stack(self, states: dict) -> np.ndarray:
@@ -247,25 +248,29 @@ class Team:
             out[s] = u[si] if g is None else g @ u[si]
         return out
 
-    def funnels(self, times: np.ndarray):
+    def funnels(self, times: np.ndarray) -> list:
         """The barrier kernel's funnel rows of every clique at each of the
-        ascending times: per time, one (interval, gamma row, rate row) entry
-        per clique, or None once the clique is past its final deadline.
-        Each clique's rows are tabulated over the times at once."""
+        ascending times: a list with, per time, one (interval, gamma row,
+        rate row) entry per clique, or None once the clique is past its final
+        deadline.  Each clique's rows are tabulated over the times at once."""
         if np.isnan(times).any():
             raise ValueError("times must not be nan")
         per_clique = []
         for cl, _, _ in self._parts:
             n_live = int(np.searchsorted(times, cl.barrier.horizon - 1e-12))
             per_clique.append(chain(_funnel_rows(cl.barrier, times[:n_live]), repeat(None, len(times) - n_live)))
-        return zip(*per_clique)
+        return list(zip(*per_clique))
 
-    def half_spaces(self, x: np.ndarray, t: float, drift: np.ndarray, f_u: np.ndarray, funnels=None) -> tuple:
-        """Every agent's half-space a_i'u_i >= rhs_i at time t, from one
-        barrier kernel call per live clique and then team-wide vector
-        operations.  The kernel takes each clique's rows from funnels, the
-        entry of self.funnels for t: a run tabulates them ahead, and without
-        them they are tabulated for t alone.
+    def half_spaces(self, x: np.ndarray, t: float, drift: np.ndarray, f_u: np.ndarray, funnels=None,
+                    out=None) -> tuple:
+        """Every agent's half-space a_i'u_i >= rhs_i at time t, in one pass:
+        one barrier kernel call per live clique fills that clique's block of
+        the team gradient, then team-wide vector operations form every
+        agent's norm, share and rhs.  The kernel takes each clique's rows
+        from funnels, the entry of self.funnels for t: a run tabulates them
+        ahead, and without them they are tabulated for t alone.  out, when
+        given, is a pair of arrays (n_agents,) and (n_cliques,) that the
+        shares and the barrier values are written into.
 
         Returns (grad, barrier values, block norms, shares, a, ||a_i||^2,
         rhs): grad (dim,) holds each agent's block of its clique's barrier
@@ -282,41 +287,44 @@ class Team:
         gradient, share and rhs.
         """
         if funnels is None:
-            funnels = next(self.funnels(np.array([t])))
-        n_c = len(self._parts)
+            funnels = self.funnels(np.array([t]))[0]
+        n = len(self.ids)
+        shares, values = (np.empty(n), np.empty(len(self._parts))) if out is None else out
         grad = np.zeros(self.dim)
-        # per clique: share denominator (inf, for an expired clique, gives
-        # share 0), then db/dt + kappa b, then the barrier value
-        per_clique = [math.inf] * n_c + [0.0] * n_c + [math.nan] * n_c
+        # per agent: share denominator (inf, for an expired clique, gives
+        # share 0) and db/dt + kappa b of its clique
+        den = [math.inf] * n
+        load = [0.0] * n
         live = []
         for c, ((cl, idx, rows), funnel) in enumerate(zip(self._parts, funnels)):
             if funnel is None:
+                values[c] = math.nan
                 continue
-            state = _state(cl.barrier, x[idx], *funnel)
-            grad[idx] = state.grad_x
-            per_clique[n_c + c] = state.dbdt + cl.kappa * state.value
-            per_clique[2 * n_c + c] = state.value
-            live.append((c, rows))
+            value, grad[idx], dbdt, _, _ = _state(cl.barrier, x[idx], *funnel)
+            values[c] = value
+            live.append((rows, dbdt + cl.kappa * value))
         sq = self._block_dot(grad, grad)
         norms = np.sqrt(sq)
         listed = norms.tolist()
         fallback = []
-        for c, rows in live:
-            per_clique[c] = reduce(operator.add, [listed[r] for r in rows])
-            if per_clique[c] <= _ZERO_TOL:
+        for rows, clique_load in live:
+            total = reduce(operator.add, [listed[r] for r in rows])
+            if total <= _ZERO_TOL:
                 fallback += rows
-                per_clique[c] = 1.0
-        per_clique = np.array(per_clique)
-        den, load = per_clique[self._pick]
-        values = per_clique[2 * n_c :]
-        shares = norms / den
+                total = 1.0
+            for r in rows:
+                den[r] = total
+                load[r] = clique_load
+        np.divide(norms, np.array(den), out=shares)
         if fallback:
             shares[fallback] = 1.0
-        rhs = norms * self._n_hat * self.coupling_bounds - shares * load
+        rhs = norms * self._n_hat
+        rhs *= self.coupling_bounds
+        rhs -= shares * np.array(load)
         if self._drifts:
-            rhs = rhs - self._block_dot(grad, drift)
+            rhs -= self._block_dot(grad, drift)
         if self._known_rows is not None:
-            rhs = rhs - np.where(self._known_rows, self._block_dot(grad, self.input_effect(f_u)), 0.0)
+            rhs -= np.where(self._known_rows, self._block_dot(grad, self.input_effect(f_u)), 0.0)
         if not self._maps:
             return grad, values, norms, shares, grad, sq, rhs
         a = np.empty(self.input_dim)
@@ -366,11 +374,14 @@ class TeamControl:
     barrier_values: np.ndarray  # (n_cliques,) b, nan once the clique expired
 
 
-def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=None) -> TeamControl:
+def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=None, out=None) -> TeamControl:
     """Evaluate every agent's QP at time t from the stacked team state x and
     the stacked secondary input f_u (read only for the members in team.known).
     funnels goes on to Team.half_spaces: the entry of team.funnels for t, or
-    None to tabulate the barrier rows for t alone.
+    None to tabulate the barrier rows for t alone.  out, when given, is a
+    triple of arrays (n_agents,), (n_agents,) and (n_cliques,), for example
+    views of a table row, that the shares, residuals and barrier values are
+    written into; the result holds them.
 
     The closed form runs on the whole team at once: u_i = (rhs_i / ||a_i||^2)
     a_i where rhs_i > 0, else +0, which is solve_agent_qp's own arithmetic.  A
@@ -380,18 +391,29 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
     final deadline has no remaining obligations; its members get zero input,
     share and residual from it.
     """
+    shares, residuals, values = (None, np.empty(len(team.ids)), None) if out is None else out
     drift = team.drift(x, t)
-    grad, values, norms, shares, a, nn, rhs = team.half_spaces(x, t, drift, f_u, funnels)
-    active = ~(rhs <= 0.0)  # a nan rhs gives a nan input, as in solve_agent_qp
-    # a superset of those rows: nn <= limit * limit gives sqrt(nn) <= 2 limit
-    # after rounding, and nn below the smallest normal sqrt(nn) < 1.5e-154
-    odd = active & ((norms if a is grad else np.sqrt(nn)) <= 2.0 * _ZERO_TOL * rhs + 1.5e-154)
-    odd_rows = ()
-    if True in odd.tolist():  # on a few rows, cheaper than odd.any()
+    grad, values, norms, shares, a, nn, rhs = team.half_spaces(
+        x, t, drift, f_u, funnels, None if out is None else (shares, values))
+    rows = team._input_row
+    norms_a = norms if a is grad else np.sqrt(nn)
+    rhs_list = rhs.tolist()
+    # Row r goes through solve_agent_qp when rhs_r > 0 and nn_r <= (_ZERO_TOL
+    # rhs_r)^2 or below the normal range; then sqrt(nn_r) <= 2 _ZERO_TOL rhs_r
+    # + 1.5e-154 after rounding.  When every rhs is > 0 and the smallest norm
+    # clears that bound at the largest rhs, every row takes the plain closed
+    # form.  A nan rhs gives a nan input on either path, as in solve_agent_qp,
+    # and a nan that min() or max() returns takes the row-wise path.
+    if min(rhs_list) > 0.0 and min(norms_a.tolist()) > 2.0 * _ZERO_TOL * max(rhs_list) + 1.5e-154:
+        u = (rhs / nn)[rows] * a
+        odd_rows = ()
+    else:
+        active = ~(rhs <= 0.0)
+        odd = active & (norms_a <= 2.0 * _ZERO_TOL * rhs + 1.5e-154)
         active &= ~odd
         odd_rows = sorted(odd.nonzero()[0].tolist(), key=team._order.index)  # the per-agent law's order
-    coef = np.divide(rhs, nn, out=np.zeros(len(rhs)), where=active)
-    u = np.multiply(coef[team._input_row], a, out=np.zeros(team.input_dim), where=active[team._input_row])
+        coef = np.divide(rhs, nn, out=np.zeros(len(rhs)), where=active)
+        u = np.multiply(coef[rows], a, out=np.zeros(team.input_dim), where=active[rows])
     for r in odd_rows:
         si = team.input_blocks[team.ids[r]]
         try:
@@ -401,7 +423,5 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
                 f"agent {team.ids[r]} infeasible at t = {t:g}: {err} "
                 f"(barrier value {values[team._clique_of[r]]:g})"
             ) from None
-    return TeamControl(
-        inputs=u, residuals=team._input_dot(a, u) - rhs, shares=shares, grad=grad,
-        grad_norms=norms, drift=drift, barrier_values=values,
-    )
+    np.subtract(team._input_dot(a, u), rhs, out=residuals)
+    return TeamControl(u, residuals, shares, grad, norms, drift, values)

@@ -46,10 +46,10 @@ from .barrier import (
     barrier_state,
     left_limit_state,
     left_limit_value,
-    _finish,
+    _barrier_state,
     _left_interval,
     _args,
-    _value,
+    _state,
 )
 from .formula import OperatorUnit
 from .predicates import AffinePredicate, BallPredicate, is_finite_number
@@ -205,9 +205,9 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray):
     Projected gradient ascent with a Barzilai-Borwein step and Armijo
     backtracking, until the projected gradient norm drops below _ASCENT_TOL
     or _MAX_ASCENT_ITERS steps are taken.  A trial point needs only the
-    barrier value, so trials run the kernel's value half on the switch's
-    funnel rows, fetched once, and only the accepted one is finished into a
-    full state.  Returns (x, state, projected gradient norm, converged,
+    barrier value, so each trial runs the kernel on the switch's funnel rows,
+    fetched once, with the acceptance threshold as its floor: a rejected
+    trial stops after the softmin.  Returns (x, state, projected gradient norm, converged,
     exit, ub): exit is "converged", "iteration limit", "stall" or "no
     accepted trial", and ub is _upper_bound at x, so the maximum lies in
     [state.value, ub].
@@ -247,14 +247,15 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray):
         a = alpha
         for _ in range(60):
             x_new = _project_ball(x + a * g, radius)
-            trial = _value(cb, x_new, *rows)
-            if trial[0] >= st.value + 1e-4 * float(np.dot(g, x_new - x)):
+            armijo = st.value + 1e-4 * float(np.dot(g, x_new - x))
+            trial = _state(cb, x_new, *rows, armijo)
+            if trial[0] >= armijo:
                 accepted = True
                 break
             a *= 0.5
         if not accepted:
             return done(x, st, gnorm, "no accepted trial")
-        st_new = _finish(*trial)
+        st_new = _barrier_state(trial, rows[0])
         if st_new.value - st.value < 1e-15 * max(1.0, abs(st.value)):
             stall += 1
             if stall >= 25:

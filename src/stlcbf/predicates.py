@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -125,6 +126,9 @@ class BallPredicate:
         object.__setattr__(self, "e", float(self.e))
         if self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A and b row counts differ")
+        limit = sys.float_info.max / 2.0  # the barrier's gradient rows are -2 A
+        if np.any(np.abs(self.A) > limit):
+            raise ValueError(f"A entries must be at most {limit:g} in magnitude")
 
     @property
     def dim(self) -> int:
@@ -174,6 +178,14 @@ def is_finite_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def doc_object(v, what: str) -> dict:
+    """v if it is a JSON object, else a one-line ValueError naming the
+    barrier-document field what."""
+    if not isinstance(v, dict):
+        raise ValueError(f"barrier document: {what} must be a JSON object")
+    return v
+
+
 def finite_number(d: dict, key: str, where: str, default: float | None = None) -> float:
     """A finite JSON number from a barrier document, or a one-line ValueError."""
     v = d.get(key, default)
@@ -206,7 +218,7 @@ def predicate_from_dict(d: dict, where: str = "") -> Predicate:
     misshapen or non-finite coefficient is a one-line ValueError that names
     the field after the where prefix.  Keys other than the predicate's own
     (such as the "support" older documents carry) are ignored."""
-    kind = d.get("kind")
+    kind = doc_object(d, where.rstrip() or "predicate").get("kind")
     if kind == "affine":
         return AffinePredicate(_finite_array(d, "c", where, 1), finite_number(d, "d", where))
     if kind == "quad_ball":

@@ -34,7 +34,8 @@ __all__ = ["SampledSignal", "robustness"]
 
 @dataclass(frozen=True, eq=False)
 class SampledSignal:
-    """Finite trajectory: strictly increasing times from 0 and stacked states."""
+    """Finite trajectory: strictly increasing finite times from 0 and stacked
+    finite states."""
 
     times: np.ndarray
     states: np.ndarray
@@ -48,6 +49,10 @@ class SampledSignal:
         object.__setattr__(self, "states", states)
         if times.ndim != 1 or times.shape[0] < 1:
             raise ValueError("times must be a non-empty 1-D array")
+        if not np.isfinite(times).all():  # a nan time would pass the increase test below
+            raise ValueError("times must be finite")
+        if not np.isfinite(states).all():
+            raise ValueError("states must be finite")
         if times[0] != 0.0:
             raise ValueError("signals start at time 0")
         if np.any(np.diff(times) <= 0.0):

@@ -244,8 +244,14 @@ class TrajectoryLog:
         blocks = self.layout.slices()
         return self.x[:, np.concatenate([np.arange(blocks[i].start, blocks[i].stop) for i in members])]
 
-    def clique_signal(self, clique: Clique) -> SampledSignal:
-        return SampledSignal(self.times, self._member_states(clique.members))
+    def clique_robustness(self, formula, clique: Clique) -> float:
+        """The monitor's robustness of formula at t = 0 over the clique's
+        member states, or nan when a state left the finite range (a signal
+        refuses it)."""
+        states = self._member_states(clique.members)
+        if not np.isfinite(states).all():
+            return math.nan
+        return robustness(formula, SampledSignal(self.times, states), 0.0)
 
     def max_speed(self, members) -> float:
         stack = self._member_states(members)
@@ -360,8 +366,11 @@ def run(scenario: Scenario) -> TrajectoryLog:
     times = np.linspace(0.0, horizon, n_steps + 1)
     coupling = _coupling_fn(sc.coupling, team)
     secondary = _secondary_fn(sc.secondary, team)
-    # the secondary input counts as disturbance unless the agent declared it known
+    # the secondary input counts as disturbance unless the agent declared it
+    # known (with no agent known the factor is all ones, which changes no bit)
     unmodelled = np.repeat([float(i not in team.known) for i in team.ids], team.input_layout.dims)
+    if not team.known:
+        unmodelled = None
     limits = team.coupling_bounds + 1e-9
 
     cols = _Columns(team)
@@ -378,16 +387,16 @@ def run(scenario: Scenario) -> TrajectoryLog:
     completed = True
     steps_done = 0
 
-    # each step's funnel rows, tabulated _CHUNK_ROWS steps at a time
-    tabulated = chain.from_iterable(team.funnels(times[s : min(s + _CHUNK_ROWS, n_steps)])
-                                    for s in range(0, n_steps, _CHUNK_ROWS))
-    for k, (t, funnels) in enumerate(zip(times[:-1].tolist(), tabulated)):
+    tabulated = []  # funnel rows of the steps ahead, the next step's last
+    for k, t in enumerate(times[:-1].tolist()):
+        if not tabulated:  # tabulate the next _CHUNK_ROWS steps' rows
+            tabulated = team.funnels(times[k : min(k + _CHUNK_ROWS, n_steps)])[::-1]
         while next_switch_idx < len(switch_times) and switch_times[next_switch_idx] <= t + 1e-12:
             events.append({"t": t, "kind": "switch", "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
             next_switch_idx += 1
         f_u = secondary(x, t)
         try:
-            tc = team_control(team, x, t, f_u, funnels)
+            tc = team_control(team, x, t, f_u, tabulated.pop(), (shares[k], residuals[k], bs[k]))
         except QpInfeasibleError as err:
             events.append({"t": t, "kind": "qp_infeasible", "detail": str(err)})
             completed = False
@@ -397,12 +406,8 @@ def run(scenario: Scenario) -> TrajectoryLog:
         u = np.add(tc.inputs, f_u, out=us[k])
         # disturbance the declared bound C must cover: everything the
         # constraint does not model
-        dist = c + w + team.input_effect(f_u * unmodelled)
-        dn = team.block_norms(dist)
-        residuals[k] = tc.residuals
-        shares[k] = tc.shares
-        dist_norms[k] = dn
-        bs[k] = tc.barrier_values
+        dist = c + w + team.input_effect(f_u if unmodelled is None else f_u * unmodelled)
+        dn = team.block_norms(dist, out=dist_norms[k])
         x = x + sc.dt * (tc.drift + team.input_effect(u) + c + w)
         xs[k + 1] = x
         steps_done = k + 1
@@ -442,7 +447,7 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
         name = cl.name
         r_star = float(r_stars[name])
         floor = min([r_star] + [tm.gamma.gamma0 for tm in cl.barrier.terms if tm.unit.until_lhs])
-        rho = robustness(formulas[name], log.clique_signal(cl), 0.0) if log.completed else None
+        rho = log.clique_robustness(formulas[name], cl) if log.completed else None
         speed = log.max_speed(cl.members)
         tol_rho = 2.0 * log.dt * speed
         bvals = log.barriers[name]

@@ -26,10 +26,9 @@ reads: one csv.reader over the file, the t and x cells of each row picked in
 turn and converted all at once at the end.  The package's reader must return
 the same arrays or refuse with the same one-line message.
 
-The ascent oracle, naive_ascend, is the switch-certifying ascent as it was
-before the barrier kernel was split into a value half and a finishing half:
-it evaluates the full left_limit_state at every Armijo trial point and takes
-norms with np.linalg.norm.  The package's ascent must return the same
+The ascent oracle, naive_ascend, is the switch-certifying ascent without
+the kernel's early exit for a rejected Armijo trial: it evaluates the full
+left_limit_state at every trial point and takes norms with np.linalg.norm.  The package's ascent must return the same
 witness and state bit for bit.
 """
 

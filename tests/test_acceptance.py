@@ -3,7 +3,6 @@ numbers it checked.  Tolerances here are contractual; do not loosen them."""
 
 import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,7 +202,7 @@ def test_c05_load_shares_partition_to_one(monkeypatch):
     team = Team([Clique("p", (1, 2, 3), cb, 0.1, 1.0)], agents)
     x = np.zeros(6)  # also the drift and the secondary input
     g = np.zeros(6)  # each draw's gradient
-    monkeypatch.setattr(controller, "_state", lambda *_: SimpleNamespace(value=0.0, dbdt=0.0, grad_x=g))
+    monkeypatch.setattr(controller, "_state", lambda *_: (0.0, g, 0.0, None, None))
 
     rng = np.random.default_rng(500)
     worst = 0.0

@@ -44,12 +44,23 @@ def test_gamma_validation():
     ((0.0, 1.0, math.inf, 1.0), "decay must be a finite number, got inf"),
     ((0.0, math.inf, 1.0, 1.0), "gamma_inf must be a finite number, got inf"),
     ((-math.inf, 1.0, 1.0, 1.0), "gamma0 must be a finite number, got -inf"),
+    ((0.0, 2.0, 1e308, 1.0), "the funnel rate decay * (gamma_inf - gamma0) must be finite, got 1e+308 * (2.0 - 0.0)"),
+    ((-1e308, 1e308, 0.0, 1.0),
+     "the funnel rate decay * (gamma_inf - gamma0) must be finite, got 0.0 * (1e+308 - -1e+308)"),
 ])
 def test_gamma_refuses_non_finite_parameters(args, msg):
     """A nan passes the sign tests and an infinite funnel gives nan values,
     so each non-finite parameter is a one-line error."""
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         GammaParams(*args)
+
+
+def test_barrier_term_refuses_an_overflowing_funnel_exponent():
+    """The funnel is evaluated up to the unit's deadline, so its exponent
+    -decay * t must stay finite there, even when the rate is finite."""
+    unit = OperatorUnit("always", AffinePredicate(np.array([1.0]), 0.0), 0.0, 10.0)
+    with pytest.raises(ValueError, match=re.escape("gamma decay * unit deadline must be finite, got 1e+308 * 10.0")):
+        BarrierTerm(unit, GammaParams(0.0, 1e-10, 1e308, 0.0))
 
 
 def test_gamma_from_target_reaches_r_exactly():
@@ -367,7 +378,7 @@ def test_tabulated_funnel_rows_match_the_t_cache_bitwise():
                 assert iv is want[1]
                 assert gam.flags.c_contiguous and rate.flags.c_contiguous
                 assert gam.tobytes() == want[2].tobytes() and rate.tobytes() == want[3].tobytes()
-                got, ref = barrier._state(cb, x, iv, gam, rate), barrier_state(cb, x, t)
+                got, ref = barrier._barrier_state(barrier._state(cb, x, iv, gam, rate), iv), barrier_state(cb, x, t)
                 for name in ("value", "grad_x", "dbdt", "weights", "active", "term_values"):
                     assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(ref, name)).tobytes()
                 checked += 1

@@ -489,9 +489,19 @@ def test_cli_refuses_non_finite_barrier_document(tmp_path, capsys):
          "barrier document: term 0 predicate e must be a finite number, got nan"),
         (lambda b: b["terms"][0]["unit"].update(predicate={"kind": "quad_ball", "A": [[True]], "b": [0.0], "e": 1.0}),
          "barrier document: term 0 predicate A must be a 2-D array of finite numbers"),
+        (lambda b: b["terms"][0].update(unit=float("inf")), "barrier document: term 0 unit must be a JSON object"),
+        (lambda b: b["terms"][0]["unit"].pop("kind"),
+         "barrier document: term 0 unit kind must be 'always' or 'eventually', got None"),
+        (lambda b: b["terms"][0]["unit"].update(predicate=[1.0]),
+         "barrier document: term 0 predicate must be a JSON object"),
+        (lambda b: b["terms"][0].update(gamma=None), "barrier document: term 0 gamma must be a JSON object"),
+        (lambda b: b.update(terms={}), "barrier document: terms must be a non-empty list"),
+        (lambda b: b["terms"][0]["gamma"].update(decay=1e308, gamma_inf=1e3),
+         "barrier document: term 0 gamma: the funnel rate decay * (gamma_inf - gamma0) must be finite"),
     ]
     clique_edits = [
         (lambda c: c.update(kappa=NAN), "barrier document: clique 'solo' kappa must be a finite number, got nan"),
+        (lambda c: c.update(barrier="x"), "barrier document: barrier must be a JSON object"),
     ]
     for edit, msg in [(lambda c, e=e: e(c["barrier"]), m) for e, m in edits] + clique_edits:
         doc = copy.deepcopy(good)
@@ -639,3 +649,56 @@ def test_config_mutation_table(tmp_path, capsys):
     base["initial_states"]["2"] = [3.0, 0.0]
     with pytest.raises(ConfigError, match="agent 1 is pulled toward agent 2 of another dimension"):
         validate_config(base)
+
+
+def _nodes(node, path=()):
+    """Paths to every value under node, objects and lists included."""
+    for key, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,)
+        if isinstance(v, (dict, list)):
+            yield from _nodes(v, path + (key,))
+
+
+LOG_MUTATIONS = (DROP, NAN, float("inf"), 1e308, "x", [1], {}, None, -1.0, 0, True, [[NAN]])
+
+
+def test_log_document_mutation_table(tmp_path, capsys):
+    """Seeded single-field mutants of a log document, its embedded barrier
+    document included, through verify: each ends in exit 0, 1 or 2, with
+    exactly one stderr line on exit 2 and never a traceback.  The run's
+    barriers hold affine and ball terms of both unit kinds."""
+    cfg = pair_config()
+    cfg["agents"]["1"]["dim"] = 2
+    cfg["initial_states"]["1"] = [2.0, 0.5]
+    cfg["cliques"]["solo"]["formula"] = "G[0,1](ball2(x1 - [2,0], 2)) & F[0.5,1](dot([1,0], x1) >= 0)"
+    cfg_path, barriers, outdir = tmp_path / "config.json", tmp_path / "b.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["construct", str(cfg_path), "-o", str(barriers)]) == 0
+    assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir)]) == 0
+    log_path = outdir / "log.json"
+    good = json.loads(log_path.read_text())
+    kinds = {t["unit"]["predicate"]["kind"] for t in good["barrier_doc"]["cliques"]["solo"]["barrier"]["terms"]}
+    assert kinds == {"affine", "quad_ball"}
+    capsys.readouterr()
+    paths = list(_nodes(good))
+    rng = np.random.default_rng(41)
+    codes, faults = [], []
+    for _ in range(400):
+        path = paths[int(rng.integers(len(paths)))]
+        value = LOG_MUTATIONS[int(rng.integers(len(LOG_MUTATIONS)))]
+        doc = copy.deepcopy(good)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+        log_path.write_text(json.dumps(doc))
+        code = main(["verify", str(log_path), str(cfg_path)])
+        err = capsys.readouterr().err
+        codes.append(code)
+        if code not in (0, 1, 2) or "Traceback" in err or (code == 2 and len(err.splitlines()) != 1):
+            faults.append((path, "drop" if value is DROP else value, code, err[-300:]))
+    assert faults == []
+    assert {0, 2} <= set(codes)

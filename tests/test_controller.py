@@ -98,8 +98,7 @@ def test_load_share_partition():
 
 def test_share_fallback_when_gradient_vanishes(monkeypatch):
     clique, agents = two_agent_clique()
-    monkeypatch.setattr(controller, "_state",
-                        lambda *_: SimpleNamespace(value=0.5, dbdt=0.0, grad_x=np.zeros(4)))
+    monkeypatch.setattr(controller, "_state", lambda *_: (0.5, np.zeros(4), 0.0, None, None))
     assert half_space_shares(clique, agents, np.zeros(4), 0.5).tolist() == [1.0, 1.0]
 
 
@@ -113,7 +112,7 @@ def test_share_denominators_add_left_to_right(monkeypatch):
     clique = Clique(name="trio", members=(1, 2, 3), barrier=cb, coupling_bound=0.5, kappa=2.0)
     agents = {i: AgentModel(agent_id=i, state_dim=2) for i in (1, 2, 3)}
     state = SimpleNamespace(value=0.5, dbdt=0.0, grad_x=np.array([1.0, 0.0, 1e16, 0.0, 1.0, 0.0]))
-    monkeypatch.setattr(controller, "_state", lambda *_: state)
+    monkeypatch.setattr(controller, "_state", lambda *_: (state.value, state.grad_x, state.dbdt, None, None))
     expected = [1.0 / 1e16, 1.0, 1.0 / 1e16]
     assert half_space_shares(clique, agents, np.zeros(6), 0.5).tolist() == expected
     assert [_share_from_state(clique, agents, state, i) for i in (1, 2, 3)] == expected

@@ -2,6 +2,7 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def _starts(rng, D, dim):
 
 
 def test_ascend_matches_naive_oracle_bitwise(demo_doc, monkeypatch):
-    """The ascent, whose Armijo trials run only the kernel's value half,
+    """The ascent, whose rejected Armijo trials stop at the kernel's value,
     against the ascent that evaluates a full state per trial: the same
     witness, state, gradient norm and verdict bit for bit, and a state that
     matches the reference evaluator at the witness.  At every switch of
@@ -328,15 +329,19 @@ def test_upper_bound_dominates_naive_maximum(demo_doc, monkeypatch):
     rng = np.random.default_rng(97)
     seen = []
 
-    def record(fn, pos):
+    def record(fn, pos, state=lambda out: out):
         def wrapped(*args):
-            st = fn(*args)
-            seen.append((np.asarray(args[pos], dtype=float), st))
-            return st
+            out = fn(*args)
+            st = state(out)
+            if st.grad_x is not None:  # not a rejected trial, which stops at its value
+                seen.append((np.asarray(args[pos], dtype=float), st))
+            return out
         return wrapped
 
     monkeypatch.setattr(param_search, "left_limit_state", record(param_search.left_limit_state, 1))
-    monkeypatch.setattr(param_search, "_finish", record(param_search._finish, 1))
+    # the kernel's results at the trial points
+    monkeypatch.setattr(param_search, "_state", record(param_search._state, 1,
+                                                       lambda out: SimpleNamespace(value=out[0], grad_x=out[1])))
     checked = 0
     for cb in _ascent_barriers(doc, rng):
         D = cb.bound_radius

@@ -22,6 +22,16 @@ def test_signal_validation():
         sig([0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="lengths differ"):
         SampledSignal(np.array([0.0, 1.0]), np.zeros((3, 1)))
+    # a nan time after the first passes the increase test, and a nan state
+    # would make the robustness nan
+    with pytest.raises(ValueError, match="^times must be finite$"):
+        sig([0.0, float("nan"), 2.0], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^times must be finite$"):
+        sig([0.0, float("inf")], [0.0, 0.0])
+    with pytest.raises(ValueError, match="^states must be finite$"):
+        sig([0.0, 1.0], [0.0, float("nan")])
+    with pytest.raises(ValueError, match="^states must be finite$"):
+        sig([0.0, 1.0], [-float("inf"), 0.0])
     assert sig([0.0], [2.0]).span == 0.0
 
 

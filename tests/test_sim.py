@@ -347,6 +347,17 @@ def test_verify_fails_on_incomplete_log():
     assert not report["completed"] and not report["passed"]
 
 
+def test_verify_reports_nan_rho_for_a_non_finite_state():
+    """A completed run whose state left the finite range has no signal to
+    monitor (a signal refuses it): rho is nan and the clique fails."""
+    sc = passive_scenario(dt=0.1, x0=[2.0, -1.0])
+    log = run(sc)
+    formula = Always(0.0, 1.0, Atom(AffinePredicate(np.array([1.0, 0.0]), 0.0)))
+    log.x[3, 0] = math.inf
+    entry = verify(log, {"solo": formula}, [sc.cliques[0]], {"solo": 0.5})["cliques"]["solo"]
+    assert math.isnan(entry["rho"]) and not entry["rho_ok"] and not entry["passed"]
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     sc = passive_scenario(dt=0.02, C=0.2, x0=[1.0, 0.5],
                           noise=NoiseSpec(bound=0.1, distribution="uniform_ball", seed=9))
@@ -359,7 +370,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(sig.states, log.states[1])
     # the recovered signal monitors identically to the in-memory one
     f = Always(0.0, 1.0, Atom(AffinePredicate(np.array([1.0, 0.0]), 0.0)))
-    assert robustness(f, sig) == robustness(f, log.clique_signal(sc.cliques[0]))
+    assert robustness(f, sig) == log.clique_robustness(f, sc.cliques[0])
 
 
 def test_read_signal_csv_validation(tmp_path):
@@ -434,7 +445,7 @@ def test_adversarial_noise_pushes_against_gradient():
 
 # --- the stacked team step against the per-agent oracle --------------------
 
-def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False):
+def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False, plain=False):
     """Five agents in two cliques, sized so that every QP is active at times.
 
     "team" = agents 1-3 (dim 2; agent 2 has an affine drift, agent 3 a
@@ -449,8 +460,10 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False):
     stuck=True adds agent 6, parked at the centre of a ball whose funnel
     rises past it, so its constraint direction vanishes with rhs > 0
     mid-run.  eta is the softmin sharpness of both task barriers.
+    plain=True gives the team the demo's shape: agent 5 has dim 2 as well,
+    and every agent an identity input map and no drift.
     """
-    dims = {1: 2, 2: 2, 3: 2, 4: 2, 5: 3}
+    dims = {1: 2, 2: 2, 3: 2, 4: 2, 5: 2 if plain else 3}
     team_ids, side_ids = ((1, 3), (2, 4, 5)) if interleaved else ((1, 2, 3), (4, 5))
 
     def row(ids, parts):
@@ -469,8 +482,9 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False):
     team_params = [GammaParams(g0, g_inf, decay, u.t_star) for (g0, g_inf, decay), u in
                    zip([(-2.0, 0.2, 3.0), (-0.5, 0.3, 2.0), (-2.0, 0.3, 2.0)], team_units)]
     side_units = [
-        OperatorUnit("always", AffinePredicate(row(side_ids, {4: [1.0, 0], 5: [0, 0, 1.0]}), 1.0), 0.0, 0.6),
-        OperatorUnit("eventually", BallPredicate(sel(side_ids, 5), -0.5 * np.ones(3), 1.0), 0.2, 0.6),
+        OperatorUnit("always", AffinePredicate(row(side_ids, {4: [1.0, 0], 5: [0, 0, 1.0][-dims[5]:]}), 1.0),
+                     0.0, 0.6),
+        OperatorUnit("eventually", BallPredicate(sel(side_ids, 5), -0.5 * np.ones(dims[5]), 1.0), 0.2, 0.6),
     ]
     side_curves = [(-1.0, 2.6, 4.0), (-1.0, 0.8, 3.0)]
     if interleaved:
@@ -493,7 +507,9 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False):
         4: AgentModel(4, 2, input_dim=3, input_map=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])),
         5: AgentModel(5, 3, drift=lambda x, t: A5 @ x + b5),
     }
-    x0 = {1: [0.0, 0.0], 2: [0.0, 0.5], 3: [-0.5, 0.5], 4: [1.0, 1.0], 5: [0.0, 0.0, 0.5]}
+    if plain:
+        agents = {i: AgentModel(i, 2) for i in dims}
+    x0 = {1: [0.0, 0.0], 2: [0.0, 0.5], 3: [-0.5, 0.5], 4: [1.0, 1.0], 5: [0.0, 0.0, 0.5][-dims[5]:]}
     if stuck:
         unit = OperatorUnit("always", BallPredicate(np.eye(2), np.zeros(2), 1.0), 0.0, 1.0)
         cb = build_barrier([unit], [GammaParams(-2.0, 1.5, 2.0, 0.0)], eta=10.0, bound_radius=50.0)
@@ -543,7 +559,7 @@ def _assert_matches_naive_run(log, ref):
             _assert_bitwise(got[key], want[key], f"{name}[{key}]")
 
 
-# (noise, coupling, secondary, stuck, softmin eta[, interleaved cliques])
+# (noise, coupling, secondary, stuck, softmin eta[, interleaved cliques[, plain]])
 ORACLE_CASES = {
     "ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0),
     "adversarial-attraction-known": ("adversarial", "attraction", "known", False, 3.0),
@@ -560,6 +576,8 @@ ORACLE_CASES = {
     "sharp-adversarial-scripted-repulsion": ("adversarial", "scripted", "repulsion", False, 10.0),
     "sharp-none-scripted-scripted": ("none", "scripted", "scripted", False, 10.0),
     "sharp-ball-none-known": ("uniform_ball", "none", "known", False, 10.0),
+    # the benchmark's shape: equal blocks, identity maps, no drift
+    "plain-ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0, False, True),
 }
 
 
