@@ -38,7 +38,7 @@ print(f"simulated {log.times[-1]:g} s in {len(log.times) - 1} steps, "
 report = verify(log, formulas, scenario.cliques, r_stars)
 for name, entry in sorted(report["cliques"].items()):
     print(f"  {name}: min barrier {entry['min_barrier']:.4f}, "
-          f"rho = {entry['rho']:.4f} vs floor {entry['floor']:g} "
+          f"rho = {entry['rho']:.4f} vs r_star {entry['r_star']:g} "
           f"(passed = {entry['passed']})")
 print(f"verified: {report['passed']}")
 

@@ -429,7 +429,6 @@ def barrier_to_dict(cb: CompositeBarrier) -> dict:
                     "kind": tm.unit.kind,
                     "a": tm.unit.a,
                     "b": tm.unit.b,
-                    "until_lhs": tm.unit.until_lhs,
                     "predicate": predicate_to_dict(tm.unit.predicate),
                 },
                 "gamma": asdict(tm.gamma),
@@ -453,15 +452,12 @@ def barrier_from_dict(doc: dict) -> CompositeBarrier:
         if u.get("kind") not in ("always", "eventually"):
             raise ValueError(f"barrier document: term {i} unit kind must be 'always' or 'eventually', "
                              f"got {u.get('kind')!r}")
-        if not isinstance(u.get("until_lhs", False), bool):
-            raise ValueError(f"barrier document: term {i} unit until_lhs must be true or false")
         units.append(
             OperatorUnit(
                 kind=u["kind"],
                 predicate=predicate_from_dict(u.get("predicate"), f"term {i} predicate "),
                 a=finite_number(u, "a", f"term {i} unit "),
                 b=finite_number(u, "b", f"term {i} unit "),
-                until_lhs=u.get("until_lhs", False),
             )
         )
         g = doc_object(entry.get("gamma"), f"term {i} gamma")

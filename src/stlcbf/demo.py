@@ -5,8 +5,8 @@ fourth patrols two corner regions; the fourth agent pulls on the formation
 (and is pulled back), the formation agents run a pairwise repulsion control
 on top of the task law, and every agent sees bounded actuation noise.
 
-Two cliques: "formation" = agents 1-3 (reach a staging box, then keep
-formation until the leader parks in a goal box) and "patrol" = agent 4
+Two cliques: "formation" = agents 1-3 (keep formation from the start until
+the leader parks in a goal box, passing a staging box) and "patrol" = agent 4
 (visit two corners while respecting moving half-plane constraints).
 """
 

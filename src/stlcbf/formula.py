@@ -13,10 +13,10 @@ one unit per (temporal operator, predicate literal) pair:
 
 * G[a,b](m1 & ... & mk)    -> k always-units on [a, b]
 * F[a,b](m1 & ... & mk)    -> k eventually-units on [a, b]
-* psi' U[a,b] psi''        -> always-units on [a, b] for the literals of psi'
-                              plus eventually-units on [b, b] for the
-                              literals of psi''  (the until witness time is
-                              fixed to the right endpoint b)
+* psi' U[a,b] psi''        -> the units of G[0,b](psi') & F[b,b](psi''):
+                              the until witness time is fixed to the right
+                              endpoint b, and psi' must hold from t = 0 up
+                              to it, as the monitor's until semantics need
 * top-level conjunctions concatenate their children's unit lists
 """
 
@@ -142,18 +142,13 @@ Formula = Union[Atom, Conj, Always, Eventually, Until]
 
 @dataclass(frozen=True)
 class OperatorUnit:
-    """A single temporal operator applied to a single predicate literal.
-
-    kind is "always" or "eventually"; until_lhs marks always-units that came
-    from the left operand of an until (their early-time enforcement level
-    determines the robustness floor the construction can certify).
-    """
+    """A single temporal operator applied to a single predicate literal;
+    kind is "always" or "eventually"."""
 
     kind: str
     predicate: Predicate
     a: float
     b: float
-    until_lhs: bool = False
 
     def __post_init__(self):
         if self.kind not in ("always", "eventually"):
@@ -183,14 +178,7 @@ def normalize(f: Formula) -> tuple[OperatorUnit, ...]:
             OperatorUnit("eventually", lit.pred, f.a, f.b) for lit in state_literals(f.body)
         )
     if isinstance(f, Until):
-        units = [
-            OperatorUnit("always", lit.pred, f.a, f.b, until_lhs=True)
-            for lit in state_literals(f.lhs)
-        ]
-        units.extend(
-            OperatorUnit("eventually", lit.pred, f.b, f.b) for lit in state_literals(f.rhs)
-        )
-        return tuple(units)
+        return normalize(Always(0.0, f.b, f.lhs)) + normalize(Eventually(f.b, f.b, f.rhs))
     if isinstance(f, Conj):
         if is_state_formula(f):
             raise FormulaError("top-level state formula has no temporal scope to normalize")

@@ -435,10 +435,10 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
     """Independent pass/fail check of a finished run.
 
     Per clique: the minimum logged barrier value must stay above -_TOL_B, and
-    the monitored robustness at t = 0 must reach the guaranteed floor minus a
-    sampling slack 2 * dt * max logged speed.  The floor is r_star, except
-    that a rebuilt until only pins its left-hand side down to the funnel
-    starts: floor = min(r_star, smallest gamma0 among until-lhs terms).
+    the monitored robustness at t = 0 must reach r_star minus a sampling
+    slack 2 * dt * max logged speed.  The check reads no barrier term: the
+    construction certifies r_star for every unit, an until's left-hand side
+    included, since normalize holds it on [0, b].
     An aborted run has no signal over the task windows, so its cliques skip
     the monitor: rho is None and rho_ok False.
     """
@@ -446,20 +446,18 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
     for cl in cliques:
         name = cl.name
         r_star = float(r_stars[name])
-        floor = min([r_star] + [tm.gamma.gamma0 for tm in cl.barrier.terms if tm.unit.until_lhs])
         rho = log.clique_robustness(formulas[name], cl) if log.completed else None
         speed = log.max_speed(cl.members)
         tol_rho = 2.0 * log.dt * speed
         bvals = log.barriers[name]
         min_b = float(np.nanmin(bvals)) if bvals.size else math.nan
         b_ok = bool(bvals.size) and min_b >= -_TOL_B
-        rho_ok = rho is not None and rho >= floor - tol_rho
+        rho_ok = rho is not None and rho >= r_star - tol_rho
         ok = b_ok and rho_ok
         report["cliques"][name] = {
             "min_barrier": min_b,
             "rho": rho,
             "r_star": r_star,
-            "floor": floor,
             "max_speed": speed,
             "tol_rho": tol_rho,
             "tol_b": _TOL_B,

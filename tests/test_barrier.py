@@ -242,6 +242,19 @@ def test_serialization_roundtrip_bitexact():
         assert s1.dbdt == s2.dbdt
 
 
+def test_barrier_document_ignores_until_lhs_key():
+    """Older barrier documents mark the units of an until's left-hand side
+    with an "until_lhs" key; it loads, whatever its value, and is ignored."""
+    cb = random_barrier(np.random.default_rng(22))
+    doc = barrier_to_dict(cb)
+    assert all("until_lhs" not in tm["unit"] for tm in doc["terms"])
+    for flag in (True, False, "yes"):
+        old = json.loads(json.dumps(doc))
+        for tm in old["terms"]:
+            tm["unit"]["until_lhs"] = flag
+        assert barrier_to_dict(barrier_from_dict(old)) == doc
+
+
 def test_weights_sum_to_one():
     rng = np.random.default_rng(17)
     cb = random_barrier(rng)

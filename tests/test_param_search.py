@@ -9,11 +9,15 @@ import pytest
 
 from stlcbf import (
     AffinePredicate,
+    Always,
     BallPredicate,
+    Conj,
+    Eventually,
     GammaParams,
     OperatorUnit,
     SearchConfig,
     StateLayout,
+    Until,
     barrier_from_dict,
     barrier_value,
     build_barrier,
@@ -35,17 +39,29 @@ from workloads import formula_text  # noqa: E402
 TASK_LAYOUT = StateLayout(ids=(1, 2, 3, 4), dims=(2, 2, 2, 2))
 
 
-def random_task(k, seed=7):
+def random_task(k, seed=7, spell_until=False):
     """The k-th seeded random task (seed 7 gives the tasks of
-    demos/06_search_differential.py): its units and x0 in [0, 10]^8."""
+    demos/06_search_differential.py): its units and x0 in [0, 10]^8.
+
+    With spell_until, each psi' U[a,b] psi'' of the task is replaced by
+    G[a,b](psi') & F[b,b](psi''): psi' is held on [a, b] only, so x0 may
+    violate it without making the task unsatisfiable.  Such tasks give the
+    search probes it cannot place and checks that fail, which the tasks
+    themselves, whose untils hold psi' from t = 0, refuse before any probe."""
     rng = np.random.default_rng([seed, k])
-    units = normalize(parse(formula_text(rng, k, 10.0), TASK_LAYOUT))
-    return units, rng.uniform(0.0, 10.0, size=8)
+    f = parse(formula_text(rng, k, 10.0), TASK_LAYOUT)
+    if spell_until:
+        terms = f.children if isinstance(f, Conj) else (f,)
+        f = Conj(tuple(
+            Conj((Always(t.a, t.b, t.lhs), Eventually(t.b, t.b, t.rhs))) if isinstance(t, Until) else t
+            for t in terms
+        ))
+    return normalize(f), rng.uniform(0.0, 10.0, size=8)
 
 
-def unit_h_x(kind="always", a=0.0, b=2.0, until_lhs=False):
+def unit_h_x(kind="always", a=0.0, b=2.0):
     """h(x) = x over a 1-D state."""
-    return OperatorUnit(kind, AffinePredicate(np.array([1.0]), 0.0), a, b, until_lhs)
+    return OperatorUnit(kind, AffinePredicate(np.array([1.0]), 0.0), a, b)
 
 
 def test_search_config_validation():
@@ -197,21 +213,6 @@ def test_kappa_cap_config():
     res = maximize_r([unit_h_x()], np.array([1.0]), SearchConfig(eta_grid=(40.0,), kappa_cap=12.0))
     assert res.feasible
     assert res.kappa <= 12.0
-
-
-def test_until_lhs_floor_recorded():
-    # an until keeps its lhs gamma0 finite and reported via the barrier terms
-    lhs = AffinePredicate(np.array([-1.0]), 3.0)  # 3 - x
-    rhs = AffinePredicate(np.array([1.0]), 0.0)
-    units = [
-        OperatorUnit("always", lhs, 1.0, 3.0, until_lhs=True),
-        OperatorUnit("eventually", rhs, 3.0, 3.0),
-    ]
-    res = maximize_r(units, np.array([1.0]), SearchConfig(r_max=0.8))
-    assert res.feasible
-    lhs_terms = [tm for tm in res.barrier.terms if tm.unit.until_lhs]
-    assert len(lhs_terms) == 1
-    assert math.isfinite(lhs_terms[0].gamma.gamma0)
 
 
 def _bits(v):
@@ -389,10 +390,11 @@ def test_feasibility_report_records_exits_and_brackets(demo_doc):
 
 
 def test_failed_reports_hold_naive_maxima(monkeypatch):
-    """Every switch of every failed report in the search on random task 5
-    holds what naive_ascend reaches from the same chained start (x0, then
-    the previous switch's witness), bit for bit: a failed report's witnesses
-    and margins are maxima, as a feasible report's are."""
+    """Every switch of every failed report in the search on random task 5,
+    its untils spelled G[a,b] & F[b,b], holds what naive_ascend reaches from
+    the same chained start (x0, then the previous switch's witness), bit for
+    bit: a failed report's witnesses and margins are maxima, as a feasible
+    report's are."""
     from stlcbf import param_search
 
     calls, check_fn = [], param_search.feasibility_check
@@ -403,7 +405,7 @@ def test_failed_reports_hold_naive_maxima(monkeypatch):
         return report
 
     monkeypatch.setattr(param_search, "feasibility_check", check)
-    maximize_r(*random_task(5), SearchConfig())
+    maximize_r(*random_task(5, spell_until=True), SearchConfig())
     failed = [c for c in calls if not c[-1].feasible]
     assert failed
     for units, x0, eta, bound_radius, params, report in failed:
@@ -419,15 +421,20 @@ def test_failed_reports_hold_naive_maxima(monkeypatch):
 
 
 def test_search_quality_on_random_tasks():
-    """Random tasks 5, 11 and 17 are feasible, with r_star no lower than the
-    blind curve search found (1.0439 and 0.1154; it found no feasible r on
-    task 17), and tasks 8 and 14 stay infeasible."""
+    """Random tasks 5, 11 and 17, their untils spelled G[a,b] & F[b,b], are
+    feasible, with r_star no lower than the blind curve search found on
+    those units (1.0439 and 0.1154; it found no feasible r on task 17).
+    The until task (9, 4) is feasible with r_star 0.925, and tasks 8 and 14
+    stay infeasible, spelled either way."""
     for k, floor in ((5, 1.0429), (11, 0.1144), (17, 0.0)):
-        res = maximize_r(*random_task(k), SearchConfig())
+        res = maximize_r(*random_task(k, spell_until=True), SearchConfig())
         assert res.feasible and res.r_star >= floor and res.r_star > 0.0, (k, res.r_star)
+    res = maximize_r(*random_task(4, seed=9), SearchConfig())
+    assert res.feasible and res.r_star >= 0.92, res.r_star
     for k in (8, 14):
-        res = maximize_r(*random_task(k), SearchConfig())
-        assert not res.feasible and res.r_star == 0.0, k
+        for spell_until in (False, True):
+            res = maximize_r(*random_task(k, spell_until=spell_until), SearchConfig())
+            assert not res.feasible and res.r_star == 0.0, (k, spell_until)
 
 
 def test_placements_clear_delta_at_their_witnesses(monkeypatch):
@@ -435,7 +442,8 @@ def test_placements_clear_delta_at_their_witnesses(monkeypatch):
     to feasibility_check on seeded random tasks passes _check_eq7, and its
     barrier reaches delta at (x0, 0) and, in the left limit, at each switch's
     relaxation witness -- so the ascents of the check have a start-free
-    certificate to find."""
+    certificate to find.  Untils are spelled G[a,b] & F[b,b], which lets
+    until tasks reach the placement."""
     from stlcbf import param_search
 
     placed, place_fn = [], param_search._place
@@ -448,7 +456,7 @@ def test_placements_clear_delta_at_their_witnesses(monkeypatch):
 
     monkeypatch.setattr(param_search, "_place", record)
     for k in range(12):
-        maximize_r(*random_task(k, seed=31), SearchConfig())
+        maximize_r(*random_task(k, seed=31, spell_until=True), SearchConfig())
     assert len(placed) >= 30
     for units, x0, r, eta, delta, relax, (params, radius) in placed:
         _check_eq7(units, params, x0, r)
@@ -471,9 +479,10 @@ def test_probe_schedule(monkeypatch):
     """The search probes the top of its bracket first, halves r until a
     probe is feasible (at most 60 times, not below _R_TOLERANCE / 8), then
     probes each bracket's midpoint until the bracket is at most _R_TOLERANCE
-    wide; r_star is the last feasible probe.  Random tasks 0, 3, 4, 7 and 12
-    are feasible at the first probe, feasible after halving, never feasible,
-    never feasible and feasible after halving."""
+    wide; r_star is the last feasible probe.  Random tasks 0, 3, 4, 7 and 12,
+    their untils spelled G[a,b] & F[b,b], are feasible at the first probe,
+    feasible after halving, never feasible, never feasible and feasible
+    after halving."""
     from stlcbf import param_search
     from stlcbf.param_search import _R_TOLERANCE
 
@@ -488,7 +497,7 @@ def test_probe_schedule(monkeypatch):
     kinds = []
     for k in (0, 3, 4, 7, 12):
         probes.clear()
-        res = maximize_r(*random_task(k), SearchConfig())
+        res = maximize_r(*random_task(k, spell_until=True), SearchConfig())
         rs = [r for r, _ in probes]
         first = next((i for i, (_, ok) in enumerate(probes) if ok), None)
         kinds.append("never" if first is None else "first" if first == 0 else "halved")
@@ -513,16 +522,20 @@ def test_failed_search_diagnostics(monkeypatch):
     """A search with no feasible probe reports the failed check with the
     largest worst margin (the first such): its margin as best_margin, its
     eta, margins, ascent exits and brackets in the documented key order, and
-    its warnings, then "no feasible r found".  Random tasks 8 and 14 get no
-    placement at any probe, so they report only the first three keys; tasks
-    0 and 12 are run with every check refuted."""
+    its warnings, then "no feasible r found".  Random tasks 8 and 14, their
+    untils spelled G[a,b] & F[b,b], get no placement at any probe, so they
+    report only the first three keys; as drawn, x0 violates an until's
+    left-hand side, so the search refuses them before any probe.  Tasks 0
+    and 12 are run with every check refuted."""
     from stlcbf import param_search
 
     reports, check_fn = [], param_search.feasibility_check
     for k in (8, 14):
-        res = maximize_r(*random_task(k), SearchConfig())
-        assert not res.feasible and list(res.diagnostics) == ["delta", "r_bracket_high", "warnings"], k
-        assert res.diagnostics["warnings"] == ["no feasible r found"], k
+        for spell_until, warning in ((True, "no feasible r found"),
+                                     (False, "upper bracket for r is non-positive; task unsatisfiable from x0")):
+            res = maximize_r(*random_task(k, spell_until=spell_until), SearchConfig())
+            assert not res.feasible and list(res.diagnostics) == ["delta", "r_bracket_high", "warnings"], k
+            assert res.diagnostics["warnings"] == [warning], (k, spell_until)
 
     def refute(units, x0, r, eta, bound_radius, params, delta):
         report = check_fn(units, x0, r, eta, bound_radius, params, delta)

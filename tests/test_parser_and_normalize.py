@@ -124,10 +124,11 @@ def test_normalize_until():
     f = parse("(dot([1], x1) >= 0 & dot([-1], x1) + 9 >= 0) U[2,8] (dot([1], x1) - 1 >= 0)", LAY1)
     units = normalize(f)
     assert [u.kind for u in units] == ["always", "always", "eventually"]
-    assert units[0].until_lhs and units[1].until_lhs and not units[2].until_lhs
-    assert (units[0].a, units[0].b) == (2.0, 8.0)
-    assert (units[2].a, units[2].b) == (8.0, 8.0)
-    assert units[2].t_star == 8.0
+    # psi' is held from t = 0 to the witness time b, as in G[0,8](psi') & F[8,8](psi'')
+    assert [(u.a, u.b, u.t_star) for u in units] == [(0.0, 8.0, 0.0), (0.0, 8.0, 0.0), (8.0, 8.0, 8.0)]
+    spelled = parse("G[0,8](dot([1], x1) >= 0 & dot([-1], x1) + 9 >= 0) & F[8,8](dot([1], x1) - 1 >= 0)", LAY1)
+    assert repr(units) == repr(normalize(spelled))
+    assert not hasattr(units[0], "until_lhs")
 
 
 def test_normalize_demo_formula_unit_count():
@@ -140,7 +141,7 @@ def test_normalize_demo_formula_unit_count():
     )
     units = normalize(f)
     assert len(units) == 16
-    assert sum(u.until_lhs for u in units) == 8
+    assert sum(u.kind == "always" and (u.a, u.b) == (0.0, 20.0) for u in units) == 8
     assert sum(u.kind == "eventually" for u in units) == 4
 
 

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,10 @@ from stlcbf.controller import Team
 from stlcbf.sim import _coupling_fn, _secondary_fn, sat1
 
 from oracles import naive_run, naive_write_log_csv
+
+# the benchmark's random task generator, imported read-only
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import formula_text  # noqa: E402
 
 
 def passive_clique(agent_id=1, dim=2, C=0.0, kappa=1.0, horizon=1.0, name="solo"):
@@ -294,10 +300,10 @@ def test_verify_pass_and_floors():
     assert report["passed"] and report["completed"]
     entry = report["cliques"]["solo"]
     assert entry["rho"] == pytest.approx(2.0)
-    assert entry["floor"] == 0.5
     assert entry["max_speed"] == 0.0
+    assert "floor" not in entry
     assert entry["barrier_ok"] and entry["rho_ok"] and entry["passed"]
-    # an unreachable floor flips rho_ok, a doctored barrier flips barrier_ok
+    # an unreachable r_star flips rho_ok, a doctored barrier flips barrier_ok
     bad = verify(log, {"solo": formula}, [clique], {"solo": 5.0})
     assert not bad["passed"] and not bad["cliques"]["solo"]["rho_ok"]
     log.barriers["solo"][0] = -1.0
@@ -305,21 +311,39 @@ def test_verify_pass_and_floors():
     assert not worse["cliques"]["solo"]["barrier_ok"]
 
 
-def test_verify_until_floor_uses_lhs_gamma0():
-    lhs = OperatorUnit("always", AffinePredicate(np.zeros(1), 5.0), 0.0, 0.5, until_lhs=True)
-    rhs = OperatorUnit("eventually", AffinePredicate(np.zeros(1), 5.0), 0.2, 0.5)
-    cb = build_barrier(
-        [lhs, rhs],
-        [GammaParams(0.2, 1.2, 0.0, 0.0), GammaParams(-1.0, 0.5, 2.0, 0.5)],
-        eta=10.0, bound_radius=50.0,
-    )
-    clique = Clique("u", (1,), cb, 0.0, 1.0)
-    sc = Scenario(agents={1: AgentModel(agent_id=1, state_dim=1)}, cliques=(clique,),
-                  x0={1: np.array([2.0])}, dt=0.1)
-    log = run(sc)
-    formula = Always(0.0, 0.5, Atom(AffinePredicate(np.array([1.0]), 0.0)))
-    report = verify(log, {"u": formula}, [clique], {"u": 0.9})
-    assert report["cliques"]["u"]["floor"] == pytest.approx(0.2)
+def pipeline_config(seed, k):
+    """demos/07_pipeline_differential.py's config for the k-th random task
+    of rng seed `seed`: four planar agents in one clique, no coupling, no
+    noise, dt 0.005."""
+    rng = np.random.default_rng([seed, k])
+    text = formula_text(rng, k, 10.0)
+    x0 = rng.uniform(0.0, 10.0, size=8)
+    return {
+        "agents": {str(i): {"dim": 2} for i in range(1, 5)},
+        "cliques": {"team": {"members": [1, 2, 3, 4], "formula": text, "coupling_bound": 0.05}},
+        "initial_states": {str(i): x0[2 * i - 2 : 2 * i].tolist() for i in range(1, 5)},
+        "noise": {"bound": 0.0},
+        "sim": {"dt": 0.005},
+        "search": {"delta": 0.005, "eta_grid": [20, 40], "kappa_cap": 30},
+    }
+
+
+@pytest.mark.parametrize("seed, k, feasible", [(7, 0, True), (7, 3, True), (9, 4, True), (2, 1, False)])
+def test_pipeline_reaches_r_star_on_random_tasks(seed, k, feasible):
+    """construct, build_scenario(seed=0), run and verify: G tasks (7, 0) and
+    (7, 3) and the F & U task (9, 4) pass with rho >= r_star.  In task
+    (2, 1), x0 violates an until's left-hand side, so rho at t = 0 is
+    negative whatever the run does, and construction refuses the task."""
+    cfg = pipeline_config(seed, k)
+    doc = run_construct(cfg)
+    entry = doc["cliques"]["team"]
+    assert entry["feasible"] == feasible
+    if not feasible:
+        return
+    scenario, formulas, r_stars = build_scenario(cfg, doc, seed=0)
+    report = verify(run(scenario), formulas, scenario.cliques, r_stars)
+    c = report["cliques"]["team"]
+    assert report["passed"] and c["rho"] >= c["r_star"] == entry["r_star"] > 0.0, c
 
 
 @pytest.mark.parametrize("seed", [0, 1])
