@@ -13,7 +13,7 @@ run_construct, build_scenario(seed=0), run and verify in-process.
 
 Prints, per task, r_star (the level verify checks rho against), kappa,
 whether the run completed, the minimum logged barrier, the robustness rho
-at t = 0, the rho tolerance and the verdict, then the counts.  Comparing
+at t = 0 and the verdict, then the counts.  Comparing
 two versions' output shows, task by task, whether the soundness chain
 (construct certifies, the law keeps b >= 0, verify confirms) holds.
 """
@@ -50,16 +50,15 @@ def pipeline_config(k):
 
 total = time.perf_counter()
 counts = {"infeasible": 0, "pass": 0, "fail": 0}
-print(f"{'k':>3} {'r_star':>8} {'kappa':>8} {'completed':>9} {'min_b':>9} {'rho':>9} "
-      f"{'tol_rho':>9} {'verdict':>10}")
+print(f"{'k':>3} {'r_star':>8} {'kappa':>8} {'completed':>9} {'min_b':>9} {'rho':>9} {'verdict':>10}")
 for k in TASKS:
     cfg = pipeline_config(k)
     doc = run_construct(cfg)
     entry = doc["cliques"][CLIQUE]
     if not entry["feasible"]:
         counts["infeasible"] += 1
-        print(f"{k:>3} {entry['r_star']:>8.4f} {'-':>8} {'-':>9} {'-':>9} {'-':>9} {'-':>9} "
-              f"{'infeasible':>10}", flush=True)
+        print(f"{k:>3} {entry['r_star']:>8.4f} {'-':>8} {'-':>9} {'-':>9} {'-':>9} {'infeasible':>10}",
+              flush=True)
         continue
     scenario, formulas, r_stars = build_scenario(cfg, doc, seed=0)
     report = verify(run(scenario), formulas, scenario.cliques, r_stars)
@@ -68,7 +67,7 @@ for k in TASKS:
     verdict = "pass" if report["passed"] else "fail"
     counts[verdict] += 1
     print(f"{k:>3} {entry['r_star']:>8.4f} {entry['kappa']:>8.4g} {str(report['completed']):>9} "
-          f"{c['min_barrier']:>9.4g} {rho:>9.4g} {c['tol_rho']:>9.4g} {verdict:>10}",
+          f"{c['min_barrier']:>9.4g} {rho:>9.4g} {verdict:>10}",
           flush=True)
 print(f"feasible {counts['pass'] + counts['fail']}, pass {counts['pass']}, fail {counts['fail']}, "
       f"infeasible {counts['infeasible']}; total {time.perf_counter() - total:.1f} s")

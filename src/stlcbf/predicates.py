@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,6 +27,21 @@ __all__ = [
     "predicate_to_dict",
     "predicate_from_dict",
 ]
+
+
+# Coefficients above this magnitude are refused.  One enters the team step at
+# most to the fourth power (a ball's gradient row -2 A (A x + b), squared in the
+# law's block norms; other products hold fewer): 1e50 keeps that at 1e200, a
+# factor 1e108 below the largest double for the state, dimensions, eta and inputs.
+_COEF_LIMIT = 1e50
+
+
+def _bounded(**coefficients):
+    """Refuse a coefficient list holding a value above _COEF_LIMIT in magnitude
+    (checked on Python floats, cheaper than numpy's ufuncs on arrays this small)."""
+    for name, values in coefficients.items():
+        if any(abs(v) > _COEF_LIMIT for v in values):
+            raise ValueError(f"{name} must be at most {_COEF_LIMIT:g} in magnitude")
 
 
 def _readonly(a) -> np.ndarray:
@@ -85,6 +99,7 @@ class AffinePredicate:
         object.__setattr__(self, "d", float(self.d))
         if self.c.ndim != 1:
             raise ValueError("coefficient vector must be 1-D")
+        _bounded(c=self.c.tolist(), d=[self.d])
 
     @property
     def dim(self) -> int:
@@ -126,9 +141,7 @@ class BallPredicate:
         object.__setattr__(self, "e", float(self.e))
         if self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A and b row counts differ")
-        limit = sys.float_info.max / 2.0  # the barrier's gradient rows are -2 A
-        if np.any(np.abs(self.A) > limit):
-            raise ValueError(f"A entries must be at most {limit:g} in magnitude")
+        _bounded(A=self.A.ravel().tolist(), b=self.b.ravel().tolist(), e=[self.e])
 
     @property
     def dim(self) -> int:
@@ -215,14 +228,19 @@ def _finite_array(d: dict, key: str, where: str, ndim: int) -> np.ndarray:
 
 def predicate_from_dict(d: dict, where: str = "") -> Predicate:
     """Rebuild a predicate from predicate_to_dict's output; a missing,
-    misshapen or non-finite coefficient is a one-line ValueError that names
-    the field after the where prefix.  Keys other than the predicate's own
-    (such as the "support" older documents carry) are ignored."""
+    misshapen or non-finite coefficient, or one above _COEF_LIMIT in
+    magnitude, is a one-line ValueError that names the field after the where
+    prefix.  Keys other than the predicate's own (such as the "support"
+    older documents carry) are ignored."""
     kind = doc_object(d, where.rstrip() or "predicate").get("kind")
     if kind == "affine":
-        return AffinePredicate(_finite_array(d, "c", where, 1), finite_number(d, "d", where))
-    if kind == "quad_ball":
-        return BallPredicate(
-            _finite_array(d, "A", where, 2), _finite_array(d, "b", where, 1), finite_number(d, "e", where),
-        )
-    raise ValueError(f"unknown predicate kind {kind!r}")
+        make, args = AffinePredicate, (_finite_array(d, "c", where, 1), finite_number(d, "d", where))
+    elif kind == "quad_ball":
+        make, args = BallPredicate, (_finite_array(d, "A", where, 2), _finite_array(d, "b", where, 1),
+                                     finite_number(d, "e", where))
+    else:
+        raise ValueError(f"unknown predicate kind {kind!r}")
+    try:
+        return make(*args)
+    except ValueError as err:  # a coefficient too large, or A and b rows that differ
+        raise ValueError(f"barrier document: {where}{err}") from None

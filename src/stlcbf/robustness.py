@@ -12,12 +12,15 @@ The quantitative semantics follow the usual recursive definitions:
 Negation lives in the predicate leaves (flipped literals), so no Not rule is
 needed.  A formula is satisfied at t when rho > 0.
 
-Window rule on sampled signals: sup/inf over a window become max/min over the
-sample points falling in the closed window (with a 1e-9 relative tolerance on
-the endpoints).  If no sample falls inside, the two bracketing samples are
-used instead.  Windows that extend beyond the signal span raise ValueError.
-State formulas evaluated at an off-grid t use the nearest sample (ties go to
-the earlier one).
+Window rule on sampled signals: a logged run is an explicit-Euler,
+zero-order-hold polygon, and every admitted predicate (and conjunction) is
+concave, so on each segment a state formula is at least its smaller end
+value.  Min-type sides (G, an until's inner minimum from t, a state formula
+at t as the window [t, t]) round outward to the bracketing samples; max-type
+sides (F, an until's outer maximum) round inward, and one holding no sample
+takes the min over its bracketing pair.  Window ends within 1e-9 (relative)
+of a sample count as on it.  The sampled rho is then a lower bound on the
+polygon's.  Windows beyond the signal span raise ValueError.
 """
 
 from __future__ import annotations
@@ -69,29 +72,28 @@ def _tol(at: float) -> float:
     return 1e-9 * max(1.0, abs(at))
 
 
-def _window_indices(times: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
-    """Inclusive index range of samples in [lo, hi], snapping to the
-    bracketing pair when the window contains no sample."""
+def _window(times: np.ndarray, lo: float, hi: float, outward: bool) -> tuple[int, int]:
+    """Index range [i0, i1] of the samples a window [lo, hi] is read on.
+    Outward: from the last sample at or before lo to the first at or after
+    hi.  Inward: the samples in the window, an empty range i0 = i1 + 1 if
+    there are none, i1 and i0 then being the bracketing pair."""
     if lo < times[0] - _tol(lo) or hi > times[-1] + _tol(hi):
         raise ValueError(
             f"window [{lo:g}, {hi:g}] extends beyond the signal span "
             f"[{times[0]:g}, {times[-1]:g}]"
         )
-    i0 = int(np.searchsorted(times, lo - _tol(lo), side="left"))
-    i1 = int(np.searchsorted(times, hi + _tol(hi), side="right")) - 1
-    if i0 > i1:
-        i0 = max(i0 - 1, 0)
-        i1 = min(i1 + 1, len(times) - 1)
-    return i0, i1
+    if not outward:
+        return (int(np.searchsorted(times, lo - _tol(lo), side="left")),
+                int(np.searchsorted(times, hi + _tol(hi), side="right")) - 1)
+    i0 = int(np.searchsorted(times, lo + _tol(lo), side="right")) - 1
+    i1 = int(np.searchsorted(times, hi - _tol(hi), side="left"))
+    return min(i0, i1), max(i0, i1)  # samples closer than the tolerance may cross
 
 
-def _nearest_index(times: np.ndarray, t: float) -> int:
-    i = int(np.searchsorted(times, t))
-    if i <= 0:
-        return 0
-    if i >= len(times):
-        return len(times) - 1
-    return i if (times[i] - t) < (t - times[i - 1]) else i - 1
+def _sup(values: np.ndarray, i0: int, i1: int) -> float:
+    """The max-type side over the inward range [i0, i1]: its largest value,
+    or the smaller of the bracketing pair i1, i0 if the range is empty."""
+    return float(np.max(values[i0 : i1 + 1]) if i0 <= i1 else np.min(values[i1 : i0 + 1]))
 
 
 def _state_series(f, signal: SampledSignal, cache: dict) -> np.ndarray:
@@ -105,25 +107,24 @@ def _state_series(f, signal: SampledSignal, cache: dict) -> np.ndarray:
 
 def _eval(f: Formula, signal: SampledSignal, t: float, cache: dict) -> float:
     times = signal.times
-    if is_state_formula(f):
-        return float(_state_series(f, signal, cache)[_nearest_index(times, t)])
+    if is_state_formula(f):  # read on the window [t, t]
+        i0, i1 = _window(times, t, t, outward=True)
+        return float(np.min(_state_series(f, signal, cache)[i0 : i1 + 1]))
     if isinstance(f, Conj):
         return min(_eval(c, signal, t, cache) for c in f.children)
-    if isinstance(f, (Always, Eventually)):
-        i0, i1 = _window_indices(times, t + f.a, t + f.b)
-        series = _state_series(f.body, signal, cache)[i0 : i1 + 1]
-        return float(np.min(series) if isinstance(f, Always) else np.max(series))
+    if isinstance(f, Always):
+        i0, i1 = _window(times, t + f.a, t + f.b, outward=True)
+        return float(np.min(_state_series(f.body, signal, cache)[i0 : i1 + 1]))
+    if isinstance(f, Eventually):
+        return _sup(_state_series(f.body, signal, cache), *_window(times, t + f.a, t + f.b, outward=False))
     if isinstance(f, Until):
-        i0, i1 = _window_indices(times, t + f.a, t + f.b)
-        lhs = _state_series(f.lhs, signal, cache)
-        rhs = _state_series(f.rhs, signal, cache)
-        ks = int(np.searchsorted(times, t - _tol(t), side="left"))
-        # low[m - i0] = min of lhs over [min(ks, m), m]: lhs[m] itself before
-        # ks, then the running minimum from ks on
-        low = lhs[i0 : i1 + 1].copy()
-        j = max(i0, ks)
-        low[j - i0 :] = np.minimum.accumulate(lhs[ks : i1 + 1])[j - ks :]
-        return float(np.max(np.minimum(rhs[i0 : i1 + 1], low)))
+        i0, i1 = _window(times, t + f.a, t + f.b, outward=False)
+        j0, j1 = min(i0, i1), max(i0, i1)  # the witnesses: the window's samples or its bracketing pair
+        # the inner minimum of witness m runs over lhs from the sample at or
+        # before t (or j0, if samples closer than the tolerance put it first)
+        ks = min(_window(times, t, t, outward=True)[0], j0)
+        low = np.minimum.accumulate(_state_series(f.lhs, signal, cache)[ks : j1 + 1])[j0 - ks :]
+        return _sup(np.minimum(_state_series(f.rhs, signal, cache)[j0 : j1 + 1], low), i0 - j0, i1 - j0)
     raise TypeError(f"cannot evaluate {type(f).__name__}")
 
 

@@ -1,8 +1,10 @@
 """Independent reference implementations used by the test suite.
 
 The robustness oracle below re-implements the documented sampled-window
-semantics with plain nested loops: no caching, no vectorized window searches,
-no incremental prefix minima.  Predicate values are taken from the predicate
+semantics (min-type windows rounded outward, max-type windows inward, an
+empty max-type window read as the min of its bracketing pair) with plain
+nested loops: no caching, no vectorized window searches, no incremental
+prefix minima.  Predicate values are taken from the predicate
 objects' own bulk evaluation so that both sides compare the same float series
 (min/max selection is exact, so structural agreement implies bitwise
 agreement); the predicate arithmetic itself is cross-checked separately in
@@ -55,23 +57,26 @@ def _tol(at: float) -> float:
     return 1e-9 * max(1.0, abs(at))
 
 
-def _window(times, lo, hi):
+def _window(times, lo, hi, outward):
+    """Indices of the samples that stand for [lo, hi]: outward, every sample
+    from the last at or before lo to the first at or after hi; inward, the
+    samples in the window, possibly none."""
     if lo < times[0] - _tol(lo) or hi > times[-1] + _tol(hi):
         raise ValueError("window beyond span")
-    idx = [i for i, tt in enumerate(times) if lo - _tol(lo) <= tt <= hi + _tol(hi)]
-    if not idx:
-        before = max(i for i, tt in enumerate(times) if tt < lo)
-        idx = [before, before + 1]
-    return idx
+    if not outward:
+        return [i for i, tt in enumerate(times) if lo - _tol(lo) <= tt <= hi + _tol(hi)]
+    first = max(i for i, tt in enumerate(times) if tt <= lo + _tol(lo))
+    last = min(i for i, tt in enumerate(times) if tt >= hi - _tol(hi))
+    return list(range(min(first, last), max(first, last) + 1))
 
 
-def _nearest(times, t):
-    best, best_d = 0, abs(times[0] - t)
-    for i in range(1, len(times)):
-        d = abs(times[i] - t)
-        if d < best_d:
-            best, best_d = i, d
-    return best
+def _sup(value, times, lo, hi):
+    """Max of value(i) over the samples in [lo, hi], or, if there are none,
+    the min over the outward samples (the bracketing pair)."""
+    inside = _window(times, lo, hi, outward=False)
+    if inside:
+        return max(value(i) for i in inside)
+    return min(value(i) for i in _window(times, lo, hi, outward=True))
 
 
 def _series(f, states):
@@ -80,28 +85,32 @@ def _series(f, states):
 
 
 def naive_robustness(f, times, states, t=0.0) -> float:
-    """Brute-force recursive evaluation of the robust semantics."""
+    """Brute-force recursive evaluation of the robust semantics, with min-type
+    windows rounded outward and max-type windows inward."""
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
     if is_state_formula(f):
-        return float(_series(f, states)[_nearest(times, t)])
+        ser = _series(f, states)
+        return float(min(ser[i] for i in _window(times, t, t, outward=True)))
     if isinstance(f, Conj):
         return min(naive_robustness(c, times, states, t) for c in f.children)
-    if isinstance(f, (Always, Eventually)):
+    if isinstance(f, Always):
         ser = _series(f.body, states)
-        vals = [ser[i] for i in _window(times, t + f.a, t + f.b)]
-        return float(min(vals) if isinstance(f, Always) else max(vals))
+        return float(min(ser[i] for i in _window(times, t + f.a, t + f.b, outward=True)))
+    if isinstance(f, Eventually):
+        ser = _series(f.body, states)
+        return float(_sup(lambda i: ser[i], times, t + f.a, t + f.b))
     if isinstance(f, Until):
         lhs = _series(f.lhs, states)
         rhs = _series(f.rhs, states)
-        ks = min(i for i, tt in enumerate(times) if tt >= t - _tol(t))
-        best = -math.inf
-        for m in _window(times, t + f.a, t + f.b):
-            run = min(lhs[s] for s in range(min(ks, m), m + 1))
-            best = max(best, min(rhs[m], run))
-        return float(best)
+        lo, hi = t + f.a, t + f.b
+        # the inner minimum runs from the sample at or before t, or from the
+        # first witness if samples closer than the tolerance put it earlier
+        first = (_window(times, lo, hi, outward=False) or _window(times, lo, hi, outward=True))[0]
+        ks = min(_window(times, t, t, outward=True)[0], first)
+        return float(_sup(lambda m: min(rhs[m], min(lhs[ks : m + 1])), times, lo, hi))
     raise TypeError(type(f).__name__)
 
 

@@ -274,9 +274,8 @@ def test_c07_switch_monotonicity(demo_doc):
 
 
 def test_c08_demo_ten_seeds(demo_doc):
-    """(c) holds each clique's monitored rho to its own r_star, with no
-    sampling slack: every window of the demo's tasks lies on the dt grid,
-    where the logged run's samples fall."""
+    """(c) holds each clique's monitored rho, a lower bound on the logged
+    polygon's robustness, to its own r_star."""
     cfg, doc, construct_s = demo_doc
 
     t0 = time.perf_counter()

@@ -498,6 +498,13 @@ def test_cli_refuses_non_finite_barrier_document(tmp_path, capsys):
         (lambda b: b.update(terms={}), "barrier document: terms must be a non-empty list"),
         (lambda b: b["terms"][0]["gamma"].update(decay=1e308, gamma_inf=1e3),
          "barrier document: term 0 gamma: the funnel rate decay * (gamma_inf - gamma0) must be finite"),
+        # finite coefficients whose squares overflow in the team step
+        (lambda b: b["terms"][0]["unit"]["predicate"]["c"].__setitem__(0, 1e300),
+         "barrier document: term 0 predicate c must be at most 1e+50 in magnitude"),
+        (lambda b: b["terms"][0]["unit"]["predicate"].update(d=1e308),
+         "barrier document: term 0 predicate d must be at most 1e+50 in magnitude"),
+        (lambda b: b["terms"][0]["unit"].update(predicate={"kind": "quad_ball", "A": [[1.0]], "b": [-1e51], "e": 1.0}),
+         "barrier document: term 0 predicate b must be at most 1e+50 in magnitude"),
     ]
     clique_edits = [
         (lambda c: c.update(kappa=NAN), "barrier document: clique 'solo' kappa must be a finite number, got nan"),

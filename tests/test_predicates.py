@@ -97,3 +97,20 @@ def test_predicate_document_ignores_support_key():
         for support in ([1, 2], 5, None):
             q = predicate_from_dict({**doc, "support": support})
             assert predicate_to_dict(q) == doc
+
+
+def test_coefficients_above_the_bound_are_refused():
+    """A coefficient above 1e50 in magnitude is refused when a predicate is
+    built; one at the bound loads, and a run with it stays finite
+    (test_sim.test_run_at_the_coefficient_bound_stays_finite)."""
+    AffinePredicate(np.array([1e50, -1e50]), -1e50)
+    BallPredicate(np.array([[-1e50]]), np.array([1e50]), 1e50)
+    for make, name in (
+        (lambda: AffinePredicate(np.array([0.0, 1e300]), 0.0), "c"),
+        (lambda: AffinePredicate(np.array([1.0]), 1e308), "d"),
+        (lambda: BallPredicate(np.array([[-1e51]]), np.zeros(1), 1.0), "A"),
+        (lambda: BallPredicate(np.eye(1), np.array([1e51]), 1.0), "b"),
+        (lambda: BallPredicate(np.eye(1), np.zeros(1), -1e300), "e"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{name} must be at most 1e\+50 in magnitude$"):
+            make()

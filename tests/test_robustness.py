@@ -62,17 +62,37 @@ def test_window_beyond_span_raises():
 
 def test_empty_window_snaps_to_bracketing_pair():
     s = sig([0.0, 1.0], [5.0, -1.0])
-    # window [0.4, 0.6] contains no sample; uses samples at 0 and 1
+    # window [0.4, 0.6] contains no sample: G rounds outward to samples 0 and
+    # 1, and F takes the smaller of that bracketing pair, which the polygon
+    # is at least anywhere between them
     assert robustness(Always(0.4, 0.6, IDENT), s) == -1.0
-    assert robustness(Eventually(0.4, 0.6, IDENT), s) == 5.0
+    assert robustness(Eventually(0.4, 0.6, IDENT), s) == -1.0
 
 
-def test_state_formula_nearest_sample_tie_goes_earlier():
-    s = sig([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+def test_always_rounds_off_grid_ends_outward():
+    # [0.5, 1.5] holds only sample 1; the polygon dips toward -3 before it,
+    # so the outward samples 0 and 2 join the minimum
+    s = sig([0.0, 1.0, 2.0, 3.0], [-3.0, 2.0, 4.0, -6.0])
+    assert robustness(Always(0.5, 1.5, IDENT), s) == -3.0
+    assert robustness(Always(1.0, 2.0, IDENT), s) == 2.0  # on-grid ends read no more
+
+
+def test_eventually_narrower_than_a_step_takes_min_of_pair():
+    s = sig([0.0, 1.0, 2.0], [3.0, 1.0, 2.0])
+    assert robustness(Eventually(1.2, 1.7, IDENT), s) == 1.0
+    assert robustness(Eventually(0.1, 0.2, IDENT), s) == 1.0
+    assert robustness(Eventually(0.9, 1.7, IDENT), s) == 1.0  # holds sample 1
+    assert robustness(Eventually(0.5, 2.0, IDENT), s) == 2.0  # the max over samples 1, 2
+
+
+def test_state_formula_off_grid_takes_min_of_pair():
+    s = sig([0.0, 1.0, 2.0], [3.0, 1.0, 2.0])
     f = Conj((IDENT,))
-    assert robustness(f, s, t=0.5) == 1.0  # tie -> earlier sample
-    assert robustness(f, s, t=0.51) == 2.0
-    assert robustness(f, s, t=2.0) == 3.0
+    assert robustness(f, s, t=0.4) == 1.0  # nearer sample 0, but the polygon dips toward 1
+    assert robustness(f, s, t=0.5) == 1.0
+    assert robustness(f, s, t=1.5) == 1.0
+    assert robustness(f, s, t=2.0) == 2.0
+    assert robustness(f, s, t=1.0 + 1e-10) == 1.0  # within the tolerance of sample 1
 
 
 def test_until_hand_example():
@@ -107,21 +127,58 @@ def test_until_window_starts_at_t_not_t_plus_a():
 
 def test_until_bracketing_pair_before_t():
     # at t = 0.5 the window [0.5, 0.7] holds no sample, so the witnesses are
-    # the bracketing samples 0 and 1; the for-all part starts at t, so the
-    # witness at sample 0 (before t) is held only to its own lhs value
+    # the bracketing samples 0 and 1 and the result is the smaller of their
+    # values; the for-all part from t rounds outward to sample 0, so each
+    # witness is held to the lhs from sample 0 on
     times = [0.0, 1.0, 2.0, 3.0]
     p = IDENT  # x
     q = Atom(AffinePredicate(np.array([-1.0]), 10.0))  # 10 - x
     f = Until(0.0, 0.2, p, q)
     for xs, want in (
-        # witness 0: min(q=6, p=4) = 4; witness 1: min(q=12, p=-2) = -2
-        ([4.0, -2.0, 7.0, 1.0], 4.0),
-        # witness 0: min(q=15, p=-5) = -5; witness 1: min(q=7, p=3) = 3,
-        # its for-all part not reaching back to sample 0
-        ([-5.0, 3.0, 7.0, 1.0], 3.0),
+        # witness 0: min(q=6, p=4) = 4; witness 1: min(q=12, p over 0..1 = -2) = -2
+        ([4.0, -2.0, 7.0, 1.0], -2.0),
+        # witness 0: min(q=15, p=-5) = -5; witness 1: min(q=7, p over 0..1 = -5) = -5
+        ([-5.0, 3.0, 7.0, 1.0], -5.0),
+        # witness 0: min(q=8, p=2) = 2; witness 1: min(q=7, p over 0..1 = 2) = 2
+        ([2.0, 3.0, 7.0, 1.0], 2.0),
     ):
         assert robustness(f, sig(times, xs), t=0.5) == want
         assert naive_robustness(f, times, xs, t=0.5) == want
+
+
+def test_samples_closer_than_the_tolerance_count_as_one_point():
+    # the outward ends of [t, t] cross when several samples lie within the
+    # 1e-9 tolerance of t; every one of them is read, as the oracle reads them
+    times = [0.0, 1e-10, 5e-10, 1.0, 1.0 + 1e-10, 2.0]
+    xs = [3.0, -1.0, 2.0, 5.0, -4.0, 1.0]
+    s = sig(times, xs)
+    assert robustness(Conj((IDENT,)), s) == -1.0
+    assert robustness(Eventually(0.0, 0.0, IDENT), s) == 3.0
+    q = Atom(AffinePredicate(np.array([-1.0]), 4.0))  # 4 - x
+    for f in (Conj((IDENT,)), Always(1.0, 1.0, IDENT), Eventually(0.5, 0.6, IDENT),
+              Until(0.0, 0.0, IDENT, q), Until(1.0, 1.0, q, IDENT)):
+        for t in (0.0, 1e-10, 0.3, 1.0):
+            assert robustness(f, s, t) == naive_robustness(f, times, xs, t)
+
+
+def test_sampled_rho_bounds_the_polygon_from_below():
+    """On random signals, each formula's sampled rho is at most its
+    robustness over the linear interpolation, sampled 50 times finer."""
+    rng = np.random.default_rng(3)
+    lay = StateLayout(ids=(1, 2), dims=(2, 1))
+    for _ in range(100):
+        m = int(rng.integers(2, 12))
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=m - 1))])
+        states = rng.normal(size=(m, lay.dim)) * 2.0
+        fine_t = np.unique(np.concatenate([times, np.linspace(0.0, times[-1], 50 * m)]))
+        fine = np.column_stack([np.interp(fine_t, times, col) for col in states.T])
+        f = random_formula(rng, lay, float(times[-1]))
+        t = float(rng.uniform(0.0, 0.2 * times[-1]))
+        try:
+            got = robustness(f, SampledSignal(times, states), t)
+        except ValueError:
+            continue
+        assert got <= robustness(f, SampledSignal(fine_t, fine), t) + 1e-12
 
 
 def test_parse_and_monitor_roundtrip():

@@ -300,8 +300,7 @@ def test_verify_pass_and_floors():
     assert report["passed"] and report["completed"]
     entry = report["cliques"]["solo"]
     assert entry["rho"] == pytest.approx(2.0)
-    assert entry["max_speed"] == 0.0
-    assert "floor" not in entry
+    assert not {"floor", "max_speed", "tol_rho"} & set(entry)
     assert entry["barrier_ok"] and entry["rho_ok"] and entry["passed"]
     # an unreachable r_star flips rho_ok, a doctored barrier flips barrier_ok
     bad = verify(log, {"solo": formula}, [clique], {"solo": 5.0})
@@ -309,6 +308,31 @@ def test_verify_pass_and_floors():
     log.barriers["solo"][0] = -1.0
     worse = verify(log, {"solo": formula}, [clique], {"solo": 0.5})
     assert not worse["cliques"]["solo"]["barrier_ok"]
+
+
+def test_verify_has_no_sampling_slack():
+    """rho must reach r_star itself: a run moving at speed 1 with dt 0.1,
+    whose rho 2.0 lies within the old slack 2 dt speed = 0.2 below r_star
+    2.1, fails verify on rho_ok alone."""
+    sc = passive_scenario(dt=0.1, x0=[2.0, -1.0], drift=lambda x, t: np.array([1.0, 0.0]))
+    log = run(sc)
+    assert np.allclose(np.diff(log.states[1], axis=0), [0.1, 0.0])
+    formula = Always(0.0, 1.0, Atom(AffinePredicate(np.array([1.0, 0.0]), 0.0)))
+    entry = verify(log, {"solo": formula}, sc.cliques, {"solo": 2.1})["cliques"]["solo"]
+    assert entry["rho"] == 2.0 and entry["barrier_ok"]
+    assert not entry["rho_ok"] and not entry["passed"]
+
+
+def test_run_at_the_coefficient_bound_stays_finite():
+    """Predicate coefficients at the bound (1e50) give a run with no float
+    overflow in the kernel or the law (pytest's filter makes an overflow
+    warning an error)."""
+    pred = BallPredicate(1e50 * np.eye(2), np.full(2, 1e50), 1e50)
+    cb = build_barrier([OperatorUnit("always", pred, 0.0, 1.0)], [GammaParams(-1.0, 0.5, 0.3, 0.0)],
+                       eta=10.0, bound_radius=50.0)
+    sc = Scenario(agents={1: AgentModel(agent_id=1, state_dim=2)}, cliques=(Clique("big", (1,), cb, 0.1, 1.0),),
+                  x0={1: np.array([1.0, -1.0])}, dt=0.1)
+    assert np.isfinite(run(sc).x).all()
 
 
 def pipeline_config(seed, k):
@@ -400,13 +424,17 @@ def test_csv_round_trip_is_exact(tmp_path):
 def test_read_signal_csv_validation(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="'t' column"):
+    with pytest.raises(ValueError, match="needs exactly one 't' column"):
         read_signal_csv(p)
     p.write_text("t,y1_0\n0.0,1.0\n")
     with pytest.raises(ValueError, match="no x"):
         read_signal_csv(p)
     p.write_text("t,x1_1\n0.0,1.0\n")
     with pytest.raises(ValueError, match="not contiguous"):
+        read_signal_csv(p)
+    # int() reads the Arabic-Indic digit one as 1, so this column aliases x1_0
+    p.write_text("t,x1_0,x\u0661_0\n0.0,1.0,5.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="repeats agent 1 component 0"):
         read_signal_csv(p)
     # every fault of the rows is a one-line error naming the file
     for text, msg in BAD_SIGNAL_CSVS:
@@ -430,6 +458,12 @@ BAD_SIGNAL_CSVS = [
     ("t,x1_0\n", "times must be a non-empty 1-D array"),
     ("t,x1_0\n0.5,1.0\n", "signals start at time 0"),
     ("t,x1_0\n0.0,1.0\n0.0,2.0\n", "times must be strictly increasing"),
+    # two columns of one agent and component, or two t columns: the reader
+    # would pick one of them silently
+    ("t,x1_0,x1_0\n0.0,1.0,5.0\n0.5,1.0,5.0\n", "column 'x1_0' repeats agent 1 component 0"),
+    ("t,x1_0,x01_0\n0.0,1.0,5.0\n0.5,1.0,5.0\n", "column 'x01_0' repeats agent 1 component 0"),
+    ("t,x1_00,x1_0\n0.0,1.0,5.0\n0.5,1.0,5.0\n", "column 'x1_0' repeats agent 1 component 0"),
+    ("t,x1_0,t\n0.0,1.0,0.0\n0.5,1.0,0.5\n", "needs exactly one 't' column"),
 ]
 
 
