@@ -2,14 +2,17 @@
 Cost of one team step against the team size
 ===========================================
 
-The decentralized law gives every agent a closed-form input, so one team
-step should cost one barrier evaluation per clique plus a fixed amount per
-agent.  This script measures that: it constructs the demo's three-agent
-formation clique once, builds K translated copies of it (N = 3K agents, one
-clique per copy, each agent also pulled weakly toward its counterpart in the
-previous copy), runs the closed loop for a fixed number of steps and prints
-microseconds per step against N.  It reads and writes no files, and exits
-with status 1 when a run does not complete.
+The decentralized law gives every agent a closed-form input, and one team
+step makes a single barrier kernel call over the stack of every live
+clique, with a number of numpy calls that does not grow with the number of
+cliques; so a step should cost a fixed amount plus a small amount per agent
+for the arithmetic on longer arrays.  This script measures that: it
+constructs the demo's three-agent formation clique once, builds K
+translated copies of it (N = 3K agents, one clique per copy, each agent
+also pulled weakly toward its counterpart in the previous copy), runs the
+closed loop for a fixed number of steps and prints microseconds per step
+against N.  It reads and writes no files, and exits with status 1 when a
+run does not complete.
 """
 
 import copy

@@ -15,37 +15,42 @@ term D - ||x|| keeping the superlevel sets compact.  Terms drop out at their
 deadlines, so b is piecewise smooth in t with switches at the sorted unique
 deadlines s_1 < ... < s_q; it is undefined at t >= s_q.
 
-The barrier has one kernel, _state, a single flat function body: the team
-step of a run calls it directly, barrier_state and left_limit_state build
-their BarrierState from its result, and CompositeBarrier.term_values
-returns its term values on the first activity interval, where every term
-is active.  The barrier compiles once: the affine rows c and every ball's A
-rows are stacked into one matrix, and each activity interval (the terms
-with deadline >= s_k) gets its selection indices and gradient rows.  A call
-then takes one product over all stacked rows, forms h_l for every term and
-selects the active ones.  The x-products are deliberately not taken over a
-per-interval submatrix: (C @ x)[sel] and C[sel] @ x can differ in the last
-bit, and two identities hold exactly only because every caller sees the
-same floats for a term -- the reported term values equal
-term_values(x, t)[active], and b(x, s) >= left limit at s with no
-tolerance, since both sides blend the same b_l.  A selection that is one
-run of consecutive indices is kept as a slice, so its gather is a view.
+The barrier has one kernel, _state, a single flat function body over a
+stack of K barriers (_Stack), each on one activity interval (the terms
+with deadline >= s_k) and reading its state from a vector the caller
+passes.  A barrier builds the K = 1 stack of each of its intervals once:
+barrier_state and left_limit_state build their BarrierState from the
+kernel's result, and CompositeBarrier.term_values returns its term values
+on the first interval, where every term is active.  The team step of a run
+passes a stack of every live clique's barrier (controller.Team), so one
+call serves the whole team.  Every reduction gives a barrier the same bits
+in any stack: its product rows (an affine c, a ball's A rows) and its
+state's squared norm are np.vecdot rows over its own state, one call per
+state dimension among the stacked barriers, and the softmin, the ball
+sums, the gradient and the rate are segmented ufuncs (np.minimum.reduceat,
+np.add.reduceat) over all of them.  So a term's value is the same float in
+every interval and every stack, and two identities hold exactly: the
+reported term values equal term_values(x, t)[active], and b(x, s) >= left
+limit at s with no tolerance, since both sides blend the same b_l.  A
+gather that is one run of consecutive indices is kept as a slice, a view.
 
 gamma_l(t) and its rate depend on t alone, so the kernel takes them as
-arguments: the activity interval and the rows of gamma_l(t) and
--d gamma_l/dt over its active terms, from one _gamma.  The checked entries
-(barrier_state, barrier_value, left_limit_*) fetch the rows from a t-cache
-that holds them for the last (t, interval) pair: a search or a sweep
-evaluates many states at one time.  A run knows its time grid, so
-_funnel_rows tabulates the rows over many steps at once and the team step
-hands them to _state with no lookup and no check.  One _gamma over a grid
-gives each row the bits of _gamma at that row's time.
+arguments: rows of gamma_l(t) (less an affine term's constant d, so that
+its value is c x minus the row) and -d gamma_l/dt over the stack's slots,
+from one _gamma.  The checked entries (barrier_state, barrier_value,
+left_limit_*) fetch the rows from a t-cache that holds them for the last
+(t, interval) pair: a search or a sweep evaluates many states at one time.
+A run knows its time grid, so Team.funnels tabulates the team's rows over
+many steps at once and the team step hands them to _state with no lookup
+and no check.  One _gamma over a grid gives each row the bits of _gamma at
+that row's time.
 
-The kernel has an exit after the softmin, taken by a value below a floor
-the caller passes.  barrier_value, left_limit_value and term_values take it
-with floor inf.  An Armijo trial of the switch-certifying ascent in
-param_search passes its acceptance threshold: a rejected trial stops
-there, and an accepted one runs on to its gradient, rate and weights, once.
+The kernel has an exit after the softmin, taken by a single barrier's
+value below a floor the caller passes.  barrier_value, left_limit_value
+and term_values take it with floor inf.  An Armijo trial of the
+switch-certifying ascent in param_search passes its acceptance threshold:
+a rejected trial stops there, and an accepted one runs on to its gradient,
+rate and weights, once.
 """
 
 from __future__ import annotations
@@ -53,14 +58,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .formula import OperatorUnit
 from .predicates import (
-    AffinePredicate, BallPredicate, doc_object, finite_number, is_finite_number, predicate_to_dict,
+    BallPredicate, doc_object, finite_number, is_finite_number, predicate_to_dict,
     predicate_from_dict,
 )
 
@@ -152,28 +156,6 @@ class BarrierTerm:
         return self.unit.deadline
 
 
-def _as_slice(idx: np.ndarray):
-    """The basic slice that selects what the index array idx selects when idx
-    is one ascending run of consecutive indices, else idx: the kernel's
-    gathers through it then take a view instead of a copy."""
-    if len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
-        return slice(int(idx[0]), int(idx[0]) + len(idx))
-    return idx
-
-
-class _Interval(NamedTuple):
-    """Precomputed data of one activity interval: the terms with deadline
-    >= s_k, which are active on [s_{k-1}, s_k) and in the left limit at s_k."""
-
-    active: np.ndarray  # active task terms, ascending term index
-    kpos: object  # their kernel positions (see _as_slice)
-    funnel: tuple  # their -decay, gamma0 - gamma_inf, gamma_inf and -decay (gamma_inf - gamma0) rows
-    wpos: object  # per gradient row: its term's weight (active terms, then the bound term; see _as_slice)
-    G: np.ndarray  # gradient rows: active affine c, then active ball -2A
-    n_aff_rows: int
-    ball_rows: np.ndarray  # rows of the stacked product feeding the ball rows of G
-
-
 @dataclass(frozen=True, eq=False)
 class CompositeBarrier:
     terms: tuple
@@ -196,63 +178,32 @@ class CompositeBarrier:
         deadlines = np.array([tm.deadline for tm in self.terms], dtype=float)
         if np.any(deadlines <= 0.0):
             raise ValueError("every unit deadline must be positive")
-        aff, balls = [], []
-        for i, tm in enumerate(self.terms):
-            pred = tm.unit.predicate
-            if pred.dim != self.dim:
-                raise ValueError("predicate dimension does not match barrier dim")
-            (aff if isinstance(pred, AffinePredicate) else balls).append(i)
-        # kernel order: affine terms, then balls; the term at kernel
-        # position k owns rows row_start[k]:row_start[k + 1] of the stacked matrix
-        order = aff + balls
-        n, n_aff = len(order), len(aff)
-        preds = [self.terms[i].unit.predicate for i in order]
-        mat = np.concatenate([np.atleast_2d(p.c) for p in preds[:n_aff]]
-                             + [p.A for p in preds[n_aff:]])
-        off = np.concatenate([[p.d for p in preds[:n_aff]]] + [p.b for p in preds[n_aff:]])
-        row_start = np.cumsum([0] + [1] * n_aff + [p.A.shape[0] for p in preds[n_aff:]])
-        pos = np.empty(n, dtype=int)
-        pos[order] = np.arange(n)
-        g0 = np.array([self.terms[i].gamma.gamma0 for i in order])
-        gi = np.array([self.terms[i].gamma.gamma_inf for i in order])
-        dec = np.array([self.terms[i].gamma.decay for i in order])
-        funnel = (-dec, g0 - gi, gi, -(dec * (gi - g0)))  # kernel order
+        preds = [tm.unit.predicate for tm in self.terms]
+        if any(p.dim != self.dim for p in preds):
+            raise ValueError("predicate dimension does not match barrier dim")
+        balls = [isinstance(p, BallPredicate) for p in preds]
+        # the term at index i owns rows _row_start[i]:_row_start[i + 1] of the
+        # stacked coefficient rows and offsets: an affine c and d, a ball's A and b
+        off = [p.b if ball else [p.d] for p, ball in zip(preds, balls)]
+        g0, gi, dec = (np.array([getattr(tm.gamma, f) for tm in self.terms]) for f in ("gamma0", "gamma_inf", "decay"))
         schedule = tuple(sorted(set(deadlines.tolist())))
-        intervals = []
+        active = []
         for s in schedule:
-            active = np.flatnonzero(deadlines >= s)
-            active.flags.writeable = False
-            kpos = pos[active]
-            # (row, term's position among the active), sorted: affine rows come first
-            pairs = sorted((r, j) for j, k in enumerate(kpos)
-                           for r in range(row_start[k], row_start[k + 1]))
-            rows = np.array([r for r, _ in pairs], dtype=int)
-            n_aff_rows = int(np.count_nonzero(rows < n_aff))
-            grad_rows = mat[rows]
-            grad_rows[n_aff_rows:] *= -2.0
-            wpos = np.array([j for _, j in pairs], dtype=int)
-            intervals.append(_Interval(
-                active=active,
-                kpos=_as_slice(kpos),
-                funnel=tuple(row[kpos] for row in funnel),
-                wpos=_as_slice(wpos) if n_aff_rows == len(rows) else wpos,  # the kernel scales ball rows in place
-                G=grad_rows,
-                n_aff_rows=n_aff_rows,
-                ball_rows=rows[n_aff_rows:],
-            ))
+            active.append(np.flatnonzero(deadlines >= s))
+            active[-1].flags.writeable = False
         for name, value in (
             ("schedule", schedule),
             ("_deadlines", deadlines),
-            ("_n_aff", n_aff),
-            ("_mat", mat),
-            ("_off", off),
-            ("_n_balls", n - n_aff),
-            ("_ball_e", np.array([p.e for p in preds[n_aff:]])),
-            ("_ball_start", row_start[n_aff:-1] - n_aff),
-            ("_intervals", tuple(intervals)),
-            ("_tcache", (None, None, None, None, None)),  # (t, k, interval, gamma row, rate row)
+            ("_mat", np.concatenate([p.A if ball else p.c[None] for p, ball in zip(preds, balls)])),
+            ("_off", np.concatenate(off)),
+            ("_row_start", np.cumsum([0] + [len(o) for o in off])),
+            ("_ball_e", np.array([p.e if ball else math.nan for p, ball in zip(preds, balls)])),  # nan: affine
+            ("_funnel", np.array([-dec, g0 - gi, gi, -(dec * (gi - g0))])),
+            ("_active", tuple(active)),  # per activity interval
         ):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_intervals", tuple(_stack([(self, k, None)]) for k in range(len(schedule))))
+        object.__setattr__(self, "_tcache", (None, None, None, None, None))  # (t, k, stack, gamma row, rate row)
 
     @property
     def horizon(self) -> float:
@@ -261,8 +212,8 @@ class CompositeBarrier:
     def term_values(self, x: np.ndarray, t: float) -> np.ndarray:
         """b_l(x,t) for every task term (ignoring activity): the kernel's term
         values on the first activity interval, where every term is active."""
-        iv = self._intervals[0]
-        return _state(self, np.asarray(x, dtype=float), iv, *_gamma(t, iv.funnel), math.inf)[4][:-1]
+        st = self._intervals[0]
+        return _state(st, np.asarray(x, dtype=float), *_gamma(t, st.funnel), math.inf)[4][:-1]
 
     def active_mask(self, t: float) -> np.ndarray:
         return self._deadlines > t
@@ -280,72 +231,240 @@ class BarrierState:
     term_values: np.ndarray  # b_l at active task terms, bound term last
 
 
-def _state(cb: CompositeBarrier, x: np.ndarray, iv: _Interval, gam: np.ndarray, rate: np.ndarray,
-           floor: float = -math.inf) -> tuple:
-    """The barrier kernel at a state x of shape (dim,) on activity interval
-    iv, given gamma_l(t) and -d gamma_l/dt of iv's active terms as the
-    C-contiguous rows gam and rate (np.dot over a strided row can round
-    differently).  Nothing is checked here.  The team step takes the
-    interval and rows from _funnel_rows, the checked entries from _args.
+def _as_slice(idx: np.ndarray):
+    """The basic slice that selects what the index array idx selects when idx
+    is one ascending run of consecutive indices, else idx: a gather through
+    it then takes a view instead of a copy."""
+    if len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx))):
+        return slice(int(idx[0]), int(idx[0]) + len(idx))
+    return idx
 
-    Returns (value, gradient in x, rate in t, softmin weights, term values),
-    the last two over iv's active terms with the bound term last.  A value
-    below floor ends the call after the softmin, with the gradient, rate and
-    weights None: the value-only entries pass floor = inf, and an Armijo
-    trial of the ascent its acceptance threshold.
+
+class _Stack(NamedTuple):
+    """The barrier kernel's gathers over a stack of K barriers, each on one
+    activity interval (see _stack).  Every barrier owns a segment of slots:
+    its active task terms in ascending term order, then its bound term.  It
+    owns as many product rows, one per slot in slot order (an affine term's
+    c, a zero row for a ball or the bound), then the A rows of its balls.
+
+    Fields marked (K = 1) are a slice, an int, () or a numpy scalar for a
+    single barrier read from its own state vector: its gathers are views and
+    its per-barrier values numpy scalars, whose arithmetic has the bits of
+    an array's."""
+
+    products: tuple  # per state dimension: (coefficient rows (R, K_g, dim), index of the states (K_g, dim) (K = 1),
+    #                  and where its products and barriers lie in y and the norms)
+    off: np.ndarray  # per product row: b of a ball's rows, else 0
+    balls: tuple  # None, or (product rows of the balls, start of each ball there, e, their slots, slot of each row)
+    perm: object  # per slot: its product row (K = 1)
+    seg: np.ndarray  # each barrier's first slot
+    owner: object  # per slot: its barrier (K = 1)
+    pick: object  # the per-barrier values of a segmented reduction (K = 1)
+    eta_slots: np.ndarray  # per slot: its barrier's eta
+    eta: object  # per barrier (K = 1), and so on
+    radius: object
+    eps: object
+    eps2: object
+    grad: np.ndarray  # gradient coefficients: per state entry, one per product row of its barrier
+    grad_idx: np.ndarray  # per gradient coefficient: its weight in the weights by slot, or with balls by product row
+    grad_start: np.ndarray  # first gradient coefficient of each state entry
+    bound: object  # each barrier's bound slot (K = 1)
+    state_owner: object  # per state entry, in the order of its index in x: its barrier (K = 1)
+    states: object  # the barriers' state entries' indices in x, ascending (K = 1)
+    funnel: tuple  # per slot: -decay, gamma0 - gamma_inf, gamma_inf, -decay (gamma_inf - gamma0), an affine d; 0 for a bound
+    active: np.ndarray  # K = 1: the interval's active task terms, else None
+    order: tuple  # the barriers in stack order, as positions in the parts _stack was given
+
+
+def _layout(cb: CompositeBarrier, k: int) -> tuple:
+    """Barrier cb's slots and product rows on activity interval k, as
+    (active terms, coefficient rows, offsets (a ball's b), gradient rows,
+    slot of each row, funnel rows (5, slots)).  A ball's slot row and the
+    bound's are zero; a ball's A rows follow the slot rows, ball by ball."""
+    act = cb._active[k]
+    n = len(act) + 1
+    ball = np.flatnonzero(cb._ball_e[act] == cb._ball_e[act]).tolist()
+    ball_rows = [np.arange(cb._row_start[act[j]], cb._row_start[act[j] + 1]) for j in ball]
+    rows = np.concatenate([cb._row_start[act], [0], *ball_rows])
+    zero = [*ball, n - 1]
+    coef, off = cb._mat[rows], cb._off[rows]
+    coef[zero], off[zero] = 0.0, 0.0
+    grad = coef.copy()  # the gradient rows: an affine c, a ball's -2 A
+    grad[n:] *= -2.0
+    slot = np.concatenate([np.arange(n), *(np.full(len(r), j) for j, r in zip(ball, ball_rows))])
+    funnel = np.zeros((5, n))
+    funnel[:4, :-1] = cb._funnel[:, act]
+    funnel[4] = off[:n]  # an affine term's d goes with its gamma row (see _gamma)
+    off[:n] = 0.0
+    return act, coef, off, grad, slot, funnel
+
+
+def _stack(parts) -> _Stack:
+    """The kernel's gathers for the barriers of parts, each given as
+    (barrier, activity interval index, index of its state in the kernel's x),
+    the index None when x is the barrier's own state (K = 1).  The stack
+    orders the barriers by state dimension, stably: the products and the
+    squared state norms of the barriers of one dimension are one np.vecdot
+    each, and every other reduction is one segmented ufunc over all
+    barriers."""
+    single = len(parts) == 1 and parts[0][2] is None
+    order = tuple(sorted(range(len(parts)), key=lambda p: parts[p][0].dim))
+    cbs = [parts[p][0] for p in order]
+    index = [parts[p][2] for p in order]
+    lays = [_layout(parts[p][0], parts[p][1]) for p in order]  # (act, coef, off, grad, slot, funnel)
+    n_slots = [len(lay[0]) + 1 for lay in lays]
+    seg = np.cumsum([0] + n_slots[:-1])
+    products, off, row_slot, row_of, n_y = [], [], [], [], 0  # row_of[b][r]: product row r of barrier b in y
+    for dim in sorted({cb.dim for cb in cbs}):
+        members = [b for b, cb in enumerate(cbs) if cb.dim == dim]
+        n_rows = max(len(lays[b][2]) for b in members)
+        mat = np.zeros((n_rows, len(members), dim))  # y holds row r of member i at r * len(members) + i
+        offs = np.zeros((n_rows, len(members)))
+        slots = np.zeros((n_rows, len(members)), dtype=int)  # a padding row reads slot 0, and nothing reads it
+        for i, b in enumerate(members):
+            _, coef, o, _, s, _ = lays[b]
+            mat[: len(o), i], offs[: len(o), i], slots[: len(o), i] = coef, o, seg[b] + s
+            row_of.append(n_y + i + len(members) * np.arange(len(o)))
+        # with several dimensions, each writes its products and squared norms into its part of y and of the norms
+        products.append((mat[:, 0] if single else mat, slice(None) if single else np.array([index[b] for b in members]),
+                         slice(n_y, n_y + mat.size // dim), mat.shape[:2], slice(members[0], members[-1] + 1)))
+        off.append(offs.ravel())
+        row_slot.append(slots.ravel())
+        n_y += mat.size // dim
+    balls, ball_rows, ball_start, ball_e, ball_slots = None, [], [], [], []
+    for b, (act, _, _, _, s, _) in enumerate(lays):
+        for j in dict.fromkeys(s[n_slots[b] :].tolist()):  # the balls in slot order
+            ball_start.append(len(ball_rows))
+            ball_rows += row_of[b][s == j][1:].tolist()  # past the ball's zero slot row
+            ball_e.append(cbs[b]._ball_e[act[j]])
+            ball_slots.append(seg[b] + j)
+    if ball_start:
+        balls = (np.array(ball_rows), np.array(ball_start), np.array(ball_e), np.array(ball_slots),
+                 np.concatenate(row_slot))
+    # the gradient, per state entry in the order of its index in x: one
+    # coefficient per product row of its barrier, weighed by the row's
+    # slot's weight (times its product for a ball row)
+    entries = sorted((j if single else int(index[b][j]), b, j) for b, cb in enumerate(cbs) for j in range(cb.dim))
+    weight_of = [row_of[b] if balls else seg[b] + lays[b][4] for b in range(len(lays))]
+    sizes = [len(lays[b][4]) for _, b, _ in entries]
+
+    def per_barrier(values):
+        return np.float64(values[0]) if single else np.array(values, dtype=float)
+
+    return _Stack(
+        products=tuple(products),
+        off=np.concatenate(off),
+        balls=balls,
+        perm=_as_slice(np.concatenate([row_of[b][: n_slots[b]] for b in range(len(lays))])),
+        seg=seg,
+        owner=slice(None) if single else np.repeat(np.arange(len(lays)), n_slots),
+        pick=0 if single else slice(None),
+        eta_slots=np.repeat([cb.eta for cb in cbs], n_slots),
+        eta=per_barrier([cb.eta for cb in cbs]),
+        radius=per_barrier([cb.bound_radius for cb in cbs]),
+        eps=per_barrier([cb.smooth_eps for cb in cbs]),
+        eps2=per_barrier([cb.smooth_eps**2 for cb in cbs]),
+        grad=np.concatenate([lays[b][3][:, j] for _, b, j in entries]),
+        grad_idx=np.concatenate([weight_of[b] for _, b, _ in entries]),
+        grad_start=np.cumsum([0] + sizes[:-1]),
+        bound=n_slots[0] - 1 if single else seg + np.array(n_slots) - 1,
+        state_owner=() if single else np.array([b for _, b, _ in entries]),
+        states=slice(None) if single else _as_slice(np.array([e for e, _, _ in entries])),
+        funnel=tuple(np.concatenate([lay[5] for lay in lays], axis=1)),
+        active=lays[0][0] if single else None,
+        order=order,
+    )
+
+
+def _state(st: _Stack, x: np.ndarray, gam: np.ndarray, rate: np.ndarray, floor: float | None = None) -> tuple:
+    """The barrier kernel over the K barriers of stack st, reading their
+    states from x, given _gamma's rows of every slot (gamma_l(t) less an
+    affine term's d, and -d gamma_l/dt; 0 at a bound slot) as the
+    C-contiguous rows gam and rate.  Nothing is checked
+    here.  The team step takes the stack and rows from Team.funnels, the
+    checked entries (K = 1) from _args.
+
+    Every reduction gives a barrier the same bits in any stack: a product
+    row and a squared state norm are np.vecdot rows over the barrier's own
+    state, and the softmin, the ball sums, the gradient and the rate are
+    segmented ufuncs (np.minimum.reduceat, np.add.reduceat), whose segments
+    do not see each other.  Zero-padding vecdot rows to one length instead
+    would change their blocking once a row reaches 16 entries.
+
+    Returns (value, gradient in x, rate in t, softmin weights, term values):
+    value and rate per barrier (numpy scalars for K = 1), the gradient per
+    state entry in the order of its index in x, the last two per slot.  A
+    value below a floor (K = 1) ends the call after the softmin, with the
+    gradient, rate and weights None: the value-only entries pass floor =
+    inf, and an Armijo trial of the ascent its acceptance threshold.
     """
-    y = cb._mat.dot(x)  # ndarray.dot is np.dot without its dispatch layer
-    y += cb._off
-    h = y
-    if cb._n_balls:
-        yb = y[cb._n_aff :]
-        h = np.concatenate((y[: cb._n_aff], cb._ball_e - np.add.reduceat(yb * yb, cb._ball_start)))
-    nx = math.sqrt(x.dot(x).item() + cb.smooth_eps**2)
-    active, kpos, _, wpos, G, n_aff_rows, ball_rows = iv
-    vals = np.empty(len(active) + 1)
-    np.subtract(h[kpos], gam, out=vals[:-1])
-    vals[-1] = cb.bound_radius - nx + cb.smooth_eps
-    m = min(vals.tolist())
-    w = m - vals
-    w *= cb.eta
+    (products, off, balls, perm, seg, owner, pick, eta_slots, eta, radius, eps, eps2, grad_coef, grad_idx, grad_start,
+     bound, state_owner, states, _, _, _) = st
+    if len(products) == 1:
+        mat, index, _, _, _ = products[0]
+        X = x[index]
+        y = np.vecdot(mat, X).ravel()
+        sq = np.vecdot(X, X)
+    else:
+        y, sq = np.empty(len(off)), np.empty(len(seg))
+        for mat, index, rows, shape, barriers in products:
+            X = x[index]
+            np.vecdot(mat, X, out=y[rows].reshape(shape))
+            np.vecdot(X, X, out=sq[barriers])
+    nx = np.sqrt(sq + eps2)
+    vals = y[perm]
+    vals[bound] = radius - nx + eps
+    if balls is not None:
+        yb = y[balls[0]]
+        yb += off[balls[0]]
+        vals[balls[3]] = balls[2] - np.add.reduceat(yb * yb, balls[1])
+    vals -= gam
+    m = np.minimum.reduceat(vals, seg)
+    w = m[owner] - vals
+    w *= eta_slots
     np.exp(w, out=w)
-    z = float(np.add.reduce(w))
-    value = m - math.log(z) / cb.eta
-    if value < floor:
+    z = np.add.reduceat(w, seg)
+    value = m[pick] - np.log(z[pick]) / eta
+    if floor is not None and value < floor:
         return value, None, None, None, vals
-    w /= z
-    rw = w[wpos]
-    if len(ball_rows):
-        rw[n_aff_rows:] *= y[ball_rows]
-    grad = rw.dot(G)
-    grad -= (w[-1] / nx) * x
-    return value, grad, w[:-1].dot(rate).item(), w, vals
+    w /= z[owner]
+    rw = w
+    if balls is not None:  # a ball row's weight is its term's times its product
+        rw = w[balls[4]]
+        rw[balls[0]] *= yb
+    grad = np.add.reduceat(grad_coef * rw[grad_idx], grad_start)
+    grad -= (w[bound] / nx)[state_owner] * x[states]
+    return value, grad, np.add.reduceat(w * rate, seg)[pick], w, vals
 
 
-def _barrier_state(result: tuple, iv: _Interval) -> BarrierState:
-    """A full kernel result on activity interval iv as a BarrierState."""
+def _barrier_state(result: tuple, st: _Stack) -> BarrierState:
+    """A full kernel result on a single barrier's stack st as a BarrierState."""
     value, grad, dbdt, w, vals = result
-    return BarrierState(value=value, grad_x=grad, dbdt=dbdt, weights=w, active=iv.active, term_values=vals)
+    return BarrierState(value=float(value), grad_x=grad, dbdt=float(dbdt), weights=w, active=st.active,
+                        term_values=vals)
 
 
 def _gamma(times, funnel: tuple) -> tuple:
-    """gamma_l and -d gamma_l/dt of the terms whose rows funnel holds: one
-    row at a time t, or one C-contiguous row per time of a (T, 1) column of
-    times.  Elementwise, so a row of a column's result has the bits of the
-    result at that row's time."""
-    negdec, gdiff, gi, negrate = funnel
+    """gamma_l less the term's offset and -d gamma_l/dt of the slots whose
+    rows funnel holds: one row at a time t, or one C-contiguous row per time
+    of a (T, 1) column of times.  An affine term's value is then its product
+    c x minus the first, which saves the kernel adding d to the product.
+    Elementwise, so a row of a column's result has the bits of the result at
+    that row's time."""
+    negdec, gdiff, gi, negrate, off = funnel
     e = negdec * times
     np.exp(e, out=e)
     gam = gdiff * e
     gam += gi
+    gam -= off
     e *= negrate
     return gam, e
 
 
 def _args(cb: CompositeBarrier, x, t: float, k: int) -> tuple:
-    """The kernel's arguments after cb for a checked call at (x, t) on
-    activity interval k (k = len(schedule): expired): x as a (dim,) float
-    array, the interval and its rows from the t-cache."""
+    """What a checked call at (x, t) on activity interval k (k =
+    len(schedule): expired) hands the kernel: x as a (dim,) float array, the
+    interval's stack and the stack's rows from the t-cache."""
     x = np.asarray(x, dtype=float)
     if x.shape != (cb.dim,):
         raise ValueError(f"state must have shape ({cb.dim},)")
@@ -356,30 +475,20 @@ def _args(cb: CompositeBarrier, x, t: float, k: int) -> tuple:
         )
     tc = cb._tcache
     if tc[0] != t or tc[1] != k:
-        iv = cb._intervals[k]
-        tc = (t, k, iv, *_gamma(t, iv.funnel))
+        st = cb._intervals[k]
+        tc = (t, k, st, *_gamma(t, st.funnel))
         object.__setattr__(cb, "_tcache", tc)
     return x, tc[2], tc[3], tc[4]
 
 
-def _funnel_rows(cb: CompositeBarrier, times: np.ndarray):
-    """The interval and rows _args gives at each of the ascending times, all
-    before the final deadline, tabulated: one _gamma over the times of each
-    activity interval."""
-    lo = 0
-    for iv, hi in zip(cb._intervals, np.searchsorted(times, cb.schedule).tolist()):
-        if hi > lo:
-            yield from zip(repeat(iv), *_gamma(times[lo:hi, None], iv.funnel))
-            lo = hi
-
-
 def barrier_state(cb: CompositeBarrier, x: np.ndarray, t: float) -> BarrierState:
-    x, iv, gam, rate = _args(cb, x, t, bisect.bisect_right(cb.schedule, t))
-    return _barrier_state(_state(cb, x, iv, gam, rate), iv)
+    x, st, gam, rate = _args(cb, x, t, bisect.bisect_right(cb.schedule, t))
+    return _barrier_state(_state(st, x, gam, rate), st)
 
 
 def barrier_value(cb: CompositeBarrier, x: np.ndarray, t: float) -> float:
-    return _state(cb, *_args(cb, x, t, bisect.bisect_right(cb.schedule, t)), math.inf)[0]
+    x, st, gam, rate = _args(cb, x, t, bisect.bisect_right(cb.schedule, t))
+    return _state(st, x, gam, rate, math.inf)[0].item()
 
 
 def _left_interval(cb: CompositeBarrier, s: float) -> int:
@@ -390,13 +499,14 @@ def _left_interval(cb: CompositeBarrier, s: float) -> int:
 
 
 def left_limit_state(cb: CompositeBarrier, x: np.ndarray, s: float) -> BarrierState:
-    x, iv, gam, rate = _args(cb, x, s, _left_interval(cb, s))
-    return _barrier_state(_state(cb, x, iv, gam, rate), iv)
+    x, st, gam, rate = _args(cb, x, s, _left_interval(cb, s))
+    return _barrier_state(_state(st, x, gam, rate), st)
 
 
 def left_limit_value(cb: CompositeBarrier, x: np.ndarray, s: float) -> float:
     """Barrier value in the limit t -> s from below (deadline-s terms kept)."""
-    return _state(cb, *_args(cb, x, s, _left_interval(cb, s)), math.inf)[0]
+    x, st, gam, rate = _args(cb, x, s, _left_interval(cb, s))
+    return _state(st, x, gam, rate, math.inf)[0].item()
 
 
 def build_barrier(units, params, eta: float, bound_radius: float, smooth_eps: float = 1e-9) -> CompositeBarrier:

@@ -14,33 +14,32 @@ condition under any disturbance with ||c_i|| <= C.  The single-constraint QP
 has the closed-form solution u = max(rhs, 0) / ||a||^2 * a.
 
 team_control evaluates the law for a whole team on one stacked state vector
-(see Team) in one pass.  Each live clique makes one barrier kernel call,
-whose gradient fills the clique's block of the team gradient; then
-team-wide vector operations give every agent's block norm, share,
-half-space (Team.half_spaces) and closed-form input.  Shares, residuals and
-barrier values can go straight into a caller's arrays, such as a row of a
-run's trajectory table.  The kernel call takes the clique's funnel rows at
-the step's time, which a run tabulates ahead over its time grid
-(Team.funnels), and the clique's stacked state as a view where its
-members' blocks are adjacent in the team vector, so the step makes no
-interval lookup, no funnel evaluation and no input check.  Every float
-operation is the one the per-agent law takes, in the same order, and each
-row-wise dot product runs np.dot's kernel on the agent's own block (see
-_Blocks), so the stacked step reproduces the per-agent law bit for bit.
+(see Team) in one pass.  One barrier kernel call over the stack of the live
+cliques' barriers (the team pass) gives every clique's value, rate and
+block of the team gradient, with the bits barrier_state gives that clique
+alone; then team-wide vector operations give every agent's block norm,
+share, half-space (Team.half_spaces) and closed-form input, with no loop
+over the cliques.  Shares, residuals and barrier values can go straight
+into a caller's arrays, such as a row of a run's trajectory table.  The
+team keeps one pass per combination of its cliques' activity intervals,
+and a run tabulates each step's pass and funnel rows ahead over its time
+grid (Team.funnels), so the step makes no interval lookup, no funnel
+evaluation and no input check.  Every float operation is the one the
+per-agent law takes, in the same order, and each row-wise dot product runs
+np.dot's kernel on the agent's own block (see _Blocks), so the stacked step
+reproduces the per-agent law bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
-from .barrier import CompositeBarrier, _funnel_rows, _state
+from .barrier import CompositeBarrier, _gamma, _stack, _state
 from .barrier import barrier_state  # noqa: F401 -- perfbench/tracing.py wraps controller.barrier_state
 from .predicates import StateLayout, is_finite_number
 
@@ -193,9 +192,8 @@ class Team:
                 (self.blocks[m.agent_id], self.input_blocks[m.agent_id], m.input_map) for m in models
             )
         # per clique: (clique, index of its stacked state in the team vector,
-        # its members' team rows), the index a basic slice (a view) when the
-        # members' blocks are one run of the vector; per agent: its clique's
-        # index, n_hat and coupling bound
+        # its members' team rows); per agent: its clique's index, n_hat and
+        # coupling bound
         n = len(self.ids)
         max_dim = max(self.layout.dims, default=0)
         self._clique_of = np.empty(n, dtype=int)
@@ -211,9 +209,15 @@ class Team:
             self._clique_of[rows] = c
             self._n_hat[rows] = math.sqrt(cl.barrier.dim * max_dim)
             self.coupling_bounds[rows] = cl.coupling_bound
-            parts.append((cl, slice(int(idx[0]), int(idx[-1]) + 1) if np.all(np.diff(idx) == 1) else idx, rows))
+            parts.append((cl, idx, rows))
         self._parts = tuple(parts)
         self._order = [r for _, _, rows in self._parts for r in rows]  # clique by clique
+        # each clique's member rows, padded to the largest clique with its
+        # last member, and per agent the column of its clique's last member
+        width = max(len(rows) for _, _, rows in parts)
+        self._members = np.array([rows + rows[-1:] * (width - len(rows)) for _, _, rows in parts])
+        self._last = np.array([len(parts[c][2]) - 1 for c in self._clique_of])
+        self._passes = {}  # the team pass of each combination of the cliques' activity intervals
         self._input_row = np.repeat(np.arange(n), self.input_layout.dims)  # the agent row of each input entry
         self._known_rows = np.array([i in self.known for i in self.ids]) if self.known else None
 
@@ -248,29 +252,60 @@ class Team:
             out[s] = u[si] if g is None else g @ u[si]
         return out
 
+    def _pass(self, key: tuple):
+        """The team pass on the cliques' activity intervals key (one per
+        clique, len(schedule) once it expired), or None when no clique is
+        live: (the barrier stack of the live cliques, their team indices and
+        kappas in stack order, each agent's clique in stack order, and the
+        expired cliques and their members' rows, or None)."""
+        if key not in self._passes:
+            live = [c for c, (cl, _, _) in enumerate(self._parts) if key[c] < len(cl.barrier.schedule)]
+            found = None
+            if live:
+                st = _stack([(self._parts[c][0].barrier, key[c], self._parts[c][1]) for c in live])
+                live = [live[p] for p in st.order]
+                dead = [c for c in range(len(self._parts)) if c not in live]
+                pos = np.zeros(len(self._parts), dtype=int)  # an expired clique reads position 0
+                pos[live] = np.arange(len(live))
+                found = (st, np.array(live), np.array([self.cliques[c].kappa for c in live]), pos[self._clique_of],
+                         (dead, [r for c in dead for r in self._parts[c][2]]) if dead else None)
+            self._passes[key] = found
+        return self._passes[key]
+
     def funnels(self, times: np.ndarray) -> list:
-        """The barrier kernel's funnel rows of every clique at each of the
-        ascending times: a list with, per time, one (interval, gamma row,
-        rate row) entry per clique, or None once the clique is past its final
-        deadline.  Each clique's rows are tabulated over the times at once."""
+        """The team pass and its funnel rows at each of the ascending times:
+        per time (pass, gamma row, rate row), or None once every clique is
+        past its final deadline.  A clique's activity interval at t is that
+        of barrier_state, and it counts as expired from 1e-12 before its final
+        deadline.  Between two switches of any clique the pass stays, and one
+        _gamma tabulates its rows over those times."""
         if np.isnan(times).any():
             raise ValueError("times must not be nan")
-        per_clique = []
-        for cl, _, _ in self._parts:
-            n_live = int(np.searchsorted(times, cl.barrier.horizon - 1e-12))
-            per_clique.append(chain(_funnel_rows(cl.barrier, times[:n_live]), repeat(None, len(times) - n_live)))
-        return list(zip(*per_clique))
+        keys = np.empty((len(self._parts), len(times)), dtype=int)
+        for c, (cl, _, _) in enumerate(self._parts):
+            cb = cl.barrier
+            keys[c] = np.searchsorted(cb.schedule, times, side="right")
+            keys[c, np.searchsorted(times, cb.horizon - 1e-12) :] = len(cb.schedule)
+        cuts = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1
+        out = []
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(times)]):
+            found = self._pass(tuple(keys[:, lo].tolist()))
+            if found is None:
+                out += [None] * (hi - lo)
+            else:
+                out += zip(repeat(found), *_gamma(times[lo:hi, None], found[0].funnel))
+        return out
 
     def half_spaces(self, x: np.ndarray, t: float, drift: np.ndarray, f_u: np.ndarray, funnels=None,
                     out=None) -> tuple:
         """Every agent's half-space a_i'u_i >= rhs_i at time t, in one pass:
-        one barrier kernel call per live clique fills that clique's block of
-        the team gradient, then team-wide vector operations form every
-        agent's norm, share and rhs.  The kernel takes each clique's rows
-        from funnels, the entry of self.funnels for t: a run tabulates them
-        ahead, and without them they are tabulated for t alone.  out, when
-        given, is a pair of arrays (n_agents,) and (n_cliques,) that the
-        shares and the barrier values are written into.
+        one barrier kernel call over the stack of live cliques gives their
+        values, rates and gradient blocks, then team-wide vector operations
+        form every agent's norm, share and rhs.  The kernel takes the stack
+        and its rows from funnels, the entry of self.funnels for t: a run
+        tabulates them ahead, and without them they are tabulated for t
+        alone.  out, when given, is a pair of arrays (n_agents,) and
+        (n_cliques,) that the shares and the barrier values are written into.
 
         Returns (grad, barrier values, block norms, shares, a, ||a_i||^2,
         rhs): grad (dim,) holds each agent's block of its clique's barrier
@@ -280,9 +315,10 @@ class Team:
                     [- grad_i' g_i f_u_i if known].
         The float operations are those of the per-agent law, left to right.
         N_i is ||grad_i|| over the sum of its clique's block norms, added left
-        to right in member order (sum() is compensated from Python 3.12 on),
-        or 1 for every member of a clique whose sum is at most _ZERO_TOL (a
-        vanishing gradient: each member takes the whole load).
+        to right in member order by np.add.accumulate (sum() is compensated
+        from Python 3.12 on, and np.add.reduceat pairs terms up from three
+        members on), or 1 for every member of a clique whose sum is at most
+        _ZERO_TOL (a vanishing gradient: each member takes the whole load).
         A clique past its final deadline (value nan) gives its members zero
         gradient, share and rhs.
         """
@@ -290,37 +326,33 @@ class Team:
             funnels = self.funnels(np.array([t]))[0]
         n = len(self.ids)
         shares, values = (np.empty(n), np.empty(len(self._parts))) if out is None else out
-        grad = np.zeros(self.dim)
-        # per agent: share denominator (inf, for an expired clique, gives
-        # share 0) and db/dt + kappa b of its clique
-        den = [math.inf] * n
-        load = [0.0] * n
-        live = []
-        for c, ((cl, idx, rows), funnel) in enumerate(zip(self._parts, funnels)):
-            if funnel is None:
-                values[c] = math.nan
-                continue
-            value, grad[idx], dbdt, _, _ = _state(cl.barrier, x[idx], *funnel)
-            values[c] = value
-            live.append((rows, dbdt + cl.kappa * value))
+        if funnels is None:  # every clique expired
+            grad, load, expired = np.zeros(self.dim), np.zeros(n), (slice(None), slice(None))
+        else:
+            (st, live, kappa, stack_of, expired), gam, rate = funnels
+            value, grad, dbdt, _, _ = _state(st, x, gam, rate)
+            if expired is not None:  # the stack's gradient covers the live cliques' entries
+                grad, live_grad = np.zeros(self.dim), grad
+                grad[st.states] = live_grad
+            values[live] = value
+            load = (dbdt + kappa * value)[stack_of]  # db/dt + kappa b of each agent's clique
         sq = self._block_dot(grad, grad)
         norms = np.sqrt(sq)
-        listed = norms.tolist()
-        fallback = []
-        for rows, clique_load in live:
-            total = reduce(operator.add, [listed[r] for r in rows])
-            if total <= _ZERO_TOL:
-                fallback += rows
-                total = 1.0
-            for r in rows:
-                den[r] = total
-                load[r] = clique_load
-        np.divide(norms, np.array(den), out=shares)
-        if fallback:
+        den = np.add.accumulate(norms[self._members], axis=1)[self._clique_of, self._last]
+        if min(den.tolist()) > _ZERO_TOL:
+            np.divide(norms, den, out=shares)
+        else:
+            fallback = den <= _ZERO_TOL
+            den[fallback] = 1.0
+            np.divide(norms, den, out=shares)
             shares[fallback] = 1.0
+        if expired is not None:  # an expired clique's members get share and load 0
+            values[expired[0]] = math.nan
+            shares[expired[1]] = 0.0
+            load[expired[1]] = 0.0
         rhs = norms * self._n_hat
         rhs *= self.coupling_bounds
-        rhs -= shares * np.array(load)
+        rhs -= shares * load
         if self._drifts:
             rhs -= self._block_dot(grad, drift)
         if self._known_rows is not None:

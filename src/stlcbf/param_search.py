@@ -219,7 +219,7 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray):
 
     x = _project_ball(np.asarray(x_start, dtype=float).copy(), radius)
     st = left_limit_state(cb, x, s)
-    rows = _args(cb, x, s, _left_interval(cb, s))[1:]
+    _, stack, gam, rate = _args(cb, x, s, _left_interval(cb, s))
     alpha = 1.0
     prev_x = None
     prev_g = None
@@ -248,14 +248,14 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray):
         for _ in range(60):
             x_new = _project_ball(x + a * g, radius)
             armijo = st.value + 1e-4 * float(np.dot(g, x_new - x))
-            trial = _state(cb, x_new, *rows, armijo)
+            trial = _state(stack, x_new, gam, rate, armijo)
             if trial[0] >= armijo:
                 accepted = True
                 break
             a *= 0.5
         if not accepted:
             return done(x, st, gnorm, "no accepted trial")
-        st_new = _barrier_state(trial, rows[0])
+        st_new = _barrier_state(trial, stack)
         if st_new.value - st.value < 1e-15 * max(1.0, abs(st.value)):
             stall += 1
             if stall >= 25:

@@ -7,13 +7,16 @@ sample-and-hold control semantics honest.  Everything needed for independent
 verification is logged per step against the pre-step state.
 
 The loop works on the stacked team state of controller.Team: coupling,
-repulsion, noise and the Euler update act on whole vectors, every clique's
-barrier funnel rows are tabulated over the time grid ahead of the steps
-that use them (Team.funnels), and each step's results go straight into the
-row of one preallocated table laid out as the trajectory CSV: the log is
-that table, the CSV writer formats its rows as they are and the readers
-fill one back a block of lines at a time.  Its fields, per agent or
-stacked, are column views.
+repulsion, noise and the Euler update act on whole vectors (a repulsion
+group whose blocks are adjacent reads its states as a view and writes into
+one vector the run owns), the team pass of the live cliques and its funnel
+rows are tabulated over the time grid ahead of the steps that use them
+(Team.funnels), so each step makes one barrier kernel call for the whole
+team, and each step's results go straight into the row of one preallocated
+table laid out as the trajectory CSV: the Euler update writes the next
+state into its row, the log is that table, the CSV writer formats its rows
+as they are and the readers fill one back a block of lines at a time.  Its
+fields, per agent or stacked, are column views.
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ class CouplingSpec:
 
 
 def _attraction_pulls(attractions: dict, blocks: dict) -> tuple:
-    """Saturating attraction as (dst, src, gains) arrays into a stacked
-    state: one entry per state component of every pull, each agent's pulls
-    in their listed order."""
+    """Saturating attraction as (dst, src, gains, -1s, 1s) arrays into a
+    stacked state: one entry per state component of every pull, each
+    agent's pulls in their listed order."""
     dst, src, gains = [], [], []
     for i, pulls in attractions.items():
         for gain, target in pulls:
@@ -87,13 +90,16 @@ def _attraction_pulls(attractions: dict, blocks: dict) -> tuple:
             dst += range(a.start, a.stop)
             src += range(b.start, b.stop)
             gains += [gain] * (a.stop - a.start)
-    return np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp), np.array(gains, dtype=float)
+    return (np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp), np.array(gains, dtype=float),
+            np.full(len(dst), -1.0), np.full(len(dst), 1.0))
 
 
-def _attract(x: np.ndarray, dst: np.ndarray, src: np.ndarray, gains: np.ndarray) -> np.ndarray:
+def _attract(x: np.ndarray, dst: np.ndarray, src: np.ndarray, gains: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray) -> np.ndarray:
+    # sat1's saturation, with the bounds as arrays (numpy's faster path);
     # bincount adds its weights one after another from 0.0, so each
     # component's pulls add up in their listed order
-    return np.bincount(dst, gains * sat1(x[src] - x[dst]), minlength=len(x))
+    return np.bincount(dst, gains * np.minimum(np.maximum(x[src] - x[dst], lo), hi), minlength=len(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +133,9 @@ class SecondaryControlSpec:
 def pairwise_repulsion(points: np.ndarray, gain: float, softening: float) -> np.ndarray:
     """Repulsion inside a group of k agents with states as the rows of points:
     row i is gain * sum over j != i, in row order, of
-    (x_i - x_j) / (||x_i - x_j|| + softening)."""
+    (x_i - x_j) / (||x_i - x_j|| + softening).  gain and softening are
+    floats, or arrays of one value shaped as the (k, d) result and the
+    (k, k) distances."""
     diff = points[:, None, :] - points[None, :, :]
     scale = np.sqrt(np.vecdot(diff, diff)) + softening
     scale.ravel()[:: len(points) + 1] = 1.0  # the j == i term is then exactly 0 and adds nothing
@@ -322,21 +330,44 @@ def _coupling_fn(spec: CouplingSpec, team: Team):
 
 def _secondary_fn(spec: SecondaryControlSpec, team: Team):
     """f_u(x, t) of every agent in the stacked input layout (0 where an agent
-    gets none)."""
+    gets none).  The repulsion writes into one vector the run owns, which
+    each call overwrites: its caller uses it before the next step."""
     if spec.kind == "scripted":
         return _scattered(spec.scripted, team, team.input_blocks, team.input_dim)
     if spec.kind == "none" or not spec.group:
         return lambda x, t: np.zeros(team.input_dim)
+    out = np.zeros(team.input_dim)
+    k, dims = len(spec.group), {team.blocks[i].stop - team.blocks[i].start for i in spec.group}
+    states = _run_of(team.blocks, spec.group)
+    inputs = _run_of(team.input_blocks, spec.group)
+    if len(dims) == 1 and states is not None and inputs is not None:
+        # the group's states and inputs are each one adjacent run of equal blocks
+        d = dims.pop()
+        gain, softening = np.full((k, d), spec.gain), np.full((k, k), spec.softening)  # as arrays: a faster path
+
+        def repel(x, t):
+            out[inputs] = pairwise_repulsion(x[states].reshape(k, d), gain, softening).ravel()
+            return out
+
+        return repel
     # (group size, dim) index arrays of the group's states and inputs
     rows = np.array([np.arange(b.start, b.stop) for b in (team.blocks[i] for i in spec.group)])
     cols = np.array([np.arange(b.start, b.stop) for b in (team.input_blocks[i] for i in spec.group)])
 
-    def repel(x, t):
-        s = np.zeros(team.input_dim)
-        s[cols] = pairwise_repulsion(x[rows], spec.gain, spec.softening)
-        return s
+    def repel_gathered(x, t):
+        out[cols] = pairwise_repulsion(x[rows], spec.gain, spec.softening)
+        return out
 
-    return repel
+    return repel_gathered
+
+
+def _run_of(blocks: dict, ids) -> slice | None:
+    """The slice the blocks of ids cover when they follow each other in
+    that order with no gap, else None."""
+    first, last = blocks[ids[0]], blocks[ids[-1]]
+    if all(blocks[a].stop == blocks[b].start for a, b in zip(ids, ids[1:])):
+        return slice(first.start, last.stop)
+    return None
 
 
 _CHUNK_ROWS = 256  # noise steps drawn, funnel rows tabulated, or CSV rows written or lines read and hashed at a time
@@ -362,6 +393,7 @@ def run(scenario: Scenario) -> TrajectoryLog:
     if not team.known:
         unmodelled = None
     limits = team.coupling_bounds + 1e-9
+    dt = np.full(team.dim, sc.dt)  # an array operand takes numpy's faster path than a float
 
     cols = _Columns(team)
     table = np.empty((n_steps + 1, len(cols.header)))
@@ -398,8 +430,7 @@ def run(scenario: Scenario) -> TrajectoryLog:
         # constraint does not model
         dist = c + w + team.input_effect(f_u if unmodelled is None else f_u * unmodelled)
         dn = team.block_norms(dist, out=dist_norms[k])
-        x = x + sc.dt * (tc.drift + team.input_effect(u) + c + w)
-        xs[k + 1] = x
+        x = np.add(x, dt * (tc.drift + team.input_effect(u) + c + w), out=xs[k + 1])
         steps_done = k + 1
         within = (dn <= limits).tolist()  # a nan norm aborts too
         if False in within:  # on a few rows, cheaper than .all()
@@ -552,7 +583,7 @@ def _signal_columns(header: list) -> tuple:
     for j, name in enumerate(header):
         if name.startswith("x") and "_" in name:
             agent, _, comp = name[1:].partition("_")
-            if agent.isdigit() and comp.isdigit():
+            if agent.isdecimal() and comp.isdecimal():  # what int() reads; isdigit() also takes '²'
                 block = state_cols.setdefault(int(agent), {})
                 if int(comp) in block:
                     raise ValueError(f"signal CSV column {name!r} repeats agent {int(agent)} component {int(comp)}")

@@ -22,8 +22,9 @@ from stlcbf import (
     left_limit_value,
 )
 
-from stlcbf import barrier
-from oracles import central_fd, gamma_rate, naive_barrier_state, random_barrier
+from stlcbf import barrier, sim
+from stlcbf.controller import AgentModel, Clique, Team
+from oracles import central_fd, gamma_rate, naive_barrier_state, random_barrier, random_team
 
 
 # --- gamma curves ---------------------------------------------------------
@@ -366,33 +367,47 @@ def test_value_functions_equal_state_value_bitwise():
 
 
 def test_tabulated_funnel_rows_match_the_t_cache_bitwise():
-    """The rows a run tabulates over its time grid (one _gamma per activity
-    interval over many times) are, bit for bit, the rows the t-cache gives
-    at each time (one _gamma at one time), C-contiguous, and the kernel on
-    them gives barrier_state's state bit for bit.  The grids cross every
-    switch and start at and between switches."""
+    """The team-level rows a run tabulates over its time grid (Team.funnels
+    on a chunk of steps: one _gamma per stretch between two switches of any
+    clique) hold, bit for bit, each live clique's rows from the t-cache at
+    each time (one _gamma at one time), C-contiguous, and the kernel on them
+    gives each clique barrier_state's state bit for bit.  The teams are one
+    barrier alone and several cliques that switch and expire at different
+    times; the grids run in the run's chunks, cross chunk boundaries and
+    every switch, and start at and between switches."""
     rng = np.random.default_rng(53)
-    barriers = [
+    teams = [Team([Clique("solo", (1,), cb, 0.1, 1.0)], {1: AgentModel(1, cb.dim)}) for cb in (
         random_barrier(rng, n_aff=6, n_ball=0),
         random_barrier(rng, dim=4, n_aff=3, n_ball=2, eta=30.0),
         random_barrier(rng, dim=2, n_aff=1, n_ball=3),
-    ]
+    )]
+    teams.append(random_team(rng, [((2,), 4, 1), ((1, 2), 3, 0), ((2, 2), 2, 2)]))
     checked = 0
-    for cb in barriers:
-        assert len(cb.schedule) > 1
-        for start in (0.0, cb.schedule[0], float(rng.uniform(0.0, cb.schedule[0]))):
-            times = start + 0.01 * np.arange(int((cb.horizon - start) / 0.01))
-            times = times[times < cb.horizon]
-            rows = list(barrier._funnel_rows(cb, times))
+    for team in teams:
+        schedules = [cl.barrier.schedule for cl in team.cliques]
+        switches = sorted({s for schedule in schedules for s in schedule})
+        assert len(switches) > 1
+        for start in (0.0, switches[0], float(rng.uniform(0.0, switches[0]))):
+            times = start + (switches[-1] - start) / 560 * np.arange(560)  # two chunk boundaries
+            rows = [row for k in range(0, len(times), sim._CHUNK_ROWS)
+                    for row in team.funnels(times[k : k + sim._CHUNK_ROWS])]
             assert len(rows) == len(times)
-            for t, (iv, gam, rate) in zip(times.tolist(), rows):
-                x = rng.normal(scale=2.0, size=cb.dim)
-                want = barrier._args(cb, x, t, bisect.bisect_right(cb.schedule, t))
-                assert iv is want[1]
+            for t, ((st, live, *_), gam, rate) in zip(times.tolist(), rows):
                 assert gam.flags.c_contiguous and rate.flags.c_contiguous
-                assert gam.tobytes() == want[2].tobytes() and rate.tobytes() == want[3].tobytes()
-                got, ref = barrier._barrier_state(barrier._state(cb, x, iv, gam, rate), iv), barrier_state(cb, x, t)
-                for name in ("value", "grad_x", "dbdt", "weights", "active", "term_values"):
-                    assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(ref, name)).tobytes()
-                checked += 1
-    assert checked > 1000
+                x = rng.normal(scale=2.0, size=team.dim)
+                value, grad, dbdt, w, vals = barrier._state(st, x, gam, rate)
+                at = np.arange(team.dim)[st.states]
+                ends = [*st.seg.tolist()[1:], len(w)]
+                assert sorted(live.tolist()) == [c for c, s in enumerate(schedules) if t < s[-1]]
+                for p, c in enumerate(live.tolist()):
+                    cl, idx, _ = team._parts[c]
+                    cb = cl.barrier
+                    slots = slice(st.seg[p], ends[p])
+                    want = barrier._args(cb, x[idx], t, bisect.bisect_right(cb.schedule, t))
+                    assert gam[slots].tobytes() == want[2].tobytes() and rate[slots].tobytes() == want[3].tobytes()
+                    ref = barrier_state(cb, x[idx], t)
+                    for got, name in ((value[p], "value"), (grad[np.searchsorted(at, idx)], "grad_x"),
+                                      (dbdt[p], "dbdt"), (w[slots], "weights"), (vals[slots], "term_values")):
+                        assert np.asarray(got).tobytes() == np.asarray(getattr(ref, name)).tobytes(), (t, c, name)
+                    checked += 1
+    assert checked > 3000

@@ -23,7 +23,8 @@ from stlcbf import (
     team_control,
 )
 
-from oracles import _constraint_from_state, _share_from_state
+from stlcbf import barrier
+from oracles import _constraint_from_state, _share_from_state, random_team
 
 
 def two_agent_clique(kappa=2.0, C=0.5, eta=10.0):
@@ -338,3 +339,54 @@ def test_aggregated_condition_holds_under_worst_coupling():
             worst_c = -0.5 * g_i / gn if gn > 0 else np.zeros(2)
             total += float(g_i @ (u + worst_c))
         assert total >= -1e-9
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+# (member state dims, affine terms, ball terms) per clique
+TEAM_SHAPES = {
+    # clique dims 2, 5, 18 and 2; product and gradient row counts from 2 to
+    # 20; balls in three cliques; blocks interleaved across the cliques
+    "mixed": [((2,), 2, 1), ((2, 3), 3, 2), ((9, 9), 16, 1), ((1, 1), 1, 0)],
+    # the shape of demos/05_scaling.py: many cliques of three planar agents
+    "homogeneous": [((2, 2, 2), 16, 0)] * 7,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TEAM_SHAPES))
+def test_team_pass_gives_each_clique_the_bits_of_barrier_state(shape):
+    """The team step's one kernel call over the stack of live cliques gives
+    every clique the value, gradient block, rate, softmin weights and term
+    values that barrier_state gives on that clique alone, bit for bit, and
+    Team.half_spaces puts the value and the gradient block into the team's
+    arrays.  The times cross every switch of every clique, and the cliques
+    expire at different times; an expired clique gets value nan and a zero
+    gradient block."""
+    rng = np.random.default_rng(29)
+    team = random_team(rng, TEAM_SHAPES[shape])
+    switches = sorted({s for cl in team.cliques for s in cl.barrier.schedule})
+    times = np.concatenate((np.linspace(0.0, switches[-1], 61), switches, np.array(switches) - 1e-3))
+    times = np.unique(times[(times >= 0.0) & (times < switches[-1])])
+    checked = expired = 0
+    for t, entry in zip(times.tolist(), team.funnels(times)):
+        x = rng.normal(scale=2.0, size=team.dim)
+        (st, live, *_), gam, rate = entry
+        value, grad, dbdt, w, vals = barrier._state(st, x, gam, rate)
+        at = np.arange(team.dim)[st.states]  # the index in x of each gradient entry
+        ends = [*st.seg.tolist()[1:], len(w)]
+        grad_x, values = team.half_spaces(x, t, team.drift(x, t), np.zeros(team.input_dim), entry)[:2]
+        for p, c in enumerate(live.tolist()):
+            cl, idx, _ = team._parts[c]
+            ref = barrier_state(cl.barrier, x[idx], t)
+            slots = slice(st.seg[p], ends[p])
+            assert _bits(value[p]) == _bits(ref.value) == _bits(values[c]), (t, c)
+            assert _bits(dbdt[p]) == _bits(ref.dbdt), (t, c)
+            assert _bits(w[slots]) == _bits(ref.weights) and _bits(vals[slots]) == _bits(ref.term_values), (t, c)
+            assert _bits(grad[np.searchsorted(at, idx)]) == _bits(ref.grad_x) == _bits(grad_x[idx]), (t, c)
+            checked += 1
+        for c in sorted(set(range(len(team.cliques))) - set(live.tolist())):
+            assert math.isnan(values[c]) and not grad_x[team._parts[c][1]].any()
+            expired += 1
+    assert checked > 200 and expired > 0

@@ -445,6 +445,17 @@ def test_read_signal_csv_validation(tmp_path):
         assert "\n" not in str(err.value)
 
 
+def test_signal_csv_skips_a_column_int_cannot_read(tmp_path):
+    """str.isdigit() accepts a superscript two, which int() refuses: a
+    column x\u00b2_0 is not a state column, so the CSV reads as agent 1's
+    two components instead of failing on int('\u00b2')."""
+    p = tmp_path / "sup.csv"
+    p.write_text("t,x1_0,x1_1,x\u00b2_0\n0.0,1.0,2.0,9.0\n0.5,3.0,4.0,9.0\n", encoding="utf-8")
+    layout, sig = read_signal_csv(p)
+    assert layout.ids == (1,) and layout.dims == (2,)
+    assert sig.states.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 # (CSV text, what the reader's one-line error says)
 BAD_SIGNAL_CSVS = [
     ("", "empty file"),
@@ -503,7 +514,7 @@ def test_adversarial_noise_pushes_against_gradient():
 
 # --- the stacked team step against the per-agent oracle --------------------
 
-def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False, plain=False):
+def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False, plain=False, group=(1, 2, 3)):
     """Five agents in two cliques, sized so that every QP is active at times.
 
     "team" = agents 1-3 (dim 2; agent 2 has an affine drift, agent 3 a
@@ -519,7 +530,8 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False, 
     rises past it, so its constraint direction vanishes with rhs > 0
     mid-run.  eta is the softmin sharpness of both task barriers.
     plain=True gives the team the demo's shape: agent 5 has dim 2 as well,
-    and every agent an identity input map and no drift.
+    and every agent an identity input map and no drift.  group is the
+    repulsion's group.
     """
     dims = {1: 2, 2: 2, 3: 2, 4: 2, 5: 2 if plain else 3}
     team_ids, side_ids = ((1, 3), (2, 4, 5)) if interleaved else ((1, 2, 3), (4, 5))
@@ -574,7 +586,6 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False, 
         cliques.append(Clique("stuck", (6,), cb, 0.0, 3.0))
         agents[6] = AgentModel(6, 2)
         x0[6] = [0.0, 0.0]
-    group = (1, 2, 3)
     sec = {
         "none": SecondaryControlSpec(),
         "repulsion": SecondaryControlSpec("pairwise_repulsion", group, 0.1, 0.05),
@@ -617,7 +628,7 @@ def _assert_matches_naive_run(log, ref):
             _assert_bitwise(got[key], want[key], f"{name}[{key}]")
 
 
-# (noise, coupling, secondary, stuck, softmin eta[, interleaved cliques[, plain]])
+# (noise, coupling, secondary, stuck, softmin eta[, interleaved cliques[, plain[, repulsion group]]])
 ORACLE_CASES = {
     "ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0),
     "adversarial-attraction-known": ("adversarial", "attraction", "known", False, 3.0),
@@ -627,6 +638,8 @@ ORACLE_CASES = {
     "disturbance-abort": ("uniform_ball", "abort", "repulsion", False, 3.0),
     "qp-infeasible-abort": ("none", "none", "none", True, 3.0),
     "interleaved-ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0, True),
+    # a repulsion group whose blocks are not one run of the team vector
+    "gathered-ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0, True, False, (1, 3)),
     # a sharper softmin shrinks some members' gradient blocks to rounding
     # size, and their demand with them: the runs must still complete
     "sharp-ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 10.0),
