@@ -58,7 +58,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -162,13 +162,13 @@ class CompositeBarrier:
     eta: float
     bound_radius: float
     dim: int
-    smooth_eps: float = 1e-9
     schedule: tuple = field(init=False)
+    smooth_eps: ClassVar[float] = 1e-9  # the bound term is D - sqrt(||x||^2 + eps^2) + eps
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("composite barrier needs at least one term")
-        for name in ("eta", "bound_radius", "smooth_eps"):
+        for name in ("eta", "bound_radius"):
             if not is_finite_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.eta <= 0.0:
@@ -219,6 +219,17 @@ class CompositeBarrier:
         return self._deadlines > t
 
 
+_EPS = CompositeBarrier.smooth_eps
+_EPS2 = _EPS**2
+# The kernel scales each slot's distance below the softmin by eta, and a
+# funnel value or the bound radius enters that distance at most twice: a
+# document's values up to _SCALE_LIMIT / max(eta, 1) in magnitude keep it
+# below 2e307, with room for the predicates' values.  Construction places a
+# funnel at most e^700 (about 1.01e304) below its gamma_inf, so every
+# document it writes at an eta up to 980 loads.
+_SCALE_LIMIT = 1e307
+
+
 @dataclass(slots=True)
 class BarrierState:
     """One-pass evaluation: value, gradients and softmin weights at (x, t)."""
@@ -263,8 +274,6 @@ class _Stack(NamedTuple):
     eta_slots: np.ndarray  # per slot: its barrier's eta
     eta: object  # per barrier (K = 1), and so on
     radius: object
-    eps: object
-    eps2: object
     grad: np.ndarray  # gradient coefficients: per state entry, one per product row of its barrier
     grad_idx: np.ndarray  # per gradient coefficient: its weight in the weights by slot, or with balls by product row
     grad_start: np.ndarray  # first gradient coefficient of each state entry
@@ -362,8 +371,6 @@ def _stack(parts) -> _Stack:
         eta_slots=np.repeat([cb.eta for cb in cbs], n_slots),
         eta=per_barrier([cb.eta for cb in cbs]),
         radius=per_barrier([cb.bound_radius for cb in cbs]),
-        eps=per_barrier([cb.smooth_eps for cb in cbs]),
-        eps2=per_barrier([cb.smooth_eps**2 for cb in cbs]),
         grad=np.concatenate([lays[b][3][:, j] for _, b, j in entries]),
         grad_idx=np.concatenate([weight_of[b] for _, b, _ in entries]),
         grad_start=np.cumsum([0] + sizes[:-1]),
@@ -398,7 +405,7 @@ def _state(st: _Stack, x: np.ndarray, gam: np.ndarray, rate: np.ndarray, floor: 
     gradient, rate and weights None: the value-only entries pass floor =
     inf, and an Armijo trial of the ascent its acceptance threshold.
     """
-    (products, off, balls, perm, seg, owner, pick, eta_slots, eta, radius, eps, eps2, grad_coef, grad_idx, grad_start,
+    (products, off, balls, perm, seg, owner, pick, eta_slots, eta, radius, grad_coef, grad_idx, grad_start,
      bound, state_owner, states, _, _, _) = st
     if len(products) == 1:
         mat, index, _, _, _ = products[0]
@@ -411,9 +418,9 @@ def _state(st: _Stack, x: np.ndarray, gam: np.ndarray, rate: np.ndarray, floor: 
             X = x[index]
             np.vecdot(mat, X, out=y[rows].reshape(shape))
             np.vecdot(X, X, out=sq[barriers])
-    nx = np.sqrt(sq + eps2)
+    nx = np.sqrt(sq + _EPS2)
     vals = y[perm]
-    vals[bound] = radius - nx + eps
+    vals[bound] = radius - nx + _EPS
     if balls is not None:
         yb = y[balls[0]]
         yb += off[balls[0]]
@@ -509,7 +516,7 @@ def left_limit_value(cb: CompositeBarrier, x: np.ndarray, s: float) -> float:
     return _state(st, x, gam, rate, math.inf)[0].item()
 
 
-def build_barrier(units, params, eta: float, bound_radius: float, smooth_eps: float = 1e-9) -> CompositeBarrier:
+def build_barrier(units, params, eta: float, bound_radius: float) -> CompositeBarrier:
     """Assemble the composite barrier from units and their funnel curves."""
     units = tuple(units)
     params = tuple(params)
@@ -521,10 +528,7 @@ def build_barrier(units, params, eta: float, bound_radius: float, smooth_eps: fl
     if len(dims) != 1:
         raise ValueError(f"units disagree on the state dimension: {sorted(dims)}")
     terms = tuple(BarrierTerm(unit=u, gamma=g) for u, g in zip(units, params))
-    return CompositeBarrier(
-        terms=terms, eta=float(eta), bound_radius=float(bound_radius),
-        dim=dims.pop(), smooth_eps=float(smooth_eps),
-    )
+    return CompositeBarrier(terms=terms, eta=float(eta), bound_radius=float(bound_radius), dim=dims.pop())
 
 
 def barrier_to_dict(cb: CompositeBarrier) -> dict:
@@ -532,7 +536,6 @@ def barrier_to_dict(cb: CompositeBarrier) -> dict:
         "eta": cb.eta,
         "bound_radius": cb.bound_radius,
         "dim": cb.dim,
-        "smooth_eps": cb.smooth_eps,
         "terms": [
             {
                 "unit": {
@@ -550,9 +553,12 @@ def barrier_to_dict(cb: CompositeBarrier) -> dict:
 
 def barrier_from_dict(doc: dict) -> CompositeBarrier:
     """Rebuild a barrier from barrier_to_dict's output.  The barrier's own
-    numbers (eta, bound radius, smoothing, unit windows, funnel curves,
-    predicate coefficients) are checked finite here: a NaN eta or bound
-    radius would otherwise build a barrier whose every value is NaN."""
+    numbers (eta, bound radius, unit windows, funnel curves, predicate
+    coefficients) are checked finite here: a NaN eta or bound radius would
+    otherwise build a barrier whose every value is NaN.  The funnel values
+    and the bound radius are also bounded by _SCALE_LIMIT / max(eta, 1).
+    Keys it does not read, such as the smooth_eps of older documents, are
+    ignored."""
     terms = doc_object(doc, "barrier").get("terms")
     if not (isinstance(terms, list) and terms):
         raise ValueError("barrier document: terms must be a non-empty list")
@@ -576,7 +582,12 @@ def barrier_from_dict(doc: dict) -> CompositeBarrier:
             params.append(GammaParams(*values))
         except ValueError as err:
             raise ValueError(f"barrier document: term {i} gamma: {err}") from None
-    return build_barrier(
-        units, params, eta=finite_number(doc, "eta", ""), bound_radius=finite_number(doc, "bound_radius", ""),
-        smooth_eps=finite_number(doc, "smooth_eps", "", 1e-9),
-    )
+    cb = build_barrier(
+        units, params, eta=finite_number(doc, "eta", ""), bound_radius=finite_number(doc, "bound_radius", ""))
+    scaled = [("bound_radius", cb.bound_radius)] + [(f"term {i} gamma {key}", getattr(tm.gamma, key))
+                                                    for i, tm in enumerate(cb.terms) for key in ("gamma0", "gamma_inf")]
+    for name, value in scaled:
+        if max(cb.eta, 1.0) * abs(value) > _SCALE_LIMIT:
+            raise ValueError(f"barrier document: {name} must be at most {_SCALE_LIMIT:g} / max(eta, 1) in magnitude, "
+                             f"got {value!r} at eta {cb.eta!r}")
+    return cb

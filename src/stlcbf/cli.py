@@ -13,8 +13,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .config import (
     LOG_DOC_FORMAT,
     LOG_DOC_VERSION,
@@ -103,13 +101,10 @@ def _simulate(cfg, doc, outdir, *, seed=None, dt=None) -> int:
         print(f"wrote {csv_path} and {outdir / 'log.json'}")
         return EXIT_FAIL
 
-    by_name = {cl.name: cl for cl in scenario.cliques}
-    for name in sorted(by_name):
-        cl = by_name[name]
-        vals = log.barriers[name]
-        min_b = float(np.nanmin(vals))
-        rho = log.clique_robustness(formulas[name], cl)
-        print(f"clique {name}: min_b={min_b:.6g} rho={rho:.6g} (r_star={r_stars[name]:.6g})")
+    report = verify(log, formulas, scenario.cliques, r_stars)["cliques"]
+    for name, entry in sorted(report.items()):
+        print(f"clique {name}: min_b={entry['min_barrier']:.6g} rho={entry['rho']:.6g} "
+              f"(r_star={entry['r_star']:.6g})")
     print(f"simulation took {elapsed:.2f} s; wrote {csv_path} and {outdir / 'log.json'}")
     return EXIT_PASS
 

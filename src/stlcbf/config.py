@@ -17,11 +17,12 @@ A scenario config is a single JSON object:
       "noise": {"bound": w, "distribution": "uniform_ball" | "adversarial" | "none",
                 "seed": s},
       "sim": {"dt": dt},
-      "search": {"delta": d, "eta_grid": [..], "r_max": r, "kappa_cap": k}
+      "search": {"delta": d, "eta_grid": [..], "r_max": r}
     }
 
-The search section sets only these four SearchConfig fields; any other key is
-refused, as the rest of the search policy is fixed in param_search.
+The search section sets only these three SearchConfig fields; any other key is
+refused, as the rest of the search policy (the controller's gain kappa
+included) is fixed in param_search.
 
 Barrier documents produced by construction embed a hash of the producing
 config so mismatched construct/simulate pipelines fail loudly.

@@ -76,7 +76,6 @@ DEMO_CONFIG = {
         "delta": 0.005,
         "eta_grid": [20, 40],
         "r_max": 0.3,
-        "kappa_cap": 30,
     },
 }
 

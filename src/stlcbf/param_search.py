@@ -23,11 +23,6 @@ have reached r by s, with their funnels flat.  For fixed r and eta the funnel
 curves are then placed in closed form so that x0 and every x_s clear delta
 (gamma_inf below the relaxation's value, gamma0 deep enough where a unit has
 not yet reached r), and one feasibility check certifies or refutes them.
-
-Also computes the linear class-K gain kappa used by the controller: the
-conservative closed form kappa = 1.1 * Delta_max * exp(eta*(b_max - delta))
-/ delta, clamped, with a configurable ceiling (the closed form is sound but
-can be astronomically loose for large eta * b_max).
 """
 
 from __future__ import annotations
@@ -58,15 +53,13 @@ __all__ = [
     "SearchConfig",
     "feasibility_check",
     "maximize_r",
-    "compute_kappa",
 ]
 
 # The search policy: fixed tuning values, not settable per config.
 _R_TOLERANCE = 1e-3  # bisection stops once the bracket on r is this narrow
 _MAX_ASCENT_ITERS = 600
 _ASCENT_TOL = 1e-6  # projected gradient norm that counts as stationary
-_KAPPA_MIN = 1.0
-_KAPPA_CLAMP = 1e6
+_KAPPA = 30.0  # the controller's linear class-K gain, shipped on every result; nothing certifies it yet
 _RELAX_RADIUS = 8.0  # the relaxation's ball radius, in default bound radii
 _CLEARANCE = 0.1  # margin above delta + softmin gap kept by terms not yet at r
 _GAMMA_INF_OFFSET = 0.1  # gamma_inf sits at most this far above r
@@ -78,19 +71,17 @@ class SearchConfig:
     delta: float = 0.005
     eta_grid: tuple = (20.0, 40.0)
     r_max: float = math.inf
-    kappa_cap: float = math.inf
 
     def __post_init__(self):
-        def need(ok, names, what):
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValueError(f"{name} must be {what}")
+        def need(ok, name, what):
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} must be {what}")
 
         # every test below is False for NaN, so a NaN field is refused
-        need(_positive, ("delta",), "a finite positive number")
-        need(lambda v: v == math.inf or _positive(v), ("r_max", "kappa_cap"), "a positive number")
+        need(_positive, "delta", "a finite positive number")
+        need(lambda v: v == math.inf or _positive(v), "r_max", "a positive number")
         need(lambda v: isinstance(v, (tuple, list)) and len(v) > 0 and all(map(_positive, v)),
-             ("eta_grid",), "a non-empty list of finite positive numbers")
+             "eta_grid", "a non-empty list of finite positive numbers")
 
 
 def _positive(v) -> bool:
@@ -431,35 +422,6 @@ def _report_diag(diag: dict, report: FeasibilityReport, **head) -> None:
         diag["bound_weights"] = dict(report.bound_weights)
 
 
-def compute_kappa(cb: CompositeBarrier, delta: float) -> float:
-    """Linear class-K gain: 1.1 * Delta_max * exp(eta*(b_max - delta)) / delta.
-
-    Delta_max is the largest funnel slewing rate, b_max bounds the term values
-    over the operating ball.  Computed in log space and clamped: the closed
-    form explodes for large eta * b_max while any gain enforcing the barrier
-    condition suffices in practice.
-    """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    delta_max = 0.0
-    b_max = -math.inf
-    for tm in cb.terms:
-        g = tm.gamma
-        delta_max = max(delta_max, g.decay * (g.gamma_inf - g.gamma0))
-        pred = tm.unit.predicate
-        if isinstance(pred, AffinePredicate):
-            sup_h = float(np.linalg.norm(pred.c)) * cb.bound_radius + pred.d
-        else:
-            sup_h = float(pred.e)
-        b_max = max(b_max, sup_h - g.gamma0)
-    if delta_max <= 0.0:
-        return _KAPPA_MIN
-    log_kappa = math.log(1.1 * delta_max / delta) + cb.eta * (max(b_max, delta) - delta)
-    if log_kappa >= math.log(_KAPPA_CLAMP):
-        return _KAPPA_CLAMP
-    return max(math.exp(log_kappa), _KAPPA_MIN)
-
-
 def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
     """One loop of probes on the bracket [r_lo, hi]: r_hi, then halvings (at
     most 60, none below _R_TOLERANCE / 8) until a probe is feasible, then
@@ -475,7 +437,7 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
     diag = {"delta": cfg.delta, "r_bracket_high": r_hi, "warnings": []}
     if r_hi <= 0.0:
         diag["warnings"].append("upper bracket for r is non-positive; task unsatisfiable from x0")
-        return SearchResult(0.0, None, {}, _KAPPA_MIN, False, diag)
+        return SearchResult(0.0, None, {}, _KAPPA, False, diag)
 
     relax = {}  # eta -> the relaxation's witnesses, shared by every probe
     winner = best_fail = r_lo = None
@@ -503,15 +465,8 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
             worst, report, eta = best_fail
             _report_diag(diag, report, best_margin=worst, eta=eta)
         diag["warnings"].append("no feasible r found")
-        return SearchResult(0.0, None, {}, _KAPPA_MIN, False, diag)
+        return SearchResult(0.0, None, {}, _KAPPA, False, diag)
 
     report = winner["report"]
-    kappa_raw = compute_kappa(report.barrier, cfg.delta)
-    kappa = min(kappa_raw, cfg.kappa_cap)
     _report_diag(diag, report, eta=winner["eta"], bound_radius=winner["bound_radius"])
-    diag["kappa_raw"] = kappa_raw
-    if kappa_raw >= _KAPPA_CLAMP:
-        diag["warnings"].append(f"kappa clamped at {_KAPPA_CLAMP:g}; closed-form gain overflowed")
-    if kappa < kappa_raw:
-        diag["warnings"].append(f"kappa capped at {cfg.kappa_cap:g} (closed form gave {kappa_raw:g})")
-    return SearchResult(float(r_lo), report.barrier, dict(report.witnesses), float(kappa), True, diag)
+    return SearchResult(float(r_lo), report.barrier, dict(report.witnesses), _KAPPA, True, diag)

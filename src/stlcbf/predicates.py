@@ -199,9 +199,9 @@ def doc_object(v, what: str) -> dict:
     return v
 
 
-def finite_number(d: dict, key: str, where: str, default: float | None = None) -> float:
+def finite_number(d: dict, key: str, where: str) -> float:
     """A finite JSON number from a barrier document, or a one-line ValueError."""
-    v = d.get(key, default)
+    v = d.get(key)
     if not is_finite_number(v):
         raise ValueError(f"barrier document: {where}{key} must be a finite number, got {v!r}")
     return float(v)

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import json
 import math
 import re
@@ -134,11 +135,11 @@ def test_term_and_build_validation():
 
 
 def test_barrier_refuses_non_finite_constants():
-    """A NaN or infinite eta, bound radius or smoothing is a one-line error
-    where the barrier is built: the sign tests alone pass a NaN."""
+    """A NaN or infinite eta or bound radius is a one-line error where the
+    barrier is built: the sign tests alone pass a NaN."""
     terms = (BarrierTerm(OperatorUnit("always", AffinePredicate(np.array([1.0]), 0.0), 1.0, 3.0),
                          GammaParams(0.0, 1.0, 0.1, 1.0)),)
-    good = {"eta": 5.0, "bound_radius": 1.0, "smooth_eps": 1e-9}
+    good = {"eta": 5.0, "bound_radius": 1.0}
     for key in good:
         for bad in (math.nan, math.inf, -math.inf):
             msg = f"{key} must be a finite number, got {bad!r}"
@@ -254,6 +255,30 @@ def test_barrier_document_ignores_until_lhs_key():
         for tm in old["terms"]:
             tm["unit"]["until_lhs"] = flag
         assert barrier_to_dict(barrier_from_dict(old)) == doc
+
+
+def test_barrier_document_ignores_smooth_eps_key():
+    """The bound term's smoothing is a class constant: documents no longer
+    carry it, and an older document's "smooth_eps" key loads and is ignored."""
+    cb = random_barrier(np.random.default_rng(23))
+    assert cb.smooth_eps == CompositeBarrier.smooth_eps == 1e-9
+    assert "smooth_eps" not in {f.name for f in dataclasses.fields(CompositeBarrier)}
+    doc = barrier_to_dict(cb)
+    assert "smooth_eps" not in doc
+    for value in (1e-9, 0.5, "x"):
+        assert barrier_to_dict(barrier_from_dict({**doc, "smooth_eps": value})) == doc
+
+
+def test_barrier_document_loads_the_deepest_placed_funnel():
+    """Loading bounds funnel values by 1e307 / max(eta, 1) in magnitude (see
+    test_cli_refuses_non_finite_barrier_document), and a funnel as deep as
+    construction places one, e^700 below its gamma_inf, still loads at an
+    eta of the default grid and evaluates finite."""
+    unit = OperatorUnit("eventually", AffinePredicate(np.array([1.0]), 0.0), 1.0, 2.0)
+    deep = GammaParams.from_target(0.1 - math.exp(700.0), 0.1, 0.05, unit.t_star)
+    doc = json.loads(json.dumps(barrier_to_dict(build_barrier([unit], [deep], eta=40.0, bound_radius=3.0))))
+    cb = barrier_from_dict(doc)
+    assert cb.terms[0].gamma == deep and math.isfinite(barrier_value(cb, np.array([0.5]), 0.5))
 
 
 def test_weights_sum_to_one():

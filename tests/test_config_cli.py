@@ -57,6 +57,9 @@ BAD_CONFIGS = [
     (lambda c: c["search"].update(eta_grid=5), "bad search section: eta_grid must be a list of numbers"),
     (lambda c: c["search"].update(f0_range=3),
      "bad search section: SearchConfig.__init__() got an unexpected keyword argument 'f0_range'"),
+    # kappa is fixed in param_search: an older config's cap is refused like any unknown key
+    (lambda c: c["search"].update(kappa_cap=30),
+     "bad search section: SearchConfig.__init__() got an unexpected keyword argument 'kappa_cap'"),
     (lambda c: c["agents"].update(a={"dim": 1}), "agent key 'a' must be an integer id"),
     (lambda c: c.update(sim=3), "config section 'sim' must be a JSON object"),
     (lambda c: c.update(coupling={"kind": "saturating_attraction", "attractions": [1]}),
@@ -469,7 +472,6 @@ def test_cli_refuses_non_finite_barrier_document(tmp_path, capsys):
         (lambda b: b.update(eta=NAN), "barrier document: eta must be a finite number, got nan"),
         (lambda b: b.update(eta="20"), "barrier document: eta must be a finite number, got '20'"),
         (lambda b: b.update(bound_radius=NAN), "barrier document: bound_radius must be a finite number"),
-        (lambda b: b.update(smooth_eps=float("inf")), "barrier document: smooth_eps must be a finite number"),
         (lambda b: b["terms"][0]["gamma"].update(decay=NAN),
          "barrier document: term 0 gamma decay must be a finite number, got nan"),
         (lambda b: b["terms"][0]["gamma"].update(gamma0=[1.0]),
@@ -505,6 +507,15 @@ def test_cli_refuses_non_finite_barrier_document(tmp_path, capsys):
          "barrier document: term 0 predicate d must be at most 1e+50 in magnitude"),
         (lambda b: b["terms"][0]["unit"].update(predicate={"kind": "quad_ball", "A": [[1.0]], "b": [-1e51], "e": 1.0}),
          "barrier document: term 0 predicate b must be at most 1e+50 in magnitude"),
+        # finite funnel values and bound radii whose products with eta overflow in the kernel's weights
+        (lambda b: b["terms"][0]["gamma"].update(gamma0=-1e307, decay=0.0),
+         "barrier document: term 0 gamma gamma0 must be at most 1e+307 / max(eta, 1) in magnitude, got -1e+307 at eta 20.0"),
+        (lambda b: b.update(bound_radius=1e308),
+         "barrier document: bound_radius must be at most 1e+307 / max(eta, 1) in magnitude, got 1e+308 at eta 20.0"),
+        (lambda b: b["terms"][0]["gamma"].update(gamma_inf=5.1e305, decay=0.0),
+         "barrier document: term 0 gamma gamma_inf must be at most 1e+307 / max(eta, 1) in magnitude"),
+        (lambda b: b.update(eta=0.5, bound_radius=1.1e307),
+         "barrier document: bound_radius must be at most 1e+307 / max(eta, 1) in magnitude, got 1.1e+307 at eta 0.5"),
     ]
     clique_edits = [
         (lambda c: c.update(kappa=NAN), "barrier document: clique 'solo' kappa must be a finite number, got nan"),

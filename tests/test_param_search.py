@@ -21,14 +21,13 @@ from stlcbf import (
     barrier_from_dict,
     barrier_value,
     build_barrier,
-    compute_kappa,
     feasibility_check,
     left_limit_value,
     maximize_r,
     normalize,
     parse,
 )
-from stlcbf.param_search import _ascend, _check_eq7, _feasible_at, _default_bound_radius, _h_opt_capped, _softmin
+from stlcbf.param_search import _KAPPA, _ascend, _check_eq7, _feasible_at, _default_bound_radius, _h_opt_capped, _softmin
 
 from oracles import naive_ascend, naive_barrier_state, random_barrier
 
@@ -70,12 +69,12 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(eta_grid=())
     # NaN fails every check, and each message names its field
-    for field in ("delta", "r_max", "kappa_cap"):
+    for field in ("delta", "r_max"):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SearchConfig(**{field: math.nan})
     with pytest.raises(ValueError, match="^eta_grid must be"):
         SearchConfig(eta_grid=(20.0, math.nan))
-    assert SearchConfig(r_max=math.inf, kappa_cap=math.inf).r_max == math.inf
+    assert SearchConfig(r_max=math.inf).r_max == math.inf
 
 
 def test_analytic_one_dimensional_case():
@@ -188,31 +187,16 @@ def test_witness_ascent_converges():
         assert m >= res.diagnostics["delta"]
 
 
-def test_compute_kappa_floor_and_example():
-    pred = AffinePredicate(np.array([1.0]), 0.0)
-    u = OperatorUnit("always", pred, 0.0, 5.0)
-    # flat curves slew nothing: kappa_min
-    cb = build_barrier([u], [GammaParams(0.0, 1.0, 0.0, 0.0)], eta=5.0, bound_radius=2.0)
-    assert compute_kappa(cb, 0.1) == 1.0
-    # hand-computed: Delta_max = 1, b_max = sup_h - gamma0 = 2, eta = 5, delta = 0.1
-    cb2 = build_barrier([u], [GammaParams(0.0, 1.0, 1.0, 0.0)], eta=5.0, bound_radius=2.0)
-    want = 1.1 * (1.0 / 0.1) * math.exp(5.0 * (2.0 - 0.1))
-    assert abs(compute_kappa(cb2, 0.1) - want) < 1e-6 * want
-
-
-def test_compute_kappa_clamps():
-    pred = AffinePredicate(np.array([1.0]), 0.0)
-    u = OperatorUnit("always", pred, 0.0, 5.0)
-    cb = build_barrier([u], [GammaParams(0.0, 1.0, 1.0, 0.0)], eta=200.0, bound_radius=50.0)
-    assert compute_kappa(cb, 0.005) == 1e6
-    with pytest.raises(ValueError):
-        compute_kappa(cb, 0.0)
-
-
-def test_kappa_cap_config():
-    res = maximize_r([unit_h_x()], np.array([1.0]), SearchConfig(eta_grid=(40.0,), kappa_cap=12.0))
-    assert res.feasible
-    assert res.kappa <= 12.0
+def test_every_result_ships_the_fixed_kappa():
+    """kappa is the fixed _KAPPA on a feasible result and on both infeasible
+    exits: no feasible r found, and an unsatisfiable task refused before any
+    probe (random task 8, its untils spelled G[a,b] & F[b,b] or not)."""
+    res = maximize_r([unit_h_x()], np.array([1.0]), SearchConfig(eta_grid=(40.0,)))
+    assert res.feasible and res.kappa == _KAPPA == 30.0
+    assert not any("kappa" in w for w in res.diagnostics["warnings"]) and "kappa_raw" not in res.diagnostics
+    for spell_until in (True, False):
+        res = maximize_r(*random_task(8, spell_until=spell_until), SearchConfig())
+        assert not res.feasible and res.kappa == _KAPPA, spell_until
 
 
 def _bits(v):
