@@ -3,13 +3,14 @@ Offline search for the barrier parameters
 =========================================
 
 Maximize the robustness target r for which a feasible barrier exists,
-then look at the feasibility margins the search certifies.
+then look at the feasibility margins the search certifies.  The search has
+one setting, the cap r_max on r; its margin delta and eta grid are fixed.
 """
 
 import numpy as np
 
 from stlcbf import (
-    StateLayout, parse, normalize, SearchConfig, maximize_r,
+    StateLayout, parse, normalize, maximize_r,
     feasibility_check, barrier_value, left_limit_value,
 )
 
@@ -19,8 +20,7 @@ task = "G[0,6](dot([0,1], x1) >= 0) & F[2,6](norm_inf(x1 - [3,2]) <= 1)"
 units = normalize(parse(task, layout))
 x0 = np.array([0.0, 1.0])
 
-cfg = SearchConfig(delta=0.01, eta_grid=(20.0, 40.0), r_max=1.0)
-result = maximize_r(units, x0, cfg)
+result = maximize_r(units, x0, r_max=1.0)
 print("task:", task)
 print(f"feasible: {result.feasible}, r_star = {result.r_star:.4f}, "
       f"kappa = {result.kappa:.4g}")
@@ -32,23 +32,23 @@ for key in ("eta", "bound_radius", "initial_margin", "switch_margins", "ascent_e
 # from the left) at every activity switch
 cb = result.barrier
 print(f"barrier at (x0, 0): {barrier_value(cb, x0, 0.0):.4f} "
-      f"(needs >= delta = {cfg.delta})")
+      f"(needs >= delta = {result.diagnostics['delta']})")
 for s, w in result.witnesses.items():
     print(f"  witness at switch {s:g}: left limit {left_limit_value(cb, w, s):.4f}")
 
 # re-check the winning funnels on their own; the class-K gain kappa the
 # controller uses is a fixed constant of the search, not derived from them
 report = feasibility_check(units, x0, result.r_star, cb.eta, cb.bound_radius,
-                           [tm.gamma for tm in cb.terms], cfg.delta)
+                           [tm.gamma for tm in cb.terms])
 print(f"independent feasibility check: feasible = {report.feasible}, "
       f"initial margin {report.initial_margin:.4f}")
 print(f"kappa shipped with the barrier: {result.kappa:.4g}")
 
 # starting almost on the y = 0 boundary shrinks the achievable target
-tight = maximize_r(units, np.array([0.0, 0.05]), cfg)
+tight = maximize_r(units, np.array([0.0, 0.05]), r_max=1.0)
 print(f"tight start: feasible = {tight.feasible}, r_star = {tight.r_star:.4f}")
 
 # and starting outside the constraint set is reported as infeasible
-bad = maximize_r(units, np.array([0.0, -0.5]), cfg)
+bad = maximize_r(units, np.array([0.0, -0.5]), r_max=1.0)
 print(f"bad start: feasible = {bad.feasible}, "
       f"warnings = {bad.diagnostics['warnings']}")

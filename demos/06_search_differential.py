@@ -2,9 +2,9 @@
 The barrier search on 24 seeded random tasks
 ============================================
 
-Runs maximize_r with the default SearchConfig on the k-th random task of
-the benchmark's formula generator (perfbench/workloads.formula_text with
-rng [7, k], k = 0..23, span 10; one clique of four planar agents, x0 drawn
+Runs maximize_r, with no cap on r, on the k-th random task of the
+benchmark's formula generator (perfbench/workloads.formula_text with rng
+[7, k], k = 0..23, span 10; one clique of four planar agents, x0 drawn
 uniformly from [0, 10]^8 right after the text) and prints, per task,
 whether a feasible r was found, r_star, the chosen eta and the seconds the
 search took.  Comparing two versions' output shows what a search change
@@ -20,7 +20,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import formula_text  # noqa: E402
 
-from stlcbf import SearchConfig, StateLayout, maximize_r, normalize, parse  # noqa: E402
+from stlcbf import StateLayout, maximize_r, normalize, parse  # noqa: E402
 
 LAYOUT = StateLayout(ids=(1, 2, 3, 4), dims=(2, 2, 2, 2))
 TASKS = range(24)
@@ -37,7 +37,7 @@ print(f"{'k':>3} {'units':>5} {'switches':>8} {'feasible':>8} {'r_star':>8} {'et
 for k in TASKS:
     units, x0 = task(k)
     t0 = time.perf_counter()
-    res = maximize_r(units, x0, SearchConfig())
+    res = maximize_r(units, x0)
     dt = time.perf_counter() - t0
     switches = len({u.deadline for u in units})
     eta = res.diagnostics.get("eta", float("nan")) if res.feasible else float("nan")

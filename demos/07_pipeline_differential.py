@@ -7,8 +7,8 @@ benchmark's formula generator (perfbench/workloads.formula_text with rng
 [7, k], k = 0..23, span 10; x0 drawn uniformly from [0, 10]^8 with the same
 rng, right after the text), as demos/06 searches it.  Each task is one
 config: agents 1-4 of dim 2 in one clique with coupling_bound 0.05, no
-coupling, no secondary input, noise bound 0, dt 0.005, and the search
-{delta 0.005, eta_grid [20, 40]}.  A feasible task runs
+coupling, no secondary input, noise bound 0, dt 0.005, and an empty search
+section (no r_max).  A feasible task runs
 run_construct, build_scenario(seed=0), run and verify in-process.
 
 Prints, per task, r_star (the level verify checks rho against), kappa,
@@ -44,7 +44,7 @@ def pipeline_config(k):
         "initial_states": {str(i): x0[2 * i - 2 : 2 * i].tolist() for i in range(1, 5)},
         "noise": {"bound": 0.0},
         "sim": {"dt": 0.005},
-        "search": {"delta": 0.005, "eta_grid": [20, 40]},
+        "search": {},
     }
 
 

@@ -17,12 +17,12 @@ A scenario config is a single JSON object:
       "noise": {"bound": w, "distribution": "uniform_ball" | "adversarial" | "none",
                 "seed": s},
       "sim": {"dt": dt},
-      "search": {"delta": d, "eta_grid": [..], "r_max": r}
+      "search": {"r_max": r}
     }
 
-The search section sets only these three SearchConfig fields; any other key is
-refused, as the rest of the search policy (the controller's gain kappa
-included) is fixed in param_search.
+The search section sets only r_max, the cap on the robustness target; any
+other key is refused, as the rest of the search policy (the margin delta, the
+eta grid and the controller's gain kappa included) is fixed in param_search.
 
 Barrier documents produced by construction embed a hash of the producing
 config so mismatched construct/simulate pipelines fail loudly.
@@ -36,11 +36,11 @@ import math
 
 import numpy as np
 
-from .barrier import barrier_to_dict, barrier_from_dict
+from .barrier import _SCALE_LIMIT, barrier_to_dict, barrier_from_dict
 from .controller import AgentModel, Clique
 from .formula import normalize
 from .parsing import parse
-from .param_search import SearchConfig, maximize_r
+from .param_search import _check_r_max, maximize_r
 from .predicates import StateLayout, doc_object, finite_array, finite_number, is_finite_number
 from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec
 
@@ -52,7 +52,6 @@ __all__ = [
     "canonical_json",
     "clique_formulas",
     "build_agents",
-    "build_search_config",
     "run_construct",
     "build_cliques",
     "build_scenario",
@@ -81,7 +80,7 @@ def validate_config(cfg: dict) -> dict:
     for key in ("agents", "cliques", "initial_states"):
         if key not in cfg:
             raise ConfigError(f"config is missing the {key!r} section")
-    for key in ("agents", "cliques", "initial_states", "coupling", "secondary", "noise", "sim"):
+    for key in ("agents", "cliques", "initial_states", "coupling", "secondary", "noise", "sim", "search"):
         if key in cfg and not isinstance(cfg[key], dict):
             raise ConfigError(f"config section {key!r} must be a JSON object")
     seen = set()
@@ -124,7 +123,7 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"agent {i} initial state must hold finite numbers")
     _check_dynamics(cfg)
     _dynamics_specs(cfg, build_agents(cfg))
-    build_search_config(cfg)
+    _search_r_max(cfg)
     return cfg
 
 
@@ -223,19 +222,18 @@ def build_agents(cfg: dict) -> dict:
     return agents
 
 
-def build_search_config(cfg: dict) -> SearchConfig:
+def _search_r_max(cfg: dict) -> float:
+    """The search section's one setting, r_max (inf when absent)."""
     sc = cfg.get("search", {})
-    if not isinstance(sc, dict):
-        raise ConfigError("config section 'search' must be a JSON object")
-    sc = dict(sc)
-    if "eta_grid" in sc:
-        if not isinstance(sc["eta_grid"], (list, tuple)):
-            raise ConfigError("bad search section: eta_grid must be a list of numbers")
-        sc["eta_grid"] = tuple(float(v) if is_finite_number(v) else v for v in sc["eta_grid"])
+    extra = [key for key in sc if key != "r_max"]
+    if extra:
+        raise ConfigError(f"bad search section: unknown key {extra[0]!r}; r_max is the only search setting")
+    r_max = sc.get("r_max", math.inf)
     try:
-        return SearchConfig(**sc)
-    except (TypeError, ValueError) as err:
+        _check_r_max(r_max)
+    except ValueError as err:
         raise ConfigError(f"bad search section: {err}") from None
+    return r_max
 
 
 def _jsonable(x):
@@ -256,7 +254,7 @@ def run_construct(cfg: dict) -> dict:
     """Offline stage: parameter search per clique; returns the barrier document."""
     layouts = clique_layouts(cfg)
     formulas = clique_formulas(cfg)
-    search_cfg = build_search_config(cfg)
+    r_max = _search_r_max(cfg)
     doc = {
         "format": BARRIER_DOC_FORMAT,
         "version": 1,
@@ -269,7 +267,7 @@ def run_construct(cfg: dict) -> dict:
             [np.asarray(cfg["initial_states"][str(i)], dtype=float) for i in layout.ids]
         )
         units = normalize(formulas[name])
-        result = maximize_r(units, x0, search_cfg)
+        result = maximize_r(units, x0, r_max)
         entry = {
             "feasible": result.feasible,
             "r_star": result.r_star,
@@ -300,6 +298,20 @@ def _check_doc(cfg: dict, doc: dict) -> None:
             raise ConfigError(f"clique {name!r} has no feasible barrier in the document")
 
 
+def _kappa(entry: dict, name: str, cb) -> float:
+    """The clique's kappa from its barrier document entry.  The law adds
+    kappa * b, and b is a predicate value less a funnel value, or the bound
+    radius less ||x||, up to the softmin gap: kappa times the largest funnel
+    value or bound radius (or 1) is kept at most _SCALE_LIMIT, as eta times
+    each is, which leaves the predicates' part of b the same room."""
+    kappa = finite_number(entry, "kappa", f"clique {name!r} ")
+    scale = max([1.0, cb.bound_radius] + [abs(v) for tm in cb.terms for v in (tm.gamma.gamma0, tm.gamma.gamma_inf)])
+    if kappa * scale > _SCALE_LIMIT:
+        raise ConfigError(f"barrier document: clique {name!r} kappa must be at most {_SCALE_LIMIT:g} / max(1, largest "
+                          f"funnel value or bound radius in magnitude), got {kappa!r} with {scale!r}")
+    return kappa
+
+
 def build_cliques(cfg: dict, doc: dict) -> tuple:
     """Rebuild runtime cliques from a barrier document; returns
     (cliques tuple, r_stars dict)."""
@@ -308,13 +320,14 @@ def build_cliques(cfg: dict, doc: dict) -> tuple:
     r_stars = {}
     for name in sorted(cfg["cliques"]):
         entry = doc["cliques"][name]
+        barrier = barrier_from_dict(entry["barrier"])
         cliques.append(
             Clique(
                 name=name,
                 members=tuple(int(i) for i in cfg["cliques"][name]["members"]),
-                barrier=barrier_from_dict(entry["barrier"]),
+                barrier=barrier,
                 coupling_bound=float(cfg["cliques"][name].get("coupling_bound", 0.0)),
-                kappa=finite_number(entry, "kappa", f"clique {name!r} "),
+                kappa=_kappa(entry, name, barrier),
             )
         )
         r_stars[name] = finite_number(entry, "r_star", f"clique {name!r} ")

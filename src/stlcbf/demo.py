@@ -72,11 +72,7 @@ DEMO_CONFIG = {
     },
     "noise": {"bound": 0.1, "distribution": "uniform_ball", "seed": 11},
     "sim": {"dt": 0.005},
-    "search": {
-        "delta": 0.005,
-        "eta_grid": [20, 40],
-        "r_max": 0.3,
-    },
+    "search": {"r_max": 0.3},
 }
 
 

@@ -23,6 +23,8 @@ have reached r by s, with their funnels flat.  For fixed r and eta the funnel
 curves are then placed in closed form so that x0 and every x_s clear delta
 (gamma_inf below the relaxation's value, gamma0 deep enough where a unit has
 not yet reached r), and one feasibility check certifies or refutes them.
+The margin delta (_DELTA) and the eta grid (_ETA_GRID) are fixed, as is the
+rest of the search policy; the cap r_max is maximize_r's one setting.
 """
 
 from __future__ import annotations
@@ -50,12 +52,13 @@ from .formula import OperatorUnit
 from .predicates import AffinePredicate, BallPredicate, is_finite_number
 
 __all__ = [
-    "SearchConfig",
     "feasibility_check",
     "maximize_r",
 ]
 
-# The search policy: fixed tuning values, not settable per config.
+# The search policy: fixed values, not settable per config (r_max is the one setting).
+_DELTA = 0.005  # the margin b must clear at (x0, 0) and at every switch's witness
+_ETA_GRID = (40.0, 20.0)  # softmin sharpness, tried from largest down
 _R_TOLERANCE = 1e-3  # bisection stops once the bracket on r is this narrow
 _MAX_ASCENT_ITERS = 600
 _ASCENT_TOL = 1e-6  # projected gradient norm that counts as stationary
@@ -66,26 +69,10 @@ _GAMMA_INF_OFFSET = 0.1  # gamma_inf sits at most this far above r
 _MAX_LOG_DEPTH = 700.0  # a funnel needing gamma_inf - gamma0 > e^700 is not placed
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    delta: float = 0.005
-    eta_grid: tuple = (20.0, 40.0)
-    r_max: float = math.inf
-
-    def __post_init__(self):
-        def need(ok, name, what):
-            if not ok(getattr(self, name)):
-                raise ValueError(f"{name} must be {what}")
-
-        # every test below is False for NaN, so a NaN field is refused
-        need(_positive, "delta", "a finite positive number")
-        need(lambda v: v == math.inf or _positive(v), "r_max", "a positive number")
-        need(lambda v: isinstance(v, (tuple, list)) and len(v) > 0 and all(map(_positive, v)),
-             "eta_grid", "a non-empty list of finite positive numbers")
-
-
-def _positive(v) -> bool:
-    return is_finite_number(v) and v > 0.0
+def _check_r_max(r_max) -> None:
+    # False for NaN, so a NaN r_max is refused
+    if not (r_max == math.inf or (is_finite_number(r_max) and r_max > 0.0)):
+        raise ValueError(f"r_max must be a positive number, got {r_max!r}")
 
 
 @dataclass
@@ -264,7 +251,6 @@ def feasibility_check(
     eta: float,
     bound_radius: float,
     params,
-    delta: float,
 ) -> FeasibilityReport:
     """Check constraints (i)-(ii) for one concrete parameter choice."""
     units = tuple(units)
@@ -280,7 +266,7 @@ def feasibility_check(
     report.initial_margin = st0.value
     report.bound_weights[0.0] = float(st0.weights[-1])
     # "not >=" so that a NaN margin is infeasible
-    if not st0.value >= delta:
+    if not st0.value >= _DELTA:
         report.feasible = False
     x_start = x0
     for s in cb.schedule:
@@ -295,7 +281,7 @@ def feasibility_check(
             report.warnings.append(
                 f"ascent at switch {s:g} stopped with gradient norm {gnorm:.2e}"
             )
-        if not st.value >= delta:
+        if not st.value >= _DELTA:
             report.feasible = False
         x_start = x_w
     return report
@@ -342,7 +328,7 @@ def _softmin(values, eta: float) -> float:
     return m - math.log(reduce(operator.add, [math.exp(-eta * (v - m)) for v in values])) / eta
 
 
-def _place(units, x0: np.ndarray, r: float, eta: float, delta: float, d0: float, caps, relax: dict):
+def _place(units, x0: np.ndarray, r: float, eta: float, d0: float, caps, relax: dict):
     """Funnel curves and bound radius for target r, in closed form from the
     relaxation's witnesses; None when the witnesses already rule r out.
 
@@ -357,14 +343,14 @@ def _place(units, x0: np.ndarray, r: float, eta: float, delta: float, d0: float,
     feasibility_check decides whether the ascents find as much."""
     slack = -math.log1p(-math.exp(-_CLEARANCE * eta)) / eta + 1e-6
     points = [(0.0, x0)] + [(s, x) for s, (x, _) in relax.items()]
-    lows = [delta + math.log(1 + sum(u.t_star > t for u in units)) / eta + _CLEARANCE for t, _ in points]
+    lows = [_DELTA + math.log(1 + sum(u.t_star > t for u in units)) / eta + _CLEARANCE for t, _ in points]
     now = [float(u.predicate.value(x0)) for u in units if u.t_star <= 0.0]
-    if now and r > _softmin(now, eta) - delta - slack:
+    if now and r > _softmin(now, eta) - _DELTA - slack:
         return None
     params = []
     for u, cap in zip(units, caps):
         gi = min([r + _GAMMA_INF_OFFSET, 0.5 * (r + cap)]
-                 + [rho - delta - slack for s, (_, rho) in relax.items() if u.t_star <= s <= u.deadline])
+                 + [rho - _DELTA - slack for s, (_, rho) in relax.items() if u.t_star <= s <= u.deadline])
         if not gi > r:
             return None
         g0 = r
@@ -385,22 +371,22 @@ def _place(units, x0: np.ndarray, r: float, eta: float, delta: float, d0: float,
     return params, radius
 
 
-def _feasible_at(units, x0, r, cfg: SearchConfig, d0: float, caps, relax: dict | None = None):
-    """Place the curves for r at each eta of the grid, from largest down, and
+def _feasible_at(units, x0, r, level: float, d0: float, caps, relax: dict | None = None):
+    """Place the curves for r at each eta of _ETA_GRID, from largest down, and
     check each placement once; the first feasible one wins.  Larger eta
     shrinks the softmin gap ln(p)/eta, so it is tried first.  relax holds
-    each eta's relaxation (see _relaxation), filled on first use.  Returns
-    (winner dict or None, best_fail)."""
+    each eta's relaxation at level (see _relaxation), filled on first use.
+    Returns (winner dict or None, best_fail)."""
     relax = {} if relax is None else relax
     best_fail = None
-    for eta in sorted(cfg.eta_grid, reverse=True):
+    for eta in _ETA_GRID:
         if eta not in relax:
-            relax[eta] = _relaxation(units, x0, eta, d0, _r_high(units, x0, caps, cfg.r_max) + 1.0)
-        placed = _place(units, x0, r, eta, cfg.delta, d0, caps, relax[eta])
+            relax[eta] = _relaxation(units, x0, eta, d0, level)
+        placed = _place(units, x0, r, eta, d0, caps, relax[eta])
         if placed is None:
             continue
         params, radius = placed
-        report = feasibility_check(units, x0, r, eta, radius, params, cfg.delta)
+        report = feasibility_check(units, x0, r, eta, radius, params)
         if report.feasible:
             return {"report": report, "eta": eta, "bound_radius": radius}, best_fail
         worst = min([report.initial_margin] + list(report.switch_margins.values()))
@@ -422,19 +408,21 @@ def _report_diag(diag: dict, report: FeasibilityReport, **head) -> None:
         diag["bound_weights"] = dict(report.bound_weights)
 
 
-def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
-    """One loop of probes on the bracket [r_lo, hi]: r_hi, then halvings (at
-    most 60, none below _R_TOLERANCE / 8) until a probe is feasible, then
-    bisection.  A probe places curves from the relaxation's witnesses and
-    checks them once per eta (see _feasible_at).  Returns the winning check's barrier."""
+def maximize_r(units, x0: np.ndarray, r_max: float = math.inf) -> SearchResult:
+    """One loop of probes on the bracket [r_lo, hi]: r_hi (at most r_max),
+    then halvings (at most 60, none below _R_TOLERANCE / 8) until a probe is
+    feasible, then bisection.  A probe places curves from the relaxation's
+    witnesses and checks them once per eta (see _feasible_at).  Returns the
+    winning check's barrier."""
     units = tuple(units)
     x0 = np.asarray(x0, dtype=float)
     if not units:
         raise ValueError("no units to search over")
+    _check_r_max(r_max)
     caps = tuple(_h_opt_capped(u, x0) for u in units)
-    r_hi = _r_high(units, x0, caps, cfg.r_max)
+    r_hi = _r_high(units, x0, caps, r_max)
     d0 = _default_bound_radius(units, x0)
-    diag = {"delta": cfg.delta, "r_bracket_high": r_hi, "warnings": []}
+    diag = {"delta": _DELTA, "r_bracket_high": r_hi, "warnings": []}
     if r_hi <= 0.0:
         diag["warnings"].append("upper bracket for r is non-positive; task unsatisfiable from x0")
         return SearchResult(0.0, None, {}, _KAPPA, False, diag)
@@ -443,7 +431,7 @@ def maximize_r(units, x0: np.ndarray, cfg: SearchConfig) -> SearchResult:
     winner = best_fail = r_lo = None
     hi, r, halvings = r_hi, r_hi, 0
     while True:
-        cand, fail = _feasible_at(units, x0, r, cfg, d0, caps, relax)
+        cand, fail = _feasible_at(units, x0, r, r_hi + 1.0, d0, caps, relax)
         if cand is not None:
             winner, r_lo = cand, r
         else:

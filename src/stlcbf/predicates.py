@@ -99,6 +99,8 @@ class AffinePredicate:
         object.__setattr__(self, "d", float(self.d))
         if self.c.ndim != 1:
             raise ValueError("coefficient vector must be 1-D")
+        if self.c.size == 0:  # the barrier kernel divides by a predicate's state dimension
+            raise ValueError("c must hold at least one coefficient")
         _bounded(c=self.c.tolist(), d=[self.d])
 
     @property
@@ -141,6 +143,8 @@ class BallPredicate:
         object.__setattr__(self, "e", float(self.e))
         if self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A and b row counts differ")
+        if self.A.shape[1] == 0:  # as for an affine c
+            raise ValueError("A must have at least one column")
         _bounded(A=self.A.ravel().tolist(), b=self.b.ravel().tolist(), e=[self.e])
 
     @property

@@ -381,7 +381,8 @@ def run(scenario: Scenario) -> TrajectoryLog:
     sc = scenario
     team = sc._team
     horizon = sc.horizon if sc.horizon is not None else _latest_deadline(sc.cliques)
-    n_steps = int(round(horizon / sc.dt))
+    ratio = horizon / sc.dt
+    n_steps = int(round(ratio)) if math.isfinite(ratio) else 0  # an overflowing ratio is refused below
     if n_steps < 1 or abs(n_steps * sc.dt - horizon) > 1e-9:
         raise ValueError("horizon must be a positive integer multiple of dt")
     times = np.linspace(0.0, horizon, n_steps + 1)
@@ -468,9 +469,10 @@ def verify(log: TrajectoryLog, formulas: dict, cliques, r_stars: dict) -> dict:
         r_star = float(r_stars[cl.name])
         rho = log.clique_robustness(formulas[cl.name], cl) if log.completed else None
         bvals = log.barriers[cl.name]
-        min_b = float(np.nanmin(bvals)) if bvals.size else math.nan
+        # a column with no barrier value (empty, or every step past the clique's deadline) has no minimum
+        min_b = math.nan if np.isnan(bvals).all() else float(np.nanmin(bvals))
         entry = {"min_barrier": min_b, "rho": rho, "r_star": r_star, "tol_b": _TOL_B,
-                 "barrier_ok": bool(bvals.size) and min_b >= -_TOL_B, "rho_ok": rho is not None and rho >= r_star}
+                 "barrier_ok": min_b >= -_TOL_B, "rho_ok": rho is not None and rho >= r_star}
         entry["passed"] = entry["barrier_ok"] and entry["rho_ok"]
         report["cliques"][cl.name] = entry
         report["passed"] = report["passed"] and entry["passed"]

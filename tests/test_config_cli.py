@@ -12,7 +12,6 @@ from stlcbf import (
     build_agents,
     build_cliques,
     build_scenario,
-    build_search_config,
     canonical_json,
     config_hash,
     demo_config,
@@ -35,7 +34,7 @@ def mini_config():
             }
         },
         "initial_states": {"1": [2.0]},
-        "search": {"delta": 0.01, "eta_grid": [20.0], "r_max": 1.0},
+        "search": {"r_max": 1.0},
         "sim": {"dt": 0.05},
         "noise": {"bound": 0.05, "distribution": "uniform_ball", "seed": 1},
     }
@@ -44,22 +43,23 @@ def mini_config():
 NAN = float("nan")
 
 # (a fault written into mini_config, the one-line message it must give): a
-# NaN search field must not yield a "feasible" certificate, and no fault may
-# reach the code behind the boundary as a traceback
+# NaN r_max must not yield a "feasible" certificate, and no fault may reach
+# the code behind the boundary as a traceback
 BAD_CONFIGS = [
-    (lambda c: c["search"].update(delta=NAN), "bad search section: delta must be a finite positive number"),
-    (lambda c: c["search"].update(eta_grid=[NAN]), "bad search section: eta_grid must be a non-empty list"),
-    (lambda c: c["search"].update(bound_radius=NAN),
-     "bad search section: SearchConfig.__init__() got an unexpected keyword argument 'bound_radius'"),
+    (lambda c: c["search"].update(r_max=NAN), "bad search section: r_max must be a positive number, got nan"),
+    (lambda c: c["search"].update(r_max=0), "bad search section: r_max must be a positive number, got 0"),
+    (lambda c: c["search"].update(r_max="1"), "bad search section: r_max must be a positive number, got '1'"),
+    # delta and the eta grid are fixed in param_search: an older config's values are refused like any unknown key
+    (lambda c: c["search"].update(delta=NAN), "bad search section: unknown key 'delta'; r_max is the only search setting"),
+    (lambda c: c["search"].update(delta=0.005), "bad search section: unknown key 'delta'; r_max is the only search setting"),
+    (lambda c: c["search"].update(eta_grid=[20, 40]), "bad search section: unknown key 'eta_grid'; r_max is the only search setting"),
+    (lambda c: c["search"].update(bound_radius=NAN), "bad search section: unknown key 'bound_radius'; r_max is the only search setting"),
     (lambda c: c["cliques"]["solo"].update(formula=5), "clique 'solo' formula must be a string"),
     (lambda c: c["cliques"]["solo"].update(formula=None), "clique 'solo' formula must be a string"),
     (lambda c: c.update(search=[1]), "config section 'search' must be a JSON object"),
-    (lambda c: c["search"].update(eta_grid=5), "bad search section: eta_grid must be a list of numbers"),
-    (lambda c: c["search"].update(f0_range=3),
-     "bad search section: SearchConfig.__init__() got an unexpected keyword argument 'f0_range'"),
-    # kappa is fixed in param_search: an older config's cap is refused like any unknown key
-    (lambda c: c["search"].update(kappa_cap=30),
-     "bad search section: SearchConfig.__init__() got an unexpected keyword argument 'kappa_cap'"),
+    (lambda c: c["search"].update(f0_range=3), "bad search section: unknown key 'f0_range'; r_max is the only search setting"),
+    # and so is the gain cap of still older configs
+    (lambda c: c["search"].update(kappa_cap=30), "bad search section: unknown key 'kappa_cap'; r_max is the only search setting"),
     (lambda c: c["agents"].update(a={"dim": 1}), "agent key 'a' must be an integer id"),
     (lambda c: c.update(sim=3), "config section 'sim' must be a JSON object"),
     (lambda c: c.update(coupling={"kind": "saturating_attraction", "attractions": [1]}),
@@ -208,14 +208,15 @@ def test_build_agents_drift_and_input():
             "kind": "affine", "A": [[1.0]], "b": [0.0]}}}})
 
 
-def test_build_search_config():
-    sc = build_search_config(mini_config())
-    assert sc.delta == 0.01
-    assert sc.eta_grid == (20.0,)
-    assert sc.r_max == 1.0
-    assert build_search_config({}).delta == 0.005  # defaults apply
-    with pytest.raises(ConfigError, match="bad search section"):
-        build_search_config({"search": {"no_such_knob": 1}})
+def test_search_section_holds_only_r_max():
+    """r_max is the search section's one key, and the section may be empty
+    or absent (no cap on r)."""
+    cfg = mini_config()
+    del cfg["search"]
+    validate_config(cfg)
+    for search in ({}, {"r_max": 2}, {"r_max": float("inf")}):
+        validate_config(dict(cfg, search=search))
+    assert run_construct(cfg)["cliques"]["solo"]["r_star"] > 1.0
 
 
 def test_run_construct_and_build_cliques_round_trip():
@@ -509,10 +510,10 @@ def test_cli_refuses_non_finite_barrier_document(tmp_path, capsys):
          "barrier document: term 0 predicate b must be at most 1e+50 in magnitude"),
         # finite funnel values and bound radii whose products with eta overflow in the kernel's weights
         (lambda b: b["terms"][0]["gamma"].update(gamma0=-1e307, decay=0.0),
-         "barrier document: term 0 gamma gamma0 must be at most 1e+307 / max(eta, 1) in magnitude, got -1e+307 at eta 20.0"),
+         "barrier document: term 0 gamma gamma0 must be at most 1e+307 / max(eta, 1) in magnitude, got -1e+307 at eta 40.0"),
         (lambda b: b.update(bound_radius=1e308),
-         "barrier document: bound_radius must be at most 1e+307 / max(eta, 1) in magnitude, got 1e+308 at eta 20.0"),
-        (lambda b: b["terms"][0]["gamma"].update(gamma_inf=5.1e305, decay=0.0),
+         "barrier document: bound_radius must be at most 1e+307 / max(eta, 1) in magnitude, got 1e+308 at eta 40.0"),
+        (lambda b: b["terms"][0]["gamma"].update(gamma_inf=2.6e305, decay=0.0),
          "barrier document: term 0 gamma gamma_inf must be at most 1e+307 / max(eta, 1) in magnitude"),
         (lambda b: b.update(eta=0.5, bound_radius=1.1e307),
          "barrier document: bound_radius must be at most 1e+307 / max(eta, 1) in magnitude, got 1.1e+307 at eta 0.5"),
@@ -623,6 +624,19 @@ DROP = object()
 MUTATIONS = (DROP, NAN, "x", [1], {}, None, -1.0, [[NAN]])
 
 
+def _mutant(doc, path, value):
+    """A copy of doc with the value at path set to value, or dropped for DROP."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
 def test_config_mutation_table(tmp_path, capsys):
     """Every mutation of every dynamics and search leaf is refused at load
     with one line (exit 2) or runs clean: never exit 3, never nan on stdout,
@@ -634,15 +648,7 @@ def test_config_mutation_table(tmp_path, capsys):
     faults = []
     for path in paths:
         for value in MUTATIONS:
-            cfg = copy.deepcopy(base)
-            parent = cfg
-            for key in path[:-1]:
-                parent = parent[key]
-            if value is DROP:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = copy.deepcopy(value)
-            cfg_path.write_text(json.dumps(cfg))
+            cfg_path.write_text(json.dumps(_mutant(base, path, value)))
             what = (path, "drop" if value is DROP else value)
             code = main(["construct", str(cfg_path), "-o", str(barriers)])
             stages = [("construct", code, capsys.readouterr())]
@@ -656,7 +662,7 @@ def test_config_mutation_table(tmp_path, capsys):
                     faults.append((what, stage, "nan on stdout"))
             if len(stages) == 2 and stages[1][1] == 2:
                 faults.append((what, "refused by simulate only", stages[1][2].err.strip()))
-    assert len(paths) * len(MUTATIONS) == 248
+    assert len(paths) * len(MUTATIONS) == 224
     assert faults == []
     # agent 2's two inputs have no repulsion from its one-dimensional state
     base["secondary"]["group"] = [1, 2]
@@ -680,18 +686,33 @@ def _nodes(node, path=()):
 LOG_MUTATIONS = (DROP, NAN, float("inf"), 1e308, "x", [1], {}, None, -1.0, 0, True, [[NAN]])
 
 
+def _two_clique_construction(tmp_path):
+    """pair_config with a planar solo clique whose barrier holds affine and
+    ball terms of both unit kinds, written and constructed under tmp_path:
+    (config path, barrier document path)."""
+    cfg = pair_config()
+    cfg["agents"]["1"]["dim"] = 2
+    cfg["initial_states"]["1"] = [2.0, 0.5]
+    cfg["cliques"]["solo"]["formula"] = "G[0,1](ball2(x1 - [2,0], 2)) & F[0.5,1](dot([1,0], x1) >= 0)"
+    cfg_path, barriers = tmp_path / "config.json", tmp_path / "b.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["construct", str(cfg_path), "-o", str(barriers)]) == 0
+    return cfg_path, barriers
+
+
+def _mutant_fault(code, err):
+    """Whether a command's exit code and stderr show a fault: exit 3, a
+    traceback, or an exit 2 that is not exactly one line."""
+    return code not in (0, 1, 2) or "Traceback" in err or (code == 2 and len(err.splitlines()) != 1)
+
+
 def test_log_document_mutation_table(tmp_path, capsys):
     """Seeded single-field mutants of a log document, its embedded barrier
     document included, through verify: each ends in exit 0, 1 or 2, with
     exactly one stderr line on exit 2 and never a traceback.  The run's
     barriers hold affine and ball terms of both unit kinds."""
-    cfg = pair_config()
-    cfg["agents"]["1"]["dim"] = 2
-    cfg["initial_states"]["1"] = [2.0, 0.5]
-    cfg["cliques"]["solo"]["formula"] = "G[0,1](ball2(x1 - [2,0], 2)) & F[0.5,1](dot([1,0], x1) >= 0)"
-    cfg_path, barriers, outdir = tmp_path / "config.json", tmp_path / "b.json", tmp_path / "out"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["construct", str(cfg_path), "-o", str(barriers)]) == 0
+    cfg_path, barriers = _two_clique_construction(tmp_path)
+    outdir = tmp_path / "out"
     assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir)]) == 0
     log_path = outdir / "log.json"
     good = json.loads(log_path.read_text())
@@ -704,19 +725,61 @@ def test_log_document_mutation_table(tmp_path, capsys):
     for _ in range(400):
         path = paths[int(rng.integers(len(paths)))]
         value = LOG_MUTATIONS[int(rng.integers(len(LOG_MUTATIONS)))]
-        doc = copy.deepcopy(good)
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if value is DROP:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = copy.deepcopy(value)
-        log_path.write_text(json.dumps(doc))
+        log_path.write_text(json.dumps(_mutant(good, path, value)))
         code = main(["verify", str(log_path), str(cfg_path)])
         err = capsys.readouterr().err
         codes.append(code)
-        if code not in (0, 1, 2) or "Traceback" in err or (code == 2 and len(err.splitlines()) != 1):
+        if _mutant_fault(code, err):
+            faults.append((path, "drop" if value is DROP else value, code, err[-300:]))
+    assert faults == []
+    assert {0, 2} <= set(codes)
+
+
+def test_barrier_document_mutation_table(tmp_path, capsys):
+    """Single-field mutants of the same run's barrier document through
+    simulate: each ends in exit 0, 1 or 2, with exactly one stderr line on
+    exit 2 and never a traceback.  First the explicit rows, each with its
+    exit code and stderr line: a predicate over no state (an affine c of []
+    or a ball A with no column), a kappa whose product with b overflows, a
+    deadline whose step count overflows, and a clique whose every deadline
+    is before the first step, which logs no barrier value and so fails
+    barrier_ok with min_barrier nan.  Then 600 seeded draws."""
+    cfg_path, barriers = _two_clique_construction(tmp_path)
+    good = json.loads(barriers.read_text())
+    solo, other = ("cliques", "solo", "barrier", "terms", 0), ("cliques", "other", "barrier", "terms", 0)
+    rows = [
+        (other + ("unit", "predicate", "c"), [], 2, "barrier document: term 0 predicate c must hold at least one coefficient"),
+        (solo + ("unit", "predicate"), {"kind": "quad_ball", "A": [[]], "b": [0.0], "e": 1.0}, 2,
+         "barrier document: term 0 predicate A must have at least one column"),
+        (("cliques", "other", "kappa"), 1e308, 2, "barrier document: clique 'other' kappa must be at most 1e+307"),
+        (("cliques", "other", "kappa"), 2.0**1023, 2, "barrier document: clique 'other' kappa must be at most 1e+307"),
+        (other + ("unit", "b"), 1e308, 2, "horizon must be a positive integer multiple of dt"),
+        (other + ("unit", "b"), 1e-300, 0, None),
+    ]
+    mutant = tmp_path / "mutant.json"
+    for path, value, want, msg in rows:
+        mutant.write_text(json.dumps(_mutant(good, path, value)))
+        code = main(["simulate", str(cfg_path), str(mutant), "-o", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == want, (path, value, captured.err[-300:])
+        err = captured.err.splitlines()
+        assert err == [] if msg is None else len(err) == 1 and err[0].startswith("error: " + msg), err
+    assert main(["verify", str(tmp_path / "out" / "log.json"), str(cfg_path)]) == 1  # the last row's run
+    verdict = json.loads(capsys.readouterr().out)["cliques"]["other"]
+    assert np.isnan(verdict["min_barrier"]) and not verdict["barrier_ok"]
+
+    paths = list(_nodes(good))
+    values = LOG_MUTATIONS + (1e-300, 2.0**1023)
+    rng = np.random.default_rng(5)
+    codes, faults = [], []
+    for _ in range(600):
+        path = paths[int(rng.integers(len(paths)))]
+        value = values[int(rng.integers(len(values)))]
+        mutant.write_text(json.dumps(_mutant(good, path, value)))
+        code = main(["simulate", str(cfg_path), str(mutant), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        codes.append(code)
+        if _mutant_fault(code, err):
             faults.append((path, "drop" if value is DROP else value, code, err[-300:]))
     assert faults == []
     assert {0, 2} <= set(codes)

@@ -15,7 +15,6 @@ from stlcbf import (
     Eventually,
     GammaParams,
     OperatorUnit,
-    SearchConfig,
     StateLayout,
     Until,
     barrier_from_dict,
@@ -27,7 +26,9 @@ from stlcbf import (
     normalize,
     parse,
 )
-from stlcbf.param_search import _KAPPA, _ascend, _check_eq7, _feasible_at, _default_bound_radius, _h_opt_capped, _softmin
+from stlcbf.param_search import (
+    _DELTA, _KAPPA, _ascend, _check_eq7, _feasible_at, _default_bound_radius, _h_opt_capped, _r_high, _softmin,
+)
 
 from oracles import naive_ascend, naive_barrier_state, random_barrier
 
@@ -63,30 +64,24 @@ def unit_h_x(kind="always", a=0.0, b=2.0):
     return OperatorUnit(kind, AffinePredicate(np.array([1.0]), 0.0), a, b)
 
 
-def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(delta=0.0)
-    with pytest.raises(ValueError):
-        SearchConfig(eta_grid=())
-    # NaN fails every check, and each message names its field
-    for field in ("delta", "r_max"):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            SearchConfig(**{field: math.nan})
-    with pytest.raises(ValueError, match="^eta_grid must be"):
-        SearchConfig(eta_grid=(20.0, math.nan))
-    assert SearchConfig(r_max=math.inf).r_max == math.inf
+def test_r_max_validation():
+    """r_max, the search's one setting, must be a positive number or inf:
+    NaN fails the check too."""
+    for bad in (0.0, -1.0, math.nan, -math.inf, "1", True):
+        with pytest.raises(ValueError, match="^r_max must be a positive number"):
+            maximize_r([unit_h_x()], np.array([1.0]), r_max=bad)
+    assert maximize_r([unit_h_x()], np.array([1.0]), r_max=math.inf).feasible
 
 
 def test_analytic_one_dimensional_case():
     # single always-unit with t_star = 0: r can climb to just under
     # h(x0) - delta - softmin gap
     x0 = np.array([1.0])
-    cfg = SearchConfig(delta=0.005, eta_grid=(40.0,))
-    res = maximize_r([unit_h_x()], x0, cfg)
+    res = maximize_r([unit_h_x()], x0)
     assert res.feasible and res.barrier is not None
     gap = math.log(2) / 40.0
-    assert 1.0 - 0.005 - gap - 0.05 < res.r_star < 1.0
-    assert barrier_value(res.barrier, x0, 0.0) >= cfg.delta
+    assert _DELTA == 0.005 and 1.0 - _DELTA - gap - 0.05 < res.r_star < 1.0
+    assert barrier_value(res.barrier, x0, 0.0) >= _DELTA
 
 
 def test_search_is_deterministic():
@@ -97,9 +92,8 @@ def test_search_is_deterministic():
         OperatorUnit("always", pred1, 0.0, 3.0),
         OperatorUnit("eventually", pred2, 1.0, 4.0),
     ]
-    cfg = SearchConfig(r_max=1.5)
-    r1 = maximize_r(units, x0, cfg)
-    r2 = maximize_r(units, x0, cfg)
+    r1 = maximize_r(units, x0, r_max=1.5)
+    r2 = maximize_r(units, x0, r_max=1.5)
     assert r1.r_star == r2.r_star
     assert r1.kappa == r2.kappa
     for t1, t2 in zip(r1.barrier.terms, r2.barrier.terms):
@@ -110,19 +104,19 @@ def test_search_is_deterministic():
 def test_infeasible_from_bad_start():
     # target region immediately required but x0 is outside it
     u = OperatorUnit("always", AffinePredicate(np.array([1.0]), -5.0), 0.0, 1.0)
-    res = maximize_r([u], np.array([0.0]), SearchConfig())
+    res = maximize_r([u], np.array([0.0]))
     assert not res.feasible and res.r_star == 0.0 and res.barrier is None
     assert any("unsatisfiable" in w for w in res.diagnostics["warnings"])
 
 
 def test_infeasible_empty_ball():
     u = OperatorUnit("eventually", BallPredicate(np.eye(1), np.zeros(1), -1.0), 0.0, 2.0)
-    res = maximize_r([u], np.array([3.0]), SearchConfig())
+    res = maximize_r([u], np.array([3.0]))
     assert not res.feasible
 
 
 def test_r_max_honored():
-    res = maximize_r([unit_h_x()], np.array([1.0]), SearchConfig(r_max=0.1, eta_grid=(30.0,)))
+    res = maximize_r([unit_h_x()], np.array([1.0]), r_max=0.1)
     assert res.feasible
     assert res.r_star <= 0.1
 
@@ -130,7 +124,7 @@ def test_r_max_honored():
 def test_ball_target_caps_r():
     # eventually reach a ball of squared radius 0.64: r* < 0.64
     u = OperatorUnit("eventually", BallPredicate(np.eye(1), np.array([-2.0]), 0.64), 0.0, 3.0)
-    res = maximize_r([u], np.array([0.0]), SearchConfig(eta_grid=(40.0,)))
+    res = maximize_r([u], np.array([0.0]))
     assert res.feasible
     assert 0.0 < res.r_star < 0.64
 
@@ -139,36 +133,36 @@ def test_feasibility_check_validates_placement_rules():
     x0 = np.array([1.0])
     u = unit_h_x()  # t_star = 0, h(x0) = 1
     ok = [GammaParams.from_target(0.5, 1.2, 0.5, 0.0)]
-    rep = feasibility_check([u], x0, 0.5, 20.0, 4.0, ok, 0.005)
+    rep = feasibility_check([u], x0, 0.5, 20.0, 4.0, ok)
     assert rep.feasible
-    assert rep.initial_margin > 0.005
+    assert rep.initial_margin > _DELTA
     assert set(rep.switch_margins) == {2.0}
     # gamma0 below r when the target applies immediately
     with pytest.raises(ValueError, match="must lie in"):
-        feasibility_check([u], x0, 0.5, 20.0, 4.0, [GammaParams(0.2, 1.2, 0.0, 0.0)], 0.005)
+        feasibility_check([u], x0, 0.5, 20.0, 4.0, [GammaParams(0.2, 1.2, 0.0, 0.0)])
     # gamma0 above h(x0)
     with pytest.raises(ValueError, match="must lie in"):
-        feasibility_check([u], x0, 0.5, 20.0, 4.0, [GammaParams(1.1, 1.2, 0.0, 0.0)], 0.005)
+        feasibility_check([u], x0, 0.5, 20.0, 4.0, [GammaParams(1.1, 1.2, 0.0, 0.0)])
     # gamma_inf must exceed sup h for a ball predicate... stays below, that is
     ub = OperatorUnit("eventually", BallPredicate(np.eye(1), np.array([-2.0]), 1.0), 0.0, 2.0)
     bad = [GammaParams(-4.0, 1.5, 0.9, 2.0)]
     with pytest.raises(ValueError, match="sup h"):
-        feasibility_check([ub], np.array([0.0]), 0.1, 20.0, 4.0, bad, 0.005)
+        feasibility_check([ub], np.array([0.0]), 0.1, 20.0, 4.0, bad)
     # decay inconsistent with the target rule
     with pytest.raises(ValueError, match="inconsistent"):
         feasibility_check(
-            [unit_h_x(a=1.0)], x0, 1.5, 20.0, 4.0, [GammaParams(0.5, 2.0, 0.01, 1.0)], 0.005
+            [unit_h_x(a=1.0)], x0, 1.5, 20.0, 4.0, [GammaParams(0.5, 2.0, 0.01, 1.0)]
         )
 
 
 def test_feasibility_monotone_in_r_spot():
     x0 = np.array([1.0])
     units = (unit_h_x(),)
-    cfg = SearchConfig(eta_grid=(30.0,))
     caps = (_h_opt_capped(units[0], x0),)
     d0 = _default_bound_radius(units, x0)
-    win_hi, _ = _feasible_at(units, x0, 0.9, cfg, d0, caps)
-    win_lo, _ = _feasible_at(units, x0, 0.45, cfg, d0, caps)
+    level = _r_high(units, x0, caps, math.inf) + 1.0
+    win_hi, _ = _feasible_at(units, x0, 0.9, level, d0, caps)
+    win_lo, _ = _feasible_at(units, x0, 0.45, level, d0, caps)
     assert win_hi is not None and win_lo is not None
 
 
@@ -178,7 +172,7 @@ def test_witness_ascent_converges():
         OperatorUnit("always", AffinePredicate(np.array([1.0, 0.0]), 1.0), 0.0, 3.0),
         OperatorUnit("eventually", AffinePredicate(np.array([0.0, 1.0]), 2.0), 1.0, 4.0),
     ]
-    res = maximize_r(units, x0, SearchConfig(r_max=1.0))
+    res = maximize_r(units, x0, r_max=1.0)
     assert res.feasible
     for s, g in res.diagnostics["grad_norms"].items():
         assert g < 1e-6, f"ascent at switch {s} left gradient norm {g}"
@@ -191,11 +185,11 @@ def test_every_result_ships_the_fixed_kappa():
     """kappa is the fixed _KAPPA on a feasible result and on both infeasible
     exits: no feasible r found, and an unsatisfiable task refused before any
     probe (random task 8, its untils spelled G[a,b] & F[b,b] or not)."""
-    res = maximize_r([unit_h_x()], np.array([1.0]), SearchConfig(eta_grid=(40.0,)))
+    res = maximize_r([unit_h_x()], np.array([1.0]))
     assert res.feasible and res.kappa == _KAPPA == 30.0
     assert not any("kappa" in w for w in res.diagnostics["warnings"]) and "kappa_raw" not in res.diagnostics
     for spell_until in (True, False):
-        res = maximize_r(*random_task(8, spell_until=spell_until), SearchConfig())
+        res = maximize_r(*random_task(8, spell_until=spell_until))
         assert not res.feasible and res.kappa == _KAPPA, spell_until
 
 
@@ -296,9 +290,9 @@ def test_nan_margin_is_infeasible(monkeypatch):
     r = 0.9
     curves = [(0.95, 1.05), (0.8, 1.02), (-2.2, 1.02), (0.4, 1.02), (-0.2, 1.02)]
     params = [GammaParams.from_target(g0, gi, r, u.t_star) for u, (g0, gi) in zip(units, curves)]
-    assert feasibility_check(units, x0, r, 20.0, 10.0, params, 0.01).feasible
+    assert feasibility_check(units, x0, r, 20.0, 10.0, params).feasible
     _nan_funnels(monkeypatch)
-    report = feasibility_check(units, x0, r, 20.0, 10.0, params, 0.01)
+    report = feasibility_check(units, x0, r, 20.0, 10.0, params)
     assert not report.feasible
     assert math.isnan(report.initial_margin)
     assert list(report.switch_margins) == [6.0] and math.isnan(report.switch_margins[6.0])
@@ -344,18 +338,23 @@ def test_upper_bound_dominates_naive_maximum(demo_doc, monkeypatch):
     assert checked > 1000
 
 
-def test_feasibility_report_records_exits_and_brackets(demo_doc):
+def test_feasibility_report_records_exits_and_brackets(demo_doc, monkeypatch):
     """Every switch gets an exit reason and a bracket [value, bound] around
     the maximum, and the search copies both into its diagnostics.  The
-    ascent does not depend on delta: with delta = 5.0, above the bound, the
-    report fails on the same converged maximum that passes delta = 0.01."""
+    ascent does not depend on delta: with delta patched to 5.0, above the
+    bound, the report fails on the same converged maximum that passes the
+    search's delta."""
+    from stlcbf import param_search
+
     layout = StateLayout(ids=(1,), dims=(2,))
     units = normalize(parse("G[0,6](dot([0,1], x1) >= 0) & F[2,6](norm_inf(x1 - [3,2]) <= 1)", layout))
     x0 = np.array([0.0, 1.0])
     r = 0.9
     curves = [(0.95, 1.05), (0.8, 1.02), (-2.2, 1.02), (0.4, 1.02), (-0.2, 1.02)]
     params = [GammaParams.from_target(g0, gi, r, u.t_star) for u, (g0, gi) in zip(units, curves)]
-    passed, failed = (feasibility_check(units, x0, r, 20.0, 10.0, params, delta) for delta in (0.01, 5.0))
+    passed = feasibility_check(units, x0, r, 20.0, 10.0, params)
+    monkeypatch.setattr(param_search, "_DELTA", 5.0)
+    failed = feasibility_check(units, x0, r, 20.0, 10.0, params)
     assert passed.feasible and not failed.feasible
     for report in (passed, failed):
         assert report.exits == {6.0: "converged"} and report.warnings == []
@@ -383,13 +382,13 @@ def test_failed_reports_hold_naive_maxima(monkeypatch):
 
     calls, check_fn = [], param_search.feasibility_check
 
-    def check(units, x0, r, eta, bound_radius, params, delta):
-        report = check_fn(units, x0, r, eta, bound_radius, params, delta)
+    def check(units, x0, r, eta, bound_radius, params):
+        report = check_fn(units, x0, r, eta, bound_radius, params)
         calls.append((units, x0, eta, bound_radius, params, report))
         return report
 
     monkeypatch.setattr(param_search, "feasibility_check", check)
-    maximize_r(*random_task(5, spell_until=True), SearchConfig())
+    maximize_r(*random_task(5, spell_until=True))
     failed = [c for c in calls if not c[-1].feasible]
     assert failed
     for units, x0, eta, bound_radius, params, report in failed:
@@ -411,13 +410,13 @@ def test_search_quality_on_random_tasks():
     The until task (9, 4) is feasible with r_star 0.925, and tasks 8 and 14
     stay infeasible, spelled either way."""
     for k, floor in ((5, 1.0429), (11, 0.1144), (17, 0.0)):
-        res = maximize_r(*random_task(k, spell_until=True), SearchConfig())
+        res = maximize_r(*random_task(k, spell_until=True))
         assert res.feasible and res.r_star >= floor and res.r_star > 0.0, (k, res.r_star)
-    res = maximize_r(*random_task(4, seed=9), SearchConfig())
+    res = maximize_r(*random_task(4, seed=9))
     assert res.feasible and res.r_star >= 0.92, res.r_star
     for k in (8, 14):
         for spell_until in (False, True):
-            res = maximize_r(*random_task(k, spell_until=spell_until), SearchConfig())
+            res = maximize_r(*random_task(k, spell_until=spell_until))
             assert not res.feasible and res.r_star == 0.0, (k, spell_until)
 
 
@@ -432,22 +431,22 @@ def test_placements_clear_delta_at_their_witnesses(monkeypatch):
 
     placed, place_fn = [], param_search._place
 
-    def record(units, x0, r, eta, delta, d0, caps, relax):
-        out = place_fn(units, x0, r, eta, delta, d0, caps, relax)
+    def record(units, x0, r, eta, d0, caps, relax):
+        out = place_fn(units, x0, r, eta, d0, caps, relax)
         if out is not None:
-            placed.append((units, x0, r, eta, delta, dict(relax), out))
+            placed.append((units, x0, r, eta, dict(relax), out))
         return out
 
     monkeypatch.setattr(param_search, "_place", record)
     for k in range(12):
-        maximize_r(*random_task(k, seed=31, spell_until=True), SearchConfig())
+        maximize_r(*random_task(k, seed=31, spell_until=True))
     assert len(placed) >= 30
-    for units, x0, r, eta, delta, relax, (params, radius) in placed:
+    for units, x0, r, eta, relax, (params, radius) in placed:
         _check_eq7(units, params, x0, r)
         cb = build_barrier(units, params, eta=eta, bound_radius=radius)
-        assert barrier_value(cb, x0, 0.0) >= delta
+        assert barrier_value(cb, x0, 0.0) >= _DELTA
         for s, (x, _) in relax.items():
-            assert left_limit_value(cb, x, s) >= delta, (r, eta, s)
+            assert left_limit_value(cb, x, s) >= _DELTA, (r, eta, s)
 
 
 def test_softmin_adds_left_to_right():
@@ -472,8 +471,8 @@ def test_probe_schedule(monkeypatch):
 
     probes, probe_fn = [], param_search._feasible_at  # (r, feasible) per probe
 
-    def record(units, x0, r, cfg, d0, caps, relax=None):
-        out = probe_fn(units, x0, r, cfg, d0, caps, relax)
+    def record(units, x0, r, level, d0, caps, relax=None):
+        out = probe_fn(units, x0, r, level, d0, caps, relax)
         probes.append((r, out[0] is not None))
         return out
 
@@ -481,7 +480,7 @@ def test_probe_schedule(monkeypatch):
     kinds = []
     for k in (0, 3, 4, 7, 12):
         probes.clear()
-        res = maximize_r(*random_task(k, spell_until=True), SearchConfig())
+        res = maximize_r(*random_task(k, spell_until=True))
         rs = [r for r, _ in probes]
         first = next((i for i, (_, ok) in enumerate(probes) if ok), None)
         kinds.append("never" if first is None else "first" if first == 0 else "halved")
@@ -517,12 +516,12 @@ def test_failed_search_diagnostics(monkeypatch):
     for k in (8, 14):
         for spell_until, warning in ((True, "no feasible r found"),
                                      (False, "upper bracket for r is non-positive; task unsatisfiable from x0")):
-            res = maximize_r(*random_task(k, spell_until=spell_until), SearchConfig())
+            res = maximize_r(*random_task(k, spell_until=spell_until))
             assert not res.feasible and list(res.diagnostics) == ["delta", "r_bracket_high", "warnings"], k
             assert res.diagnostics["warnings"] == [warning], (k, spell_until)
 
-    def refute(units, x0, r, eta, bound_radius, params, delta):
-        report = check_fn(units, x0, r, eta, bound_radius, params, delta)
+    def refute(units, x0, r, eta, bound_radius, params):
+        report = check_fn(units, x0, r, eta, bound_radius, params)
         report.feasible = False
         reports.append((min([report.initial_margin] + list(report.switch_margins.values())), eta, report))
         return report
@@ -530,7 +529,7 @@ def test_failed_search_diagnostics(monkeypatch):
     monkeypatch.setattr(param_search, "feasibility_check", refute)
     for k in (0, 12):
         reports.clear()
-        res = maximize_r(*random_task(k), SearchConfig())
+        res = maximize_r(*random_task(k))
         diag = res.diagnostics
         assert not res.feasible and res.barrier is None and reports, k
         assert list(diag) == [

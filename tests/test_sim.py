@@ -348,7 +348,7 @@ def pipeline_config(seed, k):
         "initial_states": {str(i): x0[2 * i - 2 : 2 * i].tolist() for i in range(1, 5)},
         "noise": {"bound": 0.0},
         "sim": {"dt": 0.005},
-        "search": {"delta": 0.005, "eta_grid": [20, 40]},
+        "search": {},
     }
 
 
