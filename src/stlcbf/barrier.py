@@ -18,21 +18,22 @@ deadlines s_1 < ... < s_q; it is undefined at t >= s_q.
 The barrier has one kernel, _state, a single flat function body over a
 stack of K barriers (_Stack), each on one activity interval (the terms
 with deadline >= s_k) and reading its state from a vector the caller
-passes.  A barrier builds the K = 1 stack of each of its intervals once:
-barrier_state and left_limit_state build their BarrierState from the
-kernel's result, and CompositeBarrier.term_values returns its term values
-on the first interval, where every term is active.  The team step of a run
-passes a stack of every live clique's barrier (controller.Team), so one
-call serves the whole team.  Every reduction gives a barrier the same bits
-in any stack: its product rows (an affine c, a ball's A rows) and its
-state's squared norm are np.vecdot rows over its own state, one call per
-state dimension among the stacked barriers, and the softmin, the ball
-sums, the gradient and the rate are segmented ufuncs (np.minimum.reduceat,
-np.add.reduceat) over all of them.  So a term's value is the same float in
-every interval and every stack, and two identities hold exactly: the
-reported term values equal term_values(x, t)[active], and b(x, s) >= left
-limit at s with no tolerance, since both sides blend the same b_l.  A
-gather that is one run of consecutive indices is kept as a slice, a view.
+passes.  A barrier builds the K = 1 stack of each of its intervals once,
+on first use: barrier_state and left_limit_state build their BarrierState
+from the kernel's result, and CompositeBarrier.term_values returns its
+term values on the first interval, where every term is active.  The team
+step of a run passes a stack of every live clique's barrier
+(controller.Team), so one call serves the whole team, and builds no K = 1
+stack.  Every reduction gives a barrier the same bits in any stack: its
+product rows (an affine c, a ball's A rows) and its state's squared norm
+are np.vecdot rows over its own state, one call per state dimension among
+the stacked barriers, and the softmin, the ball sums, the gradient and the
+rate are segmented ufuncs (np.minimum.reduceat, np.add.reduceat) over all
+of them.  So a term's value is the same float in every interval and every
+stack, and two identities hold exactly: the reported term values equal
+term_values(x, t)[active], and b(x, s) >= left limit at s with no
+tolerance, since both sides blend the same b_l.  A gather that is one run
+of consecutive indices is kept as a slice, a view.
 
 gamma_l(t) and its rate depend on t alone, so the kernel takes them as
 arguments: rows of gamma_l(t) (less an affine term's constant d, so that
@@ -202,7 +203,7 @@ class CompositeBarrier:
             ("_active", tuple(active)),  # per activity interval
         ):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_intervals", tuple(_stack([(self, k, None)]) for k in range(len(schedule))))
+        object.__setattr__(self, "_intervals", [None] * len(schedule))  # K = 1 stacks, built on first use
         object.__setattr__(self, "_tcache", (None, None, None, None, None))  # (t, k, stack, gamma row, rate row)
 
     @property
@@ -212,11 +213,19 @@ class CompositeBarrier:
     def term_values(self, x: np.ndarray, t: float) -> np.ndarray:
         """b_l(x,t) for every task term (ignoring activity): the kernel's term
         values on the first activity interval, where every term is active."""
-        st = self._intervals[0]
+        st = self._interval(0)
         return _state(st, np.asarray(x, dtype=float), *_gamma(t, st.funnel), math.inf)[4][:-1]
 
     def active_mask(self, t: float) -> np.ndarray:
         return self._deadlines > t
+
+    def _interval(self, k: int) -> "_Stack":
+        """The K = 1 stack of activity interval k.  A run's team step reads
+        only the team's stacks, so each is built on its first checked call."""
+        st = self._intervals[k]
+        if st is None:
+            st = self._intervals[k] = _stack([(self, k, None)])
+        return st
 
 
 _EPS = CompositeBarrier.smooth_eps
@@ -227,7 +236,18 @@ _EPS2 = _EPS**2
 # below 2e307, with room for the predicates' values.  Construction places a
 # funnel at most e^700 (about 1.01e304) below its gamma_inf, so every
 # document it writes at an eta up to 980 loads.
+# The law's load db/dt + kappa b gets the same room.  db/dt is a mean of
+# the funnels' rates under the softmin weights, each at most its rate at
+# t = 0, decay (gamma_inf - gamma0), which is kept at most _SCALE_LIMIT; b
+# lies at most the softmin gap ln(terms + 1) / eta below its least term,
+# and an eta of at least ln(terms + 1) / _value_scale keeps kappa times the
+# gap within _SCALE_LIMIT, as config keeps kappa times the scale.
 _SCALE_LIMIT = 1e307
+
+
+def _value_scale(cb: CompositeBarrier) -> float:
+    """The largest funnel value or bound radius of cb in magnitude, or 1."""
+    return max([1.0, cb.bound_radius] + [abs(v) for tm in cb.terms for v in (tm.gamma.gamma0, tm.gamma.gamma_inf)])
 
 
 @dataclass(slots=True)
@@ -482,7 +502,7 @@ def _args(cb: CompositeBarrier, x, t: float, k: int) -> tuple:
         )
     tc = cb._tcache
     if tc[0] != t or tc[1] != k:
-        st = cb._intervals[k]
+        st = cb._interval(k)
         tc = (t, k, st, *_gamma(t, st.funnel))
         object.__setattr__(cb, "_tcache", tc)
     return x, tc[2], tc[3], tc[4]
@@ -556,7 +576,9 @@ def barrier_from_dict(doc: dict) -> CompositeBarrier:
     numbers (eta, bound radius, unit windows, funnel curves, predicate
     coefficients) are checked finite here: a NaN eta or bound radius would
     otherwise build a barrier whose every value is NaN.  The funnel values
-    and the bound radius are also bounded by _SCALE_LIMIT / max(eta, 1).
+    and the bound radius are also bounded by _SCALE_LIMIT / max(eta, 1), the
+    funnel rates by _SCALE_LIMIT, and eta from below by the softmin gap (see
+    _SCALE_LIMIT).
     Keys it does not read, such as the smooth_eps of older documents, are
     ignored."""
     terms = doc_object(doc, "barrier").get("terms")
@@ -590,4 +612,13 @@ def barrier_from_dict(doc: dict) -> CompositeBarrier:
         if max(cb.eta, 1.0) * abs(value) > _SCALE_LIMIT:
             raise ValueError(f"barrier document: {name} must be at most {_SCALE_LIMIT:g} / max(eta, 1) in magnitude, "
                              f"got {value!r} at eta {cb.eta!r}")
+    eta_min = math.log(len(cb.terms) + 1) / _value_scale(cb)
+    if cb.eta < eta_min:
+        raise ValueError(f"barrier document: eta must be at least ln(terms + 1) / max(1, largest funnel value or "
+                         f"bound radius in magnitude) = {eta_min:g}, got {cb.eta!r}")
+    for i, tm in enumerate(cb.terms):
+        rate = tm.gamma.decay * (tm.gamma.gamma_inf - tm.gamma.gamma0)
+        if rate > _SCALE_LIMIT:
+            raise ValueError(f"barrier document: term {i} gamma decay * (gamma_inf - gamma0) must be at most "
+                             f"{_SCALE_LIMIT:g}, got {rate!r}")
     return cb

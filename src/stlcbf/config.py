@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .barrier import _SCALE_LIMIT, barrier_to_dict, barrier_from_dict
+from .barrier import _SCALE_LIMIT, _value_scale, barrier_to_dict, barrier_from_dict
 from .controller import AgentModel, Clique
 from .formula import normalize
 from .parsing import parse
@@ -301,11 +301,12 @@ def _check_doc(cfg: dict, doc: dict) -> None:
 def _kappa(entry: dict, name: str, cb) -> float:
     """The clique's kappa from its barrier document entry.  The law adds
     kappa * b, and b is a predicate value less a funnel value, or the bound
-    radius less ||x||, up to the softmin gap: kappa times the largest funnel
-    value or bound radius (or 1) is kept at most _SCALE_LIMIT, as eta times
-    each is, which leaves the predicates' part of b the same room."""
+    radius less ||x||, less up to the softmin gap, which barrier_from_dict
+    keeps within the scale: kappa times the largest funnel value or bound
+    radius (or 1) is kept at most _SCALE_LIMIT, as eta times each is, which
+    leaves the predicates' part of b the same room."""
     kappa = finite_number(entry, "kappa", f"clique {name!r} ")
-    scale = max([1.0, cb.bound_radius] + [abs(v) for tm in cb.terms for v in (tm.gamma.gamma0, tm.gamma.gamma_inf)])
+    scale = _value_scale(cb)
     if kappa * scale > _SCALE_LIMIT:
         raise ConfigError(f"barrier document: clique {name!r} kappa must be at most {_SCALE_LIMIT:g} / max(1, largest "
                           f"funnel value or bound radius in magnitude), got {kappa!r} with {scale!r}")

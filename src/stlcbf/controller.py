@@ -19,8 +19,10 @@ cliques' barriers (the team pass) gives every clique's value, rate and
 block of the team gradient, with the bits barrier_state gives that clique
 alone; then team-wide vector operations give every agent's block norm,
 share, half-space (Team.half_spaces) and closed-form input, with no loop
-over the cliques.  Shares, residuals and barrier values can go straight
-into a caller's arrays, such as a row of a run's trajectory table.  The
+over the cliques.  Shares, barrier values, right-hand sides, directions and
+inputs can go straight into a caller's arrays, such as rows of a run's
+tables; the residuals a'u - rhs that only a log reads are left to
+Team.residuals, which a run calls once over many steps' rows.  The
 team keeps one pass per combination of its cliques' activity intervals,
 and a run tabulates each step's pass and funnel rows ahead over its time
 grid (Team.funnels), so the step makes no interval lookup, no funnel
@@ -296,6 +298,13 @@ class Team:
                 out += zip(repeat(found), *_gamma(times[lo:hi, None], found[0].funnel))
         return out
 
+    def residuals(self, a: np.ndarray, u: np.ndarray, rhs: np.ndarray, out=None) -> np.ndarray:
+        """The slack a_i'u_i - rhs_i of every agent's half-space, over any
+        leading axes of the directions and inputs a, u (input layout) and the
+        right-hand sides rhs (one per agent): one row per step when a run
+        fills its log's column for many steps at once."""
+        return np.subtract(self._input_dot(a, u), rhs, out=out)
+
     def half_spaces(self, x: np.ndarray, t: float, drift: np.ndarray, f_u: np.ndarray, funnels=None,
                     out=None) -> tuple:
         """Every agent's half-space a_i'u_i >= rhs_i at time t, in one pass:
@@ -304,8 +313,9 @@ class Team:
         form every agent's norm, share and rhs.  The kernel takes the stack
         and its rows from funnels, the entry of self.funnels for t: a run
         tabulates them ahead, and without them they are tabulated for t
-        alone.  out, when given, is a pair of arrays (n_agents,) and
-        (n_cliques,) that the shares and the barrier values are written into.
+        alone.  out, when given, is a triple of arrays (n_agents,),
+        (n_cliques,) and (n_agents,) that the shares, the barrier values and
+        the right-hand sides are written into.
 
         Returns (grad, barrier values, block norms, shares, a, ||a_i||^2,
         rhs): grad (dim,) holds each agent's block of its clique's barrier
@@ -325,7 +335,7 @@ class Team:
         if funnels is None:
             funnels = self.funnels(np.array([t]))[0]
         n = len(self.ids)
-        shares, values = (np.empty(n), np.empty(len(self._parts))) if out is None else out
+        shares, values, rhs = (np.empty(n), np.empty(len(self._parts)), None) if out is None else out
         if funnels is None:  # every clique expired
             grad, load, expired = np.zeros(self.dim), np.zeros(n), (slice(None), slice(None))
         else:
@@ -350,7 +360,7 @@ class Team:
             values[expired[0]] = math.nan
             shares[expired[1]] = 0.0
             load[expired[1]] = 0.0
-        rhs = norms * self._n_hat
+        rhs = np.multiply(norms, self._n_hat, out=rhs)
         rhs *= self.coupling_bounds
         rhs -= shares * load
         if self._drifts:
@@ -398,7 +408,9 @@ class TeamControl:
     """
 
     inputs: np.ndarray  # (team.input_dim,) QP input u of every agent
-    residuals: np.ndarray  # (n_agents,) a'u - rhs
+    # (n_agents,) a'u - rhs (Team.residuals), or None when team_control wrote
+    # into a caller's arrays: a run fills them for many steps at once
+    residuals: np.ndarray | None
     shares: np.ndarray  # (n_agents,) N_i
     grad: np.ndarray  # (team.dim,) each agent's block of its clique's barrier gradient
     grad_norms: np.ndarray  # (n_agents,) norms of those blocks
@@ -411,9 +423,10 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
     the stacked secondary input f_u (read only for the members in team.known).
     funnels goes on to Team.half_spaces: the entry of team.funnels for t, or
     None to tabulate the barrier rows for t alone.  out, when given, is a
-    triple of arrays (n_agents,), (n_agents,) and (n_cliques,), for example
-    views of a table row, that the shares, residuals and barrier values are
-    written into; the result holds them.
+    tuple of arrays, for example rows of a run's tables, that the shares
+    (n_agents,), the barrier values (n_cliques,), the right-hand sides
+    (n_agents,), the directions a and the inputs (team.input_dim,) are
+    written into; the result's arrays are those, and its residuals None.
 
     The closed form runs on the whole team at once: u_i = (rhs_i / ||a_i||^2)
     a_i where rhs_i > 0, else +0, which is solve_agent_qp's own arithmetic.  A
@@ -421,14 +434,16 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
     (_ZERO_TOL rhs_i)^2 goes through solve_agent_qp itself, so the rescaled
     input and the infeasibility error keep one definition.  A clique past its
     final deadline has no remaining obligations; its members get zero input,
-    share and residual from it.
+    share, direction and right-hand side from it.
     """
-    shares, residuals, values = (None, np.empty(len(team.ids)), None) if out is None else out
+    a_out, u = (None, None) if out is None else out[3:]
     drift = team.drift(x, t)
     grad, values, norms, shares, a, nn, rhs = team.half_spaces(
-        x, t, drift, f_u, funnels, None if out is None else (shares, values))
+        x, t, drift, f_u, funnels, None if out is None else out[:3])
     rows = team._input_row
     norms_a = norms if a is grad else np.sqrt(nn)
+    if a_out is not None:
+        a_out[...] = a
     rhs_list = rhs.tolist()
     # Row r goes through solve_agent_qp when rhs_r > 0 and nn_r <= (_ZERO_TOL
     # rhs_r)^2 or below the normal range; then sqrt(nn_r) <= 2 _ZERO_TOL rhs_r
@@ -437,7 +452,7 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
     # form.  A nan rhs gives a nan input on either path, as in solve_agent_qp,
     # and a nan that min() or max() returns takes the row-wise path.
     if min(rhs_list) > 0.0 and min(norms_a.tolist()) > 2.0 * _ZERO_TOL * max(rhs_list) + 1.5e-154:
-        u = (rhs / nn)[rows] * a
+        u = np.multiply((rhs / nn)[rows], a, out=u)
         odd_rows = ()
     else:
         active = ~(rhs <= 0.0)
@@ -445,7 +460,10 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
         active &= ~odd
         odd_rows = sorted(odd.nonzero()[0].tolist(), key=team._order.index)  # the per-agent law's order
         coef = np.divide(rhs, nn, out=np.zeros(len(rhs)), where=active)
-        u = np.multiply(coef[rows], a, out=np.zeros(team.input_dim), where=active[rows])
+        if u is None:
+            u = np.empty(team.input_dim)
+        u[...] = 0.0
+        np.multiply(coef[rows], a, out=u, where=active[rows])
     for r in odd_rows:
         si = team.input_blocks[team.ids[r]]
         try:
@@ -455,5 +473,5 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
                 f"agent {team.ids[r]} infeasible at t = {t:g}: {err} "
                 f"(barrier value {values[team._clique_of[r]]:g})"
             ) from None
-    np.subtract(team._input_dot(a, u), rhs, out=residuals)
+    residuals = None if out is not None else team.residuals(a, u, rhs)
     return TeamControl(u, residuals, shares, grad, norms, drift, values)

@@ -17,6 +17,13 @@ table laid out as the trajectory CSV: the Euler update writes the next
 state into its row, the log is that table, the CSV writer formats its rows
 as they are and the readers fill one back a block of lines at a time.  Its
 fields, per agent or stacked, are column views.
+
+A step computes only what the next state needs: it writes what only the
+log reads (its QP's a, rhs and u, and its disturbance) into rows of chunk
+buffers, and one pass per chunk fills the residual and disturbance-norm
+columns and finds the first step over its bound, where the run ends as if
+it had stopped there.  The later steps are discarded, so scripted
+callbacks must be pure functions of (states, t).
 """
 
 from __future__ import annotations
@@ -370,7 +377,9 @@ def _run_of(blocks: dict, ids) -> slice | None:
     return None
 
 
-_CHUNK_ROWS = 256  # noise steps drawn, funnel rows tabulated, or CSV rows written or lines read and hashed at a time
+# noise steps drawn, funnel rows tabulated, steps settled, or CSV rows
+# written or lines read and hashed at a time
+_CHUNK_ROWS = 256
 
 
 def _latest_deadline(cliques) -> float:
@@ -408,40 +417,58 @@ def run(scenario: Scenario) -> TrajectoryLog:
     switch_times = sorted({s for cl in sc.cliques for s in cl.barrier.schedule})
     next_switch_idx = 0
     completed = True
-    steps_done = 0
+    steps_done = n_steps
+    # what only the log reads of a chunk's steps, a row per step: each QP's
+    # a, rhs and u and each disturbance
+    a_rows, u_rows = np.empty((_CHUNK_ROWS, team.input_dim)), np.empty((_CHUNK_ROWS, team.input_dim))
+    rhs_rows, dist_rows = np.empty((_CHUNK_ROWS, len(team.ids))), np.empty((_CHUNK_ROWS, team.dim))
 
-    tabulated = []  # funnel rows of the steps ahead, the next step's last
-    for k, t in enumerate(times[:-1].tolist()):
-        if not tabulated:  # tabulate the next _CHUNK_ROWS steps' rows
-            tabulated = team.funnels(times[k : min(k + _CHUNK_ROWS, n_steps)])[::-1]
-        while next_switch_idx < len(switch_times) and switch_times[next_switch_idx] <= t + 1e-12:
-            events.append({"t": t, "kind": "switch", "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
-            next_switch_idx += 1
-        f_u = secondary(x, t)
+    for lo in range(0, n_steps, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n_steps)
+        steps = zip(range(lo, hi), times[lo:hi].tolist(), team.funnels(times[lo:hi]),
+                    a_rows, u_rows, rhs_rows, dist_rows)
+        failure = None
         try:
-            tc = team_control(team, x, t, f_u, tabulated.pop(), (shares[k], residuals[k], bs[k]))
-        except QpInfeasibleError as err:
-            events.append({"t": t, "kind": "qp_infeasible", "detail": str(err)})
-            completed = False
+            for k, t, funnels, a_k, u_k, rhs_k, dist_k in steps:
+                while next_switch_idx < len(switch_times) and switch_times[next_switch_idx] <= t + 1e-12:
+                    events.append({"t": t, "kind": "switch",
+                                   "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
+                    next_switch_idx += 1
+                f_u = secondary(x, t)
+                tc = team_control(team, x, t, f_u, funnels, (shares[k], bs[k], rhs_k, a_k, u_k))
+                w = noise(tc)
+                c = coupling(x, t)
+                u = np.add(tc.inputs, f_u, out=us[k])
+                # disturbance the declared bound C must cover: everything the
+                # constraint does not model
+                np.add(c + w, team.input_effect(f_u if unmodelled is None else f_u * unmodelled), out=dist_k)
+                x = np.add(x, dt * (tc.drift + team.input_effect(u) + c + w), out=xs[k + 1])
+            k = hi
+        except Exception as err:  # step k raised: the steps before it are settled first
+            failure = err
+        # the chunk's steps lo..k-1: their residuals and disturbance norms,
+        # and the first of them whose norm is not within its bound (a nan
+        # norm aborts too), where the run ends as if it had stopped there
+        n = k - lo
+        team.residuals(a_rows[:n], u_rows[:n], rhs_rows[:n], out=residuals[lo:k])
+        dn = team.block_norms(dist_rows[:n], out=dist_norms[lo:k])
+        over = ~(dn <= limits)
+        if over.any():
+            j = int(over.any(axis=1).argmax())
+            t = times[lo + j].item()
+            events = [e for e in events if e["t"] <= t]
+            events += [{
+                "t": t, "kind": "disturbance_bound",
+                "detail": f"agent {team.ids[r]} disturbance {dn[j, r]:.4f} exceeds "
+                f"declared bound {team.coupling_bounds[r]:g}",
+            } for r in np.flatnonzero(over[j]).tolist()]
+            completed, steps_done = False, lo + j + 1
             break
-        w = noise(tc)
-        c = coupling(x, t)
-        u = np.add(tc.inputs, f_u, out=us[k])
-        # disturbance the declared bound C must cover: everything the
-        # constraint does not model
-        dist = c + w + team.input_effect(f_u if unmodelled is None else f_u * unmodelled)
-        dn = team.block_norms(dist, out=dist_norms[k])
-        x = np.add(x, dt * (tc.drift + team.input_effect(u) + c + w), out=xs[k + 1])
-        steps_done = k + 1
-        within = (dn <= limits).tolist()  # a nan norm aborts too
-        if False in within:  # on a few rows, cheaper than .all()
-            for r in [r for r, ok in enumerate(within) if not ok]:
-                events.append({
-                    "t": t, "kind": "disturbance_bound",
-                    "detail": f"agent {team.ids[r]} disturbance {float(dn[r]):.4f} exceeds "
-                    f"declared bound {float(team.coupling_bounds[r]):g}",
-                })
-            completed = False
+        if failure is not None:
+            if not isinstance(failure, QpInfeasibleError):
+                raise failure
+            events.append({"t": t, "kind": "qp_infeasible", "detail": str(failure)})
+            completed, steps_done = False, k
             break
 
     # the step loop wrote the barrier values in the team's clique order

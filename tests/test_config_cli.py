@@ -740,10 +740,12 @@ def test_barrier_document_mutation_table(tmp_path, capsys):
     simulate: each ends in exit 0, 1 or 2, with exactly one stderr line on
     exit 2 and never a traceback.  First the explicit rows, each with its
     exit code and stderr line: a predicate over no state (an affine c of []
-    or a ball A with no column), a kappa whose product with b overflows, a
-    deadline whose step count overflows, and a clique whose every deadline
-    is before the first step, which logs no barrier value and so fails
-    barrier_ok with min_barrier nan.  Then 600 seeded draws."""
+    or a ball A with no column), a kappa whose product with b overflows, an
+    eta whose softmin gap and a funnel whose rate no input could meet (the
+    run stopped at step 0 on an infeasible QP), a deadline whose step count
+    overflows, and a clique whose every deadline is before the first step,
+    which logs no barrier value and so fails barrier_ok with min_barrier
+    nan.  Then 600 seeded draws."""
     cfg_path, barriers = _two_clique_construction(tmp_path)
     good = json.loads(barriers.read_text())
     solo, other = ("cliques", "solo", "barrier", "terms", 0), ("cliques", "other", "barrier", "terms", 0)
@@ -753,6 +755,9 @@ def test_barrier_document_mutation_table(tmp_path, capsys):
          "barrier document: term 0 predicate A must have at least one column"),
         (("cliques", "other", "kappa"), 1e308, 2, "barrier document: clique 'other' kappa must be at most 1e+307"),
         (("cliques", "other", "kappa"), 2.0**1023, 2, "barrier document: clique 'other' kappa must be at most 1e+307"),
+        (("cliques", "other", "barrier", "eta"), 1e-300, 2, "barrier document: eta must be at least ln(terms + 1)"),
+        (other + ("gamma",), dict(good["cliques"]["other"]["barrier"]["terms"][0]["gamma"], gamma_inf=1e305, decay=1e3),
+         2, "barrier document: term 0 gamma decay * (gamma_inf - gamma0) must be at most 1e+307"),
         (other + ("unit", "b"), 1e308, 2, "horizon must be a positive integer multiple of dt"),
         (other + ("unit", "b"), 1e-300, 0, None),
     ]

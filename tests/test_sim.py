@@ -514,6 +514,14 @@ def test_adversarial_noise_pushes_against_gradient():
 
 # --- the stacked team step against the per-agent oracle --------------------
 
+def _abort_then_raise(states, t):
+    """Scripted coupling: agent 4 over its bound at t = 0.29, nothing before,
+    and an error at every later t, which the per-agent loop never reaches."""
+    if t > 0.29 + 1e-12:
+        raise RuntimeError(f"coupling called at t = {t:g}, past the breach")
+    return {4: np.array([0.0, 2.0])} if t >= 0.29 - 1e-12 else {}
+
+
 def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False, plain=False, group=(1, 2, 3)):
     """Five agents in two cliques, sized so that every QP is active at times.
 
@@ -604,6 +612,10 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False, 
         # two agents over their bounds at t = 0.3
         "abort": CouplingSpec("scripted", scripted=lambda states, t: (
             {1: np.array([5.0, 0.0]), 4: np.array([0.0, 2.0])} if t >= 0.3 - 1e-12 else {})),
+        # agent 1 over its bound at t = 0.42, the step before the stuck agent's QP fails
+        "abort-before-infeasible": CouplingSpec("scripted", scripted=lambda states, t: (
+            {1: np.array([5.0, 0.0])} if t >= 0.42 - 1e-12 else {})),
+        "abort-then-raise": CouplingSpec("scripted", scripted=_abort_then_raise),
     }[coupling]
     return Scenario(agents=agents, cliques=tuple(cliques),
                     x0={i: np.asarray(v, float) for i, v in x0.items()}, dt=0.01,
@@ -637,6 +649,10 @@ ORACLE_CASES = {
     "ball-none-known": ("uniform_ball", "none", "known", False, 3.0),
     "disturbance-abort": ("uniform_ball", "abort", "repulsion", False, 3.0),
     "qp-infeasible-abort": ("none", "none", "none", True, 3.0),
+    # a breach, then in the same chunk a step that raises: an infeasible QP,
+    # or a coupling that raises past the breach after side's switch at 0.3
+    "disturbance-abort-then-qp-infeasible": ("none", "abort-before-infeasible", "none", True, 3.0),
+    "interleaved-disturbance-abort-then-raise": ("uniform_ball", "abort-then-raise", "repulsion", False, 3.0, True),
     "interleaved-ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0, True),
     # a repulsion group whose blocks are not one run of the team vector
     "gathered-ball-attraction-repulsion": ("uniform_ball", "attraction", "repulsion", False, 3.0, True, False, (1, 3)),
@@ -663,6 +679,12 @@ def test_run_matches_per_agent_oracle_bitwise(case):
     kinds = [e["kind"] for e in log.events]
     if coupling == "abort":
         assert kinds[-2:] == ["disturbance_bound"] * 2 and log.times[-1] == pytest.approx(0.31)
+    elif coupling == "abort-before-infeasible":  # the QP fails at 0.43 (qp-infeasible-abort)
+        assert kinds == ["disturbance_bound"] and log.times[-1] == pytest.approx(0.43)
+    elif coupling == "abort-then-raise":  # the switch at 0.3 is dropped with the steps past the breach
+        assert kinds == ["disturbance_bound"] and log.times[-1] == pytest.approx(0.30)
+        with pytest.raises(RuntimeError, match="past the breach"):
+            sc.coupling.scripted(sc.x0, 0.3)
     elif stuck:
         assert kinds[-1] == "qp_infeasible" and 0.1 < log.events[-1]["t"] < 0.9
     else:
