@@ -11,7 +11,7 @@ import numpy as np
 
 from stlcbf import (
     StateLayout, parse, normalize, GammaParams, build_barrier,
-    barrier_value, barrier_state, left_limit_value, gamma_eval,
+    barrier_state, left_limit_state, gamma_eval,
 )
 
 layout = StateLayout(ids=(1,), dims=(2,))
@@ -46,8 +46,8 @@ print(f"at x={x}, t=0.5: softmin {st.value:.4f} <= hard min {hard_min:.4f}, "
 # barrier can only jump upward; visible where that clause was the binding one
 s = cb.schedule[0]
 near_goal = np.array([3.5, 1.8])
-before = left_limit_value(cb, near_goal, s)
-after = barrier_value(cb, near_goal, s)
+before = left_limit_state(cb, near_goal, s).value
+after = barrier_state(cb, near_goal, s).value
 print(f"switch at t={s:g}, x={near_goal}: left limit {before:.4f} -> "
       f"value {after:.4f} (jump {after - before:+.4f})")
 
@@ -60,7 +60,7 @@ try:
 
     ts = np.linspace(0.0, cb.horizon - 1e-6, 400)
     for pt in (np.array([1.0, 1.5]), np.array([4.0, 2.0])):
-        vals = [barrier_value(cb, pt, t) for t in ts]
+        vals = [barrier_state(cb, pt, t).value for t in ts]
         plt.plot(ts, vals, label=f"x = {pt}")
     plt.axhline(0.0, color="k", lw=0.5)
     plt.xlabel("t")

@@ -11,7 +11,7 @@ import numpy as np
 
 from stlcbf import (
     StateLayout, parse, normalize, maximize_r,
-    feasibility_check, barrier_value, left_limit_value,
+    feasibility_check, barrier_state, left_limit_state,
 )
 
 # a single planar agent that has to reach a goal box while keeping y >= 0
@@ -31,10 +31,10 @@ for key in ("eta", "bound_radius", "initial_margin", "switch_margins", "ascent_e
 # the certified margins: the barrier clears delta at t=0 and (approaching
 # from the left) at every activity switch
 cb = result.barrier
-print(f"barrier at (x0, 0): {barrier_value(cb, x0, 0.0):.4f} "
+print(f"barrier at (x0, 0): {barrier_state(cb, x0, 0.0).value:.4f} "
       f"(needs >= delta = {result.diagnostics['delta']})")
 for s, w in result.witnesses.items():
-    print(f"  witness at switch {s:g}: left limit {left_limit_value(cb, w, s):.4f}")
+    print(f"  witness at switch {s:g}: left limit {left_limit_state(cb, w, s).value:.4f}")
 
 # re-check the winning funnels on their own; the class-K gain kappa the
 # controller uses is a fixed constant of the search, not derived from them

@@ -38,20 +38,19 @@ of consecutive indices is kept as a slice, a view.
 gamma_l(t) and its rate depend on t alone, so the kernel takes them as
 arguments: rows of gamma_l(t) (less an affine term's constant d, so that
 its value is c x minus the row) and -d gamma_l/dt over the stack's slots,
-from one _gamma.  The checked entries (barrier_state, barrier_value,
-left_limit_*) fetch the rows from a t-cache that holds them for the last
-(t, interval) pair: a search or a sweep evaluates many states at one time.
-A run knows its time grid, so Team.funnels tabulates the team's rows over
-many steps at once and the team step hands them to _state with no lookup
-and no check.  One _gamma over a grid gives each row the bits of _gamma at
-that row's time.
+from one _gamma.  The two checked entries, barrier_state and
+left_limit_state, fetch the rows through _args from a t-cache that holds
+them for the last (t, interval) pair: a search or a sweep evaluates many
+states at one time.  A run knows its time grid, so Team.funnels tabulates
+the team's rows over many steps at once and the team step hands them to
+_state with no lookup and no check.  One _gamma over a grid gives each row
+the bits of _gamma at that row's time.
 
 The kernel has an exit after the softmin, taken by a single barrier's
-value below a floor the caller passes.  barrier_value, left_limit_value
-and term_values take it with floor inf.  An Armijo trial of the
-switch-certifying ascent in param_search passes its acceptance threshold:
-a rejected trial stops there, and an accepted one runs on to its gradient,
-rate and weights, once.
+value below a floor the caller passes: a caller that needs the value alone
+passes floor inf, and an Armijo trial of the switch-certifying ascent in
+param_search its acceptance threshold, so that only an accepted trial runs
+on to its gradient, rate and weights.
 """
 
 from __future__ import annotations
@@ -71,14 +70,11 @@ from .predicates import (
 
 __all__ = [
     "GammaParams",
-    "BarrierTerm",
     "CompositeBarrier",
     "BarrierState",
     "gamma_eval",
     "build_barrier",
-    "barrier_value",
     "barrier_state",
-    "left_limit_value",
     "left_limit_state",
     "barrier_to_dict",
     "barrier_from_dict",
@@ -422,7 +418,7 @@ def _state(st: _Stack, x: np.ndarray, gam: np.ndarray, rate: np.ndarray, floor: 
     value and rate per barrier (numpy scalars for K = 1), the gradient per
     state entry in the order of its index in x, the last two per slot.  A
     value below a floor (K = 1) ends the call after the softmin, with the
-    gradient, rate and weights None: the value-only entries pass floor =
+    gradient, rate and weights None: a value-only caller passes floor =
     inf, and an Armijo trial of the ascent its acceptance threshold.
     """
     (products, off, balls, perm, seg, owner, pick, eta_slots, eta, radius, grad_coef, grad_idx, grad_start,
@@ -488,13 +484,19 @@ def _gamma(times, funnel: tuple) -> tuple:
     return gam, e
 
 
-def _args(cb: CompositeBarrier, x, t: float, k: int) -> tuple:
-    """What a checked call at (x, t) on activity interval k (k =
-    len(schedule): expired) hands the kernel: x as a (dim,) float array, the
-    interval's stack and the stack's rows from the t-cache."""
+def _args(cb: CompositeBarrier, x, t: float, left: bool = False) -> tuple:
+    """What a checked call at (x, t) hands the kernel: the stack of the
+    activity interval at t, x as a (dim,) float array, and the stack's rows
+    from the t-cache.  With left, the interval is the one just below t:
+    terms with deadline >= t are still in, and a NaN t keeps no term."""
     x = np.asarray(x, dtype=float)
     if x.shape != (cb.dim,):
         raise ValueError(f"state must have shape ({cb.dim},)")
+    if left:
+        thr = t - 1e-12 * max(1.0, abs(t))
+        k = bisect.bisect_left(cb.schedule, thr) if thr == thr else len(cb.schedule)
+    else:
+        k = bisect.bisect_right(cb.schedule, t)
     if k == len(cb.schedule):
         raise ValueError(
             f"barrier undefined at t={t:g}: every task term has expired "
@@ -505,35 +507,18 @@ def _args(cb: CompositeBarrier, x, t: float, k: int) -> tuple:
         st = cb._interval(k)
         tc = (t, k, st, *_gamma(t, st.funnel))
         object.__setattr__(cb, "_tcache", tc)
-    return x, tc[2], tc[3], tc[4]
+    return tc[2], x, tc[3], tc[4]
 
 
 def barrier_state(cb: CompositeBarrier, x: np.ndarray, t: float) -> BarrierState:
-    x, st, gam, rate = _args(cb, x, t, bisect.bisect_right(cb.schedule, t))
-    return _barrier_state(_state(st, x, gam, rate), st)
-
-
-def barrier_value(cb: CompositeBarrier, x: np.ndarray, t: float) -> float:
-    x, st, gam, rate = _args(cb, x, t, bisect.bisect_right(cb.schedule, t))
-    return _state(st, x, gam, rate, math.inf)[0].item()
-
-
-def _left_interval(cb: CompositeBarrier, s: float) -> int:
-    """The activity interval just below s: terms with deadline >= s are
-    still in; a NaN threshold keeps no term."""
-    thr = s - 1e-12 * max(1.0, abs(s))
-    return bisect.bisect_left(cb.schedule, thr) if thr == thr else len(cb.schedule)
+    args = _args(cb, x, t)
+    return _barrier_state(_state(*args), args[0])
 
 
 def left_limit_state(cb: CompositeBarrier, x: np.ndarray, s: float) -> BarrierState:
-    x, st, gam, rate = _args(cb, x, s, _left_interval(cb, s))
-    return _barrier_state(_state(st, x, gam, rate), st)
-
-
-def left_limit_value(cb: CompositeBarrier, x: np.ndarray, s: float) -> float:
-    """Barrier value in the limit t -> s from below (deadline-s terms kept)."""
-    x, st, gam, rate = _args(cb, x, s, _left_interval(cb, s))
-    return _state(st, x, gam, rate, math.inf)[0].item()
+    """The barrier state in the limit t -> s from below (deadline-s terms kept)."""
+    args = _args(cb, x, s, left=True)
+    return _barrier_state(_state(*args), args[0])
 
 
 def build_barrier(units, params, eta: float, bound_radius: float) -> CompositeBarrier:

@@ -42,14 +42,12 @@ from .formula import normalize
 from .parsing import parse
 from .param_search import _check_r_max, maximize_r
 from .predicates import StateLayout, doc_object, finite_array, finite_number, is_finite_number
-from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec
+from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec, _check_repulsion_group
 
 __all__ = [
     "ConfigError",
     "load_config",
-    "validate_config",
     "config_hash",
-    "canonical_json",
     "clique_formulas",
     "build_agents",
     "run_construct",
@@ -342,7 +340,7 @@ def _dynamics_specs(cfg: dict, agents: dict, seed: int | None = None) -> tuple:
     sec_cfg = cfg.get("secondary", {"kind": "none"})
     noise_cfg = cfg.get("noise", {})
     kind = sec_cfg.get("kind", "none")
-    try:  # the specs own the lists of kinds
+    try:  # the specs own the lists of kinds, and sim the rule for a repulsion group
         coupling = CouplingSpec(
             kind=coup_cfg.get("kind", "none"),
             attractions={
@@ -363,16 +361,13 @@ def _dynamics_specs(cfg: dict, agents: dict, seed: int | None = None) -> tuple:
             distribution=noise_cfg.get("distribution", "uniform_ball"),
             seed=int(seed if seed is not None else noise_cfg.get("seed", 0)),
         )
+        for i, pulls in coupling.attractions.items():
+            for _, tgt in pulls:
+                if agents[i].state_dim != agents[tgt].state_dim:
+                    raise ConfigError(f"agent {i} is pulled toward agent {tgt} of another dimension")
+        _check_repulsion_group(secondary, agents)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    for i, pulls in coupling.attractions.items():
-        for _, tgt in pulls:
-            if agents[i].state_dim != agents[tgt].state_dim:
-                raise ConfigError(f"agent {i} is pulled toward agent {tgt} of another dimension")
-    shapes = {(agents[i].state_dim, agents[i].input_dim) for i in secondary.group}
-    if kind == "pairwise_repulsion" and (len(shapes) > 1 or any(n != m for n, m in shapes)):
-        raise ConfigError("pairwise repulsion needs group members of one dimension "
-                          "with as many inputs as states")
     for name in sorted(cfg["cliques"]) if secondary.known else ():
         members = [int(i) for i in cfg["cliques"][name]["members"]]
         inside = [i for i in members if i in secondary.group]

@@ -52,7 +52,6 @@ __all__ = [
     "QpInfeasibleError",
     "solve_agent_qp",
     "team_control",
-    "TeamControl",
 ]
 
 _ZERO_TOL = 1e-12

@@ -8,8 +8,8 @@ target r subject to
     (ii) for every switch s_j of the activity schedule there exists a state
          xi_j with left-limit barrier value >= delta at s_j.
 
-Constraint (ii) is certified by maximizing the concave map
-x -> left_limit_value(x, s_j) with projected gradient ascent; concavity makes
+Constraint (ii) is certified by maximizing the concave left-limit value
+x -> b(x, s_j^-) with projected gradient ascent; concavity makes
 any stationary point a global maximum, so the certificate is sound.
 Concavity also bounds the maximum from the returned iterate x with gradient
 g: max over ||y|| <= D of f(y) <= f(x) + D ||g|| - g.x (first-order
@@ -42,9 +42,7 @@ from .barrier import (
     build_barrier,
     barrier_state,
     left_limit_state,
-    left_limit_value,
     _barrier_state,
-    _left_interval,
     _args,
     _state,
 )
@@ -197,7 +195,7 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray):
 
     x = _project_ball(np.asarray(x_start, dtype=float).copy(), radius)
     st = left_limit_state(cb, x, s)
-    _, stack, gam, rate = _args(cb, x, s, _left_interval(cb, s))
+    stack, _, gam, rate = _args(cb, x, s, left=True)
     alpha = 1.0
     prev_x = None
     prev_g = None
@@ -308,17 +306,19 @@ def _relaxation(units, x0: np.ndarray, eta: float, d0: float, level: float) -> d
         cb = build_barrier(reached, [GammaParams(0.0, 1.0, 0.0, u.t_star) for u in reached],
                            eta=eta, bound_radius=_RELAX_RADIUS * d0)
         x, st, *_ = _ascend(cb, s, x0)
+        # the switch's rows, fetched once; floor inf stops each value-only call after the softmin
+        stack, _, gam, rate = _args(cb, x0, s, left=True)
         if st.value >= floor:
             # concave along the segment from x0: its points valued >= floor form [t1, 1]
             lo, hi = 0.0, 1.0
             for _ in range(50):
                 mid = 0.5 * (lo + hi)
-                if left_limit_value(cb, x0 + mid * (x - x0), s) >= floor:
+                if _state(stack, x0 + mid * (x - x0), gam, rate, math.inf)[0] >= floor:
                     hi = mid
                 else:
                     lo = mid
             x = x0 + hi * (x - x0)
-        out[s] = (x, left_limit_value(cb, x, s))
+        out[s] = (x, float(_state(stack, x, gam, rate, math.inf)[0]))
     return out
 
 

@@ -39,17 +39,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .barrier import _as_slice
 from .controller import Clique, QpInfeasibleError, Team, team_control
 from .predicates import StateLayout, is_finite_number
 from .robustness import SampledSignal, robustness
 
 __all__ = [
-    "sat1",
     "CouplingSpec",
     "SecondaryControlSpec",
     "NoiseSpec",
     "Scenario",
-    "TrajectoryLog",
     "pairwise_repulsion",
     "run",
     "verify",
@@ -60,17 +59,12 @@ __all__ = [
 ]
 
 
-def sat1(v: np.ndarray) -> np.ndarray:
-    """Componentwise saturation to [-1, 1] (np.clip's values, with less call overhead)."""
-    return np.minimum(np.maximum(np.asarray(v, dtype=float), -1.0), 1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class CouplingSpec:
     """Uncontrolled coupling c_i(x, t) entering every agent's dynamics.
 
-    saturating_attraction: c_i = sum of gain * sat1(x_target - x_i) over the
-    agent's (gain, target) list.
+    saturating_attraction: c_i = sum of gain * sat(x_target - x_i) over the
+    agent's (gain, target) list, sat the componentwise saturation to [-1, 1].
     """
 
     kind: str = "none"  # none | saturating_attraction | scripted
@@ -103,7 +97,7 @@ def _attraction_pulls(attractions: dict, blocks: dict) -> tuple:
 
 def _attract(x: np.ndarray, dst: np.ndarray, src: np.ndarray, gains: np.ndarray, lo: np.ndarray,
              hi: np.ndarray) -> np.ndarray:
-    # sat1's saturation, with the bounds as arrays (numpy's faster path);
+    # the saturation to [-1, 1], with the bounds as arrays (numpy's faster path);
     # bincount adds its weights one after another from 0.0, so each
     # component's pulls add up in their listed order
     return np.bincount(dst, gains * np.minimum(np.maximum(x[src] - x[dst], lo), hi), minlength=len(x))
@@ -135,6 +129,14 @@ class SecondaryControlSpec:
             raise ValueError(f"secondary gain must be a finite number, got {self.gain!r}")
         if not (is_finite_number(self.softening) and self.softening > 0.0):
             raise ValueError(f"secondary softening must be a finite number > 0, got {self.softening!r}")
+
+
+def _check_repulsion_group(spec: SecondaryControlSpec, agents: dict) -> None:
+    """Refuse a pairwise repulsion group whose members differ in state
+    dimension, or have another number of inputs than states."""
+    shapes = {(agents[i].state_dim, agents[i].input_dim) for i in spec.group}
+    if spec.kind == "pairwise_repulsion" and (len(shapes) > 1 or any(n != m for n, m in shapes)):
+        raise ValueError("pairwise repulsion needs group members of one dimension with as many inputs as states")
 
 
 def pairwise_repulsion(points: np.ndarray, gain: float, softening: float) -> np.ndarray:
@@ -191,6 +193,7 @@ class Scenario:
             for i in ids:
                 if i not in self.agents:
                     raise ValueError(f"{what} names agent {i}, which the scenario does not have")
+        _check_repulsion_group(self.secondary, self.agents)
         # the run's team, which also refuses cliques that do not fit the agents
         known = self.secondary.group if self.secondary.known else ()
         object.__setattr__(self, "_team", Team(self.cliques, self.agents, known))
@@ -338,43 +341,26 @@ def _coupling_fn(spec: CouplingSpec, team: Team):
 def _secondary_fn(spec: SecondaryControlSpec, team: Team):
     """f_u(x, t) of every agent in the stacked input layout (0 where an agent
     gets none).  The repulsion writes into one vector the run owns, which
-    each call overwrites: its caller uses it before the next step."""
+    each call overwrites: its caller uses it before the next step.  Scenario
+    has checked that its group's blocks are all of one size."""
     if spec.kind == "scripted":
         return _scattered(spec.scripted, team, team.input_blocks, team.input_dim)
     if spec.kind == "none" or not spec.group:
         return lambda x, t: np.zeros(team.input_dim)
     out = np.zeros(team.input_dim)
-    k, dims = len(spec.group), {team.blocks[i].stop - team.blocks[i].start for i in spec.group}
-    states = _run_of(team.blocks, spec.group)
-    inputs = _run_of(team.input_blocks, spec.group)
-    if len(dims) == 1 and states is not None and inputs is not None:
-        # the group's states and inputs are each one adjacent run of equal blocks
-        d = dims.pop()
-        gain, softening = np.full((k, d), spec.gain), np.full((k, k), spec.softening)  # as arrays: a faster path
+    # the group's states and inputs, as a slice when their blocks follow each
+    # other in group order (a view), else as an index array (a copy)
+    rows = np.r_[tuple(team.blocks[i] for i in spec.group)]
+    states, inputs = _as_slice(rows), _as_slice(np.r_[tuple(team.input_blocks[i] for i in spec.group)])
+    k = len(spec.group)
+    shape = (k, len(rows) // k)
+    gain, softening = np.full(shape, spec.gain), np.full((k, k), spec.softening)  # as arrays: a faster path
 
-        def repel(x, t):
-            out[inputs] = pairwise_repulsion(x[states].reshape(k, d), gain, softening).ravel()
-            return out
-
-        return repel
-    # (group size, dim) index arrays of the group's states and inputs
-    rows = np.array([np.arange(b.start, b.stop) for b in (team.blocks[i] for i in spec.group)])
-    cols = np.array([np.arange(b.start, b.stop) for b in (team.input_blocks[i] for i in spec.group)])
-
-    def repel_gathered(x, t):
-        out[cols] = pairwise_repulsion(x[rows], spec.gain, spec.softening)
+    def repel(x, t):
+        out[inputs] = pairwise_repulsion(x[states].reshape(shape), gain, softening).ravel()
         return out
 
-    return repel_gathered
-
-
-def _run_of(blocks: dict, ids) -> slice | None:
-    """The slice the blocks of ids cover when they follow each other in
-    that order with no gap, else None."""
-    first, last = blocks[ids[0]], blocks[ids[-1]]
-    if all(blocks[a].stop == blocks[b].start for a, b in zip(ids, ids[1:])):
-        return slice(first.start, last.stop)
-    return None
+    return repel
 
 
 # noise steps drawn, funnel rows tabulated, steps settled, or CSV rows

@@ -31,7 +31,10 @@ the same arrays or refuse with the same one-line message.
 The ascent oracle, naive_ascend, is the switch-certifying ascent without
 the kernel's early exit for a rejected Armijo trial: it evaluates the full
 left_limit_state at every trial point and takes norms with np.linalg.norm.  The package's ascent must return the same
-witness and state bit for bit.
+witness and state bit for bit.  naive_relaxation is the search's relaxation
+on naive_ascend, with its bisection on left_limit_state(...).value instead
+of the kernel's value on rows fetched once per switch; the package's
+relaxation must give the same witnesses and values bit for bit.
 """
 
 from __future__ import annotations
@@ -322,6 +325,34 @@ def naive_ascend(cb, s: float, x_start: np.ndarray, max_iters: int, tol: float):
 # Simulator oracle: the per-agent team step
 
 _ZERO_TOL = 1e-12
+
+
+def naive_relaxation(units, x0: np.ndarray, eta: float, radius: float, level: float, max_iters: int,
+                     tol: float) -> dict:
+    """{s: (x_s, rho_s)} per switch s: the softmin over the units that have
+    reached r by s, with flat funnels, plus a constant term at level,
+    maximized over the ball of the given radius from x0, and a witness
+    valued >= level - 0.5 bisected back along the segment from x0."""
+    floor = level - 0.5
+    schedule = sorted({u.deadline for u in units})
+    ceiling = OperatorUnit("always", AffinePredicate(np.zeros(len(x0)), level), 0.0, schedule[-1])
+    out = {}
+    for s in schedule:
+        reached = [u for u in units if u.t_star <= s <= u.deadline] + [ceiling]
+        cb = build_barrier(reached, [GammaParams(0.0, 1.0, 0.0, u.t_star) for u in reached], eta=eta,
+                           bound_radius=radius)
+        x, st, _, _ = naive_ascend(cb, s, x0, max_iters, tol)
+        if st.value >= floor:
+            lo, hi = 0.0, 1.0
+            for _ in range(50):
+                mid = 0.5 * (lo + hi)
+                if left_limit_state(cb, x0 + mid * (x - x0), s).value >= floor:
+                    hi = mid
+                else:
+                    lo = mid
+            x = x0 + hi * (x - x0)
+        out[s] = (x, left_limit_state(cb, x, s).value)
+    return out
 
 
 def _naive_f(model, x, t):

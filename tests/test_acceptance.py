@@ -16,14 +16,12 @@ from stlcbf import (
     StateLayout,
     barrier_from_dict,
     barrier_state,
-    barrier_value,
     build_barrier,
     build_scenario,
-    canonical_json,
     config_hash,
     demo_config,
     gamma_eval,
-    left_limit_value,
+    left_limit_state,
     parse,
     robustness,
     run,
@@ -32,6 +30,7 @@ from stlcbf import (
     verify,
 )
 from stlcbf import controller
+from stlcbf.config import canonical_json
 from stlcbf.controller import AgentModel, Clique, Team
 
 from oracles import central_fd, naive_robustness, random_formula
@@ -118,10 +117,10 @@ def test_c02_gradients_match_finite_differences():
             t = float(rng.uniform(lo + 1e-3, hi - 1e-3))
             x = rng.normal(scale=2.0, size=cb.dim)
             st = barrier_state(cb, x, t)
-            fd_gx = central_fd(lambda y: barrier_value(cb, y, t), x)
+            fd_gx = central_fd(lambda y: barrier_state(cb, y, t).value, x)
             err_gx = np.linalg.norm(st.grad_x - fd_gx) / max(1.0, np.linalg.norm(st.grad_x))
             eps = 1e-6
-            fd_gt = (barrier_value(cb, x, t + eps) - barrier_value(cb, x, t - eps)) / (2 * eps)
+            fd_gt = (barrier_state(cb, x, t + eps).value - barrier_state(cb, x, t - eps).value) / (2 * eps)
             err_gt = abs(st.dbdt - fd_gt) / max(1.0, abs(st.dbdt))
             worst_gx = max(worst_gx, err_gx)
             worst_gt = max(worst_gt, err_gt)
@@ -239,8 +238,8 @@ def test_c06_midpoint_concavity():
             t = float(rng.uniform(0.0, cb.horizon * 0.999))
             x1 = rng.normal(scale=rng.choice([0.5, 3.0, 10.0]), size=cb.dim)
             x2 = rng.normal(scale=rng.choice([0.5, 3.0, 10.0]), size=cb.dim)
-            mid = barrier_value(cb, 0.5 * (x1 + x2), t)
-            avg = 0.5 * (barrier_value(cb, x1, t) + barrier_value(cb, x2, t))
+            mid = barrier_state(cb, 0.5 * (x1 + x2), t).value
+            avg = 0.5 * (barrier_state(cb, x1, t).value + barrier_state(cb, x2, t).value)
             worst = min(worst, mid - avg)
             assert mid >= avg - 1e-9
     print(f"criterion 6: 10000 triples, min midpoint margin = {worst:.3e}")
@@ -259,13 +258,13 @@ def test_c07_switch_monotonicity(demo_doc):
             if s >= cb.horizon:
                 # past the last deadline there is nothing left to compare
                 with pytest.raises(ValueError, match="expired"):
-                    barrier_value(cb, X[0], s)
-                assert math.isfinite(left_limit_value(cb, X[0], s))
+                    barrier_state(cb, X[0], s)
+                assert math.isfinite(left_limit_state(cb, X[0], s).value)
                 continue
             n_switches += 1
             for x in X:
-                after = barrier_value(cb, x, s)
-                before = left_limit_value(cb, x, s)
+                after = barrier_state(cb, x, s).value
+                before = left_limit_state(cb, x, s).value
                 worst = min(worst, after - before)
                 assert after >= before
     assert n_switches >= 3

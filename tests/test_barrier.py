@@ -1,29 +1,27 @@
-import bisect
 import dataclasses
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from stlcbf import (
     AffinePredicate,
-    BarrierTerm,
     CompositeBarrier,
     GammaParams,
     OperatorUnit,
     barrier_from_dict,
     barrier_state,
     barrier_to_dict,
-    barrier_value,
     build_barrier,
     gamma_eval,
     left_limit_state,
-    left_limit_value,
 )
 
 from stlcbf import barrier, sim
+from stlcbf.barrier import BarrierTerm
 from stlcbf.controller import AgentModel, Clique, Team
 from oracles import central_fd, gamma_rate, naive_barrier_state, random_barrier, random_team
 
@@ -180,9 +178,9 @@ def test_schedule_activity_and_horizon():
     st = barrier_state(cb, x, 3.0)
     assert st.active.tolist() == [1]
     with pytest.raises(ValueError, match="every task term has expired"):
-        barrier_value(cb, x, 5.0)
+        barrier_state(cb, x, 5.0)
     # left limit at the final deadline is still defined
-    assert np.isfinite(left_limit_value(cb, x, 5.0))
+    assert np.isfinite(left_limit_state(cb, x, 5.0).value)
 
 
 def test_switch_monotonicity_spot():
@@ -191,7 +189,7 @@ def test_switch_monotonicity_spot():
     for s in cb.schedule[:-1]:
         for _ in range(50):
             x = rng.normal(size=cb.dim) * 2
-            assert barrier_value(cb, x, s) >= left_limit_value(cb, x, s)
+            assert barrier_state(cb, x, s).value >= left_limit_state(cb, x, s).value
 
 
 def test_gradients_match_finite_differences_spot():
@@ -202,8 +200,8 @@ def test_gradients_match_finite_differences_spot():
         t = float(rng.uniform(0, 0.9 * min(cb.schedule)))
         st = barrier_state(cb, x, t)
         gx, gt = st.grad_x, st.dbdt
-        fd_x = central_fd(lambda xx: barrier_value(cb, xx, t), x)
-        fd_t = (barrier_value(cb, x, t + 1e-6) - barrier_value(cb, x, t - 1e-6)) / 2e-6
+        fd_x = central_fd(lambda xx: barrier_state(cb, xx, t).value, x)
+        fd_t = (barrier_state(cb, x, t + 1e-6).value - barrier_state(cb, x, t - 1e-6).value) / 2e-6
         assert np.all(np.abs(gx - fd_x) < 1e-5 * (1 + np.abs(gx)))
         assert abs(gt - fd_t) < 1e-5 * (1 + abs(gt))
 
@@ -215,8 +213,8 @@ def test_concavity_spot():
         x1 = rng.normal(size=cb.dim) * 3
         x2 = rng.normal(size=cb.dim) * 3
         t = float(rng.uniform(0, 0.9 * min(cb.schedule)))
-        mid = barrier_value(cb, 0.5 * (x1 + x2), t)
-        assert mid >= 0.5 * (barrier_value(cb, x1, t) + barrier_value(cb, x2, t)) - 1e-9
+        mid = barrier_state(cb, 0.5 * (x1 + x2), t).value
+        assert mid >= 0.5 * (barrier_state(cb, x1, t).value + barrier_state(cb, x2, t).value) - 1e-9
 
 
 def test_bound_term_keeps_superlevel_sets_compact():
@@ -224,9 +222,9 @@ def test_bound_term_keeps_superlevel_sets_compact():
     u = OperatorUnit("always", pred, 0.0, 1.0)
     cb = build_barrier([u], [GammaParams(0.0, 1.0, 0.0, 0.0)], eta=10.0, bound_radius=2.0)
     far = np.array([100.0, 0.0])
-    assert barrier_value(cb, far, 0.0) < 0.0
+    assert barrier_state(cb, far, 0.0).value < 0.0
     near = np.zeros(2)
-    assert barrier_value(cb, near, 0.0) > 0.0
+    assert barrier_state(cb, near, 0.0).value > 0.0
 
 
 def test_serialization_roundtrip_bitexact():
@@ -278,7 +276,7 @@ def test_barrier_document_loads_the_deepest_placed_funnel():
     deep = GammaParams.from_target(0.1 - math.exp(700.0), 0.1, 0.05, unit.t_star)
     doc = json.loads(json.dumps(barrier_to_dict(build_barrier([unit], [deep], eta=40.0, bound_radius=3.0))))
     cb = barrier_from_dict(doc)
-    assert cb.terms[0].gamma == deep and math.isfinite(barrier_value(cb, np.array([0.5]), 0.5))
+    assert cb.terms[0].gamma == deep and math.isfinite(barrier_state(cb, np.array([0.5]), 0.5).value)
 
 
 def test_weights_sum_to_one():
@@ -350,11 +348,14 @@ def test_kernel_matches_reference_evaluator():
 
 
 def test_value_functions_equal_state_value_bitwise():
-    """barrier_value and left_limit_value run only the kernel's value half.
-    Each must equal .value of the matching full state bit for bit, in every
-    interval.  Calls on different barriers and times are interleaved, and the
-    value and the state are taken in either order, so a t-cache entry left
-    by one call is read by the next."""
+    """The kernel's floor exit: with a floor, _state on the rows a checked
+    entry fetches gives the value of the matching full state bit for bit,
+    and stops after the softmin, with no gradient, exactly when that value
+    is below the floor.  The floors are inf (a value-only call), -inf and a
+    random value, which falls on either side of the value.  Calls on
+    different barriers and times are interleaved, and the floored call and
+    the state are taken in either order, so a t-cache entry left by one call
+    is read by the next."""
     rng = np.random.default_rng(47)
     barriers = [
         random_barrier(rng, n_ball=0),
@@ -366,29 +367,24 @@ def test_value_functions_equal_state_value_bitwise():
         bounds = (0.0, *cb.schedule)
         for lo, hi in zip(bounds, bounds[1:]):
             for t in (float(rng.uniform(lo, hi)), lo):
-                queries.append((cb, t, barrier_value, barrier_state))
+                queries.append((cb, t, False, barrier_state))
             for t in (float(rng.uniform(lo, hi)), hi):
-                queries.append((cb, t, left_limit_value, left_limit_state))
+                queries.append((cb, t, True, left_limit_state))
+    exits = Counter()  # of the random floors: below the value or not
     for i in rng.permutation(3 * len(queries)) % len(queries):
-        cb, t, value_fn, state_fn = queries[i]
+        cb, t, left, state_fn = queries[i]
         x = rng.normal(scale=2.0, size=cb.dim)
-        if rng.uniform() < 0.5:
-            value, state = value_fn(cb, x, t), state_fn(cb, x, t)
-        else:
-            state, value = state_fn(cb, x, t), value_fn(cb, x, t)
-        assert type(value) is float
-        assert np.float64(value).tobytes() == np.float64(state.value).tobytes(), (t, value_fn)
-
-    cb = barriers[1]
-    x = np.zeros(cb.dim)
-    h = cb.horizon
-    for t, fn in ((h, barrier_value), (h + 1.0, left_limit_value), (math.nan, left_limit_value)):
-        msg = f"barrier undefined at t={t:g}: every task term has expired (final deadline {h:g})"
-        with pytest.raises(ValueError, match=re.escape(msg)):
-            fn(cb, x, t)
-    for fn in (barrier_value, left_limit_value):
-        with pytest.raises(ValueError, match=re.escape(f"state must have shape ({cb.dim},)")):
-            fn(cb, np.zeros(cb.dim + 1), 0.5)
+        for floor in (math.inf, -math.inf, float(rng.normal(scale=5.0))):
+            if rng.uniform() < 0.5:
+                state, result = state_fn(cb, x, t), barrier._state(*barrier._args(cb, x, t, left=left), floor)
+            else:
+                result, state = barrier._state(*barrier._args(cb, x, t, left=left), floor), state_fn(cb, x, t)
+            value, grad, dbdt, weights, _ = result
+            assert np.float64(value).tobytes() == np.float64(state.value).tobytes(), (t, left, floor)
+            below = state.value < floor
+            assert (grad is None) == (dbdt is None) == (weights is None) == below, (t, left, floor)
+            exits[below] += math.isfinite(floor)
+    assert exits[True] > 0 and exits[False] > 0
 
 
 def test_tabulated_funnel_rows_match_the_t_cache_bitwise():
@@ -428,7 +424,7 @@ def test_tabulated_funnel_rows_match_the_t_cache_bitwise():
                     cl, idx, _ = team._parts[c]
                     cb = cl.barrier
                     slots = slice(st.seg[p], ends[p])
-                    want = barrier._args(cb, x[idx], t, bisect.bisect_right(cb.schedule, t))
+                    want = barrier._args(cb, x[idx], t)
                     assert gam[slots].tobytes() == want[2].tobytes() and rate[slots].tobytes() == want[3].tobytes()
                     ref = barrier_state(cb, x[idx], t)
                     for got, name in ((value[p], "value"), (grad[np.searchsorted(at, idx)], "grad_x"),

@@ -12,13 +12,12 @@ from stlcbf import (
     build_agents,
     build_cliques,
     build_scenario,
-    canonical_json,
     config_hash,
     demo_config,
     run_construct,
-    validate_config,
 )
 from stlcbf.cli import main
+from stlcbf.config import canonical_json, validate_config
 
 from test_sim import BAD_SIGNAL_CSVS
 

@@ -18,19 +18,21 @@ from stlcbf import (
     StateLayout,
     Until,
     barrier_from_dict,
-    barrier_value,
+    barrier_state,
     build_barrier,
     feasibility_check,
-    left_limit_value,
+    left_limit_state,
     maximize_r,
     normalize,
     parse,
 )
+from stlcbf.config import clique_formulas, clique_layouts
 from stlcbf.param_search import (
-    _DELTA, _KAPPA, _ascend, _check_eq7, _feasible_at, _default_bound_radius, _h_opt_capped, _r_high, _softmin,
+    _ASCENT_TOL, _DELTA, _ETA_GRID, _KAPPA, _MAX_ASCENT_ITERS, _RELAX_RADIUS, _ascend, _check_eq7, _feasible_at,
+    _default_bound_radius, _h_opt_capped, _r_high, _relaxation, _softmin,
 )
 
-from oracles import naive_ascend, naive_barrier_state, random_barrier
+from oracles import naive_ascend, naive_barrier_state, naive_relaxation, random_barrier
 
 # the benchmark's random task generator, imported read-only
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -81,7 +83,7 @@ def test_analytic_one_dimensional_case():
     assert res.feasible and res.barrier is not None
     gap = math.log(2) / 40.0
     assert _DELTA == 0.005 and 1.0 - _DELTA - gap - 0.05 < res.r_star < 1.0
-    assert barrier_value(res.barrier, x0, 0.0) >= _DELTA
+    assert barrier_state(res.barrier, x0, 0.0).value >= _DELTA
 
 
 def test_search_is_deterministic():
@@ -210,15 +212,15 @@ def _ascent_barriers(doc, rng):
 
 def _nan_funnels(monkeypatch, hit=lambda cb: True):
     """Make the funnel rows the kernel fetches NaN for every barrier that
-    hit accepts: in barrier_state, left_limit_* and the ascent's trials alike,
-    so each value there is NaN."""
+    hit accepts: in barrier_state, left_limit_state and the search's
+    value-only calls alike, so each value there is NaN."""
     from stlcbf import barrier, param_search
 
     fetch = barrier._args
 
-    def args(cb, x, t, k):
-        x, iv, gam, rate = fetch(cb, x, t, k)
-        return (x, iv, gam * math.nan, rate) if hit(cb) else (x, iv, gam, rate)
+    def args(cb, x, t, left=False):
+        st, x, gam, rate = fetch(cb, x, t, left)
+        return (st, x, gam * math.nan, rate) if hit(cb) else (st, x, gam, rate)
 
     monkeypatch.setattr(barrier, "_args", args)
     monkeypatch.setattr(param_search, "_args", args)
@@ -278,6 +280,35 @@ def test_ascend_matches_naive_oracle_bitwise(demo_doc, monkeypatch):
             witness = next_witness
     assert verdicts[True, False] > 0 and verdicts[False, False] > 0 and verdicts[False, True] > 0
     assert set(exits) == {"converged", "iteration limit", "stall", "no accepted trial"}, exits
+
+
+def test_relaxation_matches_naive_oracle_bitwise(demo_doc):
+    """The relaxation, whose bisection runs the kernel with floor inf on the
+    switch's rows fetched once, against one that bisects on
+    left_limit_state(...).value: the same witness and value per switch bit
+    for bit, at each eta of the grid and the level maximize_r passes, on the
+    demo cliques and on seeded G tasks.  Some witnesses are bisected back
+    (valued at the floor or above) and some are not."""
+    cfg, _, _ = demo_doc
+    layouts, formulas = clique_layouts(cfg), clique_formulas(cfg)
+    tasks = [(normalize(formulas[name]),
+              np.concatenate([np.asarray(cfg["initial_states"][str(i)], dtype=float) for i in layouts[name].ids]))
+             for name in sorted(formulas)]
+    tasks += [random_task(k) for k in (0, 3, 6, 9)]
+    bisected = Counter()
+    for units, x0 in tasks:
+        units = tuple(units)
+        r_hi = _r_high(units, x0, [_h_opt_capped(u, x0) for u in units], math.inf)
+        assert r_hi > 0.0
+        d0 = _default_bound_radius(units, x0)
+        for eta in _ETA_GRID:
+            got = _relaxation(units, x0, eta, d0, r_hi + 1.0)
+            want = naive_relaxation(units, x0, eta, _RELAX_RADIUS * d0, r_hi + 1.0, _MAX_ASCENT_ITERS, _ASCENT_TOL)
+            assert list(got) == list(want)
+            for s, (x, rho) in want.items():
+                assert _bits(got[s][0]) == _bits(x) and _bits(got[s][1]) == _bits(rho), (eta, s)
+                bisected[rho >= r_hi + 0.5] += 1
+    assert bisected[True] > 0 and bisected[False] > 0, bisected
 
 
 def test_nan_margin_is_infeasible(monkeypatch):
@@ -444,9 +475,9 @@ def test_placements_clear_delta_at_their_witnesses(monkeypatch):
     for units, x0, r, eta, relax, (params, radius) in placed:
         _check_eq7(units, params, x0, r)
         cb = build_barrier(units, params, eta=eta, bound_radius=radius)
-        assert barrier_value(cb, x0, 0.0) >= _DELTA
+        assert barrier_state(cb, x0, 0.0).value >= _DELTA
         for s, (x, _) in relax.items():
-            assert left_limit_value(cb, x, s) >= _DELTA, (r, eta, s)
+            assert left_limit_state(cb, x, s).value >= _DELTA, (r, eta, s)
 
 
 def test_softmin_adds_left_to_right():

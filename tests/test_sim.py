@@ -36,7 +36,7 @@ from stlcbf import (
 )
 from stlcbf import barrier, sim
 from stlcbf.controller import Team
-from stlcbf.sim import _coupling_fn, _secondary_fn, sat1
+from stlcbf.sim import _coupling_fn, _secondary_fn
 
 from oracles import naive_run, naive_write_log_csv
 
@@ -58,11 +58,6 @@ def passive_scenario(dim=2, x0=None, **kw):
     if x0 is None:
         x0 = np.ones(dim)
     return Scenario(agents=agents, cliques=(clique,), x0={1: np.asarray(x0, float)}, **kw)
-
-
-def test_sat1_clips_componentwise():
-    out = sat1(np.array([-3.0, -1.0, 0.2, 1.0, 7.0]))
-    assert np.array_equal(out, np.array([-1.0, -1.0, 0.2, 1.0, 1.0]))
 
 
 def _pair_team():
@@ -107,16 +102,23 @@ def test_scenario_validation():
             Scenario(agents=agents, cliques=(clique,), x0={1: np.zeros(2)}, dt=dt)
     with pytest.raises(ValueError, match="missing initial state"):
         Scenario(agents=agents, cliques=(clique,), x0={})
-    # the scenario's team refuses cliques that do not fit the agents
+    # the scenario's team refuses cliques that do not fit the agents, and a
+    # repulsion group needs members of one dimension with as many inputs as states
     pair = {1: agents[1], 2: AgentModel(agent_id=2, state_dim=2)}
-    for agents_, cliques, msg in (
-        (pair, (clique,), "cliques must partition the agents [1, 2], but their members are [1]"),
-        (agents, (clique, clique), "cliques must partition the agents [1], but their members are [1, 1]"),
-        ({1: AgentModel(agent_id=1, state_dim=3)}, (clique,),
+    mixed = {1: agents[1], 2: AgentModel(agent_id=2, state_dim=3)}
+    wide = {1: agents[1], 2: AgentModel(agent_id=2, state_dim=2, input_dim=3, input_map=np.eye(2, 3))}
+    repel = SecondaryControlSpec("pairwise_repulsion", (1, 2), 0.1, 0.05)
+    shapes = "pairwise repulsion needs group members of one dimension with as many inputs as states"
+    for agents_, cliques, kw, msg in (
+        (pair, (clique,), {}, "cliques must partition the agents [1, 2], but their members are [1]"),
+        (agents, (clique, clique), {}, "cliques must partition the agents [1], but their members are [1, 1]"),
+        ({1: AgentModel(agent_id=1, state_dim=3)}, (clique,), {},
          "clique 'solo': member dimensions add up to 3, but its barrier has dim 2"),
+        (mixed, (clique, passive_clique(2, dim=3, name="other")), {"secondary": repel}, shapes),
+        (wide, (clique, passive_clique(2, name="other")), {"secondary": repel}, shapes),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            Scenario(agents=agents_, cliques=cliques, x0={i: np.zeros(2) for i in agents_})
+            Scenario(agents=agents_, cliques=cliques, x0={i: np.zeros(a.state_dim) for i, a in agents_.items()}, **kw)
     # coupling and secondary control may name only the scenario's agents
     for kw, msg in (
         ({"secondary": SecondaryControlSpec("pairwise_repulsion", (1, 9), 0.1, 0.05)},
