@@ -237,7 +237,7 @@ _EPS2 = _EPS**2
 # t = 0, decay (gamma_inf - gamma0), which is kept at most _SCALE_LIMIT; b
 # lies at most the softmin gap ln(terms + 1) / eta below its least term,
 # and an eta of at least ln(terms + 1) / _value_scale keeps kappa times the
-# gap within _SCALE_LIMIT, as config keeps kappa times the scale.
+# gap within _SCALE_LIMIT, as Clique keeps kappa times the scale.
 _SCALE_LIMIT = 1e307
 
 

@@ -17,6 +17,7 @@ from .config import (
     LOG_DOC_FORMAT,
     LOG_DOC_VERSION,
     ConfigError,
+    _read_json,
     build_agents,
     build_cliques,
     build_scenario,
@@ -40,8 +41,7 @@ EXIT_INTERNAL = 3
 
 
 def _load_json(path, expected_format=None):
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, path)
     if expected_format is not None and not (isinstance(doc, dict) and doc.get("format") == expected_format):
         raise ConfigError(f"{path}: expected a {expected_format!r} document")
     return doc
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # ConfigError, ParseError, FormulaError and JSONDecodeError are ValueErrors
+    # ConfigError, ParseError and FormulaError are ValueErrors
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,6 +24,11 @@ The search section sets only r_max, the cap on the robustness target; any
 other key is refused, as the rest of the search policy (the margin delta, the
 eta grid and the controller's gain kappa included) is fixed in param_search.
 
+Config checks the JSON shapes it converts and what construction needs
+before any barrier exists; every other value goes as read to the specs,
+AgentModel, Clique and Scenario, which own its rule, and their ValueError
+becomes a one-line ConfigError.
+
 Barrier documents produced by construction embed a hash of the producing
 config so mismatched construct/simulate pipelines fail loudly.
 """
@@ -36,13 +41,13 @@ import math
 
 import numpy as np
 
-from .barrier import _SCALE_LIMIT, _value_scale, barrier_to_dict, barrier_from_dict
+from .barrier import barrier_to_dict, barrier_from_dict
 from .controller import AgentModel, Clique
 from .formula import normalize
 from .parsing import parse
 from .param_search import _check_r_max, maximize_r
 from .predicates import StateLayout, doc_object, finite_array, finite_number, is_finite_number
-from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec, _check_repulsion_group
+from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec, _check_relations
 
 __all__ = [
     "ConfigError",
@@ -126,8 +131,8 @@ def validate_config(cfg: dict) -> dict:
 
 
 def _check_dynamics(cfg: dict) -> None:
-    """The coupling, secondary, noise and sim fields that build_scenario reads."""
-    agents, sec, noise = cfg["agents"], cfg.get("secondary", {}), cfg.get("noise", {})
+    """The JSON shapes of the pulls and the group that _dynamics_specs converts, and sim dt."""
+    agents = cfg["agents"]
     pulls = cfg.get("coupling", {}).get("attractions", {})
     if not isinstance(pulls, dict):
         raise ConfigError("coupling attractions must be a JSON object keyed by agent id")
@@ -137,31 +142,25 @@ def _check_dynamics(cfg: dict) -> None:
                 for p in lst)):
             raise ConfigError(f"coupling attractions {i!r}: {lst!r} is not a declared agent's list "
                               "of [finite gain, declared agent id] pulls")
-    group = sec.get("group", [])
+    group = cfg.get("secondary", {}).get("group", [])
     if not (isinstance(group, list) and all(str(i) in agents for i in group)):
         raise ConfigError(f"secondary group must be a list of declared agent ids, got {group!r}")
-    if not isinstance(sec.get("known", False), bool):
-        raise ConfigError(f"secondary known must be true or false, got {sec['known']!r}")
-    seed = noise.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"noise seed must be an integer, got {seed!r}")
-    for name, v, rule, ok in (
-        ("secondary gain", sec.get("gain", 1.0), "", lambda v: True),
-        ("secondary softening", sec.get("softening", 0.01), " > 0", lambda v: v > 0.0),
-        ("noise bound", noise.get("bound", 0.0), " >= 0", lambda v: v >= 0.0),
-        ("sim dt", cfg.get("sim", {}).get("dt", 0.005), " > 0", lambda v: v > 0.0),
-    ):
-        if not (is_finite_number(v) and ok(v)):
-            raise ConfigError(f"{name} must be a finite number{rule}, got {v!r}")
+    dt = cfg.get("sim", {}).get("dt", 0.005)
+    if not (is_finite_number(dt) and dt > 0.0):
+        raise ConfigError(f"sim dt must be a finite number > 0, got {dt!r}")
+
+
+def _read_json(path, what) -> object:
+    """The JSON document at path, or a one-line ConfigError naming what."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ConfigError(f"{what} is not valid JSON: {err}") from None
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config is not valid JSON: {err}") from None
-    return validate_config(cfg)
+    return validate_config(_read_json(path, "config"))
 
 
 def clique_layouts(cfg: dict) -> dict:
@@ -296,21 +295,6 @@ def _check_doc(cfg: dict, doc: dict) -> None:
             raise ConfigError(f"clique {name!r} has no feasible barrier in the document")
 
 
-def _kappa(entry: dict, name: str, cb) -> float:
-    """The clique's kappa from its barrier document entry.  The law adds
-    kappa * b, and b is a predicate value less a funnel value, or the bound
-    radius less ||x||, less up to the softmin gap, which barrier_from_dict
-    keeps within the scale: kappa times the largest funnel value or bound
-    radius (or 1) is kept at most _SCALE_LIMIT, as eta times each is, which
-    leaves the predicates' part of b the same room."""
-    kappa = finite_number(entry, "kappa", f"clique {name!r} ")
-    scale = _value_scale(cb)
-    if kappa * scale > _SCALE_LIMIT:
-        raise ConfigError(f"barrier document: clique {name!r} kappa must be at most {_SCALE_LIMIT:g} / max(1, largest "
-                          f"funnel value or bound radius in magnitude), got {kappa!r} with {scale!r}")
-    return kappa
-
-
 def build_cliques(cfg: dict, doc: dict) -> tuple:
     """Rebuild runtime cliques from a barrier document; returns
     (cliques tuple, r_stars dict)."""
@@ -318,17 +302,14 @@ def build_cliques(cfg: dict, doc: dict) -> tuple:
     cliques = []
     r_stars = {}
     for name in sorted(cfg["cliques"]):
-        entry = doc["cliques"][name]
+        entry, cl = doc["cliques"][name], cfg["cliques"][name]
         barrier = barrier_from_dict(entry["barrier"])
-        cliques.append(
-            Clique(
-                name=name,
-                members=tuple(int(i) for i in cfg["cliques"][name]["members"]),
-                barrier=barrier,
-                coupling_bound=float(cfg["cliques"][name].get("coupling_bound", 0.0)),
-                kappa=_kappa(entry, name, barrier),
-            )
-        )
+        kappa = finite_number(entry, "kappa", f"clique {name!r} ")
+        try:  # Clique owns the kappa scale rule
+            cliques.append(Clique(name=name, members=tuple(int(i) for i in cl["members"]), barrier=barrier,
+                                  coupling_bound=float(cl.get("coupling_bound", 0.0)), kappa=kappa))
+        except ValueError as err:
+            raise ConfigError(f"barrier document: clique {name!r} {err}") from None
         r_stars[name] = finite_number(entry, "r_star", f"clique {name!r} ")
     return tuple(cliques), r_stars
 
@@ -336,11 +317,8 @@ def build_cliques(cfg: dict, doc: dict) -> tuple:
 def _dynamics_specs(cfg: dict, agents: dict, seed: int | None = None) -> tuple:
     """(CouplingSpec, SecondaryControlSpec, NoiseSpec) of a config whose
     fields _check_dynamics has passed; seed overrides the noise seed."""
-    coup_cfg = cfg.get("coupling", {"kind": "none"})
-    sec_cfg = cfg.get("secondary", {"kind": "none"})
-    noise_cfg = cfg.get("noise", {})
-    kind = sec_cfg.get("kind", "none")
-    try:  # the specs own the lists of kinds, and sim the rule for a repulsion group
+    coup_cfg, sec_cfg, noise_cfg = (cfg.get(key, {}) for key in ("coupling", "secondary", "noise"))
+    try:  # the specs own their values' rules, and sim the rules that relate agents and cliques
         coupling = CouplingSpec(
             kind=coup_cfg.get("kind", "none"),
             attractions={
@@ -349,33 +327,21 @@ def _dynamics_specs(cfg: dict, agents: dict, seed: int | None = None) -> tuple:
             },
         )
         secondary = SecondaryControlSpec(
-            kind=kind,
+            kind=sec_cfg.get("kind", "none"),
             group=tuple(int(i) for i in sec_cfg.get("group", ())),
-            gain=float(sec_cfg.get("gain", 1.0)),
-            softening=float(sec_cfg.get("softening", 0.01)),
-            # a kind without a group has no members to know it
-            known=kind == "pairwise_repulsion" and sec_cfg.get("known", False),
+            gain=sec_cfg.get("gain", 1.0),
+            softening=sec_cfg.get("softening", 0.01),
+            known=sec_cfg.get("known", False),
         )
         noise = NoiseSpec(
-            bound=float(noise_cfg.get("bound", 0.0)),
+            bound=noise_cfg.get("bound", 0.0),
             distribution=noise_cfg.get("distribution", "uniform_ball"),
-            seed=int(seed if seed is not None else noise_cfg.get("seed", 0)),
+            seed=seed if seed is not None else noise_cfg.get("seed", 0),
         )
-        for i, pulls in coupling.attractions.items():
-            for _, tgt in pulls:
-                if agents[i].state_dim != agents[tgt].state_dim:
-                    raise ConfigError(f"agent {i} is pulled toward agent {tgt} of another dimension")
-        _check_repulsion_group(secondary, agents)
+        members = {name: [int(i) for i in cl["members"]] for name, cl in cfg["cliques"].items()}
+        _check_relations(agents, members, coupling, secondary)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    for name in sorted(cfg["cliques"]) if secondary.known else ():
-        members = [int(i) for i in cfg["cliques"][name]["members"]]
-        inside = [i for i in members if i in secondary.group]
-        if inside and not set(secondary.group) <= set(members):
-            raise ConfigError(
-                "known secondary control requires the whole group "
-                f"inside one clique (agent {inside[0]} in {name!r})"
-            )
     return coupling, secondary, noise
 
 
@@ -384,12 +350,11 @@ def build_scenario(cfg: dict, doc: dict, *, seed: int | None = None, dt: float |
     cliques, r_stars = build_cliques(cfg, doc)
     agents = build_agents(cfg)
     coupling, secondary, noise = _dynamics_specs(cfg, agents, seed)
-    sim_cfg = cfg.get("sim", {})
     scenario = Scenario(
         agents=agents,
         cliques=cliques,
         x0={int(i): np.asarray(v, dtype=float) for i, v in cfg["initial_states"].items()},
-        dt=float(dt if dt is not None else sim_cfg.get("dt", 0.005)),
+        dt=float(dt if dt is not None else cfg.get("sim", {}).get("dt", 0.005)),
         coupling=coupling,
         secondary=secondary,
         noise=noise,

@@ -41,7 +41,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .barrier import CompositeBarrier, _gamma, _stack, _state
+from .barrier import _SCALE_LIMIT, CompositeBarrier, _gamma, _stack, _state, _value_scale
 from .barrier import barrier_state  # noqa: F401 -- perfbench/tracing.py wraps controller.barrier_state
 from .predicates import StateLayout, is_finite_number
 
@@ -129,7 +129,9 @@ class _Blocks:
 class Clique:
     """Agent subset jointly responsible for one formula: its barrier and the
     constants the barrier document gives it.  Team derives the members'
-    layout and n_hat from the agents."""
+    layout and n_hat from the agents.  The law adds kappa * b, so kappa
+    times the barrier's scale is kept at most _SCALE_LIMIT, as eta times it
+    is (see _SCALE_LIMIT)."""
 
     name: str
     members: tuple
@@ -142,6 +144,10 @@ class Clique:
             raise ValueError(f"coupling bound must be a finite number >= 0, got {self.coupling_bound!r}")
         if not (is_finite_number(self.kappa) and self.kappa > 0.0):
             raise ValueError(f"kappa must be a finite number > 0, got {self.kappa!r}")
+        scale = _value_scale(self.barrier)
+        if self.kappa * scale > _SCALE_LIMIT:
+            raise ValueError(f"kappa must be at most {_SCALE_LIMIT:g} / max(1, largest funnel value or bound radius "
+                             f"in magnitude), got {self.kappa!r} with {scale!r}")
 
 
 class Team:

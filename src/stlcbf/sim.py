@@ -32,6 +32,7 @@ import csv
 import hashlib
 import io
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -76,18 +77,21 @@ class CouplingSpec:
             raise ValueError(f"unknown coupling kind {self.kind!r}")
         if self.kind == "scripted" and self.scripted is None:
             raise ValueError("scripted coupling needs a callable")
+        for i, pulls in self.attractions.items():
+            for gain, _ in pulls:
+                if not is_finite_number(gain):
+                    raise ValueError(f"agent {i} attraction gain must be a finite number, got {gain!r}")
 
 
 def _attraction_pulls(attractions: dict, blocks: dict) -> tuple:
     """Saturating attraction as (dst, src, gains, -1s, 1s) arrays into a
-    stacked state: one entry per state component of every pull, each
-    agent's pulls in their listed order."""
+    stacked state: one entry per state component of every pull (Scenario
+    has checked that it joins agents of one dimension), each agent's pulls
+    in their listed order."""
     dst, src, gains = [], [], []
     for i, pulls in attractions.items():
         for gain, target in pulls:
             a, b = blocks[i], blocks[target]
-            if a.stop - a.start != b.stop - b.start:
-                raise ValueError(f"agent {i} is pulled toward agent {target} of another dimension")
             dst += range(a.start, a.stop)
             src += range(b.start, b.stop)
             gains += [gain] * (a.stop - a.start)
@@ -110,7 +114,7 @@ class SecondaryControlSpec:
     pairwise_repulsion: f_u_i = gain * sum over j in the group of
     (x_i - x_j) / (||x_i - x_j|| + softening), for group members i.
     known: the group's members model f_u in their constraints, so it is not
-    counted as disturbance.
+    counted as disturbance; kind "none" stores it as False.
     """
 
     kind: str = "none"  # none | pairwise_repulsion | scripted
@@ -125,18 +129,34 @@ class SecondaryControlSpec:
             raise ValueError(f"unknown secondary control kind {self.kind!r}")
         if self.kind == "scripted" and self.scripted is None:
             raise ValueError("scripted secondary control needs a callable")
+        if not isinstance(self.known, bool):
+            raise ValueError(f"secondary known must be true or false, got {self.known!r}")
         if not is_finite_number(self.gain):
             raise ValueError(f"secondary gain must be a finite number, got {self.gain!r}")
         if not (is_finite_number(self.softening) and self.softening > 0.0):
             raise ValueError(f"secondary softening must be a finite number > 0, got {self.softening!r}")
+        object.__setattr__(self, "gain", float(self.gain))
+        object.__setattr__(self, "softening", float(self.softening))
+        object.__setattr__(self, "known", self.known and self.kind != "none")
 
 
-def _check_repulsion_group(spec: SecondaryControlSpec, agents: dict) -> None:
-    """Refuse a pairwise repulsion group whose members differ in state
-    dimension, or have another number of inputs than states."""
-    shapes = {(agents[i].state_dim, agents[i].input_dim) for i in spec.group}
-    if spec.kind == "pairwise_repulsion" and (len(shapes) > 1 or any(n != m for n, m in shapes)):
+def _check_relations(agents: dict, cliques: dict, coupling: CouplingSpec, secondary: SecondaryControlSpec) -> None:
+    """Refuse a pull between agents of two state dimensions, a pairwise
+    repulsion group that is not of one dimension with as many inputs as
+    states, and a known group outside one clique (cliques: name -> members)."""
+    for i, pulls in coupling.attractions.items():
+        for _, target in pulls:
+            if agents[i].state_dim != agents[target].state_dim:
+                raise ValueError(f"agent {i} is pulled toward agent {target} of another dimension")
+    shapes = {(agents[i].state_dim, agents[i].input_dim) for i in secondary.group}
+    if secondary.kind == "pairwise_repulsion" and (len(shapes) > 1 or any(n != m for n, m in shapes)):
         raise ValueError("pairwise repulsion needs group members of one dimension with as many inputs as states")
+    group = set(secondary.group) if secondary.known else set()
+    for name in sorted(cliques):
+        inside = [i for i in cliques[name] if i in group]
+        if inside and not group <= set(cliques[name]):
+            raise ValueError(f"known secondary control requires the whole group inside one clique "
+                             f"(agent {inside[0]} in {name!r})")
 
 
 def pairwise_repulsion(points: np.ndarray, gain: float, softening: float) -> np.ndarray:
@@ -167,8 +187,13 @@ class NoiseSpec:
     def __post_init__(self):
         if self.distribution not in ("uniform_ball", "adversarial", "none"):
             raise ValueError(f"unknown noise distribution {self.distribution!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"noise seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be an integer >= 0, got {self.seed!r}")
         if not (is_finite_number(self.bound) and self.bound >= 0.0):
             raise ValueError(f"noise bound must be a finite number >= 0, got {self.bound!r}")
+        object.__setattr__(self, "bound", float(self.bound))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,15 +210,17 @@ class Scenario:
     def __post_init__(self):
         if not (is_finite_number(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be a finite number > 0, got {self.dt}")
-        for i in self.agents:
+        for i, model in self.agents.items():
             if i not in self.x0:
                 raise ValueError(f"missing initial state for agent {i}")
+            if np.shape(self.x0[i]) != (model.state_dim,):
+                raise ValueError(f"agent {i} initial state has wrong dimension")
         pulled = [j for i, pulls in self.coupling.attractions.items() for j in (i, *(t for _, t in pulls))]
         for what, ids in (("secondary group", self.secondary.group), ("attraction", pulled)):
             for i in ids:
                 if i not in self.agents:
                     raise ValueError(f"{what} names agent {i}, which the scenario does not have")
-        _check_repulsion_group(self.secondary, self.agents)
+        _check_relations(self.agents, {cl.name: cl.members for cl in self.cliques}, self.coupling, self.secondary)
         # the run's team, which also refuses cliques that do not fit the agents
         known = self.secondary.group if self.secondary.known else ()
         object.__setattr__(self, "_team", Team(self.cliques, self.agents, known))

@@ -84,6 +84,7 @@ BAD_CONFIGS = [
     (lambda c: c["noise"].update(bound=NAN), "noise bound must be a finite number >= 0, got nan"),
     (lambda c: c["noise"].update(bound=-0.1), "noise bound must be a finite number >= 0, got -0.1"),
     (lambda c: c["noise"].update(seed=1.5), "noise seed must be an integer, got 1.5"),
+    (lambda c: c["noise"].update(seed=-1), "noise seed must be an integer >= 0, got -1"),
     (lambda c: c["sim"].update(dt=NAN), "sim dt must be a finite number > 0, got nan"),
     (lambda c: c["sim"].update(dt=0.0), "sim dt must be a finite number > 0, got 0.0"),
     (lambda c: c["agents"]["1"].update(drift={"kind": "affine", "A": [[NAN]], "b": [0.0]}),
@@ -366,6 +367,19 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # a step override that is no finite positive number
     assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir), "--dt", "nan"]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: dt must be a finite number > 0, got nan"]
+    # a seed override that numpy's generator would refuse
+    assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir), "--seed", "-3"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: noise seed must be an integer >= 0, got -3"]
+    # a barrier or log document that is not JSON, or not UTF-8, is named in the one line
+    bad_json = tmp_path / "bad.json"
+    for text, reason in ((b"{1: 2}", "Expecting property name enclosed in double quotes"),
+                         (b"\xff{}", "'utf-8' codec can't decode byte 0xff")):
+        bad_json.write_bytes(text)
+        for argv in (["simulate", str(cfg_path), str(bad_json), "-o", str(outdir)],
+                     ["verify", str(bad_json), str(cfg_path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {bad_json} is not valid JSON: {reason}"), err
     # a wrong container type is a one-line config error
     cfg3 = mini_config()
     cfg3["initial_states"]["1"] = 2.0

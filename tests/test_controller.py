@@ -79,6 +79,9 @@ def test_clique_validation():
         ("coupling_bound", -0.5, "coupling bound must be a finite number >= 0, got -0.5"),
         ("coupling_bound", math.nan, "coupling bound must be a finite number >= 0, got nan"),
         ("coupling_bound", math.inf, "coupling bound must be a finite number >= 0, got inf"),
+        # kappa times the barrier's largest funnel value or bound radius (6.0) overflows the scale
+        ("kappa", 1e307, "kappa must be at most 1e+307 / max(1, largest funnel value or bound radius "
+                         "in magnitude), got 1e+307 with 6.0"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             dataclasses.replace(clique, **{field: value})

@@ -116,6 +116,12 @@ def test_scenario_validation():
          "clique 'solo': member dimensions add up to 3, but its barrier has dim 2"),
         (mixed, (clique, passive_clique(2, dim=3, name="other")), {"secondary": repel}, shapes),
         (wide, (clique, passive_clique(2, name="other")), {"secondary": repel}, shapes),
+        (mixed, (clique, passive_clique(2, dim=3, name="other")),
+         {"coupling": CouplingSpec("saturating_attraction", attractions={1: ((0.5, 2),)})},
+         "agent 1 is pulled toward agent 2 of another dimension"),
+        (pair, (clique, passive_clique(2, name="other")),
+         {"secondary": SecondaryControlSpec("pairwise_repulsion", (1, 2), 0.1, 0.05, known=True)},
+         "known secondary control requires the whole group inside one clique (agent 2 in 'other')"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             Scenario(agents=agents_, cliques=cliques, x0={i: np.zeros(a.state_dim) for i, a in agents_.items()}, **kw)
@@ -127,9 +133,21 @@ def test_scenario_validation():
          "attraction names agent 9, which the scenario does not have"),
         ({"coupling": CouplingSpec("saturating_attraction", attractions={7: ((0.5, 1),)})},
          "attraction names agent 7, which the scenario does not have"),
+        ({"x0": [0.0, 0.0, 0.0]}, "agent 1 initial state has wrong dimension"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             passive_scenario(dt=0.1, **kw)
+    # the specs refuse their own values when they are made
+    for make, msg in (
+        (lambda: NoiseSpec(seed=1.5), "noise seed must be an integer, got 1.5"),
+        (lambda: NoiseSpec(seed=-1), "noise seed must be an integer >= 0, got -1"),
+        (lambda: CouplingSpec("saturating_attraction", attractions={1: ((math.nan, 2),)}),
+         "agent 1 attraction gain must be a finite number, got nan"),
+        (lambda: SecondaryControlSpec("pairwise_repulsion", (1,), known="yes"),
+         "secondary known must be true or false, got 'yes'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            make()
 
 
 def test_run_rejects_bad_horizon():
