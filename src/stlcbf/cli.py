@@ -74,8 +74,8 @@ def cmd_construct(args) -> int:
     return EXIT_PASS if _construct(load_config(args.config), args.out) else EXIT_FAIL
 
 
-def _simulate(cfg, doc, outdir, *, seed=None, dt=None) -> int:
-    scenario, formulas, r_stars = build_scenario(cfg, doc, seed=seed, dt=dt)
+def _simulate(cfg, doc, outdir, *, seed=None) -> int:
+    scenario, formulas, r_stars = build_scenario(cfg, doc, seed=seed)
     t0 = time.perf_counter()
     log = run(scenario)
     elapsed = time.perf_counter() - t0
@@ -112,7 +112,7 @@ def _simulate(cfg, doc, outdir, *, seed=None, dt=None) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     doc = _load_json(args.barriers)
-    return _simulate(cfg, doc, args.out, seed=args.seed, dt=args.dt)
+    return _simulate(cfg, doc, args.out, seed=args.seed)
 
 
 def _verify_from_docs(cfg, log_doc, directory) -> int:
@@ -154,15 +154,20 @@ def cmd_demo(args) -> int:
     doc = _construct(cfg, outdir / "barriers.json")
     if doc is None:
         return EXIT_FAIL
-    status = _simulate(cfg, doc, outdir, seed=args.seed, dt=args.dt)
+    status = _simulate(cfg, doc, outdir, seed=args.seed)
     if status != EXIT_PASS:
         return status
     log_doc = _load_json(outdir / "log.json", expected_format=LOG_DOC_FORMAT)
     return _verify_from_docs(cfg, log_doc, outdir)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, not argparse's usage line and exit
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stlcbf",
         description="Compile temporal tasks into control barrier functions, "
         "simulate the resulting feedback law, and verify the outcome.",
@@ -178,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="scenario config (JSON)")
     p.add_argument("barriers", help="barrier document from construct")
     p.add_argument("--seed", type=int, default=None, help="noise seed override")
-    p.add_argument("--dt", type=float, default=None, help="integration step override")
     p.add_argument("-o", "--out", default="out", help="output directory")
     p.set_defaults(func=cmd_simulate)
 
@@ -196,16 +200,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run the packaged four-agent scenario end to end")
     p.add_argument("-o", "--out", default="demo_out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="noise seed override")
-    p.add_argument("--dt", type=float, default=None, help="integration step override")
     p.set_defaults(func=cmd_demo)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     # ConfigError, ParseError and FormulaError are ValueErrors
     except (OSError, ValueError) as err:

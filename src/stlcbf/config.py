@@ -27,7 +27,9 @@ eta grid and the controller's gain kappa included) is fixed in param_search.
 Config checks the JSON shapes it converts and what construction needs
 before any barrier exists; every other value goes as read to the specs,
 AgentModel, Clique and Scenario, which own its rule, and their ValueError
-becomes a one-line ConfigError.
+becomes a one-line ConfigError.  Construction also refuses a sim dt that
+the run's grid rule (sim._grid_steps) refuses for the latest task deadline,
+before any search.
 
 Barrier documents produced by construction embed a hash of the producing
 config so mismatched construct/simulate pipelines fail loudly.
@@ -47,7 +49,7 @@ from .formula import normalize
 from .parsing import parse
 from .param_search import _check_r_max, maximize_r
 from .predicates import StateLayout, doc_object, finite_array, finite_number, is_finite_number
-from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec, _check_relations
+from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec, _check_relations, _grid_steps
 
 __all__ = [
     "ConfigError",
@@ -86,6 +88,8 @@ def validate_config(cfg: dict) -> dict:
     for key in ("agents", "cliques", "initial_states", "coupling", "secondary", "noise", "sim", "search"):
         if key in cfg and not isinstance(cfg[key], dict):
             raise ConfigError(f"config section {key!r} must be a JSON object")
+    if not cfg["cliques"]:
+        raise ConfigError("config needs at least one clique")
     seen = set()
     for name, cl in cfg["cliques"].items():
         if not isinstance(cl, dict) or "members" not in cl or "formula" not in cl:
@@ -252,6 +256,13 @@ def run_construct(cfg: dict) -> dict:
     layouts = clique_layouts(cfg)
     formulas = clique_formulas(cfg)
     r_max = _search_r_max(cfg)
+    units = {name: normalize(formulas[name]) for name in cfg["cliques"]}
+    deadline, dt = max(u.deadline for us in units.values() for u in us), cfg.get("sim", {}).get("dt", 0.005)
+    try:  # the run's grid, checked before any search
+        _grid_steps(deadline, dt)
+    except ValueError:
+        raise ConfigError(f"sim dt {dt!r} must divide the latest task deadline {deadline:g} "
+                          "into fewer than 2**53 steps") from None
     doc = {
         "format": BARRIER_DOC_FORMAT,
         "version": 1,
@@ -263,8 +274,7 @@ def run_construct(cfg: dict) -> dict:
         x0 = np.concatenate(
             [np.asarray(cfg["initial_states"][str(i)], dtype=float) for i in layout.ids]
         )
-        units = normalize(formulas[name])
-        result = maximize_r(units, x0, r_max)
+        result = maximize_r(units[name], x0, r_max)
         entry = {
             "feasible": result.feasible,
             "r_star": result.r_star,
@@ -345,7 +355,7 @@ def _dynamics_specs(cfg: dict, agents: dict, seed: int | None = None) -> tuple:
     return coupling, secondary, noise
 
 
-def build_scenario(cfg: dict, doc: dict, *, seed: int | None = None, dt: float | None = None):
+def build_scenario(cfg: dict, doc: dict, *, seed: int | None = None):
     """Online stage inputs: (Scenario, formulas, r_stars)."""
     cliques, r_stars = build_cliques(cfg, doc)
     agents = build_agents(cfg)
@@ -354,7 +364,7 @@ def build_scenario(cfg: dict, doc: dict, *, seed: int | None = None, dt: float |
         agents=agents,
         cliques=cliques,
         x0={int(i): np.asarray(v, dtype=float) for i, v in cfg["initial_states"].items()},
-        dt=float(dt if dt is not None else cfg.get("sim", {}).get("dt", 0.005)),
+        dt=float(cfg.get("sim", {}).get("dt", 0.005)),
         coupling=coupling,
         secondary=secondary,
         noise=noise,

@@ -159,15 +159,17 @@ class Team:
     vector (a slice when the members' blocks are adjacent, else an index
     array) and its members' rows, and per agent the constant input map,
     drift, clique, n_hat and coupling bound, so that a step builds no
-    per-agent dicts and no identity matrices.  The cliques must partition the
-    agents and have distinct names, and each clique's member dimensions must
-    add up to its barrier's; n_hat = sqrt(n_bar_k * largest agent dimension
-    of the team).  known holds the ids of the agents whose constraint models
-    their secondary input f_u.
+    per-agent dicts and no identity matrices.  The cliques (at least one)
+    must partition the agents and have distinct names, and each clique's
+    member dimensions must add up to its barrier's; n_hat = sqrt(n_bar_k *
+    largest agent dimension of the team).  known holds the ids of the agents
+    whose constraint models their secondary input f_u.
     """
 
     def __init__(self, cliques, agents: dict, known=()):
         self.cliques = tuple(cliques)
+        if not self.cliques:
+            raise ValueError("a team needs at least one clique")
         self.known = frozenset(known)
         self.ids = tuple(sorted(agents))
         members = sorted(i for cl in self.cliques for i in cl.members)

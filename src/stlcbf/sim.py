@@ -6,6 +6,11 @@ higher-order smooth integrator would buy nothing; the fixed step keeps the
 sample-and-hold control semantics honest.  Everything needed for independent
 verification is logged per step against the pre-step state.
 
+A run goes from 0 to the latest clique deadline in steps of the scenario's
+dt (a config's sim dt, which the config hash covers).  _grid_steps holds
+the rule that the deadline be k dt, 1 <= k < 2**53; construction applies
+it before any search and the log reader to a log's dt.
+
 The loop works on the stacked team state of controller.Team: coupling,
 repulsion, noise and the Euler update act on whole vectors (a repulsion
 group whose blocks are adjacent reads its states as a view and writes into
@@ -23,7 +28,8 @@ log reads (its QP's a, rhs and u, and its disturbance) into rows of chunk
 buffers, and one pass per chunk fills the residual and disturbance-norm
 columns and finds the first step over its bound, where the run ends as if
 it had stopped there.  The later steps are discarded, so scripted
-callbacks must be pure functions of (states, t).
+callbacks must be pure functions of (states, t).  The activity-switch
+events are read off the schedule once the steps are settled.
 """
 
 from __future__ import annotations
@@ -205,7 +211,6 @@ class Scenario:
     coupling: CouplingSpec = CouplingSpec()
     secondary: SecondaryControlSpec = SecondaryControlSpec()
     noise: NoiseSpec = NoiseSpec()
-    horizon: float | None = None  # defaults to the latest clique deadline
 
     def __post_init__(self):
         if not (is_finite_number(self.dt) and self.dt > 0.0):
@@ -215,6 +220,8 @@ class Scenario:
                 raise ValueError(f"missing initial state for agent {i}")
             if np.shape(self.x0[i]) != (model.state_dim,):
                 raise ValueError(f"agent {i} initial state has wrong dimension")
+            if not all(map(is_finite_number, np.ravel(self.x0[i]).tolist())):
+                raise ValueError(f"agent {i} initial state must hold finite numbers")
         pulled = [j for i, pulls in self.coupling.attractions.items() for j in (i, *(t for _, t in pulls))]
         for what, ids in (("secondary group", self.secondary.group), ("attraction", pulled)):
             for i in ids:
@@ -399,14 +406,20 @@ def _latest_deadline(cliques) -> float:
     return max(cl.barrier.horizon for cl in cliques)
 
 
+def _grid_steps(horizon: float, dt: float) -> int:
+    """The steps k of dt a run to horizon takes: 1 <= k < 2**53, k dt within 1e-9 of horizon."""
+    ratio = horizon / dt
+    k = round(ratio) if 0.0 < ratio < 2.0**53 else 0  # so a nan or overflowing ratio is refused too
+    if k < 1 or not abs(k * dt - horizon) <= 1e-9:
+        raise ValueError("horizon must be a positive integer multiple of dt")
+    return k
+
+
 def run(scenario: Scenario) -> TrajectoryLog:
     sc = scenario
     team = sc._team
-    horizon = sc.horizon if sc.horizon is not None else _latest_deadline(sc.cliques)
-    ratio = horizon / sc.dt
-    n_steps = int(round(ratio)) if math.isfinite(ratio) else 0  # an overflowing ratio is refused below
-    if n_steps < 1 or abs(n_steps * sc.dt - horizon) > 1e-9:
-        raise ValueError("horizon must be a positive integer multiple of dt")
+    horizon = _latest_deadline(sc.cliques)
+    n_steps = _grid_steps(horizon, sc.dt)
     times = np.linspace(0.0, horizon, n_steps + 1)
     coupling = _coupling_fn(sc.coupling, team)
     secondary = _secondary_fn(sc.secondary, team)
@@ -425,12 +438,9 @@ def run(scenario: Scenario) -> TrajectoryLog:
     residuals, shares, dist_norms = table[:, cols.res], table[:, cols.share], table[:, cols.dist]
     x = team.stack(sc.x0)
     xs[0] = x
-    events = []
     noise = _noise_fn(sc.noise, team, n_steps)
-    switch_times = sorted({s for cl in sc.cliques for s in cl.barrier.schedule})
-    next_switch_idx = 0
-    completed = True
-    steps_done = n_steps
+    # the events that end the run early, steps settled and steps begun (an infeasible QP's is not settled)
+    aborts, steps_done, begun = [], n_steps, n_steps
     # what only the log reads of a chunk's steps, a row per step: each QP's
     # a, rhs and u and each disturbance
     a_rows, u_rows = np.empty((_CHUNK_ROWS, team.input_dim)), np.empty((_CHUNK_ROWS, team.input_dim))
@@ -443,10 +453,6 @@ def run(scenario: Scenario) -> TrajectoryLog:
         failure = None
         try:
             for k, t, funnels, a_k, u_k, rhs_k, dist_k in steps:
-                while next_switch_idx < len(switch_times) and switch_times[next_switch_idx] <= t + 1e-12:
-                    events.append({"t": t, "kind": "switch",
-                                   "detail": f"activity switch at {switch_times[next_switch_idx]:g}"})
-                    next_switch_idx += 1
                 f_u = secondary(x, t)
                 tc = team_control(team, x, t, f_u, funnels, (shares[k], bs[k], rhs_k, a_k, u_k))
                 w = noise(tc)
@@ -469,25 +475,30 @@ def run(scenario: Scenario) -> TrajectoryLog:
         if over.any():
             j = int(over.any(axis=1).argmax())
             t = times[lo + j].item()
-            events = [e for e in events if e["t"] <= t]
-            events += [{
+            aborts = [{
                 "t": t, "kind": "disturbance_bound",
                 "detail": f"agent {team.ids[r]} disturbance {dn[j, r]:.4f} exceeds "
                 f"declared bound {team.coupling_bounds[r]:g}",
             } for r in np.flatnonzero(over[j]).tolist()]
-            completed, steps_done = False, lo + j + 1
+            steps_done = begun = lo + j + 1
             break
         if failure is not None:
             if not isinstance(failure, QpInfeasibleError):
                 raise failure
-            events.append({"t": t, "kind": "qp_infeasible", "detail": str(failure)})
-            completed, steps_done = False, k
+            aborts = [{"t": t, "kind": "qp_infeasible", "detail": str(failure)}]
+            steps_done, begun = k, k + 1
             break
 
     # the step loop wrote the barrier values in the team's clique order
     bs[:steps_done] = bs[:steps_done, cols.by_name]
     table[steps_done, cols.x.stop :] = np.nan
-    return TrajectoryLog(table[: steps_done + 1], cols, events, completed, sc.dt)
+    # each activity switch s is logged at the first step begun whose t has
+    # s <= t + 1e-12 (searchsorted finds the first t + 1e-12 >= s)
+    switches = sorted({s for cl in sc.cliques for s in cl.barrier.schedule})
+    reached = np.searchsorted(times[:begun] + 1e-12, switches).tolist()
+    events = [{"t": times[k].item(), "kind": "switch", "detail": f"activity switch at {s:g}"}
+              for s, k in zip(switches, reached) if k < begun] + aborts
+    return TrajectoryLog(table[: steps_done + 1], cols, events, not aborts, sc.dt)
 
 
 _TOL_B = 1e-3  # how far below 0 a logged barrier value may dip
@@ -656,15 +667,18 @@ def _logged_steps(doc: dict, horizon: float) -> int:
     completed, else those before its aborting event plus, on a disturbance
     abort, the aborted step (an infeasible QP gives that step no input)."""
     dt, events = doc["dt"], doc["events"]
+    try:
+        n_steps = _grid_steps(horizon, dt)
+    except ValueError as err:
+        raise ValueError(f"log: {err}") from None
     if doc["completed"]:
-        steps = horizon / dt
-    elif events and events[-1]["kind"] in ("qp_infeasible", "disturbance_bound"):
-        steps = events[-1]["t"] / dt + (events[-1]["kind"] == "disturbance_bound")
-    else:
+        return n_steps
+    if not (events and events[-1]["kind"] in ("qp_infeasible", "disturbance_bound")):
         raise ValueError("log: an aborted run must end with a qp_infeasible or disturbance_bound event")
-    if not 0.0 <= steps < 2.0**53:
+    k = events[-1]["t"] / dt  # the aborting step
+    if not 0.0 <= k < n_steps:
         raise ValueError("log: dt and the events give no step count")
-    return int(round(steps))
+    return round(k) + (events[-1]["kind"] == "disturbance_bound")
 
 
 def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:

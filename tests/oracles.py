@@ -539,7 +539,7 @@ def naive_run(scenario) -> TrajectoryLog:
     sc = scenario
     agent_ids = sorted(sc.agents)
     agents = {i: sc.agents[i] for i in agent_ids}
-    horizon = sc.horizon if sc.horizon is not None else max(cl.barrier.horizon for cl in sc.cliques)
+    horizon = max(cl.barrier.horizon for cl in sc.cliques)
     n_steps = int(round(horizon / sc.dt))
     if n_steps < 1 or abs(n_steps * sc.dt - horizon) > 1e-9:
         raise ValueError("horizon must be a positive integer multiple of dt")

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -14,6 +15,7 @@ from stlcbf import (
     build_scenario,
     config_hash,
     demo_config,
+    run,
     run_construct,
 )
 from stlcbf.cli import main
@@ -87,6 +89,8 @@ BAD_CONFIGS = [
     (lambda c: c["noise"].update(seed=-1), "noise seed must be an integer >= 0, got -1"),
     (lambda c: c["sim"].update(dt=NAN), "sim dt must be a finite number > 0, got nan"),
     (lambda c: c["sim"].update(dt=0.0), "sim dt must be a finite number > 0, got 0.0"),
+    # a team of no clique has no deadline to run to
+    (lambda c: c.update(agents={}, cliques={}, initial_states={}), "config needs at least one clique"),
     (lambda c: c["agents"]["1"].update(drift={"kind": "affine", "A": [[NAN]], "b": [0.0]}),
      "agent 1 drift A must be a 2-D list of finite numbers"),
     (lambda c: c["agents"]["1"].update(drift={"kind": "affine", "A": [[0.0]]}),
@@ -258,9 +262,9 @@ def test_build_cliques_rejects_stale_or_infeasible_docs():
 def test_build_scenario_overrides_and_known_group_check():
     cfg = mini_config()
     doc = run_construct(cfg)
-    scenario, formulas, r_stars = build_scenario(cfg, doc, seed=42, dt=0.025)
+    scenario, formulas, r_stars = build_scenario(cfg, doc, seed=42)
     assert scenario.noise.seed == 42
-    assert scenario.dt == 0.025
+    assert scenario.dt == 0.05  # only the config's sim dt, which its hash covers
     assert scenario.noise.bound == 0.05
     assert set(formulas) == {"solo"} and set(r_stars) == {"solo"}
     default, _, _ = build_scenario(cfg, doc)
@@ -364,9 +368,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # malformed formula
     assert main(["monitor", "G[0,1](", str(outdir / "trajectory.csv")]) == 2
     capsys.readouterr()
-    # a step override that is no finite positive number
-    assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir), "--dt", "nan"]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: dt must be a finite number > 0, got nan"]
+    # dt has no override: the config's sim dt is the run's; a usage error is one line
+    assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir), "--dt", "0.01"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unrecognized arguments: --dt 0.01"]
+    assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir), "--seed", "x"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: argument --seed: invalid int value: 'x'"]
     # a seed override that numpy's generator would refuse
     assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir), "--seed", "-3"]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: noise seed must be an integer >= 0, got -3"]
@@ -544,6 +550,44 @@ def test_cli_refuses_non_finite_barrier_document(tmp_path, capsys):
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: " + msg), err
         assert "min_b" not in captured.out
+
+
+@pytest.mark.parametrize("dt", [0.003, 1e-300, 1e308])
+def test_construct_refuses_a_dt_the_run_refuses(dt, demo_doc, tmp_path, capsys, monkeypatch):
+    """A sim dt that does not divide the demo's latest task deadline (20)
+    into 1 to 2**53 - 1 steps is refused by construct before any search,
+    with one line naming it; the run of the demo's barriers at that dt
+    refuses it too."""
+    cfg = demo_config()
+    cfg["sim"]["dt"] = dt
+    cfg_path, barriers = tmp_path / "config.json", tmp_path / "barriers.json"
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setattr("stlcbf.config.maximize_r", lambda *a: pytest.fail("searched before the dt check"))
+    assert main(["construct", str(cfg_path), "-o", str(barriers)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: sim dt {dt!r} must divide the latest task deadline 20 into fewer than 2**53 steps"]
+    assert captured.out == "" and not barriers.exists()
+    scenario, _, _ = build_scenario(*demo_doc[:2])
+    with pytest.raises(ValueError, match="^horizon must be a positive integer multiple of dt$"):
+        run(dataclasses.replace(scenario, dt=dt))
+
+
+def test_verify_refuses_a_log_dt_off_the_run_grid(tmp_path, capsys):
+    """The log reader counts a completed run's steps by the run's rule: a
+    log dt that does not divide the latest deadline (1), or divides it into
+    2**53 steps or more, is one line."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(mini_config()))
+    barriers, outdir = tmp_path / "barriers.json", tmp_path / "out"
+    assert main(["construct", str(cfg_path), "-o", str(barriers)]) == 0
+    assert main(["simulate", str(cfg_path), str(barriers), "-o", str(outdir)]) == 0
+    capsys.readouterr()
+    for dt in (0.03, 1e-300):
+        _edit_log_doc(outdir, lambda d: d["log"].update(dt=dt))
+        assert main(["verify", str(outdir / "log.json"), str(cfg_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: log: horizon must be a positive integer multiple of dt"]
 
 
 def test_cli_verify_refuses_bad_trajectory_files(tmp_path, capsys):

@@ -316,6 +316,7 @@ def test_team_refuses_cliques_that_do_not_fit_the_agents():
         ({i: AgentModel(agent_id=i, state_dim=2) for i in (1, 2, 3, 4)},
          [clique, dataclasses.replace(clique, members=(3, 4))],
          "clique names must be distinct, but they are ['pair', 'pair']"),
+        ({}, [], "a team needs at least one clique"),  # no deadline to run to
     )
     for team_agents, cliques, msg in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):

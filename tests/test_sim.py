@@ -35,7 +35,7 @@ from stlcbf import (
     write_log_csv,
 )
 from stlcbf import barrier, sim
-from stlcbf.controller import Team
+from stlcbf.controller import QpInfeasibleError, Team
 from stlcbf.sim import _coupling_fn, _secondary_fn
 
 from oracles import naive_run, naive_write_log_csv
@@ -122,6 +122,7 @@ def test_scenario_validation():
         (pair, (clique, passive_clique(2, name="other")),
          {"secondary": SecondaryControlSpec("pairwise_repulsion", (1, 2), 0.1, 0.05, known=True)},
          "known secondary control requires the whole group inside one clique (agent 2 in 'other')"),
+        ({}, (), {}, "a team needs at least one clique"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             Scenario(agents=agents_, cliques=cliques, x0={i: np.zeros(a.state_dim) for i, a in agents_.items()}, **kw)
@@ -134,6 +135,8 @@ def test_scenario_validation():
         ({"coupling": CouplingSpec("saturating_attraction", attractions={7: ((0.5, 1),)})},
          "attraction names agent 7, which the scenario does not have"),
         ({"x0": [0.0, 0.0, 0.0]}, "agent 1 initial state has wrong dimension"),
+        ({"x0": [math.nan, 0.0]}, "agent 1 initial state must hold finite numbers"),
+        ({"x0": [0.0, -math.inf]}, "agent 1 initial state must hold finite numbers"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             passive_scenario(dt=0.1, **kw)
@@ -151,9 +154,43 @@ def test_scenario_validation():
 
 
 def test_run_rejects_bad_horizon():
-    sc = passive_scenario(dt=0.3, horizon=1.0)
+    sc = passive_scenario(dt=0.3)  # the clique's deadline 1.0 is no multiple of 0.3
     with pytest.raises(ValueError, match="integer multiple"):
         run(sc)
+
+
+def test_switch_events_reach_the_aborting_step():
+    """Each activity switch s is logged at the first step time t with
+    s <= t + 1e-12, up to and including the step where the run ends (a
+    disturbance abort or an infeasible QP), and never at the final time."""
+    units = [OperatorUnit("always", AffinePredicate(np.zeros(2), 5.0), 0.0, b) for b in (0.5 + 1e-13, 1.0)]
+    cb = build_barrier(units, [GammaParams(-1.0, 0.5, 0.3, 0.0)] * 2, eta=10.0, bound_radius=50.0)
+    clique = Clique(name="solo", members=(1,), barrier=cb, coupling_bound=1.0, kappa=1.0)
+
+    def from_step(k, out):  # a scripted callback that acts from step k on
+        def fn(states, t):
+            return out() if t >= 0.1 * k - 0.05 else {}
+        return fn
+
+    def push():
+        return {1: np.array([2.0, 0.0])}
+
+    def stuck():
+        raise QpInfeasibleError("forced")
+
+    switch = {"t": 0.5, "kind": "switch", "detail": "activity switch at 0.5"}
+    for kw, events in (
+        ({}, [switch]),
+        ({"coupling": CouplingSpec("scripted", scripted=from_step(4, push))}, []),
+        ({"coupling": CouplingSpec("scripted", scripted=from_step(5, push))}, [switch]),
+        ({"secondary": SecondaryControlSpec("scripted", scripted=from_step(4, stuck))}, []),
+        ({"secondary": SecondaryControlSpec("scripted", scripted=from_step(5, stuck))}, [switch]),
+    ):
+        log = run(Scenario(agents={1: AgentModel(agent_id=1, state_dim=2)}, cliques=(clique,),
+                           x0={1: np.ones(2)}, dt=0.1, **kw))
+        assert log.events[: len(events)] == events
+        assert all(e["kind"] != "switch" for e in log.events[len(events):])
+        assert log.completed == (not kw)
 
 
 def test_equilibrium_run_stays_put():
