@@ -8,6 +8,12 @@ Two concrete forms are supported:
 Both are concave in x, which the barrier composition relies on.  Predicates
 are expressed over a stacked state vector whose block structure is described
 by a StateLayout (which agent owns which slice).
+
+A predicate's bulk ``values`` over sampled states reads only its support,
+the nonzero columns of c (or of each row of A), found once, on the first
+call, and sums the products elementwise in ascending column order.  So a
+value costs one product per support entry, and a sample's value has the
+same bits in any slice of the states that holds it.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -47,6 +54,35 @@ def _bounded(**coefficients):
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
+    return out
+
+
+def _nonzero(row: np.ndarray) -> tuple:
+    """(column, coefficient) pairs of a coefficient row's nonzero entries, in
+    ascending column order, as Python ints and floats."""
+    return tuple((j, v) for j, v in enumerate(row.tolist()) if v)
+
+
+def _checked(X: np.ndarray, dim: int) -> np.ndarray:
+    """X if it is a (samples, dim) array, else a one-line ValueError naming
+    its shape and dim: a support read would take the first columns of a
+    wider X."""
+    if X.shape[1:] != (dim,):
+        raise ValueError(f"states of shape {X.shape} given to a predicate of dimension {dim}")
+    return X
+
+
+def _row_values(support: tuple, offset: float, X: np.ndarray) -> np.ndarray:
+    """sum over the support of coefficient * X[:, column], in its order, plus
+    offset: a fresh array, computed row by row with no reduction across
+    columns, so each row's bits do not depend on the other rows of X."""
+    if not support:
+        return np.full(X.shape[0], offset)
+    (j, coef), *rest = support
+    out = coef * X[:, j]
+    for j, coef in rest:
+        out += coef * X[:, j]
+    out += offset
     return out
 
 
@@ -110,9 +146,16 @@ class AffinePredicate:
     def value(self, x: np.ndarray) -> float:
         return float(self.c @ x + self.d)
 
+    @cached_property
+    def _support(self) -> tuple:
+        """c's nonzero (column, coefficient) pairs, found on the first values
+        call: the barrier, search and controller never read them."""
+        return _nonzero(self.c)
+
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over rows of X, shape (m, n) -> (m,)."""
-        return X @ self.c + self.d
+        """h over the rows of X, shape (m, dim) -> (m,): the support's
+        products summed elementwise in ascending column order, then d."""
+        return _row_values(self._support, self.d, _checked(X, self.dim))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.c
@@ -155,9 +198,22 @@ class BallPredicate:
         res = self.A @ x + self.b
         return float(self.e - res @ res)
 
+    @cached_property
+    def _rows(self) -> tuple:
+        """(support, offset) of each row of A x + b, found on the first values
+        call, as AffinePredicate._support."""
+        return tuple(zip(map(_nonzero, self.A), self.b.tolist()))
+
     def values(self, X: np.ndarray) -> np.ndarray:
-        res = X @ self.A.T + self.b
-        return self.e - np.einsum("ij,ij->i", res, res)
+        """h over the rows of X, shape (m, dim) -> (m,): each row of A x + b
+        as in AffinePredicate.values, squared and added in row order, and e
+        minus that sum."""
+        sq = np.zeros(_checked(X, self.dim).shape[0])
+        for support, b in self._rows:
+            res = _row_values(support, b, X)
+            res *= res
+            sq += res
+        return self.e - sq
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return -2.0 * (self.A.T @ (self.A @ x + self.b))

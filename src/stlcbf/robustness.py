@@ -21,6 +21,14 @@ sides (F, an until's outer maximum) round inward, and one holding no sample
 takes the min over its bracketing pair.  Window ends within 1e-9 (relative)
 of a sample count as on it.  The sampled rho is then a lower bound on the
 polygon's.  Windows beyond the signal span raise ValueError.
+
+Cost: each temporal operator evaluates its body only on the samples its
+window reads (an until's lhs from the inner minimum's start, its rhs on the
+witnesses), and each literal reads only its support's columns (see
+predicates), so a literal costs window samples times support entries.  A
+sample's predicate value has the same bits in every slice, so the result
+equals an evaluation over the whole signal exactly.  A signal whose state
+width differs from a predicate's dimension is refused by the predicate.
 """
 
 from __future__ import annotations
@@ -96,36 +104,37 @@ def _sup(values: np.ndarray, i0: int, i1: int) -> float:
     return float(np.max(values[i0 : i1 + 1]) if i0 <= i1 else np.min(values[i1 : i0 + 1]))
 
 
-def _state_series(f, signal: SampledSignal, cache: dict) -> np.ndarray:
-    """Pointwise robustness series of a psi-class formula."""
-    key = id(f)
-    if key not in cache:
-        series = [lit.pred.values(signal.states) for lit in state_literals(f)]
-        cache[key] = series[0] if len(series) == 1 else np.min(series, axis=0)
-    return cache[key]
+def _series(f, states: np.ndarray) -> np.ndarray:
+    """Pointwise robustness of a psi-class formula over the rows of states:
+    its literals' values, folded by a running minimum."""
+    first, *rest = state_literals(f)
+    out = first.pred.values(states)
+    for lit in rest:
+        np.minimum(out, lit.pred.values(states), out=out)
+    return out
 
 
-def _eval(f: Formula, signal: SampledSignal, t: float, cache: dict) -> float:
-    times = signal.times
+def _eval(f: Formula, signal: SampledSignal, t: float) -> float:
+    times, states = signal.times, signal.states
     if is_state_formula(f):  # read on the window [t, t]
         i0, i1 = _window(times, t, t, outward=True)
-        return float(np.min(_state_series(f, signal, cache)[i0 : i1 + 1]))
+        return float(np.min(_series(f, states[i0 : i1 + 1])))
     if isinstance(f, Conj):
-        return min(_eval(c, signal, t, cache) for c in f.children)
+        return min(_eval(c, signal, t) for c in f.children)
     if isinstance(f, Always):
         i0, i1 = _window(times, t + f.a, t + f.b, outward=True)
-        return float(np.min(_state_series(f.body, signal, cache)[i0 : i1 + 1]))
+        return float(np.min(_series(f.body, states[i0 : i1 + 1])))
+    if not isinstance(f, (Eventually, Until)):
+        raise TypeError(f"cannot evaluate {type(f).__name__}")
+    i0, i1 = _window(times, t + f.a, t + f.b, outward=False)
+    j0, j1 = min(i0, i1), max(i0, i1)  # the witnesses: the window's samples or its bracketing pair
     if isinstance(f, Eventually):
-        return _sup(_state_series(f.body, signal, cache), *_window(times, t + f.a, t + f.b, outward=False))
-    if isinstance(f, Until):
-        i0, i1 = _window(times, t + f.a, t + f.b, outward=False)
-        j0, j1 = min(i0, i1), max(i0, i1)  # the witnesses: the window's samples or its bracketing pair
-        # the inner minimum of witness m runs over lhs from the sample at or
-        # before t (or j0, if samples closer than the tolerance put it first)
-        ks = min(_window(times, t, t, outward=True)[0], j0)
-        low = np.minimum.accumulate(_state_series(f.lhs, signal, cache)[ks : j1 + 1])[j0 - ks :]
-        return _sup(np.minimum(_state_series(f.rhs, signal, cache)[j0 : j1 + 1], low), i0 - j0, i1 - j0)
-    raise TypeError(f"cannot evaluate {type(f).__name__}")
+        return _sup(_series(f.body, states[j0 : j1 + 1]), i0 - j0, i1 - j0)
+    # an until: the inner minimum of witness m runs over lhs from the sample
+    # at or before t (or j0, if samples closer than the tolerance put it first)
+    ks = min(_window(times, t, t, outward=True)[0], j0)
+    low = np.minimum.accumulate(_series(f.lhs, states[ks : j1 + 1]))[j0 - ks :]
+    return _sup(np.minimum(_series(f.rhs, states[j0 : j1 + 1]), low), i0 - j0, i1 - j0)
 
 
 def robustness(f: Formula, signal: SampledSignal, t: float = 0.0) -> float:
@@ -134,4 +143,4 @@ def robustness(f: Formula, signal: SampledSignal, t: float = 0.0) -> float:
     # every comparison with NaN is False, and _tol(inf) is inf
     if not math.isfinite(t) or t < signal.times[0] - _tol(t) or t > signal.times[-1] + _tol(t):
         raise ValueError(f"evaluation time {t:g} outside the signal span")
-    return _eval(f, signal, t, {})
+    return _eval(f, signal, t)

@@ -5,10 +5,11 @@ semantics (min-type windows rounded outward, max-type windows inward, an
 empty max-type window read as the min of its bracketing pair) with plain
 nested loops: no caching, no vectorized window searches, no incremental
 prefix minima.  Predicate values are taken from the predicate
-objects' own bulk evaluation so that both sides compare the same float series
-(min/max selection is exact, so structural agreement implies bitwise
-agreement); the predicate arithmetic itself is cross-checked separately in
-test_predicates.
+objects' own bulk evaluation over the whole signal; the monitor reads them
+on its windows only, and a value has the same bits in every slice
+(test_predicates), so both sides compare the same float series (min/max
+selection is exact, so structural agreement implies bitwise agreement); the
+predicate arithmetic itself is cross-checked separately in test_predicates.
 
 The barrier oracle evaluates a composite barrier term by term with the
 predicates' own value and gradient methods, gamma_eval and gamma_rate, and

@@ -77,6 +77,29 @@ def test_affine_vectorized_matches_scalar_closely():
         assert np.allclose(p.values(X), [p.value(x) for x in X], rtol=0, atol=1e-12)
 
 
+def test_values_do_not_depend_on_the_slice_they_are_read_in():
+    """A sample's value has the same bits in every slice of the states that
+    holds it, so the monitor can evaluate a literal on a window's samples
+    only.  Random affine and ball predicates over up to 10 columns, with
+    some coefficients zero, plus an all-zero c and a ball with a zero row."""
+    rng = np.random.default_rng(5)
+    preds = [AffinePredicate(np.zeros(4), 0.5),
+             BallPredicate(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, -2.0]]), np.array([0.3, -0.1]), 2.0)]
+    for _ in range(20):
+        n = int(rng.integers(1, 11))
+        preds.append(AffinePredicate(rng.normal(size=n) * (rng.uniform(size=n) < 0.8), float(rng.normal())))
+        k = int(rng.integers(1, 4))
+        A = rng.normal(size=(k, n)) * (rng.uniform(size=(k, n)) < 0.8)
+        preds.append(BallPredicate(A, rng.normal(size=k), float(rng.uniform(0.1, 4.0))))
+    for p in preds:
+        X = rng.normal(size=(4000, p.dim)) * 5.0
+        full = p.values(X)
+        for _ in range(15):
+            i = int(rng.integers(0, 3999))
+            j = int(rng.integers(i + 1, 4001))
+            assert np.array_equal(p.values(X[i:j]), full[i:j])
+
+
 def test_predicate_serialization_roundtrip():
     p = AffinePredicate(np.array([1.5, -0.25]), 3.0)
     q = predicate_from_dict(predicate_to_dict(p))

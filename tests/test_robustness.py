@@ -35,6 +35,16 @@ def test_signal_validation():
     assert sig([0.0], [2.0]).span == 0.0
 
 
+@pytest.mark.parametrize("width", [2, 4], ids=["narrower", "wider"])
+@pytest.mark.parametrize("text", ["G[0,1](dot([1,0,0], x1) >= 0)", "F[0,1](ball2(x1 - [0,0,1], 2))"])
+def test_signal_width_must_match_the_formula(text, width):
+    """Each literal reads only its support's columns, so a signal wider than
+    the formula's layout would be read silently: both widths are refused."""
+    f = parse(text, StateLayout(ids=(1,), dims=(3,)))
+    with pytest.raises(ValueError, match=rf"^states of shape \(2, {width}\) given to a predicate of dimension 3$"):
+        robustness(f, SampledSignal(np.array([0.0, 1.0]), np.ones((2, width))))
+
+
 def test_constant_signal_always():
     s = sig([0.0, 0.5, 1.0], [0.3, 0.3, 0.3])
     assert robustness(Always(0.0, 1.0, IDENT), s) == 0.3
@@ -191,11 +201,16 @@ def test_parse_and_monitor_roundtrip():
     assert abs(robustness(f, s) - 0.3) < 1e-12
 
 
-def test_matches_oracle_on_random_formulas():
+@pytest.mark.parametrize("dims, samples, draws", [
+    ((2, 1), (2, 30), 100),
+    # a long signal that each window reads only part of, literals over four agents
+    ((2, 2, 2, 2), (2000, 2500), 40),
+], ids=["3-columns", "8-columns-long"])
+def test_matches_oracle_on_random_formulas(dims, samples, draws):
     rng = np.random.default_rng(7)
-    lay = StateLayout(ids=(1, 2), dims=(2, 1))
-    for _ in range(100):
-        m = int(rng.integers(2, 30))
+    lay = StateLayout(ids=tuple(range(1, len(dims) + 1)), dims=dims)
+    for _ in range(draws):
+        m = int(rng.integers(*samples))
         times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.5, size=m - 1))])
         states = rng.normal(size=(m, lay.dim)) * rng.uniform(0.5, 3.0)
         span = float(times[-1])
