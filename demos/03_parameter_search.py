@@ -4,7 +4,7 @@ Offline search for the barrier parameters
 
 Maximize the robustness target r for which a feasible barrier exists,
 then look at the feasibility margins the search certifies.  The search has
-one setting, the cap r_max on r; its margin delta and eta grid are fixed.
+one setting, the cap r_max on r; its margin delta and eta are fixed.
 """
 
 import numpy as np

@@ -21,8 +21,10 @@ A scenario config is a single JSON object:
     }
 
 The search section sets only r_max, the cap on the robustness target; any
-other key is refused, as the rest of the search policy (the margin delta, the
-eta grid and the controller's gain kappa included) is fixed in param_search.
+other key is refused, as the rest of the search policy (the margin delta,
+eta and the controller's gain kappa included) is fixed in param_search.
+Every other object refuses a key outside the schema above too (_KEYS), so a
+misspelt key is not read as its default.
 
 Config checks the JSON shapes it converts and what construction needs
 before any barrier exists; every other value goes as read to the specs,
@@ -71,6 +73,27 @@ class ConfigError(ValueError):
     pass
 
 
+# each config object's keys (search's are checked by _search_r_max)
+_KEYS = {
+    "config": ("agents", "cliques", "initial_states", "coupling", "secondary", "noise", "sim", "search"),
+    "agent": ("dim", "drift", "input"),
+    "drift": ("kind", "A", "b"),
+    "input": ("matrix",),
+    "clique": ("members", "formula", "coupling_bound"),
+    "coupling": ("kind", "attractions"),
+    "secondary": ("kind", "group", "gain", "softening", "known"),
+    "noise": ("bound", "distribution", "seed"),
+    "sim": ("dt",),
+}
+
+
+def _known_keys(obj: dict, kind: str, what: str) -> None:
+    """Refuse, with one line naming what, a key of obj outside _KEYS[kind]."""
+    for key in obj:
+        if key not in _KEYS[kind]:
+            raise ConfigError(f"{what}: unknown key {key!r} (known: {', '.join(_KEYS[kind])})")
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -85,15 +108,19 @@ def validate_config(cfg: dict) -> dict:
     for key in ("agents", "cliques", "initial_states"):
         if key not in cfg:
             raise ConfigError(f"config is missing the {key!r} section")
-    for key in ("agents", "cliques", "initial_states", "coupling", "secondary", "noise", "sim", "search"):
+    _known_keys(cfg, "config", "config")
+    for key in _KEYS["config"]:
         if key in cfg and not isinstance(cfg[key], dict):
             raise ConfigError(f"config section {key!r} must be a JSON object")
+    for key in ("coupling", "secondary", "noise", "sim"):
+        _known_keys(cfg.get(key, {}), key, f"config section {key!r}")
     if not cfg["cliques"]:
         raise ConfigError("config needs at least one clique")
     seen = set()
     for name, cl in cfg["cliques"].items():
         if not isinstance(cl, dict) or "members" not in cl or "formula" not in cl:
             raise ConfigError(f"clique {name!r} needs members and formula")
+        _known_keys(cl, "clique", f"clique {name!r}")
         if not isinstance(cl["formula"], str):
             raise ConfigError(f"clique {name!r} formula must be a string")
         if not isinstance(cl["members"], (list, tuple)):
@@ -118,6 +145,10 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"agent {i} has no initial state")
         if not isinstance(cfg["agents"][i], dict):
             raise ConfigError(f"agent {i} must be a JSON object")
+        _known_keys(cfg["agents"][i], "agent", f"agent {i}")
+        for key in ("drift", "input"):
+            if isinstance(cfg["agents"][i].get(key), dict):
+                _known_keys(cfg["agents"][i][key], key, f"agent {i} {key}")
         dim = cfg["agents"][i].get("dim")
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ConfigError(f"agent {i} needs a positive integer dim")
@@ -128,6 +159,9 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"agent {i} initial state has wrong dimension")
         if not all(is_finite_number(v) for v in x0):
             raise ConfigError(f"agent {i} initial state must hold finite numbers")
+    for i in cfg["initial_states"]:
+        if i not in cfg["agents"]:
+            raise ConfigError(f"initial_states names agent {i!r}, which is not a declared agent")
     _check_dynamics(cfg)
     _dynamics_specs(cfg, build_agents(cfg))
     _search_r_max(cfg)

@@ -17,14 +17,15 @@ concavity, then Cauchy-Schwarz).  Each switch's exit reason and bracket
 [value, bound] go into the report and the search diagnostics.
 
 The outer search probes r in one loop: the top of its bracket, halvings
-until a probe is feasible, then bisection.  Once per eta, a relaxation gives
-each switch s a witness x_s: the maximizer of the softmin over the units that
-have reached r by s, with their funnels flat.  For fixed r and eta the funnel
-curves are then placed in closed form so that x0 and every x_s clear delta
+until a probe is feasible, then bisection.  Every probe blends the terms
+with one softmin sharpness, _ETA.  Once per search, a relaxation gives each
+switch s a witness x_s: the maximizer of the softmin over the units that have
+reached r by s, with their funnels flat.  For each probed r the funnel curves
+are then placed in closed form so that x0 and every x_s clear delta
 (gamma_inf below the relaxation's value, gamma0 deep enough where a unit has
 not yet reached r), and one feasibility check certifies or refutes them.
-The margin delta (_DELTA) and the eta grid (_ETA_GRID) are fixed, as is the
-rest of the search policy; the cap r_max is maximize_r's one setting.
+The margin delta (_DELTA) and eta (_ETA) are fixed, as is the rest of the
+search policy; the cap r_max is maximize_r's one setting.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
 
 # The search policy: fixed values, not settable per config (r_max is the one setting).
 _DELTA = 0.005  # the margin b must clear at (x0, 0) and at every switch's witness
-_ETA_GRID = (40.0, 20.0)  # softmin sharpness, tried from largest down
+_ETA = 40.0  # softmin sharpness of every barrier the search places
 _R_TOLERANCE = 1e-3  # bisection stops once the bracket on r is this narrow
 _MAX_ASCENT_ITERS = 600
 _ASCENT_TOL = 1e-6  # projected gradient norm that counts as stationary
@@ -285,7 +286,7 @@ def feasibility_check(
     return report
 
 
-def _relaxation(units, x0: np.ndarray, eta: float, d0: float, level: float) -> dict:
+def _relaxation(units, x0: np.ndarray, d0: float, level: float) -> dict:
     """A witness x_s and its value rho_s per switch s, from the relaxed
     problem no placement can beat: maximize the softmin over the units that
     have reached r by s (t* <= s <= deadline), each with its funnel flat at 0.
@@ -304,7 +305,7 @@ def _relaxation(units, x0: np.ndarray, eta: float, d0: float, level: float) -> d
     for s in schedule:
         reached = [u for u in units if u.t_star <= s <= u.deadline] + [ceiling]
         cb = build_barrier(reached, [GammaParams(0.0, 1.0, 0.0, u.t_star) for u in reached],
-                           eta=eta, bound_radius=_RELAX_RADIUS * d0)
+                           eta=_ETA, bound_radius=_RELAX_RADIUS * d0)
         x, st, *_ = _ascend(cb, s, x0)
         # the switch's rows, fetched once; floor inf stops each value-only call after the softmin
         stack, _, gam, rate = _args(cb, x0, s, left=True)
@@ -328,7 +329,7 @@ def _softmin(values, eta: float) -> float:
     return m - math.log(reduce(operator.add, [math.exp(-eta * (v - m)) for v in values])) / eta
 
 
-def _place(units, x0: np.ndarray, r: float, eta: float, d0: float, caps, relax: dict):
+def _place(units, x0: np.ndarray, r: float, d0: float, caps, relax: dict):
     """Funnel curves and bound radius for target r, in closed form from the
     relaxation's witnesses; None when the witnesses already rule r out.
 
@@ -341,11 +342,11 @@ def _place(units, x0: np.ndarray, r: float, eta: float, d0: float, caps, relax: 
     most exp(-eta (delta + _CLEARANCE)).  slack makes the two shares sum to
     exp(-eta delta): every witness then has barrier value >= delta, and one
     feasibility_check decides whether the ascents find as much."""
-    slack = -math.log1p(-math.exp(-_CLEARANCE * eta)) / eta + 1e-6
+    slack = -math.log1p(-math.exp(-_CLEARANCE * _ETA)) / _ETA + 1e-6
     points = [(0.0, x0)] + [(s, x) for s, (x, _) in relax.items()]
-    lows = [_DELTA + math.log(1 + sum(u.t_star > t for u in units)) / eta + _CLEARANCE for t, _ in points]
+    lows = [_DELTA + math.log(1 + sum(u.t_star > t for u in units)) / _ETA + _CLEARANCE for t, _ in points]
     now = [float(u.predicate.value(x0)) for u in units if u.t_star <= 0.0]
-    if now and r > _softmin(now, eta) - _DELTA - slack:
+    if now and r > _softmin(now, _ETA) - _DELTA - slack:
         return None
     params = []
     for u, cap in zip(units, caps):
@@ -371,28 +372,14 @@ def _place(units, x0: np.ndarray, r: float, eta: float, d0: float, caps, relax: 
     return params, radius
 
 
-def _feasible_at(units, x0, r, level: float, d0: float, caps, relax: dict | None = None):
-    """Place the curves for r at each eta of _ETA_GRID, from largest down, and
-    check each placement once; the first feasible one wins.  Larger eta
-    shrinks the softmin gap ln(p)/eta, so it is tried first.  relax holds
-    each eta's relaxation at level (see _relaxation), filled on first use.
-    Returns (winner dict or None, best_fail)."""
-    relax = {} if relax is None else relax
-    best_fail = None
-    for eta in _ETA_GRID:
-        if eta not in relax:
-            relax[eta] = _relaxation(units, x0, eta, d0, level)
-        placed = _place(units, x0, r, eta, d0, caps, relax[eta])
-        if placed is None:
-            continue
-        params, radius = placed
-        report = feasibility_check(units, x0, r, eta, radius, params)
-        if report.feasible:
-            return {"report": report, "eta": eta, "bound_radius": radius}, best_fail
-        worst = min([report.initial_margin] + list(report.switch_margins.values()))
-        if best_fail is None or worst > best_fail[0]:
-            best_fail = (worst, report, eta)
-    return None, best_fail
+def _probe(units, x0: np.ndarray, r: float, d0: float, caps, relax: dict):
+    """Place the curves for r (see _place) and check the placement once.
+    Returns the report, or None when the placement rules r out."""
+    placed = _place(units, x0, r, d0, caps, relax)
+    if placed is None:
+        return None
+    params, radius = placed
+    return feasibility_check(units, x0, r, _ETA, radius, params)
 
 
 def _report_diag(diag: dict, report: FeasibilityReport, **head) -> None:
@@ -412,7 +399,7 @@ def maximize_r(units, x0: np.ndarray, r_max: float = math.inf) -> SearchResult:
     """One loop of probes on the bracket [r_lo, hi]: r_hi (at most r_max),
     then halvings (at most 60, none below _R_TOLERANCE / 8) until a probe is
     feasible, then bisection.  A probe places curves from the relaxation's
-    witnesses and checks them once per eta (see _feasible_at).  Returns the
+    witnesses, computed once, and checks them once (see _probe).  Returns the
     winning check's barrier."""
     units = tuple(units)
     x0 = np.asarray(x0, dtype=float)
@@ -427,17 +414,19 @@ def maximize_r(units, x0: np.ndarray, r_max: float = math.inf) -> SearchResult:
         diag["warnings"].append("upper bracket for r is non-positive; task unsatisfiable from x0")
         return SearchResult(0.0, None, {}, _KAPPA, False, diag)
 
-    relax = {}  # eta -> the relaxation's witnesses, shared by every probe
+    relax = _relaxation(units, x0, d0, r_hi + 1.0)  # the witnesses every probe places at
     winner = best_fail = r_lo = None
     hi, r, halvings = r_hi, r_hi, 0
     while True:
-        cand, fail = _feasible_at(units, x0, r, r_hi + 1.0, d0, caps, relax)
-        if cand is not None:
-            winner, r_lo = cand, r
+        report = _probe(units, x0, r, d0, caps, relax)
+        if report is not None and report.feasible:
+            winner, r_lo = report, r
         else:
             hi = r
-            if fail is not None and (best_fail is None or fail[0] > best_fail[0]):
-                best_fail = fail
+            if report is not None:
+                worst = min([report.initial_margin] + list(report.switch_margins.values()))
+                if best_fail is None or worst > best_fail[0]:
+                    best_fail = (worst, report)
         if winner is not None:
             if hi - r_lo <= _R_TOLERANCE:
                 break
@@ -450,11 +439,11 @@ def maximize_r(units, x0: np.ndarray, r_max: float = math.inf) -> SearchResult:
 
     if winner is None:
         if best_fail is not None:
-            worst, report, eta = best_fail
-            _report_diag(diag, report, best_margin=worst, eta=eta)
+            worst, report = best_fail
+            _report_diag(diag, report, best_margin=worst, eta=report.barrier.eta)
         diag["warnings"].append("no feasible r found")
         return SearchResult(0.0, None, {}, _KAPPA, False, diag)
 
-    report = winner["report"]
-    _report_diag(diag, report, eta=winner["eta"], bound_radius=winner["bound_radius"])
-    return SearchResult(float(r_lo), report.barrier, dict(report.witnesses), _KAPPA, True, diag)
+    cb = winner.barrier
+    _report_diag(diag, winner, eta=cb.eta, bound_radius=cb.bound_radius)
+    return SearchResult(float(r_lo), cb, dict(winner.witnesses), _KAPPA, True, diag)

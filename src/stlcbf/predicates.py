@@ -11,9 +11,11 @@ by a StateLayout (which agent owns which slice).
 
 A predicate's bulk ``values`` over sampled states reads only its support,
 the nonzero columns of c (or of each row of A), found once, on the first
-call, and sums the products elementwise in ascending column order.  So a
-value costs one product per support entry, and a sample's value has the
-same bits in any slice of the states that holds it.
+call, and sums the products elementwise in ascending (agent id, component)
+order of the layout it was parsed against (in column order when it has
+none).  So a value costs one product per support entry, a sample's value has
+the same bits in any slice of the states that holds it, and a literal has
+the same bits whatever order its layout lists the agents in.
 """
 
 from __future__ import annotations
@@ -57,10 +59,17 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
-def _nonzero(row: np.ndarray) -> tuple:
-    """(column, coefficient) pairs of a coefficient row's nonzero entries, in
-    ascending column order, as Python ints and floats."""
-    return tuple((j, v) for j, v in enumerate(row.tolist()) if v)
+def _nonzero(row: np.ndarray, layout) -> tuple:
+    """(column, coefficient) pairs of a coefficient row's nonzero entries, as
+    Python ints and floats, in layout's id order (column order for None)."""
+    vals = row.tolist()
+    order = range(len(vals)) if layout is None else layout.id_order
+    return tuple((j, vals[j]) for j in order if vals[j])
+
+
+def _check_layout(layout, dim: int) -> None:
+    if layout is not None and layout.dim != dim:
+        raise ValueError(f"a predicate of dimension {dim} given a layout of dimension {layout.dim}")
 
 
 def _checked(X: np.ndarray, dim: int) -> np.ndarray:
@@ -122,13 +131,23 @@ class StateLayout:
             off += d
         return out
 
+    @cached_property
+    def id_order(self) -> tuple:
+        """The columns in ascending (agent id, component) order: the same
+        sequence of (agent, component) whatever order ids lists the agents in.
+        Found on first use: only a predicate's values reads it."""
+        slices = self.slices()
+        return tuple(j for aid in sorted(self.ids) for j in range(slices[aid].start, slices[aid].stop))
+
 
 @dataclass(frozen=True, eq=False)
 class AffinePredicate:
-    """h(x) = c . x + d."""
+    """h(x) = c . x + d, over the stacked state of layout when parse built
+    it (None: no agent blocks known)."""
 
     c: np.ndarray
     d: float
+    layout: StateLayout | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "c", _readonly(self.c))
@@ -138,6 +157,7 @@ class AffinePredicate:
         if self.c.size == 0:  # the barrier kernel divides by a predicate's state dimension
             raise ValueError("c must hold at least one coefficient")
         _bounded(c=self.c.tolist(), d=[self.d])
+        _check_layout(self.layout, self.dim)
 
     @property
     def dim(self) -> int:
@@ -148,13 +168,14 @@ class AffinePredicate:
 
     @cached_property
     def _support(self) -> tuple:
-        """c's nonzero (column, coefficient) pairs, found on the first values
-        call: the barrier, search and controller never read them."""
-        return _nonzero(self.c)
+        """c's nonzero (column, coefficient) pairs in the layout's id order,
+        found on the first values call: the barrier, search and controller
+        never read them."""
+        return _nonzero(self.c, self.layout)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """h over the rows of X, shape (m, dim) -> (m,): the support's
-        products summed elementwise in ascending column order, then d."""
+        products summed elementwise in its order, then d."""
         return _row_values(self._support, self.d, _checked(X, self.dim))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -169,16 +190,18 @@ class AffinePredicate:
 
     def flipped(self) -> "AffinePredicate":
         """Predicate of the negated literal: -h."""
-        return AffinePredicate(-self.c, -self.d)
+        return AffinePredicate(-self.c, -self.d, self.layout)
 
 
 @dataclass(frozen=True, eq=False)
 class BallPredicate:
-    """h(x) = e - ||A x + b||^2."""
+    """h(x) = e - ||A x + b||^2, over layout's stacked state as for
+    AffinePredicate."""
 
     A: np.ndarray
     b: np.ndarray
     e: float
+    layout: StateLayout | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "A", _readonly(np.atleast_2d(self.A)))
@@ -189,6 +212,7 @@ class BallPredicate:
         if self.A.shape[1] == 0:  # as for an affine c
             raise ValueError("A must have at least one column")
         _bounded(A=self.A.ravel().tolist(), b=self.b.ravel().tolist(), e=[self.e])
+        _check_layout(self.layout, self.dim)
 
     @property
     def dim(self) -> int:
@@ -202,7 +226,7 @@ class BallPredicate:
     def _rows(self) -> tuple:
         """(support, offset) of each row of A x + b, found on the first values
         call, as AffinePredicate._support."""
-        return tuple(zip(map(_nonzero, self.A), self.b.tolist()))
+        return tuple((_nonzero(row, self.layout), b) for row, b in zip(self.A, self.b.tolist()))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """h over the rows of X, shape (m, dim) -> (m,): each row of A x + b

@@ -50,7 +50,7 @@ BAD_CONFIGS = [
     (lambda c: c["search"].update(r_max=NAN), "bad search section: r_max must be a positive number, got nan"),
     (lambda c: c["search"].update(r_max=0), "bad search section: r_max must be a positive number, got 0"),
     (lambda c: c["search"].update(r_max="1"), "bad search section: r_max must be a positive number, got '1'"),
-    # delta and the eta grid are fixed in param_search: an older config's values are refused like any unknown key
+    # delta and eta are fixed in param_search: an older config's values are refused like any unknown key
     (lambda c: c["search"].update(delta=NAN), "bad search section: unknown key 'delta'; r_max is the only search setting"),
     (lambda c: c["search"].update(delta=0.005), "bad search section: unknown key 'delta'; r_max is the only search setting"),
     (lambda c: c["search"].update(eta_grid=[20, 40]), "bad search section: unknown key 'eta_grid'; r_max is the only search setting"),
@@ -101,6 +101,23 @@ BAD_CONFIGS = [
     (lambda c: c.update(coupling={"kind": "x"}), "unknown coupling kind 'x'"),
     (lambda c: c.update(secondary={"kind": "scripted"}), "scripted secondary control needs a callable"),
     (lambda c: c["noise"].update(distribution="gauss"), "unknown noise distribution 'gauss'"),
+    # a misspelt key in any object is refused, not read as its default
+    (lambda c: c.update(nosie={"bound": 0.0}),
+     "config: unknown key 'nosie' (known: agents, cliques, initial_states, coupling, secondary, noise, sim, search)"),
+    (lambda c: c["noise"].update(sead=2), "config section 'noise': unknown key 'sead' (known: bound, distribution, seed)"),
+    (lambda c: c.update(secondary={"kind": "pairwise_repulsion", "group": [1], "softenning": 0.1}),
+     "config section 'secondary': unknown key 'softenning' (known: kind, group, gain, softening, known)"),
+    (lambda c: c.update(coupling={"kind": "saturating_attraction", "atractions": {}}),
+     "config section 'coupling': unknown key 'atractions' (known: kind, attractions)"),
+    (lambda c: c["sim"].update(ddt=0.01), "config section 'sim': unknown key 'ddt' (known: dt)"),
+    (lambda c: c["agents"]["1"].update(dmi=2), "agent 1: unknown key 'dmi' (known: dim, drift, input)"),
+    (lambda c: c["agents"]["1"].update(drift={"kind": "affine", "A": [[0.0]], "b": [0.0], "c": [1.0]}),
+     "agent 1 drift: unknown key 'c' (known: kind, A, b)"),
+    (lambda c: c["agents"]["1"].update(input={"matrix": [[1.0]], "gain": 2}),
+     "agent 1 input: unknown key 'gain' (known: matrix)"),
+    (lambda c: c["cliques"]["solo"].update(coupling_bnd=0.5),
+     "clique 'solo': unknown key 'coupling_bnd' (known: members, formula, coupling_bound)"),
+    (lambda c: c["initial_states"].update({"7": [0.0]}), "initial_states names agent '7', which is not a declared agent"),
 ]
 
 

@@ -28,7 +28,7 @@ from stlcbf import (
 )
 from stlcbf.config import clique_formulas, clique_layouts
 from stlcbf.param_search import (
-    _ASCENT_TOL, _DELTA, _ETA_GRID, _KAPPA, _MAX_ASCENT_ITERS, _RELAX_RADIUS, _ascend, _check_eq7, _feasible_at,
+    _ASCENT_TOL, _DELTA, _ETA, _KAPPA, _MAX_ASCENT_ITERS, _RELAX_RADIUS, _ascend, _check_eq7, _probe,
     _default_bound_radius, _h_opt_capped, _r_high, _relaxation, _softmin,
 )
 
@@ -162,10 +162,9 @@ def test_feasibility_monotone_in_r_spot():
     units = (unit_h_x(),)
     caps = (_h_opt_capped(units[0], x0),)
     d0 = _default_bound_radius(units, x0)
-    level = _r_high(units, x0, caps, math.inf) + 1.0
-    win_hi, _ = _feasible_at(units, x0, 0.9, level, d0, caps)
-    win_lo, _ = _feasible_at(units, x0, 0.45, level, d0, caps)
-    assert win_hi is not None and win_lo is not None
+    relax = _relaxation(units, x0, d0, _r_high(units, x0, caps, math.inf) + 1.0)
+    assert _probe(units, x0, 0.9, d0, caps, relax).feasible
+    assert _probe(units, x0, 0.45, d0, caps, relax).feasible
 
 
 def test_witness_ascent_converges():
@@ -286,7 +285,7 @@ def test_relaxation_matches_naive_oracle_bitwise(demo_doc):
     """The relaxation, whose bisection runs the kernel with floor inf on the
     switch's rows fetched once, against one that bisects on
     left_limit_state(...).value: the same witness and value per switch bit
-    for bit, at each eta of the grid and the level maximize_r passes, on the
+    for bit, at _ETA and the level maximize_r passes, on the
     demo cliques and on seeded G tasks.  Some witnesses are bisected back
     (valued at the floor or above) and some are not."""
     cfg, _, _ = demo_doc
@@ -301,13 +300,12 @@ def test_relaxation_matches_naive_oracle_bitwise(demo_doc):
         r_hi = _r_high(units, x0, [_h_opt_capped(u, x0) for u in units], math.inf)
         assert r_hi > 0.0
         d0 = _default_bound_radius(units, x0)
-        for eta in _ETA_GRID:
-            got = _relaxation(units, x0, eta, d0, r_hi + 1.0)
-            want = naive_relaxation(units, x0, eta, _RELAX_RADIUS * d0, r_hi + 1.0, _MAX_ASCENT_ITERS, _ASCENT_TOL)
-            assert list(got) == list(want)
-            for s, (x, rho) in want.items():
-                assert _bits(got[s][0]) == _bits(x) and _bits(got[s][1]) == _bits(rho), (eta, s)
-                bisected[rho >= r_hi + 0.5] += 1
+        got = _relaxation(units, x0, d0, r_hi + 1.0)
+        want = naive_relaxation(units, x0, _ETA, _RELAX_RADIUS * d0, r_hi + 1.0, _MAX_ASCENT_ITERS, _ASCENT_TOL)
+        assert list(got) == list(want)
+        for s, (x, rho) in want.items():
+            assert _bits(got[s][0]) == _bits(x) and _bits(got[s][1]) == _bits(rho), s
+            bisected[rho >= r_hi + 0.5] += 1
     assert bisected[True] > 0 and bisected[False] > 0, bisected
 
 
@@ -462,22 +460,22 @@ def test_placements_clear_delta_at_their_witnesses(monkeypatch):
 
     placed, place_fn = [], param_search._place
 
-    def record(units, x0, r, eta, d0, caps, relax):
-        out = place_fn(units, x0, r, eta, d0, caps, relax)
+    def record(units, x0, r, d0, caps, relax):
+        out = place_fn(units, x0, r, d0, caps, relax)
         if out is not None:
-            placed.append((units, x0, r, eta, dict(relax), out))
+            placed.append((units, x0, r, dict(relax), out))
         return out
 
     monkeypatch.setattr(param_search, "_place", record)
     for k in range(12):
         maximize_r(*random_task(k, seed=31, spell_until=True))
     assert len(placed) >= 30
-    for units, x0, r, eta, relax, (params, radius) in placed:
+    for units, x0, r, relax, (params, radius) in placed:
         _check_eq7(units, params, x0, r)
-        cb = build_barrier(units, params, eta=eta, bound_radius=radius)
+        cb = build_barrier(units, params, eta=_ETA, bound_radius=radius)
         assert barrier_state(cb, x0, 0.0).value >= _DELTA
         for s, (x, _) in relax.items():
-            assert left_limit_state(cb, x, s).value >= _DELTA, (r, eta, s)
+            assert left_limit_state(cb, x, s).value >= _DELTA, (r, s)
 
 
 def test_softmin_adds_left_to_right():
@@ -493,25 +491,39 @@ def test_probe_schedule(monkeypatch):
     """The search probes the top of its bracket first, halves r until a
     probe is feasible (at most 60 times, not below _R_TOLERANCE / 8), then
     probes each bracket's midpoint until the bracket is at most _R_TOLERANCE
-    wide; r_star is the last feasible probe.  Random tasks 0, 3, 4, 7 and 12,
-    their untils spelled G[a,b] & F[b,b], are feasible at the first probe,
-    feasible after halving, never feasible, never feasible and feasible
-    after halving."""
+    wide; r_star is the last feasible probe.  Each search computes the
+    relaxation once, and each probe makes at most one feasibility check.
+    Random tasks 0, 3, 4, 7 and 12, their untils spelled G[a,b] & F[b,b],
+    are feasible at the first probe, feasible after halving, never feasible,
+    never feasible and feasible after halving."""
     from stlcbf import param_search
     from stlcbf.param_search import _R_TOLERANCE
 
-    probes, probe_fn = [], param_search._feasible_at  # (r, feasible) per probe
+    probes, probe_fn = [], param_search._probe  # (r, feasible) per probe
+    calls = Counter()  # relaxations, and checks in the current probe
 
-    def record(units, x0, r, level, d0, caps, relax=None):
-        out = probe_fn(units, x0, r, level, d0, caps, relax)
-        probes.append((r, out[0] is not None))
+    def record(units, x0, r, d0, caps, relax):
+        calls["check"] = 0
+        out = probe_fn(units, x0, r, d0, caps, relax)
+        assert calls["check"] <= 1, r
+        probes.append((r, out is not None and out.feasible))
         return out
 
-    monkeypatch.setattr(param_search, "_feasible_at", record)
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(param_search, "_probe", record)
+    monkeypatch.setattr(param_search, "_relaxation", counted("relaxation", param_search._relaxation))
+    monkeypatch.setattr(param_search, "feasibility_check", counted("check", param_search.feasibility_check))
     kinds = []
     for k in (0, 3, 4, 7, 12):
         probes.clear()
+        calls["relaxation"] = 0
         res = maximize_r(*random_task(k, spell_until=True))
+        assert res.diagnostics["r_bracket_high"] > 0.0 and calls["relaxation"] == 1, k
         rs = [r for r, _ in probes]
         first = next((i for i, (_, ok) in enumerate(probes) if ok), None)
         kinds.append("never" if first is None else "first" if first == 0 else "halved")
