@@ -129,8 +129,12 @@ def validate_config(cfg: dict) -> dict:
         if not (is_finite_number(bound) and bound >= 0.0):
             raise ConfigError(f"clique {name!r} coupling_bound must be a finite number >= 0")
         for i in cl["members"]:
+            if not _is_id(i):
+                raise ConfigError(f"clique {name!r} member {i!r} must be an integer agent id")
             if str(i) not in cfg["agents"]:
                 raise ConfigError(f"clique {name!r} member {i} is not a declared agent")
+            if cl["members"].count(i) > 1:
+                raise ConfigError(f"clique {name!r} lists member {i} more than once")
             if i in seen:
                 raise ConfigError(f"agent {i} appears in more than one clique")
             seen.add(i)
@@ -168,6 +172,10 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
+def _is_id(i) -> bool:  # an agent id in a list is a JSON integer, not a string, float or bool
+    return isinstance(i, int) and not isinstance(i, bool)
+
+
 def _check_dynamics(cfg: dict) -> None:
     """The JSON shapes of the pulls and the group that _dynamics_specs converts, and sim dt."""
     agents = cfg["agents"]
@@ -176,16 +184,23 @@ def _check_dynamics(cfg: dict) -> None:
         raise ConfigError("coupling attractions must be a JSON object keyed by agent id")
     for i, lst in pulls.items():
         if not (i in agents and isinstance(lst, list) and all(
-                isinstance(p, list) and len(p) == 2 and is_finite_number(p[0]) and str(p[1]) in agents
-                for p in lst)):
+                isinstance(p, list) and len(p) == 2 and is_finite_number(p[0]) and _is_id(p[1])
+                and str(p[1]) in agents for p in lst)):
             raise ConfigError(f"coupling attractions {i!r}: {lst!r} is not a declared agent's list "
                               "of [finite gain, declared agent id] pulls")
     group = cfg.get("secondary", {}).get("group", [])
-    if not (isinstance(group, list) and all(str(i) in agents for i in group)):
+    if not (isinstance(group, list) and all(_is_id(i) and str(i) in agents for i in group)):
         raise ConfigError(f"secondary group must be a list of declared agent ids, got {group!r}")
+    _sim_dt(cfg)
+
+
+def _sim_dt(cfg: dict):
+    """The run's step: the config's sim dt, 0.005 when absent, refused
+    unless a finite number > 0."""
     dt = cfg.get("sim", {}).get("dt", 0.005)
     if not (is_finite_number(dt) and dt > 0.0):
         raise ConfigError(f"sim dt must be a finite number > 0, got {dt!r}")
+    return dt
 
 
 def _read_json(path, what) -> object:
@@ -291,7 +306,7 @@ def run_construct(cfg: dict) -> dict:
     formulas = clique_formulas(cfg)
     r_max = _search_r_max(cfg)
     units = {name: normalize(formulas[name]) for name in cfg["cliques"]}
-    deadline, dt = max(u.deadline for us in units.values() for u in us), cfg.get("sim", {}).get("dt", 0.005)
+    deadline, dt = max(u.deadline for us in units.values() for u in us), _sim_dt(cfg)
     try:  # the run's grid, checked before any search
         _grid_steps(deadline, dt)
     except ValueError:
@@ -398,7 +413,7 @@ def build_scenario(cfg: dict, doc: dict, *, seed: int | None = None):
         agents=agents,
         cliques=cliques,
         x0={int(i): np.asarray(v, dtype=float) for i, v in cfg["initial_states"].items()},
-        dt=float(cfg.get("sim", {}).get("dt", 0.005)),
+        dt=float(_sim_dt(cfg)),
         coupling=coupling,
         secondary=secondary,
         noise=noise,

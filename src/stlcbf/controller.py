@@ -19,12 +19,12 @@ cliques' barriers (the team pass) gives every clique's value, rate and
 block of the team gradient, with the bits barrier_state gives that clique
 alone; then team-wide vector operations give every agent's block norm,
 share, half-space (Team.half_spaces) and closed-form input, with no loop
-over the cliques.  Shares, barrier values, right-hand sides, directions and
-inputs can go straight into a caller's arrays, such as rows of a run's
-tables; the residuals a'u - rhs that only a log reads are left to
-Team.residuals, which a run calls once over many steps' rows.  The
-team keeps one pass per combination of its cliques' activity intervals,
-and a run tabulates each step's pass and funnel rows ahead over its time
+over the cliques.  The step writes shares, barrier values, right-hand
+sides, directions and inputs into the caller's rows, such as rows of a
+run's tables; the residuals a'u - rhs that only a log reads are left to
+Team.residuals, which a run calls once over many steps' rows.  The team
+keeps one pass per combination of its cliques' activity intervals, and
+the caller tabulates each step's pass and funnel rows ahead over its time
 grid (Team.funnels), so the step makes no interval lookup, no funnel
 evaluation and no input check.  Every float operation is the one the
 per-agent law takes, in the same order, and each row-wise dot product runs
@@ -155,19 +155,19 @@ class Team:
 
     The team state is one (dim,) vector holding the agents' blocks in
     ascending id order; the inputs are stacked the same way in input_layout.
-    Per clique the team keeps the index of its stacked state in the team
-    vector (a slice when the members' blocks are adjacent, else an index
-    array) and its members' rows, and per agent the constant input map,
-    drift, clique, n_hat and coupling bound, so that a step builds no
-    per-agent dicts and no identity matrices.  The cliques (at least one)
-    must partition the agents and have distinct names, and each clique's
-    member dimensions must add up to its barrier's; n_hat = sqrt(n_bar_k *
-    largest agent dimension of the team).  known holds the ids of the agents
-    whose constraint models their secondary input f_u.
+    Per clique, in name order whatever the order given, the team keeps the
+    index of its stacked state in the team vector (a slice when the members'
+    blocks are adjacent, else an index array) and its members' rows, and per
+    agent the constant input map, drift, clique, n_hat and coupling bound, so
+    that a step builds no per-agent dicts and no identity matrices.  The
+    cliques (at least one) must partition the agents and have distinct
+    names, and each clique's member dimensions must add up to its barrier's;
+    n_hat = sqrt(n_bar_k * largest agent dimension of the team).  known holds
+    the ids of the agents whose constraint models their secondary input f_u.
     """
 
     def __init__(self, cliques, agents: dict, known=()):
-        self.cliques = tuple(cliques)
+        self.cliques = tuple(sorted(cliques, key=lambda cl: cl.name))
         if not self.cliques:
             raise ValueError("a team needs at least one clique")
         self.known = frozenset(known)
@@ -263,31 +263,31 @@ class Team:
 
     def _pass(self, key: tuple):
         """The team pass on the cliques' activity intervals key (one per
-        clique, len(schedule) once it expired), or None when no clique is
-        live: (the barrier stack of the live cliques, their team indices and
+        clique, len(schedule) once it expired): (the barrier stack of the
+        live cliques, None when no clique is live, their team indices and
         kappas in stack order, each agent's clique in stack order, and the
         expired cliques and their members' rows, or None)."""
         if key not in self._passes:
             live = [c for c, (cl, _, _) in enumerate(self._parts) if key[c] < len(cl.barrier.schedule)]
-            found = None
+            st = None
             if live:
                 st = _stack([(self._parts[c][0].barrier, key[c], self._parts[c][1]) for c in live])
                 live = [live[p] for p in st.order]
-                dead = [c for c in range(len(self._parts)) if c not in live]
-                pos = np.zeros(len(self._parts), dtype=int)  # an expired clique reads position 0
-                pos[live] = np.arange(len(live))
-                found = (st, np.array(live), np.array([self.cliques[c].kappa for c in live]), pos[self._clique_of],
-                         (dead, [r for c in dead for r in self._parts[c][2]]) if dead else None)
-            self._passes[key] = found
+            dead = [c for c in range(len(self._parts)) if c not in live]
+            pos = np.zeros(len(self._parts), dtype=int)  # an expired clique reads position 0
+            pos[live] = np.arange(len(live))
+            expired = (dead, [r for c in dead for r in self._parts[c][2]]) if dead else None
+            self._passes[key] = (st, np.array(live, dtype=int), np.array([self.cliques[c].kappa for c in live]),
+                                 pos[self._clique_of], expired)
         return self._passes[key]
 
     def funnels(self, times: np.ndarray) -> list:
         """The team pass and its funnel rows at each of the ascending times:
-        per time (pass, gamma row, rate row), or None once every clique is
-        past its final deadline.  A clique's activity interval at t is that
-        of barrier_state, and it counts as expired from 1e-12 before its final
-        deadline.  Between two switches of any clique the pass stays, and one
-        _gamma tabulates its rows over those times."""
+        per time (pass, gamma row, rate row), the rows None once every clique
+        is past its final deadline.  A clique's activity interval at t is
+        that of barrier_state, and it counts as expired from 1e-12 before its
+        final deadline.  Between two switches of any clique the pass stays,
+        and one _gamma tabulates its rows over those times."""
         if np.isnan(times).any():
             raise ValueError("times must not be nan")
         keys = np.empty((len(self._parts), len(times)), dtype=int)
@@ -299,10 +299,8 @@ class Team:
         out = []
         for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), len(times)]):
             found = self._pass(tuple(keys[:, lo].tolist()))
-            if found is None:
-                out += [None] * (hi - lo)
-            else:
-                out += zip(repeat(found), *_gamma(times[lo:hi, None], found[0].funnel))
+            rows = _gamma(times[lo:hi, None], found[0].funnel) if len(found[1]) else [[None] * (hi - lo)] * 2
+            out += zip(repeat(found), *rows)
         return out
 
     def residuals(self, a: np.ndarray, u: np.ndarray, rhs: np.ndarray, out=None) -> np.ndarray:
@@ -312,22 +310,19 @@ class Team:
         fills its log's column for many steps at once."""
         return np.subtract(self._input_dot(a, u), rhs, out=out)
 
-    def half_spaces(self, x: np.ndarray, t: float, drift: np.ndarray, f_u: np.ndarray, funnels=None,
-                    out=None) -> tuple:
-        """Every agent's half-space a_i'u_i >= rhs_i at time t, in one pass:
-        one barrier kernel call over the stack of live cliques gives their
-        values, rates and gradient blocks, then team-wide vector operations
-        form every agent's norm, share and rhs.  The kernel takes the stack
-        and its rows from funnels, the entry of self.funnels for t: a run
-        tabulates them ahead, and without them they are tabulated for t
-        alone.  out, when given, is a triple of arrays (n_agents,),
+    def half_spaces(self, x: np.ndarray, drift: np.ndarray, f_u: np.ndarray, funnels: tuple, out: tuple) -> tuple:
+        """Every agent's half-space a_i'u_i >= rhs_i at the time of funnels,
+        the entry of self.funnels for it, in one pass: one barrier kernel
+        call over the stack of live cliques gives their values, rates and
+        gradient blocks, then team-wide vector operations form every agent's
+        norm, share and rhs.  out is a triple of arrays (n_agents,),
         (n_cliques,) and (n_agents,) that the shares, the barrier values and
         the right-hand sides are written into.
 
-        Returns (grad, barrier values, block norms, shares, a, ||a_i||^2,
-        rhs): grad (dim,) holds each agent's block of its clique's barrier
-        gradient, a (input_dim,) the directions g_i' grad_i (grad_i itself
-        for an identity map, see input_effect), and per agent
+        Returns (grad, block norms, a, ||a_i||^2): grad (dim,) holds each
+        agent's block of its clique's barrier gradient, a (input_dim,) the
+        directions g_i' grad_i (grad_i itself for an identity map, see
+        input_effect), and per agent
             rhs_i = ||grad_i|| n_hat C - N_i (db/dt + kappa b) - grad_i' f_i
                     [- grad_i' g_i f_u_i if known].
         The float operations are those of the per-agent law, left to right.
@@ -339,14 +334,11 @@ class Team:
         A clique past its final deadline (value nan) gives its members zero
         gradient, share and rhs.
         """
-        if funnels is None:
-            funnels = self.funnels(np.array([t]))[0]
-        n = len(self.ids)
-        shares, values, rhs = (np.empty(n), np.empty(len(self._parts)), None) if out is None else out
-        if funnels is None:  # every clique expired
-            grad, load, expired = np.zeros(self.dim), np.zeros(n), (slice(None), slice(None))
+        shares, values, rhs = out
+        (st, live, kappa, stack_of, expired), gam, rate = funnels
+        if not len(live):  # every clique expired
+            grad, load = np.zeros(self.dim), np.zeros(len(self.ids))
         else:
-            (st, live, kappa, stack_of, expired), gam, rate = funnels
             value, grad, dbdt, _, _ = _state(st, x, gam, rate)
             if expired is not None:  # the stack's gradient covers the live cliques' entries
                 grad, live_grad = np.zeros(self.dim), grad
@@ -367,7 +359,7 @@ class Team:
             values[expired[0]] = math.nan
             shares[expired[1]] = 0.0
             load[expired[1]] = 0.0
-        rhs = np.multiply(norms, self._n_hat, out=rhs)
+        np.multiply(norms, self._n_hat, out=rhs)
         rhs *= self.coupling_bounds
         rhs -= shares * load
         if self._drifts:
@@ -375,11 +367,11 @@ class Team:
         if self._known_rows is not None:
             rhs -= np.where(self._known_rows, self._block_dot(grad, self.input_effect(f_u)), 0.0)
         if not self._maps:
-            return grad, values, norms, shares, grad, sq, rhs
+            return grad, norms, grad, sq
         a = np.empty(self.input_dim)
         for s, si, g in self._maps:
             a[si] = grad[s] if g is None else g.T @ grad[s]
-        return grad, values, norms, shares, a, self._input_dot(a, a), rhs
+        return grad, norms, a, self._input_dot(a, a)
 
 
 def solve_agent_qp(a: np.ndarray, rhs: float) -> np.ndarray:
@@ -409,31 +401,24 @@ def solve_agent_qp(a: np.ndarray, rhs: float) -> np.ndarray:
 
 @dataclass(slots=True)
 class TeamControl:
-    """Stacked inputs plus the per-step diagnostics the trajectory log records.
+    """The stacked inputs and what the rest of the step reads of the pass;
+    the caller's rows hold the rest (see team_control).  Agent-indexed
+    arrays follow Team.ids."""
 
-    Agent-indexed arrays follow Team.ids, clique-indexed ones Team.cliques.
-    """
-
-    inputs: np.ndarray  # (team.input_dim,) QP input u of every agent
-    # (n_agents,) a'u - rhs (Team.residuals), or None when team_control wrote
-    # into a caller's arrays: a run fills them for many steps at once
-    residuals: np.ndarray | None
-    shares: np.ndarray  # (n_agents,) N_i
+    inputs: np.ndarray  # (team.input_dim,) QP input u of every agent, the caller's row
     grad: np.ndarray  # (team.dim,) each agent's block of its clique's barrier gradient
     grad_norms: np.ndarray  # (n_agents,) norms of those blocks
     drift: np.ndarray  # (team.dim,) f_i(x_i, t)
-    barrier_values: np.ndarray  # (n_cliques,) b, nan once the clique expired
 
 
-def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=None, out=None) -> TeamControl:
+def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels: tuple, out: tuple) -> TeamControl:
     """Evaluate every agent's QP at time t from the stacked team state x and
     the stacked secondary input f_u (read only for the members in team.known).
-    funnels goes on to Team.half_spaces: the entry of team.funnels for t, or
-    None to tabulate the barrier rows for t alone.  out, when given, is a
-    tuple of arrays, for example rows of a run's tables, that the shares
-    (n_agents,), the barrier values (n_cliques,), the right-hand sides
-    (n_agents,), the directions a and the inputs (team.input_dim,) are
-    written into; the result's arrays are those, and its residuals None.
+    funnels goes on to Team.half_spaces: the entry of team.funnels for t.
+    out is a tuple of arrays, for example rows of a run's tables, that the
+    shares (n_agents,), the barrier values (n_cliques, in Team.cliques'
+    order, nan once the clique expired), the right-hand sides (n_agents,),
+    the directions a and the inputs (team.input_dim,) are written into.
 
     The closed form runs on the whole team at once: u_i = (rhs_i / ||a_i||^2)
     a_i where rhs_i > 0, else +0, which is solve_agent_qp's own arithmetic.  A
@@ -443,14 +428,12 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
     final deadline has no remaining obligations; its members get zero input,
     share, direction and right-hand side from it.
     """
-    a_out, u = (None, None) if out is None else out[3:]
+    _, values, rhs, a_out, u = out
     drift = team.drift(x, t)
-    grad, values, norms, shares, a, nn, rhs = team.half_spaces(
-        x, t, drift, f_u, funnels, None if out is None else out[:3])
+    grad, norms, a, nn = team.half_spaces(x, drift, f_u, funnels, out[:3])
     rows = team._input_row
     norms_a = norms if a is grad else np.sqrt(nn)
-    if a_out is not None:
-        a_out[...] = a
+    a_out[...] = a
     rhs_list = rhs.tolist()
     # Row r goes through solve_agent_qp when rhs_r > 0 and nn_r <= (_ZERO_TOL
     # rhs_r)^2 or below the normal range; then sqrt(nn_r) <= 2 _ZERO_TOL rhs_r
@@ -459,7 +442,7 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
     # form.  A nan rhs gives a nan input on either path, as in solve_agent_qp,
     # and a nan that min() or max() returns takes the row-wise path.
     if min(rhs_list) > 0.0 and min(norms_a.tolist()) > 2.0 * _ZERO_TOL * max(rhs_list) + 1.5e-154:
-        u = np.multiply((rhs / nn)[rows], a, out=u)
+        np.multiply((rhs / nn)[rows], a, out=u)
         odd_rows = ()
     else:
         active = ~(rhs <= 0.0)
@@ -467,8 +450,6 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
         active &= ~odd
         odd_rows = sorted(odd.nonzero()[0].tolist(), key=team._order.index)  # the per-agent law's order
         coef = np.divide(rhs, nn, out=np.zeros(len(rhs)), where=active)
-        if u is None:
-            u = np.empty(team.input_dim)
         u[...] = 0.0
         np.multiply(coef[rows], a, out=u, where=active[rows])
     for r in odd_rows:
@@ -480,5 +461,4 @@ def team_control(team: Team, x: np.ndarray, t: float, f_u: np.ndarray, funnels=N
                 f"agent {team.ids[r]} infeasible at t = {t:g}: {err} "
                 f"(barrier value {values[team._clique_of[r]]:g})"
             ) from None
-    residuals = None if out is not None else team.residuals(a, u, rhs)
-    return TeamControl(u, residuals, shares, grad, norms, drift, values)
+    return TeamControl(u, grad, norms, drift)

@@ -247,12 +247,10 @@ class _Columns:
         self.b = slice(self.u.stop, self.u.stop + len(names))
         end = self.b.stop + 3 * len(team.ids)
         self.res, self.share, self.dist = (slice(self.b.stop + j, end, 3) for j in range(3))
-        self.by_name = sorted(range(len(names)), key=names.__getitem__)  # team clique indices
-        self.barrier_cols = {names[c]: self.b.start + j for j, c in enumerate(self.by_name)}
         self.header = ["t"]
         self.header += [f"x{i}_{c}" for i, n in zip(self.layout.ids, self.layout.dims) for c in range(n)]
         self.header += [f"u{i}_{c}" for i, n in zip(self.input_layout.ids, self.input_layout.dims) for c in range(n)]
-        self.header += [f"b_{names[c]}" for c in self.by_name]
+        self.header += [f"b_{name}" for name in names]
         self.header += [f"{k}_{i}" for i in self.layout.ids for k in ("res", "share", "dist")]
 
 
@@ -285,8 +283,7 @@ class TrajectoryLog:
     # per-agent and per-clique column views
     states = property(lambda log: {i: log.x[:, s] for i, s in log.layout.slices().items()})
     inputs = property(lambda log: {i: log.u[:, s] for i, s in log.input_layout.slices().items()})
-    barriers = property(lambda log: {name: log.table[:-1, log.columns.barrier_cols[name]]
-                                      for name in log.clique_names})
+    barriers = property(lambda log: dict(zip(log.clique_names, log.b.T)))
     residuals = property(lambda log: dict(zip(log.layout.ids, log.res.T)))
     shares = property(lambda log: dict(zip(log.layout.ids, log.share.T)))
     disturbance_norms = property(lambda log: dict(zip(log.layout.ids, log.dist.T)))
@@ -489,8 +486,6 @@ def run(scenario: Scenario) -> TrajectoryLog:
             steps_done, begun = k, k + 1
             break
 
-    # the step loop wrote the barrier values in the team's clique order
-    bs[:steps_done] = bs[:steps_done, cols.by_name]
     table[steps_done, cols.x.stop :] = np.nan
     # each activity switch s is logged at the first step begun whose t has
     # s <= t + 1e-12 (searchsorted finds the first t + 1e-12 >= s)

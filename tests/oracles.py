@@ -259,6 +259,16 @@ def random_team(rng, shapes) -> Team:
     return Team(cliques, {i: AgentModel(i, d) for i, d in dims.items()})
 
 
+def step_rows(team: Team, times) -> list:
+    """Per time of the ascending times, what sim.run hands team_control for
+    a step there: the entry of team.funnels, tabulated over the times, and
+    fresh rows for the step's shares, barrier values, rhs, a and u, in that
+    order.  Team.half_spaces takes the first three rows."""
+    n, m = len(team.ids), team.input_dim
+    return [(entry, (np.empty(n), np.empty(len(team.cliques)), np.empty(n), np.empty(m), np.empty(m)))
+            for entry in team.funnels(np.asarray(times, dtype=float))]
+
+
 # ---------------------------------------------------------------------------
 # Ascent oracle: one full left_limit_state per Armijo trial
 

@@ -33,7 +33,7 @@ from stlcbf import controller
 from stlcbf.config import canonical_json
 from stlcbf.controller import AgentModel, Clique, Team
 
-from oracles import central_fd, naive_robustness, random_formula
+from oracles import central_fd, naive_robustness, random_formula, step_rows
 
 
 def random_barrier(rng, dim=3, n_aff=4, n_ball=1, eta=15.0, radius=30.0, n_deadlines=3):
@@ -203,6 +203,7 @@ def test_c05_load_shares_partition_to_one(monkeypatch):
     x = np.zeros(6)  # also the drift and the secondary input
     g = np.zeros(6)  # each draw's gradient
     monkeypatch.setattr(controller, "_state", lambda *_: (0.0, g, 0.0, None, None))
+    [(entry, rows)] = step_rows(team, [0.0])
 
     rng = np.random.default_rng(500)
     worst = 0.0
@@ -210,7 +211,8 @@ def test_c05_load_shares_partition_to_one(monkeypatch):
     for _ in range(10_000):
         scale = float(rng.choice([1e-14, 1e-6, 1.0, 1e3]))
         g[:] = rng.normal(scale=scale, size=6)
-        shares = team.half_spaces(x, 0.0, x, x)[3].tolist()
+        team.half_spaces(x, x, x, entry, rows[:3])
+        shares = rows[0].tolist()
         den = sum(float(np.linalg.norm(g[team.blocks[i]])) for i in (1, 2, 3))
         if den > 1e-12:
             worst = max(worst, abs(sum(shares) - 1.0))

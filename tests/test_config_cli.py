@@ -118,6 +118,15 @@ BAD_CONFIGS = [
     (lambda c: c["cliques"]["solo"].update(coupling_bnd=0.5),
      "clique 'solo': unknown key 'coupling_bnd' (known: members, formula, coupling_bound)"),
     (lambda c: c["initial_states"].update({"7": [0.0]}), "initial_states names agent '7', which is not a declared agent"),
+    # an agent id in a list is a JSON integer: a string, float or bool is named, not read as another fault
+    (lambda c: c["cliques"]["solo"].update(members=["1"]), "clique 'solo' member '1' must be an integer agent id"),
+    (lambda c: c["cliques"]["solo"].update(members=[1.0]), "clique 'solo' member 1.0 must be an integer agent id"),
+    (lambda c: c["cliques"]["solo"].update(members=[True]), "clique 'solo' member True must be an integer agent id"),
+    (lambda c: c["cliques"]["solo"].update(members=[1, 1]), "clique 'solo' lists member 1 more than once"),
+    (lambda c: c.update(secondary={"kind": "pairwise_repulsion", "group": ["1"]}),
+     "secondary group must be a list of declared agent ids, got ['1']"),
+    (lambda c: c.update(coupling={"kind": "saturating_attraction", "attractions": {"1": [[0.5, "1"]]}}),
+     "coupling attractions '1': [[0.5, '1']] is not a declared agent's list of [finite gain, declared agent id] pulls"),
 ]
 
 

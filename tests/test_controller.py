@@ -24,7 +24,7 @@ from stlcbf import (
 )
 
 from stlcbf import barrier
-from oracles import _constraint_from_state, _share_from_state, random_team
+from oracles import _constraint_from_state, _share_from_state, random_team, step_rows
 
 
 def two_agent_clique(kappa=2.0, C=0.5, eta=10.0):
@@ -48,7 +48,8 @@ def member_constraint(clique, agents, x, t, i, known=(), f_u=None):
     """
     team = Team([clique], agents, known)
     f_u = np.zeros(team.input_dim) if f_u is None else f_u
-    *_, a, _, rhs = team.half_spaces(x, t, team.drift(x, t), f_u)
+    [(entry, (shares, values, rhs, _, _))] = step_rows(team, [t])
+    a = team.half_spaces(x, team.drift(x, t), f_u, entry, (shares, values, rhs))[2]
     return a[team.input_blocks[i]], float(rhs[team.rows[i]])
 
 
@@ -91,7 +92,9 @@ def test_clique_validation():
 def half_space_shares(clique, agents, x, t):
     """The load shares Team.half_spaces gives the clique's members at (x, t)."""
     team = Team([clique], agents)
-    return team.half_spaces(x, t, team.drift(x, t), np.zeros(team.input_dim))[3]
+    [(entry, rows)] = step_rows(team, [t])
+    team.half_spaces(x, team.drift(x, t), np.zeros(team.input_dim), entry, rows[:3])
+    return rows[0]
 
 
 def test_load_share_partition():
@@ -244,16 +247,19 @@ def test_team_control_matches_per_agent_solves():
     solve_agent_qp(a, rhs) of its half-space, and the half-spaces are the
     per-agent law's; the second team has mixed dimensions, an input map, a
     drifted agent and a member whose gradient block is below the normal
-    range.  Inputs and residuals are compared bit for bit."""
+    range.  Inputs and residuals (Team.residuals over the step's rows, as a
+    run fills its log) are compared bit for bit."""
     clique, agents = two_agent_clique()
     states = {1: np.array([0.5, -1.0]), 2: np.array([2.0, 0.25])}
     team = Team([clique], agents)
     x = team.stack(states)
-    tc = team_control(team, x, 0.5, np.zeros(team.input_dim))
+    [(entry, rows)] = step_rows(team, [0.5])
+    tc = team_control(team, x, 0.5, np.zeros(team.input_dim), entry, rows)
+    residuals = team.residuals(rows[3], rows[4], rows[2])
     for i in clique.members:
         a, rhs = member_constraint(clique, agents, x, 0.5, i)
         assert np.array_equal(tc.inputs[team.input_blocks[i]], solve_agent_qp(a, rhs))
-        assert tc.residuals[team.rows[i]] >= -1e-9
+        assert residuals[team.rows[i]] >= -1e-9
 
     cliques, agents = two_clique_team()
     team = Team(cliques, agents)
@@ -264,8 +270,10 @@ def test_team_control_matches_per_agent_solves():
         x = rng.normal(size=team.dim)
         x[team.blocks[1]] = 0.0
         t = float(rng.uniform(0.0, 0.9))
-        tc = team_control(team, x, t, f_u)
-        *_, a, _, rhs = team.half_spaces(x, t, team.drift(x, t), f_u)
+        [(entry, rows)] = step_rows(team, [t])
+        tc = team_control(team, x, t, f_u, entry, rows)
+        _, _, rhs, a, _ = rows
+        residuals = team.residuals(a, tc.inputs, rhs)
         for cl in cliques:
             x_bar = x[np.concatenate([np.arange(team.blocks[i].start, team.blocks[i].stop) for i in cl.members])]
             st = barrier_state(cl.barrier, x_bar, t)
@@ -275,7 +283,7 @@ def test_team_control_matches_per_agent_solves():
                 assert np.array_equal(a_i, want_a) and rhs_i == want_rhs
                 u = solve_agent_qp(a_i, rhs_i)
                 assert tc.inputs[team.input_blocks[i]].tobytes() == u.tobytes()
-                assert tc.residuals[team.rows[i]] == float(np.dot(a_i, u)) - rhs_i
+                assert residuals[team.rows[i]] == float(np.dot(a_i, u)) - rhs_i
         a_1 = a[team.input_blocks[1]]
         if rhs[team.rows[1]] > 0.0 and 0.0 < float(np.dot(a_1, a_1)) < sys.float_info.min:
             tiny_active += 1
@@ -285,13 +293,15 @@ def test_team_control_matches_per_agent_solves():
 def test_team_control_expired_clique():
     clique, agents = two_agent_clique()
     team = Team([clique], agents)
-    tc = team_control(team, np.ones(4), 5.0, np.zeros(team.input_dim))  # horizon reached
+    [(entry, rows)] = step_rows(team, [5.0])  # horizon reached
+    tc = team_control(team, np.ones(4), 5.0, np.zeros(team.input_dim), entry, rows)
+    shares, values, rhs, a, u = rows
     assert np.array_equal(tc.inputs, np.zeros(4))
-    assert math.isnan(tc.barrier_values[0])  # clique "pair"
-    assert tc.shares.tolist() == [0.0, 0.0] and tc.residuals.tolist() == [0.0, 0.0]
+    assert math.isnan(values[0])  # clique "pair"
+    assert shares.tolist() == [0.0, 0.0] and team.residuals(a, u, rhs).tolist() == [0.0, 0.0]
     # a nan time is refused, not taken for one past every deadline
     with pytest.raises(ValueError, match=r"^times must not be nan$"):
-        team_control(team, np.ones(4), math.nan, np.zeros(team.input_dim))
+        step_rows(team, [math.nan])
 
 
 def test_team_control_rejects_shared_members():
@@ -333,7 +343,8 @@ def test_aggregated_condition_holds_under_worst_coupling():
         t = float(rng.uniform(0.0, 3.9))
         team = Team([clique], agents)
         x = team.stack(states)
-        tc = team_control(team, x, t, np.zeros(team.input_dim))
+        [(entry, rows)] = step_rows(team, [t])
+        tc = team_control(team, x, t, np.zeros(team.input_dim), entry, rows)
         st = barrier_state(clique.barrier, x, t)
         total = st.dbdt + clique.kappa * st.value
         for i in clique.members:
@@ -374,13 +385,14 @@ def test_team_pass_gives_each_clique_the_bits_of_barrier_state(shape):
     times = np.concatenate((np.linspace(0.0, switches[-1], 61), switches, np.array(switches) - 1e-3))
     times = np.unique(times[(times >= 0.0) & (times < switches[-1])])
     checked = expired = 0
-    for t, entry in zip(times.tolist(), team.funnels(times)):
+    for t, (entry, rows) in zip(times.tolist(), step_rows(team, times)):
         x = rng.normal(scale=2.0, size=team.dim)
         (st, live, *_), gam, rate = entry
         value, grad, dbdt, w, vals = barrier._state(st, x, gam, rate)
         at = np.arange(team.dim)[st.states]  # the index in x of each gradient entry
         ends = [*st.seg.tolist()[1:], len(w)]
-        grad_x, values = team.half_spaces(x, t, team.drift(x, t), np.zeros(team.input_dim), entry)[:2]
+        grad_x = team.half_spaces(x, team.drift(x, t), np.zeros(team.input_dim), entry, rows[:3])[0]
+        values = rows[1]
         for p, c in enumerate(live.tolist()):
             cl, idx, _ = team._parts[c]
             ref = barrier_state(cl.barrier, x[idx], t)

@@ -42,7 +42,7 @@ from oracles import naive_run, naive_write_log_csv
 
 # the benchmark's random task generator, imported read-only
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import formula_text  # noqa: E402
+from workloads import _psi, formula_text  # noqa: E402
 
 
 def passive_clique(agent_id=1, dim=2, C=0.0, kappa=1.0, horizon=1.0, name="solo"):
@@ -392,13 +392,10 @@ def test_run_at_the_coefficient_bound_stays_finite():
     assert np.isfinite(run(sc).x).all()
 
 
-def pipeline_config(seed, k):
-    """demos/07_pipeline_differential.py's config for the k-th random task
-    of rng seed `seed`: four planar agents in one clique, no coupling, no
-    noise, dt 0.005."""
-    rng = np.random.default_rng([seed, k])
-    text = formula_text(rng, k, 10.0)
-    x0 = rng.uniform(0.0, 10.0, size=8)
+def pipeline_config(text, x0):
+    """demos/07_pipeline_differential.py's config for a task text over x0
+    in R^8: four planar agents in one clique, no coupling, no noise, dt
+    0.005."""
     return {
         "agents": {str(i): {"dim": 2} for i in range(1, 5)},
         "cliques": {"team": {"members": [1, 2, 3, 4], "formula": text, "coupling_bound": 0.05}},
@@ -415,7 +412,27 @@ def test_pipeline_reaches_r_star_on_random_tasks(seed, k, feasible):
     (7, 3) and the F & U task (9, 4) pass with rho >= r_star.  In task
     (2, 1), x0 violates an until's left-hand side, so rho at t = 0 is
     negative whatever the run does, and construction refuses the task."""
-    cfg = pipeline_config(seed, k)
+    rng = np.random.default_rng([seed, k])
+    check_pipeline(formula_text(rng, k, 10.0), rng.uniform(0.0, 10.0, size=8), feasible)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_pipeline_passes_f_set_tasks(k):
+    """F-set tasks (1, 0) to (1, 3) of demos/08_yardstick.py, one per
+    workloads._psi shape 1 + 3 (k % 4), each an eventually over a random
+    conjunction: construction finds them feasible and the run passes
+    verify with rho >= r_star."""
+    rng = np.random.default_rng([101, k])
+    a = float(rng.uniform(0.0, 6.5))
+    text = f"F[{a:.2f},{a + 3.5:.2f}]({_psi(rng, 1 + 3 * (k % 4))})"
+    check_pipeline(text, rng.uniform(0.0, 10.0, size=8), True)
+
+
+def check_pipeline(text, x0, feasible):
+    """run_construct, build_scenario(seed=0), run and verify on
+    pipeline_config(text, x0): the task's feasibility is the one given, and
+    a feasible task passes with rho >= r_star > 0."""
+    cfg = pipeline_config(text, x0)
     doc = run_construct(cfg)
     entry = doc["cliques"]["team"]
     assert entry["feasible"] == feasible
@@ -440,6 +457,23 @@ def test_demo_with_known_secondary_passes_verify(seed):
     assert report["passed"], report
     print(f"known secondary, seed {seed}: min barrier "
           + ", ".join(f"{n} {e['min_barrier']:.4f}" for n, e in sorted(report["cliques"].items())))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_clique_order_does_not_change_the_log(seed, demo_doc, tmp_path):
+    """build_scenario lists the demo's cliques in name order; a Scenario
+    given them in reverse order writes the same trajectory CSV bytes,
+    because the team keeps its cliques in name order whatever order it is
+    given."""
+    cfg, doc, _ = demo_doc
+    sc, _, _ = build_scenario(cfg, doc, seed=seed)
+    names = [cl.name for cl in sc.cliques]
+    assert names == sorted(names) and len(names) == 2
+    reverse = Scenario(agents=sc.agents, cliques=sc.cliques[::-1], x0=sc.x0, dt=sc.dt, coupling=sc.coupling,
+                       secondary=sc.secondary, noise=sc.noise)
+    for j, scenario in enumerate((sc, reverse)):
+        write_log_csv(run(scenario), tmp_path / f"{j}.csv")
+    assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
 
 
 def test_verify_fails_on_incomplete_log():
