@@ -158,13 +158,17 @@ class CompositeBarrier:
     terms: tuple
     eta: float
     bound_radius: float
-    dim: int
+    dim: int = field(init=False)  # the terms' predicates' state dimension
     schedule: tuple = field(init=False)
     smooth_eps: ClassVar[float] = 1e-9  # the bound term is D - sqrt(||x||^2 + eps^2) + eps
 
     def __post_init__(self):
         if not self.terms:
-            raise ValueError("composite barrier needs at least one term")
+            raise ValueError("cannot build a barrier from an empty unit list")
+        preds = [tm.unit.predicate for tm in self.terms]
+        dims = {p.dim for p in preds}
+        if len(dims) != 1:
+            raise ValueError(f"units disagree on the state dimension: {sorted(dims)}")
         for name in ("eta", "bound_radius"):
             if not is_finite_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
@@ -175,9 +179,6 @@ class CompositeBarrier:
         deadlines = np.array([tm.deadline for tm in self.terms], dtype=float)
         if np.any(deadlines <= 0.0):
             raise ValueError("every unit deadline must be positive")
-        preds = [tm.unit.predicate for tm in self.terms]
-        if any(p.dim != self.dim for p in preds):
-            raise ValueError("predicate dimension does not match barrier dim")
         balls = [isinstance(p, BallPredicate) for p in preds]
         # the term at index i owns rows _row_start[i]:_row_start[i + 1] of the
         # stacked coefficient rows and offsets: an affine c and d, a ball's A and b
@@ -189,6 +190,7 @@ class CompositeBarrier:
             active.append(np.flatnonzero(deadlines >= s))
             active[-1].flags.writeable = False
         for name, value in (
+            ("dim", dims.pop()),
             ("schedule", schedule),
             ("_deadlines", deadlines),
             ("_mat", np.concatenate([p.A if ball else p.c[None] for p, ball in zip(preds, balls)])),
@@ -525,15 +527,10 @@ def build_barrier(units, params, eta: float, bound_radius: float) -> CompositeBa
     """Assemble the composite barrier from units and their funnel curves."""
     units = tuple(units)
     params = tuple(params)
-    if not units:
-        raise ValueError("cannot build a barrier from an empty unit list")
     if len(units) != len(params):
         raise ValueError("one GammaParams required per unit")
-    dims = {u.predicate.dim for u in units}
-    if len(dims) != 1:
-        raise ValueError(f"units disagree on the state dimension: {sorted(dims)}")
     terms = tuple(BarrierTerm(unit=u, gamma=g) for u, g in zip(units, params))
-    return CompositeBarrier(terms=terms, eta=float(eta), bound_radius=float(bound_radius), dim=dims.pop())
+    return CompositeBarrier(terms=terms, eta=float(eta), bound_radius=float(bound_radius))
 
 
 def barrier_to_dict(cb: CompositeBarrier) -> dict:

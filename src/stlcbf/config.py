@@ -256,17 +256,13 @@ def build_agents(cfg: dict) -> dict:
         dim = spec["dim"]
         input_spec = spec.get("input", "identity")
         input_map = None
-        input_dim = dim
         if isinstance(input_spec, dict):
             input_map = _finite_array(i, input_spec, "matrix", "input matrix", 2)
-            input_dim = input_map.shape[1]
         elif input_spec != "identity":
             raise ConfigError(f"agent {i}: unknown input map spec {input_spec!r}")
         drift = _build_drift(i, spec.get("drift"), dim)
         try:
-            agents[i] = AgentModel(
-                agent_id=i, state_dim=dim, input_dim=input_dim, drift=drift, input_map=input_map
-            )
+            agents[i] = AgentModel(agent_id=i, state_dim=dim, drift=drift, input_map=input_map)
         except ValueError as err:  # the input map's shape or rank
             raise ConfigError(f"agent {i} {err}") from None
     return agents

@@ -35,8 +35,9 @@ reproduces the per-agent law bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -67,23 +68,27 @@ class AgentModel:
 
     agent_id: int
     state_dim: int
-    input_dim: int | None = None
     drift: object = None  # callable (x, t) -> (n,); None means zero drift
     input_map: np.ndarray | None = None  # constant g, shape (n, m); None = identity
+    input_dim: int = field(init=False)  # m: the input map's columns, or n without a map
 
     def __post_init__(self):
-        m = self.input_dim if self.input_dim is not None else self.state_dim
-        object.__setattr__(self, "input_dim", m)
+        n = self.state_dim
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"state_dim must be an integer >= 1, got {n!r}")
+        m = n
         if self.input_map is not None:
             g = np.asarray(self.input_map, dtype=float)
-            if g.shape != (self.state_dim, m):
-                raise ValueError(f"input map must have shape ({self.state_dim}, {m})")
-            if m < self.state_dim:
+            if g.ndim != 2 or g.shape[0] != n:
+                raise ValueError(f"input map must have shape ({n}, m), got {g.shape}")
+            m = g.shape[1]
+            if m < n:
                 raise ValueError("input map cannot have full row rank with m < n")
             smin = float(np.linalg.svd(g, compute_uv=False)[-1])
             if smin <= 1e-9:
                 raise ValueError("input map must have full row rank")
             object.__setattr__(self, "input_map", g)
+        object.__setattr__(self, "input_dim", m)
 
 
 class _Blocks:

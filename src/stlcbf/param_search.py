@@ -29,7 +29,7 @@ search policy; the cap r_max is maximize_r's one setting.
 
 _MAX_LOG_DEPTH is the bound derived above barrier._SCALE_LIMIT, so every
 document the search writes loads.  The others were measured on the demo
-and the 264 tasks of demos/07 and demos/08 (pipeline verdicts of the moved
+and the 264 tasks of demos/08's three sets (pipeline verdicts of the moved
 tasks): _RELAX_RADIUS 4 or 16 lowers r_star on 18 tasks (6 passes fail) or
 raises it on 3 (1 fail passes); _CLEARANCE 0.05 or 0.2 lowers it on 117
 (4 passes fail) or raises it on 68 (6 fails pass); without

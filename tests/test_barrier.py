@@ -128,8 +128,24 @@ def test_term_and_build_validation():
     with pytest.raises(ValueError, match="eta"):
         CompositeBarrier(
             terms=(BarrierTerm(u, GammaParams(0.0, 1.0, 0.1, 1.0)),),
-            eta=0.0, bound_radius=1.0, dim=1,
+            eta=0.0, bound_radius=1.0,
         )
+
+
+def test_composite_barrier_derives_its_dim():
+    """The barrier's dim is its terms' predicate dimension, and the barrier
+    refuses no terms or mixed dimensions with build_barrier's messages."""
+    gamma = GammaParams(0.0, 1.0, 0.1, 1.0)
+    terms = tuple(BarrierTerm(OperatorUnit("always", AffinePredicate(np.array(c), 0.0), 1.0, 3.0), gamma)
+                  for c in ([1.0, 0.0], [0.0, 2.0]))
+    assert CompositeBarrier(terms, 5.0, 1.0).dim == 2
+    one = BarrierTerm(OperatorUnit("always", AffinePredicate(np.array([1.0]), 0.0), 1.0, 3.0), gamma)
+    for bad, msg in (((), "cannot build a barrier from an empty unit list"),
+                     (terms + (one,), "units disagree on the state dimension: [1, 2]")):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            CompositeBarrier(bad, 5.0, 1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            build_barrier([tm.unit for tm in bad], [tm.gamma for tm in bad], eta=5.0, bound_radius=1.0)
 
 
 def test_barrier_refuses_non_finite_constants():
@@ -142,7 +158,7 @@ def test_barrier_refuses_non_finite_constants():
         for bad in (math.nan, math.inf, -math.inf):
             msg = f"{key} must be a finite number, got {bad!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-                CompositeBarrier(terms=terms, dim=1, **{**good, key: bad})
+                CompositeBarrier(terms=terms, **{**good, key: bad})
             with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
                 build_barrier([tm.unit for tm in terms], [tm.gamma for tm in terms], **{**good, key: bad})
 

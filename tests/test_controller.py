@@ -58,14 +58,26 @@ def test_agent_model_defaults_and_validation():
     assert m.drift is None and m.input_map is None  # zero drift, identity input map
     assert m.input_dim == 3
     with pytest.raises(ValueError, match="full row rank"):
-        AgentModel(agent_id=1, state_dim=2, input_dim=1, input_map=np.array([[1.0], [0.0]]))
+        AgentModel(agent_id=1, state_dim=2, input_map=np.array([[1.0], [0.0]]))
     with pytest.raises(ValueError, match="full row rank"):
-        AgentModel(agent_id=1, state_dim=2, input_dim=2, input_map=np.array([[1.0, 0.0], [1.0, 0.0]]))
+        AgentModel(agent_id=1, state_dim=2, input_map=np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="shape"):
-        AgentModel(agent_id=1, state_dim=2, input_dim=2, input_map=np.eye(3))
+        AgentModel(agent_id=1, state_dim=2, input_map=np.eye(3))
     drift = lambda x, t: -x
     m2 = AgentModel(agent_id=2, state_dim=2, drift=drift)
     assert np.array_equal(m2.drift(np.array([1.0, -2.0]), 0.0), np.array([-1.0, 2.0]))
+
+
+def test_agent_model_derives_its_input_dim():
+    """input_dim is the input map's column count, or state_dim without a
+    map, and cannot be set; a state_dim that is not an integer >= 1 is
+    refused with one line where the model is built."""
+    assert AgentModel(1, 2, input_map=np.eye(2, 3)).input_dim == 3
+    with pytest.raises(TypeError):
+        AgentModel(1, 2, input_dim=3)
+    for bad in (2.0, True, 0):
+        with pytest.raises(ValueError, match=f"^state_dim must be an integer >= 1, got {re.escape(repr(bad))}$"):
+            AgentModel(1, bad)
 
 
 def test_clique_validation():
@@ -235,7 +247,7 @@ def two_clique_team():
     agents = {
         1: AgentModel(1, 2),
         2: AgentModel(2, 3, drift=lambda x, t: A2 @ x + 0.1),
-        3: AgentModel(3, 2, input_dim=3, input_map=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])),
+        3: AgentModel(3, 2, input_map=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])),
         4: AgentModel(4, 1),
         5: AgentModel(5, 2),
     }

@@ -42,8 +42,8 @@ TASK_LAYOUT = StateLayout(ids=(1, 2, 3, 4), dims=(2, 2, 2, 2))
 
 
 def random_task(k, seed=7, spell_until=False):
-    """The k-th seeded random task (seed 7 gives the tasks of
-    demos/06_search_differential.py): its units and x0 in [0, 10]^8.
+    """The k-th seeded random task (seed 7 gives the 24-task set of
+    demos/08_yardstick.py): its units and x0 in [0, 10]^8.
 
     With spell_until, each psi' U[a,b] psi'' of the task is replaced by
     G[a,b](psi') & F[b,b](psi''): psi' is held on [a, b] only, so x0 may

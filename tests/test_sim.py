@@ -106,7 +106,7 @@ def test_scenario_validation():
     # repulsion group needs members of one dimension with as many inputs as states
     pair = {1: agents[1], 2: AgentModel(agent_id=2, state_dim=2)}
     mixed = {1: agents[1], 2: AgentModel(agent_id=2, state_dim=3)}
-    wide = {1: agents[1], 2: AgentModel(agent_id=2, state_dim=2, input_dim=3, input_map=np.eye(2, 3))}
+    wide = {1: agents[1], 2: AgentModel(agent_id=2, state_dim=2, input_map=np.eye(2, 3))}
     repel = SecondaryControlSpec("pairwise_repulsion", (1, 2), 0.1, 0.05)
     shapes = "pairwise repulsion needs group members of one dimension with as many inputs as states"
     for agents_, cliques, kw, msg in (
@@ -393,9 +393,8 @@ def test_run_at_the_coefficient_bound_stays_finite():
 
 
 def pipeline_config(text, x0):
-    """demos/07_pipeline_differential.py's config for a task text over x0
-    in R^8: four planar agents in one clique, no coupling, no noise, dt
-    0.005."""
+    """demos/08_yardstick.py's config for a task text over x0 in R^8: four
+    planar agents in one clique, no coupling, no noise, dt 0.005."""
     return {
         "agents": {str(i): {"dim": 2} for i in range(1, 5)},
         "cliques": {"team": {"members": [1, 2, 3, 4], "formula": text, "coupling_bound": 0.05}},
@@ -673,7 +672,7 @@ def _oracle_scenario(noise, coupling, secondary, stuck, eta, interleaved=False, 
         1: AgentModel(1, 2),
         2: AgentModel(2, 2, drift=lambda x, t: A2 @ x + 0.1),
         3: AgentModel(3, 2, input_map=np.array([[1.0, 0.3], [0.0, 1.5]])),
-        4: AgentModel(4, 2, input_dim=3, input_map=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])),
+        4: AgentModel(4, 2, input_map=np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])),
         5: AgentModel(5, 3, drift=lambda x, t: A5 @ x + b5),
     }
     if plain:
