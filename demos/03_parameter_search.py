@@ -36,10 +36,9 @@ print(f"barrier at (x0, 0): {barrier_state(cb, x0, 0.0).value:.4f} "
 for s, w in result.witnesses.items():
     print(f"  witness at switch {s:g}: left limit {left_limit_state(cb, w, s).value:.4f}")
 
-# re-check the winning funnels on their own; the class-K gain kappa the
+# re-check the winning barrier on its own; the class-K gain kappa the
 # controller uses is a fixed constant of the search, not derived from them
-report = feasibility_check(units, x0, result.r_star, cb.eta, cb.bound_radius,
-                           [tm.gamma for tm in cb.terms])
+report = feasibility_check(cb, x0, result.r_star)
 print(f"independent feasibility check: feasible = {report.feasible}, "
       f"initial margin {report.initial_margin:.4f}")
 print(f"kappa shipped with the barrier: {result.kappa:.4g}")

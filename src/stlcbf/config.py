@@ -50,7 +50,7 @@ from .controller import AgentModel, Clique
 from .formula import normalize
 from .parsing import parse
 from .param_search import _check_r_max, maximize_r
-from .predicates import StateLayout, doc_object, finite_array, finite_number, is_finite_number
+from .predicates import StateLayout, doc_object, finite_array, finite_number, is_finite_number, is_integer
 from .sim import CouplingSpec, NoiseSpec, Scenario, SecondaryControlSpec, _check_relations, _grid_steps
 
 __all__ = [
@@ -99,6 +99,11 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(cfg: dict) -> str:
+    """sha256 of the config's canonical JSON with each clique's members
+    sorted: the order a clique lists its members in is not part of the config."""
+    if "cliques" in cfg:
+        cfg = {**cfg, "cliques": {name: {**cl, "members": sorted(cl["members"])}
+                                  for name, cl in cfg["cliques"].items()}}
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
@@ -129,7 +134,7 @@ def validate_config(cfg: dict) -> dict:
         if not (is_finite_number(bound) and bound >= 0.0):
             raise ConfigError(f"clique {name!r} coupling_bound must be a finite number >= 0")
         for i in cl["members"]:
-            if not _is_id(i):
+            if not is_integer(i):
                 raise ConfigError(f"clique {name!r} member {i!r} must be an integer agent id")
             if str(i) not in cfg["agents"]:
                 raise ConfigError(f"clique {name!r} member {i} is not a declared agent")
@@ -154,7 +159,7 @@ def validate_config(cfg: dict) -> dict:
             if isinstance(cfg["agents"][i].get(key), dict):
                 _known_keys(cfg["agents"][i][key], key, f"agent {i} {key}")
         dim = cfg["agents"][i].get("dim")
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        if not (is_integer(dim) and dim >= 1):
             raise ConfigError(f"agent {i} needs a positive integer dim")
         x0 = cfg["initial_states"][i]
         if not isinstance(x0, (list, tuple)):
@@ -172,10 +177,6 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def _is_id(i) -> bool:  # an agent id in a list is a JSON integer, not a string, float or bool
-    return isinstance(i, int) and not isinstance(i, bool)
-
-
 def _check_dynamics(cfg: dict) -> None:
     """The JSON shapes of the pulls and the group that _dynamics_specs converts, and sim dt."""
     agents = cfg["agents"]
@@ -184,12 +185,12 @@ def _check_dynamics(cfg: dict) -> None:
         raise ConfigError("coupling attractions must be a JSON object keyed by agent id")
     for i, lst in pulls.items():
         if not (i in agents and isinstance(lst, list) and all(
-                isinstance(p, list) and len(p) == 2 and is_finite_number(p[0]) and _is_id(p[1])
+                isinstance(p, list) and len(p) == 2 and is_finite_number(p[0]) and is_integer(p[1])
                 and str(p[1]) in agents for p in lst)):
             raise ConfigError(f"coupling attractions {i!r}: {lst!r} is not a declared agent's list "
                               "of [finite gain, declared agent id] pulls")
     group = cfg.get("secondary", {}).get("group", [])
-    if not (isinstance(group, list) and all(_is_id(i) and str(i) in agents for i in group)):
+    if not (isinstance(group, list) and all(is_integer(i) and str(i) in agents for i in group)):
         raise ConfigError(f"secondary group must be a list of declared agent ids, got {group!r}")
     _sim_dt(cfg)
 
@@ -216,10 +217,15 @@ def load_config(path) -> dict:
     return validate_config(_read_json(path, "config"))
 
 
+def _members(cl: dict) -> tuple:
+    """A config clique's member ids in ascending order, the order of every stacked state."""
+    return tuple(sorted(int(i) for i in cl["members"]))
+
+
 def clique_layouts(cfg: dict) -> dict:
     out = {}
     for name, cl in cfg["cliques"].items():
-        ids = tuple(int(i) for i in cl["members"])
+        ids = _members(cl)
         dims = tuple(cfg["agents"][str(i)]["dim"] for i in ids)
         out[name] = StateLayout(ids=ids, dims=dims)
     return out
@@ -361,7 +367,7 @@ def build_cliques(cfg: dict, doc: dict) -> tuple:
         barrier = barrier_from_dict(entry["barrier"])
         kappa = finite_number(entry, "kappa", f"clique {name!r} ")
         try:  # Clique owns the kappa scale rule
-            cliques.append(Clique(name=name, members=tuple(int(i) for i in cl["members"]), barrier=barrier,
+            cliques.append(Clique(name=name, members=_members(cl), barrier=barrier,
                                   coupling_bound=float(cl.get("coupling_bound", 0.0)), kappa=kappa))
         except ValueError as err:
             raise ConfigError(f"barrier document: clique {name!r} {err}") from None
@@ -393,7 +399,7 @@ def _dynamics_specs(cfg: dict, agents: dict, seed: int | None = None) -> tuple:
             distribution=noise_cfg.get("distribution", "uniform_ball"),
             seed=seed if seed is not None else noise_cfg.get("seed", 0),
         )
-        members = {name: [int(i) for i in cl["members"]] for name, cl in cfg["cliques"].items()}
+        members = {name: _members(cl) for name, cl in cfg["cliques"].items()}
         _check_relations(agents, members, coupling, secondary)
     except ValueError as err:
         raise ConfigError(str(err)) from None

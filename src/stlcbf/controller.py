@@ -35,7 +35,6 @@ reproduces the per-agent law bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -44,7 +43,7 @@ import numpy as np
 
 from .barrier import _SCALE_LIMIT, CompositeBarrier, _gamma, _stack, _state, _value_scale
 from .barrier import barrier_state  # noqa: F401 -- perfbench/tracing.py wraps controller.barrier_state
-from .predicates import StateLayout, is_finite_number
+from .predicates import StateLayout, is_finite_number, is_integer
 
 __all__ = [
     "AgentModel",
@@ -74,7 +73,7 @@ class AgentModel:
 
     def __post_init__(self):
         n = self.state_dim
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        if not (is_integer(n) and n >= 1):
             raise ValueError(f"state_dim must be an integer >= 1, got {n!r}")
         m = n
         if self.input_map is not None:
@@ -132,11 +131,11 @@ class _Blocks:
 
 @dataclass(frozen=True, eq=False)
 class Clique:
-    """Agent subset jointly responsible for one formula: its barrier and the
-    constants the barrier document gives it.  Team derives the members'
-    layout and n_hat from the agents.  The law adds kappa * b, so kappa
-    times the barrier's scale is kept at most _SCALE_LIMIT, as eta times it
-    is (see _SCALE_LIMIT)."""
+    """Agent subset jointly responsible for one formula: its members, by
+    strictly ascending id, its barrier and the constants the barrier
+    document gives it.  Team derives the members' layout and n_hat from the
+    agents.  The law adds kappa * b, so kappa times the barrier's scale is
+    kept at most _SCALE_LIMIT, as eta times it is (see _SCALE_LIMIT)."""
 
     name: str
     members: tuple
@@ -145,6 +144,8 @@ class Clique:
     kappa: float
 
     def __post_init__(self):
+        if any(a >= b for a, b in zip(self.members, self.members[1:])):
+            raise ValueError(f"members must strictly ascend, got {list(self.members)}")
         if not (is_finite_number(self.coupling_bound) and self.coupling_bound >= 0.0):
             raise ValueError(f"coupling bound must be a finite number >= 0, got {self.coupling_bound!r}")
         if not (is_finite_number(self.kappa) and self.kappa > 0.0):
@@ -161,14 +162,15 @@ class Team:
     The team state is one (dim,) vector holding the agents' blocks in
     ascending id order; the inputs are stacked the same way in input_layout.
     Per clique, in name order whatever the order given, the team keeps the
-    index of its stacked state in the team vector (a slice when the members'
-    blocks are adjacent, else an index array) and its members' rows, and per
-    agent the constant input map, drift, clique, n_hat and coupling bound, so
-    that a step builds no per-agent dicts and no identity matrices.  The
-    cliques (at least one) must partition the agents and have distinct
-    names, and each clique's member dimensions must add up to its barrier's;
-    n_hat = sqrt(n_bar_k * largest agent dimension of the team).  known holds
-    the ids of the agents whose constraint models their secondary input f_u.
+    index of its stacked state, its members' blocks in ascending id order, in
+    the team vector (a slice when the blocks are adjacent, else an index
+    array) and its members' rows, and per agent the constant input map,
+    drift, clique, n_hat and coupling bound, so that a step builds no
+    per-agent dicts and no identity matrices.  The cliques (at least one)
+    must partition the agents and have distinct names, and each clique's
+    member dimensions must add up to its barrier's; n_hat = sqrt(n_bar_k *
+    largest agent dimension of the team).  known holds the ids of the agents
+    whose constraint models their secondary input f_u.
     """
 
     def __init__(self, cliques, agents: dict, known=()):
@@ -332,7 +334,7 @@ class Team:
                     [- grad_i' g_i f_u_i if known].
         The float operations are those of the per-agent law, left to right.
         N_i is ||grad_i|| over the sum of its clique's block norms, added left
-        to right in member order by np.add.accumulate (sum() is compensated
+        to right in ascending id order by np.add.accumulate (sum() is compensated
         from Python 3.12 on, and np.add.reduceat pairs terms up from three
         members on), or 1 for every member of a clique whose sum is at most
         _ZERO_TOL (a vanishing gradient: each member takes the whole load).

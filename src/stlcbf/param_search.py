@@ -149,8 +149,9 @@ def _default_bound_radius(units, x0: np.ndarray) -> float:
     return 2.0 * max(float(np.linalg.norm(x0)), reach, 1.0)
 
 
-def _check_eq7(units, params, x0: np.ndarray, r: float):
-    for u, g in zip(units, params):
+def _check_eq7(terms, x0: np.ndarray, r: float):
+    for tm in terms:
+        u, g = tm.unit, tm.gamma
         h0 = float(u.predicate.value(x0))
         if u.t_star > 0.0:
             if not g.gamma0 < h0:
@@ -252,20 +253,10 @@ def _ascend(cb: CompositeBarrier, s: float, x_start: np.ndarray):
     return done(x, st, _norm(st.grad_x), "iteration limit")
 
 
-def feasibility_check(
-    units,
-    x0: np.ndarray,
-    r: float,
-    eta: float,
-    bound_radius: float,
-    params,
-) -> FeasibilityReport:
-    """Check constraints (i)-(ii) for one concrete parameter choice."""
-    units = tuple(units)
-    params = tuple(params)
+def feasibility_check(cb: CompositeBarrier, x0: np.ndarray, r: float) -> FeasibilityReport:
+    """Check constraints (i)-(ii) on the barrier cb for target r."""
     x0 = np.asarray(x0, dtype=float)
-    _check_eq7(units, params, x0, r)
-    cb = build_barrier(units, params, eta=eta, bound_radius=bound_radius)
+    _check_eq7(cb.terms, x0, r)
     report = FeasibilityReport(
         feasible=True, initial_margin=math.nan, switch_margins={}, witnesses={},
         bound_weights={}, grad_norms={}, exits={}, brackets={}, warnings=[], barrier=cb,
@@ -388,7 +379,7 @@ def _probe(units, x0: np.ndarray, r: float, d0: float, caps, relax: dict):
     if placed is None:
         return None
     params, radius = placed
-    return feasibility_check(units, x0, r, _ETA, radius, params)
+    return feasibility_check(build_barrier(units, params, _ETA, radius), x0, r)
 
 
 def _report_diag(diag: dict, report: FeasibilityReport, **head) -> None:

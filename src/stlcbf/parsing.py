@@ -20,9 +20,9 @@
 
 Identifiers refer to agent state blocks of the supplied StateLayout, so the
 same formula text can be parsed against a clique layout or the full team
-layout.  Each predicate records the layout, so its values sum in agent id
-order whatever order the layout lists the agents in.  Sugar is expanded at
-parse time:
+layout; both list the agents by ascending id, so a predicate's values sum
+its products in the same order against either.  Sugar is expanded at parse
+time:
 
 * norm_inf(expr) <= r   becomes the 2*dim affine literals r -/+ expr_j >= 0
 * ball2(expr, r)        becomes the quadratic predicate r^2 - ||expr||^2
@@ -236,7 +236,7 @@ class _Parser:
             raise ParseError("affine atoms compare against 0; fold constants into d", zt.pos)
         coeff = ex.E.T @ c
         off = float(c @ ex.v + d)
-        return [Atom(AffinePredicate(coeff, off, self.layout))]
+        return [Atom(AffinePredicate(coeff, off))]
 
     def _norm_inf_atom(self, pos: int) -> list[Atom]:
         self.expect("sym", "(")
@@ -248,8 +248,8 @@ class _Parser:
         for j in range(ex.k):
             row = ex.E[j]
             # r - (row . x + v_j) >= 0  and  r + (row . x + v_j) >= 0
-            atoms.append(Atom(AffinePredicate(-row, r - ex.v[j], self.layout)))
-            atoms.append(Atom(AffinePredicate(row, r + ex.v[j], self.layout)))
+            atoms.append(Atom(AffinePredicate(-row, r - ex.v[j])))
+            atoms.append(Atom(AffinePredicate(row, r + ex.v[j])))
         return atoms
 
     def _ball2_atom(self, pos: int) -> list[Atom]:
@@ -258,7 +258,7 @@ class _Parser:
         self.expect("sym", ",")
         r = self.number()
         self.expect("sym", ")")
-        return [Atom(BallPredicate(ex.E, ex.v, r * r, self.layout))]
+        return [Atom(BallPredicate(ex.E, ex.v, r * r))]
 
     def expr(self) -> _Expr:
         out = self.item()

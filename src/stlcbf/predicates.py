@@ -9,13 +9,14 @@ Both are concave in x, which the barrier composition relies on.  Predicates
 are expressed over a stacked state vector whose block structure is described
 by a StateLayout (which agent owns which slice).
 
-A predicate's bulk ``values`` over sampled states reads only its support,
-the nonzero columns of c (or of each row of A), found once, on the first
-call, and sums the products elementwise in ascending (agent id, component)
-order of the layout it was parsed against (in column order when it has
-none).  So a value costs one product per support entry, a sample's value has
-the same bits in any slice of the states that holds it, and a literal has
-the same bits whatever order its layout lists the agents in.
+A StateLayout lists its agents by ascending id, so every stacked state
+holds its blocks in ascending (agent id, component) order.  A predicate's
+bulk ``values`` over sampled states reads only its support, the nonzero
+columns of c (or of each row of A), found once, on the first call, and sums
+the products elementwise in ascending column order.  So a value costs one
+product per support entry, a sample's value has the same bits in any slice
+of the states that holds it, and a literal parsed against a clique's layout
+sums its products in the order it does against the team's.
 """
 
 from __future__ import annotations
@@ -59,17 +60,10 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
-def _nonzero(row: np.ndarray, layout) -> tuple:
+def _nonzero(row: np.ndarray) -> tuple:
     """(column, coefficient) pairs of a coefficient row's nonzero entries, as
-    Python ints and floats, in layout's id order (column order for None)."""
-    vals = row.tolist()
-    order = range(len(vals)) if layout is None else layout.id_order
-    return tuple((j, vals[j]) for j in order if vals[j])
-
-
-def _check_layout(layout, dim: int) -> None:
-    if layout is not None and layout.dim != dim:
-        raise ValueError(f"a predicate of dimension {dim} given a layout of dimension {layout.dim}")
+    Python ints and floats, in column order."""
+    return tuple((j, v) for j, v in enumerate(row.tolist()) if v)
 
 
 def _checked(X: np.ndarray, dim: int) -> np.ndarray:
@@ -97,7 +91,8 @@ def _row_values(support: tuple, offset: float, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Block layout of a stacked state: agent ids and their block dimensions."""
+    """Block layout of a stacked state: agent ids, strictly ascending, and
+    their block dimensions."""
 
     ids: tuple[int, ...]
     dims: tuple[int, ...]
@@ -105,23 +100,22 @@ class StateLayout:
     def __post_init__(self):
         if len(self.ids) != len(self.dims):
             raise ValueError("ids and dims must have equal length")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("duplicate agent ids in layout")
-        if any(d < 1 for d in self.dims):
-            raise ValueError("agent dimensions must be >= 1")
+        for i in self.ids:
+            if not is_integer(i):
+                raise ValueError(f"agent ids must be integers, got {i!r}")
+        for d in self.dims:
+            if not (is_integer(d) and d >= 1):
+                raise ValueError(f"agent dimensions must be integers >= 1, got {d!r}")
+        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
+            raise ValueError(f"agent ids must strictly ascend, got {list(self.ids)}")
 
     @property
     def dim(self) -> int:
         return int(sum(self.dims))
 
     def block(self, agent_id: int) -> slice:
-        """Slice of the stacked vector owned by agent_id."""
-        off = 0
-        for aid, d in zip(self.ids, self.dims):
-            if aid == agent_id:
-                return slice(off, off + d)
-            off += d
-        raise KeyError(f"agent {agent_id} not in layout")
+        """Slice of the stacked vector owned by agent_id (KeyError when none is)."""
+        return self.slices()[agent_id]
 
     def slices(self) -> dict:
         """Agent id -> its slice of the stacked vector, for every agent."""
@@ -131,23 +125,13 @@ class StateLayout:
             off += d
         return out
 
-    @cached_property
-    def id_order(self) -> tuple:
-        """The columns in ascending (agent id, component) order: the same
-        sequence of (agent, component) whatever order ids lists the agents in.
-        Found on first use: only a predicate's values reads it."""
-        slices = self.slices()
-        return tuple(j for aid in sorted(self.ids) for j in range(slices[aid].start, slices[aid].stop))
-
 
 @dataclass(frozen=True, eq=False)
 class AffinePredicate:
-    """h(x) = c . x + d, over the stacked state of layout when parse built
-    it (None: no agent blocks known)."""
+    """h(x) = c . x + d."""
 
     c: np.ndarray
     d: float
-    layout: StateLayout | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "c", _readonly(self.c))
@@ -157,7 +141,6 @@ class AffinePredicate:
         if self.c.size == 0:  # the barrier kernel divides by a predicate's state dimension
             raise ValueError("c must hold at least one coefficient")
         _bounded(c=self.c.tolist(), d=[self.d])
-        _check_layout(self.layout, self.dim)
 
     @property
     def dim(self) -> int:
@@ -168,10 +151,10 @@ class AffinePredicate:
 
     @cached_property
     def _support(self) -> tuple:
-        """c's nonzero (column, coefficient) pairs in the layout's id order,
-        found on the first values call: the barrier, search and controller
-        never read them."""
-        return _nonzero(self.c, self.layout)
+        """c's nonzero (column, coefficient) pairs in column order, found on
+        the first values call: the barrier, search and controller never read
+        them."""
+        return _nonzero(self.c)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """h over the rows of X, shape (m, dim) -> (m,): the support's
@@ -190,18 +173,16 @@ class AffinePredicate:
 
     def flipped(self) -> "AffinePredicate":
         """Predicate of the negated literal: -h."""
-        return AffinePredicate(-self.c, -self.d, self.layout)
+        return AffinePredicate(-self.c, -self.d)
 
 
 @dataclass(frozen=True, eq=False)
 class BallPredicate:
-    """h(x) = e - ||A x + b||^2, over layout's stacked state as for
-    AffinePredicate."""
+    """h(x) = e - ||A x + b||^2."""
 
     A: np.ndarray
     b: np.ndarray
     e: float
-    layout: StateLayout | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "A", _readonly(np.atleast_2d(self.A)))
@@ -212,7 +193,6 @@ class BallPredicate:
         if self.A.shape[1] == 0:  # as for an affine c
             raise ValueError("A must have at least one column")
         _bounded(A=self.A.ravel().tolist(), b=self.b.ravel().tolist(), e=[self.e])
-        _check_layout(self.layout, self.dim)
 
     @property
     def dim(self) -> int:
@@ -226,7 +206,7 @@ class BallPredicate:
     def _rows(self) -> tuple:
         """(support, offset) of each row of A x + b, found on the first values
         call, as AffinePredicate._support."""
-        return tuple((_nonzero(row, self.layout), b) for row, b in zip(self.A, self.b.tolist()))
+        return tuple((_nonzero(row), b) for row, b in zip(self.A, self.b.tolist()))
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """h over the rows of X, shape (m, dim) -> (m,): each row of A x + b
@@ -269,6 +249,10 @@ def predicate_to_dict(p: Predicate) -> dict:
             "e": p.e,
         }
     raise TypeError(f"not a predicate: {p!r}")
+
+
+def is_integer(v) -> bool:  # numpy's integers too, but not bool
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def is_finite_number(v) -> bool:

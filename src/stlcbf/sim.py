@@ -290,8 +290,9 @@ class TrajectoryLog:
 
     def clique_robustness(self, formula, clique: Clique) -> float:
         """The monitor's robustness of formula at t = 0 over the clique's
-        member states, stacked in member order, or nan when a state left the
-        finite range (a signal refuses it)."""
+        member states, stacked in ascending id order as in the clique's
+        layout, or nan when a state left the finite range (a signal refuses
+        it)."""
         blocks = self.layout.slices()
         states = self.x[:, np.r_[tuple(blocks[i] for i in clique.members)]]
         if not np.isfinite(states).all():

@@ -241,9 +241,8 @@ def random_barrier(rng, dim=3, n_aff=4, n_ball=1, eta=12.0, radius=8.0):
 def random_team(rng, shapes) -> Team:
     """A seeded team of random_barrier cliques, one per (member state dims,
     affine term count, ball term count) of shapes.  Agent ids are dealt to
-    the cliques in turn and each clique lists its members in descending id
-    order, so the cliques' blocks interleave in the team vector and a
-    clique's stacked state reads its blocks out of order."""
+    the cliques in turn, so the cliques' blocks interleave in the team
+    vector and a clique's stacked state reads non-adjacent blocks."""
     dims, members = {}, [[] for _ in shapes]
     for k in range(max(len(d) for d, _, _ in shapes)):
         for c, (member_dims, _, _) in enumerate(shapes):
@@ -251,7 +250,7 @@ def random_team(rng, shapes) -> Team:
                 dims[len(dims) + 1] = member_dims[k]
                 members[c].append(len(dims))
     cliques = [
-        Clique(f"c{c}", tuple(reversed(ids)),
+        Clique(f"c{c}", tuple(ids),
                random_barrier(rng, dim=sum(member_dims), n_aff=n_aff, n_ball=n_ball, eta=float(rng.uniform(5.0, 40.0))),
                coupling_bound=0.1, kappa=float(rng.uniform(0.5, 3.0)))
         for c, ((member_dims, n_aff, n_ball), ids) in enumerate(zip(shapes, members))

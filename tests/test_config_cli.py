@@ -142,12 +142,27 @@ def pair_config():
     return cfg
 
 
+ORDER_FORMULA = "F[1,4](dot([0.7,0.3], x1 + x2 - x3) - 2.5 >= 0)"  # six nonzero coefficients
+
+
+def order_config(members):
+    """Three planar agents in one clique that lists them as members."""
+    return {"agents": {str(i): {"dim": 2} for i in (1, 2, 3)},
+            "cliques": {"mix": {"members": members, "formula": ORDER_FORMULA, "coupling_bound": 0.2}},
+            "initial_states": {"1": [0.5, 1.0], "2": [1.5, 2.5], "3": [2.0, 0.5]},
+            "noise": {"bound": 0.1, "seed": 3}, "sim": {"dt": 0.005}}
+
+
 def test_canonical_json_is_key_order_invariant():
     a = {"b": 1, "a": {"y": 2, "x": 3}}
     b = {"a": {"x": 3, "y": 2}, "b": 1}
     assert canonical_json(a) == canonical_json(b)
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({"b": 1, "a": {"y": 2, "x": 4}})
+    # a clique's member order is not part of the config
+    cfg = order_config([3, 1, 2])
+    assert config_hash(cfg) == config_hash(order_config([1, 2, 3]))
+    assert cfg["cliques"]["mix"]["members"] == [3, 1, 2]  # hashed sorted, not sorted in place
 
 
 def test_validate_config_errors():
@@ -283,6 +298,36 @@ def test_build_cliques_rejects_stale_or_infeasible_docs():
     bad["cliques"]["solo"]["feasible"] = False
     with pytest.raises(ConfigError, match="no feasible barrier"):
         build_cliques(cfg, bad)
+    # the hash an older version wrote for a clique listed out of order, whose
+    # document holds its columns in member order
+    cfg = order_config([3, 1, 2])
+    doc = {**run_construct(cfg), "config_hash": hashlib.sha256(canonical_json(cfg).encode()).hexdigest()}
+    with pytest.raises(ConfigError, match=r"^barrier document was produced from a different config "
+                                          r"\(hash mismatch\); re-run construction$"):
+        build_cliques(cfg, doc)
+
+
+def test_member_order_does_not_change_the_pipeline(tmp_path, capsys):
+    """Every stacked state lists its agents by ascending id, so a clique
+    listed as [3, 1, 2] and as [1, 2, 3] gives byte-identical barrier
+    documents and equal verify reports, and monitor, which reads the team's
+    columns, prints verify's rho bit for bit.  The literal's six products
+    could give other bits summed in another order."""
+    docs, reports = [], []
+    for members in ([3, 1, 2], [1, 2, 3]):
+        out = tmp_path / "".join(map(str, members))
+        out.mkdir()
+        cfg_path, barriers = out / "config.json", out / "barriers.json"
+        cfg_path.write_text(json.dumps(order_config(members)))
+        assert main(["construct", str(cfg_path), "-o", str(barriers)]) == 0
+        assert main(["simulate", str(cfg_path), str(barriers), "--seed", "0", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out / "log.json"), str(cfg_path)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        assert main(["monitor", ORDER_FORMULA, str(out / "trajectory.csv")]) == 0
+        assert capsys.readouterr().out == repr(reports[-1]["cliques"]["mix"]["rho"]) + "\n"
+        docs.append(barriers.read_bytes())
+    assert docs[0] == docs[1] and reports[0] == reports[1]
 
 
 def test_build_scenario_overrides_and_known_group_check():

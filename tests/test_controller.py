@@ -82,9 +82,13 @@ def test_agent_model_derives_its_input_dim():
 
 def test_clique_validation():
     """A nan passes a plain sign test and would give nan inputs, so each
-    non-finite or out-of-range kappa or coupling bound is a one-line error."""
+    non-finite or out-of-range kappa or coupling bound is a one-line error,
+    and so are members that do not strictly ascend, the order of the
+    clique's stacked state."""
     clique, _ = two_agent_clique()
     for field, value, msg in (
+        ("members", (2, 1), "members must strictly ascend, got [2, 1]"),
+        ("members", (1, 1), "members must strictly ascend, got [1, 1]"),
         ("kappa", 0.0, "kappa must be a finite number > 0, got 0.0"),
         ("kappa", -1.0, "kappa must be a finite number > 0, got -1.0"),
         ("kappa", math.nan, "kappa must be a finite number > 0, got nan"),

@@ -135,26 +135,24 @@ def test_feasibility_check_validates_placement_rules():
     x0 = np.array([1.0])
     u = unit_h_x()  # t_star = 0, h(x0) = 1
     ok = [GammaParams.from_target(0.5, 1.2, 0.5, 0.0)]
-    rep = feasibility_check([u], x0, 0.5, 20.0, 4.0, ok)
+    rep = feasibility_check(build_barrier([u], ok, 20.0, 4.0), x0, 0.5)
     assert rep.feasible
     assert rep.initial_margin > _DELTA
     assert set(rep.switch_margins) == {2.0}
     # gamma0 below r when the target applies immediately
     with pytest.raises(ValueError, match="must lie in"):
-        feasibility_check([u], x0, 0.5, 20.0, 4.0, [GammaParams(0.2, 1.2, 0.0, 0.0)])
+        feasibility_check(build_barrier([u], [GammaParams(0.2, 1.2, 0.0, 0.0)], 20.0, 4.0), x0, 0.5)
     # gamma0 above h(x0)
     with pytest.raises(ValueError, match="must lie in"):
-        feasibility_check([u], x0, 0.5, 20.0, 4.0, [GammaParams(1.1, 1.2, 0.0, 0.0)])
+        feasibility_check(build_barrier([u], [GammaParams(1.1, 1.2, 0.0, 0.0)], 20.0, 4.0), x0, 0.5)
     # gamma_inf must exceed sup h for a ball predicate... stays below, that is
     ub = OperatorUnit("eventually", BallPredicate(np.eye(1), np.array([-2.0]), 1.0), 0.0, 2.0)
     bad = [GammaParams(-4.0, 1.5, 0.9, 2.0)]
     with pytest.raises(ValueError, match="sup h"):
-        feasibility_check([ub], np.array([0.0]), 0.1, 20.0, 4.0, bad)
+        feasibility_check(build_barrier([ub], bad, 20.0, 4.0), np.array([0.0]), 0.1)
     # decay inconsistent with the target rule
     with pytest.raises(ValueError, match="inconsistent"):
-        feasibility_check(
-            [unit_h_x(a=1.0)], x0, 1.5, 20.0, 4.0, [GammaParams(0.5, 2.0, 0.01, 1.0)]
-        )
+        feasibility_check(build_barrier([unit_h_x(a=1.0)], [GammaParams(0.5, 2.0, 0.01, 1.0)], 20.0, 4.0), x0, 1.5)
 
 
 def test_feasibility_monotone_in_r_spot():
@@ -319,9 +317,10 @@ def test_nan_margin_is_infeasible(monkeypatch):
     r = 0.9
     curves = [(0.95, 1.05), (0.8, 1.02), (-2.2, 1.02), (0.4, 1.02), (-0.2, 1.02)]
     params = [GammaParams.from_target(g0, gi, r, u.t_star) for u, (g0, gi) in zip(units, curves)]
-    assert feasibility_check(units, x0, r, 20.0, 10.0, params).feasible
+    cb = build_barrier(units, params, 20.0, 10.0)
+    assert feasibility_check(cb, x0, r).feasible
     _nan_funnels(monkeypatch)
-    report = feasibility_check(units, x0, r, 20.0, 10.0, params)
+    report = feasibility_check(cb, x0, r)
     assert not report.feasible
     assert math.isnan(report.initial_margin)
     assert list(report.switch_margins) == [6.0] and math.isnan(report.switch_margins[6.0])
@@ -381,9 +380,10 @@ def test_feasibility_report_records_exits_and_brackets(demo_doc, monkeypatch):
     r = 0.9
     curves = [(0.95, 1.05), (0.8, 1.02), (-2.2, 1.02), (0.4, 1.02), (-0.2, 1.02)]
     params = [GammaParams.from_target(g0, gi, r, u.t_star) for u, (g0, gi) in zip(units, curves)]
-    passed = feasibility_check(units, x0, r, 20.0, 10.0, params)
+    cb = build_barrier(units, params, 20.0, 10.0)
+    passed = feasibility_check(cb, x0, r)
     monkeypatch.setattr(param_search, "_DELTA", 5.0)
-    failed = feasibility_check(units, x0, r, 20.0, 10.0, params)
+    failed = feasibility_check(cb, x0, r)
     assert passed.feasible and not failed.feasible
     for report in (passed, failed):
         assert report.exits == {6.0: "converged"} and report.warnings == []
@@ -411,24 +411,23 @@ def test_failed_reports_hold_naive_maxima(monkeypatch):
 
     calls, check_fn = [], param_search.feasibility_check
 
-    def check(units, x0, r, eta, bound_radius, params):
-        report = check_fn(units, x0, r, eta, bound_radius, params)
-        calls.append((units, x0, eta, bound_radius, params, report))
+    def check(cb, x0, r):
+        report = check_fn(cb, x0, r)
+        calls.append((cb, x0, report))
         return report
 
     monkeypatch.setattr(param_search, "feasibility_check", check)
     maximize_r(*random_task(5, spell_until=True))
     failed = [c for c in calls if not c[-1].feasible]
     assert failed
-    for units, x0, eta, bound_radius, params, report in failed:
-        cb = build_barrier(units, params, eta=eta, bound_radius=bound_radius)
+    for cb, x0, report in failed:
         assert list(report.witnesses) == list(cb.schedule)
         x_start = x0
         for s in cb.schedule:
             rx, rst, rgnorm, _ = naive_ascend(cb, s, x_start, 600, 1e-6)
-            assert _bits(report.witnesses[s]) == _bits(rx), (eta, s)
-            assert _bits(report.switch_margins[s]) == _bits(rst.value), (eta, s)
-            assert _bits(report.grad_norms[s]) == _bits(rgnorm), (eta, s)
+            assert _bits(report.witnesses[s]) == _bits(rx), s
+            assert _bits(report.switch_margins[s]) == _bits(rst.value), s
+            assert _bits(report.grad_norms[s]) == _bits(rgnorm), s
             x_start = rx
 
 
@@ -471,8 +470,8 @@ def test_placements_clear_delta_at_their_witnesses(monkeypatch):
         maximize_r(*random_task(k, seed=31, spell_until=True))
     assert len(placed) >= 30
     for units, x0, r, relax, (params, radius) in placed:
-        _check_eq7(units, params, x0, r)
         cb = build_barrier(units, params, eta=_ETA, bound_radius=radius)
+        _check_eq7(cb.terms, x0, r)
         assert barrier_state(cb, x0, 0.0).value >= _DELTA
         for s, (x, _) in relax.items():
             assert left_limit_state(cb, x, s).value >= _DELTA, (r, s)
@@ -563,10 +562,10 @@ def test_failed_search_diagnostics(monkeypatch):
             assert not res.feasible and list(res.diagnostics) == ["delta", "r_bracket_high", "warnings"], k
             assert res.diagnostics["warnings"] == [warning], (k, spell_until)
 
-    def refute(units, x0, r, eta, bound_radius, params):
-        report = check_fn(units, x0, r, eta, bound_radius, params)
+    def refute(cb, x0, r):
+        report = check_fn(cb, x0, r)
         report.feasible = False
-        reports.append((min([report.initial_margin] + list(report.switch_margins.values())), eta, report))
+        reports.append((min([report.initial_margin] + list(report.switch_margins.values())), cb.eta, report))
         return report
 
     monkeypatch.setattr(param_search, "feasibility_check", refute)

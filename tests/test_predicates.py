@@ -6,10 +6,10 @@ from stlcbf.predicates import predicate_from_dict, predicate_to_dict
 
 
 def test_layout_blocks():
-    lay = StateLayout(ids=(3, 1, 7), dims=(2, 1, 3))
+    lay = StateLayout(ids=(1, 3, 7), dims=(1, 2, 3))
     assert lay.dim == 6
-    assert lay.block(3) == slice(0, 2)
-    assert lay.block(1) == slice(2, 3)
+    assert lay.block(1) == slice(0, 1)
+    assert lay.block(3) == slice(1, 3)
     assert lay.block(7) == slice(3, 6)
     assert lay.dims[lay.ids.index(7)] == 3
     with pytest.raises(KeyError):
@@ -23,6 +23,19 @@ def test_layout_validation():
         StateLayout(ids=(1, 2), dims=(2,))
     with pytest.raises(ValueError):
         StateLayout(ids=(1,), dims=(0,))
+    # every stacked state lists its agents by ascending id; ids must be
+    # integers and dims integers >= 1 (bool excluded), checked before the order
+    for ids, dims, msg in (((2, 1), (2, 2), r"agent ids must strictly ascend, got \[2, 1\]$"),
+                           ((1, 1), (2, 2), r"agent ids must strictly ascend, got \[1, 1\]$"),
+                           ((1,), (2.0,), r"agent dimensions must be integers >= 1, got 2\.0$"),
+                           ((1,), (True,), r"agent dimensions must be integers >= 1, got True$"),
+                           ((1,), (1.5,), r"agent dimensions must be integers >= 1, got 1\.5$"),
+                           ((True,), (2,), r"agent ids must be integers, got True$"),
+                           (("a", 1), (2, 2), r"agent ids must be integers, got 'a'$"),
+                           ((1.5,), (2,), r"agent ids must be integers, got 1\.5$")):
+        with pytest.raises(ValueError, match=msg):
+            StateLayout(ids, dims)
+    assert StateLayout((np.int64(1), 4), (np.int64(2), 1)).dim == 3
 
 
 def test_affine_value_and_gradient():

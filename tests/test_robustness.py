@@ -225,34 +225,3 @@ def test_matches_oracle_on_random_formulas(dims, samples, draws):
             continue
         want = naive_robustness(f, times, states, t)
         assert got == want
-
-
-def test_rho_bits_do_not_depend_on_the_layout_order():
-    """A literal's value sums its support in ascending (agent id, component)
-    order, so a formula parsed against a layout that lists the agents in
-    another order gives bitwise the same robustness on the correspondingly
-    permuted signal.  Seeded dot, negated dot, norm_inf and ball2 literals
-    with 3-8 nonzero coefficients per row, over eight planar agents."""
-    ids = tuple(range(1, 9))
-    team = StateLayout(ids, (2,) * 8)
-    rng = np.random.default_rng(12)
-    times = np.linspace(0.0, 1.0, 51)
-    for draw in range(200):
-        n, kind = int(rng.integers(3, 9)), int(rng.integers(4))
-        m = n // 2 if kind < 2 and n % 2 == 0 else n  # agents in the expression
-        agents = rng.choice(ids, size=m, replace=False)
-        expr = f"x{agents[0]}" + "".join(f" {'+-'[int(s)]} x{a}" for s, a in zip(rng.integers(2, size=m), agents[1:]))
-        w1, w2 = (float(w) for w in rng.normal(size=2))
-        w2 = w2 if m < n else 0.0
-        literal = [f"dot([{w1!r},{w2!r}], {expr}) - 0.3 >= 0", f"!dot([{w1!r},{w2!r}], {expr}) + 0.3 >= 0",
-                   f"norm_inf({expr}) <= 2", f"ball2({expr}, 3)"][kind]
-        text = f"{'GF'[draw % 2]}[0,1]({literal})"
-        states = rng.normal(size=(times.size, 16))
-        order = tuple(int(i) for i in rng.permutation(ids))
-        blocks = team.slices()
-        cols = [j for i in order for j in range(blocks[i].start, blocks[i].stop)]
-        want = robustness(parse(text, team), sig(times, states), 0.0)
-        got = robustness(parse(text, StateLayout(order, (2,) * 8)), sig(times, states[:, cols]), 0.0)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (text, order)
-    with pytest.raises(ValueError, match="layout of dimension 16"):
-        AffinePredicate(np.ones(3), 0.0, team)
