@@ -20,7 +20,8 @@ rows are tabulated over the time grid ahead of the steps that use them
 team, and each step's results go straight into the row of one preallocated
 table laid out as the trajectory CSV: the Euler update writes the next
 state into its row, the log is that table, the CSV writer formats its rows
-as they are and the readers fill one back a block of lines at a time.  Its
+as they are and the readers fill one back from the file's bytes a block of
+lines at a time, splitting plain blocks at their commas (_csv_blocks).  Its
 fields, per agent or stacked, are column views.
 
 A step computes only what the next state needs: it writes what only the
@@ -550,31 +551,62 @@ def write_log_csv(log: TrajectoryLog, path) -> str:
     return digest.hexdigest()
 
 
-def _csv_blocks(lines, base: int, width: int):
-    """The rows after base lines of a CSV's lines, as csv.reader reads them
-    but cut to width cells, and the line each ends on, with the lines' text,
-    _CHUNK_ROWS lines at a time; the rows are emptied when the next block is
-    read.  A block is split at its commas if it has no '"', NUL (which csv
-    refuses before Python 3.11) or line over the field limit, ends in a line
-    end and splits into its lines under str.splitlines (which also splits at
-    \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028, \\u2029 and a '\\r' inside a line)."""
-    while block := list(islice(lines, _CHUNK_ROWS)):
-        text = "".join(block)
-        split = text.splitlines()
-        if ('"' in text or "\0" in text or max(map(len, block)) > csv.field_size_limit()
-                or text[-1] not in "\r\n" or len(split) != len(block)):
+def _text_lines(lines: list, fh, base: int, offset: int):
+    r"""The text of a file's UTF-8 lines from line base + 1 and byte offset
+    on: the byte lines in lines, then the lines text mode reads ('\r', '\n' or
+    '\r\n' ends one) in fh's lines, each added to lines as it is read.  A byte
+    that is not UTF-8 is refused with its line and file offset."""
+    read_on = (lines.extend(split := data.splitlines(keepends=True)) or split for data in fh)
+    for base, line in enumerate(chain(lines, chain.from_iterable(read_on)), base + 1):
+        try:
+            text = line.decode()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"'utf-8' codec can't decode byte {line[err.start]:#04x} at line {base}, "
+                             f"file offset {offset + err.start}: {err.reason}") from None
+        offset += len(line)
+        yield text
+
+
+def _csv_head(fh) -> tuple:
+    """The first row of a binary CSV file as csv.reader reads it (None if
+    there is none), the lines it takes and their bytes; fh is left after them."""
+    lines = []
+    rd = csv.reader(_text_lines(lines, fh, 0, 0))
+    header = next(rd, None)
+    raw = b"".join(lines[: rd.line_num])
+    fh.seek(len(raw))
+    return header, rd.line_num, raw
+
+
+def _csv_blocks(fh, base: int, width: int):
+    r"""The rows of a binary CSV file from line base + 1 on, as csv.reader
+    reads its text but cut to width cells, the line each ends on and their
+    bytes, _CHUNK_ROWS lines of fh at a time; the rows are emptied when the
+    next block is read.  A block that is ASCII, ends in '\n' and has no '"',
+    NUL (refused by csv before Python 3.11), '\r' but before '\n' or line
+    over the field limit holds the lines text mode reads and is split at its
+    commas ('\v', '\f' and '\x1c'-'\x1e' stay in cells); csv.reader reads
+    any other block."""
+    while block := list(islice(fh, _CHUNK_ROWS)):
+        data = b"".join(block)
+        if (data.isascii() and b'"' not in data and b"\0" not in data and data.endswith(b"\n")
+                and data.count(b"\r") == data.count(b"\r\n")
+                and max(map(len, block)) <= csv.field_size_limit()):
+            rows = [body.split(b",", width)[:width] if (body := line.rstrip(b"\r\n")) else [] for line in block]
+            ends = range(base + 1, base + len(rows) + 1)
+        else:
             # a quoted cell may run on past the block: the lines read on are added to it
-            rd = csv.reader(chain(block, (block.append(line) or line for line in lines)))
-            rows, ends = [], []
-            while rd.line_num < len(block):
+            lines, rows, ends = data.splitlines(keepends=True), [], []
+            rd = csv.reader(_text_lines(lines, fh, base, fh.tell() - len(data)))
+            while rd.line_num < len(lines):
+                if len(rows) == _CHUNK_ROWS:  # a '\r'-ended file is one line of fh
+                    yield b"", rows, ends
+                    del rows[:], ends[:]
                 rows.append(next(rd)[:width])
                 ends.append(base + rd.line_num)
-            text = "".join(block)
-        else:
-            rows = [line.split(",", width)[:width] if line else [] for line in split]
-            ends = range(base + 1, base + len(block) + 1)
-        base += len(block)
-        yield text, rows, ends
+            data = b"".join(lines)
+        base = ends[-1]
+        yield data, rows, ends
         rows.clear()
 
 
@@ -588,26 +620,23 @@ def read_signal_csv(path) -> tuple:
     or times that are not strictly increasing from 0 are one-line ValueErrors.
     """
     numeric = True  # refused after the last row, as a later short row or csv fault comes first
-    with open(path, newline="", encoding="utf-8") as fh:
-        rd = csv.reader(fh)
+    with open(path, "rb") as fh:
         try:
-            header = next(rd, None)
+            header, base, _ = _csv_head(fh)
             if header is None:
                 raise ValueError("empty file")
             layout, cols = _signal_columns(header)
             width, parts, pick = max(cols) + 1, [np.empty((0, len(cols)))], operator.itemgetter(*cols)
-            for _, rows, ends in _csv_blocks(fh, rd.line_num, width):
+            for _, rows, ends in _csv_blocks(fh, base, width):
                 picked = [pick(r) for r in rows if r]
                 try:
                     parts.append(np.array(picked, dtype=float).reshape(len(picked), len(cols)))
                 except ValueError:
                     numeric = False
-        except csv.Error as err:  # an oversized field
-            raise ValueError(f"{path}: {err}") from None
         except IndexError:
             line = next(end for r, end in zip(rows, ends) if 0 < len(r) < width)
             raise ValueError(f"{path} line {line}: a row shorter than the header") from None
-        except ValueError as err:
+        except (csv.Error, ValueError) as err:  # an oversized field, a byte not UTF-8, or the header
             raise ValueError(f"{path}: {err}") from None
     if not numeric:
         raise ValueError(f"{path}: a non-numeric t or x cell")
@@ -702,13 +731,14 @@ def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
     table = np.empty((n_steps + 1, width))
     digest = hashlib.sha256()
     n_rows, fault = 0, None  # the first bad line, reported after the hash and row count
-    # newline="" keeps each line's own ending, so line.encode() gives back the file's bytes
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            if next(csv.reader(digest.update(line.encode()) or line for line in fh), None) != cols.header:
-                raise ValueError(f"{path}: header does not match the config's agents and cliques")
-            for text, rows, _ in _csv_blocks(fh, 0, width + 1):  # so that an extra cell shows
-                digest.update(text.encode())
+            header, base, raw = _csv_head(fh)
+            digest.update(raw)
+            if header != cols.header:
+                raise ValueError("header does not match the config's agents and cliques")
+            for data, rows, _ in _csv_blocks(fh, base, width + 1):  # so that an extra cell shows
+                digest.update(data)
                 first, n_rows = n_rows, n_rows + len(rows)
                 if fault is None and first <= n_steps:
                     del rows[n_steps + 1 - first :]  # rows past the terminal row are only counted
@@ -723,7 +753,7 @@ def log_from_dict(doc: dict, directory, team: Team) -> TrajectoryLog:
                             except ValueError:
                                 fault = first + j + 2
                                 break
-        except (csv.Error, UnicodeDecodeError) as err:  # an oversized field, or not UTF-8
+        except (csv.Error, ValueError) as err:  # an oversized field, a byte not UTF-8, or another header
             raise ValueError(f"{path}: {err}") from None
     if digest.hexdigest() != link["sha256"]:
         raise ValueError(f"{path}: sha256 does not match the log document")

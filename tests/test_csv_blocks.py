@@ -11,6 +11,7 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from stlcbf import log_from_dict, log_to_dict, read_signal_csv, run, write_log_csv
@@ -172,14 +173,25 @@ def _set(r, c, value):
     return lambda rows: rows[r].__setitem__(c, value)
 
 
+def _late_0xff(data: bytes) -> bytes:
+    """data with its tenth-last byte, in the terminal row, set to 0xff."""
+    return data[:-10] + b"\xff" + data[-9:]
+
+
 def _variants(data: bytes) -> dict:
-    """The written CSV, copies that take csv.reader's path in some blocks or
-    all, and copies with a fault at a known line."""
+    """The written CSV, copies that are split at their commas or take
+    csv.reader's path in some blocks or all, and copies with a fault at a
+    known line."""
     n = data.count(b"\n")
     quoted_row = data.splitlines(keepends=True)
     quoted_row[4] = b'"' + quoted_row[4].rstrip(b"\r\n").replace(b",", b'","') + b'"\r\n'
     return {
         "written": data,
+        "lf": _rewrite(data, terminator="\n"),
+        # a cell csv.reader keeps whole, which float() reads as blank space around the number
+        "vertical tab": _rewrite(data, edit=lambda rows: rows[5].__setitem__(1, rows[5][1] + "\x0b")),
+        "arabic one": _rewrite(data, edit=_set(4, 1, "\u0661")),  # not ASCII: the csv path; float() reads 1
+        "late 0xff": _late_0xff(data),
         "quoted": _rewrite(data, csv.QUOTE_ALL),
         "cr": _rewrite(data, terminator="\r"),
         "quoted cr": _rewrite(data, csv.QUOTE_ALL, "\r"),
@@ -224,7 +236,11 @@ def test_block_size_changes_no_read(case, tmp_path, monkeypatch):
 
     at_256 = {name: outcomes(name, data) for name, data in variants.items()}
     for name in variants:
-        assert at_256[name][0] == _outcome(naive_read_signal_csv, tmp_path / f"{name}.csv"), name
+        naive = _outcome(naive_read_signal_csv, tmp_path / f"{name}.csv")
+        if name == "late 0xff":  # the row-by-row reader names the byte's position in a decode buffer
+            assert naive.startswith(f"{tmp_path / name}.csv: 'utf-8' codec can't decode byte 0xff in position ")
+        else:
+            assert at_256[name][0] == naive, name
     for chunk in (1, 3):
         monkeypatch.setattr(sim, "_CHUNK_ROWS", chunk)
         for name, data in variants.items():
@@ -232,11 +248,14 @@ def test_block_size_changes_no_read(case, tmp_path, monkeypatch):
 
     # the copies read as the file they copy, and each fault is named
     table = log.table.tobytes()
-    for name in ("quoted", "cr", "quoted cr", "quoted newline", "one quoted row", "blank lines"):
+    copies = ("lf", "vertical tab", "quoted", "cr", "quoted cr", "quoted newline", "one quoted row")
+    for name in copies + ("blank lines",):
         assert at_256[name][0] == at_256["written"][0], name
     assert at_256["written"][1][0] == table
-    for name in ("quoted", "cr", "quoted cr", "quoted newline", "one quoted row"):
+    for name in copies:
         assert at_256[name][1] == [table, f"{tmp_path / name}.csv: sha256 does not match the log document"], name
+    states = np.frombuffer(at_256["arabic one"][0][4]).reshape(at_256["arabic one"][0][3])
+    assert states[3, 0] == 1.0 and states.tobytes() != at_256["written"][0][4]  # line 5's first x cell
     n = variants["written"].count(b"\n")
     assert at_256["short row"][0].endswith(f"line {n // 2 + 1}: a row shorter than the header")
     assert at_256["quoted short row"][0].endswith("line 9: a row shorter than the header")  # one row spans two lines
@@ -244,3 +263,52 @@ def test_block_size_changes_no_read(case, tmp_path, monkeypatch):
     assert at_256["non-numeric"][1][0].endswith("line 7: a missing, extra or non-numeric cell")
     assert at_256["extra cell"][1][0].endswith(f"line {n - 1}: a missing, extra or non-numeric cell")
     assert at_256["nan"][0].endswith("non-finite t or x cell")
+    # the bad byte is refused before the sha256 check, on its line of the file
+    late = _late_0xff(variants["written"])
+    line, offset = late.count(b"\n"), len(late) - 10
+    bad = (f"{tmp_path / 'late 0xff'}.csv: 'utf-8' codec can't decode byte 0xff at line {line}, "
+           f"file offset {offset}: invalid start byte")
+    assert at_256["late 0xff"] == (bad, [bad, bad])
+
+
+class _CountedReader:
+    """csv.reader, counting the rows its readers yield."""
+
+    rows = 0
+    reader = csv.reader
+
+    def __init__(self, *args, **kwargs):
+        self._rd = self.reader(*args, **kwargs)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self._rd)
+        _CountedReader.rows += 1
+        return row
+
+    @property
+    def line_num(self):
+        return self._rd.line_num
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_written_csv_is_split_at_its_commas(chunk, tmp_path, monkeypatch):
+    """The written CSV of every oracle case reads as the row-by-row reader
+    reads it, and csv.reader reads its header and no other row."""
+    monkeypatch.setattr(sim, "_CHUNK_ROWS", chunk)
+    for case in sorted(ORACLE_CASES):
+        sc = _oracle_scenario(*ORACLE_CASES[case])
+        log = run(sc)
+        path = tmp_path / f"{case}.csv"
+        doc = log_to_dict(log, path.name, write_log_csv(log, path))
+        want = _outcome(naive_read_signal_csv, path)
+        monkeypatch.setattr(_CountedReader, "rows", 0)
+        monkeypatch.setattr(csv, "reader", _CountedReader)
+        got = _outcome(read_signal_csv, path)
+        table = log_from_dict(doc, tmp_path, Team(sc.cliques, sc.agents)).table
+        assert _CountedReader.rows == 2, case  # the header, once per reader
+        monkeypatch.setattr(csv, "reader", _CountedReader.reader)
+        assert got == want, case
+        assert table.tobytes() == log.table.tobytes(), case
